@@ -83,6 +83,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/fault/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkAdaptive -benchmem -count 3 ./internal/core/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -count 3 ./internal/fleet/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench BenchmarkRunIntoTiny -benchmem -count 3 ./internal/system/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench BenchmarkSeedDraw30 -benchmem -count 3 ./internal/rng/ >> bench/raw.txt
 	$(GO) run ./cmd/benchreport -emit bench -in bench/raw.txt
 
 # Sabre engine comparison only: the three execution engines on the

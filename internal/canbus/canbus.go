@@ -62,7 +62,11 @@ func appendBits(dst []bool, v uint32, n int) []bool {
 // Stuff applies the CAN bit-stuffing rule: after five consecutive equal
 // bits, a complementary bit is inserted.
 func Stuff(bits []bool) []bool {
-	out := make([]bool, 0, len(bits)+len(bits)/5)
+	return appendStuffed(make([]bool, 0, len(bits)+len(bits)/5), bits)
+}
+
+// appendStuffed appends the stuffed form of bits to dst.
+func appendStuffed(dst, bits []bool) []bool {
 	run := 0
 	var last bool
 	for i, b := range bits {
@@ -71,15 +75,15 @@ func Stuff(bits []bool) []bool {
 		} else {
 			run = 1
 		}
-		out = append(out, b)
+		dst = append(dst, b)
 		last = b
 		if run == 5 {
-			out = append(out, !b)
+			dst = append(dst, !b)
 			last = !b
 			run = 1
 		}
 	}
-	return out
+	return dst
 }
 
 // Unstuff removes stuffing bits, returning ErrBadStuffing if six equal
@@ -114,18 +118,27 @@ func Unstuff(bits []bool) ([]bool, error) {
 	return out, nil
 }
 
+// maxRawBits is the longest unstuffed span a frame has: SOF, 11-bit
+// identifier, RTR, IDE, r0, 4-bit DLC, 8 data bytes and the 15-bit CRC.
+const maxRawBits = 34 + 8*8
+
 // Encode serialises the frame to the stuffed bus bit sequence:
 // SOF, arbitration (ID + RTR), control (IDE, r0, DLC), data, CRC —
 // all stuffed — followed by the unstuffed CRC delimiter, ACK slot,
 // ACK delimiter and 7 recessive end-of-frame bits.
-func (f Frame) Encode() ([]bool, error) {
+func (f Frame) Encode() ([]bool, error) { return f.AppendEncode(nil) }
+
+// AppendEncode appends the frame's bus bit sequence (see Encode) to dst.
+// It allocates nothing when dst has room for the frame.
+func (f Frame) AppendEncode(dst []bool) ([]bool, error) {
 	if f.ID > 0x7FF {
-		return nil, fmt.Errorf("canbus: identifier %#x exceeds 11 bits", f.ID)
+		return dst, fmt.Errorf("canbus: identifier %#x exceeds 11 bits", f.ID)
 	}
 	if len(f.Data) > 8 {
-		return nil, fmt.Errorf("canbus: %d data bytes exceeds 8", len(f.Data))
+		return dst, fmt.Errorf("canbus: %d data bytes exceeds 8", len(f.Data))
 	}
-	var raw []bool
+	var buf [maxRawBits]bool
+	raw := buf[:0]
 	raw = append(raw, false)                      // SOF, dominant
 	raw = appendBits(raw, uint32(f.ID), 11)       // identifier
 	raw = append(raw, false)                      // RTR dominant = data frame
@@ -136,19 +149,25 @@ func (f Frame) Encode() ([]bool, error) {
 	}
 	crc := CRC15(raw)
 	raw = appendBits(raw, uint32(crc), 15)
-	out := Stuff(raw)
-	out = append(out, true)  // CRC delimiter
-	out = append(out, false) // ACK slot (driven dominant by a receiver)
-	out = append(out, true)  // ACK delimiter
+	dst = appendStuffed(dst, raw)
+	dst = append(dst, true)  // CRC delimiter
+	dst = append(dst, false) // ACK slot (driven dominant by a receiver)
+	dst = append(dst, true)  // ACK delimiter
 	for i := 0; i < 7; i++ { // end of frame
-		out = append(out, true)
+		dst = append(dst, true)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Decode parses one frame from the start of a stuffed bit stream,
 // returning the frame and the number of bits consumed.
 func Decode(bits []bool) (Frame, int, error) {
+	return DecodeInto(bits, new([8]byte))
+}
+
+// DecodeInto is Decode with the frame's payload written to data: the
+// returned Frame's Data aliases data, and nothing is allocated.
+func DecodeInto(bits []bool, data *[8]byte) (Frame, int, error) {
 	// Minimum frame: 1+11+1+2+4+15 = 34 raw bits before stuffing, plus
 	// trailer. Find the stuffed span first: we must unstuff
 	// incrementally because the DLC determines the length.
@@ -160,7 +179,8 @@ func Decode(bits []bool) (Frame, int, error) {
 	}
 	// Incremental unstuffing: walk the stuffed stream, collecting
 	// unstuffed bits until we have header+data+CRC.
-	var raw []bool
+	var buf [maxRawBits]bool
+	raw := buf[:0]
 	run := 0
 	var last bool
 	i := 0
@@ -226,10 +246,9 @@ func Decode(bits []bool) (Frame, int, error) {
 	for k := 0; k < 9 && i < len(bits); k++ {
 		i++
 	}
-	f := Frame{ID: uint16(bitsToUint(raw[1:12]))}
 	dlc := int(bitsToUint(raw[15:19]))
-	f.Data = make([]byte, dlc)
-	for d := 0; d < dlc; d++ {
+	f := Frame{ID: uint16(bitsToUint(raw[1:12])), Data: data[:dlc]}
+	for d := range f.Data {
 		f.Data[d] = byte(bitsToUint(raw[19+8*d : 27+8*d]))
 	}
 	return f, i, nil

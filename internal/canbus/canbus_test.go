@@ -3,6 +3,7 @@ package canbus
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +26,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		if got.ID != f.ID || !bytes.Equal(got.Data, f.Data) {
 			t.Fatalf("round trip %+v -> %+v", f, got)
+		}
+		// The append and in-place forms produce the same bits and frame
+		// after whatever the buffers already hold.
+		prefix := []bool{true, false, true}
+		appended, err := f.AppendEncode(prefix)
+		if err != nil || !slices.Equal(appended[:len(prefix)], prefix) || !slices.Equal(appended[len(prefix):], bits) {
+			t.Fatalf("AppendEncode after a prefix differs from Encode (frame %+v)", f)
+		}
+		data := [8]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+		in, m, err := DecodeInto(bits, &data)
+		if err != nil || m != n || in.ID != f.ID || !bytes.Equal(in.Data, f.Data) {
+			t.Fatalf("DecodeInto differs from Decode (frame %+v)", f)
 		}
 	}
 }

@@ -22,6 +22,7 @@ package fault
 import (
 	"math/rand"
 
+	"boresight/internal/rng"
 	"boresight/internal/serial"
 )
 
@@ -154,12 +155,27 @@ type Channel struct {
 // run's seed; the profile's own Seed is folded in so per-link channels
 // inside one run draw independent sequences.
 func NewChannel(prof Profile, seed int64) *Channel {
-	return &Channel{
-		prof: prof,
-		rng:  rand.New(rand.NewSource(seed ^ (prof.Seed * 0x5E3779B97F4A7C15))),
+	c := &Channel{
+		rng:  rand.New(new(rng.Source)),
 		out:  make([]byte, 0, 64),
 		bits: make([]bool, 0, 2*serial.BitsPerByte),
 	}
+	c.Reset(prof, seed)
+	return c
+}
+
+// Reset re-initialises the channel in place for a new run: afterwards it
+// behaves exactly as NewChannel(prof, seed) would — same fault sequence,
+// zeroed counters, an idle receiver, no jittered bytes pending — while
+// keeping its generator and buffers, so a pooled runner's linked runs
+// allocate nothing.
+func (c *Channel) Reset(prof Profile, seed int64) {
+	c.prof = prof
+	c.rng.Seed(seed ^ (prof.Seed * 0x5E3779B97F4A7C15))
+	c.dec = serial.Decoder{}
+	c.stats = Stats{}
+	c.burstLeft, c.breakLeft = 0, 0
+	c.out, c.bits, c.carry = c.out[:0], c.bits[:0], c.carry[:0]
 }
 
 // Stats returns the channel's cumulative fault counters.

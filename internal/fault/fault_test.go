@@ -56,6 +56,23 @@ func TestChannelIsDeterministic(t *testing.T) {
 	if !diverged {
 		t.Fatal("different seeds replayed the same fault sequence")
 	}
+	// Reset replays too: channel c, used under another seed and then
+	// left mid-burst, mid-break, with the receiver inside a byte and
+	// jittered bytes pending, must match a fresh channel after Reset.
+	c.burstLeft, c.breakLeft = 3, 2
+	c.dec.Push(false) // a start bit
+	c.carry = append(c.carry, 0xAA)
+	c.Reset(prof, 42)
+	fresh := NewChannel(prof, 42)
+	for i := 0; i < 500; i++ {
+		in := samplePacket(byte(i))
+		if !bytes.Equal(append([]byte(nil), c.Transmit(in)...), fresh.Transmit(in)) {
+			t.Fatalf("sample %d: reset channel diverged from a fresh one", i)
+		}
+	}
+	if c.Stats() != fresh.Stats() {
+		t.Fatalf("reset stats diverged: %+v vs %+v", c.Stats(), fresh.Stats())
+	}
 }
 
 func TestBERCorruptsThroughFramingPath(t *testing.T) {
@@ -287,4 +304,3 @@ func BenchmarkFaultChannelClean(b *testing.B) {
 		c.Transmit(pkt)
 	}
 }
-

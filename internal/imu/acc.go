@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"boresight/internal/geom"
+	"boresight/internal/rng"
 	"boresight/internal/traj"
 )
 
@@ -117,7 +118,7 @@ func NewACC(cfg ACCConfig, seed int64) *ACC {
 	return &ACC{
 		cfg:    cfg,
 		body2s: cfg.Misalignment.DCM().T(),
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    rand.New(rng.NewSource(seed)),
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"boresight/internal/geom"
+	"boresight/internal/rng"
 	"boresight/internal/traj"
 )
 
@@ -100,7 +101,7 @@ func NewDMU(cfg DMUConfig, seed int64) *DMU {
 	return &DMU{
 		cfg:   cfg,
 		mount: cfg.Mount.DCM().T(),
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   rand.New(rng.NewSource(seed)),
 	}
 }
 

@@ -20,18 +20,22 @@ type ACCPacket struct {
 }
 
 // EncodeACC serialises one ACC measurement packet.
-func EncodeACC(p ACCPacket) []byte {
-	out := []byte{
+func EncodeACC(p ACCPacket) []byte { return AppendACC(make([]byte, 0, 8), p) }
+
+// AppendACC appends the serialised packet (see EncodeACC) to dst.
+func AppendACC(dst []byte, p ACCPacket) []byte {
+	start := len(dst)
+	dst = append(dst,
 		ACCSync,
-		byte(p.T1X >> 8), byte(p.T1X),
-		byte(p.T1Y >> 8), byte(p.T1Y),
-		byte(p.T2 >> 8), byte(p.T2),
-	}
+		byte(p.T1X>>8), byte(p.T1X),
+		byte(p.T1Y>>8), byte(p.T1Y),
+		byte(p.T2>>8), byte(p.T2),
+	)
 	var sum byte
-	for _, b := range out[1:] {
+	for _, b := range dst[start+1:] {
 		sum += b
 	}
-	return append(out, byte(-sum))
+	return append(dst, byte(-sum))
 }
 
 // ACCParser reassembles ACC packets from the serial byte stream.

@@ -21,16 +21,21 @@ const (
 
 // BridgeEncode wraps one CAN frame in the bridge's serial packet format.
 func BridgeEncode(f canbus.Frame) []byte {
-	out := make([]byte, 0, 6+len(f.Data))
-	out = append(out, BridgeSync0, BridgeSync1,
+	return AppendBridge(make([]byte, 0, 6+len(f.Data)), f)
+}
+
+// AppendBridge appends the frame's bridge packet (see BridgeEncode) to
+// dst.
+func AppendBridge(dst []byte, f canbus.Frame) []byte {
+	start := len(dst)
+	dst = append(dst, BridgeSync0, BridgeSync1,
 		byte(f.ID>>8), byte(f.ID), byte(len(f.Data)))
-	out = append(out, f.Data...)
+	dst = append(dst, f.Data...)
 	var sum byte
-	for _, b := range out[2:] {
+	for _, b := range dst[start+2:] {
 		sum += b
 	}
-	out = append(out, byte(-sum))
-	return out
+	return append(dst, byte(-sum))
 }
 
 // BridgeParser reassembles CAN frames from the bridge's serial byte

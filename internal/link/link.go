@@ -94,10 +94,16 @@ func EncodeDMURates(seq byte, rate geom.Vec3) canbus.Frame {
 
 // EncodeDMUAccels packs accelerometer outputs into a CAN frame.
 func EncodeDMUAccels(seq byte, accel geom.Vec3) canbus.Frame {
-	data := make([]byte, 8)
-	put3xI16(data, accel, AccelLSB)
+	return DMUAccelsFrame(new([8]byte), seq, accel)
+}
+
+// DMUAccelsFrame is EncodeDMUAccels with the payload packed into data,
+// which the returned frame's Data aliases; it allocates nothing.
+func DMUAccelsFrame(data *[8]byte, seq byte, accel geom.Vec3) canbus.Frame {
+	*data = [8]byte{}
+	put3xI16(data[:], accel, AccelLSB)
 	data[6] = seq
-	return canbus.Frame{ID: IDDMUAccels, Data: data}
+	return canbus.Frame{ID: IDDMUAccels, Data: data[:]}
 }
 
 // DecodeDMUFrame interprets a CAN frame from the DMU. It returns either
@@ -110,8 +116,19 @@ func DecodeDMUFrame(f canbus.Frame) (interface{}, error) {
 	case IDDMURates:
 		return &DMURates{Seq: f.Data[6], Rate: get3xI16(f.Data, RateLSB)}, nil
 	case IDDMUAccels:
-		return &DMUAccels{Seq: f.Data[6], Accel: get3xI16(f.Data, AccelLSB)}, nil
+		a, _ := DecodeDMUAccels(f)
+		return &a, nil
 	default:
 		return nil, fmt.Errorf("%w: %#x", ErrUnknownID, f.ID)
 	}
+}
+
+// DecodeDMUAccels interprets f as an accelerometer frame, the one DMU
+// frame the boresight filter consumes, without allocating: ok is false
+// for a frame DecodeDMUFrame would reject or decode as another type.
+func DecodeDMUAccels(f canbus.Frame) (a DMUAccels, ok bool) {
+	if f.ID != IDDMUAccels || len(f.Data) < 7 {
+		return a, false
+	}
+	return DMUAccels{Seq: f.Data[6], Accel: get3xI16(f.Data, AccelLSB)}, true
 }

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,6 +48,18 @@ func TestDMUAccelsRoundTrip(t *testing.T) {
 			t.Fatalf("axis %d: %v -> %v", i, acc[i], a.Accel[i])
 		}
 	}
+	// The allocation-free forms agree: packing into a dirty buffer
+	// gives the same frame, and the value decoder the same reading.
+	dirty := [8]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+	if g := DMUAccelsFrame(&dirty, 7, acc); g.ID != f.ID || !bytes.Equal(g.Data, f.Data) {
+		t.Fatalf("DMUAccelsFrame = %+v, want %+v", g, f)
+	}
+	if got, ok := DecodeDMUAccels(f); !ok || got != *a {
+		t.Fatalf("DecodeDMUAccels = %+v, %v; want %+v", got, ok, *a)
+	}
+	if _, ok := DecodeDMUAccels(EncodeDMURates(7, acc)); ok {
+		t.Fatal("DecodeDMUAccels accepted a rates frame")
+	}
 }
 
 func TestDMUClamping(t *testing.T) {
@@ -81,6 +94,9 @@ func TestBridgeRoundTrip(t *testing.T) {
 		f := canbus.Frame{ID: uint16(rng.Intn(0x800)), Data: make([]byte, rng.Intn(9))}
 		rng.Read(f.Data)
 		pkt := BridgeEncode(f)
+		if app := AppendBridge([]byte{1, 2, 3}, f); !bytes.Equal(app[3:], pkt) {
+			t.Fatalf("AppendBridge after a prefix = % x, want % x", app[3:], pkt)
+		}
 		var got canbus.Frame
 		n := 0
 		for _, b := range pkt {
@@ -189,6 +205,9 @@ func TestACCPacketRoundTrip(t *testing.T) {
 			T2:  uint16(rng.Intn(65536)),
 		}
 		raw := EncodeACC(pkt)
+		if app := AppendACC([]byte{1, 2, 3}, pkt); !bytes.Equal(app[3:], raw) {
+			t.Fatalf("AppendACC after a prefix = % x, want % x", app[3:], raw)
+		}
 		var got ACCPacket
 		n := 0
 		for _, b := range raw {

@@ -10,6 +10,8 @@ package odo
 import (
 	"math"
 	"math/rand"
+
+	"boresight/internal/rng"
 )
 
 // WheelSensor models an ABS wheel-speed pickup: an integer pulse count
@@ -36,7 +38,7 @@ func NewWheelSensor(pulsesPerMeter float64, seed int64) *WheelSensor {
 	return &WheelSensor{
 		PulsesPerMeter: pulsesPerMeter,
 		JitterProb:     0.05,
-		rng:            rand.New(rand.NewSource(seed)),
+		rng:            rand.New(rng.NewSource(seed)),
 	}
 }
 

@@ -2,10 +2,12 @@ package parallel
 
 import "sync"
 
-// FairPool is the tenant-aware counterpart of Pool: the same fixed
-// worker set and bounded admission, but the single FIFO queue is
-// replaced by per-tenant queues drained deficit-round-robin. With one
-// FIFO, a tenant that lands a 100k-job batch puts every later arrival
+// FairPool is a fixed set of workers serving an unbounded stream of
+// typed jobs — the long-running counterpart of For, for a serving
+// process that accepts work forever. Admission is bounded, so overload
+// shows as an explicit shed rather than as latency, and jobs wait in
+// per-tenant queues drained deficit-round-robin. With one FIFO, a
+// tenant that lands a 100k-job batch puts every later arrival
 // behind all 100k; with DRR, each tenant with pending work gets at
 // most `quantum` jobs of service per scheduler turn, so a small
 // tenant's wait is bounded by (active tenants × quantum × job cost /
@@ -19,7 +21,7 @@ import "sync"
 // Two admission bounds apply, both explicit overload surfaces:
 //
 //   - depth bounds the total queued jobs across all tenants (the
-//     global memory bound, as in Pool);
+//     global memory bound);
 //   - tenantCap (0 = unlimited) bounds one tenant's *outstanding*
 //     jobs — queued plus running — so a single tenant cannot own the
 //     whole queue even when it is otherwise idle.
@@ -27,9 +29,14 @@ import "sync"
 // TrySubmit sheds on either bound (reporting which); Submit blocks on
 // either bound — backpressure for callers that must not shed.
 //
-// The determinism contract is Pool's, unchanged: a job reads only its
-// own inputs and writes only its own storage, so scheduling order —
-// which DRR changes relative to FIFO — cannot change any job's bytes.
+// The determinism contract is For's, sharpened for worker identity: a
+// job reads only its own inputs and writes only its own storage, and
+// the worker index passed to serve may address only per-worker scratch
+// (a reusable runner) whose contents never influence a job's output.
+// Scheduling order — which DRR changes relative to FIFO — therefore
+// cannot change any job's bytes; the fleet replay tests assert this at
+// several worker counts. Jobs are typed, not closures, so a pooled job
+// object keeps a zero-allocation serving path zero-allocation.
 type FairPool[J any] struct {
 	mu    sync.Mutex
 	work  sync.Cond // workers wait here while queued == 0
@@ -92,7 +99,7 @@ const fairIdleMax = 1024
 // (minimum 1) bounds total queued jobs; quantum (minimum 1) is the DRR
 // turn size in jobs; tenantCap (0 = unlimited) bounds one tenant's
 // outstanding jobs. serve runs as serve(worker, job), worker in
-// [0, Workers()); as in Pool, panics are not recovered.
+// [0, Workers()); panics are not recovered.
 func NewFairPool[J any](workers, depth, quantum, tenantCap int, serve func(worker int, job J)) *FairPool[J] {
 	if depth < 1 {
 		depth = 1
@@ -213,7 +220,7 @@ func (p *FairPool[J]) enqueueLocked(q *fairQueue[J], job J) {
 
 // TrySubmit enqueues without blocking. ok=false means the job was
 // refused; tenantCapped then distinguishes the per-tenant cap from the
-// global queue bound. Submitting after Close panics, matching Pool.
+// global queue bound. Submitting after Close panics.
 func (p *FairPool[J]) TrySubmit(tenant uint32, job J) (ok, tenantCapped bool) {
 	p.mu.Lock()
 	if p.closed {

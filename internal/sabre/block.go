@@ -158,7 +158,6 @@ func matchSigWords(words []uint32, base uint32, sig []uint64) bool {
 const (
 	blockGeneric = iota // per-block reference interpretation
 	blockRegion         // generated region kernel (kernels_gen.go)
-	blockHand           // hand-written kernel (kernels.go)
 	blockRuntime        // runtime-generated block closure (regiongen.go)
 	numBlockKinds
 )
@@ -177,16 +176,10 @@ type kernelEntry struct {
 }
 
 // kernelIndex maps a leader's block key to its candidate kernels. It is
-// populated by init functions (kernels_gen.go, kernels.go) and
-// read-only afterwards, so concurrent CPUs share it safely.
+// populated by kernels_gen.go's init function and read-only afterwards,
+// so concurrent CPUs share it safely.
 var kernelIndex = map[uint64][]kernelEntry{}
 
 func registerKernel(key uint64, e kernelEntry) {
 	kernelIndex[key] = append(kernelIndex[key], e)
-}
-
-// registerKernelFront registers a hand-written kernel ahead of any
-// generated kernel sharing the same leader key.
-func registerKernelFront(key uint64, e kernelEntry) {
-	kernelIndex[key] = append([]kernelEntry{e}, kernelIndex[key]...)
 }

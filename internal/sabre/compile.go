@@ -11,11 +11,10 @@ package sabre
 //  1. Kernel match. The entry block's position-independent signature
 //     hash keys into the registry of translated regions (kernels_gen.go
 //     holds the generated region kernels for the bundled SoftFloat
-//     library and application programs; kernels.go the hand-written
-//     loop kernels). A hit is confirmed by verifying the candidate's
-//     full region signature against program memory — every record, not
-//     just the hash — before the region closure is bound at this
-//     leader. Mid-region entries that are not registered leaders (a
+//     library and application programs). A hit is confirmed by
+//     verifying the candidate's full region signature against program
+//     memory — every record, not just the hash — before the region
+//     closure is bound at this leader. Mid-region entries that are not registered leaders (a
 //     resumed run can stop anywhere) simply miss and take the generic
 //     path; correctness never depends on a kernel binding.
 //

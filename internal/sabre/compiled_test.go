@@ -13,12 +13,12 @@ import (
 var blockKindNames = [numBlockKinds]string{
 	blockGeneric: "generic",
 	blockRegion:  "region",
-	blockHand:    "hand",
 	blockRuntime: "runtime",
 }
 
-// runCompiledKalman executes one full Kalman update on a compiled-engine
-// CPU with stats attached and returns the collector.
+// runCompiledKalman executes one full Kalman program run (40 updates)
+// on a compiled-engine CPU with stats attached and returns the
+// collector.
 func runCompiledKalman(t testing.TB) *CompiledStats {
 	t.Helper()
 	prog, err := KalmanProgram()

@@ -182,9 +182,9 @@ func matchBlob(prog []uint32, base uint32, blob []uint32) bool {
 // scratch registers, the optional sf_roundpack frame pushed one frame
 // below the routine's own, and the exact dynamic cost.
 type mOut struct {
-	res uint32 // final a0
-	a1  uint32
-	a2  uint32
+	res                uint32 // final a0
+	a1                 uint32
+	a2                 uint32
 	t0, t1, t2, t3, t4 uint32
 	cyc, ins           uint32
 	rpRA               uint32 // ra pushed by sf_roundpack (0 = no rp frame)

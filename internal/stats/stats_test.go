@@ -11,10 +11,10 @@ func TestChiSquareCDFKnownValues(t *testing.T) {
 	cases := []struct {
 		k, x, want float64
 	}{
-		{1, 1, 0.6826894921370859},      // P(|Z| ≤ 1) for Z ~ N(0,1)
-		{2, 2, 0.6321205588285577},      // 1 − e^{-1}
-		{2, 13.8, 0.9989920054748447},   // the Chi2Gate default's quantile
-		{3, 11.344867, 0.99},            // χ²(3) 99% point
+		{1, 1, 0.6826894921370859},    // P(|Z| ≤ 1) for Z ~ N(0,1)
+		{2, 2, 0.6321205588285577},    // 1 − e^{-1}
+		{2, 13.8, 0.9989920054748447}, // the Chi2Gate default's quantile
+		{3, 11.344867, 0.99},          // χ²(3) 99% point
 		{10, 10, 0.5595067149347875},
 		{100, 124.3421134, 0.95}, // χ²(100) 95% point
 	}
@@ -77,8 +77,8 @@ func TestChiSquareQuantileRejectsBadP(t *testing.T) {
 // nominal confidence — the property the NEES/NIS harness stands on.
 func TestMeanChiSquareBoundsCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const k = 3      // NEES dimension
-	const n = 25     // Monte-Carlo batch size
+	const k = 3  // NEES dimension
+	const n = 25 // Monte-Carlo batch size
 	const trials = 2000
 	lo, hi := MeanChiSquareBounds(k, n, 0.95)
 	if lo >= k || hi <= k {

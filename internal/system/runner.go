@@ -10,8 +10,8 @@ import (
 	"boresight/internal/fault"
 	"boresight/internal/geom"
 	"boresight/internal/imu"
-	"boresight/internal/link"
 	"boresight/internal/odo"
+	"boresight/internal/rng"
 	"boresight/internal/traj"
 )
 
@@ -29,10 +29,9 @@ import (
 // A Runner is not safe for concurrent use; pools hand one to each
 // worker (see RunManyInto and the fleet server).
 //
-// Two paths intentionally remain allocating: linked runs (UseLinks)
-// allocate per-sample transport buffers (CAN bit strings, bridge
-// packets) and per-run fault channels, and a run whose filter layout
-// differs from the previous run pays one estimator re-dimensioning.
+// Linked and faulted runs are allocation-free too. The one path that
+// intentionally allocates is a run whose filter layout differs from the
+// previous run's: it pays one estimator re-dimensioning.
 type Runner struct {
 	dmu    *imu.DMU
 	acc    *imu.ACC
@@ -42,8 +41,9 @@ type Runner struct {
 	wheel  *odo.WheelSensor
 	aider  *odo.Aider
 
-	bridge   link.BridgeParser
-	accParse link.ACCParser
+	faultRNG     *rand.Rand
+	chDMU, chACC *fault.Channel
+	wire         wire
 }
 
 // NewRunner returns an empty Runner; run objects are built lazily on
@@ -137,8 +137,8 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 	res.True = cfg.TrueMisalignment
 	exceeded := 0
 
-	r.bridge.Reset()
-	r.accParse.Reset()
+	r.wire.bridge.Reset()
+	r.wire.accParse.Reset()
 	seq := byte(0)
 
 	var wheel *odo.WheelSensor
@@ -156,7 +156,11 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 
 	var faultRNG *rand.Rand
 	if cfg.LinkFaultProb > 0 {
-		faultRNG = rand.New(rand.NewSource(cfg.Seed + 60))
+		if r.faultRNG == nil {
+			r.faultRNG = rand.New(new(rng.Source))
+		}
+		r.faultRNG.Seed(cfg.Seed + 60)
+		faultRNG = r.faultRNG
 	}
 	// Per-link fault channels and supervisors. The channels are seeded
 	// from the run seed with distinct offsets so the two links draw
@@ -169,8 +173,14 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 		supDMU = fault.NewSupervisor(cfg.FaultProfile.StaleThreshold())
 		supACC = fault.NewSupervisor(cfg.FaultProfile.StaleThreshold())
 		if cfg.FaultProfile.Enabled() {
-			chDMU = fault.NewChannel(cfg.FaultProfile, cfg.Seed+61)
-			chACC = fault.NewChannel(cfg.FaultProfile, cfg.Seed+62)
+			if r.chDMU == nil {
+				r.chDMU = fault.NewChannel(cfg.FaultProfile, cfg.Seed+61)
+				r.chACC = fault.NewChannel(cfg.FaultProfile, cfg.Seed+62)
+			} else {
+				r.chDMU.Reset(cfg.FaultProfile, cfg.Seed+61)
+				r.chACC.Reset(cfg.FaultProfile, cfg.Seed+62)
+			}
+			chDMU, chACC = r.chDMU, r.chACC
 		}
 	}
 	// Per-stream held registers, written only from values that actually
@@ -215,7 +225,7 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 		quality := core.QualityFresh
 		if cfg.UseLinks {
 			lfb, lax, lay, dmuOK, accOK, err := throughLinks(
-				ds, as, cfg.ACC.Codec, &r.bridge, &r.accParse, &seq, &res.LinkStats,
+				&r.wire, ds, as, cfg.ACC.Codec, &seq, &res.LinkStats,
 				faultRNG, cfg.LinkFaultProb, chDMU, chACC)
 			if err != nil {
 				return err

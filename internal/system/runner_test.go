@@ -96,26 +96,64 @@ func TestRunnerInvalidFilterError(t *testing.T) {
 }
 
 // TestRunnerSteadyStateAllocFree pins the tentpole claim: a Runner in
-// steady state — consecutive direct-path scenarios with the same filter
-// layout, run into a recycled Result — performs zero heap allocations
-// for the whole request.
+// steady state — consecutive scenarios with the same filter layout, run
+// into a recycled Result — performs zero heap allocations for the whole
+// request, on the direct path and on a linked run with both kinds of
+// wire fault injected (corruption generator and per-link channels).
 func TestRunnerSteadyStateAllocFree(t *testing.T) {
-	cfg := StaticScenario(geom.EulerDeg(2, -1, 1), 2, 5)
-	cfg.Calibrate = false
-	cfg.ResidualStride = 10
-	cfg.EstimateStride = 50
-	r := NewRunner()
-	res := new(Result)
-	if err := r.RunInto(res, cfg); err != nil { // warm-up: builds the run objects
-		t.Fatal(err)
+	direct := StaticScenario(geom.EulerDeg(2, -1, 1), 2, 5)
+	direct.Calibrate = false
+	direct.ResidualStride = 10
+	direct.EstimateStride = 50
+
+	faulted := direct
+	faulted.UseLinks = true
+	faulted.LinkFaultProb = 0.05
+	faulted.FaultProfile = fault.Profile{
+		BER: 1e-4, DropProb: 0.01, DupProb: 0.005,
+		BurstProb: 0.002, LineBreakProb: 0.001, JitterProb: 0.05,
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := r.RunInto(res, cfg); err != nil {
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"direct", direct}, {"linked-faulted", faulted}} {
+		r := NewRunner()
+		res := new(Result)
+		if err := r.RunInto(res, tc.cfg); err != nil { // warm-up: builds the run objects
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state RunInto allocated %.1f times per run; want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := r.RunInto(res, tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state RunInto allocated %.1f times per run; want 0", tc.name, allocs)
+		}
+	}
+}
+
+// BenchmarkRunIntoTiny is the serving path's per-scenario fixed cost: a
+// 3-epoch static scenario without calibration, as fleet's tiny specs
+// are, on a warm Runner with a fresh seed every op, so each op pays the
+// instrument reseeds and estimator reset a served scenario does.
+func BenchmarkRunIntoTiny(b *testing.B) {
+	cfg := StaticScenario(geom.EulerDeg(2, -1, 1), 0.03, 1)
+	cfg.Calibrate = false
+	cfg.ResidualStride = -1
+	r := NewRunner()
+	res := new(Result)
+	if err := r.RunInto(res, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		if err := r.RunInto(res, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -257,6 +257,20 @@ func streamStats(ch *fault.Channel, sup *fault.Supervisor) StreamStats {
 	return s
 }
 
+// wire is a Runner's transport chain: the two receive-side packet
+// parsers and the scratch one sample's frames and packets are built in,
+// reused from sample to sample and run to run so the linked path
+// allocates nothing.
+type wire struct {
+	bridge   link.BridgeParser
+	accParse link.ACCParser
+
+	bits   []bool  // one CAN frame's bus bits
+	tx, rx [8]byte // the DMU frame's payload before and after the bus
+	pkt    []byte  // one serial packet
+	hit    []byte  // a copy of pkt with one bit flipped
+}
+
 // throughLinks pushes one sample pair through the full wire path:
 // DMU accels → CAN frame bits → CAN decode → bridge packet → bridge
 // parser → scaled values, and ACC → duty-cycle counts → serial packet →
@@ -265,17 +279,16 @@ func streamStats(ch *fault.Channel, sup *fault.Supervisor) StreamStats {
 // pass through the full channel model (BER via 8N1 framing, drops,
 // bursts, breaks, jitter). A packet damaged either way is rejected by
 // its checksum and the corresponding OK flag comes back false.
-func throughLinks(ds imu.DMUSample, as imu.ACCSample, codec imu.DutyCycleCodec,
-	bridge *link.BridgeParser, accParse *link.ACCParser, seq *byte, stats *LinkStats,
-	faultRNG *rand.Rand, faultProb float64, chDMU, chACC *fault.Channel,
+func throughLinks(w *wire, ds imu.DMUSample, as imu.ACCSample, codec imu.DutyCycleCodec,
+	seq *byte, stats *LinkStats, faultRNG *rand.Rand, faultProb float64, chDMU, chACC *fault.Channel,
 ) (fb geom.Vec3, ax, ay float64, dmuOK, accOK bool, err error) {
 	corrupt := func(data []byte) []byte {
 		if faultRNG == nil || faultProb <= 0 || faultRNG.Float64() >= faultProb || len(data) == 0 {
 			return data
 		}
-		out := append([]byte(nil), data...)
-		out[faultRNG.Intn(len(out))] ^= 1 << uint(faultRNG.Intn(8))
-		return out
+		w.hit = append(w.hit[:0], data...)
+		w.hit[faultRNG.Intn(len(w.hit))] ^= 1 << uint(faultRNG.Intn(8))
+		return w.hit
 	}
 	// channel passes the byte stream through a link's fault model (nil
 	// channel = clean line).
@@ -287,34 +300,28 @@ func throughLinks(ds imu.DMUSample, as imu.ACCSample, codec imu.DutyCycleCodec,
 	}
 
 	// DMU side.
-	frame := link.EncodeDMUAccels(*seq, ds.Accel)
+	frame := link.DMUAccelsFrame(&w.tx, *seq, ds.Accel)
 	*seq++
-	bits, err := frame.Encode()
+	w.bits, err = frame.AppendEncode(w.bits[:0])
 	if err != nil {
 		return fb, 0, 0, false, false, fmt.Errorf("system: CAN encode: %w", err)
 	}
 	stats.CANFrames++
-	stats.CANBits += len(bits)
-	rxFrame, _, err := canbus.Decode(bits)
+	stats.CANBits += len(w.bits)
+	rxFrame, _, err := canbus.DecodeInto(w.bits, &w.rx)
 	if err != nil {
 		return fb, 0, 0, false, false, fmt.Errorf("system: CAN decode: %w", err)
 	}
-	var decoded *link.DMUAccels
-	for _, b := range channel(chDMU, corrupt(link.BridgeEncode(rxFrame))) {
+	w.pkt = link.AppendBridge(w.pkt[:0], rxFrame)
+	for _, b := range channel(chDMU, corrupt(w.pkt)) {
 		stats.BridgeByts++
-		if f, ok := bridge.Push(b); ok {
-			v, err := link.DecodeDMUFrame(f)
-			if err != nil {
-				continue // damaged beyond the checksum's reach: drop
-			}
-			if a, ok := v.(*link.DMUAccels); ok {
-				decoded = a
+		if f, ok := w.bridge.Push(b); ok {
+			// A frame damaged beyond the checksum's reach, or of
+			// another type, is dropped.
+			if a, ok := link.DecodeDMUAccels(f); ok {
+				fb, dmuOK = a.Accel, true
 			}
 		}
-	}
-	if decoded != nil {
-		fb = decoded.Accel
-		dmuOK = true
 	}
 
 	// ACC side.
@@ -322,22 +329,21 @@ func throughLinks(ds imu.DMUSample, as imu.ACCSample, codec imu.DutyCycleCodec,
 	if c.T2Counts == 0 {
 		c.T2Counts = 4096
 	}
-	pkt := link.ACCPacket{
+	w.pkt = link.AppendACC(w.pkt[:0], link.ACCPacket{
 		T1X: uint16(c.Encode(as.FX)),
 		T1Y: uint16(c.Encode(as.FY)),
 		T2:  uint16(c.T2Counts),
-	}
-	var got *link.ACCPacket
-	for _, b := range channel(chACC, corrupt(link.EncodeACC(pkt))) {
-		if p, ok := accParse.Push(b); ok {
-			got = &p
+	})
+	var got link.ACCPacket
+	for _, b := range channel(chACC, corrupt(w.pkt)) {
+		if p, ok := w.accParse.Push(b); ok {
+			got, accOK = p, true
 		}
 	}
-	if got != nil {
+	if accOK {
 		stats.ACCPackets++
 		ax = c.Decode(int(got.T1X))
 		ay = c.Decode(int(got.T1Y))
-		accOK = true
 	}
 	return fb, ax, ay, dmuOK, accOK, nil
 }
