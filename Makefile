@@ -85,6 +85,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -count 3 ./internal/fleet/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkRunIntoTiny -benchmem -count 3 ./internal/system/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkSeedDraw30 -benchmem -count 3 ./internal/rng/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench BenchmarkPipelineQVGAFrame -benchmem -count 3 ./internal/affine/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench BenchmarkTickPipeline -benchmem -count 3 ./internal/hcsim/ >> bench/raw.txt
 	$(GO) run ./cmd/benchreport -emit bench -in bench/raw.txt
 
 # Sabre engine comparison only: the three execution engines on the

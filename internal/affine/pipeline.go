@@ -52,23 +52,30 @@ type Pipeline struct {
 	thetaIdx *hcsim.Reg[int]
 	tx, ty   *hcsim.Reg[int]
 
-	// S0 state: raster position of the next coordinate to issue.
-	pos     *hcsim.Reg[int]
-	running *hcsim.Reg[bool]
-
-	// Frame-latched control and the stepping accumulators.
-	frame *hcsim.Reg[frameCtl]
-	acc   *hcsim.Reg[stepAcc]
-
-	// S1 registers.
-	s1 *hcsim.Reg[s1Regs]
-	// S2 registers.
-	s2 *hcsim.Reg[s2Regs]
-	// S3 registers.
-	s3 *hcsim.Reg[s3Regs]
+	// st is the datapath's register bank: Eval reads it in place
+	// through Cur and writes it in place through D, so the bank's
+	// latch is the only copy of stage state per cycle.
+	st *hcsim.Reg[pipeState]
 
 	framesDone uint64
 	blackOut   uint64 // pixels whose source fell outside the frame
+}
+
+// pipeState is every register of the datapath, one bank on the clock.
+// A stage whose valid bit is clear holds stale data, which nothing
+// reads.
+type pipeState struct {
+	// S0: raster position of the next coordinate to issue.
+	pos     int
+	running bool
+
+	// Frame-latched control and the stepping accumulators.
+	frame frameCtl
+	acc   stepAcc
+
+	s1 s1Regs
+	s2 s2Regs
+	s3 s3Regs
 }
 
 // frameCtl is the control word latched once per frame at pixel 0: the
@@ -119,13 +126,7 @@ func NewPipeline(sim *hcsim.Sim, lut *fixed.Trig, src *rc200.SRAM, dst *rc200.Di
 		thetaIdx: hcsim.NewReg(sim, 0),
 		tx:       hcsim.NewReg(sim, 0),
 		ty:       hcsim.NewReg(sim, 0),
-		pos:      hcsim.NewReg(sim, 0),
-		running:  hcsim.NewReg(sim, false),
-		frame:    hcsim.NewReg(sim, frameCtl{}),
-		acc:      hcsim.NewReg(sim, stepAcc{}),
-		s1:       hcsim.NewReg(sim, s1Regs{}),
-		s2:       hcsim.NewReg(sim, s2Regs{}),
-		s3:       hcsim.NewReg(sim, s3Regs{}),
+		st:       hcsim.NewReg(sim, pipeState{}),
 	}
 	sim.Add(p)
 	return p
@@ -153,13 +154,15 @@ func ControlFromParams(lut *fixed.Trig, prm Params) (thetaIdx, tx, ty int) {
 
 // Start begins one frame (takes effect at the next clock edge).
 func (p *Pipeline) Start() {
-	p.pos.SetD(0)
-	p.running.SetD(true)
+	st := p.st.D()
+	st.pos = 0
+	st.running = true
 }
 
 // Busy reports whether a frame is still flowing through the pipeline.
 func (p *Pipeline) Busy() bool {
-	return p.running.Q() || p.s1.Q().valid || p.s2.Q().valid || p.s3.Q().valid
+	st := p.st.Cur()
+	return st.running || st.s1.valid || st.s2.valid || st.s3.valid
 }
 
 // FramesDone returns the number of completed output frames.
@@ -168,12 +171,16 @@ func (p *Pipeline) FramesDone() uint64 { return p.framesDone }
 // BlackPixels returns how many output pixels had out-of-range sources.
 func (p *Pipeline) BlackPixels() uint64 { return p.blackOut }
 
-// Eval advances every stage one clock.
+// Eval advances every stage one clock. It reads only the latched bank
+// (cur) and writes only the next-state bank (nxt); the two never
+// alias, so each stage writes its successor's registers field by
+// field with no temporaries.
 func (p *Pipeline) Eval() {
 	cx, cy := p.w/2, p.h/2
+	cur, nxt := p.st.Cur(), p.st.D()
 
 	// S4: the SRAM data addressed by S3 last cycle is valid now.
-	if s3 := p.s3.Q(); s3.valid {
+	if s3 := &cur.s3; s3.valid {
 		var pix video.Pixel
 		if s3.inRange {
 			pix = video.Pixel(p.src.Data())
@@ -189,84 +196,81 @@ func (p *Pipeline) Eval() {
 	// S3: sums, fixed→int, centre restore; issue the SRAM read. The
 	// translation comes from the stage registers (latched with the
 	// rotation at frame start), not from a live control read.
-	if s2 := p.s2.Q(); s2.valid {
+	if s2 := &cur.s2; s2.valid {
 		sx := fixed.ToInt(fixed.AddSat(s2.t2, s2.t3), fixed.CoordFrac) + cx + s2.tx
 		sy := fixed.ToInt(fixed.AddSat(s2.t4, s2.t5), fixed.CoordFrac) + cy + s2.ty
 		inRange := sx >= 0 && sx < p.w && sy >= 0 && sy < p.h
 		if inRange {
 			p.src.RequestRead(sy*p.w + sx)
 		}
-		p.s3.SetD(s3Regs{valid: true, x: s2.x, y: s2.y, inRange: inRange})
+		n := &nxt.s3
+		n.valid, n.x, n.y, n.inRange = true, s2.x, s2.y, inRange
 	} else {
-		p.s3.SetD(s3Regs{})
+		nxt.s3.valid = false
 	}
 
 	// S2: renormalise the stepped products — the same rounding the four
 	// multiplies applied, so the coordinates are unchanged bit for bit.
-	if s1 := p.s1.Q(); s1.valid {
-		p.s2.SetD(s2Regs{
-			valid: true, x: s1.x, y: s1.y,
-			t2: fixed.RoundShift64(s1.p2, fixed.StepShift),
-			t3: fixed.RoundShift64(s1.p3, fixed.StepShift),
-			t4: fixed.RoundShift64(s1.p4, fixed.StepShift),
-			t5: fixed.RoundShift64(s1.p5, fixed.StepShift),
-			tx: s1.tx, ty: s1.ty,
-		})
+	if s1 := &cur.s1; s1.valid {
+		n := &nxt.s2
+		n.valid, n.x, n.y = true, s1.x, s1.y
+		n.t2 = fixed.RoundShift64(s1.p2, fixed.StepShift)
+		n.t3 = fixed.RoundShift64(s1.p3, fixed.StepShift)
+		n.t4 = fixed.RoundShift64(s1.p4, fixed.StepShift)
+		n.t5 = fixed.RoundShift64(s1.p5, fixed.StepShift)
+		n.tx, n.ty = s1.tx, s1.ty
 	} else {
-		p.s2.SetD(s2Regs{})
+		nxt.s2.valid = false
 	}
 
 	// S0+S1: raster generation and the stepping address generator. At
 	// pixel 0 the control word is latched frame-atomically and the
 	// accumulators are seeded from it; afterwards they advance by adds
 	// only (two per pixel, reload + two at a row wrap).
-	if p.running.Q() {
-		pos := p.pos.Q()
-		x, y := pos%p.w, pos/p.w
-		var fc frameCtl
-		var a stepAcc
-		if pos == 0 {
-			idx := p.thetaIdx.Q()
-			sin, cos := p.lut.SinIdx(idx), p.lut.CosIdx(idx)
-			fc = frameCtl{
-				sin: sin, cos: cos,
-				tx: p.tx.Q(), ty: p.ty.Q(),
-				rowP3: int64(-cx) * int64(cos),
-				rowP4: int64(-cx) * int64(sin),
-			}
-			a = stepAcc{
-				p3: fc.rowP3,
-				p4: fc.rowP4,
-				q2: int64(-cy) * int64(-sin),
-				q5: int64(-cy) * int64(cos),
-			}
-			p.frame.SetD(fc)
-		} else {
-			fc = p.frame.Q()
-			a = p.acc.Q()
+	if !cur.running {
+		nxt.s1.valid = false
+		return
+	}
+	pos := cur.pos
+	x, y := pos%p.w, pos/p.w
+	fc, a := &cur.frame, &cur.acc
+	if pos == 0 {
+		idx := p.thetaIdx.Q()
+		sin, cos := p.lut.SinIdx(idx), p.lut.CosIdx(idx)
+		nxt.frame = frameCtl{
+			sin: sin, cos: cos,
+			tx: p.tx.Q(), ty: p.ty.Q(),
+			rowP3: int64(-cx) * int64(cos),
+			rowP4: int64(-cx) * int64(sin),
 		}
-		p.s1.SetD(s1Regs{
-			valid: true, x: x, y: y,
-			p2: a.q2, p3: a.p3, p4: a.p4, p5: a.q5,
-			tx: fc.tx, ty: fc.ty,
-		})
-		next := a
-		if x+1 == p.w {
-			next.p3, next.p4 = fc.rowP3, fc.rowP4
-			next.q2 -= int64(fc.sin)
-			next.q5 += int64(fc.cos)
-		} else {
-			next.p3 += int64(fc.cos)
-			next.p4 += int64(fc.sin)
+		nxt.acc = stepAcc{
+			p3: nxt.frame.rowP3,
+			p4: nxt.frame.rowP4,
+			q2: int64(-cy) * int64(-sin),
+			q5: int64(-cy) * int64(cos),
 		}
-		p.acc.SetD(next)
-		if pos+1 >= p.w*p.h {
-			p.running.SetD(false)
-			p.pos.SetD(0)
-		} else {
-			p.pos.SetD(pos + 1)
-		}
+		fc, a = &nxt.frame, &nxt.acc
+	}
+	n := &nxt.s1
+	n.valid, n.x, n.y = true, x, y
+	n.p2, n.p3, n.p4, n.p5 = a.q2, a.p3, a.p4, a.q5
+	n.tx, n.ty = fc.tx, fc.ty
+	// a may be nxt.acc itself (at pixel 0): every field is read before
+	// it is overwritten.
+	na := &nxt.acc
+	if x+1 == p.w {
+		na.q2 = a.q2 - int64(fc.sin)
+		na.q5 = a.q5 + int64(fc.cos)
+		na.p3, na.p4 = fc.rowP3, fc.rowP4
 	} else {
-		p.s1.SetD(s1Regs{})
+		na.q2, na.q5 = a.q2, a.q5
+		na.p3 = a.p3 + int64(fc.cos)
+		na.p4 = a.p4 + int64(fc.sin)
+	}
+	if pos+1 >= p.w*p.h {
+		nxt.running = false
+		nxt.pos = 0
+	} else {
+		nxt.pos = pos + 1
 	}
 }

@@ -182,19 +182,30 @@ func TestPipelineMidFrameControlAtomic(t *testing.T) {
 	}
 }
 
-func BenchmarkPipelineQVGAFrame(b *testing.B) {
-	src := video.RoadScene{W: 320, H: 240}.Render()
-	sim := hcsim.NewSim()
-	ram := rc200.NewSRAM(sim)
-	ram.LoadFrame(src)
-	disp := rc200.NewDisplay(src.W, src.H)
-	p := NewPipeline(sim, stdLUT(), ram, disp, src.W, src.H)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Start()
+// clockFrame runs one frame through the clocked pipeline without the
+// test-only bookkeeping of runFrame.
+func clockFrame(sim *hcsim.Sim, p *Pipeline) {
+	p.Start()
+	sim.Tick()
+	for p.Busy() {
 		sim.Tick()
-		for p.Busy() {
-			sim.Tick()
-		}
+	}
+}
+
+// TestPipelineFrameAllocFree pins the clocked datapath's steady state
+// at zero allocations per QVGA frame.
+func TestPipelineFrameAllocFree(t *testing.T) {
+	sim, p, _ := buildPipeline(video.RoadScene{W: 320, H: 240}.Render())
+	if allocs := testing.AllocsPerRun(3, func() { clockFrame(sim, p) }); allocs != 0 {
+		t.Fatalf("%v allocs per clocked QVGA frame, want 0", allocs)
+	}
+}
+
+func BenchmarkPipelineQVGAFrame(b *testing.B) {
+	sim, p, _ := buildPipeline(video.RoadScene{W: 320, H: 240}.Render())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clockFrame(sim, p)
 	}
 }

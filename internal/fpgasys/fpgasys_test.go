@@ -1,6 +1,8 @@
 package fpgasys
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"boresight/internal/affine"
@@ -181,6 +183,80 @@ func TestDMUPacketThroughSystem(t *testing.T) {
 	ax := int32(s.CPU.LoadWord(0x30))
 	if ax != 1000 { // 1.0 m/s² at 1 mm/s² LSB
 		t.Fatalf("parsed ax = %d", ax)
+	}
+}
+
+// TestCoSimGoldenCRC pins the whole chip's cycle-level behaviour: the
+// Sabre's timing and architectural state, the serial lines, capture,
+// the double-buffer swaps, the pipeline's SRAM traffic and the
+// displayed frame, all on one clock. A run with sensor bytes arriving
+// at line rate and a second solution deposited while a frame is in
+// flight is folded into one CRC-32; any change to when any component
+// sees any other component's state moves it.
+func TestCoSimGoldenCRC(t *testing.T) {
+	const w, h = 24, 16
+	// Two alternating scenes, so which bank the pipeline reads at each
+	// swap shows in the displayed frame.
+	scenes := []*video.Frame{
+		video.RoadScene{W: w, H: h}.Render(),
+		video.RoadScene{W: w, H: h, LaneOffset: 5}.Render(),
+	}
+	s, err := New(Config{
+		W: w, H: h,
+		Source: func(n int) *video.Frame { return scenes[n%2] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SendACC(accPacketBytes(100, 200, 4096))
+	s.SendDMU(link.BridgeEncode(link.EncodeDMUAccels(3, geom.Vec3{1.0, -2.0, -9.8})))
+	s.SendACC(accPacketBytes(2100, 1900, 4000))
+	s.DepositSolution(6554, 32, 2, -1)
+	if err := s.Run(40000); err != nil {
+		t.Fatal(err)
+	}
+	s.DepositSolution(-3277, 1000, -3, 2)
+	for i := 0; s.Ctl.Seq() != 2; i++ {
+		if i == 10000 {
+			t.Fatal("second solution never reached the control block")
+		}
+		if err := s.Run(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Pipeline.Busy() {
+		t.Fatal("second solution did not land while a frame was in flight")
+	}
+	if err := s.Run(30000); err != nil {
+		t.Fatal(err)
+	}
+	if s.OutputFrames() < 10 || s.CPU.LoadWord(0x3C) != 2 || s.CPU.LoadWord(0x40) != 1 {
+		t.Fatalf("run too short to pin: %d output frames, %d ACC and %d DMU packets parsed",
+			s.OutputFrames(), s.CPU.LoadWord(0x3C), s.CPU.LoadWord(0x40))
+	}
+
+	crc := crc32.NewIEEE()
+	put := func(vs ...uint64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], v)
+			crc.Write(b[:])
+		}
+	}
+	put(s.Sim.Cycle(), s.CPU.Cycles, s.CPU.Instret, uint64(s.CPU.PC))
+	for _, r := range s.CPU.R {
+		put(uint64(r))
+	}
+	r1, w1 := s.RAM1.Stats()
+	r2, w2 := s.RAM2.Stats()
+	put(s.OutputFrames(), s.Buffers.Swaps(), s.VideoIn.FramesCaptured(),
+		r1, w1, r2, w2, s.Pipeline.BlackPixels(), uint64(s.Ctl.Seq()))
+	for _, p := range s.Display.Frame.Pix {
+		put(uint64(p))
+	}
+	const want = 0x54b77e17
+	if got := crc.Sum32(); got != want {
+		t.Fatalf("co-simulation CRC %#08x, want %#08x", got, want)
 	}
 }
 

@@ -6,10 +6,13 @@
 // Two abstractions cover the two kinds of Handel-C code:
 //
 //   - Component — clocked datapath. Each clock, every component's Eval
-//     computes next-state from current register outputs, then all
-//     registers Commit simultaneously (two-phase simulation, so
-//     evaluation order never matters). Registers created with NewReg
-//     auto-register with the simulator for commit.
+//     computes next state from current register outputs, and every
+//     register written in the cycle takes its new value at the edge
+//     (two-phase simulation, so evaluation order never matters).
+//     Registers latch lazily: a write records its cycle, and the first
+//     access in a later cycle applies it, so Tick never walks the
+//     registers. Only commit hooks (memory write ports, channel
+//     rendezvous) run at every edge.
 //
 //   - Proc — control flow. Handel-C assignments take exactly one clock
 //     cycle; par{} branches advance in lockstep; seq{} sequences. Do,
@@ -20,10 +23,10 @@
 // factories for their bodies for this reason).
 package hcsim
 
-import "fmt"
-
-// committer is anything with clocked state to latch at the cycle edge.
-type committer interface{ commit() }
+import (
+	"fmt"
+	"math"
+)
 
 // Component is clocked hardware: Eval computes next state from current
 // (pre-edge) register values each cycle.
@@ -32,7 +35,7 @@ type Component interface{ Eval() }
 // Sim is a single-clock-domain simulator.
 type Sim struct {
 	comps []Component
-	regs  []committer
+	hooks []func()
 	cycle uint64
 }
 
@@ -46,13 +49,18 @@ func (s *Sim) Cycle() uint64 { return s.cycle }
 func (s *Sim) Add(c Component) { s.comps = append(s.comps, c) }
 
 // Tick advances one clock: all components evaluate against current
-// register outputs, then all registers latch.
+// register outputs, then the edge runs the commit hooks and ends the
+// cycle, which makes every register write of the cycle visible.
 func (s *Sim) Tick() {
 	for _, c := range s.comps {
 		c.Eval()
 	}
-	for _, r := range s.regs {
-		r.commit()
+	s.edge()
+}
+
+func (s *Sim) edge() {
+	for _, h := range s.hooks {
+		h()
 	}
 	s.cycle++
 }
@@ -73,10 +81,7 @@ func (s *Sim) RunProc(p Proc, maxCycles int) (cycles int, done bool) {
 		for _, c := range s.comps {
 			c.Eval()
 		}
-		for _, r := range s.regs {
-			r.commit()
-		}
-		s.cycle++
+		s.edge()
 		if finished {
 			return i + 1, true
 		}
@@ -84,39 +89,70 @@ func (s *Sim) RunProc(p Proc, maxCycles int) (cycles int, done bool) {
 	return maxCycles, false
 }
 
-// Reg is a clocked register: reads (Q) see the value latched at the last
-// clock edge; writes (SetD) take effect at the next edge. NewReg
-// registers it with the simulator.
+// never is the due cycle of a register with no write pending.
+const never = math.MaxUint64
+
+// Reg is a clocked register: reads (Q, Cur) see the value latched at
+// the last clock edge; writes (SetD, D) take effect at the next edge.
+//
+// A write in cycle c goes to the next-state slot and records c + 1 as
+// the cycle the slot becomes the latched value; the first access from
+// that cycle on copies it over. Between writes the slot equals the
+// latched value, which is what lets D hand out a slot that already
+// holds every field a partial write leaves alone.
 type Reg[T any] struct {
 	q, d T
+	due  uint64 // cycle from which d is latched; never if no write is pending
+	sim  *Sim
 }
 
-// NewReg creates a register initialised to init and registers it for
-// commit with s.
+// NewReg creates a register on s's clock, initialised to init.
 func NewReg[T any](s *Sim, init T) *Reg[T] {
-	r := &Reg[T]{q: init, d: init}
-	s.regs = append(s.regs, r)
-	return r
+	return &Reg[T]{q: init, d: init, due: never, sim: s}
+}
+
+// latch applies a write made in an earlier cycle.
+func (r *Reg[T]) latch() {
+	if r.due <= r.sim.cycle {
+		r.q = r.d
+		r.due = never
+	}
 }
 
 // Q returns the current (latched) value.
-func (r *Reg[T]) Q() T { return r.q }
+func (r *Reg[T]) Q() T {
+	r.latch()
+	return r.q
+}
+
+// Cur returns the latched value in place, for reading without a copy.
+// Writes through D in the same cycle do not change it, and it never
+// aliases D's slot. It must not be written through, and holds only
+// until the cycle ends.
+func (r *Reg[T]) Cur() *T {
+	r.latch()
+	return &r.q
+}
+
+// D returns the next-state slot in place: what it holds at the next
+// clock edge becomes the latched value. It starts the cycle equal to
+// the latched value, so a write to some fields holds the others, as a
+// Handel-C register does; several writes in a cycle leave the last.
+func (r *Reg[T]) D() *T {
+	r.latch()
+	r.due = r.sim.cycle + 1
+	return &r.d
+}
 
 // SetD schedules v to be latched at the next clock edge.
-func (r *Reg[T]) SetD(v T) { r.d = v }
+func (r *Reg[T]) SetD(v T) { *r.D() = v }
 
-func (r *Reg[T]) commit() { r.q = r.d }
-
-// commitHook adapts a function to the committer interface.
-type commitHook func()
-
-func (f commitHook) commit() { f() }
-
-// AddCommitHook registers fn to run at every clock edge alongside
-// register commits — for components with bulk state such as memories,
-// whose writes must land synchronously.
+// AddCommitHook registers fn to run at every clock edge, after every
+// component has evaluated — for components with bulk state such as
+// memories, whose writes must land synchronously. A register read in
+// a hook still shows its pre-edge value.
 func AddCommitHook(s *Sim, fn func()) {
-	s.regs = append(s.regs, commitHook(fn))
+	s.hooks = append(s.hooks, fn)
 }
 
 // Proc is a resumable control-flow process; step advances one clock

@@ -179,6 +179,29 @@ func TestRegEvalOrderIndependence(t *testing.T) {
 	}
 }
 
+func TestCommitHookSeesPreEdgeRegisters(t *testing.T) {
+	// A hook runs at the edge that latches the cycle's writes, and sees
+	// the values from before it, whichever was created first.
+	for _, hookFirst := range []bool{false, true} {
+		s := NewSim()
+		var seen []int
+		var r *Reg[int]
+		hook := func() { seen = append(seen, r.Q()) }
+		if hookFirst {
+			AddCommitHook(s, hook)
+		}
+		r = NewReg(s, 0)
+		if !hookFirst {
+			AddCommitHook(s, hook)
+		}
+		s.Add(evalFunc(func() { r.SetD(r.Q() + 1) }))
+		s.Run(3)
+		if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 || r.Q() != 3 {
+			t.Fatalf("hookFirst=%v: hook saw %v, register ends at %d", hookFirst, seen, r.Q())
+		}
+	}
+}
+
 func TestSimRunAndCycleCount(t *testing.T) {
 	s := NewSim()
 	s.Run(42)
