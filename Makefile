@@ -91,12 +91,14 @@ bench-json:
 
 # Sabre engine comparison only: the three execution engines on the
 # softfloat Kalman and fixed-point boresight workloads (ns/emulated
-# instr, allocation contract) plus the one-time translation and
-# predecode costs. Quick iteration loop for interpreter work; the full
-# archive/regression pass is bench-json.
+# instr, allocation contract), the compiled engine's runtime tier alone
+# on the same two workloads and on an integer loop no generated kernel
+# covers (with the default engine on that loop for reference), plus the
+# one-time translation and predecode costs. Quick iteration loop for
+# interpreter work; the full archive/regression pass is bench-json.
 sabre-bench:
 	$(GO) test -run '^$$' -bench 'SabreSoftFloatKalman|SabreFxBoresight' -benchmem -bench-dur 10 .
-	$(GO) test -run '^$$' -bench 'Compile|Predecode' -benchmem ./internal/sabre/
+	$(GO) test -run '^$$' -bench 'SabreRuntime|SabreIntLoop|Compile|Predecode' -benchmem ./internal/sabre/
 
 # End-to-end video-path smoke run: render, distort, correct on the
 # clocked pipeline, and checksum the corrected frame against the

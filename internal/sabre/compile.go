@@ -18,15 +18,15 @@ package sabre
 //     resumed run can stop anywhere) simply miss and take the generic
 //     path; correctness never depends on a kernel binding.
 //
-//  2. Runtime block. Anything unrecognised gets a closure synthesised
-//     by the runtime region generator (regiongen.go): the block's
-//     records are predecoded once at translation time and executed
-//     with compiled-tier conventions — counters in locals, no per-
-//     instruction budget checks, and recognised SoftFloat call targets
-//     lowered to the native intrinsic mirrors — so runtime-assembled
-//     programs reach kernel-class dispatch instead of the per-block
-//     generic interpreter. The generic closure (runcompiled.go)
-//     remains as the defensive rebind path.
+//  2. Runtime block. Anything unrecognised is translated by the runtime
+//     tier (regiongen.go) into a chain of per-record closures with the
+//     counters charged once per block, no per-instruction budget
+//     checks, self-loops run inside the block, and recognised SoftFloat
+//     call targets lowered to the native intrinsic mirrors. This covers
+//     every block of a runtime-assembled program; in speed it sits near
+//     the default engine on integer code, well short of the generated
+//     kernels. The generic closure (runcompiled.go) remains as the
+//     defensive rebind path.
 
 // compileBlockAt translates the block entered at pc and installs it in
 // the translation table, returning the installed slot.

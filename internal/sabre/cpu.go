@@ -70,7 +70,9 @@ type CPU struct {
 
 	// Engine selects the execution engine used by Run. The zero value
 	// is EngineFast (predecoded + fused); EngineRef forces the
-	// reference fetch-decode-execute loop.
+	// reference fetch-decode-execute loop; EngineCompiled runs
+	// translated blocks (generated kernels for the bundled programs,
+	// runtime-translated closures for any other code).
 	Engine Engine
 
 	// FaultAddr holds the data address of the most recent bus fault

@@ -24,10 +24,38 @@ import (
 // nonRefEngines are the engines held to parity with EngineRef. The
 // -engine flag narrows the suite to a single engine under test — CI's
 // sabre-native-parity step runs the whole differential suite with
-// -engine=compiled under the race detector.
-var nonRefEngines = []Engine{EngineFast, EngineCompiled}
+// -engine=compiled and again with -engine=runtime under the race
+// detector.
+var nonRefEngines = []Engine{EngineFast, EngineCompiled, engineRuntime}
 
-var engineFlag = flag.String("engine", "", `restrict the parity suite to one engine ("fast" or "compiled")`)
+// engineRuntime is a test-side engine under test, not a CPU setting:
+// EngineCompiled with generated-kernel binding bypassed, so the bundled
+// programs run on the runtime tier (regiongen.go) as any unseen program
+// does. withEngine maps it to the CPU engine that runs it.
+const engineRuntime = Engine(0xFF)
+
+// withEngine returns the CPU engine that runs an engine under test and
+// the function that ends the run's setting. For engineRuntime it swaps
+// the package's kernel registry for an empty one until restore is
+// called; the sabre tests run serially, so no other CPU observes it.
+func withEngine(e Engine) (eng Engine, restore func()) {
+	if e != engineRuntime {
+		return e, func() {}
+	}
+	saved := kernelIndex
+	kernelIndex = map[uint64][]kernelEntry{}
+	return EngineCompiled, func() { kernelIndex = saved }
+}
+
+// engineName names an engine under test in failure messages.
+func engineName(e Engine) string {
+	if e == engineRuntime {
+		return "runtime"
+	}
+	return e.String()
+}
+
+var engineFlag = flag.String("engine", "", `restrict the parity suite to one engine ("fast", "compiled", or "runtime": compiled with kernel binding bypassed)`)
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -37,6 +65,8 @@ func TestMain(m *testing.M) {
 		nonRefEngines = []Engine{EngineFast}
 	case "compiled":
 		nonRefEngines = []Engine{EngineCompiled}
+	case "runtime":
+		nonRefEngines = []Engine{engineRuntime}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -engine %q\n", *engineFlag)
 		os.Exit(2)
@@ -87,6 +117,8 @@ type engineOutcome struct {
 // LEDSBase and a cycle counter at CounterBase, runs it, and captures
 // the outcome.
 func runOneEngine(eng Engine, words []uint32, maxCycles uint64, setup func(*CPU)) (*engineOutcome, error) {
+	eng, restore := withEngine(eng)
+	defer restore()
 	c := New()
 	c.Engine = eng
 	tp := &tracePeriph{}
@@ -168,7 +200,7 @@ func requireParity(t *testing.T, words []uint32, maxCycles uint64, setup func(*C
 			t.Fatal(err)
 		}
 		if d := diffOutcomes(ref, got); d != "" {
-			t.Fatalf("engine %v divergence: %s", eng, d)
+			t.Fatalf("engine %s divergence: %s", engineName(eng), d)
 		}
 	}
 	return ref
@@ -283,7 +315,7 @@ func TestEngineParityCycleLimit(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := diffOutcomes(ref, got); d != "" {
-				t.Fatalf("budget %d, engine %v: %s", budget, eng, d)
+				t.Fatalf("budget %d, engine %s: %s", budget, engineName(eng), d)
 			}
 		}
 	}
@@ -404,7 +436,7 @@ func TestEngineParityKalmanBudgetSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := diffOutcomes(ref, got); d != "" {
-				t.Fatalf("budget %d, engine %v: %s", budget, eng, d)
+				t.Fatalf("budget %d, engine %s: %s", budget, engineName(eng), d)
 			}
 		}
 	}
@@ -453,7 +485,7 @@ func TestEngineParityKalmanEveryBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := diffOutcomes(ref, got); d != "" {
-				t.Fatalf("budget %d, engine %v: %s", budget, eng, d)
+				t.Fatalf("budget %d, engine %s: %s", budget, engineName(eng), d)
 			}
 		}
 	}
@@ -479,22 +511,25 @@ func TestEngineParitySoftFloatKalman(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range nonRefEngines {
+	for _, e := range nonRefEngines {
+		eng, restore := withEngine(e)
 		fast, err := RunKalmanEngine(eng, 1e-4, 0.04, 1, 0, z)
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := engineName(e)
 		if ref.TotalCycles != fast.TotalCycles || ref.Instructions != fast.Instructions {
-			t.Fatalf("cycle counts: ref %d/%d, %v %d/%d",
-				ref.TotalCycles, ref.Instructions, eng, fast.TotalCycles, fast.Instructions)
+			t.Fatalf("cycle counts: ref %d/%d, %s %d/%d",
+				ref.TotalCycles, ref.Instructions, name, fast.TotalCycles, fast.Instructions)
 		}
 		for i := range ref.Estimates {
 			if math.Float32bits(ref.Estimates[i]) != math.Float32bits(fast.Estimates[i]) {
-				t.Fatalf("estimate %d: ref %v, %v %v", i, ref.Estimates[i], eng, fast.Estimates[i])
+				t.Fatalf("estimate %d: ref %v, %s %v", i, ref.Estimates[i], name, fast.Estimates[i])
 			}
 		}
 		if math.Float32bits(ref.FinalP) != math.Float32bits(fast.FinalP) {
-			t.Fatalf("final P: ref %v, %v %v", ref.FinalP, eng, fast.FinalP)
+			t.Fatalf("final P: ref %v, %s %v", ref.FinalP, name, fast.FinalP)
 		}
 	}
 }
@@ -512,61 +547,78 @@ func TestEngineParityFxBoresight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range nonRefEngines {
+	for _, e := range nonRefEngines {
+		eng, restore := withEngine(e)
 		fast, err := RunFxBoresightEngine(eng, cfg, 0.02, inputs)
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := engineName(e)
 		if ref.TotalCycles != fast.TotalCycles {
-			t.Fatalf("cycles: ref %d, %v %d", ref.TotalCycles, eng, fast.TotalCycles)
+			t.Fatalf("cycles: ref %d, %s %d", ref.TotalCycles, name, fast.TotalCycles)
 		}
 		for i := range ref.States {
 			if ref.States[i] != fast.States[i] {
-				t.Fatalf("state %d: ref %v, %v %v", i, ref.States[i], eng, fast.States[i])
+				t.Fatalf("state %d: ref %v, %s %v", i, ref.States[i], name, fast.States[i])
 			}
 		}
 	}
 }
 
-// TestEngineParityControl runs the never-halting UART parsing program
-// to its cycle budget on both engines with identical serial input.
-func TestEngineParityControl(t *testing.T) {
-	outs := make([]*engineOutcome, 3)
-	for i, eng := range []Engine{EngineRef, EngineFast, EngineCompiled} {
-		c, dmu, acc, _, leds, err := ControlCPU()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Engine = eng
-		payload := []byte{0x12, 0x34, 0x0B, 0xCD, 0x10, 0x00}
-		var sum byte
-		for _, b := range payload {
-			sum += b
-		}
-		acc.Feed(append(append([]byte{0xC5}, payload...), byte(-sum)))
-		// DMU bridge frame for accel CAN id 0x101: three big-endian
-		// int16 counts + seq + reserved.
-		data := []byte{0x03, 0xE8, 0xF8, 0x30, 0x0B, 0xB8, 7, 0}
-		body := append([]byte{0x01, 0x01, 8}, data...)
-		var dsum byte
-		for _, b := range body {
-			dsum += b
-		}
-		dmu.Feed(append(append([]byte{0xAA, 0x55}, body...), byte(-dsum)))
-		ran, err := c.Run(30000)
-		if !errors.Is(err, ErrCycleLimit) {
-			t.Fatalf("control program: ran %d, err %v", ran, err)
-		}
-		outs[i] = &engineOutcome{
-			ran: ran, pc: c.PC, regs: c.R,
-			cycles: c.Cycles, instret: c.Instret, halted: c.Halted,
-			data:  append([]byte(nil), c.Data...),
-			trace: []periphEvent{{false, 0, leds.Value}},
-		}
+// runControlEngine runs the never-halting UART parsing program for
+// budget cycles on an engine under test, with one ACC packet and one
+// DMU bridge frame waiting on its serial links. The outcome's trace is
+// the final LED value.
+func runControlEngine(e Engine, budget uint64) (*engineOutcome, error) {
+	eng, restore := withEngine(e)
+	defer restore()
+	c, dmu, acc, _, leds, err := ControlCPU()
+	if err != nil {
+		return nil, err
 	}
-	for i := 1; i < len(outs); i++ {
-		if d := diffOutcomes(outs[0], outs[i]); d != "" {
-			t.Fatalf("control program divergence (outcome %d): %s", i, d)
+	c.Engine = eng
+	payload := []byte{0x12, 0x34, 0x0B, 0xCD, 0x10, 0x00}
+	var sum byte
+	for _, b := range payload {
+		sum += b
+	}
+	acc.Feed(append(append([]byte{0xC5}, payload...), byte(-sum)))
+	// DMU bridge frame for accel CAN id 0x101: three big-endian
+	// int16 counts + seq + reserved.
+	data := []byte{0x03, 0xE8, 0xF8, 0x30, 0x0B, 0xB8, 7, 0}
+	body := append([]byte{0x01, 0x01, 8}, data...)
+	var dsum byte
+	for _, b := range body {
+		dsum += b
+	}
+	dmu.Feed(append(append([]byte{0xAA, 0x55}, body...), byte(-dsum)))
+	ran, err := c.Run(budget)
+	if !errors.Is(err, ErrCycleLimit) {
+		return nil, fmt.Errorf("control program: ran %d, err %v", ran, err)
+	}
+	return &engineOutcome{
+		ran: ran, errStr: err.Error(), pc: c.PC, regs: c.R,
+		cycles: c.Cycles, instret: c.Instret, halted: c.Halted,
+		data:  append([]byte(nil), c.Data...),
+		trace: []periphEvent{{false, 0, leds.Value}},
+	}, nil
+}
+
+// TestEngineParityControl runs the never-halting UART parsing program
+// to its cycle budget on every engine with identical serial input.
+func TestEngineParityControl(t *testing.T) {
+	ref, err := runControlEngine(EngineRef, 30000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range nonRefEngines {
+		got, err := runControlEngine(eng, 30000)
+		if err != nil {
+			t.Fatalf("%s: %v", engineName(eng), err)
+		}
+		if d := diffOutcomes(ref, got); d != "" {
+			t.Fatalf("control program divergence on %s: %s", engineName(eng), d)
 		}
 	}
 }
@@ -635,7 +687,7 @@ func FuzzEngineParity(f *testing.F) {
 				t.Fatal(err)
 			}
 			if d := diffOutcomes(ref, got); d != "" {
-				t.Fatalf("engine %v divergence: %s", eng, d)
+				t.Fatalf("engine %s divergence: %s", engineName(eng), d)
 			}
 		}
 	})
@@ -667,7 +719,7 @@ func TestEngineParityRandomPrograms(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := diffOutcomes(ref, got); d != "" {
-				t.Fatalf("trial %d: engine %v divergence: %s", trial, eng, d)
+				t.Fatalf("trial %d: engine %s divergence: %s", trial, engineName(eng), d)
 			}
 		}
 	}

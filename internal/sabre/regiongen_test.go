@@ -3,6 +3,9 @@ package sabre
 import (
 	"math"
 	"testing"
+
+	"boresight/internal/fxcore"
+	"boresight/internal/geom"
 )
 
 // alphaFilterMain is a runtime-assembled SoftFloat program that exists
@@ -115,3 +118,86 @@ func TestRuntimeRegionGenerator(t *testing.T) {
 		kernel, total, st.Dispatches[blockRuntime], st.Dispatches[blockRegion],
 		st.Dispatches[blockGeneric], st.IntrinsicCalls)
 }
+
+// benchmarkProgram runs one program repeatedly on a reusable CPU for an
+// engine under test: each iteration rewrites the inputs, resets the
+// core and runs it to HALT, as the root Sabre benchmarks do. The
+// warm-up run pays translation (or predecode); the measured steady
+// state must be allocation-free. engineRuntime swaps the kernel
+// registry out for the whole benchmark, so the bundled programs run on
+// the runtime tier as any unseen program does.
+func benchmarkProgram(b *testing.B, e Engine, words []uint32, setup func(*CPU), budget uint64) {
+	eng, restore := withEngine(e)
+	defer restore()
+	c := New()
+	c.Engine = eng
+	if err := c.LoadProgram(words); err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		setup(c)
+		c.Reset()
+		if _, err := c.Run(budget); err != nil {
+			b.Fatal(err)
+		}
+		if !c.Halted {
+			b.Fatal("program did not halt")
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.Instret)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MIPS")
+}
+
+// BenchmarkSabreRuntimeKalman runs the root BenchmarkSabreSoftFloatKalman
+// workload (100 updates) on the compiled engine's runtime tier alone;
+// the intrinsic mirrors carry most of it.
+func BenchmarkSabreRuntimeKalman(b *testing.B) {
+	prog, err := KalmanProgram()
+	if err != nil {
+		b.Fatal(err)
+	}
+	z := make([]float32, 100)
+	for i := range z {
+		z[i] = 3.25 + float32((i*2654435761)%1000-500)/2000
+	}
+	benchmarkProgram(b, engineRuntime, prog.Words, func(c *CPU) {
+		SetKalmanInputs(c, 1e-6, 0.25, 100, 0, z)
+	}, KalmanRunBudget(len(z)))
+}
+
+// BenchmarkSabreRuntimeFxBoresight runs the root
+// BenchmarkSabreFxBoresight workload (20 epochs) on the runtime tier
+// alone: integer code with no intrinsic to lean on.
+func BenchmarkSabreRuntimeFxBoresight(b *testing.B) {
+	prog, err := FxBoresightProgram()
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := make([]FxBoresightInput, 20)
+	for i := range inputs {
+		inputs[i] = FxBoresightInput{F: geom.Vec3{0.3, -0.2, 9.7}, AX: 0.31, AY: -0.18}
+	}
+	benchmarkProgram(b, engineRuntime, prog.Words, func(c *CPU) {
+		LoadFxBoresightInputs(c, fxcore.DefaultConfig(), 0.01, inputs)
+	}, FxBoresightRunBudget(len(inputs)))
+}
+
+func benchmarkIntTrack(b *testing.B, e Engine) {
+	samples := intTrackSamples(512)
+	benchmarkProgram(b, e, MustAssemble(intTrackMain).Words,
+		intTrackSetup(samples), intTrackBudget(len(samples)))
+}
+
+// BenchmarkSabreRuntimeIntLoop runs intTrackMain, an integer loop no
+// generated kernel covers, on the compiled engine.
+func BenchmarkSabreRuntimeIntLoop(b *testing.B) { benchmarkIntTrack(b, engineRuntime) }
+
+// BenchmarkSabreIntLoopFast is BenchmarkSabreRuntimeIntLoop on
+// EngineFast, the default engine the runtime tier is measured against.
+func BenchmarkSabreIntLoopFast(b *testing.B) { benchmarkIntTrack(b, EngineFast) }
