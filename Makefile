@@ -48,7 +48,9 @@ cover:
 
 # Short fuzz passes: the ADXL202 duty-cycle codec round-trip, the
 # three-way Sabre engine parity oracle (a full minute: it differences
-# the reference, fast and compiled engines), the softfloat intrinsic
+# the reference, fast and compiled engines; minimising an interesting
+# input is capped at 2 s, since the default 60 s of minimisation would
+# leave no time to fuzz), the softfloat intrinsic
 # mirrors (result bits AND cycle/instret deltas vs the emulated
 # routines), the two link-layer packet parsers (the surfaces a faulted
 # wire feeds arbitrary bytes into), and the adaptive measurement-noise
@@ -56,7 +58,7 @@ cover:
 # and degraded-quality streams.
 fuzz:
 	$(GO) test -fuzz=FuzzDutyCycleCodec -fuzztime=30s ./internal/imu/
-	$(GO) test -run '^$$' -fuzz=FuzzEngineParity -fuzztime=60s ./internal/sabre/
+	$(GO) test -run '^$$' -fuzz=FuzzEngineParity -fuzztime=60s -fuzzminimizetime=2s ./internal/sabre/
 	$(GO) test -run '^$$' -fuzz=FuzzSoftFloatIntrinsics -fuzztime=30s ./internal/sabre/
 	$(GO) test -run '^$$' -fuzz=FuzzBridgeParser -fuzztime=30s ./internal/link/
 	$(GO) test -run '^$$' -fuzz=FuzzACCParser -fuzztime=30s ./internal/link/

@@ -421,7 +421,8 @@ func BenchmarkSabreSoftFloatKalmanRef(b *testing.B) { benchmarkSabreKalman(b, sa
 func BenchmarkSabreSoftFloatKalmanFast(b *testing.B) { benchmarkSabreKalman(b, sabre.EngineFast) }
 
 // BenchmarkSabreSoftFloatKalmanCompiled runs the workload on the
-// basic-block translation engine (region kernels + generic blocks).
+// basic-block translation engine (the Kalman program's generated
+// kernel).
 // The warm-up run pays the one-time lazy translation; the measured
 // steady state must be allocation-free.
 func BenchmarkSabreSoftFloatKalmanCompiled(b *testing.B) {

@@ -67,9 +67,9 @@ func engineFlag(fs *flag.FlagSet) func() (sabre.Engine, error) {
 	return func() (sabre.Engine, error) { return sabre.ParseEngine(*name) }
 }
 
-// compiledSuffix formats the compiled engine's intrinsic-call and
-// kernel-vs-generic dispatch statistics for the MIPS summary line
-// ("" for the other engines).
+// compiledSuffix formats the compiled engine's intrinsic-call count
+// and its kernel, runtime and generic dispatch counts for the MIPS
+// summary line ("" for the other engines).
 func compiledSuffix(s *sabre.CompiledStats) string {
 	if s == nil {
 		return ""

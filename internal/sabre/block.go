@@ -2,10 +2,8 @@ package sabre
 
 // This file is the basic-block layer of the compiled execution engine
 // (runcompiled.go): a scanner that partitions program memory into
-// straight-line blocks, a position-independent signature encoding used
-// to recognise known code shapes, and the registry the block translator
-// (compile.go) consults before falling back to the generic per-block
-// interpreter.
+// straight-line blocks, each with its static and worst-case cycle cost,
+// which the block translator (compile.go) hands to the runtime tier.
 //
 // Blocks are scanned over *plain* predecoded records (predecodeWordInto
 // on the raw program words), never over the fused superinstruction
@@ -85,101 +83,10 @@ func scanBlockWords(words []uint32, pc uint32) blockInfo {
 	return bi
 }
 
-// encRec packs one plain record into the 64-bit signature element used
-// for block matching: op and register fields in the low word, the
-// immediate in the high word. Branch and JAL targets (absolute word
-// indices after predecode) are re-encoded relative to base, so
-// identical code at different load addresses produces identical
-// signatures; JAL/JALR link values are derivable from the record's
-// position and are not encoded.
-func encRec(d *decoded, base uint32) uint64 {
-	imm := uint32(d.imm)
-	switch d.op {
-	case uint8(OpBEQ), uint8(OpBNE), uint8(OpBLT), uint8(OpBGE),
-		uint8(OpBLTU), uint8(OpBGEU), uint8(OpJAL):
-		imm -= base
-	}
-	return uint64(d.op) | uint64(d.rd)<<8 | uint64(d.rs1)<<16 |
-		uint64(d.rs2)<<24 | uint64(imm)<<32
-}
-
-// FNV-1a over signature elements.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func sigHashInit() uint64 { return fnvOffset }
-
-func sigHashAdd(h, e uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h = (h ^ (e >> i & 0xFF)) * fnvPrime
-	}
-	return h
-}
-
-// blockKey hashes the records of the block entered at pc (body plus
-// terminator, if any) with targets encoded relative to pc itself. This
-// is the lookup key the translator computes for every block entry and
-// the one each registered kernel leader is indexed under.
-func blockKeyWords(words []uint32, pc uint32, bi *blockInfo) uint64 {
-	h := sigHashInit()
-	var d decoded
-	end := pc + bi.n
-	for p := pc; p < end; p++ {
-		predecodeWordInto(words[p], p, &d)
-		h = sigHashAdd(h, encRec(&d, pc))
-	}
-	if bi.termOp != termNone {
-		t := bi.term
-		h = sigHashAdd(h, encRec(&t, pc))
-	}
-	return h
-}
-
-// matchSigWords verifies that the len(sig) records starting at base
-// encode (relative to base) exactly to sig.
-func matchSigWords(words []uint32, base uint32, sig []uint64) bool {
-	if uint64(base)+uint64(len(sig)) > uint64(len(words)) {
-		return false
-	}
-	var d decoded
-	for i, want := range sig {
-		p := base + uint32(i)
-		predecodeWordInto(words[p], p, &d)
-		if encRec(&d, base) != want {
-			return false
-		}
-	}
-	return true
-}
-
 // Block kinds, for the translation statistics (see CompiledStats).
 const (
 	blockGeneric = iota // per-block reference interpretation
-	blockRegion         // generated region kernel (kernels_gen.go)
+	blockKernel         // generated whole-program kernel (kernels_gen.go)
 	blockRuntime        // runtime-generated block closure (regiongen.go)
 	numBlockKinds
 )
-
-// kernelEntry is one registered entry point into a translated region: a
-// leader at backOff words past the region base. The full region
-// signature (relative to the base) is verified before the kernel is
-// bound, so a hash collision or a half-matching program falls back to
-// the generic path rather than misexecuting.
-type kernelEntry struct {
-	backOff uint32   // leader offset within the region
-	worst   uint32   // worst-case straight-line cycles from this leader to its block's first budget boundary
-	sig     []uint64 // full region signature, targets relative to region base
-	bind    func(base uint32) blockFn
-	kind    uint8
-}
-
-// kernelIndex maps a leader's block key to its candidate kernels. It is
-// populated by kernels_gen.go's init function and read-only afterwards,
-// so concurrent CPUs share it safely.
-var kernelIndex = map[uint64][]kernelEntry{}
-
-func registerKernel(key uint64, e kernelEntry) {
-	kernelIndex[key] = append(kernelIndex[key], e)
-}

@@ -71,8 +71,9 @@ type CPU struct {
 	// Engine selects the execution engine used by Run. The zero value
 	// is EngineFast (predecoded + fused); EngineRef forces the
 	// reference fetch-decode-execute loop; EngineCompiled runs
-	// translated blocks (generated kernels for the bundled programs,
-	// runtime-translated closures for any other code).
+	// translated blocks (generated kernels for the Kalman and
+	// boresight programs, runtime-translated closures for any other
+	// code).
 	Engine Engine
 
 	// FaultAddr holds the data address of the most recent bus fault
@@ -100,11 +101,13 @@ type CPU struct {
 	// sfArith/sfCmp are the word offsets of the canonical SoftFloat
 	// blobs in the loaded program (-1 when absent). The runtime region
 	// generator (regiongen.go) uses them to lower recognised JAL call
-	// targets to the native intrinsic mirrors. They depend only on
-	// program memory, so they are scanned for once per LoadProgram
-	// (sfBlobsValid), not on every translation-table rebuild.
+	// targets to the native intrinsic mirrors. kernel is the generated
+	// kernel whose program the loaded one is (nil when none). All three
+	// depend only on program memory, so they are matched once per
+	// LoadProgram (progMatched), not on every translation-table rebuild.
 	sfArith, sfCmp int32
-	sfBlobsValid   bool
+	kernel         *genKernel
+	progMatched    bool
 	// cstate is RunCompiled's dispatch state; it lives on the CPU
 	// because block closures take its address, which would force a
 	// heap allocation per run if it were a local.
@@ -149,12 +152,13 @@ func (c *CPU) LoadProgram(words []uint32) error {
 		c.Prog[i] = 0
 	}
 	copy(c.Prog, words)
-	// Both execution caches go stale in the same motion: the decoded
-	// (and fused) record array and the compiled-block table describe
-	// the outgoing program and must never survive it independently.
+	// The execution caches go stale in the same motion: the decoded
+	// (and fused) record array, the compiled-block table and the
+	// program-memory matches behind it describe the outgoing program
+	// and must never survive it independently.
 	c.decValid = false
 	c.blocksValid = false
-	c.sfBlobsValid = false
+	c.progMatched = false
 	c.Reset()
 	return nil
 }

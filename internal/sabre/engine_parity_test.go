@@ -35,16 +35,17 @@ var nonRefEngines = []Engine{EngineFast, EngineCompiled, engineRuntime}
 const engineRuntime = Engine(0xFF)
 
 // withEngine returns the CPU engine that runs an engine under test and
-// the function that ends the run's setting. For engineRuntime it swaps
-// the package's kernel registry for an empty one until restore is
-// called; the sabre tests run serially, so no other CPU observes it.
+// the function that ends the run's setting. For engineRuntime it
+// empties the package's list of generated kernels until restore is
+// called, so no program matches one; the sabre tests run serially, so
+// no other CPU observes it.
 func withEngine(e Engine) (eng Engine, restore func()) {
 	if e != engineRuntime {
 		return e, func() {}
 	}
-	saved := kernelIndex
-	kernelIndex = map[uint64][]kernelEntry{}
-	return EngineCompiled, func() { kernelIndex = saved }
+	saved := kernels
+	kernels = nil
+	return EngineCompiled, func() { kernels = saved }
 }
 
 // engineName names an engine under test in failure messages.
@@ -111,6 +112,9 @@ type engineOutcome struct {
 	fault   uint32
 	data    []byte
 	trace   []periphEvent
+	// stats is the compiled engine's translation statistics for the run
+	// (zero on the other engines).
+	stats CompiledStats
 }
 
 // runOneEngine loads words onto a fresh CPU with a trace peripheral at
@@ -130,8 +134,11 @@ func runOneEngine(eng Engine, words []uint32, maxCycles uint64, setup func(*CPU)
 	if setup != nil {
 		setup(c)
 	}
+	var st CompiledStats
+	c.CollectCompiledStats(&st)
 	ran, err := c.Run(maxCycles)
 	out := &engineOutcome{
+		stats:   st,
 		ran:     ran,
 		pc:      c.PC,
 		regs:    c.R,
@@ -593,6 +600,8 @@ func runControlEngine(e Engine, budget uint64) (*engineOutcome, error) {
 		dsum += b
 	}
 	dmu.Feed(append(append([]byte{0xAA, 0x55}, body...), byte(-dsum)))
+	var st CompiledStats
+	c.CollectCompiledStats(&st)
 	ran, err := c.Run(budget)
 	if !errors.Is(err, ErrCycleLimit) {
 		return nil, fmt.Errorf("control program: ran %d, err %v", ran, err)
@@ -602,6 +611,7 @@ func runControlEngine(e Engine, budget uint64) (*engineOutcome, error) {
 		cycles: c.Cycles, instret: c.Instret, halted: c.Halted,
 		data:  append([]byte(nil), c.Data...),
 		trace: []periphEvent{{false, 0, leds.Value}},
+		stats: st,
 	}, nil
 }
 

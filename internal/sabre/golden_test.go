@@ -114,11 +114,15 @@ func stateCRC(o *engineOutcome) uint32 {
 }
 
 // programGolden is one program, how to run it, and its pinned outcome.
+// kernels is the number of generated-kernel dispatches the run takes on
+// EngineCompiled: one for the two programs that have a kernel, none
+// for every other.
 type programGolden struct {
 	name            string
 	run             func(eng Engine) (*engineOutcome, error)
 	cycles, instret uint64
 	crc             uint32
+	kernels         uint64
 }
 
 // halting runs words to budget on an engine under test; the run must
@@ -174,12 +178,12 @@ func programGoldens(t *testing.T) []programGolden {
 	samples := intTrackSamples(512)
 
 	return []programGolden{
-		{name: "Kalman", cycles: 51907, instret: 40415, crc: 0x7ad47c77, run: func(e Engine) (*engineOutcome, error) {
+		{name: "Kalman", cycles: 51907, instret: 40415, crc: 0x7ad47c77, kernels: 1, run: func(e Engine) (*engineOutcome, error) {
 			return halting(e, kal.Words, func(c *CPU) {
 				SetKalmanInputs(c, 1e-4, 0.04, 1, 0, kz)
 			}, KalmanRunBudget(len(kz)))
 		}},
-		{name: "FxBoresight", cycles: 88590, instret: 66556, crc: 0x66222f56, run: func(e Engine) (*engineOutcome, error) {
+		{name: "FxBoresight", cycles: 88590, instret: 66556, crc: 0x66222f56, kernels: 1, run: func(e Engine) (*engineOutcome, error) {
 			return halting(e, fxb.Words, func(c *CPU) {
 				LoadFxBoresightInputs(c, fxcore.DefaultConfig(), 0.01, fxIn)
 			}, FxBoresightRunBudget(len(fxIn)))
@@ -210,10 +214,11 @@ func programGoldens(t *testing.T) []programGolden {
 
 // TestSabreProgramGoldens pins each program's cycles, retired
 // instructions and state CRC across commits, on all three engines and
-// in runtime-only mode. Engine parity holds the engines to each other
-// within one commit; a change that shifted every engine at once (a
-// cost-model or assembler edit) would pass parity and fail here. An
-// intended change re-pins the values and says so in CHANGES.md.
+// in runtime-only mode, and which programs bind a generated kernel.
+// Engine parity holds the engines to each other within one commit; a
+// change that shifted every engine at once (a cost-model or assembler
+// edit) would pass parity and fail here. An intended change re-pins
+// the values and says so in CHANGES.md.
 func TestSabreProgramGoldens(t *testing.T) {
 	for _, g := range programGoldens(t) {
 		for _, e := range []Engine{EngineRef, EngineFast, EngineCompiled, engineRuntime} {
@@ -225,6 +230,9 @@ func TestSabreProgramGoldens(t *testing.T) {
 				t.Errorf("%s on %s: cycles %d instret %d crc %#08x, want %d %d %#08x",
 					g.name, engineName(e), out.cycles, out.instret, crc,
 					g.cycles, g.instret, g.crc)
+			}
+			if k := out.stats.Dispatches[blockKernel]; e == EngineCompiled && k != g.kernels {
+				t.Errorf("%s on compiled: %d kernel dispatches, want %d", g.name, k, g.kernels)
 			}
 		}
 	}

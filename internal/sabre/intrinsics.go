@@ -69,23 +69,10 @@ var sfOff sfLayout
 type intrinHandler func(c *CPU, st *cst, cyc, ins uint64, ra, lb uint32) (uint64, uint64, bool)
 
 // arithIntrins/cmpIntrins map a routine's entry offset within its blob
-// to its mirror, for the runtime region generator.
+// to its mirror, for the runtime region generator and the kernel
+// generator (kernelgen_test.go).
 var arithIntrins map[uint32]intrinHandler
 var cmpIntrins map[uint32]intrinHandler
-
-// intrinSyms names the kernel-generator entry points by routine symbol.
-var intrinSyms = map[string]string{
-	"f32_add":      "tryIntrinF32Add",
-	"f32_sub":      "tryIntrinF32Sub",
-	"f32_mul":      "tryIntrinF32Mul",
-	"f32_div":      "tryIntrinF32Div",
-	"f32_sqrt":     "tryIntrinF32Sqrt",
-	"f32_from_i32": "tryIntrinF32FromI32",
-	"f32_to_i32":   "tryIntrinF32ToI32",
-	"f32_cmp_eq":   "tryIntrinF32Eq",
-	"f32_cmp_lt":   "tryIntrinF32Lt",
-	"f32_cmp_le":   "tryIntrinF32Le",
-}
 
 // callAfter finds the first JAL to target at or after sym and returns
 // the offset of the word following it (the pushed return address).
@@ -783,33 +770,4 @@ func commit16(c *CPU, st *cst, m *mOut, cyc, ins uint64, ra, sp uint32) (uint64,
 		c.cstats.IntrinsicInstret += uint64(m.ins)
 	}
 	return cyc + uint64(m.cyc), ins + uint64(m.ins), true
-}
-
-// intrinEntryOffset returns the canonical entry offset of a mirrored
-// routine within its owning blob (arith or cmp), for verifying that a
-// program's symbol actually points at the canonical body.
-func intrinEntryOffset(sym string) (off uint32, cmp, ok bool) {
-	switch sym {
-	case "f32_add":
-		return sfOff.add, false, true
-	case "f32_sub":
-		return sfOff.sub, false, true
-	case "f32_mul":
-		return sfOff.mul, false, true
-	case "f32_div":
-		return sfOff.div, false, true
-	case "f32_sqrt":
-		return sfOff.sqrt, false, true
-	case "f32_from_i32":
-		return sfOff.fromI32, false, true
-	case "f32_to_i32":
-		return sfOff.toI32, false, true
-	case "f32_cmp_eq":
-		return sfOff.eq, true, true
-	case "f32_cmp_lt":
-		return sfOff.lt, true, true
-	case "f32_cmp_le":
-		return sfOff.le, true, true
-	}
-	return 0, false, false
 }

@@ -1,26432 +1,14547 @@
 // Code generated by kernelgen_test.go (go test ./internal/sabre/ -run TestGenerateKernels -update-kernels); DO NOT EDIT.
 //
-// Region kernels for the compiled engine: 63 distinct regions across 15 programs.
-// See kernelgen_test.go for the emission rules and block.go for the matching model.
+// Whole-program kernels for the compiled engine. See kernelgen_test.go for
+// the emission rules and compile.go for how a kernel binds.
 
 package sabre
 
-// Region R0: kalman — 786 words, from kalman.
-var sigR0 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000001000000d17, 0x00000023000a001c, 0x0000000c00000117, 0x0000000800000217,
-	0x000000a500000f22, 0x000000000001020d, 0x0000000c00000117, 0x0000022200000f22,
-	0x000000140000011a, 0x00000000000b0117, 0x00000000000d020d, 0x000000aa00000f22,
-	0x0000001400000217, 0x000001cb00000f22, 0x00000000000d020d, 0x000000a500000f22,
-	0x0000000000010d0d, 0x3f80000000000116, 0x0000000000010101, 0x0000001400000217,
-	0x000000aa00000f22, 0x0000000c00000217, 0x000001cb00000f22, 0x0000000400000217,
-	0x000000a500000f22, 0x0000000c0000011a, 0x00000000000c0d1a, 0x00000004000b0b0d,
-	0x00000004000c0c0d, 0xffffffff000a0a0d, 0x0000000500000022, 0x0000000000000000,
-	0x0000002e0002001c, 0x0000002000020515, 0x0000002f0005001c, 0x0000000002010607,
-	0x000000200000050d, 0x0000000002050502, 0x0000000005010506, 0x0000002d0005001c,
-	0x000000010006060f, 0x000000000006010d, 0x00000000000f0023, 0x0000002e0001001c,
-	0x000000010000010d, 0x00000000000f0023, 0x0000004b0001001c, 0x000000000000050d,
-	0x000100000000060d, 0x0000003806010021, 0x000000100005050d, 0x0000001000010111,
-	0x0100000000000616, 0x0000000000060601, 0x0000003d06010021, 0x000000080005050d,
-	0x0000000800010111, 0x1000000000000616, 0x0000000000060601, 0x0000004206010021,
-	0x000000040005050d, 0x0000000400010111, 0x4000000000000616, 0x0000000000060601,
-	0x0000004706010021, 0x000000020005050d, 0x0000000200010111, 0x000000490001001e,
-	0x000000010005050d, 0x000000000005010d, 0x00000000000f0023, 0x000000200000010d,
-	0x00000000000f0023, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010603,
-	0x0000001700010712, 0x000000ff0007070e, 0x000000ff0000080d, 0x000000590807001d,
-	0x000000590006001c, 0x0040000000000516, 0x0000000000050501, 0x0000000005010104,
-	0x00000000000f0023, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005020603,
-	0x0000001700020712, 0x000000ff0007070e, 0x000000ff0000080d, 0x000000650807001d,
-	0x000000650006001c, 0x0040000000000516, 0x0000000000050501, 0x0000000005020104,
-	0x00000000000f0023, 0x7fc0000000000116, 0x0000000000010101, 0x00000000000f0023,
-	0xfffffff0000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x0000000000010a0d, 0x0000000000020b0d, 0x0000000000030c0d,
-	0x000000fd0000050d, 0x0000007c050b0020, 0x0000008a0b05001e, 0x00000077050b001d,
-	0x00000040000c060d, 0x0000008a0006001e, 0x0000007c00000022, 0x00000000000c010d,
-	0x000000000b000202, 0x0000002400000f22, 0x0000000000010c0d, 0x0000000000000b0d,
-	0x0000007f000c050e, 0x00000040000c0c0d, 0x00000007000c0c12, 0x000000400000060d,
-	0x000000830605001d, 0xfffffffe0000070d, 0x00000000070c0c03, 0x00000085000c001d,
-	0x0000000000000b0d, 0x0000001f000a0511, 0x00000017000b0611, 0x0000000006050101,
-	0x000000000c010101, 0x0000008e00000022, 0x0000001f000a0111, 0x7f80000000000516,
-	0x0000000000050501, 0x0000000005010104, 0x00000000000e0f17, 0x00000004000e0a17,
-	0x00000008000e0b17, 0x0000000c000e0c17, 0x00000010000e0e0d, 0x00000000000f0023,
-	0xfffffff4000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000000010a0d, 0x0000000000020b0d, 0x000000000003010d, 0x0000003200000f22,
-	0xffffffff0001070d, 0x00000000070b0202, 0x0000000007030306, 0x00000000000a010d,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0e0d,
-	0x0000006800000022, 0x0000001f00010512, 0x0000001f00020612, 0x000000000005030d,
-	0x0000016c0605001d, 0x0000010e00000022, 0x0000001f00010512, 0x0000001f00020612,
-	0x000000000005030d, 0x0000010e0605001d, 0x0000016c00000022, 0x8000000000000516,
-	0x0000000000050501, 0x0000000005010105, 0x00000000000f0023, 0xffffffec000e0e0d,
-	0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a,
-	0x00000010000e0d1a, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010603,
-	0x0000001700010712, 0x000000ff0007070e, 0x0000001f00010812, 0x000000ff0000050d,
-	0x000000c40507001d, 0x000000ca0006001d, 0x000000c70008001d, 0x0000010700000022,
-	0x000000cd0008001c, 0x0000000006070504, 0x000001070005001c, 0x7fc0000000000116,
-	0x0000000000010101, 0x0000010700000022, 0x000000000001020d, 0x0000004d00000f22,
-	0x0000010700000022, 0x000000d90007001d, 0x000000d70006001c, 0x000000000006030d,
-	0x000000000006010d, 0x0000003200000f22, 0xfffffff80001050d, 0x000000010000070d,
-	0x0000000005070702, 0x0000000005030606, 0x000000d900000022, 0x000000000000010d,
-	0x0000010700000022, 0x0080000000000516, 0x0000000000050501, 0x0000000005060604,
-	0xffffff810007050d, 0x0000000100050913, 0x0000007e0009090d, 0x000000010005050e,
-	0x000000e20005001c, 0x0000000100060611, 0x0000000500060a11, 0x0000000000000b0d,
-	0x0000000000000c0d, 0x000000000000080d, 0x000000000000040d, 0x0000002000000d0d,
-	0x0000001e000a0512, 0x00000002000a0a11, 0x0000001e000b0612, 0x00000000060a0a04,
-	0x00000002000b0b11, 0x0000000200080811, 0x0000001e00040612, 0x0000000006080804,
-	0x0000000200040411, 0x0000000005040404, 0x0000001e000c0612, 0x00000002000c0711,
-	0x000000010007070f, 0x00000001000c0c11, 0x000000fe06080020, 0x000000f90608001d,
-	0x000000fe07040020, 0x000000000704050c, 0x0000000007040402, 0x0000000006080802,
-	0x0000000005080802, 0x00000001000c0c0f, 0xffffffff000d0d0d, 0x000000e8000d001d,
-	0x0000000004080504, 0x000001030005001c, 0x00000001000c0c0f, 0x000000000000010d,
-	0x000000000009020d, 0x00000000000c030d, 0x0000006800000f22, 0x00000000000e0f17,
-	0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17, 0x00000010000e0d17,
-	0x00000014000e0e0d, 0x00000000000f0023, 0xfffffff0000e0e0d, 0x00000000000e0f1a,
-	0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a, 0x007f000000000516,
-	0x0000ffff0005050f, 0x0000000005010a03, 0x0000000005020b03, 0x00000006000a0a11,
-	0x00000006000b0b11, 0x0000001700010712, 0x000000ff0007070e, 0x0000001700020812,
-	0x000000ff0008080e, 0x0000000008070902, 0x000001510009001c, 0x000001340900001e,
-	0x000000ff0000050d, 0x000001280508001d, 0x00000165000b001d, 0x0000001f00030111,
-	0x7f80000000000516, 0x0000000000050501, 0x0000000005010104, 0x0000016600000022,
-	0x0000012b0007001d, 0x000000010009090d, 0x0000012e00000022, 0x2000000000000516,
-	0x0000000000050501, 0x00000000050a0a04, 0x00000000000a010d, 0x0000000009000202,
-	0x0000000000080c0d, 0x0000002400000f22, 0x0000000000010a0d, 0x0000014300000022,
-	0x000000ff0000050d, 0x000001380507001d, 0x00000165000a001d, 0x0000016600000022,
-	0x0000013b0008001d, 0xffffffff0009090d, 0x0000013e00000022, 0x2000000000000516,
-	0x0000000000050501, 0x00000000050b0b04, 0x00000000000b010d, 0x000000000009020d,
-	0x0000000000070c0d, 0x0000002400000f22, 0x0000000000010b0d, 0x2000000000000516,
-	0x0000000000050501, 0x00000000050a0a04, 0x000000000b0a0601, 0x0000000100060511,
-	0xffffffff000c0c0d, 0x0000014c0005001f, 0x000000000006050d, 0x00000001000c0c0d,
-	0x000000000003010d, 0x00000000000c020d, 0x000000000005030d, 0x0000006800000f22,
-	0x0000016600000022, 0x000000ff0000050d, 0x000001560507001d, 0x000000000b0a0604,
-	0x000001650006001d, 0x0000016600000022, 0x0000015c0007001d, 0x000000000b0a0501,
-	0x0000000600050512, 0x0000001f00030111, 0x0000000005010101, 0x0000016600000022,
-	0x000000000b0a0501, 0x4000000000000616, 0x0000000000060601, 0x0000000006050501,
-	0x000000000003010d, 0x000000000007020d, 0x000000000005030d, 0x0000006800000f22,
-	0x0000016600000022, 0x0000004d00000f22, 0x00000000000e0f17, 0x00000004000e0a17,
-	0x00000008000e0b17, 0x0000000c000e0c17, 0x00000010000e0e0d, 0x00000000000f0023,
-	0xfffffff0000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010a03,
-	0x0000000005020b03, 0x00000007000a0a11, 0x00000007000b0b11, 0x0000001700010712,
-	0x000000ff0007070e, 0x0000001700020812, 0x000000ff0008080e, 0x0000000008070902,
-	0x000001ac0009001c, 0x000001980900001e, 0x000000ff0000050d, 0x000001870508001d,
-	0x000001c4000b001d, 0x0000000100030310, 0x0000001f00030111, 0x7f80000000000516,
-	0x0000000000050501, 0x0000000005010104, 0x000001c500000022, 0x0000018a0007001d,
-	0x000000010009090d, 0x0000018d00000022, 0x4000000000000516, 0x0000000000050501,
-	0x00000000050a0a04, 0x00000000000a010d, 0x0000000009000202, 0x0000000000080c0d,
-	0x0000002400000f22, 0x0000000000010a0d, 0x4000000000000516, 0x0000000000050501,
-	0x00000000050b0b04, 0x000000000a0b0502, 0x0000000100030310, 0x000001bf00000022,
-	0x000000ff0000050d, 0x0000019c0507001d, 0x000001c4000a001d, 0x000001c500000022,
-	0x0000019f0008001d, 0xffffffff0009090d, 0x000001a200000022, 0x4000000000000516,
-	0x0000000000050501, 0x00000000050b0b04, 0x00000000000b010d, 0x000000000009020d,
-	0x0000000000070c0d, 0x0000002400000f22, 0x0000000000010b0d, 0x4000000000000516,
-	0x0000000000050501, 0x00000000050a0a04, 0x000000000b0a0502, 0x000001bf00000022,
-	0x000000ff0000050d, 0x000001b30507001d, 0x000000000b0a0604, 0x000001c40006001d,
-	0x7fc0000000000116, 0x0000000000010101, 0x000001c500000022, 0x000001b50007001d,
-	0x000000010000070d, 0x000001b90a0b0020, 0x000001bc0b0a0020, 0x000000000000010d,
-	0x000001c500000022, 0x000000000b0a0502, 0x0000000000070c0d, 0x000001bf00000022,
-	0x000000000a0b0502, 0x0000000000070c0d, 0x0000000100030310, 0x000000000003010d,
-	0xffffffff000c020d, 0x000000000005030d, 0x0000009400000f22, 0x000001c500000022,
-	0x0000004d00000f22, 0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17,
-	0x0000000c000e0c17, 0x00000010000e0e0d, 0x00000000000f0023, 0xfffffff0000e0e0d,
-	0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a,
-	0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010a03, 0x0000000005020b03,
-	0x0000001700010712, 0x000000ff0007070e, 0x0000001700020812, 0x000000ff0008080e,
-	0x0000001f00010512, 0x0000001f00020612, 0x0000000006050305, 0x000000ff0000090d,
-	0x000001e60907001d, 0x0000021b000a001d, 0x000001e10908001d, 0x0000021b000b001d,
-	0x000001ed00000022, 0x000000000b080504, 0x000001ed0005001d, 0x7fc0000000000116,
-	0x0000000000010101, 0x0000021c00000022, 0x000001f20908001d, 0x0000021b000b001d,
-	0x000000000a070504, 0x000001ed0005001d, 0x7fc0000000000116, 0x0000000000010101,
-	0x0000021c00000022, 0x0000001f00030111, 0x7f80000000000516, 0x0000000000050501,
-	0x0000000005010104, 0x0000021c00000022, 0x000001fc0007001d, 0x000001f6000a001d,
-	0x0000001f00030111, 0x0000021c00000022, 0x00000000000a010d, 0x0000003200000f22,
-	0xfffffff80001050d, 0x000000010000070d, 0x0000000005070702, 0x00000000050a0a06,
-	0x000002060008001d, 0x00000200000b001d, 0x0000001f00030111, 0x0000021c00000022,
-	0x00000000000b010d, 0x0000003200000f22, 0xfffffff80001050d, 0x000000010000080d,
-	0x0000000005080802, 0x00000000050b0b06, 0x0000000008070c01, 0xffffff81000c0c0d,
-	0x0080000000000516, 0x0000000000050501, 0x00000000050a0a04, 0x00000000050b0b04,
-	0x00000007000a0a11, 0x00000008000b0b11, 0x000000000b0a050a, 0x000000000b0a0609,
-	0x000002120006001c, 0x000000010005050f, 0x0000000100050611, 0x000002160006001e,
-	0x000000000006050d, 0xffffffff000c0c0d, 0x000000000003010d, 0x00000000000c020d,
-	0x000000000005030d, 0x0000006800000f22, 0x0000021c00000022, 0x0000004d00000f22,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0e0d, 0x00000000000f0023, 0xfffffff0000e0e0d, 0x00000000000e0f1a,
-	0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a, 0x007f000000000516,
-	0x0000ffff0005050f, 0x0000000005010a03, 0x0000000005020b03, 0x0000001700010712,
-	0x000000ff0007070e, 0x0000001700020812, 0x000000ff0008080e, 0x0000001f00010512,
-	0x0000001f00020612, 0x0000000006050305, 0x000000ff0000090d, 0x0000023a0907001d,
-	0x0000027b000a001d, 0x000002760908001d, 0x0000027b000b001d, 0x7fc0000000000116,
-	0x0000000000010101, 0x0000027c00000022, 0x0000023e0908001d, 0x0000027b000b001d,
-	0x0000001f00030111, 0x0000027c00000022, 0x0000024b0008001d, 0x00000245000b001d,
-	0x000000000a070504, 0x000002760005001d, 0x7fc0000000000116, 0x0000000000010101,
-	0x0000027c00000022, 0x00000000000b010d, 0x0000003200000f22, 0xfffffff80001050d,
-	0x000000010000080d, 0x0000000005080802, 0x00000000050b0b06, 0x000002550007001d,
-	0x0000024f000a001d, 0x0000001f00030111, 0x0000027c00000022, 0x00000000000a010d,
-	0x0000003200000f22, 0xfffffff80001050d, 0x000000010000070d, 0x0000000005070702,
-	0x00000000050a0a06, 0x0000000008070c02, 0x0000007d000c0c0d, 0x0080000000000516,
-	0x0000000000050501, 0x00000000050a0a04, 0x00000000050b0b04, 0x00000007000a0a11,
-	0x00000008000b0b11, 0x000000000a0a0501, 0x00000261050b0020, 0x00000261050b001c,
-	0x0000026300000022, 0x00000001000a0a12, 0x00000001000c0c0d, 0x000000000000070d,
-	0x00000000000a080d, 0x000000200000090d, 0x0000001f00080512, 0x0000000100080811,
-	0x0000000100070711, 0x0000026b0005001d, 0x0000026d0b080020, 0x000000000b080802,
-	0x000000010007070f, 0xffffffff0009090d, 0x000002660009001d, 0x000002710008001c,
-	0x000000010007070f, 0x000000000003010d, 0x00000000000c020d, 0x000000000007030d,
-	0x0000006800000f22, 0x0000027c00000022, 0x0000001f00030111, 0x7f80000000000516,
-	0x0000000000050501, 0x0000000005010104, 0x0000027c00000022, 0x0000004d00000f22,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0e0d, 0x00000000000f0023, 0x000002840001001d, 0x00000000000f0023,
-	0x8000000000000516, 0x0000000000050501, 0x0000028a0501001d, 0xcf00000000000116,
-	0x0000000000010101, 0x00000000000f0023, 0x000000000001050b, 0x0000028d0001001f,
-	0x0000000001000102, 0x000000000001030d, 0x000000000005010d, 0x0000009c0000020d,
-	0x0000009400000022, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010603,
-	0x0000001700010712, 0x000000ff0007070e, 0x0000001f00010812, 0x000000ff0000050d,
-	0x0000029a0507001d, 0x000002ab0006001d, 0x0000029e0007001c, 0x0080000000000516,
-	0x0000000000050501, 0x0000000005060604, 0xffffff6a0007090d, 0x000000080000050d,
-	0x000002ae0509001e, 0xcf00000000000516, 0x0000000000050501, 0x000002a80501001c,
-	0x000002a80008001d, 0x7fff000000000116, 0x0000ffff0001010f, 0x00000000000f0023,
-	0x8000000000000116, 0x0000000000010101, 0x00000000000f0023, 0x8000000000000116,
-	0x0000000000010101, 0x00000000000f0023, 0x000002b10009001e, 0x0000000009060606,
-	0x000002c200000022, 0x0000000009000902, 0x000000200000050d, 0x000002b60509001e,
-	0x000000000000010d, 0x00000000000f0023, 0x0000000009060507, 0x000000200000070d,
-	0x0000000009070702, 0x0000000007060606, 0x8000000000000716, 0x0000000000070701,
-	0x000002c006070020, 0x000002c10706001d, 0x000000010005060e, 0x000002c10006001c,
-	0x000000010005050d, 0x000000000005060d, 0x000002c40008001c, 0x0000000006000602,
-	0x000000000006010d, 0x00000000000f0023, 0x007f000000000516, 0x0000ffff0005050f,
-	0x000000ff0000080d, 0x000000000000090d, 0x0000000005010603, 0x0000001700010712,
-	0x000000ff0007070e, 0x000002d10807001d, 0x000002d10006001c, 0x000000010000090d,
-	0x00000000000f0023, 0x0000000005020603, 0x0000001700020712, 0x000000ff0007070e,
-	0x000002d70807001d, 0x000002d70006001c, 0x000000010000090d, 0x00000000000f0023,
-	0xfffffffc000e0e0d, 0x00000000000e0f1a, 0x000002c600000f22, 0x00000000000e0f17,
-	0x00000004000e0e0d, 0x000002e20009001d, 0x000002e40201001c, 0x0000000002010504,
-	0x0000000100050511, 0x000002e40005001c, 0x000000000000010d, 0x00000000000f0023,
-	0x000000010000010d, 0x00000000000f0023, 0xfffffffc000e0e0d, 0x00000000000e0f1a,
-	0x000002c600000f22, 0x00000000000e0f17, 0x00000004000e0e0d, 0x000002fa0009001d,
-	0x0000001f00010512, 0x0000001f00020612, 0x000002f40605001d, 0x000002f20005001c,
-	0x000002f801020020, 0x000002fa00000022, 0x000002f802010020, 0x000002fa00000022,
-	0x000002fa0005001c, 0x0000000002010704, 0x0000000100070711, 0x000002fa0007001c,
-	0x000000010000010d, 0x00000000000f0023, 0x000000000000010d, 0x00000000000f0023,
-	0xfffffffc000e0e0d, 0x00000000000e0f1a, 0x000002c600000f22, 0x00000000000e0f17,
-	0x00000004000e0e0d, 0x0000030e0009001d, 0x0000001f00010512, 0x0000001f00020612,
-	0x0000030a0605001d, 0x000003080005001c, 0x0000031002010021, 0x0000030e00000022,
-	0x0000031001020021, 0x0000030e00000022, 0x000003100005001d, 0x0000000002010704,
-	0x0000000100070711, 0x000003100007001c, 0x000000000000010d, 0x00000000000f0023,
-	0x000000010000010d, 0x00000000000f0023,
+// kernels lists the generated kernels that matchKernel tries.
+var kernels = []*genKernel{&kernelKalman, &kernelFxBoresight}
+
+// kernelKalman runs the Kalman program: 786 words, 125 leaders.
+var kernelKalman = genKernel{
+	fn: runKalman,
+	words: []uint32{
+		0x3780ff00, 0x5e800000, 0x36c00100, 0x37008000, 0x5f400010, 0x7280001e, 0x5c40000c, 0x5c800008,
+		0x8bc0009d, 0x34840000, 0x5c40000c, 0x8bc00217, 0x68400014, 0x5c6c0000, 0x34b40000, 0x8bc0009b,
+		0x5c800014, 0x8bc001ba, 0x34b40000, 0x8bc00092, 0x37440000, 0x58403f80, 0x04440000, 0x5c800014,
+		0x8bc00092, 0x5c80000c, 0x8bc001b1, 0x5c800004, 0x8bc00089, 0x6840000c, 0x6b700000, 0x36ec0004,
+		0x37300004, 0x36abffff, 0x883fffe3, 0x00000000, 0x7080000a, 0x55480020, 0x71400009, 0x1d848000,
+		0x35400020, 0x09548000, 0x19454000, 0x71400002, 0x3d980001, 0x34580000, 0x8c3c0000, 0x7043ffff,
+		0x34400001, 0x8c3c0000, 0x70400019, 0x35400000, 0x35810000, 0x84580003, 0x35540010, 0x44440010,
+		0x59800100, 0x05980000, 0x84580003, 0x35540008, 0x44440008, 0x59801000, 0x05980000, 0x84580003,
+		0x35540004, 0x44440004, 0x59804000, 0x05980000, 0x84580003, 0x35540002, 0x44440002, 0x78400002,
+		0x35540001, 0x34540000, 0x8c3c0000, 0x34400020, 0x8c3c0000, 0x5940007f, 0x3d54ffff, 0x0d854000,
+		0x49c40017, 0x39dc00ff, 0x360000ff, 0x75e00006, 0x71800005, 0x59400040, 0x05540000, 0x10454000,
+		0x8c3c0000, 0x5940007f, 0x3d54ffff, 0x0d894000, 0x49c80017, 0x39dc00ff, 0x360000ff, 0x75e00006,
+		0x71800005, 0x59400040, 0x05540000, 0x10494000, 0x8c3c0000, 0x58407fc0, 0x04440000, 0x8c3c0000,
+		0x37bbfff0, 0x6bf80000, 0x6ab80004, 0x6af80008, 0x6b38000c, 0x36840000, 0x36c80000, 0x370c0000,
+		0x354000fd, 0x82d4000b, 0x796c0018, 0x76d40004, 0x35b00040, 0x79800015, 0x88000006, 0x34700000,
+		0x0882c000, 0x8bffffab, 0x37040000, 0x36c00000, 0x3970007f, 0x37300040, 0x4b300007, 0x35800040,
+		0x75580003, 0x35c3fffe, 0x0f31c000, 0x77000002, 0x36c00000, 0x4568001f, 0x45ac0017, 0x04558000,
+		0x04470000, 0x88000005, 0x4468001f, 0x59407f80, 0x05540000, 0x10454000, 0x5ff80000, 0x5eb80004,
+		0x5ef80008, 0x5f38000c, 0x37b80010, 0x8c3c0000, 0x37bbfff4, 0x6bf80000, 0x6ab80004, 0x6af80008,
+		0x36840000, 0x36c80000, 0x344c0000, 0x8bffff97, 0x35c7ffff, 0x08adc000, 0x18cdc000, 0x34680000,
+		0x5ff80000, 0x5eb80004, 0x5ef80008, 0x37b8000c, 0x883fffc4, 0x4944001f, 0x4988001f, 0x34d40000,
+		0x755800c4, 0x88000065, 0x4944001f, 0x4988001f, 0x34d40000, 0x75580061, 0x880000be, 0x59408000,
+		0x05540000, 0x14454000, 0x8c3c0000, 0x37bbffec, 0x6bf80000, 0x6ab80004, 0x6af80008, 0x6b38000c,
+		0x6b780010, 0x5940007f, 0x3d54ffff, 0x0d854000, 0x49c40017, 0x39dc00ff, 0x4a04001f, 0x354000ff,
+		0x75d40004, 0x75800009, 0x76000005, 0x88000044, 0x72000009, 0x115d8000, 0x71400041, 0x58407fc0,
+		0x04440000, 0x8800003e, 0x34840000, 0x8bffff82, 0x8800003b, 0x75c0000c, 0x71800009, 0x34d80000,
+		0x34580000, 0x8bffff61, 0x3547fff8, 0x35c00001, 0x09dd4000, 0x198d4000, 0x88000003, 0x34400000,
+		0x8800002f, 0x59400080, 0x05540000, 0x11994000, 0x355fff81, 0x4e540001, 0x3664007e, 0x39540001,
+		0x71400002, 0x45980001, 0x46980005, 0x36c00000, 0x37000000, 0x36000000, 0x35000000, 0x37400020,
+		0x4968001e, 0x46a80002, 0x49ac001e, 0x12a98000, 0x46ec0002, 0x46200002, 0x4990001e, 0x12218000,
+		0x45100002, 0x11114000, 0x49b0001e, 0x45f00002, 0x3ddc0001, 0x47300001, 0x82180008, 0x76180002,
+		0x811c0006, 0x3151c000, 0x0911c000, 0x0a218000, 0x0a214000, 0x3f300001, 0x3777ffff, 0x7743ffe9,
+		0x11610000, 0x71400002, 0x3f300001, 0x34400000, 0x34a40000, 0x34f00000, 0x8bffff62, 0x5ff80000,
+		0x5eb80004, 0x5ef80008, 0x5f38000c, 0x5f780010, 0x37b80014, 0x8c3c0000, 0x37bbfff0, 0x6bf80000,
+		0x6ab80004, 0x6af80008, 0x6b38000c, 0x5940007f, 0x3d54ffff, 0x0e854000, 0x0ec94000, 0x46a80006,
+		0x46ec0006, 0x49c40017, 0x39dc00ff, 0x4a080017, 0x3a2000ff, 0x0a5e0000, 0x72400033, 0x78240015,
+		0x354000ff, 0x76140007, 0x76c00043, 0x444c001f, 0x59407f80, 0x05540000, 0x10454000, 0x8800003f,
+		0x75c00003, 0x36640001, 0x88000004, 0x59402000, 0x05540000, 0x12a94000, 0x34680000, 0x08824000,
+		0x37200000, 0x8bfffef3, 0x36840000, 0x88000010, 0x354000ff, 0x75d40003, 0x7680002f, 0x8800002f,
+		0x76000003, 0x3667ffff, 0x88000004, 0x59402000, 0x05540000, 0x12ed4000, 0x346c0000, 0x34a40000,
+		0x371c0000, 0x8bfffee3, 0x36c40000, 0x59402000, 0x05540000, 0x12a94000, 0x05aac000, 0x45580001,
+		0x3733ffff, 0x7d400003, 0x35580000, 0x37300001, 0x344c0000, 0x34b00000, 0x34d40000, 0x8bffff19,
+		0x88000016, 0x354000ff, 0x75d40004, 0x11aac000, 0x75800011, 0x88000011, 0x75c00006, 0x056ac000,
+		0x49540006, 0x444c001f, 0x04454000, 0x8800000b, 0x056ac000, 0x59804000, 0x05980000, 0x05558000,
+		0x344c0000, 0x349c0000, 0x34d40000, 0x8bffff05, 0x88000002, 0x8bfffee8, 0x5ff80000, 0x5eb80004,
+		0x5ef80008, 0x5f38000c, 0x37b80010, 0x8c3c0000, 0x37bbfff0, 0x6bf80000, 0x6ab80004, 0x6af80008,
+		0x6b38000c, 0x5940007f, 0x3d54ffff, 0x0e854000, 0x0ec94000, 0x46a80007, 0x46ec0007, 0x49c40017,
+		0x39dc00ff, 0x4a080017, 0x3a2000ff, 0x0a5e0000, 0x72400030, 0x7824001b, 0x354000ff, 0x76140008,
+		0x76c00044, 0x40cc0001, 0x444c001f, 0x59407f80, 0x05540000, 0x10454000, 0x8800003f, 0x75c00003,
+		0x36640001, 0x88000004, 0x59404000, 0x05540000, 0x12a94000, 0x34680000, 0x08824000, 0x37200000,
+		0x8bfffe94, 0x36840000, 0x59404000, 0x05540000, 0x12ed4000, 0x096e8000, 0x40cc0001, 0x88000028,
+		0x354000ff, 0x75d40003, 0x7680002a, 0x8800002a, 0x76000003, 0x3667ffff, 0x88000004, 0x59404000,
+		0x05540000, 0x12ed4000, 0x346c0000, 0x34a40000, 0x371c0000, 0x8bfffe7f, 0x36c40000, 0x59404000,
+		0x05540000, 0x12a94000, 0x096ac000, 0x88000014, 0x354000ff, 0x75d40006, 0x11aac000, 0x75800015,
+		0x58407fc0, 0x04440000, 0x88000013, 0x75c00002, 0x35c00001, 0x82e80004, 0x82ac0006, 0x34400000,
+		0x8800000d, 0x096ac000, 0x371c0000, 0x88000004, 0x096e8000, 0x371c0000, 0x40cc0001, 0x344c0000,
+		0x34b3ffff, 0x34d40000, 0x8bfffed2, 0x88000002, 0x8bfffe89, 0x5ff80000, 0x5eb80004, 0x5ef80008,
+		0x5f38000c, 0x37b80010, 0x8c3c0000, 0x37bbfff0, 0x6bf80000, 0x6ab80004, 0x6af80008, 0x6b38000c,
+		0x5940007f, 0x3d54ffff, 0x0e854000, 0x0ec94000, 0x49c40017, 0x39dc00ff, 0x4a080017, 0x3a2000ff,
+		0x4944001f, 0x4988001f, 0x14d58000, 0x364000ff, 0x75e4000a, 0x7680003e, 0x76240003, 0x76c0003c,
+		0x8800000d, 0x1162c000, 0x7540000b, 0x58407fc0, 0x04440000, 0x88000037, 0x7624000c, 0x76c00034,
+		0x115e8000, 0x75400004, 0x58407fc0, 0x04440000, 0x88000030, 0x444c001f, 0x59407f80, 0x05540000,
+		0x10454000, 0x8800002b, 0x75c0000a, 0x76800003, 0x444c001f, 0x88000027, 0x34680000, 0x8bfffe3b,
+		0x3547fff8, 0x35c00001, 0x09dd4000, 0x1aa94000, 0x7600000a, 0x76c00003, 0x444c001f, 0x8800001d,
+		0x346c0000, 0x8bfffe31, 0x3547fff8, 0x36000001, 0x0a214000, 0x1aed4000, 0x071e0000, 0x3733ff81,
+		0x59400080, 0x05540000, 0x12a94000, 0x12ed4000, 0x46a80007, 0x46ec0008, 0x296ac000, 0x25aac000,
+		0x71800002, 0x3d540001, 0x45940001, 0x79800003, 0x35580000, 0x3733ffff, 0x344c0000, 0x34b00000,
+		0x34d40000, 0x8bfffe4f, 0x88000002, 0x8bfffe32, 0x5ff80000, 0x5eb80004, 0x5ef80008, 0x5f38000c,
+		0x37b80010, 0x8c3c0000, 0x37bbfff0, 0x6bf80000, 0x6ab80004, 0x6af80008, 0x6b38000c, 0x5940007f,
+		0x3d54ffff, 0x0e854000, 0x0ec94000, 0x49c40017, 0x39dc00ff, 0x4a080017, 0x3a2000ff, 0x4944001f,
+		0x4988001f, 0x14d58000, 0x364000ff, 0x75e40007, 0x76800047, 0x76240041, 0x76c00045, 0x58407fc0,
+		0x04440000, 0x88000043, 0x76240004, 0x76c00040, 0x444c001f, 0x8800003f, 0x7600000d, 0x76c00006,
+		0x115e8000, 0x75400035, 0x58407fc0, 0x04440000, 0x88000038, 0x346c0000, 0x8bfffdec, 0x3547fff8,
+		0x36000001, 0x0a214000, 0x1aed4000, 0x75c0000a, 0x76800003, 0x444c001f, 0x8800002e, 0x34680000,
+		0x8bfffde2, 0x3547fff8, 0x35c00001, 0x09dd4000, 0x1aa94000, 0x0b1e0000, 0x3730007d, 0x59400080,
+		0x05540000, 0x12a94000, 0x12ed4000, 0x46a80007, 0x46ec0008, 0x056a8000, 0x82d40003, 0x72d40002,
+		0x88000003, 0x4aa80001, 0x37300001, 0x35c00000, 0x36280000, 0x36400020, 0x4960001f, 0x46200001,
+		0x45dc0001, 0x75400002, 0x822c0003, 0x0a22c000, 0x3ddc0001, 0x3667ffff, 0x7643fff8, 0x72000002,
+		0x3ddc0001, 0x344c0000, 0x34b00000, 0x34dc0000, 0x8bfffdf4, 0x88000007, 0x444c001f, 0x59407f80,
+		0x05540000, 0x10454000, 0x88000002, 0x8bfffdd2, 0x5ff80000, 0x5eb80004, 0x5ef80008, 0x5f38000c,
+		0x37b80010, 0x8c3c0000, 0x74400002, 0x8c3c0000, 0x59408000, 0x05540000, 0x74540004, 0x5840cf00,
+		0x04440000, 0x8c3c0000, 0x2d440000, 0x7c400002, 0x08404000, 0x34c40000, 0x34540000, 0x3480009c,
+		0x883ffe04, 0x5940007f, 0x3d54ffff, 0x0d854000, 0x49c40017, 0x39dc00ff, 0x4a04001f, 0x354000ff,
+		0x75d40002, 0x75800012, 0x71c00004, 0x59400080, 0x05540000, 0x11994000, 0x365fff6a, 0x35400008,
+		0x7a54000e, 0x5940cf00, 0x05540000, 0x70540005, 0x76000004, 0x58407fff, 0x3c44ffff, 0x8c3c0000,
+		0x58408000, 0x04440000, 0x8c3c0000, 0x58408000, 0x04440000, 0x8c3c0000, 0x7a400003, 0x199a4000,
+		0x88000012, 0x0a424000, 0x35400020, 0x7a540003, 0x34400000, 0x8c3c0000, 0x1d5a4000, 0x35c00020,
+		0x09de4000, 0x1999c000, 0x59c08000, 0x05dc0000, 0x81d80004, 0x759c0004, 0x39940001, 0x71800002,
+		0x35540001, 0x35940000, 0x72000002, 0x09818000, 0x34580000, 0x8c3c0000, 0x5940007f, 0x3d54ffff,
+		0x360000ff, 0x36400000, 0x0d854000, 0x49c40017, 0x39dc00ff, 0x75e00004, 0x71800003, 0x36400001,
+		0x8c3c0000, 0x0d894000, 0x49c80017, 0x39dc00ff, 0x75e00003, 0x71800002, 0x36400001, 0x8c3c0000,
+		0x37bbfffc, 0x6bf80000, 0x8bffffec, 0x5ff80000, 0x37b80004, 0x76400005, 0x70480006, 0x11448000,
+		0x45540001, 0x71400003, 0x34400000, 0x8c3c0000, 0x34400001, 0x8c3c0000, 0x37bbfffc, 0x6bf80000,
+		0x8bffffde, 0x5ff80000, 0x37b80004, 0x7640000f, 0x4944001f, 0x4988001f, 0x75580006, 0x71400003,
+		0x80840008, 0x88000009, 0x80480006, 0x88000007, 0x71400006, 0x11c48000, 0x45dc0001, 0x71c00003,
+		0x34400001, 0x8c3c0000, 0x34400000, 0x8c3c0000, 0x37bbfffc, 0x6bf80000, 0x8bffffc8, 0x5ff80000,
+		0x37b80004, 0x7640000d, 0x4944001f, 0x4988001f, 0x75580006, 0x71400003, 0x8448000a, 0x88000007,
+		0x84840008, 0x88000005, 0x75400006, 0x11c48000, 0x45dc0001, 0x71c00003, 0x34400000, 0x8c3c0000,
+		0x34400001, 0x8c3c0000,
+	},
+	leaders: map[uint32]uint32{
+		0: 7, 5: 7, 9: 5, 12: 6, 16: 4, 18: 3, 20: 7, 25: 4,
+		27: 4, 29: 7, 35: 1, 36: 10, 47: 4, 50: 26, 75: 3, 77: 13,
+		89: 13, 101: 4, 104: 16, 119: 4, 122: 2, 124: 15, 138: 4, 142: 11,
+		148: 9, 156: 13, 165: 6, 170: 6, 175: 5, 179: 21, 196: 7, 202: 3,
+		204: 2, 205: 6, 210: 6, 215: 3, 217: 15, 263: 13, 270: 27, 296: 4,
+		299: 3, 302: 5, 306: 3, 308: 5, 312: 4, 315: 3, 318: 5, 322: 1,
+		323: 14, 336: 2, 337: 6, 342: 7, 348: 9, 356: 2, 357: 2, 358: 11,
+		364: 28, 391: 4, 394: 3, 397: 5, 401: 8, 408: 5, 412: 4, 415: 3,
+		418: 5, 422: 7, 428: 8, 435: 7, 441: 4, 444: 3, 447: 5, 451: 2,
+		452: 2, 453: 11, 459: 23, 481: 6, 486: 8, 493: 6, 498: 31, 502: 3,
+		504: 33, 512: 3, 514: 31, 538: 2, 539: 2, 540: 11, 546: 25, 570: 5,
+		574: 17, 581: 3, 583: 19, 591: 3, 593: 17, 609: 2, 611: 3, 629: 2,
+		630: 6, 635: 2, 636: 11, 642: 3, 644: 7, 650: 8, 657: 24, 680: 4,
+		683: 4, 686: 4, 689: 6, 694: 12, 706: 5, 710: 12, 721: 8, 728: 4,
+		731: 11, 740: 3, 742: 4, 745: 13, 754: 5, 756: 7, 762: 3, 764: 4,
+		767: 11, 776: 3, 778: 5, 782: 3, 784: 3,
+	},
 }
 
-func bindR0(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 7 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r[14] = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 002: addi r11, r0, 256
-		r[11] = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r[12] = 0 + 0x8000
-		// 004: lw r13, 16(r0)
-		a = 0 + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+4, cycles+5, instret+4); !ok {
-				goto errOut
-			}
-			r[13] = v
-		}
-		cycles, instret = cycles+7, instret+5
-	L5:
-		if st.stop-cycles <= 7 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: beq r10, r0, 30
-		if r[10] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L35
-		}
-		cycles, instret = cycles+1, instret+1
-		// 006: lw r1, 12(r0)
-		a = 0 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 007: lw r2, 8(r0)
-		a = 0 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+7, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 008: jal r15, 157
-		if ncyc, nins, iok := tryIntrinF32Add(c, st, cycles+4, instret+2, (base+9)*4, base+36); iok {
-			cycles, instret = ncyc, nins
-			goto L9
-		}
-		r[15] = (base + 9) * 4
-		cycles, instret = cycles+6, instret+3
-		goto L165
-	L9:
-		if st.stop-cycles <= 5 {
-			bpc = 9
-			goto budgetOut
-		}
-		// 009: addi r2, r1, 0
-		r[2] = r[1] + 0x0
-		// 00a: lw r1, 12(r0)
-		a = 0 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+10, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 00b: jal r15, 535
-		if ncyc, nins, iok := tryIntrinF32Div(c, st, cycles+3, instret+2, (base+12)*4, base+36); iok {
-			cycles, instret = ncyc, nins
-			goto L12
-		}
-		r[15] = (base + 12) * 4
-		cycles, instret = cycles+5, instret+3
-		goto L546
-	L12:
-		if st.stop-cycles <= 6 {
-			bpc = 12
-			goto budgetOut
-		}
-		// 00c: sw r1, 20(r0)
-		a = 0 + 0x14
-		v = r[1]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+12, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 00d: lw r1, 0(r11)
-		a = r[11] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 00e: addi r2, r13, 0
-		r[2] = r[13] + 0x0
-		// 00f: jal r15, 155
-		if ncyc, nins, iok := tryIntrinF32Sub(c, st, cycles+4, instret+3, (base+16)*4, base+36); iok {
-			cycles, instret = ncyc, nins
-			goto L16
-		}
-		r[15] = (base + 16) * 4
-		cycles, instret = cycles+6, instret+4
-		goto L170
-	L16:
-		if st.stop-cycles <= 4 {
-			bpc = 16
-			goto budgetOut
-		}
-		// 010: lw r2, 20(r0)
-		a = 0 + 0x14
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+16, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 011: jal r15, 442
-		if ncyc, nins, iok := tryIntrinF32Mul(c, st, cycles+2, instret+1, (base+18)*4, base+36); iok {
-			cycles, instret = ncyc, nins
-			goto L18
-		}
-		r[15] = (base + 18) * 4
-		cycles, instret = cycles+4, instret+2
-		goto L459
-	L18:
-		if st.stop-cycles <= 3 {
-			bpc = 18
-			goto budgetOut
-		}
-		// 012: addi r2, r13, 0
-		r[2] = r[13] + 0x0
-		// 013: jal r15, 146
-		if ncyc, nins, iok := tryIntrinF32Add(c, st, cycles+1, instret+1, (base+20)*4, base+36); iok {
-			cycles, instret = ncyc, nins
-			goto L20
-		}
-		r[15] = (base + 20) * 4
-		cycles, instret = cycles+3, instret+2
-		goto L165
-	L20:
-		if st.stop-cycles <= 7 {
-			bpc = 20
-			goto budgetOut
-		}
-		// 014: addi r13, r1, 0
-		r[13] = r[1] + 0x0
-		// 015: lui r1, 0x3f80
-		r[1] = 0x3f800000
-		// 016: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 017: lw r2, 20(r0)
-		a = 0 + 0x14
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+23, cycles+3, instret+3); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 018: jal r15, 146
-		if ncyc, nins, iok := tryIntrinF32Sub(c, st, cycles+5, instret+4, (base+25)*4, base+36); iok {
-			cycles, instret = ncyc, nins
-			goto L25
-		}
-		r[15] = (base + 25) * 4
-		cycles, instret = cycles+7, instret+5
-		goto L170
-	L25:
-		if st.stop-cycles <= 4 {
-			bpc = 25
-			goto budgetOut
-		}
-		// 019: lw r2, 12(r0)
-		a = 0 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+25, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 01a: jal r15, 433
-		if ncyc, nins, iok := tryIntrinF32Mul(c, st, cycles+2, instret+1, (base+27)*4, base+36); iok {
-			cycles, instret = ncyc, nins
-			goto L27
-		}
-		r[15] = (base + 27) * 4
-		cycles, instret = cycles+4, instret+2
-		goto L459
-	L27:
-		if st.stop-cycles <= 4 {
-			bpc = 27
-			goto budgetOut
-		}
-		// 01b: lw r2, 4(r0)
-		a = 0 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+27, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 01c: jal r15, 137
-		if ncyc, nins, iok := tryIntrinF32Add(c, st, cycles+2, instret+1, (base+29)*4, base+36); iok {
-			cycles, instret = ncyc, nins
-			goto L29
-		}
-		r[15] = (base + 29) * 4
-		cycles, instret = cycles+4, instret+2
-		goto L165
-	L29:
-		if st.stop-cycles <= 7 {
-			bpc = 29
-			goto budgetOut
-		}
-		// 01d: sw r1, 12(r0)
-		a = 0 + 0xc
-		v = r[1]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+29, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 01e: sw r13, 0(r12)
-		a = r[12] + 0x0
-		v = r[13]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+30, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 01f: addi r11, r11, 4
-		r[11] = r[11] + 0x4
-		// 020: addi r12, r12, 4
-		r[12] = r[12] + 0x4
-		// 021: addi r10, r10, -1
-		r[10] = r[10] + 0xffffffff
-		// 022: jal r0, -29
-		cycles, instret = cycles+7, instret+6
+func runKalman(c *CPU, st *cst) int {
+	r := st.r
+	data := st.data
+	cycles, instret := st.cycles, st.instret
+	var a, v, bpc uint32
+	var ok bool
+	_, _, _, _, _ = r, data, a, v, ok
+	switch st.pc {
+	case 0:
+		goto L0
+	case 5:
 		goto L5
-	L35:
-		if st.stop-cycles <= 1 {
-			bpc = 35
-			goto budgetOut
-		}
-		// 023: halt
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 36
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	L36:
-		if st.stop-cycles <= 10 {
-			bpc = 36
-			goto budgetOut
-		}
-		// 024: beq r2, r0, 10
-		if r[2] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L46
-		}
-		cycles, instret = cycles+1, instret+1
-		// 025: sltiu r5, r2, 32
-		r[5] = b2u(r[2] < 0x20)
-		// 026: beq r5, r0, 9
-		if r[5] == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L47
-		}
-		cycles, instret = cycles+2, instret+2
-		// 027: srl r6, r1, r2
-		r[6] = r[1] >> (r[2] & 31)
-		// 028: addi r5, r0, 32
-		r[5] = 0 + 0x20
-		// 029: sub r5, r5, r2
-		r[5] = r[5] - r[2]
-		// 02a: sll r5, r1, r5
-		r[5] = r[1] << (r[5] & 31)
-		// 02b: beq r5, r0, 2
-		if r[5] == 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L45
-		}
-		cycles, instret = cycles+5, instret+5
-		// 02c: ori r6, r6, 1
-		r[6] = r[6] | 0x1
-		cycles, instret = cycles+1, instret+1
-	L45:
-		// 02d: addi r1, r6, 0
-		r[1] = r[6] + 0x0
-		cycles, instret = cycles+1, instret+1
-	L46:
-		if st.stop-cycles <= 2 {
-			bpc = 46
-			goto budgetOut
-		}
-		// 02e: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L47:
-		if st.stop-cycles <= 4 {
-			bpc = 47
-			goto budgetOut
-		}
-		// 02f: beq r1, r0, -1
-		if r[1] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L46
-		}
-		cycles, instret = cycles+1, instret+1
-		// 030: addi r1, r0, 1
-		r[1] = 0 + 0x1
-		// 031: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L50:
-		if st.stop-cycles <= 26 {
-			bpc = 50
-			goto budgetOut
-		}
-		// 032: beq r1, r0, 25
-		if r[1] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L75
-		}
-		cycles, instret = cycles+1, instret+1
-		// 033: addi r5, r0, 0
-		r[5] = 0 + 0x0
-		// 034: addi r6, r0, 65536
-		r[6] = 0 + 0x10000
-		// 035: bgeu r1, r6, 3
-		if r[1] >= r[6] {
-			cycles, instret = cycles+4, instret+3
-			goto L56
-		}
-		cycles, instret = cycles+3, instret+3
-		// 036: addi r5, r5, 16
-		r[5] = r[5] + 0x10
-		// 037: slli r1, r1, 16
-		r[1] = r[1] << 16
-		cycles, instret = cycles+2, instret+2
-	L56:
-		// 038: lui r6, 0x100
-		r[6] = 0x1000000
-		// 039: add r6, r6, r0
-		r[6] = r[6] + 0
-		// 03a: bgeu r1, r6, 3
-		if r[1] >= r[6] {
-			cycles, instret = cycles+4, instret+3
-			goto L61
-		}
-		cycles, instret = cycles+3, instret+3
-		// 03b: addi r5, r5, 8
-		r[5] = r[5] + 0x8
-		// 03c: slli r1, r1, 8
-		r[1] = r[1] << 8
-		cycles, instret = cycles+2, instret+2
-	L61:
-		// 03d: lui r6, 0x1000
-		r[6] = 0x10000000
-		// 03e: add r6, r6, r0
-		r[6] = r[6] + 0
-		// 03f: bgeu r1, r6, 3
-		if r[1] >= r[6] {
-			cycles, instret = cycles+4, instret+3
-			goto L66
-		}
-		cycles, instret = cycles+3, instret+3
-		// 040: addi r5, r5, 4
-		r[5] = r[5] + 0x4
-		// 041: slli r1, r1, 4
-		r[1] = r[1] << 4
-		cycles, instret = cycles+2, instret+2
-	L66:
-		// 042: lui r6, 0x4000
-		r[6] = 0x40000000
-		// 043: add r6, r6, r0
-		r[6] = r[6] + 0
-		// 044: bgeu r1, r6, 3
-		if r[1] >= r[6] {
-			cycles, instret = cycles+4, instret+3
-			goto L71
-		}
-		cycles, instret = cycles+3, instret+3
-		// 045: addi r5, r5, 2
-		r[5] = r[5] + 0x2
-		// 046: slli r1, r1, 2
-		r[1] = r[1] << 2
-		cycles, instret = cycles+2, instret+2
-	L71:
-		// 047: blt r1, r0, 2
-		if int32(r[1]) < int32(0) {
-			cycles, instret = cycles+2, instret+1
-			goto L73
-		}
-		cycles, instret = cycles+1, instret+1
-		// 048: addi r5, r5, 1
-		r[5] = r[5] + 0x1
-		cycles, instret = cycles+1, instret+1
-	L73:
-		// 049: addi r1, r5, 0
-		r[1] = r[5] + 0x0
-		// 04a: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L75:
-		if st.stop-cycles <= 3 {
-			bpc = 75
-			goto budgetOut
-		}
-		// 04b: addi r1, r0, 32
-		r[1] = 0 + 0x20
-		// 04c: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L77:
-		if st.stop-cycles <= 13 {
-			bpc = 77
-			goto budgetOut
-		}
-		// 04d: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 04e: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 04f: and r6, r1, r5
-		r[6] = r[1] & r[5]
-		// 050: srli r7, r1, 23
-		r[7] = r[1] >> 23
-		// 051: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 052: addi r8, r0, 255
-		r[8] = 0 + 0xff
-		// 053: bne r7, r8, 6
-		if r[7] != r[8] {
-			cycles, instret = cycles+8, instret+7
-			goto L89
-		}
-		cycles, instret = cycles+7, instret+7
-		// 054: beq r6, r0, 5
-		if r[6] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L89
-		}
-		cycles, instret = cycles+1, instret+1
-		// 055: lui r5, 0x40
-		r[5] = 0x400000
-		// 056: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 057: or r1, r1, r5
-		r[1] = r[1] | r[5]
-		// 058: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L89:
-		if st.stop-cycles <= 13 {
-			bpc = 89
-			goto budgetOut
-		}
-		// 059: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 05a: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 05b: and r6, r2, r5
-		r[6] = r[2] & r[5]
-		// 05c: srli r7, r2, 23
-		r[7] = r[2] >> 23
-		// 05d: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 05e: addi r8, r0, 255
-		r[8] = 0 + 0xff
-		// 05f: bne r7, r8, 6
-		if r[7] != r[8] {
-			cycles, instret = cycles+8, instret+7
-			goto L101
-		}
-		cycles, instret = cycles+7, instret+7
-		// 060: beq r6, r0, 5
-		if r[6] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L101
-		}
-		cycles, instret = cycles+1, instret+1
-		// 061: lui r5, 0x40
-		r[5] = 0x400000
-		// 062: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 063: or r1, r2, r5
-		r[1] = r[2] | r[5]
-		// 064: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L101:
-		if st.stop-cycles <= 4 {
-			bpc = 101
-			goto budgetOut
-		}
-		// 065: lui r1, 0x7fc0
-		r[1] = 0x7fc00000
-		// 066: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 067: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L104:
-		if st.stop-cycles <= 16 {
-			bpc = 104
-			goto budgetOut
-		}
-		// 068: addi r14, r14, -16
-		r[14] = r[14] + 0xfffffff0
-		// 069: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+105, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 06a: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+106, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 06b: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+107, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 06c: sw r12, 12(r14)
-		a = r[14] + 0xc
-		v = r[12]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+108, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 06d: addi r10, r1, 0
-		r[10] = r[1] + 0x0
-		// 06e: addi r11, r2, 0
-		r[11] = r[2] + 0x0
-		// 06f: addi r12, r3, 0
-		r[12] = r[3] + 0x0
-		// 070: addi r5, r0, 253
-		r[5] = 0 + 0xfd
-		// 071: bltu r11, r5, 11
-		if r[11] < r[5] {
-			cycles, instret = cycles+11, instret+10
-			goto L124
-		}
-		cycles, instret = cycles+10, instret+10
-		// 072: blt r5, r11, 24
-		if int32(r[5]) < int32(r[11]) {
-			cycles, instret = cycles+2, instret+1
-			goto L138
-		}
-		cycles, instret = cycles+1, instret+1
-		// 073: bne r11, r5, 4
-		if r[11] != r[5] {
-			cycles, instret = cycles+2, instret+1
-			goto L119
-		}
-		cycles, instret = cycles+1, instret+1
-		// 074: addi r6, r12, 64
-		r[6] = r[12] + 0x40
-		// 075: blt r6, r0, 21
-		if int32(r[6]) < int32(0) {
-			cycles, instret = cycles+3, instret+2
-			goto L138
-		}
-		cycles, instret = cycles+2, instret+2
-		// 076: jal r0, 6
-		cycles, instret = cycles+2, instret+1
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
 		goto L124
-	L119:
-		if st.stop-cycles <= 4 {
-			bpc = 119
-			goto budgetOut
-		}
-		// 077: addi r1, r12, 0
-		r[1] = r[12] + 0x0
-		// 078: sub r2, r0, r11
-		r[2] = 0 - r[11]
-		// 079: jal r15, -85
-		r[15] = (base + 122) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L36
-	L122:
-		if st.stop-cycles <= 2 {
-			bpc = 122
-			goto budgetOut
-		}
-		// 07a: addi r12, r1, 0
-		r[12] = r[1] + 0x0
-		// 07b: addi r11, r0, 0
-		r[11] = 0 + 0x0
-		cycles, instret = cycles+2, instret+2
-	L124:
-		if st.stop-cycles <= 15 {
-			bpc = 124
-			goto budgetOut
-		}
-		// 07c: andi r5, r12, 127
-		r[5] = r[12] & 0x7f
-		// 07d: addi r12, r12, 64
-		r[12] = r[12] + 0x40
-		// 07e: srli r12, r12, 7
-		r[12] = r[12] >> 7
-		// 07f: addi r6, r0, 64
-		r[6] = 0 + 0x40
-		// 080: bne r5, r6, 3
-		if r[5] != r[6] {
-			cycles, instret = cycles+6, instret+5
-			goto L131
-		}
-		cycles, instret = cycles+5, instret+5
-		// 081: addi r7, r0, -2
-		r[7] = 0 + 0xfffffffe
-		// 082: and r12, r12, r7
-		r[12] = r[12] & r[7]
-		cycles, instret = cycles+2, instret+2
-	L131:
-		// 083: bne r12, r0, 2
-		if r[12] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L133
-		}
-		cycles, instret = cycles+1, instret+1
-		// 084: addi r11, r0, 0
-		r[11] = 0 + 0x0
-		cycles, instret = cycles+1, instret+1
-	L133:
-		// 085: slli r5, r10, 31
-		r[5] = r[10] << 31
-		// 086: slli r6, r11, 23
-		r[6] = r[11] << 23
-		// 087: add r1, r5, r6
-		r[1] = r[5] + r[6]
-		// 088: add r1, r1, r12
-		r[1] = r[1] + r[12]
-		// 089: jal r0, 5
-		cycles, instret = cycles+6, instret+5
+	case 138:
+		goto L138
+	case 142:
 		goto L142
-	L138:
-		if st.stop-cycles <= 4 {
-			bpc = 138
-			goto budgetOut
-		}
-		// 08a: slli r1, r10, 31
-		r[1] = r[10] << 31
-		// 08b: lui r5, 0x7f80
-		r[5] = 0x7f800000
-		// 08c: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 08d: or r1, r1, r5
-		r[1] = r[1] | r[5]
-		cycles, instret = cycles+4, instret+4
-	L142:
-		if st.stop-cycles <= 11 {
-			bpc = 142
-			goto budgetOut
-		}
-		// 08e: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+142, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 08f: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+143, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 090: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+144, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 091: lw r12, 12(r14)
-		a = r[14] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+145, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r[12] = v
-		}
-		// 092: addi r14, r14, 16
-		r[14] = r[14] + 0x10
-		// 093: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L148:
-		if st.stop-cycles <= 9 {
-			bpc = 148
-			goto budgetOut
-		}
-		// 094: addi r14, r14, -12
-		r[14] = r[14] + 0xfffffff4
-		// 095: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+149, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 096: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+150, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 097: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+151, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 098: addi r10, r1, 0
-		r[10] = r[1] + 0x0
-		// 099: addi r11, r2, 0
-		r[11] = r[2] + 0x0
-		// 09a: addi r1, r3, 0
-		r[1] = r[3] + 0x0
-		// 09b: jal r15, -105
-		r[15] = (base + 156) * 4
-		cycles, instret = cycles+9, instret+8
-		goto L50
-	L156:
-		if st.stop-cycles <= 13 {
-			bpc = 156
-			goto budgetOut
-		}
-		// 09c: addi r7, r1, -1
-		r[7] = r[1] + 0xffffffff
-		// 09d: sub r2, r11, r7
-		r[2] = r[11] - r[7]
-		// 09e: sll r3, r3, r7
-		r[3] = r[3] << (r[7] & 31)
-		// 09f: addi r1, r10, 0
-		r[1] = r[10] + 0x0
-		// 0a0: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+160, cycles+4, instret+4); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 0a1: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+161, cycles+6, instret+5); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 0a2: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+162, cycles+8, instret+6); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 0a3: addi r14, r14, 12
-		r[14] = r[14] + 0xc
-		// 0a4: jal r0, -60
-		cycles, instret = cycles+13, instret+9
-		goto L104
-	L165:
-		if st.stop-cycles <= 6 {
-			bpc = 165
-			goto budgetOut
-		}
-		// 0a5: srli r5, r1, 31
-		r[5] = r[1] >> 31
-		// 0a6: srli r6, r2, 31
-		r[6] = r[2] >> 31
-		// 0a7: addi r3, r5, 0
-		r[3] = r[5] + 0x0
-		// 0a8: bne r5, r6, 196
-		if r[5] != r[6] {
-			cycles, instret = cycles+5, instret+4
-			goto L364
-		}
-		cycles, instret = cycles+4, instret+4
-		// 0a9: jal r0, 101
-		cycles, instret = cycles+2, instret+1
-		goto L270
-	L170:
-		if st.stop-cycles <= 6 {
-			bpc = 170
-			goto budgetOut
-		}
-		// 0aa: srli r5, r1, 31
-		r[5] = r[1] >> 31
-		// 0ab: srli r6, r2, 31
-		r[6] = r[2] >> 31
-		// 0ac: addi r3, r5, 0
-		r[3] = r[5] + 0x0
-		// 0ad: bne r5, r6, 97
-		if r[5] != r[6] {
-			cycles, instret = cycles+5, instret+4
-			goto L270
-		}
-		cycles, instret = cycles+4, instret+4
-		// 0ae: jal r0, 190
-		cycles, instret = cycles+2, instret+1
-		goto L364
-	L175:
-		if st.stop-cycles <= 5 {
-			bpc = 175
-			goto budgetOut
-		}
-		// 0af: lui r5, 0x8000
-		r[5] = 0x80000000
-		// 0b0: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 0b1: xor r1, r1, r5
-		r[1] = r[1] ^ r[5]
-		// 0b2: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L179:
-		if st.stop-cycles <= 21 {
-			bpc = 179
-			goto budgetOut
-		}
-		// 0b3: addi r14, r14, -20
-		r[14] = r[14] + 0xffffffec
-		// 0b4: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+180, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 0b5: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+181, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 0b6: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+182, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 0b7: sw r12, 12(r14)
-		a = r[14] + 0xc
-		v = r[12]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+183, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 0b8: sw r13, 16(r14)
-		a = r[14] + 0x10
-		v = r[13]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+184, cycles+5, instret+5) {
-			goto errOut
-		}
-		// 0b9: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 0ba: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 0bb: and r6, r1, r5
-		r[6] = r[1] & r[5]
-		// 0bc: srli r7, r1, 23
-		r[7] = r[1] >> 23
-		// 0bd: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 0be: srli r8, r1, 31
-		r[8] = r[1] >> 31
-		// 0bf: addi r5, r0, 255
-		r[5] = 0 + 0xff
-		// 0c0: bne r7, r5, 4
-		if r[7] != r[5] {
-			cycles, instret = cycles+15, instret+14
-			goto L196
-		}
-		cycles, instret = cycles+14, instret+14
-		// 0c1: bne r6, r0, 9
-		if r[6] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L202
-		}
-		cycles, instret = cycles+1, instret+1
-		// 0c2: bne r8, r0, 5
-		if r[8] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L199
-		}
-		cycles, instret = cycles+1, instret+1
-		// 0c3: jal r0, 68
-		cycles, instret = cycles+2, instret+1
-		goto L263
-	L196:
-		if st.stop-cycles <= 7 {
-			bpc = 196
-			goto budgetOut
-		}
-		// 0c4: beq r8, r0, 9
-		if r[8] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L205
-		}
-		cycles, instret = cycles+1, instret+1
-		// 0c5: or r5, r7, r6
-		r[5] = r[7] | r[6]
-		// 0c6: beq r5, r0, 65
-		if r[5] == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L263
-		}
-		cycles, instret = cycles+2, instret+2
-	L199:
-		// 0c7: lui r1, 0x7fc0
-		r[1] = 0x7fc00000
-		// 0c8: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 0c9: jal r0, 62
-		cycles, instret = cycles+4, instret+3
-		goto L263
-	L202:
-		if st.stop-cycles <= 3 {
-			bpc = 202
-			goto budgetOut
-		}
-		// 0ca: addi r2, r1, 0
-		r[2] = r[1] + 0x0
-		// 0cb: jal r15, -126
-		r[15] = (base + 204) * 4
-		cycles, instret = cycles+3, instret+2
-		goto L77
-	L204:
-		if st.stop-cycles <= 2 {
-			bpc = 204
-			goto budgetOut
-		}
-		// 0cc: jal r0, 59
-		cycles, instret = cycles+2, instret+1
-		goto L263
-	L205:
-		if st.stop-cycles <= 6 {
-			bpc = 205
-			goto budgetOut
-		}
-		// 0cd: bne r7, r0, 12
-		if r[7] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L217
-		}
-		cycles, instret = cycles+1, instret+1
-		// 0ce: beq r6, r0, 9
-		if r[6] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L215
-		}
-		cycles, instret = cycles+1, instret+1
-		// 0cf: addi r3, r6, 0
-		r[3] = r[6] + 0x0
-		// 0d0: addi r1, r6, 0
-		r[1] = r[6] + 0x0
-		// 0d1: jal r15, -159
-		r[15] = (base + 210) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L50
-	L210:
-		if st.stop-cycles <= 6 {
-			bpc = 210
-			goto budgetOut
-		}
-		// 0d2: addi r5, r1, -8
-		r[5] = r[1] + 0xfffffff8
-		// 0d3: addi r7, r0, 1
-		r[7] = 0 + 0x1
-		// 0d4: sub r7, r7, r5
-		r[7] = r[7] - r[5]
-		// 0d5: sll r6, r3, r5
-		r[6] = r[3] << (r[5] & 31)
-		// 0d6: jal r0, 3
-		cycles, instret = cycles+6, instret+5
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
 		goto L217
-	L215:
-		if st.stop-cycles <= 3 {
-			bpc = 215
-			goto budgetOut
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		return stNoEntry
+	}
+L0:
+	if st.stop-cycles <= 7 {
+		bpc = 0
+		goto budgetOut
+	}
+	// 000: addi r14, r0, 65280
+	r[14] = 0 + 0xff00
+	// 001: lw r10, 0(r0)
+	a = 0 + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 1, cycles+1, instret+1); !ok {
+			goto errOut
 		}
-		// 0d7: addi r1, r0, 0
-		r[1] = 0 + 0x0
-		// 0d8: jal r0, 47
+		r[10] = v
+	}
+	// 002: addi r11, r0, 256
+	r[11] = 0 + 0x100
+	// 003: addi r12, r0, 32768
+	r[12] = 0 + 0x8000
+	// 004: lw r13, 16(r0)
+	a = 0 + 0x10
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 4, cycles+5, instret+4); !ok {
+			goto errOut
+		}
+		r[13] = v
+	}
+	cycles, instret = cycles+7, instret+5
+L5:
+	if st.stop-cycles <= 7 {
+		bpc = 5
+		goto budgetOut
+	}
+	// 005: beq r10, r0, 30
+	if r[10] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L35
+	}
+	cycles, instret = cycles+1, instret+1
+	// 006: lw r1, 12(r0)
+	a = 0 + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 6, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 007: lw r2, 8(r0)
+	a = 0 + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 7, cycles+2, instret+1); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 008: jal r15, 157
+	if ncyc, nins, iok := tryIntrinF32Add(c, st, cycles+4, instret+2, 36, 36); iok {
+		cycles, instret = ncyc, nins
+		goto L9
+	}
+	r[15] = 36
+	cycles, instret = cycles+6, instret+3
+	goto L165
+L9:
+	if st.stop-cycles <= 5 {
+		bpc = 9
+		goto budgetOut
+	}
+	// 009: addi r2, r1, 0
+	r[2] = r[1] + 0x0
+	// 00a: lw r1, 12(r0)
+	a = 0 + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 10, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 00b: jal r15, 535
+	if ncyc, nins, iok := tryIntrinF32Div(c, st, cycles+3, instret+2, 48, 36); iok {
+		cycles, instret = ncyc, nins
+		goto L12
+	}
+	r[15] = 48
+	cycles, instret = cycles+5, instret+3
+	goto L546
+L12:
+	if st.stop-cycles <= 6 {
+		bpc = 12
+		goto budgetOut
+	}
+	// 00c: sw r1, 20(r0)
+	a = 0 + 0x14
+	v = r[1]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 12, cycles+0, instret+0) {
+		goto errOut
+	}
+	// 00d: lw r1, 0(r11)
+	a = r[11] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 13, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 00e: addi r2, r13, 0
+	r[2] = r[13] + 0x0
+	// 00f: jal r15, 155
+	if ncyc, nins, iok := tryIntrinF32Sub(c, st, cycles+4, instret+3, 64, 36); iok {
+		cycles, instret = ncyc, nins
+		goto L16
+	}
+	r[15] = 64
+	cycles, instret = cycles+6, instret+4
+	goto L170
+L16:
+	if st.stop-cycles <= 4 {
+		bpc = 16
+		goto budgetOut
+	}
+	// 010: lw r2, 20(r0)
+	a = 0 + 0x14
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 16, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 011: jal r15, 442
+	if ncyc, nins, iok := tryIntrinF32Mul(c, st, cycles+2, instret+1, 72, 36); iok {
+		cycles, instret = ncyc, nins
+		goto L18
+	}
+	r[15] = 72
+	cycles, instret = cycles+4, instret+2
+	goto L459
+L18:
+	if st.stop-cycles <= 3 {
+		bpc = 18
+		goto budgetOut
+	}
+	// 012: addi r2, r13, 0
+	r[2] = r[13] + 0x0
+	// 013: jal r15, 146
+	if ncyc, nins, iok := tryIntrinF32Add(c, st, cycles+1, instret+1, 80, 36); iok {
+		cycles, instret = ncyc, nins
+		goto L20
+	}
+	r[15] = 80
+	cycles, instret = cycles+3, instret+2
+	goto L165
+L20:
+	if st.stop-cycles <= 7 {
+		bpc = 20
+		goto budgetOut
+	}
+	// 014: addi r13, r1, 0
+	r[13] = r[1] + 0x0
+	// 015: lui r1, 0x3f80
+	r[1] = 0x3f800000
+	// 016: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 017: lw r2, 20(r0)
+	a = 0 + 0x14
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 23, cycles+3, instret+3); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 018: jal r15, 146
+	if ncyc, nins, iok := tryIntrinF32Sub(c, st, cycles+5, instret+4, 100, 36); iok {
+		cycles, instret = ncyc, nins
+		goto L25
+	}
+	r[15] = 100
+	cycles, instret = cycles+7, instret+5
+	goto L170
+L25:
+	if st.stop-cycles <= 4 {
+		bpc = 25
+		goto budgetOut
+	}
+	// 019: lw r2, 12(r0)
+	a = 0 + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 25, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 01a: jal r15, 433
+	if ncyc, nins, iok := tryIntrinF32Mul(c, st, cycles+2, instret+1, 108, 36); iok {
+		cycles, instret = ncyc, nins
+		goto L27
+	}
+	r[15] = 108
+	cycles, instret = cycles+4, instret+2
+	goto L459
+L27:
+	if st.stop-cycles <= 4 {
+		bpc = 27
+		goto budgetOut
+	}
+	// 01b: lw r2, 4(r0)
+	a = 0 + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 27, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 01c: jal r15, 137
+	if ncyc, nins, iok := tryIntrinF32Add(c, st, cycles+2, instret+1, 116, 36); iok {
+		cycles, instret = ncyc, nins
+		goto L29
+	}
+	r[15] = 116
+	cycles, instret = cycles+4, instret+2
+	goto L165
+L29:
+	if st.stop-cycles <= 7 {
+		bpc = 29
+		goto budgetOut
+	}
+	// 01d: sw r1, 12(r0)
+	a = 0 + 0xc
+	v = r[1]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 29, cycles+0, instret+0) {
+		goto errOut
+	}
+	// 01e: sw r13, 0(r12)
+	a = r[12] + 0x0
+	v = r[13]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 30, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 01f: addi r11, r11, 4
+	r[11] = r[11] + 0x4
+	// 020: addi r12, r12, 4
+	r[12] = r[12] + 0x4
+	// 021: addi r10, r10, -1
+	r[10] = r[10] + 0xffffffff
+	// 022: jal r0, -29
+	cycles, instret = cycles+7, instret+6
+	goto L5
+L35:
+	if st.stop-cycles <= 1 {
+		bpc = 35
+		goto budgetOut
+	}
+	// 023: halt
+	cycles, instret = cycles+1, instret+1
+	st.pc = 36
+	st.cycles, st.instret = cycles, instret
+	return stHalt
+L36:
+	if st.stop-cycles <= 10 {
+		bpc = 36
+		goto budgetOut
+	}
+	// 024: beq r2, r0, 10
+	if r[2] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L46
+	}
+	cycles, instret = cycles+1, instret+1
+	// 025: sltiu r5, r2, 32
+	r[5] = b2u(r[2] < 0x20)
+	// 026: beq r5, r0, 9
+	if r[5] == 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L47
+	}
+	cycles, instret = cycles+2, instret+2
+	// 027: srl r6, r1, r2
+	r[6] = r[1] >> (r[2] & 31)
+	// 028: addi r5, r0, 32
+	r[5] = 0 + 0x20
+	// 029: sub r5, r5, r2
+	r[5] = r[5] - r[2]
+	// 02a: sll r5, r1, r5
+	r[5] = r[1] << (r[5] & 31)
+	// 02b: beq r5, r0, 2
+	if r[5] == 0 {
+		cycles, instret = cycles+6, instret+5
+		goto L45
+	}
+	cycles, instret = cycles+5, instret+5
+	// 02c: ori r6, r6, 1
+	r[6] = r[6] | 0x1
+	cycles, instret = cycles+1, instret+1
+L45:
+	// 02d: addi r1, r6, 0
+	r[1] = r[6] + 0x0
+	cycles, instret = cycles+1, instret+1
+L46:
+	if st.stop-cycles <= 2 {
+		bpc = 46
+		goto budgetOut
+	}
+	// 02e: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+2, instret+1
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L47:
+	if st.stop-cycles <= 4 {
+		bpc = 47
+		goto budgetOut
+	}
+	// 02f: beq r1, r0, -1
+	if r[1] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L46
+	}
+	cycles, instret = cycles+1, instret+1
+	// 030: addi r1, r0, 1
+	r[1] = 0 + 0x1
+	// 031: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L50:
+	if st.stop-cycles <= 26 {
+		bpc = 50
+		goto budgetOut
+	}
+	// 032: beq r1, r0, 25
+	if r[1] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L75
+	}
+	cycles, instret = cycles+1, instret+1
+	// 033: addi r5, r0, 0
+	r[5] = 0 + 0x0
+	// 034: addi r6, r0, 65536
+	r[6] = 0 + 0x10000
+	// 035: bgeu r1, r6, 3
+	if r[1] >= r[6] {
+		cycles, instret = cycles+4, instret+3
+		goto L56
+	}
+	cycles, instret = cycles+3, instret+3
+	// 036: addi r5, r5, 16
+	r[5] = r[5] + 0x10
+	// 037: slli r1, r1, 16
+	r[1] = r[1] << 16
+	cycles, instret = cycles+2, instret+2
+L56:
+	// 038: lui r6, 0x100
+	r[6] = 0x1000000
+	// 039: add r6, r6, r0
+	r[6] = r[6] + 0
+	// 03a: bgeu r1, r6, 3
+	if r[1] >= r[6] {
+		cycles, instret = cycles+4, instret+3
+		goto L61
+	}
+	cycles, instret = cycles+3, instret+3
+	// 03b: addi r5, r5, 8
+	r[5] = r[5] + 0x8
+	// 03c: slli r1, r1, 8
+	r[1] = r[1] << 8
+	cycles, instret = cycles+2, instret+2
+L61:
+	// 03d: lui r6, 0x1000
+	r[6] = 0x10000000
+	// 03e: add r6, r6, r0
+	r[6] = r[6] + 0
+	// 03f: bgeu r1, r6, 3
+	if r[1] >= r[6] {
+		cycles, instret = cycles+4, instret+3
+		goto L66
+	}
+	cycles, instret = cycles+3, instret+3
+	// 040: addi r5, r5, 4
+	r[5] = r[5] + 0x4
+	// 041: slli r1, r1, 4
+	r[1] = r[1] << 4
+	cycles, instret = cycles+2, instret+2
+L66:
+	// 042: lui r6, 0x4000
+	r[6] = 0x40000000
+	// 043: add r6, r6, r0
+	r[6] = r[6] + 0
+	// 044: bgeu r1, r6, 3
+	if r[1] >= r[6] {
+		cycles, instret = cycles+4, instret+3
+		goto L71
+	}
+	cycles, instret = cycles+3, instret+3
+	// 045: addi r5, r5, 2
+	r[5] = r[5] + 0x2
+	// 046: slli r1, r1, 2
+	r[1] = r[1] << 2
+	cycles, instret = cycles+2, instret+2
+L71:
+	// 047: blt r1, r0, 2
+	if int32(r[1]) < int32(0) {
+		cycles, instret = cycles+2, instret+1
+		goto L73
+	}
+	cycles, instret = cycles+1, instret+1
+	// 048: addi r5, r5, 1
+	r[5] = r[5] + 0x1
+	cycles, instret = cycles+1, instret+1
+L73:
+	// 049: addi r1, r5, 0
+	r[1] = r[5] + 0x0
+	// 04a: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L75:
+	if st.stop-cycles <= 3 {
+		bpc = 75
+		goto budgetOut
+	}
+	// 04b: addi r1, r0, 32
+	r[1] = 0 + 0x20
+	// 04c: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L77:
+	if st.stop-cycles <= 13 {
+		bpc = 77
+		goto budgetOut
+	}
+	// 04d: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 04e: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 04f: and r6, r1, r5
+	r[6] = r[1] & r[5]
+	// 050: srli r7, r1, 23
+	r[7] = r[1] >> 23
+	// 051: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 052: addi r8, r0, 255
+	r[8] = 0 + 0xff
+	// 053: bne r7, r8, 6
+	if r[7] != r[8] {
+		cycles, instret = cycles+8, instret+7
+		goto L89
+	}
+	cycles, instret = cycles+7, instret+7
+	// 054: beq r6, r0, 5
+	if r[6] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L89
+	}
+	cycles, instret = cycles+1, instret+1
+	// 055: lui r5, 0x40
+	r[5] = 0x400000
+	// 056: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 057: or r1, r1, r5
+	r[1] = r[1] | r[5]
+	// 058: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+5, instret+4
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L89:
+	if st.stop-cycles <= 13 {
+		bpc = 89
+		goto budgetOut
+	}
+	// 059: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 05a: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 05b: and r6, r2, r5
+	r[6] = r[2] & r[5]
+	// 05c: srli r7, r2, 23
+	r[7] = r[2] >> 23
+	// 05d: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 05e: addi r8, r0, 255
+	r[8] = 0 + 0xff
+	// 05f: bne r7, r8, 6
+	if r[7] != r[8] {
+		cycles, instret = cycles+8, instret+7
+		goto L101
+	}
+	cycles, instret = cycles+7, instret+7
+	// 060: beq r6, r0, 5
+	if r[6] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L101
+	}
+	cycles, instret = cycles+1, instret+1
+	// 061: lui r5, 0x40
+	r[5] = 0x400000
+	// 062: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 063: or r1, r2, r5
+	r[1] = r[2] | r[5]
+	// 064: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+5, instret+4
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L101:
+	if st.stop-cycles <= 4 {
+		bpc = 101
+		goto budgetOut
+	}
+	// 065: lui r1, 0x7fc0
+	r[1] = 0x7fc00000
+	// 066: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 067: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+4, instret+3
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L104:
+	if st.stop-cycles <= 16 {
+		bpc = 104
+		goto budgetOut
+	}
+	// 068: addi r14, r14, -16
+	r[14] = r[14] + 0xfffffff0
+	// 069: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 105, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 06a: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 106, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 06b: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 107, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 06c: sw r12, 12(r14)
+	a = r[14] + 0xc
+	v = r[12]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 108, cycles+4, instret+4) {
+		goto errOut
+	}
+	// 06d: addi r10, r1, 0
+	r[10] = r[1] + 0x0
+	// 06e: addi r11, r2, 0
+	r[11] = r[2] + 0x0
+	// 06f: addi r12, r3, 0
+	r[12] = r[3] + 0x0
+	// 070: addi r5, r0, 253
+	r[5] = 0 + 0xfd
+	// 071: bltu r11, r5, 11
+	if r[11] < r[5] {
+		cycles, instret = cycles+11, instret+10
+		goto L124
+	}
+	cycles, instret = cycles+10, instret+10
+	// 072: blt r5, r11, 24
+	if int32(r[5]) < int32(r[11]) {
+		cycles, instret = cycles+2, instret+1
+		goto L138
+	}
+	cycles, instret = cycles+1, instret+1
+	// 073: bne r11, r5, 4
+	if r[11] != r[5] {
+		cycles, instret = cycles+2, instret+1
+		goto L119
+	}
+	cycles, instret = cycles+1, instret+1
+	// 074: addi r6, r12, 64
+	r[6] = r[12] + 0x40
+	// 075: blt r6, r0, 21
+	if int32(r[6]) < int32(0) {
+		cycles, instret = cycles+3, instret+2
+		goto L138
+	}
+	cycles, instret = cycles+2, instret+2
+	// 076: jal r0, 6
+	cycles, instret = cycles+2, instret+1
+	goto L124
+L119:
+	if st.stop-cycles <= 4 {
+		bpc = 119
+		goto budgetOut
+	}
+	// 077: addi r1, r12, 0
+	r[1] = r[12] + 0x0
+	// 078: sub r2, r0, r11
+	r[2] = 0 - r[11]
+	// 079: jal r15, -85
+	r[15] = 488
+	cycles, instret = cycles+4, instret+3
+	goto L36
+L122:
+	if st.stop-cycles <= 2 {
+		bpc = 122
+		goto budgetOut
+	}
+	// 07a: addi r12, r1, 0
+	r[12] = r[1] + 0x0
+	// 07b: addi r11, r0, 0
+	r[11] = 0 + 0x0
+	cycles, instret = cycles+2, instret+2
+L124:
+	if st.stop-cycles <= 15 {
+		bpc = 124
+		goto budgetOut
+	}
+	// 07c: andi r5, r12, 127
+	r[5] = r[12] & 0x7f
+	// 07d: addi r12, r12, 64
+	r[12] = r[12] + 0x40
+	// 07e: srli r12, r12, 7
+	r[12] = r[12] >> 7
+	// 07f: addi r6, r0, 64
+	r[6] = 0 + 0x40
+	// 080: bne r5, r6, 3
+	if r[5] != r[6] {
+		cycles, instret = cycles+6, instret+5
+		goto L131
+	}
+	cycles, instret = cycles+5, instret+5
+	// 081: addi r7, r0, -2
+	r[7] = 0 + 0xfffffffe
+	// 082: and r12, r12, r7
+	r[12] = r[12] & r[7]
+	cycles, instret = cycles+2, instret+2
+L131:
+	// 083: bne r12, r0, 2
+	if r[12] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L133
+	}
+	cycles, instret = cycles+1, instret+1
+	// 084: addi r11, r0, 0
+	r[11] = 0 + 0x0
+	cycles, instret = cycles+1, instret+1
+L133:
+	// 085: slli r5, r10, 31
+	r[5] = r[10] << 31
+	// 086: slli r6, r11, 23
+	r[6] = r[11] << 23
+	// 087: add r1, r5, r6
+	r[1] = r[5] + r[6]
+	// 088: add r1, r1, r12
+	r[1] = r[1] + r[12]
+	// 089: jal r0, 5
+	cycles, instret = cycles+6, instret+5
+	goto L142
+L138:
+	if st.stop-cycles <= 4 {
+		bpc = 138
+		goto budgetOut
+	}
+	// 08a: slli r1, r10, 31
+	r[1] = r[10] << 31
+	// 08b: lui r5, 0x7f80
+	r[5] = 0x7f800000
+	// 08c: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 08d: or r1, r1, r5
+	r[1] = r[1] | r[5]
+	cycles, instret = cycles+4, instret+4
+L142:
+	if st.stop-cycles <= 11 {
+		bpc = 142
+		goto budgetOut
+	}
+	// 08e: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 142, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 08f: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 143, cycles+2, instret+1); !ok {
+			goto errOut
+		}
+		r[10] = v
+	}
+	// 090: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 144, cycles+4, instret+2); !ok {
+			goto errOut
+		}
+		r[11] = v
+	}
+	// 091: lw r12, 12(r14)
+	a = r[14] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 145, cycles+6, instret+3); !ok {
+			goto errOut
+		}
+		r[12] = v
+	}
+	// 092: addi r14, r14, 16
+	r[14] = r[14] + 0x10
+	// 093: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+11, instret+6
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L148:
+	if st.stop-cycles <= 9 {
+		bpc = 148
+		goto budgetOut
+	}
+	// 094: addi r14, r14, -12
+	r[14] = r[14] + 0xfffffff4
+	// 095: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 149, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 096: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 150, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 097: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 151, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 098: addi r10, r1, 0
+	r[10] = r[1] + 0x0
+	// 099: addi r11, r2, 0
+	r[11] = r[2] + 0x0
+	// 09a: addi r1, r3, 0
+	r[1] = r[3] + 0x0
+	// 09b: jal r15, -105
+	r[15] = 624
+	cycles, instret = cycles+9, instret+8
+	goto L50
+L156:
+	if st.stop-cycles <= 13 {
+		bpc = 156
+		goto budgetOut
+	}
+	// 09c: addi r7, r1, -1
+	r[7] = r[1] + 0xffffffff
+	// 09d: sub r2, r11, r7
+	r[2] = r[11] - r[7]
+	// 09e: sll r3, r3, r7
+	r[3] = r[3] << (r[7] & 31)
+	// 09f: addi r1, r10, 0
+	r[1] = r[10] + 0x0
+	// 0a0: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 160, cycles+4, instret+4); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 0a1: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 161, cycles+6, instret+5); !ok {
+			goto errOut
+		}
+		r[10] = v
+	}
+	// 0a2: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 162, cycles+8, instret+6); !ok {
+			goto errOut
+		}
+		r[11] = v
+	}
+	// 0a3: addi r14, r14, 12
+	r[14] = r[14] + 0xc
+	// 0a4: jal r0, -60
+	cycles, instret = cycles+13, instret+9
+	goto L104
+L165:
+	if st.stop-cycles <= 6 {
+		bpc = 165
+		goto budgetOut
+	}
+	// 0a5: srli r5, r1, 31
+	r[5] = r[1] >> 31
+	// 0a6: srli r6, r2, 31
+	r[6] = r[2] >> 31
+	// 0a7: addi r3, r5, 0
+	r[3] = r[5] + 0x0
+	// 0a8: bne r5, r6, 196
+	if r[5] != r[6] {
+		cycles, instret = cycles+5, instret+4
+		goto L364
+	}
+	cycles, instret = cycles+4, instret+4
+	// 0a9: jal r0, 101
+	cycles, instret = cycles+2, instret+1
+	goto L270
+L170:
+	if st.stop-cycles <= 6 {
+		bpc = 170
+		goto budgetOut
+	}
+	// 0aa: srli r5, r1, 31
+	r[5] = r[1] >> 31
+	// 0ab: srli r6, r2, 31
+	r[6] = r[2] >> 31
+	// 0ac: addi r3, r5, 0
+	r[3] = r[5] + 0x0
+	// 0ad: bne r5, r6, 97
+	if r[5] != r[6] {
+		cycles, instret = cycles+5, instret+4
+		goto L270
+	}
+	cycles, instret = cycles+4, instret+4
+	// 0ae: jal r0, 190
+	cycles, instret = cycles+2, instret+1
+	goto L364
+L175:
+	if st.stop-cycles <= 5 {
+		bpc = 175
+		goto budgetOut
+	}
+	// 0af: lui r5, 0x8000
+	r[5] = 0x80000000
+	// 0b0: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 0b1: xor r1, r1, r5
+	r[1] = r[1] ^ r[5]
+	// 0b2: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+5, instret+4
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L179:
+	if st.stop-cycles <= 21 {
+		bpc = 179
+		goto budgetOut
+	}
+	// 0b3: addi r14, r14, -20
+	r[14] = r[14] + 0xffffffec
+	// 0b4: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 180, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 0b5: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 181, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 0b6: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 182, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 0b7: sw r12, 12(r14)
+	a = r[14] + 0xc
+	v = r[12]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 183, cycles+4, instret+4) {
+		goto errOut
+	}
+	// 0b8: sw r13, 16(r14)
+	a = r[14] + 0x10
+	v = r[13]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 184, cycles+5, instret+5) {
+		goto errOut
+	}
+	// 0b9: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 0ba: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 0bb: and r6, r1, r5
+	r[6] = r[1] & r[5]
+	// 0bc: srli r7, r1, 23
+	r[7] = r[1] >> 23
+	// 0bd: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 0be: srli r8, r1, 31
+	r[8] = r[1] >> 31
+	// 0bf: addi r5, r0, 255
+	r[5] = 0 + 0xff
+	// 0c0: bne r7, r5, 4
+	if r[7] != r[5] {
+		cycles, instret = cycles+15, instret+14
+		goto L196
+	}
+	cycles, instret = cycles+14, instret+14
+	// 0c1: bne r6, r0, 9
+	if r[6] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L202
+	}
+	cycles, instret = cycles+1, instret+1
+	// 0c2: bne r8, r0, 5
+	if r[8] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L199
+	}
+	cycles, instret = cycles+1, instret+1
+	// 0c3: jal r0, 68
+	cycles, instret = cycles+2, instret+1
+	goto L263
+L196:
+	if st.stop-cycles <= 7 {
+		bpc = 196
+		goto budgetOut
+	}
+	// 0c4: beq r8, r0, 9
+	if r[8] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L205
+	}
+	cycles, instret = cycles+1, instret+1
+	// 0c5: or r5, r7, r6
+	r[5] = r[7] | r[6]
+	// 0c6: beq r5, r0, 65
+	if r[5] == 0 {
 		cycles, instret = cycles+3, instret+2
 		goto L263
-	L217:
-		if st.stop-cycles <= 15 {
-			bpc = 217
-			goto budgetOut
-		}
-		// 0d9: lui r5, 0x80
-		r[5] = 0x800000
-		// 0da: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 0db: or r6, r6, r5
-		r[6] = r[6] | r[5]
-		// 0dc: addi r5, r7, -127
-		r[5] = r[7] + 0xffffff81
-		// 0dd: srai r9, r5, 1
-		r[9] = uint32(int32(r[5]) >> 1)
-		// 0de: addi r9, r9, 126
-		r[9] = r[9] + 0x7e
-		// 0df: andi r5, r5, 1
-		r[5] = r[5] & 0x1
-		// 0e0: beq r5, r0, 2
-		if r[5] == 0 {
-			cycles, instret = cycles+9, instret+8
-			goto L226
-		}
-		cycles, instret = cycles+8, instret+8
-		// 0e1: slli r6, r6, 1
-		r[6] = r[6] << 1
-		cycles, instret = cycles+1, instret+1
-	L226:
-		// 0e2: slli r10, r6, 5
-		r[10] = r[6] << 5
-		// 0e3: addi r11, r0, 0
-		r[11] = 0 + 0x0
-		// 0e4: addi r12, r0, 0
-		r[12] = 0 + 0x0
-		// 0e5: addi r8, r0, 0
-		r[8] = 0 + 0x0
-		// 0e6: addi r4, r0, 0
-		r[4] = 0 + 0x0
-		// 0e7: addi r13, r0, 32
-		r[13] = 0 + 0x20
-		cycles, instret = cycles+6, instret+6
-	L232:
-		if st.stop-cycles <= 32 {
-			bpc = 232
-			goto budgetOut
-		}
-		// 0e8: srli r5, r10, 30
-		r[5] = r[10] >> 30
-		// 0e9: slli r10, r10, 2
-		r[10] = r[10] << 2
-		// 0ea: srli r6, r11, 30
-		r[6] = r[11] >> 30
-		// 0eb: or r10, r10, r6
-		r[10] = r[10] | r[6]
-		// 0ec: slli r11, r11, 2
-		r[11] = r[11] << 2
-		// 0ed: slli r8, r8, 2
-		r[8] = r[8] << 2
-		// 0ee: srli r6, r4, 30
-		r[6] = r[4] >> 30
-		// 0ef: or r8, r8, r6
-		r[8] = r[8] | r[6]
-		// 0f0: slli r4, r4, 2
-		r[4] = r[4] << 2
-		// 0f1: or r4, r4, r5
-		r[4] = r[4] | r[5]
-		// 0f2: srli r6, r12, 30
-		r[6] = r[12] >> 30
-		// 0f3: slli r7, r12, 2
-		r[7] = r[12] << 2
-		// 0f4: ori r7, r7, 1
-		r[7] = r[7] | 0x1
-		// 0f5: slli r12, r12, 1
-		r[12] = r[12] << 1
-		// 0f6: bltu r8, r6, 8
-		if r[8] < r[6] {
-			cycles, instret = cycles+16, instret+15
-			goto L254
-		}
-		cycles, instret = cycles+15, instret+15
-		// 0f7: bne r8, r6, 2
-		if r[8] != r[6] {
-			cycles, instret = cycles+2, instret+1
-			goto L249
-		}
-		cycles, instret = cycles+1, instret+1
-		// 0f8: bltu r4, r7, 6
-		if r[4] < r[7] {
-			cycles, instret = cycles+2, instret+1
-			goto L254
-		}
-		cycles, instret = cycles+1, instret+1
-	L249:
-		// 0f9: sltu r5, r4, r7
-		r[5] = b2u(r[4] < r[7])
-		// 0fa: sub r4, r4, r7
-		r[4] = r[4] - r[7]
-		// 0fb: sub r8, r8, r6
-		r[8] = r[8] - r[6]
-		// 0fc: sub r8, r8, r5
-		r[8] = r[8] - r[5]
-		// 0fd: ori r12, r12, 1
-		r[12] = r[12] | 0x1
-		cycles, instret = cycles+5, instret+5
-	L254:
-		// 0fe: addi r13, r13, -1
-		r[13] = r[13] + 0xffffffff
-		// 0ff: bne r13, r0, -23
-		if r[13] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L232
-		}
-		cycles, instret = cycles+2, instret+2
-		// 100: or r5, r8, r4
-		r[5] = r[8] | r[4]
-		// 101: beq r5, r0, 2
-		if r[5] == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L259
-		}
-		cycles, instret = cycles+2, instret+2
-		// 102: ori r12, r12, 1
-		r[12] = r[12] | 0x1
-		cycles, instret = cycles+1, instret+1
-	L259:
-		// 103: addi r1, r0, 0
-		r[1] = 0 + 0x0
-		// 104: addi r2, r9, 0
-		r[2] = r[9] + 0x0
-		// 105: addi r3, r12, 0
-		r[3] = r[12] + 0x0
-		// 106: jal r15, -158
-		r[15] = (base + 263) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L104
-	L263:
-		if st.stop-cycles <= 13 {
-			bpc = 263
-			goto budgetOut
-		}
-		// 107: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+263, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 108: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+264, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 109: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+265, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 10a: lw r12, 12(r14)
-		a = r[14] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+266, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r[12] = v
-		}
-		// 10b: lw r13, 16(r14)
-		a = r[14] + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+267, cycles+8, instret+4); !ok {
-				goto errOut
-			}
-			r[13] = v
-		}
-		// 10c: addi r14, r14, 20
-		r[14] = r[14] + 0x14
-		// 10d: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+13, instret+7
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L270:
-		if st.stop-cycles <= 27 {
-			bpc = 270
-			goto budgetOut
-		}
-		// 10e: addi r14, r14, -16
-		r[14] = r[14] + 0xfffffff0
-		// 10f: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+271, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 110: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+272, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 111: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+273, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 112: sw r12, 12(r14)
-		a = r[14] + 0xc
-		v = r[12]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+274, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 113: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 114: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 115: and r10, r1, r5
-		r[10] = r[1] & r[5]
-		// 116: and r11, r2, r5
-		r[11] = r[2] & r[5]
-		// 117: slli r10, r10, 6
-		r[10] = r[10] << 6
-		// 118: slli r11, r11, 6
-		r[11] = r[11] << 6
-		// 119: srli r7, r1, 23
-		r[7] = r[1] >> 23
-		// 11a: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 11b: srli r8, r2, 23
-		r[8] = r[2] >> 23
-		// 11c: andi r8, r8, 255
-		r[8] = r[8] & 0xff
-		// 11d: sub r9, r7, r8
-		r[9] = r[7] - r[8]
-		// 11e: beq r9, r0, 51
-		if r[9] == 0 {
-			cycles, instret = cycles+18, instret+17
-			goto L337
-		}
-		cycles, instret = cycles+17, instret+17
-		// 11f: blt r0, r9, 21
-		if int32(0) < int32(r[9]) {
-			cycles, instret = cycles+2, instret+1
-			goto L308
-		}
-		cycles, instret = cycles+1, instret+1
-		// 120: addi r5, r0, 255
-		r[5] = 0 + 0xff
-		// 121: bne r8, r5, 7
-		if r[8] != r[5] {
-			cycles, instret = cycles+3, instret+2
-			goto L296
-		}
-		cycles, instret = cycles+2, instret+2
-		// 122: bne r11, r0, 67
-		if r[11] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L357
-		}
-		cycles, instret = cycles+1, instret+1
-		// 123: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 124: lui r5, 0x7f80
-		r[5] = 0x7f800000
-		// 125: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 126: or r1, r1, r5
-		r[1] = r[1] | r[5]
-		// 127: jal r0, 63
-		cycles, instret = cycles+6, instret+5
-		goto L358
-	L296:
-		if st.stop-cycles <= 4 {
-			bpc = 296
-			goto budgetOut
-		}
-		// 128: bne r7, r0, 3
-		if r[7] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L299
-		}
-		cycles, instret = cycles+1, instret+1
-		// 129: addi r9, r9, 1
-		r[9] = r[9] + 0x1
-		// 12a: jal r0, 4
-		cycles, instret = cycles+3, instret+2
-		goto L302
-	L299:
-		if st.stop-cycles <= 3 {
-			bpc = 299
-			goto budgetOut
-		}
-		// 12b: lui r5, 0x2000
-		r[5] = 0x20000000
-		// 12c: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 12d: or r10, r10, r5
-		r[10] = r[10] | r[5]
-		cycles, instret = cycles+3, instret+3
-	L302:
-		if st.stop-cycles <= 5 {
-			bpc = 302
-			goto budgetOut
-		}
-		// 12e: addi r1, r10, 0
-		r[1] = r[10] + 0x0
-		// 12f: sub r2, r0, r9
-		r[2] = 0 - r[9]
-		// 130: addi r12, r8, 0
-		r[12] = r[8] + 0x0
-		// 131: jal r15, -269
-		r[15] = (base + 306) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L36
-	L306:
-		if st.stop-cycles <= 3 {
-			bpc = 306
-			goto budgetOut
-		}
-		// 132: addi r10, r1, 0
-		r[10] = r[1] + 0x0
-		// 133: jal r0, 16
-		cycles, instret = cycles+3, instret+2
-		goto L323
-	L308:
-		if st.stop-cycles <= 5 {
-			bpc = 308
-			goto budgetOut
-		}
-		// 134: addi r5, r0, 255
-		r[5] = 0 + 0xff
-		// 135: bne r7, r5, 3
-		if r[7] != r[5] {
-			cycles, instret = cycles+3, instret+2
-			goto L312
-		}
-		cycles, instret = cycles+2, instret+2
-		// 136: bne r10, r0, 47
-		if r[10] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L357
-		}
-		cycles, instret = cycles+1, instret+1
-		// 137: jal r0, 47
-		cycles, instret = cycles+2, instret+1
-		goto L358
-	L312:
-		if st.stop-cycles <= 4 {
-			bpc = 312
-			goto budgetOut
-		}
-		// 138: bne r8, r0, 3
-		if r[8] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L315
-		}
-		cycles, instret = cycles+1, instret+1
-		// 139: addi r9, r9, -1
-		r[9] = r[9] + 0xffffffff
-		// 13a: jal r0, 4
-		cycles, instret = cycles+3, instret+2
-		goto L318
-	L315:
-		if st.stop-cycles <= 3 {
-			bpc = 315
-			goto budgetOut
-		}
-		// 13b: lui r5, 0x2000
-		r[5] = 0x20000000
-		// 13c: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 13d: or r11, r11, r5
-		r[11] = r[11] | r[5]
-		cycles, instret = cycles+3, instret+3
-	L318:
-		if st.stop-cycles <= 5 {
-			bpc = 318
-			goto budgetOut
-		}
-		// 13e: addi r1, r11, 0
-		r[1] = r[11] + 0x0
-		// 13f: addi r2, r9, 0
-		r[2] = r[9] + 0x0
-		// 140: addi r12, r7, 0
-		r[12] = r[7] + 0x0
-		// 141: jal r15, -285
-		r[15] = (base + 322) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L36
-	L322:
-		if st.stop-cycles <= 1 {
-			bpc = 322
-			goto budgetOut
-		}
-		// 142: addi r11, r1, 0
-		r[11] = r[1] + 0x0
-		cycles, instret = cycles+1, instret+1
-	L323:
-		if st.stop-cycles <= 14 {
-			bpc = 323
-			goto budgetOut
-		}
-		// 143: lui r5, 0x2000
-		r[5] = 0x20000000
-		// 144: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 145: or r10, r10, r5
-		r[10] = r[10] | r[5]
-		// 146: add r6, r10, r11
-		r[6] = r[10] + r[11]
-		// 147: slli r5, r6, 1
-		r[5] = r[6] << 1
-		// 148: addi r12, r12, -1
-		r[12] = r[12] + 0xffffffff
-		// 149: bge r5, r0, 3
-		if int32(r[5]) >= int32(0) {
-			cycles, instret = cycles+8, instret+7
-			goto L332
-		}
-		cycles, instret = cycles+7, instret+7
-		// 14a: addi r5, r6, 0
-		r[5] = r[6] + 0x0
-		// 14b: addi r12, r12, 1
-		r[12] = r[12] + 0x1
-		cycles, instret = cycles+2, instret+2
-	L332:
-		// 14c: addi r1, r3, 0
-		r[1] = r[3] + 0x0
-		// 14d: addi r2, r12, 0
-		r[2] = r[12] + 0x0
-		// 14e: addi r3, r5, 0
-		r[3] = r[5] + 0x0
-		// 14f: jal r15, -231
-		r[15] = (base + 336) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L104
-	L336:
-		if st.stop-cycles <= 2 {
-			bpc = 336
-			goto budgetOut
-		}
-		// 150: jal r0, 22
-		cycles, instret = cycles+2, instret+1
-		goto L358
-	L337:
-		if st.stop-cycles <= 6 {
-			bpc = 337
-			goto budgetOut
-		}
-		// 151: addi r5, r0, 255
-		r[5] = 0 + 0xff
-		// 152: bne r7, r5, 4
-		if r[7] != r[5] {
-			cycles, instret = cycles+3, instret+2
-			goto L342
-		}
-		cycles, instret = cycles+2, instret+2
-		// 153: or r6, r10, r11
-		r[6] = r[10] | r[11]
-		// 154: bne r6, r0, 17
-		if r[6] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L357
-		}
-		cycles, instret = cycles+2, instret+2
-		// 155: jal r0, 17
-		cycles, instret = cycles+2, instret+1
-		goto L358
-	L342:
-		if st.stop-cycles <= 7 {
-			bpc = 342
-			goto budgetOut
-		}
-		// 156: bne r7, r0, 6
-		if r[7] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L348
-		}
-		cycles, instret = cycles+1, instret+1
-		// 157: add r5, r10, r11
-		r[5] = r[10] + r[11]
-		// 158: srli r5, r5, 6
-		r[5] = r[5] >> 6
-		// 159: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 15a: add r1, r1, r5
-		r[1] = r[1] + r[5]
-		// 15b: jal r0, 11
-		cycles, instret = cycles+6, instret+5
-		goto L358
-	L348:
-		if st.stop-cycles <= 9 {
-			bpc = 348
-			goto budgetOut
-		}
-		// 15c: add r5, r10, r11
-		r[5] = r[10] + r[11]
-		// 15d: lui r6, 0x4000
-		r[6] = 0x40000000
-		// 15e: add r6, r6, r0
-		r[6] = r[6] + 0
-		// 15f: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 160: addi r1, r3, 0
-		r[1] = r[3] + 0x0
-		// 161: addi r2, r7, 0
-		r[2] = r[7] + 0x0
-		// 162: addi r3, r5, 0
-		r[3] = r[5] + 0x0
-		// 163: jal r15, -251
-		r[15] = (base + 356) * 4
-		cycles, instret = cycles+9, instret+8
-		goto L104
-	L356:
-		if st.stop-cycles <= 2 {
-			bpc = 356
-			goto budgetOut
-		}
-		// 164: jal r0, 2
-		cycles, instret = cycles+2, instret+1
-		goto L358
-	L357:
-		if st.stop-cycles <= 2 {
-			bpc = 357
-			goto budgetOut
-		}
-		// 165: jal r15, -280
-		r[15] = (base + 358) * 4
-		cycles, instret = cycles+2, instret+1
-		goto L77
-	L358:
-		if st.stop-cycles <= 11 {
-			bpc = 358
-			goto budgetOut
-		}
-		// 166: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+358, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 167: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+359, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 168: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+360, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 169: lw r12, 12(r14)
-		a = r[14] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+361, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r[12] = v
-		}
-		// 16a: addi r14, r14, 16
-		r[14] = r[14] + 0x10
-		// 16b: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L364:
-		if st.stop-cycles <= 28 {
-			bpc = 364
-			goto budgetOut
-		}
-		// 16c: addi r14, r14, -16
-		r[14] = r[14] + 0xfffffff0
-		// 16d: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+365, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 16e: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+366, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 16f: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+367, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 170: sw r12, 12(r14)
-		a = r[14] + 0xc
-		v = r[12]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+368, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 171: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 172: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 173: and r10, r1, r5
-		r[10] = r[1] & r[5]
-		// 174: and r11, r2, r5
-		r[11] = r[2] & r[5]
-		// 175: slli r10, r10, 7
-		r[10] = r[10] << 7
-		// 176: slli r11, r11, 7
-		r[11] = r[11] << 7
-		// 177: srli r7, r1, 23
-		r[7] = r[1] >> 23
-		// 178: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 179: srli r8, r2, 23
-		r[8] = r[2] >> 23
-		// 17a: andi r8, r8, 255
-		r[8] = r[8] & 0xff
-		// 17b: sub r9, r7, r8
-		r[9] = r[7] - r[8]
-		// 17c: beq r9, r0, 48
-		if r[9] == 0 {
-			cycles, instret = cycles+18, instret+17
-			goto L428
-		}
-		cycles, instret = cycles+17, instret+17
-		// 17d: blt r0, r9, 27
-		if int32(0) < int32(r[9]) {
-			cycles, instret = cycles+2, instret+1
-			goto L408
-		}
-		cycles, instret = cycles+1, instret+1
-		// 17e: addi r5, r0, 255
-		r[5] = 0 + 0xff
-		// 17f: bne r8, r5, 8
-		if r[8] != r[5] {
-			cycles, instret = cycles+3, instret+2
-			goto L391
-		}
-		cycles, instret = cycles+2, instret+2
-		// 180: bne r11, r0, 68
-		if r[11] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L452
-		}
-		cycles, instret = cycles+1, instret+1
-		// 181: xori r3, r3, 1
-		r[3] = r[3] ^ 0x1
-		// 182: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 183: lui r5, 0x7f80
-		r[5] = 0x7f800000
-		// 184: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 185: or r1, r1, r5
-		r[1] = r[1] | r[5]
-		// 186: jal r0, 63
-		cycles, instret = cycles+7, instret+6
-		goto L453
-	L391:
-		if st.stop-cycles <= 4 {
-			bpc = 391
-			goto budgetOut
-		}
-		// 187: bne r7, r0, 3
-		if r[7] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L394
-		}
-		cycles, instret = cycles+1, instret+1
-		// 188: addi r9, r9, 1
-		r[9] = r[9] + 0x1
-		// 189: jal r0, 4
-		cycles, instret = cycles+3, instret+2
-		goto L397
-	L394:
-		if st.stop-cycles <= 3 {
-			bpc = 394
-			goto budgetOut
-		}
-		// 18a: lui r5, 0x4000
-		r[5] = 0x40000000
-		// 18b: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 18c: or r10, r10, r5
-		r[10] = r[10] | r[5]
-		cycles, instret = cycles+3, instret+3
-	L397:
-		if st.stop-cycles <= 5 {
-			bpc = 397
-			goto budgetOut
-		}
-		// 18d: addi r1, r10, 0
-		r[1] = r[10] + 0x0
-		// 18e: sub r2, r0, r9
-		r[2] = 0 - r[9]
-		// 18f: addi r12, r8, 0
-		r[12] = r[8] + 0x0
-		// 190: jal r15, -364
-		r[15] = (base + 401) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L36
-	L401:
-		if st.stop-cycles <= 8 {
-			bpc = 401
-			goto budgetOut
-		}
-		// 191: addi r10, r1, 0
-		r[10] = r[1] + 0x0
-		// 192: lui r5, 0x4000
-		r[5] = 0x40000000
-		// 193: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 194: or r11, r11, r5
-		r[11] = r[11] | r[5]
-		// 195: sub r5, r11, r10
-		r[5] = r[11] - r[10]
-		// 196: xori r3, r3, 1
-		r[3] = r[3] ^ 0x1
-		// 197: jal r0, 40
-		cycles, instret = cycles+8, instret+7
-		goto L447
-	L408:
-		if st.stop-cycles <= 5 {
-			bpc = 408
-			goto budgetOut
-		}
-		// 198: addi r5, r0, 255
-		r[5] = 0 + 0xff
-		// 199: bne r7, r5, 3
-		if r[7] != r[5] {
-			cycles, instret = cycles+3, instret+2
-			goto L412
-		}
-		cycles, instret = cycles+2, instret+2
-		// 19a: bne r10, r0, 42
-		if r[10] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L452
-		}
-		cycles, instret = cycles+1, instret+1
-		// 19b: jal r0, 42
-		cycles, instret = cycles+2, instret+1
-		goto L453
-	L412:
-		if st.stop-cycles <= 4 {
-			bpc = 412
-			goto budgetOut
-		}
-		// 19c: bne r8, r0, 3
-		if r[8] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L415
-		}
-		cycles, instret = cycles+1, instret+1
-		// 19d: addi r9, r9, -1
-		r[9] = r[9] + 0xffffffff
-		// 19e: jal r0, 4
-		cycles, instret = cycles+3, instret+2
-		goto L418
-	L415:
-		if st.stop-cycles <= 3 {
-			bpc = 415
-			goto budgetOut
-		}
-		// 19f: lui r5, 0x4000
-		r[5] = 0x40000000
-		// 1a0: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 1a1: or r11, r11, r5
-		r[11] = r[11] | r[5]
-		cycles, instret = cycles+3, instret+3
-	L418:
-		if st.stop-cycles <= 5 {
-			bpc = 418
-			goto budgetOut
-		}
-		// 1a2: addi r1, r11, 0
-		r[1] = r[11] + 0x0
-		// 1a3: addi r2, r9, 0
-		r[2] = r[9] + 0x0
-		// 1a4: addi r12, r7, 0
-		r[12] = r[7] + 0x0
-		// 1a5: jal r15, -385
-		r[15] = (base + 422) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L36
-	L422:
-		if st.stop-cycles <= 7 {
-			bpc = 422
-			goto budgetOut
-		}
-		// 1a6: addi r11, r1, 0
-		r[11] = r[1] + 0x0
-		// 1a7: lui r5, 0x4000
-		r[5] = 0x40000000
-		// 1a8: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 1a9: or r10, r10, r5
-		r[10] = r[10] | r[5]
-		// 1aa: sub r5, r10, r11
-		r[5] = r[10] - r[11]
-		// 1ab: jal r0, 20
-		cycles, instret = cycles+7, instret+6
-		goto L447
-	L428:
-		if st.stop-cycles <= 8 {
-			bpc = 428
-			goto budgetOut
-		}
-		// 1ac: addi r5, r0, 255
-		r[5] = 0 + 0xff
-		// 1ad: bne r7, r5, 6
-		if r[7] != r[5] {
-			cycles, instret = cycles+3, instret+2
-			goto L435
-		}
-		cycles, instret = cycles+2, instret+2
-		// 1ae: or r6, r10, r11
-		r[6] = r[10] | r[11]
-		// 1af: bne r6, r0, 21
-		if r[6] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L452
-		}
-		cycles, instret = cycles+2, instret+2
-		// 1b0: lui r1, 0x7fc0
-		r[1] = 0x7fc00000
-		// 1b1: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 1b2: jal r0, 19
-		cycles, instret = cycles+4, instret+3
-		goto L453
-	L435:
-		if st.stop-cycles <= 7 {
-			bpc = 435
-			goto budgetOut
-		}
-		// 1b3: bne r7, r0, 2
-		if r[7] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L437
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1b4: addi r7, r0, 1
-		r[7] = 0 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L437:
-		// 1b5: bltu r11, r10, 4
-		if r[11] < r[10] {
-			cycles, instret = cycles+2, instret+1
-			goto L441
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1b6: bltu r10, r11, 6
-		if r[10] < r[11] {
-			cycles, instret = cycles+2, instret+1
-			goto L444
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1b7: addi r1, r0, 0
-		r[1] = 0 + 0x0
-		// 1b8: jal r0, 13
-		cycles, instret = cycles+3, instret+2
-		goto L453
-	L441:
-		if st.stop-cycles <= 4 {
-			bpc = 441
-			goto budgetOut
-		}
-		// 1b9: sub r5, r10, r11
-		r[5] = r[10] - r[11]
-		// 1ba: addi r12, r7, 0
-		r[12] = r[7] + 0x0
-		// 1bb: jal r0, 4
-		cycles, instret = cycles+4, instret+3
-		goto L447
-	L444:
-		if st.stop-cycles <= 3 {
-			bpc = 444
-			goto budgetOut
-		}
-		// 1bc: sub r5, r11, r10
-		r[5] = r[11] - r[10]
-		// 1bd: addi r12, r7, 0
-		r[12] = r[7] + 0x0
-		// 1be: xori r3, r3, 1
-		r[3] = r[3] ^ 0x1
-		cycles, instret = cycles+3, instret+3
-	L447:
-		if st.stop-cycles <= 5 {
-			bpc = 447
-			goto budgetOut
-		}
-		// 1bf: addi r1, r3, 0
-		r[1] = r[3] + 0x0
-		// 1c0: addi r2, r12, -1
-		r[2] = r[12] + 0xffffffff
-		// 1c1: addi r3, r5, 0
-		r[3] = r[5] + 0x0
-		// 1c2: jal r15, -302
-		r[15] = (base + 451) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L148
-	L451:
-		if st.stop-cycles <= 2 {
-			bpc = 451
-			goto budgetOut
-		}
-		// 1c3: jal r0, 2
-		cycles, instret = cycles+2, instret+1
-		goto L453
-	L452:
-		if st.stop-cycles <= 2 {
-			bpc = 452
-			goto budgetOut
-		}
-		// 1c4: jal r15, -375
-		r[15] = (base + 453) * 4
-		cycles, instret = cycles+2, instret+1
-		goto L77
-	L453:
-		if st.stop-cycles <= 11 {
-			bpc = 453
-			goto budgetOut
-		}
-		// 1c5: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+453, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 1c6: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+454, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 1c7: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+455, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 1c8: lw r12, 12(r14)
-		a = r[14] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+456, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r[12] = v
-		}
-		// 1c9: addi r14, r14, 16
-		r[14] = r[14] + 0x10
-		// 1ca: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L459:
-		if st.stop-cycles <= 23 {
-			bpc = 459
-			goto budgetOut
-		}
-		// 1cb: addi r14, r14, -16
-		r[14] = r[14] + 0xfffffff0
-		// 1cc: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+460, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 1cd: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+461, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 1ce: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+462, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 1cf: sw r12, 12(r14)
-		a = r[14] + 0xc
-		v = r[12]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+463, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 1d0: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 1d1: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 1d2: and r10, r1, r5
-		r[10] = r[1] & r[5]
-		// 1d3: and r11, r2, r5
-		r[11] = r[2] & r[5]
-		// 1d4: srli r7, r1, 23
-		r[7] = r[1] >> 23
-		// 1d5: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 1d6: srli r8, r2, 23
-		r[8] = r[2] >> 23
-		// 1d7: andi r8, r8, 255
-		r[8] = r[8] & 0xff
-		// 1d8: srli r5, r1, 31
-		r[5] = r[1] >> 31
-		// 1d9: srli r6, r2, 31
-		r[6] = r[2] >> 31
-		// 1da: xor r3, r5, r6
-		r[3] = r[5] ^ r[6]
-		// 1db: addi r9, r0, 255
-		r[9] = 0 + 0xff
-		// 1dc: bne r7, r9, 10
-		if r[7] != r[9] {
-			cycles, instret = cycles+19, instret+18
-			goto L486
-		}
-		cycles, instret = cycles+18, instret+18
-		// 1dd: bne r10, r0, 62
-		if r[10] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L539
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1de: bne r8, r9, 3
-		if r[8] != r[9] {
-			cycles, instret = cycles+2, instret+1
-			goto L481
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1df: bne r11, r0, 60
-		if r[11] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L539
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1e0: jal r0, 13
-		cycles, instret = cycles+2, instret+1
-		goto L493
-	L481:
-		if st.stop-cycles <= 6 {
-			bpc = 481
-			goto budgetOut
-		}
-		// 1e1: or r5, r8, r11
-		r[5] = r[8] | r[11]
-		// 1e2: bne r5, r0, 11
-		if r[5] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L493
-		}
-		cycles, instret = cycles+2, instret+2
-		// 1e3: lui r1, 0x7fc0
-		r[1] = 0x7fc00000
-		// 1e4: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 1e5: jal r0, 55
-		cycles, instret = cycles+4, instret+3
-		goto L540
-	L486:
-		if st.stop-cycles <= 8 {
-			bpc = 486
-			goto budgetOut
-		}
-		// 1e6: bne r8, r9, 12
-		if r[8] != r[9] {
-			cycles, instret = cycles+2, instret+1
-			goto L498
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1e7: bne r11, r0, 52
-		if r[11] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L539
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1e8: or r5, r7, r10
-		r[5] = r[7] | r[10]
-		// 1e9: bne r5, r0, 4
-		if r[5] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L493
-		}
-		cycles, instret = cycles+2, instret+2
-		// 1ea: lui r1, 0x7fc0
-		r[1] = 0x7fc00000
-		// 1eb: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 1ec: jal r0, 48
-		cycles, instret = cycles+4, instret+3
-		goto L540
-	L493:
-		if st.stop-cycles <= 6 {
-			bpc = 493
-			goto budgetOut
-		}
-		// 1ed: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 1ee: lui r5, 0x7f80
-		r[5] = 0x7f800000
-		// 1ef: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 1f0: or r1, r1, r5
-		r[1] = r[1] | r[5]
-		// 1f1: jal r0, 43
-		cycles, instret = cycles+6, instret+5
-		goto L540
-	L498:
-		if st.stop-cycles <= 31 {
-			bpc = 498
-			goto budgetOut
-		}
-		// 1f2: bne r7, r0, 10
-		if r[7] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L508
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1f3: bne r10, r0, 3
-		if r[10] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L502
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1f4: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 1f5: jal r0, 39
-		cycles, instret = cycles+3, instret+2
-		goto L540
-	L502:
-		if st.stop-cycles <= 3 {
-			bpc = 502
-			goto budgetOut
-		}
-		// 1f6: addi r1, r10, 0
-		r[1] = r[10] + 0x0
-		// 1f7: jal r15, -453
-		r[15] = (base + 504) * 4
-		cycles, instret = cycles+3, instret+2
-		goto L50
-	L504:
-		if st.stop-cycles <= 33 {
-			bpc = 504
-			goto budgetOut
-		}
-		// 1f8: addi r5, r1, -8
-		r[5] = r[1] + 0xfffffff8
-		// 1f9: addi r7, r0, 1
-		r[7] = 0 + 0x1
-		// 1fa: sub r7, r7, r5
-		r[7] = r[7] - r[5]
-		// 1fb: sll r10, r10, r5
-		r[10] = r[10] << (r[5] & 31)
-		cycles, instret = cycles+4, instret+4
-	L508:
-		// 1fc: bne r8, r0, 10
-		if r[8] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L518
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1fd: bne r11, r0, 3
-		if r[11] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L512
-		}
-		cycles, instret = cycles+1, instret+1
-		// 1fe: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 1ff: jal r0, 29
-		cycles, instret = cycles+3, instret+2
-		goto L540
-	L512:
-		if st.stop-cycles <= 3 {
-			bpc = 512
-			goto budgetOut
-		}
-		// 200: addi r1, r11, 0
-		r[1] = r[11] + 0x0
-		// 201: jal r15, -463
-		r[15] = (base + 514) * 4
-		cycles, instret = cycles+3, instret+2
-		goto L50
-	L514:
-		if st.stop-cycles <= 31 {
-			bpc = 514
-			goto budgetOut
-		}
-		// 202: addi r5, r1, -8
-		r[5] = r[1] + 0xfffffff8
-		// 203: addi r8, r0, 1
-		r[8] = 0 + 0x1
-		// 204: sub r8, r8, r5
-		r[8] = r[8] - r[5]
-		// 205: sll r11, r11, r5
-		r[11] = r[11] << (r[5] & 31)
-		cycles, instret = cycles+4, instret+4
-	L518:
-		// 206: add r12, r7, r8
-		r[12] = r[7] + r[8]
-		// 207: addi r12, r12, -127
-		r[12] = r[12] + 0xffffff81
-		// 208: lui r5, 0x80
-		r[5] = 0x800000
-		// 209: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 20a: or r10, r10, r5
-		r[10] = r[10] | r[5]
-		// 20b: or r11, r11, r5
-		r[11] = r[11] | r[5]
-		// 20c: slli r10, r10, 7
-		r[10] = r[10] << 7
-		// 20d: slli r11, r11, 8
-		r[11] = r[11] << 8
-		// 20e: mulhu r5, r10, r11
-		r[5] = uint32(uint64(r[10]) * uint64(r[11]) >> 32)
-		// 20f: mul r6, r10, r11
-		r[6] = r[10] * r[11]
-		// 210: beq r6, r0, 2
-		if r[6] == 0 {
-			cycles, instret = cycles+18, instret+11
-			goto L530
-		}
-		cycles, instret = cycles+17, instret+11
-		// 211: ori r5, r5, 1
-		r[5] = r[5] | 0x1
-		cycles, instret = cycles+1, instret+1
-	L530:
-		// 212: slli r6, r5, 1
-		r[6] = r[5] << 1
-		// 213: blt r6, r0, 3
-		if int32(r[6]) < int32(0) {
-			cycles, instret = cycles+3, instret+2
-			goto L534
-		}
-		cycles, instret = cycles+2, instret+2
-		// 214: addi r5, r6, 0
-		r[5] = r[6] + 0x0
-		// 215: addi r12, r12, -1
-		r[12] = r[12] + 0xffffffff
-		cycles, instret = cycles+2, instret+2
-	L534:
-		// 216: addi r1, r3, 0
-		r[1] = r[3] + 0x0
-		// 217: addi r2, r12, 0
-		r[2] = r[12] + 0x0
-		// 218: addi r3, r5, 0
-		r[3] = r[5] + 0x0
-		// 219: jal r15, -433
-		r[15] = (base + 538) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L104
-	L538:
-		if st.stop-cycles <= 2 {
-			bpc = 538
-			goto budgetOut
-		}
-		// 21a: jal r0, 2
-		cycles, instret = cycles+2, instret+1
-		goto L540
-	L539:
-		if st.stop-cycles <= 2 {
-			bpc = 539
-			goto budgetOut
-		}
-		// 21b: jal r15, -462
-		r[15] = (base + 540) * 4
-		cycles, instret = cycles+2, instret+1
-		goto L77
-	L540:
-		if st.stop-cycles <= 11 {
-			bpc = 540
-			goto budgetOut
-		}
-		// 21c: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+540, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 21d: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+541, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 21e: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+542, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 21f: lw r12, 12(r14)
-		a = r[14] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+543, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r[12] = v
-		}
-		// 220: addi r14, r14, 16
-		r[14] = r[14] + 0x10
-		// 221: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L546:
-		if st.stop-cycles <= 25 {
-			bpc = 546
-			goto budgetOut
-		}
-		// 222: addi r14, r14, -16
-		r[14] = r[14] + 0xfffffff0
-		// 223: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+547, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 224: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+548, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 225: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+549, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 226: sw r12, 12(r14)
-		a = r[14] + 0xc
-		v = r[12]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+550, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 227: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 228: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 229: and r10, r1, r5
-		r[10] = r[1] & r[5]
-		// 22a: and r11, r2, r5
-		r[11] = r[2] & r[5]
-		// 22b: srli r7, r1, 23
-		r[7] = r[1] >> 23
-		// 22c: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 22d: srli r8, r2, 23
-		r[8] = r[2] >> 23
-		// 22e: andi r8, r8, 255
-		r[8] = r[8] & 0xff
-		// 22f: srli r5, r1, 31
-		r[5] = r[1] >> 31
-		// 230: srli r6, r2, 31
-		r[6] = r[2] >> 31
-		// 231: xor r3, r5, r6
-		r[3] = r[5] ^ r[6]
-		// 232: addi r9, r0, 255
-		r[9] = 0 + 0xff
-		// 233: bne r7, r9, 7
-		if r[7] != r[9] {
-			cycles, instret = cycles+19, instret+18
-			goto L570
-		}
-		cycles, instret = cycles+18, instret+18
-		// 234: bne r10, r0, 71
-		if r[10] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L635
-		}
-		cycles, instret = cycles+1, instret+1
-		// 235: bne r8, r9, 65
-		if r[8] != r[9] {
-			cycles, instret = cycles+2, instret+1
-			goto L630
-		}
-		cycles, instret = cycles+1, instret+1
-		// 236: bne r11, r0, 69
-		if r[11] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L635
-		}
-		cycles, instret = cycles+1, instret+1
-		// 237: lui r1, 0x7fc0
-		r[1] = 0x7fc00000
-		// 238: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 239: jal r0, 67
-		cycles, instret = cycles+4, instret+3
-		goto L636
-	L570:
-		if st.stop-cycles <= 5 {
-			bpc = 570
-			goto budgetOut
-		}
-		// 23a: bne r8, r9, 4
-		if r[8] != r[9] {
-			cycles, instret = cycles+2, instret+1
-			goto L574
-		}
-		cycles, instret = cycles+1, instret+1
-		// 23b: bne r11, r0, 64
-		if r[11] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L635
-		}
-		cycles, instret = cycles+1, instret+1
-		// 23c: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 23d: jal r0, 63
-		cycles, instret = cycles+3, instret+2
-		goto L636
-	L574:
-		if st.stop-cycles <= 17 {
-			bpc = 574
-			goto budgetOut
-		}
-		// 23e: bne r8, r0, 13
-		if r[8] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L587
-		}
-		cycles, instret = cycles+1, instret+1
-		// 23f: bne r11, r0, 6
-		if r[11] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L581
-		}
-		cycles, instret = cycles+1, instret+1
-		// 240: or r5, r7, r10
-		r[5] = r[7] | r[10]
-		// 241: bne r5, r0, 53
-		if r[5] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L630
-		}
-		cycles, instret = cycles+2, instret+2
-		// 242: lui r1, 0x7fc0
-		r[1] = 0x7fc00000
-		// 243: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 244: jal r0, 56
-		cycles, instret = cycles+4, instret+3
-		goto L636
-	L581:
-		if st.stop-cycles <= 3 {
-			bpc = 581
-			goto budgetOut
-		}
-		// 245: addi r1, r11, 0
-		r[1] = r[11] + 0x0
-		// 246: jal r15, -532
-		r[15] = (base + 583) * 4
-		cycles, instret = cycles+3, instret+2
-		goto L50
-	L583:
-		if st.stop-cycles <= 19 {
-			bpc = 583
-			goto budgetOut
-		}
-		// 247: addi r5, r1, -8
-		r[5] = r[1] + 0xfffffff8
-		// 248: addi r8, r0, 1
-		r[8] = 0 + 0x1
-		// 249: sub r8, r8, r5
-		r[8] = r[8] - r[5]
-		// 24a: sll r11, r11, r5
-		r[11] = r[11] << (r[5] & 31)
-		cycles, instret = cycles+4, instret+4
-	L587:
-		// 24b: bne r7, r0, 10
-		if r[7] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L597
-		}
-		cycles, instret = cycles+1, instret+1
-		// 24c: bne r10, r0, 3
-		if r[10] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L591
-		}
-		cycles, instret = cycles+1, instret+1
-		// 24d: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 24e: jal r0, 46
-		cycles, instret = cycles+3, instret+2
-		goto L636
-	L591:
-		if st.stop-cycles <= 3 {
-			bpc = 591
-			goto budgetOut
-		}
-		// 24f: addi r1, r10, 0
-		r[1] = r[10] + 0x0
-		// 250: jal r15, -542
-		r[15] = (base + 593) * 4
-		cycles, instret = cycles+3, instret+2
-		goto L50
-	L593:
-		if st.stop-cycles <= 17 {
-			bpc = 593
-			goto budgetOut
-		}
-		// 251: addi r5, r1, -8
-		r[5] = r[1] + 0xfffffff8
-		// 252: addi r7, r0, 1
-		r[7] = 0 + 0x1
-		// 253: sub r7, r7, r5
-		r[7] = r[7] - r[5]
-		// 254: sll r10, r10, r5
-		r[10] = r[10] << (r[5] & 31)
-		cycles, instret = cycles+4, instret+4
-	L597:
-		// 255: sub r12, r7, r8
-		r[12] = r[7] - r[8]
-		// 256: addi r12, r12, 125
-		r[12] = r[12] + 0x7d
-		// 257: lui r5, 0x80
-		r[5] = 0x800000
-		// 258: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 259: or r10, r10, r5
-		r[10] = r[10] | r[5]
-		// 25a: or r11, r11, r5
-		r[11] = r[11] | r[5]
-		// 25b: slli r10, r10, 7
-		r[10] = r[10] << 7
-		// 25c: slli r11, r11, 8
-		r[11] = r[11] << 8
-		// 25d: add r5, r10, r10
-		r[5] = r[10] + r[10]
-		// 25e: bltu r11, r5, 3
-		if r[11] < r[5] {
-			cycles, instret = cycles+11, instret+10
-			goto L609
-		}
-		cycles, instret = cycles+10, instret+10
-		// 25f: beq r11, r5, 2
-		if r[11] == r[5] {
-			cycles, instret = cycles+2, instret+1
-			goto L609
-		}
-		cycles, instret = cycles+1, instret+1
-		// 260: jal r0, 3
-		cycles, instret = cycles+2, instret+1
-		goto L611
-	L609:
-		if st.stop-cycles <= 2 {
-			bpc = 609
-			goto budgetOut
-		}
-		// 261: srli r10, r10, 1
-		r[10] = r[10] >> 1
-		// 262: addi r12, r12, 1
-		r[12] = r[12] + 0x1
-		cycles, instret = cycles+2, instret+2
-	L611:
-		if st.stop-cycles <= 3 {
-			bpc = 611
-			goto budgetOut
-		}
-		// 263: addi r7, r0, 0
-		r[7] = 0 + 0x0
-		// 264: addi r8, r10, 0
-		r[8] = r[10] + 0x0
-		// 265: addi r9, r0, 32
-		r[9] = 0 + 0x20
-		cycles, instret = cycles+3, instret+3
-	L614:
-		if st.stop-cycles <= 16 {
-			bpc = 614
-			goto budgetOut
-		}
-		// 266: srli r5, r8, 31
-		r[5] = r[8] >> 31
-		// 267: slli r8, r8, 1
-		r[8] = r[8] << 1
-		// 268: slli r7, r7, 1
-		r[7] = r[7] << 1
-		// 269: bne r5, r0, 2
-		if r[5] != 0 {
-			cycles, instret = cycles+5, instret+4
-			goto L619
-		}
-		cycles, instret = cycles+4, instret+4
-		// 26a: bltu r8, r11, 3
-		if r[8] < r[11] {
-			cycles, instret = cycles+2, instret+1
-			goto L621
-		}
-		cycles, instret = cycles+1, instret+1
-	L619:
-		// 26b: sub r8, r8, r11
-		r[8] = r[8] - r[11]
-		// 26c: ori r7, r7, 1
-		r[7] = r[7] | 0x1
-		cycles, instret = cycles+2, instret+2
-	L621:
-		// 26d: addi r9, r9, -1
-		r[9] = r[9] + 0xffffffff
-		// 26e: bne r9, r0, -8
-		if r[9] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L614
-		}
-		cycles, instret = cycles+2, instret+2
-		// 26f: beq r8, r0, 2
-		if r[8] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L625
-		}
-		cycles, instret = cycles+1, instret+1
-		// 270: ori r7, r7, 1
-		r[7] = r[7] | 0x1
-		cycles, instret = cycles+1, instret+1
-	L625:
-		// 271: addi r1, r3, 0
-		r[1] = r[3] + 0x0
-		// 272: addi r2, r12, 0
-		r[2] = r[12] + 0x0
-		// 273: addi r3, r7, 0
-		r[3] = r[7] + 0x0
-		// 274: jal r15, -524
-		r[15] = (base + 629) * 4
-		cycles, instret = cycles+5, instret+4
-		goto L104
-	L629:
-		if st.stop-cycles <= 2 {
-			bpc = 629
-			goto budgetOut
-		}
-		// 275: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		goto L636
-	L630:
-		if st.stop-cycles <= 6 {
-			bpc = 630
-			goto budgetOut
-		}
-		// 276: slli r1, r3, 31
-		r[1] = r[3] << 31
-		// 277: lui r5, 0x7f80
-		r[5] = 0x7f800000
-		// 278: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 279: or r1, r1, r5
-		r[1] = r[1] | r[5]
-		// 27a: jal r0, 2
-		cycles, instret = cycles+6, instret+5
-		goto L636
-	L635:
-		if st.stop-cycles <= 2 {
-			bpc = 635
-			goto budgetOut
-		}
-		// 27b: jal r15, -558
-		r[15] = (base + 636) * 4
-		cycles, instret = cycles+2, instret+1
-		goto L77
-	L636:
-		if st.stop-cycles <= 11 {
-			bpc = 636
-			goto budgetOut
-		}
-		// 27c: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+636, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 27d: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+637, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 27e: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+638, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 27f: lw r12, 12(r14)
-		a = r[14] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+639, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r[12] = v
-		}
-		// 280: addi r14, r14, 16
-		r[14] = r[14] + 0x10
-		// 281: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L642:
-		if st.stop-cycles <= 3 {
-			bpc = 642
-			goto budgetOut
-		}
-		// 282: bne r1, r0, 2
-		if r[1] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L644
-		}
-		cycles, instret = cycles+1, instret+1
-		// 283: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L644:
-		if st.stop-cycles <= 7 {
-			bpc = 644
-			goto budgetOut
-		}
-		// 284: lui r5, 0x8000
-		r[5] = 0x80000000
-		// 285: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 286: bne r1, r5, 4
-		if r[1] != r[5] {
-			cycles, instret = cycles+4, instret+3
-			goto L650
-		}
-		cycles, instret = cycles+3, instret+3
-		// 287: lui r1, 0xcf00
-		r[1] = 0xcf000000
-		// 288: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 289: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L650:
-		if st.stop-cycles <= 8 {
-			bpc = 650
-			goto budgetOut
-		}
-		// 28a: slt r5, r1, r0
-		r[5] = b2u(int32(r[1]) < int32(0))
-		// 28b: bge r1, r0, 2
-		if int32(r[1]) >= int32(0) {
-			cycles, instret = cycles+3, instret+2
-			goto L653
-		}
-		cycles, instret = cycles+2, instret+2
-		// 28c: sub r1, r0, r1
-		r[1] = 0 - r[1]
-		cycles, instret = cycles+1, instret+1
-	L653:
-		// 28d: addi r3, r1, 0
-		r[3] = r[1] + 0x0
-		// 28e: addi r1, r5, 0
-		r[1] = r[5] + 0x0
-		// 28f: addi r2, r0, 156
-		r[2] = 0 + 0x9c
-		// 290: jal r0, -508
-		cycles, instret = cycles+5, instret+4
-		goto L148
-	L657:
-		if st.stop-cycles <= 24 {
-			bpc = 657
-			goto budgetOut
-		}
-		// 291: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 292: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 293: and r6, r1, r5
-		r[6] = r[1] & r[5]
-		// 294: srli r7, r1, 23
-		r[7] = r[1] >> 23
-		// 295: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 296: srli r8, r1, 31
-		r[8] = r[1] >> 31
-		// 297: addi r5, r0, 255
-		r[5] = 0 + 0xff
-		// 298: bne r7, r5, 2
-		if r[7] != r[5] {
-			cycles, instret = cycles+9, instret+8
-			goto L666
-		}
-		cycles, instret = cycles+8, instret+8
-		// 299: bne r6, r0, 18
-		if r[6] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L683
-		}
-		cycles, instret = cycles+1, instret+1
-	L666:
-		// 29a: beq r7, r0, 4
-		if r[7] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L670
-		}
-		cycles, instret = cycles+1, instret+1
-		// 29b: lui r5, 0x80
-		r[5] = 0x800000
-		// 29c: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 29d: or r6, r6, r5
-		r[6] = r[6] | r[5]
-		cycles, instret = cycles+3, instret+3
-	L670:
-		// 29e: addi r9, r7, -150
-		r[9] = r[7] + 0xffffff6a
-		// 29f: addi r5, r0, 8
-		r[5] = 0 + 0x8
-		// 2a0: blt r9, r5, 14
-		if int32(r[9]) < int32(r[5]) {
-			cycles, instret = cycles+4, instret+3
-			goto L686
-		}
-		cycles, instret = cycles+3, instret+3
-		// 2a1: lui r5, 0xcf00
-		r[5] = 0xcf000000
-		// 2a2: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 2a3: beq r1, r5, 5
-		if r[1] == r[5] {
-			cycles, instret = cycles+4, instret+3
-			goto L680
-		}
-		cycles, instret = cycles+3, instret+3
-		// 2a4: bne r8, r0, 4
-		if r[8] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L680
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2a5: lui r1, 0x7fff
-		r[1] = 0x7fff0000
-		// 2a6: ori r1, r1, 65535
-		r[1] = r[1] | 0xffff
-		// 2a7: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L680:
-		if st.stop-cycles <= 4 {
-			bpc = 680
-			goto budgetOut
-		}
-		// 2a8: lui r1, 0x8000
-		r[1] = 0x80000000
-		// 2a9: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 2aa: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L683:
-		if st.stop-cycles <= 4 {
-			bpc = 683
-			goto budgetOut
-		}
-		// 2ab: lui r1, 0x8000
-		r[1] = 0x80000000
-		// 2ac: add r1, r1, r0
-		r[1] = r[1] + 0
-		// 2ad: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L686:
-		if st.stop-cycles <= 4 {
-			bpc = 686
-			goto budgetOut
-		}
-		// 2ae: blt r9, r0, 3
-		if int32(r[9]) < int32(0) {
-			cycles, instret = cycles+2, instret+1
-			goto L689
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2af: sll r6, r6, r9
-		r[6] = r[6] << (r[9] & 31)
-		// 2b0: jal r0, 18
-		cycles, instret = cycles+3, instret+2
-		goto L706
-	L689:
-		if st.stop-cycles <= 6 {
-			bpc = 689
-			goto budgetOut
-		}
-		// 2b1: sub r9, r0, r9
-		r[9] = 0 - r[9]
-		// 2b2: addi r5, r0, 32
-		r[5] = 0 + 0x20
-		// 2b3: blt r9, r5, 3
-		if int32(r[9]) < int32(r[5]) {
-			cycles, instret = cycles+4, instret+3
-			goto L694
-		}
-		cycles, instret = cycles+3, instret+3
-		// 2b4: addi r1, r0, 0
-		r[1] = 0 + 0x0
-		// 2b5: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L694:
-		if st.stop-cycles <= 12 {
-			bpc = 694
-			goto budgetOut
-		}
-		// 2b6: srl r5, r6, r9
-		r[5] = r[6] >> (r[9] & 31)
-		// 2b7: addi r7, r0, 32
-		r[7] = 0 + 0x20
-		// 2b8: sub r7, r7, r9
-		r[7] = r[7] - r[9]
-		// 2b9: sll r6, r6, r7
-		r[6] = r[6] << (r[7] & 31)
-		// 2ba: lui r7, 0x8000
-		r[7] = 0x80000000
-		// 2bb: add r7, r7, r0
-		r[7] = r[7] + 0
-		// 2bc: bltu r7, r6, 4
-		if r[7] < r[6] {
-			cycles, instret = cycles+8, instret+7
-			goto L704
-		}
-		cycles, instret = cycles+7, instret+7
-		// 2bd: bne r6, r7, 4
-		if r[6] != r[7] {
-			cycles, instret = cycles+2, instret+1
-			goto L705
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2be: andi r6, r5, 1
-		r[6] = r[5] & 0x1
-		// 2bf: beq r6, r0, 2
-		if r[6] == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L705
-		}
-		cycles, instret = cycles+2, instret+2
-	L704:
-		// 2c0: addi r5, r5, 1
-		r[5] = r[5] + 0x1
-		cycles, instret = cycles+1, instret+1
-	L705:
-		// 2c1: addi r6, r5, 0
-		r[6] = r[5] + 0x0
-		cycles, instret = cycles+1, instret+1
-	L706:
-		if st.stop-cycles <= 5 {
-			bpc = 706
-			goto budgetOut
-		}
-		// 2c2: beq r8, r0, 2
-		if r[8] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L708
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2c3: sub r6, r0, r6
-		r[6] = 0 - r[6]
-		cycles, instret = cycles+1, instret+1
-	L708:
-		// 2c4: addi r1, r6, 0
-		r[1] = r[6] + 0x0
-		// 2c5: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L710:
-		if st.stop-cycles <= 12 {
-			bpc = 710
-			goto budgetOut
-		}
-		// 2c6: lui r5, 0x7f
-		r[5] = 0x7f0000
-		// 2c7: ori r5, r5, 65535
-		r[5] = r[5] | 0xffff
-		// 2c8: addi r8, r0, 255
-		r[8] = 0 + 0xff
-		// 2c9: addi r9, r0, 0
-		r[9] = 0 + 0x0
-		// 2ca: and r6, r1, r5
-		r[6] = r[1] & r[5]
-		// 2cb: srli r7, r1, 23
-		r[7] = r[1] >> 23
-		// 2cc: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 2cd: bne r7, r8, 4
-		if r[7] != r[8] {
-			cycles, instret = cycles+9, instret+8
-			goto L721
-		}
-		cycles, instret = cycles+8, instret+8
-		// 2ce: beq r6, r0, 3
-		if r[6] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L721
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2cf: addi r9, r0, 1
-		r[9] = 0 + 0x1
-		// 2d0: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L721:
-		if st.stop-cycles <= 8 {
-			bpc = 721
-			goto budgetOut
-		}
-		// 2d1: and r6, r2, r5
-		r[6] = r[2] & r[5]
-		// 2d2: srli r7, r2, 23
-		r[7] = r[2] >> 23
-		// 2d3: andi r7, r7, 255
-		r[7] = r[7] & 0xff
-		// 2d4: bne r7, r8, 3
-		if r[7] != r[8] {
-			cycles, instret = cycles+5, instret+4
-			goto L727
-		}
-		cycles, instret = cycles+4, instret+4
-		// 2d5: beq r6, r0, 2
-		if r[6] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L727
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2d6: addi r9, r0, 1
-		r[9] = 0 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L727:
-		// 2d7: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L728:
-		if st.stop-cycles <= 4 {
-			bpc = 728
-			goto budgetOut
-		}
-		// 2d8: addi r14, r14, -4
-		r[14] = r[14] + 0xfffffffc
-		// 2d9: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+729, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 2da: jal r15, -20
-		r[15] = (base + 731) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L710
-	L731:
-		if st.stop-cycles <= 11 {
-			bpc = 731
-			goto budgetOut
-		}
-		// 2db: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+731, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 2dc: addi r14, r14, 4
-		r[14] = r[14] + 0x4
-		// 2dd: bne r9, r0, 5
-		if r[9] != 0 {
-			cycles, instret = cycles+5, instret+3
-			goto L738
-		}
-		cycles, instret = cycles+4, instret+3
-		// 2de: beq r1, r2, 6
-		if r[1] == r[2] {
-			cycles, instret = cycles+2, instret+1
-			goto L740
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2df: or r5, r1, r2
-		r[5] = r[1] | r[2]
-		// 2e0: slli r5, r5, 1
-		r[5] = r[5] << 1
-		// 2e1: beq r5, r0, 3
-		if r[5] == 0 {
-			cycles, instret = cycles+4, instret+3
-			goto L740
-		}
-		cycles, instret = cycles+3, instret+3
-	L738:
-		// 2e2: addi r1, r0, 0
-		r[1] = 0 + 0x0
-		// 2e3: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L740:
-		if st.stop-cycles <= 3 {
-			bpc = 740
-			goto budgetOut
-		}
-		// 2e4: addi r1, r0, 1
-		r[1] = 0 + 0x1
-		// 2e5: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L742:
-		if st.stop-cycles <= 4 {
-			bpc = 742
-			goto budgetOut
-		}
-		// 2e6: addi r14, r14, -4
-		r[14] = r[14] + 0xfffffffc
-		// 2e7: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+743, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 2e8: jal r15, -34
-		r[15] = (base + 745) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L710
-	L745:
-		if st.stop-cycles <= 13 {
-			bpc = 745
-			goto budgetOut
-		}
-		// 2e9: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+745, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 2ea: addi r14, r14, 4
-		r[14] = r[14] + 0x4
-		// 2eb: bne r9, r0, 15
-		if r[9] != 0 {
-			cycles, instret = cycles+5, instret+3
-			goto L762
-		}
-		cycles, instret = cycles+4, instret+3
-		// 2ec: srli r5, r1, 31
-		r[5] = r[1] >> 31
-		// 2ed: srli r6, r2, 31
-		r[6] = r[2] >> 31
-		// 2ee: bne r5, r6, 6
-		if r[5] != r[6] {
-			cycles, instret = cycles+4, instret+3
-			goto L756
-		}
-		cycles, instret = cycles+3, instret+3
-		// 2ef: beq r5, r0, 3
-		if r[5] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L754
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2f0: bltu r2, r1, 8
-		if r[2] < r[1] {
-			cycles, instret = cycles+2, instret+1
-			goto L760
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2f1: jal r0, 9
-		cycles, instret = cycles+2, instret+1
-		goto L762
-	L754:
-		if st.stop-cycles <= 5 {
-			bpc = 754
-			goto budgetOut
-		}
-		// 2f2: bltu r1, r2, 6
-		if r[1] < r[2] {
-			cycles, instret = cycles+2, instret+1
-			goto L760
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2f3: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		goto L762
-	L756:
-		if st.stop-cycles <= 7 {
-			bpc = 756
-			goto budgetOut
-		}
-		// 2f4: beq r5, r0, 6
-		if r[5] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L762
-		}
-		cycles, instret = cycles+1, instret+1
-		// 2f5: or r7, r1, r2
-		r[7] = r[1] | r[2]
-		// 2f6: slli r7, r7, 1
-		r[7] = r[7] << 1
-		// 2f7: beq r7, r0, 3
-		if r[7] == 0 {
-			cycles, instret = cycles+4, instret+3
-			goto L762
-		}
-		cycles, instret = cycles+3, instret+3
-	L760:
-		// 2f8: addi r1, r0, 1
-		r[1] = 0 + 0x1
-		// 2f9: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L762:
-		if st.stop-cycles <= 3 {
-			bpc = 762
-			goto budgetOut
-		}
-		// 2fa: addi r1, r0, 0
-		r[1] = 0 + 0x0
-		// 2fb: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L764:
-		if st.stop-cycles <= 4 {
-			bpc = 764
-			goto budgetOut
-		}
-		// 2fc: addi r14, r14, -4
-		r[14] = r[14] + 0xfffffffc
-		// 2fd: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+765, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 2fe: jal r15, -56
-		r[15] = (base + 767) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L710
-	L767:
-		if st.stop-cycles <= 11 {
-			bpc = 767
-			goto budgetOut
-		}
-		// 2ff: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+767, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 300: addi r14, r14, 4
-		r[14] = r[14] + 0x4
-		// 301: bne r9, r0, 13
-		if r[9] != 0 {
-			cycles, instret = cycles+5, instret+3
-			goto L782
-		}
-		cycles, instret = cycles+4, instret+3
-		// 302: srli r5, r1, 31
-		r[5] = r[1] >> 31
-		// 303: srli r6, r2, 31
-		r[6] = r[2] >> 31
-		// 304: bne r5, r6, 6
-		if r[5] != r[6] {
-			cycles, instret = cycles+4, instret+3
-			goto L778
-		}
-		cycles, instret = cycles+3, instret+3
-		// 305: beq r5, r0, 3
-		if r[5] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L776
-		}
-		cycles, instret = cycles+1, instret+1
-		// 306: bgeu r1, r2, 10
-		if r[1] >= r[2] {
-			cycles, instret = cycles+2, instret+1
-			goto L784
-		}
-		cycles, instret = cycles+1, instret+1
-		// 307: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		goto L782
-	L776:
-		if st.stop-cycles <= 3 {
-			bpc = 776
-			goto budgetOut
-		}
-		// 308: bgeu r2, r1, 8
-		if r[2] >= r[1] {
-			cycles, instret = cycles+2, instret+1
-			goto L784
-		}
-		cycles, instret = cycles+1, instret+1
-		// 309: jal r0, 5
-		cycles, instret = cycles+2, instret+1
-		goto L782
-	L778:
-		if st.stop-cycles <= 5 {
-			bpc = 778
-			goto budgetOut
-		}
-		// 30a: bne r5, r0, 6
-		if r[5] != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L784
-		}
-		cycles, instret = cycles+1, instret+1
-		// 30b: or r7, r1, r2
-		r[7] = r[1] | r[2]
-		// 30c: slli r7, r7, 1
-		r[7] = r[7] << 1
-		// 30d: beq r7, r0, 3
-		if r[7] == 0 {
-			cycles, instret = cycles+4, instret+3
-			goto L784
-		}
-		cycles, instret = cycles+3, instret+3
-	L782:
-		if st.stop-cycles <= 3 {
-			bpc = 782
-			goto budgetOut
-		}
-		// 30e: addi r1, r0, 0
-		r[1] = 0 + 0x0
-		// 30f: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L784:
-		if st.stop-cycles <= 3 {
-			bpc = 784
-			goto budgetOut
-		}
-		// 310: addi r1, r0, 1
-		r[1] = 0 + 0x1
-		// 311: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		switch v {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 12:
-			goto L12
-		case 16:
-			goto L16
-		case 18:
-			goto L18
-		case 20:
-			goto L20
-		case 25:
-			goto L25
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 35:
-			goto L35
-		case 36:
-			goto L36
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 75:
-			goto L75
-		case 77:
-			goto L77
-		case 89:
-			goto L89
-		case 101:
-			goto L101
-		case 104:
-			goto L104
-		case 119:
-			goto L119
-		case 122:
-			goto L122
-		case 124:
-			goto L124
-		case 138:
-			goto L138
-		case 142:
-			goto L142
-		case 148:
-			goto L148
-		case 156:
-			goto L156
-		case 165:
-			goto L165
-		case 170:
-			goto L170
-		case 175:
-			goto L175
-		case 179:
-			goto L179
-		case 196:
-			goto L196
-		case 202:
-			goto L202
-		case 204:
-			goto L204
-		case 205:
-			goto L205
-		case 210:
-			goto L210
-		case 215:
-			goto L215
-		case 217:
-			goto L217
-		case 263:
-			goto L263
-		case 270:
-			goto L270
-		case 296:
-			goto L296
-		case 299:
-			goto L299
-		case 302:
-			goto L302
-		case 306:
-			goto L306
-		case 308:
-			goto L308
-		case 312:
-			goto L312
-		case 315:
-			goto L315
-		case 318:
-			goto L318
-		case 322:
-			goto L322
-		case 323:
-			goto L323
-		case 336:
-			goto L336
-		case 337:
-			goto L337
-		case 342:
-			goto L342
-		case 348:
-			goto L348
-		case 356:
-			goto L356
-		case 357:
-			goto L357
-		case 358:
-			goto L358
-		case 364:
-			goto L364
-		case 391:
-			goto L391
-		case 394:
-			goto L394
-		case 397:
-			goto L397
-		case 401:
-			goto L401
-		case 408:
-			goto L408
-		case 412:
-			goto L412
-		case 415:
-			goto L415
-		case 418:
-			goto L418
-		case 422:
-			goto L422
-		case 428:
-			goto L428
-		case 435:
-			goto L435
-		case 441:
-			goto L441
-		case 444:
-			goto L444
-		case 447:
-			goto L447
-		case 451:
-			goto L451
-		case 452:
-			goto L452
-		case 453:
-			goto L453
-		case 459:
-			goto L459
-		case 481:
-			goto L481
-		case 486:
-			goto L486
-		case 493:
-			goto L493
-		case 498:
-			goto L498
-		case 502:
-			goto L502
-		case 504:
-			goto L504
-		case 512:
-			goto L512
-		case 514:
-			goto L514
-		case 538:
-			goto L538
-		case 539:
-			goto L539
-		case 540:
-			goto L540
-		case 546:
-			goto L546
-		case 570:
-			goto L570
-		case 574:
-			goto L574
-		case 581:
-			goto L581
-		case 583:
-			goto L583
-		case 591:
-			goto L591
-		case 593:
-			goto L593
-		case 609:
-			goto L609
-		case 611:
-			goto L611
-		case 629:
-			goto L629
-		case 630:
-			goto L630
-		case 635:
-			goto L635
-		case 636:
-			goto L636
-		case 642:
-			goto L642
-		case 644:
-			goto L644
-		case 650:
-			goto L650
-		case 657:
-			goto L657
-		case 680:
-			goto L680
-		case 683:
-			goto L683
-		case 686:
-			goto L686
-		case 689:
-			goto L689
-		case 694:
-			goto L694
-		case 706:
-			goto L706
-		case 710:
-			goto L710
-		case 721:
-			goto L721
-		case 728:
-			goto L728
-		case 731:
-			goto L731
-		case 740:
-			goto L740
-		case 742:
-			goto L742
-		case 745:
-			goto L745
-		case 754:
-			goto L754
-		case 756:
-			goto L756
-		case 762:
-			goto L762
-		case 764:
-			goto L764
-		case 767:
-			goto L767
-		case 776:
-			goto L776
-		case 778:
-			goto L778
-		case 782:
-			goto L782
-		case 784:
-			goto L784
-		default:
-			st.pc = v
-			goto okOut
-		}
-	budgetOut:
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		return stErr
-	okOut:
-		st.cycles, st.instret = cycles, instret
-		return stOK
 	}
-}
-
-// Region R1: fxboresight — 395 words, from fxboresight.
-var sigR1 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x000000eb000a001c, 0x00000000000b0517, 0x000000a00000051a, 0x00000004000b0517,
-	0x000000a40000051a, 0x00000008000b0517, 0x000000a80000051a, 0x0000000c000b0517,
-	0x000000ac0000051a, 0x00000010000b0517, 0x000000b00000051a, 0x0000000400000617,
-	0x0000001800000517, 0x0000000006050501, 0x000000180000051a, 0x0000002800000517,
-	0x0000000006050501, 0x000000280000051a, 0x0000003800000517, 0x0000000006050501,
-	0x000000380000051a, 0x0000001000000117, 0x000000a800000217, 0x000000f500000f22,
-	0x000000000001090d, 0x0000001400000117, 0x000000a400000217, 0x000000f500000f22,
-	0x000000a000000517, 0x0000000009050502, 0x0000000001050501, 0x000000ac00000617,
-	0x0000000005060602, 0x000000880000061a, 0x0000000c00000117, 0x000000a800000217,
-	0x000000f500000f22, 0x000000000001090d, 0x0000001400000117, 0x000000a000000217,
-	0x000000f500000f22, 0x000000a400000517, 0x0000000009050501, 0x0000000001050502,
-	0x000000b000000617, 0x0000000005060602, 0x0000008c0000061a, 0x000000400000001a,
-	0x000000a800000517, 0x0000000005000602, 0x000000440000061a, 0x000000a400000617,
-	0x000000480000061a, 0x0000004c0000051a, 0x000000500000001a, 0x000000a000000517,
-	0x0000000005000602, 0x000000540000061a, 0x000000400000010d, 0x000000580000020d,
-	0x0000011200000f22, 0x0000004c0000010d, 0x000000640000020d, 0x0000011200000f22,
-	0x000000400000010d, 0x000000580000020d, 0x0000013900000f22, 0x0000000800000517,
-	0x0000000005010101, 0x000000900000011a, 0x0000004c0000010d, 0x000000640000020d,
-	0x0000013900000f22, 0x0000000800000517, 0x0000000005010101, 0x000000980000011a,
-	0x000000400000010d, 0x000000640000020d, 0x0000013900000f22, 0x000000940000011a,
-	0x0000009000000117, 0x0000009800000217, 0x0000015f00000f22, 0x000000000001090d,
-	0x0000009400000117, 0x0000009400000217, 0x0000015f00000f22, 0x0000000001090902,
-	0x000000010000050d, 0x0000005f0509001f, 0x000000010000090d, 0x0000009c0000091a,
-	0x0000000000000d0d, 0x00000058000d050d, 0x0000000000050117, 0x0000009800000217,
-	0x000000ec00000f22, 0x000000000001080d, 0x000000000002090d, 0x00000064000d050d,
-	0x0000000000050117, 0x0000009400000217, 0x000000ec00000f22, 0x000000000108060c,
-	0x0000000001080802, 0x0000000002090902, 0x0000000006090902, 0x000000000008010d,
-	0x000000000009020d, 0x0000009c00000317, 0x0000016800000f22, 0x00000070000d050d,
-	0x000000000005011a, 0x00000064000d050d, 0x0000000000050117, 0x0000009000000217,
-	0x000000ec00000f22, 0x000000000001080d, 0x000000000002090d, 0x00000058000d050d,
-	0x0000000000050117, 0x0000009400000217, 0x000000ec00000f22, 0x000000000108060c,
-	0x0000000001080802, 0x0000000002090902, 0x0000000006090902, 0x000000000008010d,
-	0x000000000009020d, 0x0000009c00000317, 0x0000016800000f22, 0x0000007c000d050d,
-	0x000000000005011a, 0x00000004000d0d0d, 0x0000000c0000050d, 0x00000061050d001e,
-	0x0000000000000d0d, 0x00000070000d050d, 0x0000000000050117, 0x0000008800000217,
-	0x000000f500000f22, 0x000000000001090d, 0x0000007c000d050d, 0x0000000000050117,
-	0x0000008c00000217, 0x000000f500000f22, 0x0000000001090901, 0x0000000c000d050d,
-	0x0000000000050617, 0x0000000009060601, 0x000000000005061a, 0x00000004000d0d0d,
-	0x0000000c0000050d, 0x0000008d050d001e, 0x0000000000000d0d, 0x000000000000070d,
-	0x00000070000d050d, 0x0000000000050117, 0x000000580007050d, 0x0000000000050217,
-	0x000000b40000071a, 0x000000f500000f22, 0x000000000001090d, 0x000000b400000717,
-	0x0000007c000d050d, 0x0000000000050117, 0x000000640007050d, 0x0000000000050217,
-	0x000000b40000071a, 0x000000bc0000091a, 0x000000f500000f22, 0x000000bc00000917,
-	0x000000b400000717, 0x0000000001090901, 0x000000000d0d0501, 0x000000000d050501,
-	0x0000000007050501, 0x000000180005050d, 0x0000000000050617, 0x0000000009060602,
-	0x000000000005061a, 0x000000040007070d, 0x0000000c0000050d, 0x000000a00507001e,
-	0x00000004000d0d0d, 0x0000000c0000050d, 0x0000009f050d001e, 0x0000001c00000517,
-	0x0000002400000617, 0x0000000006050501, 0x0000001f00050612, 0x0000000006050501,
-	0x0000000100050513, 0x0000001c0000051a, 0x000000240000051a, 0x0000002000000517,
-	0x0000003000000617, 0x0000000006050501, 0x0000001f00050612, 0x0000000006050501,
-	0x0000000100050513, 0x000000200000051a, 0x000000300000051a, 0x0000002c00000517,
-	0x0000003400000617, 0x0000000006050501, 0x0000001f00050612, 0x0000000006050501,
-	0x0000000100050513, 0x0000002c0000051a, 0x000000340000051a, 0x000000010000060d,
-	0x0000001800000517, 0x000000db0605001f, 0x000000180000061a, 0x0000002800000517,
-	0x000000de0605001f, 0x000000280000061a, 0x0000003800000517, 0x000000e10605001f,
-	0x000000380000061a, 0x0000000c00000517, 0x00000000000c051a, 0x0000001000000517,
-	0x00000004000c051a, 0x0000001400000517, 0x00000008000c051a, 0x0000000c000c0c0d,
-	0x00000014000b0b0d, 0xffffffff000a0a0d, 0x0000000400000022, 0x0000000000000000,
-	0x0000000002010509, 0x000000000201060a, 0x000000f00001001f, 0x0000000002060602,
-	0x000000f20002001f, 0x0000000001060602, 0x000000000005010d, 0x000000000006020d,
-	0x00000000000f0023, 0xfffffffc000e0e0d, 0x00000000000e0f1a, 0x000000ec00000f22,
-	0x00000000000e0f17, 0x00000004000e0e0d, 0x000001090002001f, 0x0000000001000102,
-	0xffffffff00020210, 0x000000ff0001001d, 0x000000010002020d, 0x0080000000000516,
-	0x0000000000050501, 0x0000000005010601, 0x000000000106070c, 0x0000000007020201,
-	0x0000001800060612, 0x0000000800020211, 0x0000000002060104, 0x0000000001000102,
-	0x00000000000f0023, 0x0080000000000516, 0x0000000000050501, 0x0000000005010601,
-	0x000000000106070c, 0x0000000007020201, 0x0000001800060612, 0x0000000800020211,
-	0x0000000002060104, 0x00000000000f0023, 0xffffffec000e0e0d, 0x00000000000e0f1a,
-	0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a, 0x00000010000e0d1a,
-	0x0000000000010a0d, 0x0000000000020b0d, 0x0000001800000c0d, 0x0000000000000d0d,
-	0x00000000000c0117, 0x00000000000a0217, 0x000000f500000f22, 0x000000000001090d,
-	0x000000c00000091a, 0x00000004000c0117, 0x00000004000a0217, 0x000000f500000f22,
-	0x000000c000000917, 0x0000000001090901, 0x000000c00000091a, 0x00000008000c0117,
-	0x00000008000a0217, 0x000000f500000f22, 0x000000c000000917, 0x0000000001090901,
-	0x00000000000b091a, 0x00000004000b0b0d, 0x0000000c000c0c0d, 0x00000001000d0d0d,
-	0x000000030000050d, 0x0000011c050d001e, 0x00000000000e0f17, 0x00000004000e0a17,
-	0x00000008000e0b17, 0x0000000c000e0c17, 0x00000010000e0d17, 0x00000014000e0e0d,
-	0x00000000000f0023, 0xffffffec000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a,
-	0x00000008000e0b1a, 0x0000000c000e0c1a, 0x00000010000e0d1a, 0x0000000000010a0d,
-	0x0000000000020b0d, 0x0000000000000c0d, 0x0000000000000d0d, 0x000000000000090d,
-	0x000000c40000091a, 0x000000c400000917, 0x00000000090a0501, 0x0000000000050117,
-	0x00000000090b0501, 0x0000000000050217, 0x000000ec00000f22, 0x00000000010c0501,
-	0x000000000c05060c, 0x0000000000050c0d, 0x00000000020d0d01, 0x00000000060d0d01,
-	0x000000c400000917, 0x000000040009090d, 0x000000c40000091a, 0x0000000c0000050d,
-	0x000001450509001e, 0x00000012000c0112, 0x0000000e000d0511, 0x0000000005010104,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0d17, 0x00000014000e0e0d, 0x00000000000f0023, 0xfffffffc000e0e0d,
-	0x00000000000e0f1a, 0x000000ec00000f22, 0x00000000000e0f17, 0x00000004000e0e0d,
-	0x0000001e00010112, 0x0000000200020211, 0x0000000002010104, 0x00000000000f0023,
-	0x000000000000090d, 0x0000016f0002001f, 0x000000010000090d, 0x0000000001000102,
-	0xffffffff00020210, 0x0000016f0001001d, 0x000000010002020d, 0x000000000000050d,
-	0x000000000000060d, 0x000000200000070d, 0x0000001f00020812, 0x0000000100020211,
-	0x0000000100050511, 0x0000000008050504, 0x0000000100060611, 0x0000017a03050020,
-	0x0000000003050502, 0x000000010006060f, 0xffffffff0007070d, 0x000001720007001d,
-	0x000000200000070d, 0x0000001f00010812, 0x0000000100010111, 0x0000000100050511,
-	0x0000000008050504, 0x0000000100060611, 0x0000018503050020, 0x0000000003050502,
-	0x000000010006060f, 0xffffffff0007070d, 0x0000017d0007001d, 0x000000000006010d,
-	0x0000018a0009001c, 0x0000000001000102, 0x00000000000f0023,
-}
-
-func bindR1(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 28:
-			goto L28
-		case 32:
-			goto L32
-		case 41:
-			goto L41
-		case 45:
-			goto L45
-		case 65:
-			goto L65
-		case 68:
-			goto L68
-		case 71:
-			goto L71
-		case 77:
-			goto L77
-		case 83:
-			goto L83
-		case 87:
-			goto L87
-		case 91:
-			goto L91
-		case 101:
-			goto L101
-		case 107:
-			goto L107
-		case 115:
-			goto L115
-		case 121:
-			goto L121
-		case 127:
-			goto L127
-		case 135:
-			goto L135
-		case 145:
-			goto L145
-		case 150:
-			goto L150
-		case 166:
-			goto L166
-		case 175:
-			goto L175
-		case 235:
-			goto L235
-		case 236:
-			goto L236
-		case 245:
-			goto L245
-		case 248:
-			goto L248
-		case 265:
-			goto L265
-		case 274:
-			goto L274
-		case 287:
-			goto L287
-		case 292:
-			goto L292
-		case 298:
-			goto L298
-		case 313:
-			goto L313
-		case 331:
-			goto L331
-		case 351:
-			goto L351
-		case 354:
-			goto L354
-		case 360:
-			goto L360
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 5 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r[14] = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 002: addi r11, r0, 256
-		r[11] = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r[12] = 0 + 0x8000
-		cycles, instret = cycles+5, instret+4
-	L4:
-		if st.stop-cycles <= 36 {
-			bpc = 4
-			goto budgetOut
-		}
-		// 004: beq r10, r0, 231
-		if r[10] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L235
-		}
-		cycles, instret = cycles+1, instret+1
-		// 005: lw r5, 0(r11)
-		a = r[11] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 006: sw r5, 160(r0)
-		a = 0 + 0xa0
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+6, cycles+2, instret+1) {
-			goto errOut
-		}
-		// 007: lw r5, 4(r11)
-		a = r[11] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+7, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 008: sw r5, 164(r0)
-		a = 0 + 0xa4
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+5, instret+3) {
-			goto errOut
-		}
-		// 009: lw r5, 8(r11)
-		a = r[11] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+9, cycles+6, instret+4); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 00a: sw r5, 168(r0)
-		a = 0 + 0xa8
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+10, cycles+8, instret+5) {
-			goto errOut
-		}
-		// 00b: lw r5, 12(r11)
-		a = r[11] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+11, cycles+9, instret+6); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 00c: sw r5, 172(r0)
-		a = 0 + 0xac
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+12, cycles+11, instret+7) {
-			goto errOut
-		}
-		// 00d: lw r5, 16(r11)
-		a = r[11] + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+12, instret+8); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 00e: sw r5, 176(r0)
-		a = 0 + 0xb0
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+14, cycles+14, instret+9) {
-			goto errOut
-		}
-		// 00f: lw r6, 4(r0)
-		a = 0 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+15, cycles+15, instret+10); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 010: lw r5, 24(r0)
-		a = 0 + 0x18
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+16, cycles+17, instret+11); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 011: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 012: sw r5, 24(r0)
-		a = 0 + 0x18
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+18, cycles+20, instret+13) {
-			goto errOut
-		}
-		// 013: lw r5, 40(r0)
-		a = 0 + 0x28
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+19, cycles+21, instret+14); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 014: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 015: sw r5, 40(r0)
-		a = 0 + 0x28
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+21, cycles+24, instret+16) {
-			goto errOut
-		}
-		// 016: lw r5, 56(r0)
-		a = 0 + 0x38
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+22, cycles+25, instret+17); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 017: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 018: sw r5, 56(r0)
-		a = 0 + 0x38
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+24, cycles+28, instret+19) {
-			goto errOut
-		}
-		// 019: lw r1, 16(r0)
-		a = 0 + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+25, cycles+29, instret+20); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 01a: lw r2, 168(r0)
-		a = 0 + 0xa8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+26, cycles+31, instret+21); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 01b: jal r15, 218
-		r[15] = (base + 28) * 4
-		cycles, instret = cycles+35, instret+23
-		goto L245
-	L28:
-		if st.stop-cycles <= 7 {
-			bpc = 28
-			goto budgetOut
-		}
-		// 01c: addi r9, r1, 0
-		r[9] = r[1] + 0x0
-		// 01d: lw r1, 20(r0)
-		a = 0 + 0x14
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+29, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 01e: lw r2, 164(r0)
-		a = 0 + 0xa4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+30, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 01f: jal r15, 214
-		r[15] = (base + 32) * 4
-		cycles, instret = cycles+7, instret+4
-		goto L245
-	L32:
-		if st.stop-cycles <= 14 {
-			bpc = 32
-			goto budgetOut
-		}
-		// 020: lw r5, 160(r0)
-		a = 0 + 0xa0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+32, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 021: sub r5, r5, r9
-		r[5] = r[5] - r[9]
-		// 022: add r5, r5, r1
-		r[5] = r[5] + r[1]
-		// 023: lw r6, 172(r0)
-		a = 0 + 0xac
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+35, cycles+4, instret+3); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 024: sub r6, r6, r5
-		r[6] = r[6] - r[5]
-		// 025: sw r6, 136(r0)
-		a = 0 + 0x88
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+37, cycles+7, instret+5) {
-			goto errOut
-		}
-		// 026: lw r1, 12(r0)
-		a = 0 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+38, cycles+8, instret+6); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 027: lw r2, 168(r0)
-		a = 0 + 0xa8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+39, cycles+10, instret+7); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 028: jal r15, 205
-		r[15] = (base + 41) * 4
-		cycles, instret = cycles+14, instret+9
-		goto L245
-	L41:
-		if st.stop-cycles <= 7 {
-			bpc = 41
-			goto budgetOut
-		}
-		// 029: addi r9, r1, 0
-		r[9] = r[1] + 0x0
-		// 02a: lw r1, 20(r0)
-		a = 0 + 0x14
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+42, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 02b: lw r2, 160(r0)
-		a = 0 + 0xa0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+43, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 02c: jal r15, 201
-		r[15] = (base + 45) * 4
-		cycles, instret = cycles+7, instret+4
-		goto L245
-	L45:
-		if st.stop-cycles <= 26 {
-			bpc = 45
-			goto budgetOut
-		}
-		// 02d: lw r5, 164(r0)
-		a = 0 + 0xa4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+45, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 02e: add r5, r5, r9
-		r[5] = r[5] + r[9]
-		// 02f: sub r5, r5, r1
-		r[5] = r[5] - r[1]
-		// 030: lw r6, 176(r0)
-		a = 0 + 0xb0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+48, cycles+4, instret+3); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 031: sub r6, r6, r5
-		r[6] = r[6] - r[5]
-		// 032: sw r6, 140(r0)
-		a = 0 + 0x8c
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+50, cycles+7, instret+5) {
-			goto errOut
-		}
-		// 033: sw r0, 64(r0)
-		a = 0 + 0x40
-		v = 0
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+51, cycles+8, instret+6) {
-			goto errOut
-		}
-		// 034: lw r5, 168(r0)
-		a = 0 + 0xa8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+52, cycles+9, instret+7); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 035: sub r6, r0, r5
-		r[6] = 0 - r[5]
-		// 036: sw r6, 68(r0)
-		a = 0 + 0x44
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+54, cycles+12, instret+9) {
-			goto errOut
-		}
-		// 037: lw r6, 164(r0)
-		a = 0 + 0xa4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+55, cycles+13, instret+10); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 038: sw r6, 72(r0)
-		a = 0 + 0x48
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+56, cycles+15, instret+11) {
-			goto errOut
-		}
-		// 039: sw r5, 76(r0)
-		a = 0 + 0x4c
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+57, cycles+16, instret+12) {
-			goto errOut
-		}
-		// 03a: sw r0, 80(r0)
-		a = 0 + 0x50
-		v = 0
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+58, cycles+17, instret+13) {
-			goto errOut
-		}
-		// 03b: lw r5, 160(r0)
-		a = 0 + 0xa0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+59, cycles+18, instret+14); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 03c: sub r6, r0, r5
-		r[6] = 0 - r[5]
-		// 03d: sw r6, 84(r0)
-		a = 0 + 0x54
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+61, cycles+21, instret+16) {
-			goto errOut
-		}
-		// 03e: addi r1, r0, 64
-		r[1] = 0 + 0x40
-		// 03f: addi r2, r0, 88
-		r[2] = 0 + 0x58
-		// 040: jal r15, 210
-		r[15] = (base + 65) * 4
-		cycles, instret = cycles+26, instret+20
-		goto L274
-	L65:
-		if st.stop-cycles <= 4 {
-			bpc = 65
-			goto budgetOut
-		}
-		// 041: addi r1, r0, 76
-		r[1] = 0 + 0x4c
-		// 042: addi r2, r0, 100
-		r[2] = 0 + 0x64
-		// 043: jal r15, 207
-		r[15] = (base + 68) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L274
-	L68:
-		if st.stop-cycles <= 4 {
-			bpc = 68
-			goto budgetOut
-		}
-		// 044: addi r1, r0, 64
-		r[1] = 0 + 0x40
-		// 045: addi r2, r0, 88
-		r[2] = 0 + 0x58
-		// 046: jal r15, 243
-		r[15] = (base + 71) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L313
-	L71:
-		if st.stop-cycles <= 8 {
-			bpc = 71
-			goto budgetOut
-		}
-		// 047: lw r5, 8(r0)
-		a = 0 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+71, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 048: add r1, r1, r5
-		r[1] = r[1] + r[5]
-		// 049: sw r1, 144(r0)
-		a = 0 + 0x90
-		v = r[1]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+73, cycles+3, instret+2) {
-			goto errOut
-		}
-		// 04a: addi r1, r0, 76
-		r[1] = 0 + 0x4c
-		// 04b: addi r2, r0, 100
-		r[2] = 0 + 0x64
-		// 04c: jal r15, 237
-		r[15] = (base + 77) * 4
-		cycles, instret = cycles+8, instret+6
-		goto L313
-	L77:
-		if st.stop-cycles <= 8 {
-			bpc = 77
-			goto budgetOut
-		}
-		// 04d: lw r5, 8(r0)
-		a = 0 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+77, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 04e: add r1, r1, r5
-		r[1] = r[1] + r[5]
-		// 04f: sw r1, 152(r0)
-		a = 0 + 0x98
-		v = r[1]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+79, cycles+3, instret+2) {
-			goto errOut
-		}
-		// 050: addi r1, r0, 64
-		r[1] = 0 + 0x40
-		// 051: addi r2, r0, 100
-		r[2] = 0 + 0x64
-		// 052: jal r15, 231
-		r[15] = (base + 83) * 4
-		cycles, instret = cycles+8, instret+6
-		goto L313
-	L83:
-		if st.stop-cycles <= 7 {
-			bpc = 83
-			goto budgetOut
-		}
-		// 053: sw r1, 148(r0)
-		a = 0 + 0x94
-		v = r[1]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+83, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 054: lw r1, 144(r0)
-		a = 0 + 0x90
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+84, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 055: lw r2, 152(r0)
-		a = 0 + 0x98
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+85, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 056: jal r15, 265
-		r[15] = (base + 87) * 4
-		cycles, instret = cycles+7, instret+4
-		goto L351
-	L87:
-		if st.stop-cycles <= 7 {
-			bpc = 87
-			goto budgetOut
-		}
-		// 057: addi r9, r1, 0
-		r[9] = r[1] + 0x0
-		// 058: lw r1, 148(r0)
-		a = 0 + 0x94
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+88, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 059: lw r2, 148(r0)
-		a = 0 + 0x94
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+89, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 05a: jal r15, 261
-		r[15] = (base + 91) * 4
-		cycles, instret = cycles+7, instret+4
-		goto L351
-	L91:
-		if st.stop-cycles <= 6 {
-			bpc = 91
-			goto budgetOut
-		}
-		// 05b: sub r9, r9, r1
-		r[9] = r[9] - r[1]
-		// 05c: addi r5, r0, 1
-		r[5] = 0 + 0x1
-		// 05d: bge r9, r5, 2
-		if int32(r[9]) >= int32(r[5]) {
-			cycles, instret = cycles+4, instret+3
-			goto L95
-		}
-		cycles, instret = cycles+3, instret+3
-		// 05e: addi r9, r0, 1
-		r[9] = 0 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L95:
-		// 05f: sw r9, 156(r0)
-		a = 0 + 0x9c
-		v = r[9]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+95, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 060: addi r13, r0, 0
-		r[13] = 0 + 0x0
-		cycles, instret = cycles+2, instret+2
-	L97:
-		if st.stop-cycles <= 7 {
-			bpc = 97
-			goto budgetOut
-		}
-		// 061: addi r5, r13, 88
-		r[5] = r[13] + 0x58
-		// 062: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+98, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 063: lw r2, 152(r0)
-		a = 0 + 0x98
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+99, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 064: jal r15, 136
-		r[15] = (base + 101) * 4
-		cycles, instret = cycles+7, instret+4
-		goto L236
-	L101:
-		if st.stop-cycles <= 9 {
-			bpc = 101
-			goto budgetOut
-		}
-		// 065: addi r8, r1, 0
-		r[8] = r[1] + 0x0
-		// 066: addi r9, r2, 0
-		r[9] = r[2] + 0x0
-		// 067: addi r5, r13, 100
-		r[5] = r[13] + 0x64
-		// 068: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+104, cycles+3, instret+3); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 069: lw r2, 148(r0)
-		a = 0 + 0x94
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+105, cycles+5, instret+4); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 06a: jal r15, 130
-		r[15] = (base + 107) * 4
-		cycles, instret = cycles+9, instret+6
-		goto L236
-	L107:
-		if st.stop-cycles <= 10 {
-			bpc = 107
-			goto budgetOut
-		}
-		// 06b: sltu r6, r8, r1
-		r[6] = b2u(r[8] < r[1])
-		// 06c: sub r8, r8, r1
-		r[8] = r[8] - r[1]
-		// 06d: sub r9, r9, r2
-		r[9] = r[9] - r[2]
-		// 06e: sub r9, r9, r6
-		r[9] = r[9] - r[6]
-		// 06f: addi r1, r8, 0
-		r[1] = r[8] + 0x0
-		// 070: addi r2, r9, 0
-		r[2] = r[9] + 0x0
-		// 071: lw r3, 156(r0)
-		a = 0 + 0x9c
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[3] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+113, cycles+6, instret+6); !ok {
-				goto errOut
-			}
-			r[3] = v
-		}
-		// 072: jal r15, 246
-		r[15] = (base + 115) * 4
-		cycles, instret = cycles+10, instret+8
-		goto L360
-	L115:
-		if st.stop-cycles <= 9 {
-			bpc = 115
-			goto budgetOut
-		}
-		// 073: addi r5, r13, 112
-		r[5] = r[13] + 0x70
-		// 074: sw r1, 0(r5)
-		a = r[5] + 0x0
-		v = r[1]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+116, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 075: addi r5, r13, 100
-		r[5] = r[13] + 0x64
-		// 076: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+118, cycles+3, instret+3); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 077: lw r2, 144(r0)
-		a = 0 + 0x90
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+119, cycles+5, instret+4); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 078: jal r15, 116
-		r[15] = (base + 121) * 4
-		cycles, instret = cycles+9, instret+6
-		goto L236
-	L121:
-		if st.stop-cycles <= 9 {
-			bpc = 121
-			goto budgetOut
-		}
-		// 079: addi r8, r1, 0
-		r[8] = r[1] + 0x0
-		// 07a: addi r9, r2, 0
-		r[9] = r[2] + 0x0
-		// 07b: addi r5, r13, 88
-		r[5] = r[13] + 0x58
-		// 07c: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+124, cycles+3, instret+3); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 07d: lw r2, 148(r0)
-		a = 0 + 0x94
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+125, cycles+5, instret+4); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 07e: jal r15, 110
-		r[15] = (base + 127) * 4
-		cycles, instret = cycles+9, instret+6
-		goto L236
-	L127:
-		if st.stop-cycles <= 10 {
-			bpc = 127
-			goto budgetOut
-		}
-		// 07f: sltu r6, r8, r1
-		r[6] = b2u(r[8] < r[1])
-		// 080: sub r8, r8, r1
-		r[8] = r[8] - r[1]
-		// 081: sub r9, r9, r2
-		r[9] = r[9] - r[2]
-		// 082: sub r9, r9, r6
-		r[9] = r[9] - r[6]
-		// 083: addi r1, r8, 0
-		r[1] = r[8] + 0x0
-		// 084: addi r2, r9, 0
-		r[2] = r[9] + 0x0
-		// 085: lw r3, 156(r0)
-		a = 0 + 0x9c
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[3] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+133, cycles+6, instret+6); !ok {
-				goto errOut
-			}
-			r[3] = v
-		}
-		// 086: jal r15, 226
-		r[15] = (base + 135) * 4
-		cycles, instret = cycles+10, instret+8
-		goto L360
-	L135:
-		if st.stop-cycles <= 6 {
-			bpc = 135
-			goto budgetOut
-		}
-		// 087: addi r5, r13, 124
-		r[5] = r[13] + 0x7c
-		// 088: sw r1, 0(r5)
-		a = r[5] + 0x0
-		v = r[1]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+136, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 089: addi r13, r13, 4
-		r[13] = r[13] + 0x4
-		// 08a: addi r5, r0, 12
-		r[5] = 0 + 0xc
-		// 08b: blt r13, r5, -42
-		if int32(r[13]) < int32(r[5]) {
-			cycles, instret = cycles+6, instret+5
-			goto L97
-		}
-		cycles, instret = cycles+5, instret+5
-		// 08c: addi r13, r0, 0
-		r[13] = 0 + 0x0
-		cycles, instret = cycles+1, instret+1
-	L141:
-		if st.stop-cycles <= 7 {
-			bpc = 141
-			goto budgetOut
-		}
-		// 08d: addi r5, r13, 112
-		r[5] = r[13] + 0x70
-		// 08e: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+142, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 08f: lw r2, 136(r0)
-		a = 0 + 0x88
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+143, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 090: jal r15, 101
-		r[15] = (base + 145) * 4
-		cycles, instret = cycles+7, instret+4
-		goto L245
-	L145:
-		if st.stop-cycles <= 8 {
-			bpc = 145
-			goto budgetOut
-		}
-		// 091: addi r9, r1, 0
-		r[9] = r[1] + 0x0
-		// 092: addi r5, r13, 124
-		r[5] = r[13] + 0x7c
-		// 093: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+147, cycles+2, instret+2); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 094: lw r2, 140(r0)
-		a = 0 + 0x8c
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+148, cycles+4, instret+3); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 095: jal r15, 96
-		r[15] = (base + 150) * 4
-		cycles, instret = cycles+8, instret+5
-		goto L245
-	L150:
-		if st.stop-cycles <= 10 {
-			bpc = 150
-			goto budgetOut
-		}
-		// 096: add r9, r9, r1
-		r[9] = r[9] + r[1]
-		// 097: addi r5, r13, 12
-		r[5] = r[13] + 0xc
-		// 098: lw r6, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+152, cycles+2, instret+2); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 099: add r6, r6, r9
-		r[6] = r[6] + r[9]
-		// 09a: sw r6, 0(r5)
-		a = r[5] + 0x0
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+154, cycles+5, instret+4) {
-			goto errOut
-		}
-		// 09b: addi r13, r13, 4
-		r[13] = r[13] + 0x4
-		// 09c: addi r5, r0, 12
-		r[5] = 0 + 0xc
-		// 09d: blt r13, r5, -16
-		if int32(r[13]) < int32(r[5]) {
-			cycles, instret = cycles+10, instret+8
-			goto L141
-		}
-		cycles, instret = cycles+9, instret+8
-		// 09e: addi r13, r0, 0
-		r[13] = 0 + 0x0
-		cycles, instret = cycles+1, instret+1
-	L159:
-		if st.stop-cycles <= 1 {
-			bpc = 159
-			goto budgetOut
-		}
-		// 09f: addi r7, r0, 0
-		r[7] = 0 + 0x0
-		cycles, instret = cycles+1, instret+1
-	L160:
-		if st.stop-cycles <= 9 {
-			bpc = 160
-			goto budgetOut
-		}
-		// 0a0: addi r5, r13, 112
-		r[5] = r[13] + 0x70
-		// 0a1: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+161, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 0a2: addi r5, r7, 88
-		r[5] = r[7] + 0x58
-		// 0a3: lw r2, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+163, cycles+4, instret+3); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 0a4: sw r7, 180(r0)
-		a = 0 + 0xb4
-		v = r[7]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+164, cycles+6, instret+4) {
-			goto errOut
-		}
-		// 0a5: jal r15, 80
-		r[15] = (base + 166) * 4
-		cycles, instret = cycles+9, instret+6
-		goto L245
-	L166:
-		if st.stop-cycles <= 13 {
-			bpc = 166
-			goto budgetOut
-		}
-		// 0a6: addi r9, r1, 0
-		r[9] = r[1] + 0x0
-		// 0a7: lw r7, 180(r0)
-		a = 0 + 0xb4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[7] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+167, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[7] = v
-		}
-		// 0a8: addi r5, r13, 124
-		r[5] = r[13] + 0x7c
-		// 0a9: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+169, cycles+4, instret+3); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 0aa: addi r5, r7, 100
-		r[5] = r[7] + 0x64
-		// 0ab: lw r2, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+171, cycles+7, instret+5); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 0ac: sw r7, 180(r0)
-		a = 0 + 0xb4
-		v = r[7]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+172, cycles+9, instret+6) {
-			goto errOut
-		}
-		// 0ad: sw r9, 188(r0)
-		a = 0 + 0xbc
-		v = r[9]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+173, cycles+10, instret+7) {
-			goto errOut
-		}
-		// 0ae: jal r15, 71
-		r[15] = (base + 175) * 4
-		cycles, instret = cycles+13, instret+9
-		goto L245
-	L175:
-		if st.stop-cycles <= 76 {
-			bpc = 175
-			goto budgetOut
-		}
-		// 0af: lw r9, 188(r0)
-		a = 0 + 0xbc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+175, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[9] = v
-		}
-		// 0b0: lw r7, 180(r0)
-		a = 0 + 0xb4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[7] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+176, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[7] = v
-		}
-		// 0b1: add r9, r9, r1
-		r[9] = r[9] + r[1]
-		// 0b2: add r5, r13, r13
-		r[5] = r[13] + r[13]
-		// 0b3: add r5, r5, r13
-		r[5] = r[5] + r[13]
-		// 0b4: add r5, r5, r7
-		r[5] = r[5] + r[7]
-		// 0b5: addi r5, r5, 24
-		r[5] = r[5] + 0x18
-		// 0b6: lw r6, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+182, cycles+9, instret+7); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 0b7: sub r6, r6, r9
-		r[6] = r[6] - r[9]
-		// 0b8: sw r6, 0(r5)
-		a = r[5] + 0x0
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+184, cycles+12, instret+9) {
-			goto errOut
-		}
-		// 0b9: addi r7, r7, 4
-		r[7] = r[7] + 0x4
-		// 0ba: addi r5, r0, 12
-		r[5] = 0 + 0xc
-		// 0bb: blt r7, r5, -27
-		if int32(r[7]) < int32(r[5]) {
-			cycles, instret = cycles+17, instret+13
-			goto L160
-		}
-		cycles, instret = cycles+16, instret+13
-		// 0bc: addi r13, r13, 4
-		r[13] = r[13] + 0x4
-		// 0bd: addi r5, r0, 12
-		r[5] = 0 + 0xc
-		// 0be: blt r13, r5, -31
-		if int32(r[13]) < int32(r[5]) {
-			cycles, instret = cycles+4, instret+3
-			goto L159
-		}
-		cycles, instret = cycles+3, instret+3
-		// 0bf: lw r5, 28(r0)
-		a = 0 + 0x1c
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+191, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0c0: lw r6, 36(r0)
-		a = 0 + 0x24
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+192, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 0c1: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 0c2: srli r6, r5, 31
-		r[6] = r[5] >> 31
-		// 0c3: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 0c4: srai r5, r5, 1
-		r[5] = uint32(int32(r[5]) >> 1)
-		// 0c5: sw r5, 28(r0)
-		a = 0 + 0x1c
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+197, cycles+8, instret+6) {
-			goto errOut
-		}
-		// 0c6: sw r5, 36(r0)
-		a = 0 + 0x24
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+198, cycles+9, instret+7) {
-			goto errOut
-		}
-		// 0c7: lw r5, 32(r0)
-		a = 0 + 0x20
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+199, cycles+10, instret+8); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0c8: lw r6, 48(r0)
-		a = 0 + 0x30
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+200, cycles+12, instret+9); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 0c9: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 0ca: srli r6, r5, 31
-		r[6] = r[5] >> 31
-		// 0cb: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 0cc: srai r5, r5, 1
-		r[5] = uint32(int32(r[5]) >> 1)
-		// 0cd: sw r5, 32(r0)
-		a = 0 + 0x20
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+205, cycles+18, instret+14) {
-			goto errOut
-		}
-		// 0ce: sw r5, 48(r0)
-		a = 0 + 0x30
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+206, cycles+19, instret+15) {
-			goto errOut
-		}
-		// 0cf: lw r5, 44(r0)
-		a = 0 + 0x2c
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+207, cycles+20, instret+16); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0d0: lw r6, 52(r0)
-		a = 0 + 0x34
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+208, cycles+22, instret+17); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 0d1: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 0d2: srli r6, r5, 31
-		r[6] = r[5] >> 31
-		// 0d3: add r5, r5, r6
-		r[5] = r[5] + r[6]
-		// 0d4: srai r5, r5, 1
-		r[5] = uint32(int32(r[5]) >> 1)
-		// 0d5: sw r5, 44(r0)
-		a = 0 + 0x2c
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+213, cycles+28, instret+22) {
-			goto errOut
-		}
-		// 0d6: sw r5, 52(r0)
-		a = 0 + 0x34
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+214, cycles+29, instret+23) {
-			goto errOut
-		}
-		// 0d7: addi r6, r0, 1
-		r[6] = 0 + 0x1
-		// 0d8: lw r5, 24(r0)
-		a = 0 + 0x18
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+216, cycles+31, instret+25); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0d9: bge r5, r6, 2
-		if int32(r[5]) >= int32(r[6]) {
-			cycles, instret = cycles+35, instret+27
-			goto L219
-		}
-		cycles, instret = cycles+34, instret+27
-		// 0da: sw r6, 24(r0)
-		a = 0 + 0x18
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+218, cycles+0, instret+0) {
-			goto errOut
-		}
-		cycles, instret = cycles+1, instret+1
-	L219:
-		// 0db: lw r5, 40(r0)
-		a = 0 + 0x28
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+219, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0dc: bge r5, r6, 2
-		if int32(r[5]) >= int32(r[6]) {
-			cycles, instret = cycles+4, instret+2
-			goto L222
-		}
-		cycles, instret = cycles+3, instret+2
-		// 0dd: sw r6, 40(r0)
-		a = 0 + 0x28
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+221, cycles+0, instret+0) {
-			goto errOut
-		}
-		cycles, instret = cycles+1, instret+1
-	L222:
-		// 0de: lw r5, 56(r0)
-		a = 0 + 0x38
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+222, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0df: bge r5, r6, 2
-		if int32(r[5]) >= int32(r[6]) {
-			cycles, instret = cycles+4, instret+2
-			goto L225
-		}
-		cycles, instret = cycles+3, instret+2
-		// 0e0: sw r6, 56(r0)
-		a = 0 + 0x38
-		v = r[6]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+224, cycles+0, instret+0) {
-			goto errOut
-		}
-		cycles, instret = cycles+1, instret+1
-	L225:
-		// 0e1: lw r5, 12(r0)
-		a = 0 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+225, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0e2: sw r5, 0(r12)
-		a = r[12] + 0x0
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+226, cycles+2, instret+1) {
-			goto errOut
-		}
-		// 0e3: lw r5, 16(r0)
-		a = 0 + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+227, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0e4: sw r5, 4(r12)
-		a = r[12] + 0x4
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+228, cycles+5, instret+3) {
-			goto errOut
-		}
-		// 0e5: lw r5, 20(r0)
-		a = 0 + 0x14
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+229, cycles+6, instret+4); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 0e6: sw r5, 8(r12)
-		a = r[12] + 0x8
-		v = r[5]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+230, cycles+8, instret+5) {
-			goto errOut
-		}
-		// 0e7: addi r12, r12, 12
-		r[12] = r[12] + 0xc
-		// 0e8: addi r11, r11, 20
-		r[11] = r[11] + 0x14
-		// 0e9: addi r10, r10, -1
-		r[10] = r[10] + 0xffffffff
-		// 0ea: jal r0, -230
-		cycles, instret = cycles+14, instret+10
-		goto L4
-	L235:
-		if st.stop-cycles <= 1 {
-			bpc = 235
-			goto budgetOut
-		}
-		// 0eb: halt
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 236
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	L236:
-		if st.stop-cycles <= 16 {
-			bpc = 236
-			goto budgetOut
-		}
-		// 0ec: mul r5, r1, r2
-		r[5] = r[1] * r[2]
-		// 0ed: mulhu r6, r1, r2
-		r[6] = uint32(uint64(r[1]) * uint64(r[2]) >> 32)
-		// 0ee: bge r1, r0, 2
-		if int32(r[1]) >= int32(0) {
-			cycles, instret = cycles+10, instret+3
-			goto L240
-		}
-		cycles, instret = cycles+9, instret+3
-		// 0ef: sub r6, r6, r2
-		r[6] = r[6] - r[2]
-		cycles, instret = cycles+1, instret+1
-	L240:
-		// 0f0: bge r2, r0, 2
-		if int32(r[2]) >= int32(0) {
-			cycles, instret = cycles+2, instret+1
-			goto L242
-		}
-		cycles, instret = cycles+1, instret+1
-		// 0f1: sub r6, r6, r1
-		r[6] = r[6] - r[1]
-		cycles, instret = cycles+1, instret+1
-	L242:
-		// 0f2: addi r1, r5, 0
-		r[1] = r[5] + 0x0
-		// 0f3: addi r2, r6, 0
-		r[2] = r[6] + 0x0
-		// 0f4: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		switch v {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 28:
-			goto L28
-		case 32:
-			goto L32
-		case 41:
-			goto L41
-		case 45:
-			goto L45
-		case 65:
-			goto L65
-		case 68:
-			goto L68
-		case 71:
-			goto L71
-		case 77:
-			goto L77
-		case 83:
-			goto L83
-		case 87:
-			goto L87
-		case 91:
-			goto L91
-		case 101:
-			goto L101
-		case 107:
-			goto L107
-		case 115:
-			goto L115
-		case 121:
-			goto L121
-		case 127:
-			goto L127
-		case 135:
-			goto L135
-		case 145:
-			goto L145
-		case 150:
-			goto L150
-		case 166:
-			goto L166
-		case 175:
-			goto L175
-		case 235:
-			goto L235
-		case 236:
-			goto L236
-		case 245:
-			goto L245
-		case 248:
-			goto L248
-		case 265:
-			goto L265
-		case 274:
-			goto L274
-		case 287:
-			goto L287
-		case 292:
-			goto L292
-		case 298:
-			goto L298
-		case 313:
-			goto L313
-		case 331:
-			goto L331
-		case 351:
-			goto L351
-		case 354:
-			goto L354
-		case 360:
-			goto L360
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L245:
-		if st.stop-cycles <= 4 {
-			bpc = 245
-			goto budgetOut
-		}
-		// 0f5: addi r14, r14, -4
-		r[14] = r[14] + 0xfffffffc
-		// 0f6: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+246, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 0f7: jal r15, -11
-		r[15] = (base + 248) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L236
-	L248:
-		if st.stop-cycles <= 19 {
-			bpc = 248
-			goto budgetOut
-		}
-		// 0f8: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+248, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 0f9: addi r14, r14, 4
-		r[14] = r[14] + 0x4
-		// 0fa: bge r2, r0, 15
-		if int32(r[2]) >= int32(0) {
-			cycles, instret = cycles+5, instret+3
-			goto L265
-		}
-		cycles, instret = cycles+4, instret+3
-		// 0fb: sub r1, r0, r1
-		r[1] = 0 - r[1]
-		// 0fc: xori r2, r2, -1
-		r[2] = r[2] ^ 0xffffffff
-		// 0fd: bne r1, r0, 2
-		if r[1] != 0 {
-			cycles, instret = cycles+4, instret+3
-			goto L255
-		}
-		cycles, instret = cycles+3, instret+3
-		// 0fe: addi r2, r2, 1
-		r[2] = r[2] + 0x1
-		cycles, instret = cycles+1, instret+1
-	L255:
-		// 0ff: lui r5, 0x80
-		r[5] = 0x800000
-		// 100: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 101: add r6, r1, r5
-		r[6] = r[1] + r[5]
-		// 102: sltu r7, r6, r1
-		r[7] = b2u(r[6] < r[1])
-		// 103: add r2, r2, r7
-		r[2] = r[2] + r[7]
-		// 104: srli r6, r6, 24
-		r[6] = r[6] >> 24
-		// 105: slli r2, r2, 8
-		r[2] = r[2] << 8
-		// 106: or r1, r6, r2
-		r[1] = r[6] | r[2]
-		// 107: sub r1, r0, r1
-		r[1] = 0 - r[1]
-		// 108: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+11, instret+10
-		switch v {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 28:
-			goto L28
-		case 32:
-			goto L32
-		case 41:
-			goto L41
-		case 45:
-			goto L45
-		case 65:
-			goto L65
-		case 68:
-			goto L68
-		case 71:
-			goto L71
-		case 77:
-			goto L77
-		case 83:
-			goto L83
-		case 87:
-			goto L87
-		case 91:
-			goto L91
-		case 101:
-			goto L101
-		case 107:
-			goto L107
-		case 115:
-			goto L115
-		case 121:
-			goto L121
-		case 127:
-			goto L127
-		case 135:
-			goto L135
-		case 145:
-			goto L145
-		case 150:
-			goto L150
-		case 166:
-			goto L166
-		case 175:
-			goto L175
-		case 235:
-			goto L235
-		case 236:
-			goto L236
-		case 245:
-			goto L245
-		case 248:
-			goto L248
-		case 265:
-			goto L265
-		case 274:
-			goto L274
-		case 287:
-			goto L287
-		case 292:
-			goto L292
-		case 298:
-			goto L298
-		case 313:
-			goto L313
-		case 331:
-			goto L331
-		case 351:
-			goto L351
-		case 354:
-			goto L354
-		case 360:
-			goto L360
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L265:
-		if st.stop-cycles <= 10 {
-			bpc = 265
-			goto budgetOut
-		}
-		// 109: lui r5, 0x80
-		r[5] = 0x800000
-		// 10a: add r5, r5, r0
-		r[5] = r[5] + 0
-		// 10b: add r6, r1, r5
-		r[6] = r[1] + r[5]
-		// 10c: sltu r7, r6, r1
-		r[7] = b2u(r[6] < r[1])
-		// 10d: add r2, r2, r7
-		r[2] = r[2] + r[7]
-		// 10e: srli r6, r6, 24
-		r[6] = r[6] >> 24
-		// 10f: slli r2, r2, 8
-		r[2] = r[2] << 8
-		// 110: or r1, r6, r2
-		r[1] = r[6] | r[2]
-		// 111: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+10, instret+9
-		switch v {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 28:
-			goto L28
-		case 32:
-			goto L32
-		case 41:
-			goto L41
-		case 45:
-			goto L45
-		case 65:
-			goto L65
-		case 68:
-			goto L68
-		case 71:
-			goto L71
-		case 77:
-			goto L77
-		case 83:
-			goto L83
-		case 87:
-			goto L87
-		case 91:
-			goto L91
-		case 101:
-			goto L101
-		case 107:
-			goto L107
-		case 115:
-			goto L115
-		case 121:
-			goto L121
-		case 127:
-			goto L127
-		case 135:
-			goto L135
-		case 145:
-			goto L145
-		case 150:
-			goto L150
-		case 166:
-			goto L166
-		case 175:
-			goto L175
-		case 235:
-			goto L235
-		case 236:
-			goto L236
-		case 245:
-			goto L245
-		case 248:
-			goto L248
-		case 265:
-			goto L265
-		case 274:
-			goto L274
-		case 287:
-			goto L287
-		case 292:
-			goto L292
-		case 298:
-			goto L298
-		case 313:
-			goto L313
-		case 331:
-			goto L331
-		case 351:
-			goto L351
-		case 354:
-			goto L354
-		case 360:
-			goto L360
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L274:
-		if st.stop-cycles <= 10 {
-			bpc = 274
-			goto budgetOut
-		}
-		// 112: addi r14, r14, -20
-		r[14] = r[14] + 0xffffffec
-		// 113: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+275, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 114: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+276, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 115: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+277, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 116: sw r12, 12(r14)
-		a = r[14] + 0xc
-		v = r[12]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+278, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 117: sw r13, 16(r14)
-		a = r[14] + 0x10
-		v = r[13]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+279, cycles+5, instret+5) {
-			goto errOut
-		}
-		// 118: addi r10, r1, 0
-		r[10] = r[1] + 0x0
-		// 119: addi r11, r2, 0
-		r[11] = r[2] + 0x0
-		// 11a: addi r12, r0, 24
-		r[12] = 0 + 0x18
-		// 11b: addi r13, r0, 0
-		r[13] = 0 + 0x0
-		cycles, instret = cycles+10, instret+10
-	L284:
-		if st.stop-cycles <= 6 {
-			bpc = 284
-			goto budgetOut
-		}
-		// 11c: lw r1, 0(r12)
-		a = r[12] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+284, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 11d: lw r2, 0(r10)
-		a = r[10] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+285, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 11e: jal r15, -41
-		r[15] = (base + 287) * 4
-		cycles, instret = cycles+6, instret+3
-		goto L245
-	L287:
-		if st.stop-cycles <= 8 {
-			bpc = 287
-			goto budgetOut
-		}
-		// 11f: addi r9, r1, 0
-		r[9] = r[1] + 0x0
-		// 120: sw r9, 192(r0)
-		a = 0 + 0xc0
-		v = r[9]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+288, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 121: lw r1, 4(r12)
-		a = r[12] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+289, cycles+2, instret+2); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 122: lw r2, 4(r10)
-		a = r[10] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+290, cycles+4, instret+3); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 123: jal r15, -46
-		r[15] = (base + 292) * 4
-		cycles, instret = cycles+8, instret+5
-		goto L245
-	L292:
-		if st.stop-cycles <= 10 {
-			bpc = 292
-			goto budgetOut
-		}
-		// 124: lw r9, 192(r0)
-		a = 0 + 0xc0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+292, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[9] = v
-		}
-		// 125: add r9, r9, r1
-		r[9] = r[9] + r[1]
-		// 126: sw r9, 192(r0)
-		a = 0 + 0xc0
-		v = r[9]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+294, cycles+3, instret+2) {
-			goto errOut
-		}
-		// 127: lw r1, 8(r12)
-		a = r[12] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+295, cycles+4, instret+3); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 128: lw r2, 8(r10)
-		a = r[10] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+296, cycles+6, instret+4); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 129: jal r15, -52
-		r[15] = (base + 298) * 4
-		cycles, instret = cycles+10, instret+6
-		goto L245
-	L298:
-		if st.stop-cycles <= 22 {
-			bpc = 298
-			goto budgetOut
-		}
-		// 12a: lw r9, 192(r0)
-		a = 0 + 0xc0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+298, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[9] = v
-		}
-		// 12b: add r9, r9, r1
-		r[9] = r[9] + r[1]
-		// 12c: sw r9, 0(r11)
-		a = r[11] + 0x0
-		v = r[9]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+300, cycles+3, instret+2) {
-			goto errOut
-		}
-		// 12d: addi r11, r11, 4
-		r[11] = r[11] + 0x4
-		// 12e: addi r12, r12, 12
-		r[12] = r[12] + 0xc
-		// 12f: addi r13, r13, 1
-		r[13] = r[13] + 0x1
-		// 130: addi r5, r0, 3
-		r[5] = 0 + 0x3
-		// 131: blt r13, r5, -21
-		if int32(r[13]) < int32(r[5]) {
-			cycles, instret = cycles+10, instret+8
-			goto L284
-		}
-		cycles, instret = cycles+9, instret+8
-		// 132: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+306, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 133: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+307, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 134: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+308, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 135: lw r12, 12(r14)
-		a = r[14] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+309, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r[12] = v
-		}
-		// 136: lw r13, 16(r14)
-		a = r[14] + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+310, cycles+8, instret+4); !ok {
-				goto errOut
-			}
-			r[13] = v
-		}
-		// 137: addi r14, r14, 20
-		r[14] = r[14] + 0x14
-		// 138: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+13, instret+7
-		switch v {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 28:
-			goto L28
-		case 32:
-			goto L32
-		case 41:
-			goto L41
-		case 45:
-			goto L45
-		case 65:
-			goto L65
-		case 68:
-			goto L68
-		case 71:
-			goto L71
-		case 77:
-			goto L77
-		case 83:
-			goto L83
-		case 87:
-			goto L87
-		case 91:
-			goto L91
-		case 101:
-			goto L101
-		case 107:
-			goto L107
-		case 115:
-			goto L115
-		case 121:
-			goto L121
-		case 127:
-			goto L127
-		case 135:
-			goto L135
-		case 145:
-			goto L145
-		case 150:
-			goto L150
-		case 166:
-			goto L166
-		case 175:
-			goto L175
-		case 235:
-			goto L235
-		case 236:
-			goto L236
-		case 245:
-			goto L245
-		case 248:
-			goto L248
-		case 265:
-			goto L265
-		case 274:
-			goto L274
-		case 287:
-			goto L287
-		case 292:
-			goto L292
-		case 298:
-			goto L298
-		case 313:
-			goto L313
-		case 331:
-			goto L331
-		case 351:
-			goto L351
-		case 354:
-			goto L354
-		case 360:
-			goto L360
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L313:
-		if st.stop-cycles <= 12 {
-			bpc = 313
-			goto budgetOut
-		}
-		// 139: addi r14, r14, -20
-		r[14] = r[14] + 0xffffffec
-		// 13a: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+314, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 13b: sw r10, 4(r14)
-		a = r[14] + 0x4
-		v = r[10]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+315, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 13c: sw r11, 8(r14)
-		a = r[14] + 0x8
-		v = r[11]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+316, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 13d: sw r12, 12(r14)
-		a = r[14] + 0xc
-		v = r[12]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+317, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 13e: sw r13, 16(r14)
-		a = r[14] + 0x10
-		v = r[13]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+318, cycles+5, instret+5) {
-			goto errOut
-		}
-		// 13f: addi r10, r1, 0
-		r[10] = r[1] + 0x0
-		// 140: addi r11, r2, 0
-		r[11] = r[2] + 0x0
-		// 141: addi r12, r0, 0
-		r[12] = 0 + 0x0
-		// 142: addi r13, r0, 0
-		r[13] = 0 + 0x0
-		// 143: addi r9, r0, 0
-		r[9] = 0 + 0x0
-		// 144: sw r9, 196(r0)
-		a = 0 + 0xc4
-		v = r[9]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+324, cycles+11, instret+11) {
-			goto errOut
-		}
-		cycles, instret = cycles+12, instret+12
-	L325:
-		if st.stop-cycles <= 10 {
-			bpc = 325
-			goto budgetOut
-		}
-		// 145: lw r9, 196(r0)
-		a = 0 + 0xc4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+325, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[9] = v
-		}
-		// 146: add r5, r10, r9
-		r[5] = r[10] + r[9]
-		// 147: lw r1, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+327, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 148: add r5, r11, r9
-		r[5] = r[11] + r[9]
-		// 149: lw r2, 0(r5)
-		a = r[5] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+329, cycles+6, instret+4); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 14a: jal r15, -94
-		r[15] = (base + 331) * 4
-		cycles, instret = cycles+10, instret+6
-		goto L236
-	L331:
-		if st.stop-cycles <= 27 {
-			bpc = 331
-			goto budgetOut
-		}
-		// 14b: add r5, r12, r1
-		r[5] = r[12] + r[1]
-		// 14c: sltu r6, r5, r12
-		r[6] = b2u(r[5] < r[12])
-		// 14d: addi r12, r5, 0
-		r[12] = r[5] + 0x0
-		// 14e: add r13, r13, r2
-		r[13] = r[13] + r[2]
-		// 14f: add r13, r13, r6
-		r[13] = r[13] + r[6]
-		// 150: lw r9, 196(r0)
-		a = 0 + 0xc4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+336, cycles+5, instret+5); !ok {
-				goto errOut
-			}
-			r[9] = v
-		}
-		// 151: addi r9, r9, 4
-		r[9] = r[9] + 0x4
-		// 152: sw r9, 196(r0)
-		a = 0 + 0xc4
-		v = r[9]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+338, cycles+8, instret+7) {
-			goto errOut
-		}
-		// 153: addi r5, r0, 12
-		r[5] = 0 + 0xc
-		// 154: blt r9, r5, -15
-		if int32(r[9]) < int32(r[5]) {
-			cycles, instret = cycles+12, instret+10
-			goto L325
-		}
-		cycles, instret = cycles+11, instret+10
-		// 155: srli r1, r12, 18
-		r[1] = r[12] >> 18
-		// 156: slli r5, r13, 14
-		r[5] = r[13] << 14
-		// 157: or r1, r1, r5
-		r[1] = r[1] | r[5]
-		// 158: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+344, cycles+3, instret+3); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 159: lw r10, 4(r14)
-		a = r[14] + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+345, cycles+5, instret+4); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 15a: lw r11, 8(r14)
-		a = r[14] + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+346, cycles+7, instret+5); !ok {
-				goto errOut
-			}
-			r[11] = v
-		}
-		// 15b: lw r12, 12(r14)
-		a = r[14] + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+347, cycles+9, instret+6); !ok {
-				goto errOut
-			}
-			r[12] = v
-		}
-		// 15c: lw r13, 16(r14)
-		a = r[14] + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+348, cycles+11, instret+7); !ok {
-				goto errOut
-			}
-			r[13] = v
-		}
-		// 15d: addi r14, r14, 20
-		r[14] = r[14] + 0x14
-		// 15e: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+16, instret+10
-		switch v {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 28:
-			goto L28
-		case 32:
-			goto L32
-		case 41:
-			goto L41
-		case 45:
-			goto L45
-		case 65:
-			goto L65
-		case 68:
-			goto L68
-		case 71:
-			goto L71
-		case 77:
-			goto L77
-		case 83:
-			goto L83
-		case 87:
-			goto L87
-		case 91:
-			goto L91
-		case 101:
-			goto L101
-		case 107:
-			goto L107
-		case 115:
-			goto L115
-		case 121:
-			goto L121
-		case 127:
-			goto L127
-		case 135:
-			goto L135
-		case 145:
-			goto L145
-		case 150:
-			goto L150
-		case 166:
-			goto L166
-		case 175:
-			goto L175
-		case 235:
-			goto L235
-		case 236:
-			goto L236
-		case 245:
-			goto L245
-		case 248:
-			goto L248
-		case 265:
-			goto L265
-		case 274:
-			goto L274
-		case 287:
-			goto L287
-		case 292:
-			goto L292
-		case 298:
-			goto L298
-		case 313:
-			goto L313
-		case 331:
-			goto L331
-		case 351:
-			goto L351
-		case 354:
-			goto L354
-		case 360:
-			goto L360
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L351:
-		if st.stop-cycles <= 4 {
-			bpc = 351
-			goto budgetOut
-		}
-		// 15f: addi r14, r14, -4
-		r[14] = r[14] + 0xfffffffc
-		// 160: sw r15, 0(r14)
-		a = r[14] + 0x0
-		v = r[15]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+352, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 161: jal r15, -117
-		r[15] = (base + 354) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L236
-	L354:
-		if st.stop-cycles <= 8 {
-			bpc = 354
-			goto budgetOut
-		}
-		// 162: lw r15, 0(r14)
-		a = r[14] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+354, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[15] = v
-		}
-		// 163: addi r14, r14, 4
-		r[14] = r[14] + 0x4
-		// 164: srli r1, r1, 30
-		r[1] = r[1] >> 30
-		// 165: slli r2, r2, 2
-		r[2] = r[2] << 2
-		// 166: or r1, r1, r2
-		r[1] = r[1] | r[2]
-		// 167: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+8, instret+6
-		switch v {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 28:
-			goto L28
-		case 32:
-			goto L32
-		case 41:
-			goto L41
-		case 45:
-			goto L45
-		case 65:
-			goto L65
-		case 68:
-			goto L68
-		case 71:
-			goto L71
-		case 77:
-			goto L77
-		case 83:
-			goto L83
-		case 87:
-			goto L87
-		case 91:
-			goto L91
-		case 101:
-			goto L101
-		case 107:
-			goto L107
-		case 115:
-			goto L115
-		case 121:
-			goto L121
-		case 127:
-			goto L127
-		case 135:
-			goto L135
-		case 145:
-			goto L145
-		case 150:
-			goto L150
-		case 166:
-			goto L166
-		case 175:
-			goto L175
-		case 235:
-			goto L235
-		case 236:
-			goto L236
-		case 245:
-			goto L245
-		case 248:
-			goto L248
-		case 265:
-			goto L265
-		case 274:
-			goto L274
-		case 287:
-			goto L287
-		case 292:
-			goto L292
-		case 298:
-			goto L298
-		case 313:
-			goto L313
-		case 331:
-			goto L331
-		case 351:
-			goto L351
-		case 354:
-			goto L354
-		case 360:
-			goto L360
-		default:
-			st.pc = v
-			goto okOut
-		}
-	L360:
-		if st.stop-cycles <= 10 {
-			bpc = 360
-			goto budgetOut
-		}
-		// 168: addi r9, r0, 0
-		r[9] = 0 + 0x0
-		// 169: bge r2, r0, 6
-		if int32(r[2]) >= int32(0) {
-			cycles, instret = cycles+3, instret+2
-			goto L367
-		}
-		cycles, instret = cycles+2, instret+2
-		// 16a: addi r9, r0, 1
-		r[9] = 0 + 0x1
-		// 16b: sub r1, r0, r1
-		r[1] = 0 - r[1]
-		// 16c: xori r2, r2, -1
-		r[2] = r[2] ^ 0xffffffff
-		// 16d: bne r1, r0, 2
-		if r[1] != 0 {
-			cycles, instret = cycles+5, instret+4
-			goto L367
-		}
-		cycles, instret = cycles+4, instret+4
-		// 16e: addi r2, r2, 1
-		r[2] = r[2] + 0x1
-		cycles, instret = cycles+1, instret+1
-	L367:
-		// 16f: addi r5, r0, 0
-		r[5] = 0 + 0x0
-		// 170: addi r6, r0, 0
-		r[6] = 0 + 0x0
-		// 171: addi r7, r0, 32
-		r[7] = 0 + 0x20
-		cycles, instret = cycles+3, instret+3
-	L370:
-		if st.stop-cycles <= 11 {
-			bpc = 370
-			goto budgetOut
-		}
-		// 172: srli r8, r2, 31
-		r[8] = r[2] >> 31
-		// 173: slli r2, r2, 1
-		r[2] = r[2] << 1
-		// 174: slli r5, r5, 1
-		r[5] = r[5] << 1
-		// 175: or r5, r5, r8
-		r[5] = r[5] | r[8]
-		// 176: slli r6, r6, 1
-		r[6] = r[6] << 1
-		// 177: bltu r5, r3, 3
-		if r[5] < r[3] {
-			cycles, instret = cycles+7, instret+6
-			goto L378
-		}
-		cycles, instret = cycles+6, instret+6
-		// 178: sub r5, r5, r3
-		r[5] = r[5] - r[3]
-		// 179: ori r6, r6, 1
-		r[6] = r[6] | 0x1
-		cycles, instret = cycles+2, instret+2
-	L378:
-		// 17a: addi r7, r7, -1
-		r[7] = r[7] + 0xffffffff
-		// 17b: bne r7, r0, -9
-		if r[7] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L370
-		}
-		cycles, instret = cycles+2, instret+2
-		// 17c: addi r7, r0, 32
-		r[7] = 0 + 0x20
-		cycles, instret = cycles+1, instret+1
-	L381:
-		if st.stop-cycles <= 15 {
-			bpc = 381
-			goto budgetOut
-		}
-		// 17d: srli r8, r1, 31
-		r[8] = r[1] >> 31
-		// 17e: slli r1, r1, 1
-		r[1] = r[1] << 1
-		// 17f: slli r5, r5, 1
-		r[5] = r[5] << 1
-		// 180: or r5, r5, r8
-		r[5] = r[5] | r[8]
-		// 181: slli r6, r6, 1
-		r[6] = r[6] << 1
-		// 182: bltu r5, r3, 3
-		if r[5] < r[3] {
-			cycles, instret = cycles+7, instret+6
-			goto L389
-		}
-		cycles, instret = cycles+6, instret+6
-		// 183: sub r5, r5, r3
-		r[5] = r[5] - r[3]
-		// 184: ori r6, r6, 1
-		r[6] = r[6] | 0x1
-		cycles, instret = cycles+2, instret+2
-	L389:
-		// 185: addi r7, r7, -1
-		r[7] = r[7] + 0xffffffff
-		// 186: bne r7, r0, -9
-		if r[7] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L381
-		}
-		cycles, instret = cycles+2, instret+2
-		// 187: addi r1, r6, 0
-		r[1] = r[6] + 0x0
-		// 188: beq r9, r0, 2
-		if r[9] == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L394
-		}
-		cycles, instret = cycles+2, instret+2
-		// 189: sub r1, r0, r1
-		r[1] = 0 - r[1]
-		cycles, instret = cycles+1, instret+1
-	L394:
-		// 18a: jalr r0, r15, 0
-		v = (r[15] + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		switch v {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 28:
-			goto L28
-		case 32:
-			goto L32
-		case 41:
-			goto L41
-		case 45:
-			goto L45
-		case 65:
-			goto L65
-		case 68:
-			goto L68
-		case 71:
-			goto L71
-		case 77:
-			goto L77
-		case 83:
-			goto L83
-		case 87:
-			goto L87
-		case 91:
-			goto L91
-		case 101:
-			goto L101
-		case 107:
-			goto L107
-		case 115:
-			goto L115
-		case 121:
-			goto L121
-		case 127:
-			goto L127
-		case 135:
-			goto L135
-		case 145:
-			goto L145
-		case 150:
-			goto L150
-		case 166:
-			goto L166
-		case 175:
-			goto L175
-		case 235:
-			goto L235
-		case 236:
-			goto L236
-		case 245:
-			goto L245
-		case 248:
-			goto L248
-		case 265:
-			goto L265
-		case 274:
-			goto L274
-		case 287:
-			goto L287
-		case 292:
-			goto L292
-		case 298:
-			goto L298
-		case 313:
-			goto L313
-		case 331:
-			goto L331
-		case 351:
-			goto L351
-		case 354:
-			goto L354
-		case 360:
-			goto L360
-		default:
-			st.pc = v
-			goto okOut
-		}
-	budgetOut:
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		return stErr
-	okOut:
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	cycles, instret = cycles+2, instret+2
+L199:
+	// 0c7: lui r1, 0x7fc0
+	r[1] = 0x7fc00000
+	// 0c8: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 0c9: jal r0, 62
+	cycles, instret = cycles+4, instret+3
+	goto L263
+L202:
+	if st.stop-cycles <= 3 {
+		bpc = 202
+		goto budgetOut
 	}
-}
-
-// Region R2: fxkalman — 48 words, from fxkalman.
-var sigR2 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000001000000d17, 0x0000002f000a001c, 0x0000000c00000517, 0x0000000800000617,
-	0x0000000005060601, 0x000000000005070d, 0x000000000000080d, 0x000000100000090d,
-	0x0000001f00070112, 0x0000000100070711, 0x0000000100080811, 0x000000110001001d,
-	0x0000001306070020, 0x0000000006070702, 0x000000010008080f, 0xffffffff0009090d,
-	0x0000000c0009001d, 0x00000000000b0117, 0x000000000d010102, 0x0000000008010209,
-	0x000000000801030a, 0x0000001b0001001f, 0x0000000008030302, 0x0000001000020212,
-	0x0000001000030311, 0x0000000003020204, 0x00000000020d0d01, 0x000100000000010d,
-	0x0000000008010102, 0x0000000c00000217, 0x0000000001020309, 0x000000000102040a,
-	0x0000001000030312, 0x0000001000040411, 0x0000000004030304, 0x0000000400000217,
-	0x0000000002030301, 0x0000000c0000031a, 0x00000000000c0d1a, 0x00000004000b0b0d,
-	0x00000004000c0c0d, 0xffffffff000a0a0d, 0x0000000500000022, 0x0000000000000000,
-}
-
-func bindR2(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 47:
-			goto L47
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 7 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r[14] = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r[10] = v
-		}
-		// 002: addi r11, r0, 256
-		r[11] = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r[12] = 0 + 0x8000
-		// 004: lw r13, 16(r0)
-		a = 0 + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+4, cycles+5, instret+4); !ok {
-				goto errOut
-			}
-			r[13] = v
-		}
-		cycles, instret = cycles+7, instret+5
-	L5:
-		if st.stop-cycles <= 9 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: beq r10, r0, 42
-		if r[10] == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L47
-		}
-		cycles, instret = cycles+1, instret+1
-		// 006: lw r5, 12(r0)
-		a = 0 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[5] = v
-		}
-		// 007: lw r6, 8(r0)
-		a = 0 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+7, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r[6] = v
-		}
-		// 008: add r6, r6, r5
-		r[6] = r[6] + r[5]
-		// 009: addi r7, r5, 0
-		r[7] = r[5] + 0x0
-		// 00a: addi r8, r0, 0
-		r[8] = 0 + 0x0
-		// 00b: addi r9, r0, 16
-		r[9] = 0 + 0x10
-		cycles, instret = cycles+8, instret+6
-	L12:
-		if st.stop-cycles <= 51 {
-			bpc = 12
-			goto budgetOut
-		}
-		// 00c: srli r1, r7, 31
-		r[1] = r[7] >> 31
-		// 00d: slli r7, r7, 1
-		r[7] = r[7] << 1
-		// 00e: slli r8, r8, 1
-		r[8] = r[8] << 1
-		// 00f: bne r1, r0, 2
-		if r[1] != 0 {
-			cycles, instret = cycles+5, instret+4
-			goto L17
-		}
-		cycles, instret = cycles+4, instret+4
-		// 010: bltu r7, r6, 3
-		if r[7] < r[6] {
-			cycles, instret = cycles+2, instret+1
-			goto L19
-		}
-		cycles, instret = cycles+1, instret+1
-	L17:
-		// 011: sub r7, r7, r6
-		r[7] = r[7] - r[6]
-		// 012: ori r8, r8, 1
-		r[8] = r[8] | 0x1
-		cycles, instret = cycles+2, instret+2
-	L19:
-		// 013: addi r9, r9, -1
-		r[9] = r[9] + 0xffffffff
-		// 014: bne r9, r0, -8
-		if r[9] != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L12
-		}
-		cycles, instret = cycles+2, instret+2
-		// 015: lw r1, 0(r11)
-		a = r[11] + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+21, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r[1] = v
-		}
-		// 016: sub r1, r1, r13
-		r[1] = r[1] - r[13]
-		// 017: mul r2, r1, r8
-		r[2] = r[1] * r[8]
-		// 018: mulhu r3, r1, r8
-		r[3] = uint32(uint64(r[1]) * uint64(r[8]) >> 32)
-		// 019: bge r1, r0, 2
-		if int32(r[1]) >= int32(0) {
-			cycles, instret = cycles+13, instret+5
-			goto L27
-		}
-		cycles, instret = cycles+12, instret+5
-		// 01a: sub r3, r3, r8
-		r[3] = r[3] - r[8]
-		cycles, instret = cycles+1, instret+1
-	L27:
-		// 01b: srli r2, r2, 16
-		r[2] = r[2] >> 16
-		// 01c: slli r3, r3, 16
-		r[3] = r[3] << 16
-		// 01d: or r2, r2, r3
-		r[2] = r[2] | r[3]
-		// 01e: add r13, r13, r2
-		r[13] = r[13] + r[2]
-		// 01f: addi r1, r0, 65536
-		r[1] = 0 + 0x10000
-		// 020: sub r1, r1, r8
-		r[1] = r[1] - r[8]
-		// 021: lw r2, 12(r0)
-		a = 0 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+33, cycles+6, instret+6); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 022: mul r3, r2, r1
-		r[3] = r[2] * r[1]
-		// 023: mulhu r4, r2, r1
-		r[4] = uint32(uint64(r[2]) * uint64(r[1]) >> 32)
-		// 024: srli r3, r3, 16
-		r[3] = r[3] >> 16
-		// 025: slli r4, r4, 16
-		r[4] = r[4] << 16
-		// 026: or r3, r3, r4
-		r[3] = r[3] | r[4]
-		// 027: lw r2, 4(r0)
-		a = 0 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+39, cycles+19, instret+12); !ok {
-				goto errOut
-			}
-			r[2] = v
-		}
-		// 028: add r3, r3, r2
-		r[3] = r[3] + r[2]
-		// 029: sw r3, 12(r0)
-		a = 0 + 0xc
-		v = r[3]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+41, cycles+22, instret+14) {
+	// 0ca: addi r2, r1, 0
+	r[2] = r[1] + 0x0
+	// 0cb: jal r15, -126
+	r[15] = 816
+	cycles, instret = cycles+3, instret+2
+	goto L77
+L204:
+	if st.stop-cycles <= 2 {
+		bpc = 204
+		goto budgetOut
+	}
+	// 0cc: jal r0, 59
+	cycles, instret = cycles+2, instret+1
+	goto L263
+L205:
+	if st.stop-cycles <= 6 {
+		bpc = 205
+		goto budgetOut
+	}
+	// 0cd: bne r7, r0, 12
+	if r[7] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L217
+	}
+	cycles, instret = cycles+1, instret+1
+	// 0ce: beq r6, r0, 9
+	if r[6] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L215
+	}
+	cycles, instret = cycles+1, instret+1
+	// 0cf: addi r3, r6, 0
+	r[3] = r[6] + 0x0
+	// 0d0: addi r1, r6, 0
+	r[1] = r[6] + 0x0
+	// 0d1: jal r15, -159
+	r[15] = 840
+	cycles, instret = cycles+4, instret+3
+	goto L50
+L210:
+	if st.stop-cycles <= 6 {
+		bpc = 210
+		goto budgetOut
+	}
+	// 0d2: addi r5, r1, -8
+	r[5] = r[1] + 0xfffffff8
+	// 0d3: addi r7, r0, 1
+	r[7] = 0 + 0x1
+	// 0d4: sub r7, r7, r5
+	r[7] = r[7] - r[5]
+	// 0d5: sll r6, r3, r5
+	r[6] = r[3] << (r[5] & 31)
+	// 0d6: jal r0, 3
+	cycles, instret = cycles+6, instret+5
+	goto L217
+L215:
+	if st.stop-cycles <= 3 {
+		bpc = 215
+		goto budgetOut
+	}
+	// 0d7: addi r1, r0, 0
+	r[1] = 0 + 0x0
+	// 0d8: jal r0, 47
+	cycles, instret = cycles+3, instret+2
+	goto L263
+L217:
+	if st.stop-cycles <= 15 {
+		bpc = 217
+		goto budgetOut
+	}
+	// 0d9: lui r5, 0x80
+	r[5] = 0x800000
+	// 0da: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 0db: or r6, r6, r5
+	r[6] = r[6] | r[5]
+	// 0dc: addi r5, r7, -127
+	r[5] = r[7] + 0xffffff81
+	// 0dd: srai r9, r5, 1
+	r[9] = uint32(int32(r[5]) >> 1)
+	// 0de: addi r9, r9, 126
+	r[9] = r[9] + 0x7e
+	// 0df: andi r5, r5, 1
+	r[5] = r[5] & 0x1
+	// 0e0: beq r5, r0, 2
+	if r[5] == 0 {
+		cycles, instret = cycles+9, instret+8
+		goto L226
+	}
+	cycles, instret = cycles+8, instret+8
+	// 0e1: slli r6, r6, 1
+	r[6] = r[6] << 1
+	cycles, instret = cycles+1, instret+1
+L226:
+	// 0e2: slli r10, r6, 5
+	r[10] = r[6] << 5
+	// 0e3: addi r11, r0, 0
+	r[11] = 0 + 0x0
+	// 0e4: addi r12, r0, 0
+	r[12] = 0 + 0x0
+	// 0e5: addi r8, r0, 0
+	r[8] = 0 + 0x0
+	// 0e6: addi r4, r0, 0
+	r[4] = 0 + 0x0
+	// 0e7: addi r13, r0, 32
+	r[13] = 0 + 0x20
+	cycles, instret = cycles+6, instret+6
+L232:
+	if st.stop-cycles <= 32 {
+		bpc = 232
+		goto budgetOut
+	}
+	// 0e8: srli r5, r10, 30
+	r[5] = r[10] >> 30
+	// 0e9: slli r10, r10, 2
+	r[10] = r[10] << 2
+	// 0ea: srli r6, r11, 30
+	r[6] = r[11] >> 30
+	// 0eb: or r10, r10, r6
+	r[10] = r[10] | r[6]
+	// 0ec: slli r11, r11, 2
+	r[11] = r[11] << 2
+	// 0ed: slli r8, r8, 2
+	r[8] = r[8] << 2
+	// 0ee: srli r6, r4, 30
+	r[6] = r[4] >> 30
+	// 0ef: or r8, r8, r6
+	r[8] = r[8] | r[6]
+	// 0f0: slli r4, r4, 2
+	r[4] = r[4] << 2
+	// 0f1: or r4, r4, r5
+	r[4] = r[4] | r[5]
+	// 0f2: srli r6, r12, 30
+	r[6] = r[12] >> 30
+	// 0f3: slli r7, r12, 2
+	r[7] = r[12] << 2
+	// 0f4: ori r7, r7, 1
+	r[7] = r[7] | 0x1
+	// 0f5: slli r12, r12, 1
+	r[12] = r[12] << 1
+	// 0f6: bltu r8, r6, 8
+	if r[8] < r[6] {
+		cycles, instret = cycles+16, instret+15
+		goto L254
+	}
+	cycles, instret = cycles+15, instret+15
+	// 0f7: bne r8, r6, 2
+	if r[8] != r[6] {
+		cycles, instret = cycles+2, instret+1
+		goto L249
+	}
+	cycles, instret = cycles+1, instret+1
+	// 0f8: bltu r4, r7, 6
+	if r[4] < r[7] {
+		cycles, instret = cycles+2, instret+1
+		goto L254
+	}
+	cycles, instret = cycles+1, instret+1
+L249:
+	// 0f9: sltu r5, r4, r7
+	r[5] = b2u(r[4] < r[7])
+	// 0fa: sub r4, r4, r7
+	r[4] = r[4] - r[7]
+	// 0fb: sub r8, r8, r6
+	r[8] = r[8] - r[6]
+	// 0fc: sub r8, r8, r5
+	r[8] = r[8] - r[5]
+	// 0fd: ori r12, r12, 1
+	r[12] = r[12] | 0x1
+	cycles, instret = cycles+5, instret+5
+L254:
+	// 0fe: addi r13, r13, -1
+	r[13] = r[13] + 0xffffffff
+	// 0ff: bne r13, r0, -23
+	if r[13] != 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L232
+	}
+	cycles, instret = cycles+2, instret+2
+	// 100: or r5, r8, r4
+	r[5] = r[8] | r[4]
+	// 101: beq r5, r0, 2
+	if r[5] == 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L259
+	}
+	cycles, instret = cycles+2, instret+2
+	// 102: ori r12, r12, 1
+	r[12] = r[12] | 0x1
+	cycles, instret = cycles+1, instret+1
+L259:
+	// 103: addi r1, r0, 0
+	r[1] = 0 + 0x0
+	// 104: addi r2, r9, 0
+	r[2] = r[9] + 0x0
+	// 105: addi r3, r12, 0
+	r[3] = r[12] + 0x0
+	// 106: jal r15, -158
+	r[15] = 1052
+	cycles, instret = cycles+5, instret+4
+	goto L104
+L263:
+	if st.stop-cycles <= 13 {
+		bpc = 263
+		goto budgetOut
+	}
+	// 107: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 263, cycles+0, instret+0); !ok {
 			goto errOut
 		}
-		// 02a: sw r13, 0(r12)
-		a = r[12] + 0x0
-		v = r[13]
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+42, cycles+23, instret+15) {
+		r[15] = v
+	}
+	// 108: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 264, cycles+2, instret+1); !ok {
 			goto errOut
 		}
-		// 02b: addi r11, r11, 4
-		r[11] = r[11] + 0x4
-		// 02c: addi r12, r12, 4
-		r[12] = r[12] + 0x4
-		// 02d: addi r10, r10, -1
-		r[10] = r[10] + 0xffffffff
-		// 02e: jal r0, -41
-		cycles, instret = cycles+29, instret+20
+		r[10] = v
+	}
+	// 109: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 265, cycles+4, instret+2); !ok {
+			goto errOut
+		}
+		r[11] = v
+	}
+	// 10a: lw r12, 12(r14)
+	a = r[14] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 266, cycles+6, instret+3); !ok {
+			goto errOut
+		}
+		r[12] = v
+	}
+	// 10b: lw r13, 16(r14)
+	a = r[14] + 0x10
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 267, cycles+8, instret+4); !ok {
+			goto errOut
+		}
+		r[13] = v
+	}
+	// 10c: addi r14, r14, 20
+	r[14] = r[14] + 0x14
+	// 10d: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+13, instret+7
+	switch v {
+	case 0:
+		goto L0
+	case 5:
 		goto L5
-	L47:
-		if st.stop-cycles <= 1 {
-			bpc = 47
-			goto budgetOut
-		}
-		// 02f: halt
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 48
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		return stErr
-	}
-}
-
-// Region R3: (unnamed) — 1 words, from control.
-var sigR3 = [...]uint64{
-	0x0000ff0000000e0d,
-}
-
-func bindR3(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r14 := r[14]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 1 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 1
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
 		goto okOut
-	budgetOut:
-		r[14] = r14
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[14] = r14
-		st.cycles, st.instret = cycles, instret
-		return stOK
 	}
-}
-
-// Region R4: main_loop — 3 words, from control.
-var sigR4 = [...]uint64{
-	0x0000002000000517, 0x000000720005001d, 0x0001050000000a0d,
-}
-
-func bindR4(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r5, r10 := r[5], r[10]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 4 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lw r5, 32(r0)
-		a = 0 + 0x20
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 001: bne r5, r0, 113
-		if r5 != 0 {
-			cycles, instret = cycles+4, instret+2
-			st.pc = base + 0x72
-			goto okOut
-		}
+L270:
+	if st.stop-cycles <= 27 {
+		bpc = 270
+		goto budgetOut
+	}
+	// 10e: addi r14, r14, -16
+	r[14] = r[14] + 0xfffffff0
+	// 10f: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 271, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 110: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 272, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 111: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 273, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 112: sw r12, 12(r14)
+	a = r[14] + 0xc
+	v = r[12]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 274, cycles+4, instret+4) {
+		goto errOut
+	}
+	// 113: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 114: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 115: and r10, r1, r5
+	r[10] = r[1] & r[5]
+	// 116: and r11, r2, r5
+	r[11] = r[2] & r[5]
+	// 117: slli r10, r10, 6
+	r[10] = r[10] << 6
+	// 118: slli r11, r11, 6
+	r[11] = r[11] << 6
+	// 119: srli r7, r1, 23
+	r[7] = r[1] >> 23
+	// 11a: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 11b: srli r8, r2, 23
+	r[8] = r[2] >> 23
+	// 11c: andi r8, r8, 255
+	r[8] = r[8] & 0xff
+	// 11d: sub r9, r7, r8
+	r[9] = r[7] - r[8]
+	// 11e: beq r9, r0, 51
+	if r[9] == 0 {
+		cycles, instret = cycles+18, instret+17
+		goto L337
+	}
+	cycles, instret = cycles+17, instret+17
+	// 11f: blt r0, r9, 21
+	if int32(0) < int32(r[9]) {
+		cycles, instret = cycles+2, instret+1
+		goto L308
+	}
+	cycles, instret = cycles+1, instret+1
+	// 120: addi r5, r0, 255
+	r[5] = 0 + 0xff
+	// 121: bne r8, r5, 7
+	if r[8] != r[5] {
 		cycles, instret = cycles+3, instret+2
-		// 002: addi r10, r0, 66816
-		r10 = 0 + 0x10500
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 3
-		goto okOut
-	budgetOut:
-		r[5], r[10] = r5, r10
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[5], r[10] = r5, r10
-		return stErr
-	okOut:
-		r[5], r[10] = r5, r10
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L296
 	}
-}
-
-// Region R5: acc_hunt — 37 words, from control.
-var sigR5 = [...]uint64{
-	0x00000008000a0517, 0x0000000800050615, 0x000000240006001d, 0x00000000000a0517,
-	0x000000c50000060d, 0x000000000605001d, 0x0000000000000b0d, 0x00000000000a0717,
-	0x00000000070b0b01, 0x0000000800070311, 0x00000000000a0717, 0x00000000070b0b01,
-	0x0000000007030304, 0x00000000000a0717, 0x00000000070b0b01, 0x0000000800070411,
-	0x00000000000a0717, 0x00000000070b0b01, 0x0000000007040404, 0x00000000000a0717,
-	0x00000000070b0b01, 0x0000000800070911, 0x00000000000a0717, 0x00000000070b0b01,
-	0x0000000007090904, 0x00000000000a0717, 0x00000000070b0b01, 0x000000ff000b0b0e,
-	0x00000000000b001d, 0x000000240000031a, 0x000000280000041a, 0x0000002c0000091a,
-	0x0000003c00000517, 0x000000010005050d, 0x0000003c0000051a, 0x0000000000000022,
-	0x0001040000000a0d,
-}
-
-func bindR5(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r3, r4, r5, r6, r7, r9, r10, r11 := r[3], r[4], r[5], r[6], r[7], r[9], r[10], r[11]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 36:
-			goto L36
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 47 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lw r5, 8(r10)
-		a = r10 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 001: sltiu r6, r5, 8
-		r6 = b2u(r5 < 0x8)
-		// 002: bne r6, r0, 34
-		if r6 != 0 {
-			cycles, instret = cycles+5, instret+3
-			goto L36
-		}
-		cycles, instret = cycles+4, instret+3
-		// 003: lw r5, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 004: addi r6, r0, 197
-		r6 = 0 + 0xc5
-		// 005: bne r5, r6, -5
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+3
-			goto L0
-		}
-		cycles, instret = cycles+4, instret+3
-		// 006: addi r11, r0, 0
-		r11 = 0 + 0x0
-		// 007: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+7, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 008: add r11, r11, r7
-		r11 = r11 + r7
-		// 009: slli r3, r7, 8
-		r3 = r7 << 8
-		// 00a: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+10, cycles+5, instret+4); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 00b: add r11, r11, r7
-		r11 = r11 + r7
-		// 00c: or r3, r3, r7
-		r3 = r3 | r7
-		// 00d: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+9, instret+7); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 00e: add r11, r11, r7
-		r11 = r11 + r7
-		// 00f: slli r4, r7, 8
-		r4 = r7 << 8
-		// 010: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+16, cycles+13, instret+10); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 011: add r11, r11, r7
-		r11 = r11 + r7
-		// 012: or r4, r4, r7
-		r4 = r4 | r7
-		// 013: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+19, cycles+17, instret+13); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 014: add r11, r11, r7
-		r11 = r11 + r7
-		// 015: slli r9, r7, 8
-		r9 = r7 << 8
-		// 016: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+22, cycles+21, instret+16); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 017: add r11, r11, r7
-		r11 = r11 + r7
-		// 018: or r9, r9, r7
-		r9 = r9 | r7
-		// 019: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+25, cycles+25, instret+19); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 01a: add r11, r11, r7
-		r11 = r11 + r7
-		// 01b: andi r11, r11, 255
-		r11 = r11 & 0xff
-		// 01c: bne r11, r0, -28
-		if r11 != 0 {
-			cycles, instret = cycles+31, instret+23
-			goto L0
-		}
-		cycles, instret = cycles+30, instret+23
-		// 01d: sw r3, 36(r0)
-		a = 0 + 0x24
-		v = r3
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+29, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 01e: sw r4, 40(r0)
-		a = 0 + 0x28
-		v = r4
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+30, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 01f: sw r9, 44(r0)
-		a = 0 + 0x2c
-		v = r9
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+31, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 020: lw r5, 60(r0)
-		a = 0 + 0x3c
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+32, cycles+3, instret+3); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 021: addi r5, r5, 1
-		r5 = r5 + 0x1
-		// 022: sw r5, 60(r0)
-		a = 0 + 0x3c
-		v = r5
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+34, cycles+6, instret+5) {
-			goto errOut
-		}
-		// 023: jal r0, -35
-		cycles, instret = cycles+9, instret+7
-		goto L0
-	L36:
-		if st.stop-cycles <= 1 {
-			bpc = 36
-			goto budgetOut
-		}
-		// 024: addi r10, r0, 66560
-		r10 = 0 + 0x10400
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 37
-		goto okOut
-	budgetOut:
-		r[3], r[4], r[5], r[6], r[7], r[9], r[10], r[11] = r3, r4, r5, r6, r7, r9, r10, r11
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[3], r[4], r[5], r[6], r[7], r[9], r[10], r[11] = r3, r4, r5, r6, r7, r9, r10, r11
-		return stErr
-	okOut:
-		r[3], r[4], r[5], r[6], r[7], r[9], r[10], r[11] = r3, r4, r5, r6, r7, r9, r10, r11
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	cycles, instret = cycles+2, instret+2
+	// 122: bne r11, r0, 67
+	if r[11] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L357
 	}
-}
-
-// Region R6: dmu_scan — 75 words, from control.
-var sigR6 = [...]uint64{
-	0x00000008000a0517, 0x0000000e00050615, 0x000000350006001d, 0x00000000000a0517,
-	0x000000aa0000060d, 0x000000000605001d, 0x00000000000a0517, 0x000000550000060d,
-	0x000000000605001d, 0x0000000000000b0d, 0x00000000000a0717, 0x00000000070b0b01,
-	0x0000000800070c11, 0x00000000000a0717, 0x00000000070b0b01, 0x00000000070c0c04,
-	0x00000000000a0717, 0x00000000070b0b01, 0x000000080000060d, 0x000000000607001d,
-	0x000000000000080d, 0x00000000000a0717, 0x00000000070b0b01, 0x000000600008050d,
-	0x000000000005071b, 0x000000010008080d, 0x000000080000060d, 0x000000150608001e,
-	0x00000000000a0717, 0x00000000070b0b01, 0x000000ff000b0b0e, 0x00000000000b001d,
-	0x000001010000060d, 0x00000000060c001d, 0x000000000000080d, 0x0000000100080511,
-	0x000000600005050d, 0x0000000000050619, 0x0000000100050719, 0x0000000800060611,
-	0x0000000007060604, 0x0000001000060611, 0x0000001000060613, 0x0000000200080511,
-	0x000000300005050d, 0x000000000005061a, 0x000000010008080d, 0x000000030000050d,
-	0x000000230508001e, 0x0000004000000517, 0x000000010005050d, 0x000000400000051a,
-	0x0000000000000022, 0x0000005400000517, 0x000000430005001c, 0x0001060000000a0d,
-	0x0000004400000617, 0x00000000000a061a, 0x0000004800000617, 0x00000020000a061a,
-	0x0000004c00000617, 0x00000018000a061a, 0x0000005000000617, 0x0000001c000a061a,
-	0x000000010000060d, 0x00000024000a061a, 0x000000540000001a, 0x0001000000000a0d,
-	0x0000003c00000517, 0x0000004000000617, 0x0000000800060611, 0x0000000006050504,
-	0x00000000000a051a, 0xffffffd800000022, 0x0000000000000000,
-}
-
-func bindR6(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r5, r6, r7, r8, r10, r11, r12 := r[5], r[6], r[7], r[8], r[10], r[11], r[12]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 53:
-			goto L53
-		case 74:
-			goto L74
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 27 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lw r5, 8(r10)
-		a = r10 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 001: sltiu r6, r5, 14
-		r6 = b2u(r5 < 0xe)
-		// 002: bne r6, r0, 51
-		if r6 != 0 {
-			cycles, instret = cycles+5, instret+3
-			goto L53
-		}
-		cycles, instret = cycles+4, instret+3
-		// 003: lw r5, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 004: addi r6, r0, 170
-		r6 = 0 + 0xaa
-		// 005: bne r5, r6, -5
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+3
-			goto L0
-		}
-		cycles, instret = cycles+4, instret+3
-		// 006: lw r5, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 007: addi r6, r0, 85
-		r6 = 0 + 0x55
-		// 008: bne r5, r6, -8
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+3
-			goto L0
-		}
-		cycles, instret = cycles+4, instret+3
-		// 009: addi r11, r0, 0
-		r11 = 0 + 0x0
-		// 00a: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+10, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 00b: add r11, r11, r7
-		r11 = r11 + r7
-		// 00c: slli r12, r7, 8
-		r12 = r7 << 8
-		// 00d: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+5, instret+4); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 00e: add r11, r11, r7
-		r11 = r11 + r7
-		// 00f: or r12, r12, r7
-		r12 = r12 | r7
-		// 010: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+16, cycles+9, instret+7); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 011: add r11, r11, r7
-		r11 = r11 + r7
-		// 012: addi r6, r0, 8
-		r6 = 0 + 0x8
-		// 013: bne r7, r6, -19
-		if r7 != r6 {
-			cycles, instret = cycles+15, instret+11
-			goto L0
-		}
-		cycles, instret = cycles+14, instret+11
-		// 014: addi r8, r0, 0
-		r8 = 0 + 0x0
-		cycles, instret = cycles+1, instret+1
-	L21:
-		if st.stop-cycles <= 16 {
-			bpc = 21
-			goto budgetOut
-		}
-		// 015: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+21, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 016: add r11, r11, r7
-		r11 = r11 + r7
-		// 017: addi r5, r8, 96
-		r5 = r8 + 0x60
-		// 018: sb r7, 0(r5)
-		a = r5 + 0x0
-		if a >= DataBytes {
-			_ = st.fault(c, a, base+24, cycles+4, instret+3, errByteStoreFault)
-			goto errOut
-		}
-		data[a] = byte(r7)
-		// 019: addi r8, r8, 1
-		r8 = r8 + 0x1
-		// 01a: addi r6, r0, 8
-		r6 = 0 + 0x8
-		// 01b: blt r8, r6, -6
-		if int32(r8) < int32(r6) {
-			cycles, instret = cycles+9, instret+7
-			goto L21
-		}
+	cycles, instret = cycles+1, instret+1
+	// 123: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 124: lui r5, 0x7f80
+	r[5] = 0x7f800000
+	// 125: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 126: or r1, r1, r5
+	r[1] = r[1] | r[5]
+	// 127: jal r0, 63
+	cycles, instret = cycles+6, instret+5
+	goto L358
+L296:
+	if st.stop-cycles <= 4 {
+		bpc = 296
+		goto budgetOut
+	}
+	// 128: bne r7, r0, 3
+	if r[7] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L299
+	}
+	cycles, instret = cycles+1, instret+1
+	// 129: addi r9, r9, 1
+	r[9] = r[9] + 0x1
+	// 12a: jal r0, 4
+	cycles, instret = cycles+3, instret+2
+	goto L302
+L299:
+	if st.stop-cycles <= 3 {
+		bpc = 299
+		goto budgetOut
+	}
+	// 12b: lui r5, 0x2000
+	r[5] = 0x20000000
+	// 12c: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 12d: or r10, r10, r5
+	r[10] = r[10] | r[5]
+	cycles, instret = cycles+3, instret+3
+L302:
+	if st.stop-cycles <= 5 {
+		bpc = 302
+		goto budgetOut
+	}
+	// 12e: addi r1, r10, 0
+	r[1] = r[10] + 0x0
+	// 12f: sub r2, r0, r9
+	r[2] = 0 - r[9]
+	// 130: addi r12, r8, 0
+	r[12] = r[8] + 0x0
+	// 131: jal r15, -269
+	r[15] = 1224
+	cycles, instret = cycles+5, instret+4
+	goto L36
+L306:
+	if st.stop-cycles <= 3 {
+		bpc = 306
+		goto budgetOut
+	}
+	// 132: addi r10, r1, 0
+	r[10] = r[1] + 0x0
+	// 133: jal r0, 16
+	cycles, instret = cycles+3, instret+2
+	goto L323
+L308:
+	if st.stop-cycles <= 5 {
+		bpc = 308
+		goto budgetOut
+	}
+	// 134: addi r5, r0, 255
+	r[5] = 0 + 0xff
+	// 135: bne r7, r5, 3
+	if r[7] != r[5] {
+		cycles, instret = cycles+3, instret+2
+		goto L312
+	}
+	cycles, instret = cycles+2, instret+2
+	// 136: bne r10, r0, 47
+	if r[10] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L357
+	}
+	cycles, instret = cycles+1, instret+1
+	// 137: jal r0, 47
+	cycles, instret = cycles+2, instret+1
+	goto L358
+L312:
+	if st.stop-cycles <= 4 {
+		bpc = 312
+		goto budgetOut
+	}
+	// 138: bne r8, r0, 3
+	if r[8] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L315
+	}
+	cycles, instret = cycles+1, instret+1
+	// 139: addi r9, r9, -1
+	r[9] = r[9] + 0xffffffff
+	// 13a: jal r0, 4
+	cycles, instret = cycles+3, instret+2
+	goto L318
+L315:
+	if st.stop-cycles <= 3 {
+		bpc = 315
+		goto budgetOut
+	}
+	// 13b: lui r5, 0x2000
+	r[5] = 0x20000000
+	// 13c: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 13d: or r11, r11, r5
+	r[11] = r[11] | r[5]
+	cycles, instret = cycles+3, instret+3
+L318:
+	if st.stop-cycles <= 5 {
+		bpc = 318
+		goto budgetOut
+	}
+	// 13e: addi r1, r11, 0
+	r[1] = r[11] + 0x0
+	// 13f: addi r2, r9, 0
+	r[2] = r[9] + 0x0
+	// 140: addi r12, r7, 0
+	r[12] = r[7] + 0x0
+	// 141: jal r15, -285
+	r[15] = 1288
+	cycles, instret = cycles+5, instret+4
+	goto L36
+L322:
+	if st.stop-cycles <= 1 {
+		bpc = 322
+		goto budgetOut
+	}
+	// 142: addi r11, r1, 0
+	r[11] = r[1] + 0x0
+	cycles, instret = cycles+1, instret+1
+L323:
+	if st.stop-cycles <= 14 {
+		bpc = 323
+		goto budgetOut
+	}
+	// 143: lui r5, 0x2000
+	r[5] = 0x20000000
+	// 144: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 145: or r10, r10, r5
+	r[10] = r[10] | r[5]
+	// 146: add r6, r10, r11
+	r[6] = r[10] + r[11]
+	// 147: slli r5, r6, 1
+	r[5] = r[6] << 1
+	// 148: addi r12, r12, -1
+	r[12] = r[12] + 0xffffffff
+	// 149: bge r5, r0, 3
+	if int32(r[5]) >= int32(0) {
 		cycles, instret = cycles+8, instret+7
-		// 01c: lw r7, 0(r10)
-		a = r10 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r7 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+28, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r7 = v
-		}
-		// 01d: add r11, r11, r7
-		r11 = r11 + r7
-		// 01e: andi r11, r11, 255
-		r11 = r11 & 0xff
-		// 01f: bne r11, r0, -31
-		if r11 != 0 {
-			cycles, instret = cycles+6, instret+4
-			goto L0
-		}
-		cycles, instret = cycles+5, instret+4
-		// 020: addi r6, r0, 257
-		r6 = 0 + 0x101
-		// 021: bne r12, r6, -33
-		if r12 != r6 {
-			cycles, instret = cycles+3, instret+2
-			goto L0
-		}
-		cycles, instret = cycles+2, instret+2
-		// 022: addi r8, r0, 0
-		r8 = 0 + 0x0
-		cycles, instret = cycles+1, instret+1
-	L35:
-		if st.stop-cycles <= 22 {
-			bpc = 35
-			goto budgetOut
-		}
-		// 023: slli r5, r8, 1
-		r5 = r8 << 1
-		// 024: addi r5, r5, 96
-		r5 = r5 + 0x60
-		// 025: lbu r6, 0(r5)
-		a = r5 + 0x0
-		if a >= DataBytes {
-			_ = st.fault(c, a, base+37, cycles+2, instret+2, errByteLoadFault)
+		goto L332
+	}
+	cycles, instret = cycles+7, instret+7
+	// 14a: addi r5, r6, 0
+	r[5] = r[6] + 0x0
+	// 14b: addi r12, r12, 1
+	r[12] = r[12] + 0x1
+	cycles, instret = cycles+2, instret+2
+L332:
+	// 14c: addi r1, r3, 0
+	r[1] = r[3] + 0x0
+	// 14d: addi r2, r12, 0
+	r[2] = r[12] + 0x0
+	// 14e: addi r3, r5, 0
+	r[3] = r[5] + 0x0
+	// 14f: jal r15, -231
+	r[15] = 1344
+	cycles, instret = cycles+5, instret+4
+	goto L104
+L336:
+	if st.stop-cycles <= 2 {
+		bpc = 336
+		goto budgetOut
+	}
+	// 150: jal r0, 22
+	cycles, instret = cycles+2, instret+1
+	goto L358
+L337:
+	if st.stop-cycles <= 6 {
+		bpc = 337
+		goto budgetOut
+	}
+	// 151: addi r5, r0, 255
+	r[5] = 0 + 0xff
+	// 152: bne r7, r5, 4
+	if r[7] != r[5] {
+		cycles, instret = cycles+3, instret+2
+		goto L342
+	}
+	cycles, instret = cycles+2, instret+2
+	// 153: or r6, r10, r11
+	r[6] = r[10] | r[11]
+	// 154: bne r6, r0, 17
+	if r[6] != 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L357
+	}
+	cycles, instret = cycles+2, instret+2
+	// 155: jal r0, 17
+	cycles, instret = cycles+2, instret+1
+	goto L358
+L342:
+	if st.stop-cycles <= 7 {
+		bpc = 342
+		goto budgetOut
+	}
+	// 156: bne r7, r0, 6
+	if r[7] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L348
+	}
+	cycles, instret = cycles+1, instret+1
+	// 157: add r5, r10, r11
+	r[5] = r[10] + r[11]
+	// 158: srli r5, r5, 6
+	r[5] = r[5] >> 6
+	// 159: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 15a: add r1, r1, r5
+	r[1] = r[1] + r[5]
+	// 15b: jal r0, 11
+	cycles, instret = cycles+6, instret+5
+	goto L358
+L348:
+	if st.stop-cycles <= 9 {
+		bpc = 348
+		goto budgetOut
+	}
+	// 15c: add r5, r10, r11
+	r[5] = r[10] + r[11]
+	// 15d: lui r6, 0x4000
+	r[6] = 0x40000000
+	// 15e: add r6, r6, r0
+	r[6] = r[6] + 0
+	// 15f: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 160: addi r1, r3, 0
+	r[1] = r[3] + 0x0
+	// 161: addi r2, r7, 0
+	r[2] = r[7] + 0x0
+	// 162: addi r3, r5, 0
+	r[3] = r[5] + 0x0
+	// 163: jal r15, -251
+	r[15] = 1424
+	cycles, instret = cycles+9, instret+8
+	goto L104
+L356:
+	if st.stop-cycles <= 2 {
+		bpc = 356
+		goto budgetOut
+	}
+	// 164: jal r0, 2
+	cycles, instret = cycles+2, instret+1
+	goto L358
+L357:
+	if st.stop-cycles <= 2 {
+		bpc = 357
+		goto budgetOut
+	}
+	// 165: jal r15, -280
+	r[15] = 1432
+	cycles, instret = cycles+2, instret+1
+	goto L77
+L358:
+	if st.stop-cycles <= 11 {
+		bpc = 358
+		goto budgetOut
+	}
+	// 166: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 358, cycles+0, instret+0); !ok {
 			goto errOut
 		}
-		r6 = uint32(data[a])
-		// 026: lbu r7, 1(r5)
-		a = r5 + 0x1
-		if a >= DataBytes {
-			_ = st.fault(c, a, base+38, cycles+4, instret+3, errByteLoadFault)
+		r[15] = v
+	}
+	// 167: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 359, cycles+2, instret+1); !ok {
 			goto errOut
 		}
-		r7 = uint32(data[a])
-		// 027: slli r6, r6, 8
-		r6 = r6 << 8
-		// 028: or r6, r6, r7
-		r6 = r6 | r7
-		// 029: slli r6, r6, 16
-		r6 = r6 << 16
-		// 02a: srai r6, r6, 16
-		r6 = uint32(int32(r6) >> 16)
-		// 02b: slli r5, r8, 2
-		r5 = r8 << 2
-		// 02c: addi r5, r5, 48
-		r5 = r5 + 0x30
-		// 02d: sw r6, 0(r5)
-		a = r5 + 0x0
-		v = r6
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+45, cycles+12, instret+10) {
+		r[10] = v
+	}
+	// 168: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 360, cycles+4, instret+2); !ok {
 			goto errOut
 		}
-		// 02e: addi r8, r8, 1
-		r8 = r8 + 0x1
-		// 02f: addi r5, r0, 3
-		r5 = 0 + 0x3
-		// 030: blt r8, r5, -13
-		if int32(r8) < int32(r5) {
-			cycles, instret = cycles+17, instret+14
-			goto L35
-		}
-		cycles, instret = cycles+16, instret+14
-		// 031: lw r5, 64(r0)
-		a = 0 + 0x40
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+49, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 032: addi r5, r5, 1
-		r5 = r5 + 0x1
-		// 033: sw r5, 64(r0)
-		a = 0 + 0x40
-		v = r5
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+51, cycles+3, instret+2) {
+		r[11] = v
+	}
+	// 169: lw r12, 12(r14)
+	a = r[14] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 361, cycles+6, instret+3); !ok {
 			goto errOut
 		}
-		// 034: jal r0, -52
-		cycles, instret = cycles+6, instret+4
+		r[12] = v
+	}
+	// 16a: addi r14, r14, 16
+	r[14] = r[14] + 0x10
+	// 16b: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+11, instret+6
+	switch v {
+	case 0:
 		goto L0
-	L53:
-		if st.stop-cycles <= 29 {
-			bpc = 53
-			goto budgetOut
-		}
-		// 035: lw r5, 84(r0)
-		a = 0 + 0x54
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+53, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 036: beq r5, r0, 13
-		if r5 == 0 {
-			cycles, instret = cycles+4, instret+2
-			goto L67
-		}
-		cycles, instret = cycles+3, instret+2
-		// 037: addi r10, r0, 67072
-		r10 = 0 + 0x10600
-		// 038: lw r6, 68(r0)
-		a = 0 + 0x44
-		if a&3 == 0 && a <= DataBytes-4 {
-			r6 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+56, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r6 = v
-		}
-		// 039: sw r6, 0(r10)
-		a = r10 + 0x0
-		v = r6
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+57, cycles+3, instret+2) {
-			goto errOut
-		}
-		// 03a: lw r6, 72(r0)
-		a = 0 + 0x48
-		if a&3 == 0 && a <= DataBytes-4 {
-			r6 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+58, cycles+4, instret+3); !ok {
-				goto errOut
-			}
-			r6 = v
-		}
-		// 03b: sw r6, 32(r10)
-		a = r10 + 0x20
-		v = r6
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+59, cycles+6, instret+4) {
-			goto errOut
-		}
-		// 03c: lw r6, 76(r0)
-		a = 0 + 0x4c
-		if a&3 == 0 && a <= DataBytes-4 {
-			r6 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+60, cycles+7, instret+5); !ok {
-				goto errOut
-			}
-			r6 = v
-		}
-		// 03d: sw r6, 24(r10)
-		a = r10 + 0x18
-		v = r6
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+61, cycles+9, instret+6) {
-			goto errOut
-		}
-		// 03e: lw r6, 80(r0)
-		a = 0 + 0x50
-		if a&3 == 0 && a <= DataBytes-4 {
-			r6 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+62, cycles+10, instret+7); !ok {
-				goto errOut
-			}
-			r6 = v
-		}
-		// 03f: sw r6, 28(r10)
-		a = r10 + 0x1c
-		v = r6
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+63, cycles+12, instret+8) {
-			goto errOut
-		}
-		// 040: addi r6, r0, 1
-		r6 = 0 + 0x1
-		// 041: sw r6, 36(r10)
-		a = r10 + 0x24
-		v = r6
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+65, cycles+14, instret+10) {
-			goto errOut
-		}
-		// 042: sw r0, 84(r0)
-		a = 0 + 0x54
-		v = 0
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+66, cycles+15, instret+11) {
-			goto errOut
-		}
-		cycles, instret = cycles+16, instret+12
-	L67:
-		// 043: addi r10, r0, 65536
-		r10 = 0 + 0x10000
-		// 044: lw r5, 60(r0)
-		a = 0 + 0x3c
-		if a&3 == 0 && a <= DataBytes-4 {
-			r5 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+68, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r5 = v
-		}
-		// 045: lw r6, 64(r0)
-		a = 0 + 0x40
-		if a&3 == 0 && a <= DataBytes-4 {
-			r6 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+69, cycles+3, instret+2); !ok {
-				goto errOut
-			}
-			r6 = v
-		}
-		// 046: slli r6, r6, 8
-		r6 = r6 << 8
-		// 047: or r5, r5, r6
-		r5 = r5 | r6
-		// 048: sw r5, 0(r10)
-		a = r10 + 0x0
-		v = r5
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+72, cycles+7, instret+5) {
-			goto errOut
-		}
-		// 049: jal r0, -113
-		cycles, instret = cycles+10, instret+7
-		st.pc = base + 0xffffffd8
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
 		goto okOut
-	L74:
-		if st.stop-cycles <= 1 {
-			bpc = 74
-			goto budgetOut
-		}
-		// 04a: halt
-		cycles, instret = cycles+1, instret+1
-		r[5], r[6], r[7], r[8], r[10], r[11], r[12] = r5, r6, r7, r8, r10, r11, r12
-		st.pc = base + 75
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[5], r[6], r[7], r[8], r[10], r[11], r[12] = r5, r6, r7, r8, r10, r11, r12
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[5], r[6], r[7], r[8], r[10], r[11], r[12] = r5, r6, r7, r8, r10, r11, r12
-		return stErr
-	okOut:
-		r[5], r[6], r[7], r[8], r[10], r[11], r[12] = r5, r6, r7, r8, r10, r11, r12
-		st.cycles, st.instret = cycles, instret
-		return stOK
 	}
-}
-
-// Region R7: (unnamed) — 14 words, from batch/f32_add.
-var sigR7 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x0000008f00000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR7(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 136
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x8f
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+L364:
+	if st.stop-cycles <= 28 {
+		bpc = 364
+		goto budgetOut
 	}
-}
-
-// Region R8: sf_shr_jam — 14 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR8 = [...]uint64{
-	0x0000000a0002001c, 0x0000002000020515, 0x0000000b0005001c, 0x0000000002010607,
-	0x000000200000050d, 0x0000000002050502, 0x0000000005010506, 0x000000090005001c,
-	0x000000010006060f, 0x000000000006010d, 0x00000000000f0023, 0x0000000a0001001c,
-	0x000000010000010d, 0x00000000000f0023,
-}
-
-func bindR8(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r15 := r[1], r[2], r[5], r[6], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 11:
-			goto L11
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 10 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: beq r2, r0, 10
-		if r2 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L10
-		}
-		cycles, instret = cycles+1, instret+1
-		// 001: sltiu r5, r2, 32
-		r5 = b2u(r2 < 0x20)
-		// 002: beq r5, r0, 9
-		if r5 == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L11
-		}
-		cycles, instret = cycles+2, instret+2
-		// 003: srl r6, r1, r2
-		r6 = r1 >> (r2 & 31)
-		// 004: addi r5, r0, 32
-		r5 = 0 + 0x20
-		// 005: sub r5, r5, r2
-		r5 = r5 - r2
-		// 006: sll r5, r1, r5
-		r5 = r1 << (r5 & 31)
-		// 007: beq r5, r0, 2
-		if r5 == 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L9
-		}
-		cycles, instret = cycles+5, instret+5
-		// 008: ori r6, r6, 1
-		r6 = r6 | 0x1
-		cycles, instret = cycles+1, instret+1
-	L9:
-		// 009: addi r1, r6, 0
-		r1 = r6 + 0x0
-		cycles, instret = cycles+1, instret+1
-	L10:
-		if st.stop-cycles <= 2 {
-			bpc = 10
-			goto budgetOut
-		}
-		// 00a: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
+	// 16c: addi r14, r14, -16
+	r[14] = r[14] + 0xfffffff0
+	// 16d: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 365, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 16e: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 366, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 16f: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 367, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 170: sw r12, 12(r14)
+	a = r[14] + 0xc
+	v = r[12]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 368, cycles+4, instret+4) {
+		goto errOut
+	}
+	// 171: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 172: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 173: and r10, r1, r5
+	r[10] = r[1] & r[5]
+	// 174: and r11, r2, r5
+	r[11] = r[2] & r[5]
+	// 175: slli r10, r10, 7
+	r[10] = r[10] << 7
+	// 176: slli r11, r11, 7
+	r[11] = r[11] << 7
+	// 177: srli r7, r1, 23
+	r[7] = r[1] >> 23
+	// 178: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 179: srli r8, r2, 23
+	r[8] = r[2] >> 23
+	// 17a: andi r8, r8, 255
+	r[8] = r[8] & 0xff
+	// 17b: sub r9, r7, r8
+	r[9] = r[7] - r[8]
+	// 17c: beq r9, r0, 48
+	if r[9] == 0 {
+		cycles, instret = cycles+18, instret+17
+		goto L428
+	}
+	cycles, instret = cycles+17, instret+17
+	// 17d: blt r0, r9, 27
+	if int32(0) < int32(r[9]) {
 		cycles, instret = cycles+2, instret+1
-		st.pc = v
-		goto okOut
-	L11:
-		if st.stop-cycles <= 4 {
-			bpc = 11
-			goto budgetOut
-		}
-		// 00b: beq r1, r0, -1
-		if r1 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L10
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00c: addi r1, r0, 1
-		r1 = 0 + 0x1
-		// 00d: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6] = r1, r5, r6
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[5], r[6] = r1, r5, r6
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L408
 	}
-}
-
-// Region R9: sf_clz — 27 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR9 = [...]uint64{
-	0x000000190001001c, 0x000000000000050d, 0x000100000000060d, 0x0000000606010021,
-	0x000000100005050d, 0x0000001000010111, 0x0100000000000616, 0x0000000000060601,
-	0x0000000b06010021, 0x000000080005050d, 0x0000000800010111, 0x1000000000000616,
-	0x0000000000060601, 0x0000001006010021, 0x000000040005050d, 0x0000000400010111,
-	0x4000000000000616, 0x0000000000060601, 0x0000001506010021, 0x000000020005050d,
-	0x0000000200010111, 0x000000170001001e, 0x000000010005050d, 0x000000000005010d,
-	0x00000000000f0023, 0x000000200000010d, 0x00000000000f0023,
-}
-
-func bindR9(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r5, r6, r15 := r[1], r[5], r[6], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 25:
-			goto L25
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 26 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: beq r1, r0, 25
-		if r1 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L25
-		}
-		cycles, instret = cycles+1, instret+1
-		// 001: addi r5, r0, 0
-		r5 = 0 + 0x0
-		// 002: addi r6, r0, 65536
-		r6 = 0 + 0x10000
-		// 003: bgeu r1, r6, 3
-		if r1 >= r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L6
-		}
-		cycles, instret = cycles+3, instret+3
-		// 004: addi r5, r5, 16
-		r5 = r5 + 0x10
-		// 005: slli r1, r1, 16
-		r1 = r1 << 16
-		cycles, instret = cycles+2, instret+2
-	L6:
-		// 006: lui r6, 0x100
-		r6 = 0x1000000
-		// 007: add r6, r6, r0
-		r6 = r6 + 0
-		// 008: bgeu r1, r6, 3
-		if r1 >= r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L11
-		}
-		cycles, instret = cycles+3, instret+3
-		// 009: addi r5, r5, 8
-		r5 = r5 + 0x8
-		// 00a: slli r1, r1, 8
-		r1 = r1 << 8
-		cycles, instret = cycles+2, instret+2
-	L11:
-		// 00b: lui r6, 0x1000
-		r6 = 0x10000000
-		// 00c: add r6, r6, r0
-		r6 = r6 + 0
-		// 00d: bgeu r1, r6, 3
-		if r1 >= r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L16
-		}
-		cycles, instret = cycles+3, instret+3
-		// 00e: addi r5, r5, 4
-		r5 = r5 + 0x4
-		// 00f: slli r1, r1, 4
-		r1 = r1 << 4
-		cycles, instret = cycles+2, instret+2
-	L16:
-		// 010: lui r6, 0x4000
-		r6 = 0x40000000
-		// 011: add r6, r6, r0
-		r6 = r6 + 0
-		// 012: bgeu r1, r6, 3
-		if r1 >= r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L21
-		}
-		cycles, instret = cycles+3, instret+3
-		// 013: addi r5, r5, 2
-		r5 = r5 + 0x2
-		// 014: slli r1, r1, 2
-		r1 = r1 << 2
-		cycles, instret = cycles+2, instret+2
-	L21:
-		// 015: blt r1, r0, 2
-		if int32(r1) < int32(0) {
-			cycles, instret = cycles+2, instret+1
-			goto L23
-		}
-		cycles, instret = cycles+1, instret+1
-		// 016: addi r5, r5, 1
-		r5 = r5 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L23:
-		// 017: addi r1, r5, 0
-		r1 = r5 + 0x0
-		// 018: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
+	cycles, instret = cycles+1, instret+1
+	// 17e: addi r5, r0, 255
+	r[5] = 0 + 0xff
+	// 17f: bne r8, r5, 8
+	if r[8] != r[5] {
 		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L25:
-		if st.stop-cycles <= 3 {
-			bpc = 25
-			goto budgetOut
-		}
-		// 019: addi r1, r0, 32
-		r1 = 0 + 0x20
-		// 01a: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6] = r1, r5, r6
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[5], r[6] = r1, r5, r6
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L391
 	}
-}
-
-// Region R10: sf_propnan — 27 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR10 = [...]uint64{
-	0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010603, 0x0000001700010712,
-	0x000000ff0007070e, 0x000000ff0000080d, 0x0000000c0807001d, 0x0000000c0006001c,
-	0x0040000000000516, 0x0000000000050501, 0x0000000005010104, 0x00000000000f0023,
-	0x007f000000000516, 0x0000ffff0005050f, 0x0000000005020603, 0x0000001700020712,
-	0x000000ff0007070e, 0x000000ff0000080d, 0x000000180807001d, 0x000000180006001c,
-	0x0040000000000516, 0x0000000000050501, 0x0000000005020104, 0x00000000000f0023,
-	0x7fc0000000000116, 0x0000000000010101, 0x00000000000f0023,
-}
-
-func bindR10(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r7, r8, r15 := r[1], r[2], r[5], r[6], r[7], r[8], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 12:
-			goto L12
-		case 24:
-			goto L24
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 13 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 001: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 002: and r6, r1, r5
-		r6 = r1 & r5
-		// 003: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 004: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 005: addi r8, r0, 255
-		r8 = 0 + 0xff
-		// 006: bne r7, r8, 6
-		if r7 != r8 {
-			cycles, instret = cycles+8, instret+7
-			goto L12
-		}
-		cycles, instret = cycles+7, instret+7
-		// 007: beq r6, r0, 5
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L12
-		}
-		cycles, instret = cycles+1, instret+1
-		// 008: lui r5, 0x40
-		r5 = 0x400000
-		// 009: add r5, r5, r0
-		r5 = r5 + 0
-		// 00a: or r1, r1, r5
-		r1 = r1 | r5
-		// 00b: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = v
-		goto okOut
-	L12:
-		if st.stop-cycles <= 13 {
-			bpc = 12
-			goto budgetOut
-		}
-		// 00c: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 00d: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 00e: and r6, r2, r5
-		r6 = r2 & r5
-		// 00f: srli r7, r2, 23
-		r7 = r2 >> 23
-		// 010: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 011: addi r8, r0, 255
-		r8 = 0 + 0xff
-		// 012: bne r7, r8, 6
-		if r7 != r8 {
-			cycles, instret = cycles+8, instret+7
-			goto L24
-		}
-		cycles, instret = cycles+7, instret+7
-		// 013: beq r6, r0, 5
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L24
-		}
-		cycles, instret = cycles+1, instret+1
-		// 014: lui r5, 0x40
-		r5 = 0x400000
-		// 015: add r5, r5, r0
-		r5 = r5 + 0
-		// 016: or r1, r2, r5
-		r1 = r2 | r5
-		// 017: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = v
-		goto okOut
-	L24:
-		if st.stop-cycles <= 4 {
-			bpc = 24
-			goto budgetOut
-		}
-		// 018: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 019: add r1, r1, r0
-		r1 = r1 + 0
-		// 01a: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6], r[7], r[8] = r1, r5, r6, r7, r8
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[5], r[6], r[7], r[8] = r1, r5, r6, r7, r8
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R11: sf_roundpack — 20 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR11 = [...]uint64{
-	0xfffffff0000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x0000000000010a0d, 0x0000000000020b0d, 0x0000000000030c0d,
-	0x000000fd0000050d, 0x00000014050b0020, 0x000000220b05001e, 0x0000000f050b001d,
-	0x00000040000c060d, 0x000000220006001e, 0x0000001400000022, 0x00000000000c010d,
-	0x000000000b000202, 0xffffffbc00000f22, 0x0000000000010c0d, 0x0000000000000b0d,
-}
-
-func bindR11(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 15:
-			goto L15
-		case 18:
-			goto L18
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 16 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -16
-		r14 = r14 + 0xfffffff0
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+4, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 005: addi r10, r1, 0
-		r10 = r1 + 0x0
-		// 006: addi r11, r2, 0
-		r11 = r2 + 0x0
-		// 007: addi r12, r3, 0
-		r12 = r3 + 0x0
-		// 008: addi r5, r0, 253
-		r5 = 0 + 0xfd
-		// 009: bltu r11, r5, 11
-		if r11 < r5 {
-			cycles, instret = cycles+11, instret+10
-			st.pc = base + 20
-			goto okOut
-		}
-		cycles, instret = cycles+10, instret+10
-		// 00a: blt r5, r11, 24
-		if int32(r5) < int32(r11) {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x22
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00b: bne r11, r5, 4
-		if r11 != r5 {
-			cycles, instret = cycles+2, instret+1
-			goto L15
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00c: addi r6, r12, 64
-		r6 = r12 + 0x40
-		// 00d: blt r6, r0, 21
-		if int32(r6) < int32(0) {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x22
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-		// 00e: jal r0, 6
+	cycles, instret = cycles+2, instret+2
+	// 180: bne r11, r0, 68
+	if r[11] != 0 {
 		cycles, instret = cycles+2, instret+1
-		st.pc = base + 20
-		goto okOut
-	L15:
-		if st.stop-cycles <= 4 {
-			bpc = 15
-			goto budgetOut
-		}
-		// 00f: addi r1, r12, 0
-		r1 = r12 + 0x0
-		// 010: sub r2, r0, r11
-		r2 = 0 - r11
-		// 011: jal r15, -85
-		r15 = (base + 18) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffffbc
-		goto okOut
-	L18:
-		if st.stop-cycles <= 2 {
-			bpc = 18
-			goto budgetOut
-		}
-		// 012: addi r12, r1, 0
-		r12 = r1 + 0x0
-		// 013: addi r11, r0, 0
-		r11 = 0 + 0x0
-		cycles, instret = cycles+2, instret+2
-		st.pc = base + 20
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[5], r[6], r[10], r[11], r[12], r[14], r[15] = r1, r2, r5, r6, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[5], r[6], r[10], r[11], r[12], r[14], r[15] = r1, r2, r5, r6, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[5], r[6], r[10], r[11], r[12], r[14], r[15] = r1, r2, r5, r6, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L452
 	}
-}
-
-// Region R12: rp_round — 18 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR12 = [...]uint64{
-	0x0000007f000c050e, 0x00000040000c0c0d, 0x00000007000c0c12, 0x000000400000060d,
-	0x000000070605001d, 0xfffffffe0000070d, 0x00000000070c0c03, 0x00000009000c001d,
-	0x0000000000000b0d, 0x0000001f000a0511, 0x00000017000b0611, 0x0000000006050101,
-	0x000000000c010101, 0x0000001200000022, 0x0000001f000a0111, 0x7f80000000000516,
-	0x0000000000050501, 0x0000000005010104,
-}
-
-func bindR12(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r5, r6, r7, r10, r11, r12 := r[1], r[5], r[6], r[7], r[10], r[11], r[12]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 14:
-			goto L14
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 15 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: andi r5, r12, 127
-		r5 = r12 & 0x7f
-		// 001: addi r12, r12, 64
-		r12 = r12 + 0x40
-		// 002: srli r12, r12, 7
-		r12 = r12 >> 7
-		// 003: addi r6, r0, 64
-		r6 = 0 + 0x40
-		// 004: bne r5, r6, 3
-		if r5 != r6 {
-			cycles, instret = cycles+6, instret+5
-			goto L7
-		}
-		cycles, instret = cycles+5, instret+5
-		// 005: addi r7, r0, -2
-		r7 = 0 + 0xfffffffe
-		// 006: and r12, r12, r7
-		r12 = r12 & r7
-		cycles, instret = cycles+2, instret+2
-	L7:
-		// 007: bne r12, r0, 2
-		if r12 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L9
-		}
-		cycles, instret = cycles+1, instret+1
-		// 008: addi r11, r0, 0
-		r11 = 0 + 0x0
-		cycles, instret = cycles+1, instret+1
-	L9:
-		// 009: slli r5, r10, 31
-		r5 = r10 << 31
-		// 00a: slli r6, r11, 23
-		r6 = r11 << 23
-		// 00b: add r1, r5, r6
-		r1 = r5 + r6
-		// 00c: add r1, r1, r12
-		r1 = r1 + r12
-		// 00d: jal r0, 5
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 18
-		goto okOut
-	L14:
-		if st.stop-cycles <= 4 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: slli r1, r10, 31
-		r1 = r10 << 31
-		// 00f: lui r5, 0x7f80
-		r5 = 0x7f800000
-		// 010: add r5, r5, r0
-		r5 = r5 + 0
-		// 011: or r1, r1, r5
-		r1 = r1 | r5
-		cycles, instret = cycles+4, instret+4
-		st.pc = base + 18
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6], r[7], r[11], r[12] = r1, r5, r6, r7, r11, r12
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[5], r[6], r[7], r[11], r[12] = r1, r5, r6, r7, r11, r12
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	cycles, instret = cycles+1, instret+1
+	// 181: xori r3, r3, 1
+	r[3] = r[3] ^ 0x1
+	// 182: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 183: lui r5, 0x7f80
+	r[5] = 0x7f800000
+	// 184: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 185: or r1, r1, r5
+	r[1] = r[1] | r[5]
+	// 186: jal r0, 63
+	cycles, instret = cycles+7, instret+6
+	goto L453
+L391:
+	if st.stop-cycles <= 4 {
+		bpc = 391
+		goto budgetOut
 	}
-}
-
-// Region R13: rp_ret — 6 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR13 = [...]uint64{
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0e0d, 0x00000000000f0023,
-}
-
-func bindR13(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r10, r11, r12, r14, r15 := r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		default:
-			return stNoEntry
+	// 187: bne r7, r0, 3
+	if r[7] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L394
+	}
+	cycles, instret = cycles+1, instret+1
+	// 188: addi r9, r9, 1
+	r[9] = r[9] + 0x1
+	// 189: jal r0, 4
+	cycles, instret = cycles+3, instret+2
+	goto L397
+L394:
+	if st.stop-cycles <= 3 {
+		bpc = 394
+		goto budgetOut
+	}
+	// 18a: lui r5, 0x4000
+	r[5] = 0x40000000
+	// 18b: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 18c: or r10, r10, r5
+	r[10] = r[10] | r[5]
+	cycles, instret = cycles+3, instret+3
+L397:
+	if st.stop-cycles <= 5 {
+		bpc = 397
+		goto budgetOut
+	}
+	// 18d: addi r1, r10, 0
+	r[1] = r[10] + 0x0
+	// 18e: sub r2, r0, r9
+	r[2] = 0 - r[9]
+	// 18f: addi r12, r8, 0
+	r[12] = r[8] + 0x0
+	// 190: jal r15, -364
+	r[15] = 1604
+	cycles, instret = cycles+5, instret+4
+	goto L36
+L401:
+	if st.stop-cycles <= 8 {
+		bpc = 401
+		goto budgetOut
+	}
+	// 191: addi r10, r1, 0
+	r[10] = r[1] + 0x0
+	// 192: lui r5, 0x4000
+	r[5] = 0x40000000
+	// 193: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 194: or r11, r11, r5
+	r[11] = r[11] | r[5]
+	// 195: sub r5, r11, r10
+	r[5] = r[11] - r[10]
+	// 196: xori r3, r3, 1
+	r[3] = r[3] ^ 0x1
+	// 197: jal r0, 40
+	cycles, instret = cycles+8, instret+7
+	goto L447
+L408:
+	if st.stop-cycles <= 5 {
+		bpc = 408
+		goto budgetOut
+	}
+	// 198: addi r5, r0, 255
+	r[5] = 0 + 0xff
+	// 199: bne r7, r5, 3
+	if r[7] != r[5] {
+		cycles, instret = cycles+3, instret+2
+		goto L412
+	}
+	cycles, instret = cycles+2, instret+2
+	// 19a: bne r10, r0, 42
+	if r[10] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L452
+	}
+	cycles, instret = cycles+1, instret+1
+	// 19b: jal r0, 42
+	cycles, instret = cycles+2, instret+1
+	goto L453
+L412:
+	if st.stop-cycles <= 4 {
+		bpc = 412
+		goto budgetOut
+	}
+	// 19c: bne r8, r0, 3
+	if r[8] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L415
+	}
+	cycles, instret = cycles+1, instret+1
+	// 19d: addi r9, r9, -1
+	r[9] = r[9] + 0xffffffff
+	// 19e: jal r0, 4
+	cycles, instret = cycles+3, instret+2
+	goto L418
+L415:
+	if st.stop-cycles <= 3 {
+		bpc = 415
+		goto budgetOut
+	}
+	// 19f: lui r5, 0x4000
+	r[5] = 0x40000000
+	// 1a0: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 1a1: or r11, r11, r5
+	r[11] = r[11] | r[5]
+	cycles, instret = cycles+3, instret+3
+L418:
+	if st.stop-cycles <= 5 {
+		bpc = 418
+		goto budgetOut
+	}
+	// 1a2: addi r1, r11, 0
+	r[1] = r[11] + 0x0
+	// 1a3: addi r2, r9, 0
+	r[2] = r[9] + 0x0
+	// 1a4: addi r12, r7, 0
+	r[12] = r[7] + 0x0
+	// 1a5: jal r15, -385
+	r[15] = 1688
+	cycles, instret = cycles+5, instret+4
+	goto L36
+L422:
+	if st.stop-cycles <= 7 {
+		bpc = 422
+		goto budgetOut
+	}
+	// 1a6: addi r11, r1, 0
+	r[11] = r[1] + 0x0
+	// 1a7: lui r5, 0x4000
+	r[5] = 0x40000000
+	// 1a8: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 1a9: or r10, r10, r5
+	r[10] = r[10] | r[5]
+	// 1aa: sub r5, r10, r11
+	r[5] = r[10] - r[11]
+	// 1ab: jal r0, 20
+	cycles, instret = cycles+7, instret+6
+	goto L447
+L428:
+	if st.stop-cycles <= 8 {
+		bpc = 428
+		goto budgetOut
+	}
+	// 1ac: addi r5, r0, 255
+	r[5] = 0 + 0xff
+	// 1ad: bne r7, r5, 6
+	if r[7] != r[5] {
+		cycles, instret = cycles+3, instret+2
+		goto L435
+	}
+	cycles, instret = cycles+2, instret+2
+	// 1ae: or r6, r10, r11
+	r[6] = r[10] | r[11]
+	// 1af: bne r6, r0, 21
+	if r[6] != 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L452
+	}
+	cycles, instret = cycles+2, instret+2
+	// 1b0: lui r1, 0x7fc0
+	r[1] = 0x7fc00000
+	// 1b1: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 1b2: jal r0, 19
+	cycles, instret = cycles+4, instret+3
+	goto L453
+L435:
+	if st.stop-cycles <= 7 {
+		bpc = 435
+		goto budgetOut
+	}
+	// 1b3: bne r7, r0, 2
+	if r[7] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L437
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1b4: addi r7, r0, 1
+	r[7] = 0 + 0x1
+	cycles, instret = cycles+1, instret+1
+L437:
+	// 1b5: bltu r11, r10, 4
+	if r[11] < r[10] {
+		cycles, instret = cycles+2, instret+1
+		goto L441
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1b6: bltu r10, r11, 6
+	if r[10] < r[11] {
+		cycles, instret = cycles+2, instret+1
+		goto L444
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1b7: addi r1, r0, 0
+	r[1] = 0 + 0x0
+	// 1b8: jal r0, 13
+	cycles, instret = cycles+3, instret+2
+	goto L453
+L441:
+	if st.stop-cycles <= 4 {
+		bpc = 441
+		goto budgetOut
+	}
+	// 1b9: sub r5, r10, r11
+	r[5] = r[10] - r[11]
+	// 1ba: addi r12, r7, 0
+	r[12] = r[7] + 0x0
+	// 1bb: jal r0, 4
+	cycles, instret = cycles+4, instret+3
+	goto L447
+L444:
+	if st.stop-cycles <= 3 {
+		bpc = 444
+		goto budgetOut
+	}
+	// 1bc: sub r5, r11, r10
+	r[5] = r[11] - r[10]
+	// 1bd: addi r12, r7, 0
+	r[12] = r[7] + 0x0
+	// 1be: xori r3, r3, 1
+	r[3] = r[3] ^ 0x1
+	cycles, instret = cycles+3, instret+3
+L447:
+	if st.stop-cycles <= 5 {
+		bpc = 447
+		goto budgetOut
+	}
+	// 1bf: addi r1, r3, 0
+	r[1] = r[3] + 0x0
+	// 1c0: addi r2, r12, -1
+	r[2] = r[12] + 0xffffffff
+	// 1c1: addi r3, r5, 0
+	r[3] = r[5] + 0x0
+	// 1c2: jal r15, -302
+	r[15] = 1804
+	cycles, instret = cycles+5, instret+4
+	goto L148
+L451:
+	if st.stop-cycles <= 2 {
+		bpc = 451
+		goto budgetOut
+	}
+	// 1c3: jal r0, 2
+	cycles, instret = cycles+2, instret+1
+	goto L453
+L452:
+	if st.stop-cycles <= 2 {
+		bpc = 452
+		goto budgetOut
+	}
+	// 1c4: jal r15, -375
+	r[15] = 1812
+	cycles, instret = cycles+2, instret+1
+	goto L77
+L453:
+	if st.stop-cycles <= 11 {
+		bpc = 453
+		goto budgetOut
+	}
+	// 1c5: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 453, cycles+0, instret+0); !ok {
+			goto errOut
 		}
-	L0:
-		if st.stop-cycles <= 11 {
-			bpc = 0
-			goto budgetOut
+		r[15] = v
+	}
+	// 1c6: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 454, cycles+2, instret+1); !ok {
+			goto errOut
 		}
-		// 000: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
+		r[10] = v
+	}
+	// 1c7: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 455, cycles+4, instret+2); !ok {
+			goto errOut
 		}
-		// 001: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
+		r[11] = v
+	}
+	// 1c8: lw r12, 12(r14)
+	a = r[14] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 456, cycles+6, instret+3); !ok {
+			goto errOut
 		}
-		// 002: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+2, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 003: lw r12, 12(r14)
-		a = r14 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r12 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r12 = v
-		}
-		// 004: addi r14, r14, 16
-		r14 = r14 + 0x10
-		// 005: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
+		r[12] = v
+	}
+	// 1c9: addi r14, r14, 16
+	r[14] = r[14] + 0x10
+	// 1ca: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+11, instret+6
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
 		st.pc = v
 		goto okOut
-	budgetOut:
-		r[10], r[11], r[12], r[14], r[15] = r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[10], r[11], r[12], r[14], r[15] = r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[10], r[11], r[12], r[14], r[15] = r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
 	}
-}
-
-// Region R14: sf_normroundpack — 17 words, from batch/f32_add.
-var sigR14 = [...]uint64{
-	0xfffffff4000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000000010a0d, 0x0000000000020b0d, 0x000000000003010d, 0xffffff9e00000f22,
-	0xffffffff0001070d, 0x00000000070b0202, 0x0000000007030306, 0x00000000000a010d,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0e0d,
-	0xffffffd400000022,
-}
-
-func bindR14(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r7, r10, r11, r14, r15 := r[1], r[2], r[3], r[7], r[10], r[11], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 9 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -12
-		r14 = r14 + 0xfffffff4
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
+L459:
+	if st.stop-cycles <= 23 {
+		bpc = 459
+		goto budgetOut
+	}
+	// 1cb: addi r14, r14, -16
+	r[14] = r[14] + 0xfffffff0
+	// 1cc: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 460, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 1cd: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 461, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 1ce: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 462, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 1cf: sw r12, 12(r14)
+	a = r[14] + 0xc
+	v = r[12]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 463, cycles+4, instret+4) {
+		goto errOut
+	}
+	// 1d0: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 1d1: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 1d2: and r10, r1, r5
+	r[10] = r[1] & r[5]
+	// 1d3: and r11, r2, r5
+	r[11] = r[2] & r[5]
+	// 1d4: srli r7, r1, 23
+	r[7] = r[1] >> 23
+	// 1d5: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 1d6: srli r8, r2, 23
+	r[8] = r[2] >> 23
+	// 1d7: andi r8, r8, 255
+	r[8] = r[8] & 0xff
+	// 1d8: srli r5, r1, 31
+	r[5] = r[1] >> 31
+	// 1d9: srli r6, r2, 31
+	r[6] = r[2] >> 31
+	// 1da: xor r3, r5, r6
+	r[3] = r[5] ^ r[6]
+	// 1db: addi r9, r0, 255
+	r[9] = 0 + 0xff
+	// 1dc: bne r7, r9, 10
+	if r[7] != r[9] {
+		cycles, instret = cycles+19, instret+18
+		goto L486
+	}
+	cycles, instret = cycles+18, instret+18
+	// 1dd: bne r10, r0, 62
+	if r[10] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L539
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1de: bne r8, r9, 3
+	if r[8] != r[9] {
+		cycles, instret = cycles+2, instret+1
+		goto L481
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1df: bne r11, r0, 60
+	if r[11] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L539
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1e0: jal r0, 13
+	cycles, instret = cycles+2, instret+1
+	goto L493
+L481:
+	if st.stop-cycles <= 6 {
+		bpc = 481
+		goto budgetOut
+	}
+	// 1e1: or r5, r8, r11
+	r[5] = r[8] | r[11]
+	// 1e2: bne r5, r0, 11
+	if r[5] != 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L493
+	}
+	cycles, instret = cycles+2, instret+2
+	// 1e3: lui r1, 0x7fc0
+	r[1] = 0x7fc00000
+	// 1e4: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 1e5: jal r0, 55
+	cycles, instret = cycles+4, instret+3
+	goto L540
+L486:
+	if st.stop-cycles <= 8 {
+		bpc = 486
+		goto budgetOut
+	}
+	// 1e6: bne r8, r9, 12
+	if r[8] != r[9] {
+		cycles, instret = cycles+2, instret+1
+		goto L498
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1e7: bne r11, r0, 52
+	if r[11] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L539
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1e8: or r5, r7, r10
+	r[5] = r[7] | r[10]
+	// 1e9: bne r5, r0, 4
+	if r[5] != 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L493
+	}
+	cycles, instret = cycles+2, instret+2
+	// 1ea: lui r1, 0x7fc0
+	r[1] = 0x7fc00000
+	// 1eb: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 1ec: jal r0, 48
+	cycles, instret = cycles+4, instret+3
+	goto L540
+L493:
+	if st.stop-cycles <= 6 {
+		bpc = 493
+		goto budgetOut
+	}
+	// 1ed: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 1ee: lui r5, 0x7f80
+	r[5] = 0x7f800000
+	// 1ef: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 1f0: or r1, r1, r5
+	r[1] = r[1] | r[5]
+	// 1f1: jal r0, 43
+	cycles, instret = cycles+6, instret+5
+	goto L540
+L498:
+	if st.stop-cycles <= 31 {
+		bpc = 498
+		goto budgetOut
+	}
+	// 1f2: bne r7, r0, 10
+	if r[7] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L508
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1f3: bne r10, r0, 3
+	if r[10] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L502
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1f4: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 1f5: jal r0, 39
+	cycles, instret = cycles+3, instret+2
+	goto L540
+L502:
+	if st.stop-cycles <= 3 {
+		bpc = 502
+		goto budgetOut
+	}
+	// 1f6: addi r1, r10, 0
+	r[1] = r[10] + 0x0
+	// 1f7: jal r15, -453
+	r[15] = 2016
+	cycles, instret = cycles+3, instret+2
+	goto L50
+L504:
+	if st.stop-cycles <= 33 {
+		bpc = 504
+		goto budgetOut
+	}
+	// 1f8: addi r5, r1, -8
+	r[5] = r[1] + 0xfffffff8
+	// 1f9: addi r7, r0, 1
+	r[7] = 0 + 0x1
+	// 1fa: sub r7, r7, r5
+	r[7] = r[7] - r[5]
+	// 1fb: sll r10, r10, r5
+	r[10] = r[10] << (r[5] & 31)
+	cycles, instret = cycles+4, instret+4
+L508:
+	// 1fc: bne r8, r0, 10
+	if r[8] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L518
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1fd: bne r11, r0, 3
+	if r[11] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L512
+	}
+	cycles, instret = cycles+1, instret+1
+	// 1fe: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 1ff: jal r0, 29
+	cycles, instret = cycles+3, instret+2
+	goto L540
+L512:
+	if st.stop-cycles <= 3 {
+		bpc = 512
+		goto budgetOut
+	}
+	// 200: addi r1, r11, 0
+	r[1] = r[11] + 0x0
+	// 201: jal r15, -463
+	r[15] = 2056
+	cycles, instret = cycles+3, instret+2
+	goto L50
+L514:
+	if st.stop-cycles <= 31 {
+		bpc = 514
+		goto budgetOut
+	}
+	// 202: addi r5, r1, -8
+	r[5] = r[1] + 0xfffffff8
+	// 203: addi r8, r0, 1
+	r[8] = 0 + 0x1
+	// 204: sub r8, r8, r5
+	r[8] = r[8] - r[5]
+	// 205: sll r11, r11, r5
+	r[11] = r[11] << (r[5] & 31)
+	cycles, instret = cycles+4, instret+4
+L518:
+	// 206: add r12, r7, r8
+	r[12] = r[7] + r[8]
+	// 207: addi r12, r12, -127
+	r[12] = r[12] + 0xffffff81
+	// 208: lui r5, 0x80
+	r[5] = 0x800000
+	// 209: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 20a: or r10, r10, r5
+	r[10] = r[10] | r[5]
+	// 20b: or r11, r11, r5
+	r[11] = r[11] | r[5]
+	// 20c: slli r10, r10, 7
+	r[10] = r[10] << 7
+	// 20d: slli r11, r11, 8
+	r[11] = r[11] << 8
+	// 20e: mulhu r5, r10, r11
+	r[5] = uint32(uint64(r[10]) * uint64(r[11]) >> 32)
+	// 20f: mul r6, r10, r11
+	r[6] = r[10] * r[11]
+	// 210: beq r6, r0, 2
+	if r[6] == 0 {
+		cycles, instret = cycles+18, instret+11
+		goto L530
+	}
+	cycles, instret = cycles+17, instret+11
+	// 211: ori r5, r5, 1
+	r[5] = r[5] | 0x1
+	cycles, instret = cycles+1, instret+1
+L530:
+	// 212: slli r6, r5, 1
+	r[6] = r[5] << 1
+	// 213: blt r6, r0, 3
+	if int32(r[6]) < int32(0) {
+		cycles, instret = cycles+3, instret+2
+		goto L534
+	}
+	cycles, instret = cycles+2, instret+2
+	// 214: addi r5, r6, 0
+	r[5] = r[6] + 0x0
+	// 215: addi r12, r12, -1
+	r[12] = r[12] + 0xffffffff
+	cycles, instret = cycles+2, instret+2
+L534:
+	// 216: addi r1, r3, 0
+	r[1] = r[3] + 0x0
+	// 217: addi r2, r12, 0
+	r[2] = r[12] + 0x0
+	// 218: addi r3, r5, 0
+	r[3] = r[5] + 0x0
+	// 219: jal r15, -433
+	r[15] = 2152
+	cycles, instret = cycles+5, instret+4
+	goto L104
+L538:
+	if st.stop-cycles <= 2 {
+		bpc = 538
+		goto budgetOut
+	}
+	// 21a: jal r0, 2
+	cycles, instret = cycles+2, instret+1
+	goto L540
+L539:
+	if st.stop-cycles <= 2 {
+		bpc = 539
+		goto budgetOut
+	}
+	// 21b: jal r15, -462
+	r[15] = 2160
+	cycles, instret = cycles+2, instret+1
+	goto L77
+L540:
+	if st.stop-cycles <= 11 {
+		bpc = 540
+		goto budgetOut
+	}
+	// 21c: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 540, cycles+0, instret+0); !ok {
 			goto errOut
 		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
+		r[15] = v
+	}
+	// 21d: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 541, cycles+2, instret+1); !ok {
 			goto errOut
 		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
+		r[10] = v
+	}
+	// 21e: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 542, cycles+4, instret+2); !ok {
 			goto errOut
 		}
-		// 004: addi r10, r1, 0
-		r10 = r1 + 0x0
-		// 005: addi r11, r2, 0
-		r11 = r2 + 0x0
-		// 006: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 007: jal r15, -105
-		r15 = (base + 8) * 4
+		r[11] = v
+	}
+	// 21f: lw r12, 12(r14)
+	a = r[14] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 543, cycles+6, instret+3); !ok {
+			goto errOut
+		}
+		r[12] = v
+	}
+	// 220: addi r14, r14, 16
+	r[14] = r[14] + 0x10
+	// 221: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+11, instret+6
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L546:
+	if st.stop-cycles <= 25 {
+		bpc = 546
+		goto budgetOut
+	}
+	// 222: addi r14, r14, -16
+	r[14] = r[14] + 0xfffffff0
+	// 223: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 547, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 224: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 548, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 225: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 549, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 226: sw r12, 12(r14)
+	a = r[14] + 0xc
+	v = r[12]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 550, cycles+4, instret+4) {
+		goto errOut
+	}
+	// 227: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 228: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 229: and r10, r1, r5
+	r[10] = r[1] & r[5]
+	// 22a: and r11, r2, r5
+	r[11] = r[2] & r[5]
+	// 22b: srli r7, r1, 23
+	r[7] = r[1] >> 23
+	// 22c: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 22d: srli r8, r2, 23
+	r[8] = r[2] >> 23
+	// 22e: andi r8, r8, 255
+	r[8] = r[8] & 0xff
+	// 22f: srli r5, r1, 31
+	r[5] = r[1] >> 31
+	// 230: srli r6, r2, 31
+	r[6] = r[2] >> 31
+	// 231: xor r3, r5, r6
+	r[3] = r[5] ^ r[6]
+	// 232: addi r9, r0, 255
+	r[9] = 0 + 0xff
+	// 233: bne r7, r9, 7
+	if r[7] != r[9] {
+		cycles, instret = cycles+19, instret+18
+		goto L570
+	}
+	cycles, instret = cycles+18, instret+18
+	// 234: bne r10, r0, 71
+	if r[10] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L635
+	}
+	cycles, instret = cycles+1, instret+1
+	// 235: bne r8, r9, 65
+	if r[8] != r[9] {
+		cycles, instret = cycles+2, instret+1
+		goto L630
+	}
+	cycles, instret = cycles+1, instret+1
+	// 236: bne r11, r0, 69
+	if r[11] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L635
+	}
+	cycles, instret = cycles+1, instret+1
+	// 237: lui r1, 0x7fc0
+	r[1] = 0x7fc00000
+	// 238: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 239: jal r0, 67
+	cycles, instret = cycles+4, instret+3
+	goto L636
+L570:
+	if st.stop-cycles <= 5 {
+		bpc = 570
+		goto budgetOut
+	}
+	// 23a: bne r8, r9, 4
+	if r[8] != r[9] {
+		cycles, instret = cycles+2, instret+1
+		goto L574
+	}
+	cycles, instret = cycles+1, instret+1
+	// 23b: bne r11, r0, 64
+	if r[11] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L635
+	}
+	cycles, instret = cycles+1, instret+1
+	// 23c: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 23d: jal r0, 63
+	cycles, instret = cycles+3, instret+2
+	goto L636
+L574:
+	if st.stop-cycles <= 17 {
+		bpc = 574
+		goto budgetOut
+	}
+	// 23e: bne r8, r0, 13
+	if r[8] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L587
+	}
+	cycles, instret = cycles+1, instret+1
+	// 23f: bne r11, r0, 6
+	if r[11] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L581
+	}
+	cycles, instret = cycles+1, instret+1
+	// 240: or r5, r7, r10
+	r[5] = r[7] | r[10]
+	// 241: bne r5, r0, 53
+	if r[5] != 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L630
+	}
+	cycles, instret = cycles+2, instret+2
+	// 242: lui r1, 0x7fc0
+	r[1] = 0x7fc00000
+	// 243: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 244: jal r0, 56
+	cycles, instret = cycles+4, instret+3
+	goto L636
+L581:
+	if st.stop-cycles <= 3 {
+		bpc = 581
+		goto budgetOut
+	}
+	// 245: addi r1, r11, 0
+	r[1] = r[11] + 0x0
+	// 246: jal r15, -532
+	r[15] = 2332
+	cycles, instret = cycles+3, instret+2
+	goto L50
+L583:
+	if st.stop-cycles <= 19 {
+		bpc = 583
+		goto budgetOut
+	}
+	// 247: addi r5, r1, -8
+	r[5] = r[1] + 0xfffffff8
+	// 248: addi r8, r0, 1
+	r[8] = 0 + 0x1
+	// 249: sub r8, r8, r5
+	r[8] = r[8] - r[5]
+	// 24a: sll r11, r11, r5
+	r[11] = r[11] << (r[5] & 31)
+	cycles, instret = cycles+4, instret+4
+L587:
+	// 24b: bne r7, r0, 10
+	if r[7] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L597
+	}
+	cycles, instret = cycles+1, instret+1
+	// 24c: bne r10, r0, 3
+	if r[10] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L591
+	}
+	cycles, instret = cycles+1, instret+1
+	// 24d: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 24e: jal r0, 46
+	cycles, instret = cycles+3, instret+2
+	goto L636
+L591:
+	if st.stop-cycles <= 3 {
+		bpc = 591
+		goto budgetOut
+	}
+	// 24f: addi r1, r10, 0
+	r[1] = r[10] + 0x0
+	// 250: jal r15, -542
+	r[15] = 2372
+	cycles, instret = cycles+3, instret+2
+	goto L50
+L593:
+	if st.stop-cycles <= 17 {
+		bpc = 593
+		goto budgetOut
+	}
+	// 251: addi r5, r1, -8
+	r[5] = r[1] + 0xfffffff8
+	// 252: addi r7, r0, 1
+	r[7] = 0 + 0x1
+	// 253: sub r7, r7, r5
+	r[7] = r[7] - r[5]
+	// 254: sll r10, r10, r5
+	r[10] = r[10] << (r[5] & 31)
+	cycles, instret = cycles+4, instret+4
+L597:
+	// 255: sub r12, r7, r8
+	r[12] = r[7] - r[8]
+	// 256: addi r12, r12, 125
+	r[12] = r[12] + 0x7d
+	// 257: lui r5, 0x80
+	r[5] = 0x800000
+	// 258: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 259: or r10, r10, r5
+	r[10] = r[10] | r[5]
+	// 25a: or r11, r11, r5
+	r[11] = r[11] | r[5]
+	// 25b: slli r10, r10, 7
+	r[10] = r[10] << 7
+	// 25c: slli r11, r11, 8
+	r[11] = r[11] << 8
+	// 25d: add r5, r10, r10
+	r[5] = r[10] + r[10]
+	// 25e: bltu r11, r5, 3
+	if r[11] < r[5] {
+		cycles, instret = cycles+11, instret+10
+		goto L609
+	}
+	cycles, instret = cycles+10, instret+10
+	// 25f: beq r11, r5, 2
+	if r[11] == r[5] {
+		cycles, instret = cycles+2, instret+1
+		goto L609
+	}
+	cycles, instret = cycles+1, instret+1
+	// 260: jal r0, 3
+	cycles, instret = cycles+2, instret+1
+	goto L611
+L609:
+	if st.stop-cycles <= 2 {
+		bpc = 609
+		goto budgetOut
+	}
+	// 261: srli r10, r10, 1
+	r[10] = r[10] >> 1
+	// 262: addi r12, r12, 1
+	r[12] = r[12] + 0x1
+	cycles, instret = cycles+2, instret+2
+L611:
+	if st.stop-cycles <= 3 {
+		bpc = 611
+		goto budgetOut
+	}
+	// 263: addi r7, r0, 0
+	r[7] = 0 + 0x0
+	// 264: addi r8, r10, 0
+	r[8] = r[10] + 0x0
+	// 265: addi r9, r0, 32
+	r[9] = 0 + 0x20
+	cycles, instret = cycles+3, instret+3
+L614:
+	if st.stop-cycles <= 16 {
+		bpc = 614
+		goto budgetOut
+	}
+	// 266: srli r5, r8, 31
+	r[5] = r[8] >> 31
+	// 267: slli r8, r8, 1
+	r[8] = r[8] << 1
+	// 268: slli r7, r7, 1
+	r[7] = r[7] << 1
+	// 269: bne r5, r0, 2
+	if r[5] != 0 {
+		cycles, instret = cycles+5, instret+4
+		goto L619
+	}
+	cycles, instret = cycles+4, instret+4
+	// 26a: bltu r8, r11, 3
+	if r[8] < r[11] {
+		cycles, instret = cycles+2, instret+1
+		goto L621
+	}
+	cycles, instret = cycles+1, instret+1
+L619:
+	// 26b: sub r8, r8, r11
+	r[8] = r[8] - r[11]
+	// 26c: ori r7, r7, 1
+	r[7] = r[7] | 0x1
+	cycles, instret = cycles+2, instret+2
+L621:
+	// 26d: addi r9, r9, -1
+	r[9] = r[9] + 0xffffffff
+	// 26e: bne r9, r0, -8
+	if r[9] != 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L614
+	}
+	cycles, instret = cycles+2, instret+2
+	// 26f: beq r8, r0, 2
+	if r[8] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L625
+	}
+	cycles, instret = cycles+1, instret+1
+	// 270: ori r7, r7, 1
+	r[7] = r[7] | 0x1
+	cycles, instret = cycles+1, instret+1
+L625:
+	// 271: addi r1, r3, 0
+	r[1] = r[3] + 0x0
+	// 272: addi r2, r12, 0
+	r[2] = r[12] + 0x0
+	// 273: addi r3, r7, 0
+	r[3] = r[7] + 0x0
+	// 274: jal r15, -524
+	r[15] = 2516
+	cycles, instret = cycles+5, instret+4
+	goto L104
+L629:
+	if st.stop-cycles <= 2 {
+		bpc = 629
+		goto budgetOut
+	}
+	// 275: jal r0, 7
+	cycles, instret = cycles+2, instret+1
+	goto L636
+L630:
+	if st.stop-cycles <= 6 {
+		bpc = 630
+		goto budgetOut
+	}
+	// 276: slli r1, r3, 31
+	r[1] = r[3] << 31
+	// 277: lui r5, 0x7f80
+	r[5] = 0x7f800000
+	// 278: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 279: or r1, r1, r5
+	r[1] = r[1] | r[5]
+	// 27a: jal r0, 2
+	cycles, instret = cycles+6, instret+5
+	goto L636
+L635:
+	if st.stop-cycles <= 2 {
+		bpc = 635
+		goto budgetOut
+	}
+	// 27b: jal r15, -558
+	r[15] = 2544
+	cycles, instret = cycles+2, instret+1
+	goto L77
+L636:
+	if st.stop-cycles <= 11 {
+		bpc = 636
+		goto budgetOut
+	}
+	// 27c: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 636, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 27d: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 637, cycles+2, instret+1); !ok {
+			goto errOut
+		}
+		r[10] = v
+	}
+	// 27e: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 638, cycles+4, instret+2); !ok {
+			goto errOut
+		}
+		r[11] = v
+	}
+	// 27f: lw r12, 12(r14)
+	a = r[14] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 639, cycles+6, instret+3); !ok {
+			goto errOut
+		}
+		r[12] = v
+	}
+	// 280: addi r14, r14, 16
+	r[14] = r[14] + 0x10
+	// 281: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+11, instret+6
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L642:
+	if st.stop-cycles <= 3 {
+		bpc = 642
+		goto budgetOut
+	}
+	// 282: bne r1, r0, 2
+	if r[1] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L644
+	}
+	cycles, instret = cycles+1, instret+1
+	// 283: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+2, instret+1
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L644:
+	if st.stop-cycles <= 7 {
+		bpc = 644
+		goto budgetOut
+	}
+	// 284: lui r5, 0x8000
+	r[5] = 0x80000000
+	// 285: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 286: bne r1, r5, 4
+	if r[1] != r[5] {
+		cycles, instret = cycles+4, instret+3
+		goto L650
+	}
+	cycles, instret = cycles+3, instret+3
+	// 287: lui r1, 0xcf00
+	r[1] = 0xcf000000
+	// 288: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 289: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+4, instret+3
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L650:
+	if st.stop-cycles <= 8 {
+		bpc = 650
+		goto budgetOut
+	}
+	// 28a: slt r5, r1, r0
+	r[5] = b2u(int32(r[1]) < int32(0))
+	// 28b: bge r1, r0, 2
+	if int32(r[1]) >= int32(0) {
+		cycles, instret = cycles+3, instret+2
+		goto L653
+	}
+	cycles, instret = cycles+2, instret+2
+	// 28c: sub r1, r0, r1
+	r[1] = 0 - r[1]
+	cycles, instret = cycles+1, instret+1
+L653:
+	// 28d: addi r3, r1, 0
+	r[3] = r[1] + 0x0
+	// 28e: addi r1, r5, 0
+	r[1] = r[5] + 0x0
+	// 28f: addi r2, r0, 156
+	r[2] = 0 + 0x9c
+	// 290: jal r0, -508
+	cycles, instret = cycles+5, instret+4
+	goto L148
+L657:
+	if st.stop-cycles <= 24 {
+		bpc = 657
+		goto budgetOut
+	}
+	// 291: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 292: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 293: and r6, r1, r5
+	r[6] = r[1] & r[5]
+	// 294: srli r7, r1, 23
+	r[7] = r[1] >> 23
+	// 295: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 296: srli r8, r1, 31
+	r[8] = r[1] >> 31
+	// 297: addi r5, r0, 255
+	r[5] = 0 + 0xff
+	// 298: bne r7, r5, 2
+	if r[7] != r[5] {
 		cycles, instret = cycles+9, instret+8
-		st.pc = base + 0xffffff9e
-		goto okOut
-	L8:
-		if st.stop-cycles <= 13 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: addi r7, r1, -1
-		r7 = r1 + 0xffffffff
-		// 009: sub r2, r11, r7
-		r2 = r11 - r7
-		// 00a: sll r3, r3, r7
-		r3 = r3 << (r7 & 31)
-		// 00b: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 00c: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+12, cycles+4, instret+4); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 00d: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+6, instret+5); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 00e: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+14, cycles+8, instret+6); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 00f: addi r14, r14, 12
-		r14 = r14 + 0xc
-		// 010: jal r0, -60
-		cycles, instret = cycles+13, instret+9
-		st.pc = base + 0xffffffd4
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r7, r10, r11, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r7, r10, r11, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r7, r10, r11, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L666
 	}
-}
-
-// Region R15: f32_add — 52 words, from batch/f32_add.
-var sigR15 = [...]uint64{
-	0x0000001f00010512, 0x0000001f00020612, 0x000000000005030d, 0x000000c70605001d,
-	0x0000006900000022, 0x0000001f00010512, 0x0000001f00020612, 0x000000000005030d,
-	0x000000690605001d, 0x000000c700000022, 0x8000000000000516, 0x0000000000050501,
-	0x0000000005010105, 0x00000000000f0023, 0xffffffec000e0e0d, 0x00000000000e0f1a,
-	0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a, 0x00000010000e0d1a,
-	0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010603, 0x0000001700010712,
-	0x000000ff0007070e, 0x0000001f00010812, 0x000000ff0000050d, 0x0000001f0507001d,
-	0x000000250006001d, 0x000000220008001d, 0x0000006200000022, 0x000000280008001c,
-	0x0000000006070504, 0x000000620005001c, 0x7fc0000000000116, 0x0000000000010101,
-	0x0000006200000022, 0x000000000001020d, 0xffffffa800000f22, 0x0000006200000022,
-	0x000000340007001d, 0x000000320006001c, 0x000000000006030d, 0x000000000006010d,
-	0xffffff8d00000f22, 0xfffffff80001050d, 0x000000010000070d, 0x0000000005070702,
-	0x0000000005030606, 0x0000003400000022, 0x000000000000010d, 0x0000006200000022,
-}
-
-func bindR15(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r10, r11, r12, r13, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[12], r[13], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 10:
-			goto L10
-		case 14:
-			goto L14
-		case 31:
-			goto L31
-		case 37:
-			goto L37
-		case 39:
-			goto L39
-		case 40:
-			goto L40
-		case 45:
-			goto L45
-		case 50:
-			goto L50
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 6 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 001: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 002: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 003: bne r5, r6, 196
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0xc7
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 004: jal r0, 101
+	cycles, instret = cycles+8, instret+8
+	// 299: bne r6, r0, 18
+	if r[6] != 0 {
 		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x69
-		goto okOut
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 006: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 007: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 008: bne r5, r6, 97
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0x69
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 009: jal r0, 190
+		goto L683
+	}
+	cycles, instret = cycles+1, instret+1
+L666:
+	// 29a: beq r7, r0, 4
+	if r[7] == 0 {
 		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xc7
-		goto okOut
-	L10:
-		if st.stop-cycles <= 5 {
-			bpc = 10
-			goto budgetOut
-		}
-		// 00a: lui r5, 0x8000
-		r5 = 0x80000000
-		// 00b: add r5, r5, r0
-		r5 = r5 + 0
-		// 00c: xor r1, r1, r5
-		r1 = r1 ^ r5
-		// 00d: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
+		goto L670
+	}
+	cycles, instret = cycles+1, instret+1
+	// 29b: lui r5, 0x80
+	r[5] = 0x800000
+	// 29c: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 29d: or r6, r6, r5
+	r[6] = r[6] | r[5]
+	cycles, instret = cycles+3, instret+3
+L670:
+	// 29e: addi r9, r7, -150
+	r[9] = r[7] + 0xffffff6a
+	// 29f: addi r5, r0, 8
+	r[5] = 0 + 0x8
+	// 2a0: blt r9, r5, 14
+	if int32(r[9]) < int32(r[5]) {
+		cycles, instret = cycles+4, instret+3
+		goto L686
+	}
+	cycles, instret = cycles+3, instret+3
+	// 2a1: lui r5, 0xcf00
+	r[5] = 0xcf000000
+	// 2a2: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 2a3: beq r1, r5, 5
+	if r[1] == r[5] {
+		cycles, instret = cycles+4, instret+3
+		goto L680
+	}
+	cycles, instret = cycles+3, instret+3
+	// 2a4: bne r8, r0, 4
+	if r[8] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L680
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2a5: lui r1, 0x7fff
+	r[1] = 0x7fff0000
+	// 2a6: ori r1, r1, 65535
+	r[1] = r[1] | 0xffff
+	// 2a7: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+4, instret+3
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
 		st.pc = v
 		goto okOut
-	L14:
-		if st.stop-cycles <= 21 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: addi r14, r14, -20
-		r14 = r14 + 0xffffffec
-		// 00f: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+15, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 010: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+16, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 011: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+17, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 012: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+18, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 013: sw r13, 16(r14)
-		a = r14 + 0x10
-		v = r13
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+19, cycles+5, instret+5) {
-			goto errOut
-		}
-		// 014: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 015: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 016: and r6, r1, r5
-		r6 = r1 & r5
-		// 017: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 018: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 019: srli r8, r1, 31
-		r8 = r1 >> 31
-		// 01a: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 01b: bne r7, r5, 4
-		if r7 != r5 {
-			cycles, instret = cycles+15, instret+14
-			goto L31
-		}
-		cycles, instret = cycles+14, instret+14
-		// 01c: bne r6, r0, 9
-		if r6 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L37
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01d: bne r8, r0, 5
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L34
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01e: jal r0, 68
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x62
-		goto okOut
-	L31:
-		if st.stop-cycles <= 7 {
-			bpc = 31
-			goto budgetOut
-		}
-		// 01f: beq r8, r0, 9
-		if r8 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L40
-		}
-		cycles, instret = cycles+1, instret+1
-		// 020: or r5, r7, r6
-		r5 = r7 | r6
-		// 021: beq r5, r0, 65
-		if r5 == 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x62
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-	L34:
-		// 022: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 023: add r1, r1, r0
-		r1 = r1 + 0
-		// 024: jal r0, 62
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x62
-		goto okOut
-	L37:
-		if st.stop-cycles <= 3 {
-			bpc = 37
-			goto budgetOut
-		}
-		// 025: addi r2, r1, 0
-		r2 = r1 + 0x0
-		// 026: jal r15, -126
-		r15 = (base + 39) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xffffffa8
-		goto okOut
-	L39:
-		if st.stop-cycles <= 2 {
-			bpc = 39
-			goto budgetOut
-		}
-		// 027: jal r0, 59
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x62
-		goto okOut
-	L40:
-		if st.stop-cycles <= 6 {
-			bpc = 40
-			goto budgetOut
-		}
-		// 028: bne r7, r0, 12
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 52
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 029: beq r6, r0, 9
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L50
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02a: addi r3, r6, 0
-		r3 = r6 + 0x0
-		// 02b: addi r1, r6, 0
-		r1 = r6 + 0x0
-		// 02c: jal r15, -159
-		r15 = (base + 45) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffff8d
-		goto okOut
-	L45:
-		if st.stop-cycles <= 6 {
-			bpc = 45
-			goto budgetOut
-		}
-		// 02d: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 02e: addi r7, r0, 1
-		r7 = 0 + 0x1
-		// 02f: sub r7, r7, r5
-		r7 = r7 - r5
-		// 030: sll r6, r3, r5
-		r6 = r3 << (r5 & 31)
-		// 031: jal r0, 3
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 52
-		goto okOut
-	L50:
-		if st.stop-cycles <= 3 {
-			bpc = 50
-			goto budgetOut
-		}
-		// 032: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 033: jal r0, 47
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x62
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
 	}
-}
-
-// Region R16: sq_normal — 46 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR16 = [...]uint64{
-	0x0080000000000516, 0x0000000000050501, 0x0000000005060604, 0xffffff810007050d,
-	0x0000000100050913, 0x0000007e0009090d, 0x000000010005050e, 0x000000090005001c,
-	0x0000000100060611, 0x0000000500060a11, 0x0000000000000b0d, 0x0000000000000c0d,
-	0x000000000000080d, 0x000000000000040d, 0x0000002000000d0d, 0x0000001e000a0512,
-	0x00000002000a0a11, 0x0000001e000b0612, 0x00000000060a0a04, 0x00000002000b0b11,
-	0x0000000200080811, 0x0000001e00040612, 0x0000000006080804, 0x0000000200040411,
-	0x0000000005040404, 0x0000001e000c0612, 0x00000002000c0711, 0x000000010007070f,
-	0x00000001000c0c11, 0x0000002506080020, 0x000000200608001d, 0x0000002507040020,
-	0x000000000704050c, 0x0000000007040402, 0x0000000006080802, 0x0000000005080802,
-	0x00000001000c0c0f, 0xffffffff000d0d0d, 0x0000000f000d001d, 0x0000000004080504,
-	0x0000002a0005001c, 0x00000001000c0c0f, 0x000000000000010d, 0x000000000009020d,
-	0x00000000000c030d, 0xffffff8f00000f22,
-}
-
-func bindR16(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r15 := r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[13], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 15 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lui r5, 0x80
-		r5 = 0x800000
-		// 001: add r5, r5, r0
-		r5 = r5 + 0
-		// 002: or r6, r6, r5
-		r6 = r6 | r5
-		// 003: addi r5, r7, -127
-		r5 = r7 + 0xffffff81
-		// 004: srai r9, r5, 1
-		r9 = uint32(int32(r5) >> 1)
-		// 005: addi r9, r9, 126
-		r9 = r9 + 0x7e
-		// 006: andi r5, r5, 1
-		r5 = r5 & 0x1
-		// 007: beq r5, r0, 2
-		if r5 == 0 {
-			cycles, instret = cycles+9, instret+8
-			goto L9
-		}
-		cycles, instret = cycles+8, instret+8
-		// 008: slli r6, r6, 1
-		r6 = r6 << 1
-		cycles, instret = cycles+1, instret+1
-	L9:
-		// 009: slli r10, r6, 5
-		r10 = r6 << 5
-		// 00a: addi r11, r0, 0
-		r11 = 0 + 0x0
-		// 00b: addi r12, r0, 0
-		r12 = 0 + 0x0
-		// 00c: addi r8, r0, 0
-		r8 = 0 + 0x0
-		// 00d: addi r4, r0, 0
-		r4 = 0 + 0x0
-		// 00e: addi r13, r0, 32
-		r13 = 0 + 0x20
-		cycles, instret = cycles+6, instret+6
-	L15:
-		if st.stop-cycles <= 32 {
-			bpc = 15
-			goto budgetOut
-		}
-		// 00f: srli r5, r10, 30
-		r5 = r10 >> 30
-		// 010: slli r10, r10, 2
-		r10 = r10 << 2
-		// 011: srli r6, r11, 30
-		r6 = r11 >> 30
-		// 012: or r10, r10, r6
-		r10 = r10 | r6
-		// 013: slli r11, r11, 2
-		r11 = r11 << 2
-		// 014: slli r8, r8, 2
-		r8 = r8 << 2
-		// 015: srli r6, r4, 30
-		r6 = r4 >> 30
-		// 016: or r8, r8, r6
-		r8 = r8 | r6
-		// 017: slli r4, r4, 2
-		r4 = r4 << 2
-		// 018: or r4, r4, r5
-		r4 = r4 | r5
-		// 019: srli r6, r12, 30
-		r6 = r12 >> 30
-		// 01a: slli r7, r12, 2
-		r7 = r12 << 2
-		// 01b: ori r7, r7, 1
-		r7 = r7 | 0x1
-		// 01c: slli r12, r12, 1
-		r12 = r12 << 1
-		// 01d: bltu r8, r6, 8
-		if r8 < r6 {
-			cycles, instret = cycles+16, instret+15
-			goto L37
-		}
-		cycles, instret = cycles+15, instret+15
-		// 01e: bne r8, r6, 2
-		if r8 != r6 {
-			cycles, instret = cycles+2, instret+1
-			goto L32
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01f: bltu r4, r7, 6
-		if r4 < r7 {
-			cycles, instret = cycles+2, instret+1
-			goto L37
-		}
-		cycles, instret = cycles+1, instret+1
-	L32:
-		// 020: sltu r5, r4, r7
-		r5 = b2u(r4 < r7)
-		// 021: sub r4, r4, r7
-		r4 = r4 - r7
-		// 022: sub r8, r8, r6
-		r8 = r8 - r6
-		// 023: sub r8, r8, r5
-		r8 = r8 - r5
-		// 024: ori r12, r12, 1
-		r12 = r12 | 0x1
-		cycles, instret = cycles+5, instret+5
-	L37:
-		// 025: addi r13, r13, -1
-		r13 = r13 + 0xffffffff
-		// 026: bne r13, r0, -23
-		if r13 != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L15
-		}
-		cycles, instret = cycles+2, instret+2
-		// 027: or r5, r8, r4
-		r5 = r8 | r4
-		// 028: beq r5, r0, 2
-		if r5 == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L42
-		}
-		cycles, instret = cycles+2, instret+2
-		// 029: ori r12, r12, 1
-		r12 = r12 | 0x1
-		cycles, instret = cycles+1, instret+1
-	L42:
-		// 02a: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 02b: addi r2, r9, 0
-		r2 = r9 + 0x0
-		// 02c: addi r3, r12, 0
-		r3 = r12 + 0x0
-		// 02d: jal r15, -158
-		r15 = (base + 46) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xffffff8f
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[13], r[15] = r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[13], r[15] = r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+L680:
+	if st.stop-cycles <= 4 {
+		bpc = 680
+		goto budgetOut
 	}
-}
-
-// Region R17: sq_ret — 7 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR17 = [...]uint64{
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0d17, 0x00000014000e0e0d, 0x00000000000f0023,
-}
-
-func bindR17(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r10, r11, r12, r13, r14, r15 := r[10], r[11], r[12], r[13], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 13 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 001: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+2, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 003: lw r12, 12(r14)
-		a = r14 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r12 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r12 = v
-		}
-		// 004: lw r13, 16(r14)
-		a = r14 + 0x10
-		if a&3 == 0 && a <= DataBytes-4 {
-			r13 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+4, cycles+8, instret+4); !ok {
-				goto errOut
-			}
-			r13 = v
-		}
-		// 005: addi r14, r14, 20
-		r14 = r14 + 0x14
-		// 006: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+13, instret+7
+	// 2a8: lui r1, 0x8000
+	r[1] = 0x80000000
+	// 2a9: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 2aa: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+4, instret+3
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
 		st.pc = v
 		goto okOut
-	budgetOut:
-		r[10], r[11], r[12], r[13], r[14], r[15] = r10, r11, r12, r13, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[10], r[11], r[12], r[13], r[14], r[15] = r10, r11, r12, r13, r14, r15
-		return stErr
-	okOut:
-		r[10], r[11], r[12], r[13], r[14], r[15] = r10, r11, r12, r13, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
 	}
-}
-
-// Region R18: f32_addsigs — 32 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR18 = [...]uint64{
-	0xfffffff0000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010a03,
-	0x0000000005020b03, 0x00000006000a0a11, 0x00000006000b0b11, 0x0000001700010712,
-	0x000000ff0007070e, 0x0000001700020812, 0x000000ff0008080e, 0x0000000008070902,
-	0x000000430009001c, 0x000000260900001e, 0x000000ff0000050d, 0x0000001a0508001d,
-	0x00000057000b001d, 0x0000001f00030111, 0x7f80000000000516, 0x0000000000050501,
-	0x0000000005010104, 0x0000005800000022, 0x0000001d0007001d, 0x000000010009090d,
-	0x0000002000000022, 0x2000000000000516, 0x0000000000050501, 0x00000000050a0a04,
-}
-
-func bindR18(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r7, r8, r9, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 26:
-			goto L26
-		case 29:
-			goto L29
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 27 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -16
-		r14 = r14 + 0xfffffff0
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+4, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 005: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 006: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 007: and r10, r1, r5
-		r10 = r1 & r5
-		// 008: and r11, r2, r5
-		r11 = r2 & r5
-		// 009: slli r10, r10, 6
-		r10 = r10 << 6
-		// 00a: slli r11, r11, 6
-		r11 = r11 << 6
-		// 00b: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 00c: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00d: srli r8, r2, 23
-		r8 = r2 >> 23
-		// 00e: andi r8, r8, 255
-		r8 = r8 & 0xff
-		// 00f: sub r9, r7, r8
-		r9 = r7 - r8
-		// 010: beq r9, r0, 51
-		if r9 == 0 {
-			cycles, instret = cycles+18, instret+17
-			st.pc = base + 0x43
-			goto okOut
-		}
-		cycles, instret = cycles+17, instret+17
-		// 011: blt r0, r9, 21
-		if int32(0) < int32(r9) {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x26
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 012: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 013: bne r8, r5, 7
-		if r8 != r5 {
-			cycles, instret = cycles+3, instret+2
-			goto L26
-		}
-		cycles, instret = cycles+2, instret+2
-		// 014: bne r11, r0, 67
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x57
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 015: slli r1, r3, 31
-		r1 = r3 << 31
-		// 016: lui r5, 0x7f80
-		r5 = 0x7f800000
-		// 017: add r5, r5, r0
-		r5 = r5 + 0
-		// 018: or r1, r1, r5
-		r1 = r1 | r5
-		// 019: jal r0, 63
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 0x58
-		goto okOut
-	L26:
-		if st.stop-cycles <= 4 {
-			bpc = 26
-			goto budgetOut
-		}
-		// 01a: bne r7, r0, 3
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L29
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01b: addi r9, r9, 1
-		r9 = r9 + 0x1
-		// 01c: jal r0, 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 32
-		goto okOut
-	L29:
-		if st.stop-cycles <= 3 {
-			bpc = 29
-			goto budgetOut
-		}
-		// 01d: lui r5, 0x2000
-		r5 = 0x20000000
-		// 01e: add r5, r5, r0
-		r5 = r5 + 0
-		// 01f: or r10, r10, r5
-		r10 = r10 | r5
-		cycles, instret = cycles+3, instret+3
-		st.pc = base + 32
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r5, r7, r8, r9, r10, r11, r14
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[5], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r5, r7, r8, r9, r10, r11, r14
-		return stErr
-	okOut:
-		r[1], r[5], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r5, r7, r8, r9, r10, r11, r14
-		st.cycles, st.instret = cycles, instret
-		return stOK
+L683:
+	if st.stop-cycles <= 4 {
+		bpc = 683
+		goto budgetOut
 	}
-}
-
-// Region R19: as_a_shift — 16 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR19 = [...]uint64{
-	0x00000000000a010d, 0x0000000009000202, 0x0000000000080c0d, 0xfffffef600000f22,
-	0x0000000000010a0d, 0x0000001500000022, 0x000000ff0000050d, 0x0000000a0507001d,
-	0x00000037000a001d, 0x0000003800000022, 0x0000000d0008001d, 0xffffffff0009090d,
-	0x0000001000000022, 0x2000000000000516, 0x0000000000050501, 0x00000000050b0b04,
-}
-
-func bindR19(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r7, r8, r9, r10, r11, r12, r15 := r[1], r[2], r[5], r[7], r[8], r[9], r[10], r[11], r[12], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 6:
-			goto L6
-		case 10:
-			goto L10
-		case 13:
-			goto L13
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 5 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 001: sub r2, r0, r9
-		r2 = 0 - r9
-		// 002: addi r12, r8, 0
-		r12 = r8 + 0x0
-		// 003: jal r15, -269
-		r15 = (base + 4) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffef6
+	// 2ab: lui r1, 0x8000
+	r[1] = 0x80000000
+	// 2ac: add r1, r1, r0
+	r[1] = r[1] + 0
+	// 2ad: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+4, instret+3
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
 		goto okOut
-	L4:
-		if st.stop-cycles <= 3 {
-			bpc = 4
-			goto budgetOut
-		}
-		// 004: addi r10, r1, 0
-		r10 = r1 + 0x0
-		// 005: jal r0, 16
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x15
-		goto okOut
-	L6:
-		if st.stop-cycles <= 5 {
-			bpc = 6
-			goto budgetOut
-		}
-		// 006: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 007: bne r7, r5, 3
-		if r7 != r5 {
-			cycles, instret = cycles+3, instret+2
-			goto L10
-		}
-		cycles, instret = cycles+2, instret+2
-		// 008: bne r10, r0, 47
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x37
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 009: jal r0, 47
+	}
+L686:
+	if st.stop-cycles <= 4 {
+		bpc = 686
+		goto budgetOut
+	}
+	// 2ae: blt r9, r0, 3
+	if int32(r[9]) < int32(0) {
 		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x38
-		goto okOut
-	L10:
-		if st.stop-cycles <= 4 {
-			bpc = 10
-			goto budgetOut
-		}
-		// 00a: bne r8, r0, 3
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L13
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00b: addi r9, r9, -1
-		r9 = r9 + 0xffffffff
-		// 00c: jal r0, 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 16
-		goto okOut
-	L13:
-		if st.stop-cycles <= 3 {
-			bpc = 13
-			goto budgetOut
-		}
-		// 00d: lui r5, 0x2000
-		r5 = 0x20000000
-		// 00e: add r5, r5, r0
-		r5 = r5 + 0
-		// 00f: or r11, r11, r5
-		r11 = r11 | r5
-		cycles, instret = cycles+3, instret+3
-		st.pc = base + 16
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[5], r[9], r[10], r[11], r[12], r[15] = r1, r2, r5, r9, r10, r11, r12, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[5], r[9], r[10], r[11], r[12], r[15] = r1, r2, r5, r9, r10, r11, r12, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L689
 	}
-}
-
-// Region R20: as_b_shift — 5 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR20 = [...]uint64{
-	0x00000000000b010d, 0x000000000009020d, 0x0000000000070c0d, 0xfffffee600000f22,
-	0x0000000000010b0d,
-}
-
-func bindR20(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r7, r9, r11, r12, r15 := r[1], r[2], r[7], r[9], r[11], r[12], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 5 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r1, r11, 0
-		r1 = r11 + 0x0
-		// 001: addi r2, r9, 0
-		r2 = r9 + 0x0
-		// 002: addi r12, r7, 0
-		r12 = r7 + 0x0
-		// 003: jal r15, -285
-		r15 = (base + 4) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffee6
-		goto okOut
-	L4:
-		if st.stop-cycles <= 1 {
-			bpc = 4
-			goto budgetOut
-		}
-		// 004: addi r11, r1, 0
-		r11 = r1 + 0x0
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 5
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[11], r[12], r[15] = r1, r2, r11, r12, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[11], r[12], r[15] = r1, r2, r11, r12, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	cycles, instret = cycles+1, instret+1
+	// 2af: sll r6, r6, r9
+	r[6] = r[6] << (r[9] & 31)
+	// 2b0: jal r0, 18
+	cycles, instret = cycles+3, instret+2
+	goto L706
+L689:
+	if st.stop-cycles <= 6 {
+		bpc = 689
+		goto budgetOut
 	}
-}
-
-// Region R21: as_combine — 35 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR21 = [...]uint64{
-	0x2000000000000516, 0x0000000000050501, 0x00000000050a0a04, 0x000000000b0a0601,
-	0x0000000100060511, 0xffffffff000c0c0d, 0x000000090005001f, 0x000000000006050d,
-	0x00000001000c0c0d, 0x000000000003010d, 0x00000000000c020d, 0x000000000005030d,
-	0xffffff2500000f22, 0x0000002300000022, 0x000000ff0000050d, 0x000000130507001d,
-	0x000000000b0a0604, 0x000000220006001d, 0x0000002300000022, 0x000000190007001d,
-	0x000000000b0a0501, 0x0000000600050512, 0x0000001f00030111, 0x0000000005010101,
-	0x0000002300000022, 0x000000000b0a0501, 0x4000000000000616, 0x0000000000060601,
-	0x0000000006050501, 0x000000000003010d, 0x000000000007020d, 0x000000000005030d,
-	0xffffff2500000f22, 0x0000002300000022, 0xffffff0a00000f22,
-}
-
-func bindR21(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r10, r11, r12, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[12], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 13:
-			goto L13
-		case 14:
-			goto L14
-		case 19:
-			goto L19
-		case 25:
-			goto L25
-		case 33:
-			goto L33
-		case 34:
-			goto L34
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 14 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lui r5, 0x2000
-		r5 = 0x20000000
-		// 001: add r5, r5, r0
-		r5 = r5 + 0
-		// 002: or r10, r10, r5
-		r10 = r10 | r5
-		// 003: add r6, r10, r11
-		r6 = r10 + r11
-		// 004: slli r5, r6, 1
-		r5 = r6 << 1
-		// 005: addi r12, r12, -1
-		r12 = r12 + 0xffffffff
-		// 006: bge r5, r0, 3
-		if int32(r5) >= int32(0) {
-			cycles, instret = cycles+8, instret+7
-			goto L9
-		}
-		cycles, instret = cycles+7, instret+7
-		// 007: addi r5, r6, 0
-		r5 = r6 + 0x0
-		// 008: addi r12, r12, 1
-		r12 = r12 + 0x1
-		cycles, instret = cycles+2, instret+2
-	L9:
-		// 009: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 00a: addi r2, r12, 0
-		r2 = r12 + 0x0
-		// 00b: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 00c: jal r15, -231
-		r15 = (base + 13) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xffffff25
-		goto okOut
-	L13:
-		if st.stop-cycles <= 2 {
-			bpc = 13
-			goto budgetOut
-		}
-		// 00d: jal r0, 22
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 35
-		goto okOut
-	L14:
-		if st.stop-cycles <= 6 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 00f: bne r7, r5, 4
-		if r7 != r5 {
-			cycles, instret = cycles+3, instret+2
-			goto L19
-		}
-		cycles, instret = cycles+2, instret+2
-		// 010: or r6, r10, r11
-		r6 = r10 | r11
-		// 011: bne r6, r0, 17
-		if r6 != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L34
-		}
-		cycles, instret = cycles+2, instret+2
-		// 012: jal r0, 17
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 35
-		goto okOut
-	L19:
-		if st.stop-cycles <= 7 {
-			bpc = 19
-			goto budgetOut
-		}
-		// 013: bne r7, r0, 6
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L25
-		}
-		cycles, instret = cycles+1, instret+1
-		// 014: add r5, r10, r11
-		r5 = r10 + r11
-		// 015: srli r5, r5, 6
-		r5 = r5 >> 6
-		// 016: slli r1, r3, 31
-		r1 = r3 << 31
-		// 017: add r1, r1, r5
-		r1 = r1 + r5
-		// 018: jal r0, 11
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 35
-		goto okOut
-	L25:
-		if st.stop-cycles <= 9 {
-			bpc = 25
-			goto budgetOut
-		}
-		// 019: add r5, r10, r11
-		r5 = r10 + r11
-		// 01a: lui r6, 0x4000
-		r6 = 0x40000000
-		// 01b: add r6, r6, r0
-		r6 = r6 + 0
-		// 01c: add r5, r5, r6
-		r5 = r5 + r6
-		// 01d: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 01e: addi r2, r7, 0
-		r2 = r7 + 0x0
-		// 01f: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 020: jal r15, -251
-		r15 = (base + 33) * 4
-		cycles, instret = cycles+9, instret+8
-		st.pc = base + 0xffffff25
-		goto okOut
-	L33:
-		if st.stop-cycles <= 2 {
-			bpc = 33
-			goto budgetOut
-		}
-		// 021: jal r0, 2
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 35
-		goto okOut
-	L34:
-		if st.stop-cycles <= 2 {
-			bpc = 34
-			goto budgetOut
-		}
-		// 022: jal r15, -280
-		r15 = (base + 35) * 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xffffff0a
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[10], r[12], r[15] = r1, r2, r3, r5, r6, r10, r12, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[10], r[12], r[15] = r1, r2, r3, r5, r6, r10, r12, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	// 2b1: sub r9, r0, r9
+	r[9] = 0 - r[9]
+	// 2b2: addi r5, r0, 32
+	r[5] = 0 + 0x20
+	// 2b3: blt r9, r5, 3
+	if int32(r[9]) < int32(r[5]) {
+		cycles, instret = cycles+4, instret+3
+		goto L694
 	}
-}
-
-// Region R22: f32_subsigs — 33 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR22 = [...]uint64{
-	0xfffffff0000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010a03,
-	0x0000000005020b03, 0x00000007000a0a11, 0x00000007000b0b11, 0x0000001700010712,
-	0x000000ff0007070e, 0x0000001700020812, 0x000000ff0008080e, 0x0000000008070902,
-	0x000000400009001c, 0x0000002c0900001e, 0x000000ff0000050d, 0x0000001b0508001d,
-	0x00000058000b001d, 0x0000000100030310, 0x0000001f00030111, 0x7f80000000000516,
-	0x0000000000050501, 0x0000000005010104, 0x0000005900000022, 0x0000001e0007001d,
-	0x000000010009090d, 0x0000002100000022, 0x4000000000000516, 0x0000000000050501,
-	0x00000000050a0a04,
-}
-
-func bindR22(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r7, r8, r9, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 27:
-			goto L27
-		case 30:
-			goto L30
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 28 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -16
-		r14 = r14 + 0xfffffff0
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+4, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 005: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 006: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 007: and r10, r1, r5
-		r10 = r1 & r5
-		// 008: and r11, r2, r5
-		r11 = r2 & r5
-		// 009: slli r10, r10, 7
-		r10 = r10 << 7
-		// 00a: slli r11, r11, 7
-		r11 = r11 << 7
-		// 00b: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 00c: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00d: srli r8, r2, 23
-		r8 = r2 >> 23
-		// 00e: andi r8, r8, 255
-		r8 = r8 & 0xff
-		// 00f: sub r9, r7, r8
-		r9 = r7 - r8
-		// 010: beq r9, r0, 48
-		if r9 == 0 {
-			cycles, instret = cycles+18, instret+17
-			st.pc = base + 0x40
-			goto okOut
-		}
-		cycles, instret = cycles+17, instret+17
-		// 011: blt r0, r9, 27
-		if int32(0) < int32(r9) {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x2c
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 012: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 013: bne r8, r5, 8
-		if r8 != r5 {
-			cycles, instret = cycles+3, instret+2
-			goto L27
-		}
-		cycles, instret = cycles+2, instret+2
-		// 014: bne r11, r0, 68
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x58
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 015: xori r3, r3, 1
-		r3 = r3 ^ 0x1
-		// 016: slli r1, r3, 31
-		r1 = r3 << 31
-		// 017: lui r5, 0x7f80
-		r5 = 0x7f800000
-		// 018: add r5, r5, r0
-		r5 = r5 + 0
-		// 019: or r1, r1, r5
-		r1 = r1 | r5
-		// 01a: jal r0, 63
-		cycles, instret = cycles+7, instret+6
-		st.pc = base + 0x59
+	cycles, instret = cycles+3, instret+3
+	// 2b4: addi r1, r0, 0
+	r[1] = 0 + 0x0
+	// 2b5: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
 		goto okOut
-	L27:
-		if st.stop-cycles <= 4 {
-			bpc = 27
-			goto budgetOut
-		}
-		// 01b: bne r7, r0, 3
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L30
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01c: addi r9, r9, 1
-		r9 = r9 + 0x1
-		// 01d: jal r0, 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 33
-		goto okOut
-	L30:
-		if st.stop-cycles <= 3 {
-			bpc = 30
-			goto budgetOut
-		}
-		// 01e: lui r5, 0x4000
-		r5 = 0x40000000
-		// 01f: add r5, r5, r0
-		r5 = r5 + 0
-		// 020: or r10, r10, r5
-		r10 = r10 | r5
-		cycles, instret = cycles+3, instret+3
-		st.pc = base + 33
-		goto okOut
-	budgetOut:
-		r[1], r[3], r[5], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r3, r5, r7, r8, r9, r10, r11, r14
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[3], r[5], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r3, r5, r7, r8, r9, r10, r11, r14
-		return stErr
-	okOut:
-		r[1], r[3], r[5], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r3, r5, r7, r8, r9, r10, r11, r14
-		st.cycles, st.instret = cycles, instret
-		return stOK
 	}
-}
-
-// Region R23: ss_bb_shift — 21 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR23 = [...]uint64{
-	0x00000000000a010d, 0x0000000009000202, 0x0000000000080c0d, 0xfffffe9700000f22,
-	0x0000000000010a0d, 0x4000000000000516, 0x0000000000050501, 0x00000000050b0b04,
-	0x000000000a0b0502, 0x0000000100030310, 0x0000003200000022, 0x000000ff0000050d,
-	0x0000000f0507001d, 0x00000037000a001d, 0x0000003800000022, 0x000000120008001d,
-	0xffffffff0009090d, 0x0000001500000022, 0x4000000000000516, 0x0000000000050501,
-	0x00000000050b0b04,
-}
-
-func bindR23(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r7, r8, r9, r10, r11, r12, r15 := r[1], r[2], r[3], r[5], r[7], r[8], r[9], r[10], r[11], r[12], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 11:
-			goto L11
-		case 15:
-			goto L15
-		case 18:
-			goto L18
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 5 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 001: sub r2, r0, r9
-		r2 = 0 - r9
-		// 002: addi r12, r8, 0
-		r12 = r8 + 0x0
-		// 003: jal r15, -364
-		r15 = (base + 4) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffe97
-		goto okOut
-	L4:
-		if st.stop-cycles <= 8 {
-			bpc = 4
-			goto budgetOut
-		}
-		// 004: addi r10, r1, 0
-		r10 = r1 + 0x0
-		// 005: lui r5, 0x4000
-		r5 = 0x40000000
-		// 006: add r5, r5, r0
-		r5 = r5 + 0
-		// 007: or r11, r11, r5
-		r11 = r11 | r5
-		// 008: sub r5, r11, r10
-		r5 = r11 - r10
-		// 009: xori r3, r3, 1
-		r3 = r3 ^ 0x1
-		// 00a: jal r0, 40
+L694:
+	if st.stop-cycles <= 12 {
+		bpc = 694
+		goto budgetOut
+	}
+	// 2b6: srl r5, r6, r9
+	r[5] = r[6] >> (r[9] & 31)
+	// 2b7: addi r7, r0, 32
+	r[7] = 0 + 0x20
+	// 2b8: sub r7, r7, r9
+	r[7] = r[7] - r[9]
+	// 2b9: sll r6, r6, r7
+	r[6] = r[6] << (r[7] & 31)
+	// 2ba: lui r7, 0x8000
+	r[7] = 0x80000000
+	// 2bb: add r7, r7, r0
+	r[7] = r[7] + 0
+	// 2bc: bltu r7, r6, 4
+	if r[7] < r[6] {
 		cycles, instret = cycles+8, instret+7
-		st.pc = base + 0x32
-		goto okOut
-	L11:
-		if st.stop-cycles <= 5 {
-			bpc = 11
-			goto budgetOut
-		}
-		// 00b: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 00c: bne r7, r5, 3
-		if r7 != r5 {
-			cycles, instret = cycles+3, instret+2
-			goto L15
-		}
-		cycles, instret = cycles+2, instret+2
-		// 00d: bne r10, r0, 42
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x37
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00e: jal r0, 42
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x38
-		goto okOut
-	L15:
-		if st.stop-cycles <= 4 {
-			bpc = 15
-			goto budgetOut
-		}
-		// 00f: bne r8, r0, 3
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L18
-		}
-		cycles, instret = cycles+1, instret+1
-		// 010: addi r9, r9, -1
-		r9 = r9 + 0xffffffff
-		// 011: jal r0, 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 21
-		goto okOut
-	L18:
-		if st.stop-cycles <= 3 {
-			bpc = 18
-			goto budgetOut
-		}
-		// 012: lui r5, 0x4000
-		r5 = 0x40000000
-		// 013: add r5, r5, r0
-		r5 = r5 + 0
-		// 014: or r11, r11, r5
-		r11 = r11 | r5
-		cycles, instret = cycles+3, instret+3
-		st.pc = base + 21
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[9], r[10], r[11], r[12], r[15] = r1, r2, r3, r5, r9, r10, r11, r12, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[3], r[5], r[9], r[10], r[11], r[12], r[15] = r1, r2, r3, r5, r9, r10, r11, r12, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L704
 	}
-}
-
-// Region R24: ss_ab_shift — 29 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR24 = [...]uint64{
-	0x00000000000b010d, 0x000000000009020d, 0x0000000000070c0d, 0xfffffe8200000f22,
-	0x0000000000010b0d, 0x4000000000000516, 0x0000000000050501, 0x00000000050a0a04,
-	0x000000000b0a0502, 0x0000001d00000022, 0x000000ff0000050d, 0x000000110507001d,
-	0x000000000b0a0604, 0x000000220006001d, 0x7fc0000000000116, 0x0000000000010101,
-	0x0000002300000022, 0x000000130007001d, 0x000000010000070d, 0x000000170a0b0020,
-	0x0000001a0b0a0020, 0x000000000000010d, 0x0000002300000022, 0x000000000b0a0502,
-	0x0000000000070c0d, 0x0000001d00000022, 0x000000000a0b0502, 0x0000000000070c0d,
-	0x0000000100030310,
-}
-
-func bindR24(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r9, r10, r11, r12, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[9], r[10], r[11], r[12], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 10:
-			goto L10
-		case 17:
-			goto L17
-		case 23:
-			goto L23
-		case 26:
-			goto L26
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 5 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r1, r11, 0
-		r1 = r11 + 0x0
-		// 001: addi r2, r9, 0
-		r2 = r9 + 0x0
-		// 002: addi r12, r7, 0
-		r12 = r7 + 0x0
-		// 003: jal r15, -385
-		r15 = (base + 4) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffe82
+	cycles, instret = cycles+7, instret+7
+	// 2bd: bne r6, r7, 4
+	if r[6] != r[7] {
+		cycles, instret = cycles+2, instret+1
+		goto L705
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2be: andi r6, r5, 1
+	r[6] = r[5] & 0x1
+	// 2bf: beq r6, r0, 2
+	if r[6] == 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L705
+	}
+	cycles, instret = cycles+2, instret+2
+L704:
+	// 2c0: addi r5, r5, 1
+	r[5] = r[5] + 0x1
+	cycles, instret = cycles+1, instret+1
+L705:
+	// 2c1: addi r6, r5, 0
+	r[6] = r[5] + 0x0
+	cycles, instret = cycles+1, instret+1
+L706:
+	if st.stop-cycles <= 5 {
+		bpc = 706
+		goto budgetOut
+	}
+	// 2c2: beq r8, r0, 2
+	if r[8] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L708
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2c3: sub r6, r0, r6
+	r[6] = 0 - r[6]
+	cycles, instret = cycles+1, instret+1
+L708:
+	// 2c4: addi r1, r6, 0
+	r[1] = r[6] + 0x0
+	// 2c5: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
 		goto okOut
-	L4:
-		if st.stop-cycles <= 7 {
-			bpc = 4
-			goto budgetOut
+	}
+L710:
+	if st.stop-cycles <= 12 {
+		bpc = 710
+		goto budgetOut
+	}
+	// 2c6: lui r5, 0x7f
+	r[5] = 0x7f0000
+	// 2c7: ori r5, r5, 65535
+	r[5] = r[5] | 0xffff
+	// 2c8: addi r8, r0, 255
+	r[8] = 0 + 0xff
+	// 2c9: addi r9, r0, 0
+	r[9] = 0 + 0x0
+	// 2ca: and r6, r1, r5
+	r[6] = r[1] & r[5]
+	// 2cb: srli r7, r1, 23
+	r[7] = r[1] >> 23
+	// 2cc: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 2cd: bne r7, r8, 4
+	if r[7] != r[8] {
+		cycles, instret = cycles+9, instret+8
+		goto L721
+	}
+	cycles, instret = cycles+8, instret+8
+	// 2ce: beq r6, r0, 3
+	if r[6] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L721
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2cf: addi r9, r0, 1
+	r[9] = 0 + 0x1
+	// 2d0: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L721:
+	if st.stop-cycles <= 8 {
+		bpc = 721
+		goto budgetOut
+	}
+	// 2d1: and r6, r2, r5
+	r[6] = r[2] & r[5]
+	// 2d2: srli r7, r2, 23
+	r[7] = r[2] >> 23
+	// 2d3: andi r7, r7, 255
+	r[7] = r[7] & 0xff
+	// 2d4: bne r7, r8, 3
+	if r[7] != r[8] {
+		cycles, instret = cycles+5, instret+4
+		goto L727
+	}
+	cycles, instret = cycles+4, instret+4
+	// 2d5: beq r6, r0, 2
+	if r[6] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L727
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2d6: addi r9, r0, 1
+	r[9] = 0 + 0x1
+	cycles, instret = cycles+1, instret+1
+L727:
+	// 2d7: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+2, instret+1
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L728:
+	if st.stop-cycles <= 4 {
+		bpc = 728
+		goto budgetOut
+	}
+	// 2d8: addi r14, r14, -4
+	r[14] = r[14] + 0xfffffffc
+	// 2d9: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 729, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 2da: jal r15, -20
+	r[15] = 2924
+	cycles, instret = cycles+4, instret+3
+	goto L710
+L731:
+	if st.stop-cycles <= 11 {
+		bpc = 731
+		goto budgetOut
+	}
+	// 2db: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 731, cycles+0, instret+0); !ok {
+			goto errOut
 		}
-		// 004: addi r11, r1, 0
-		r11 = r1 + 0x0
-		// 005: lui r5, 0x4000
-		r5 = 0x40000000
-		// 006: add r5, r5, r0
-		r5 = r5 + 0
-		// 007: or r10, r10, r5
-		r10 = r10 | r5
-		// 008: sub r5, r10, r11
-		r5 = r10 - r11
-		// 009: jal r0, 20
+		r[15] = v
+	}
+	// 2dc: addi r14, r14, 4
+	r[14] = r[14] + 0x4
+	// 2dd: bne r9, r0, 5
+	if r[9] != 0 {
+		cycles, instret = cycles+5, instret+3
+		goto L738
+	}
+	cycles, instret = cycles+4, instret+3
+	// 2de: beq r1, r2, 6
+	if r[1] == r[2] {
+		cycles, instret = cycles+2, instret+1
+		goto L740
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2df: or r5, r1, r2
+	r[5] = r[1] | r[2]
+	// 2e0: slli r5, r5, 1
+	r[5] = r[5] << 1
+	// 2e1: beq r5, r0, 3
+	if r[5] == 0 {
+		cycles, instret = cycles+4, instret+3
+		goto L740
+	}
+	cycles, instret = cycles+3, instret+3
+L738:
+	// 2e2: addi r1, r0, 0
+	r[1] = 0 + 0x0
+	// 2e3: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L740:
+	if st.stop-cycles <= 3 {
+		bpc = 740
+		goto budgetOut
+	}
+	// 2e4: addi r1, r0, 1
+	r[1] = 0 + 0x1
+	// 2e5: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L742:
+	if st.stop-cycles <= 4 {
+		bpc = 742
+		goto budgetOut
+	}
+	// 2e6: addi r14, r14, -4
+	r[14] = r[14] + 0xfffffffc
+	// 2e7: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 743, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 2e8: jal r15, -34
+	r[15] = 2980
+	cycles, instret = cycles+4, instret+3
+	goto L710
+L745:
+	if st.stop-cycles <= 13 {
+		bpc = 745
+		goto budgetOut
+	}
+	// 2e9: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 745, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 2ea: addi r14, r14, 4
+	r[14] = r[14] + 0x4
+	// 2eb: bne r9, r0, 15
+	if r[9] != 0 {
+		cycles, instret = cycles+5, instret+3
+		goto L762
+	}
+	cycles, instret = cycles+4, instret+3
+	// 2ec: srli r5, r1, 31
+	r[5] = r[1] >> 31
+	// 2ed: srli r6, r2, 31
+	r[6] = r[2] >> 31
+	// 2ee: bne r5, r6, 6
+	if r[5] != r[6] {
+		cycles, instret = cycles+4, instret+3
+		goto L756
+	}
+	cycles, instret = cycles+3, instret+3
+	// 2ef: beq r5, r0, 3
+	if r[5] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L754
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2f0: bltu r2, r1, 8
+	if r[2] < r[1] {
+		cycles, instret = cycles+2, instret+1
+		goto L760
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2f1: jal r0, 9
+	cycles, instret = cycles+2, instret+1
+	goto L762
+L754:
+	if st.stop-cycles <= 5 {
+		bpc = 754
+		goto budgetOut
+	}
+	// 2f2: bltu r1, r2, 6
+	if r[1] < r[2] {
+		cycles, instret = cycles+2, instret+1
+		goto L760
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2f3: jal r0, 7
+	cycles, instret = cycles+2, instret+1
+	goto L762
+L756:
+	if st.stop-cycles <= 7 {
+		bpc = 756
+		goto budgetOut
+	}
+	// 2f4: beq r5, r0, 6
+	if r[5] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L762
+	}
+	cycles, instret = cycles+1, instret+1
+	// 2f5: or r7, r1, r2
+	r[7] = r[1] | r[2]
+	// 2f6: slli r7, r7, 1
+	r[7] = r[7] << 1
+	// 2f7: beq r7, r0, 3
+	if r[7] == 0 {
+		cycles, instret = cycles+4, instret+3
+		goto L762
+	}
+	cycles, instret = cycles+3, instret+3
+L760:
+	// 2f8: addi r1, r0, 1
+	r[1] = 0 + 0x1
+	// 2f9: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L762:
+	if st.stop-cycles <= 3 {
+		bpc = 762
+		goto budgetOut
+	}
+	// 2fa: addi r1, r0, 0
+	r[1] = 0 + 0x0
+	// 2fb: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L764:
+	if st.stop-cycles <= 4 {
+		bpc = 764
+		goto budgetOut
+	}
+	// 2fc: addi r14, r14, -4
+	r[14] = r[14] + 0xfffffffc
+	// 2fd: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 765, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 2fe: jal r15, -56
+	r[15] = 3068
+	cycles, instret = cycles+4, instret+3
+	goto L710
+L767:
+	if st.stop-cycles <= 11 {
+		bpc = 767
+		goto budgetOut
+	}
+	// 2ff: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 767, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 300: addi r14, r14, 4
+	r[14] = r[14] + 0x4
+	// 301: bne r9, r0, 13
+	if r[9] != 0 {
+		cycles, instret = cycles+5, instret+3
+		goto L782
+	}
+	cycles, instret = cycles+4, instret+3
+	// 302: srli r5, r1, 31
+	r[5] = r[1] >> 31
+	// 303: srli r6, r2, 31
+	r[6] = r[2] >> 31
+	// 304: bne r5, r6, 6
+	if r[5] != r[6] {
+		cycles, instret = cycles+4, instret+3
+		goto L778
+	}
+	cycles, instret = cycles+3, instret+3
+	// 305: beq r5, r0, 3
+	if r[5] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L776
+	}
+	cycles, instret = cycles+1, instret+1
+	// 306: bgeu r1, r2, 10
+	if r[1] >= r[2] {
+		cycles, instret = cycles+2, instret+1
+		goto L784
+	}
+	cycles, instret = cycles+1, instret+1
+	// 307: jal r0, 7
+	cycles, instret = cycles+2, instret+1
+	goto L782
+L776:
+	if st.stop-cycles <= 3 {
+		bpc = 776
+		goto budgetOut
+	}
+	// 308: bgeu r2, r1, 8
+	if r[2] >= r[1] {
+		cycles, instret = cycles+2, instret+1
+		goto L784
+	}
+	cycles, instret = cycles+1, instret+1
+	// 309: jal r0, 5
+	cycles, instret = cycles+2, instret+1
+	goto L782
+L778:
+	if st.stop-cycles <= 5 {
+		bpc = 778
+		goto budgetOut
+	}
+	// 30a: bne r5, r0, 6
+	if r[5] != 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L784
+	}
+	cycles, instret = cycles+1, instret+1
+	// 30b: or r7, r1, r2
+	r[7] = r[1] | r[2]
+	// 30c: slli r7, r7, 1
+	r[7] = r[7] << 1
+	// 30d: beq r7, r0, 3
+	if r[7] == 0 {
+		cycles, instret = cycles+4, instret+3
+		goto L784
+	}
+	cycles, instret = cycles+3, instret+3
+L782:
+	if st.stop-cycles <= 3 {
+		bpc = 782
+		goto budgetOut
+	}
+	// 30e: addi r1, r0, 0
+	r[1] = 0 + 0x0
+	// 30f: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+L784:
+	if st.stop-cycles <= 3 {
+		bpc = 784
+		goto budgetOut
+	}
+	// 310: addi r1, r0, 1
+	r[1] = 0 + 0x1
+	// 311: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+3, instret+2
+	switch v {
+	case 0:
+		goto L0
+	case 5:
+		goto L5
+	case 9:
+		goto L9
+	case 12:
+		goto L12
+	case 16:
+		goto L16
+	case 18:
+		goto L18
+	case 20:
+		goto L20
+	case 25:
+		goto L25
+	case 27:
+		goto L27
+	case 29:
+		goto L29
+	case 35:
+		goto L35
+	case 36:
+		goto L36
+	case 47:
+		goto L47
+	case 50:
+		goto L50
+	case 75:
+		goto L75
+	case 77:
+		goto L77
+	case 89:
+		goto L89
+	case 101:
+		goto L101
+	case 104:
+		goto L104
+	case 119:
+		goto L119
+	case 122:
+		goto L122
+	case 124:
+		goto L124
+	case 138:
+		goto L138
+	case 142:
+		goto L142
+	case 148:
+		goto L148
+	case 156:
+		goto L156
+	case 165:
+		goto L165
+	case 170:
+		goto L170
+	case 175:
+		goto L175
+	case 179:
+		goto L179
+	case 196:
+		goto L196
+	case 202:
+		goto L202
+	case 204:
+		goto L204
+	case 205:
+		goto L205
+	case 210:
+		goto L210
+	case 215:
+		goto L215
+	case 217:
+		goto L217
+	case 263:
+		goto L263
+	case 270:
+		goto L270
+	case 296:
+		goto L296
+	case 299:
+		goto L299
+	case 302:
+		goto L302
+	case 306:
+		goto L306
+	case 308:
+		goto L308
+	case 312:
+		goto L312
+	case 315:
+		goto L315
+	case 318:
+		goto L318
+	case 322:
+		goto L322
+	case 323:
+		goto L323
+	case 336:
+		goto L336
+	case 337:
+		goto L337
+	case 342:
+		goto L342
+	case 348:
+		goto L348
+	case 356:
+		goto L356
+	case 357:
+		goto L357
+	case 358:
+		goto L358
+	case 364:
+		goto L364
+	case 391:
+		goto L391
+	case 394:
+		goto L394
+	case 397:
+		goto L397
+	case 401:
+		goto L401
+	case 408:
+		goto L408
+	case 412:
+		goto L412
+	case 415:
+		goto L415
+	case 418:
+		goto L418
+	case 422:
+		goto L422
+	case 428:
+		goto L428
+	case 435:
+		goto L435
+	case 441:
+		goto L441
+	case 444:
+		goto L444
+	case 447:
+		goto L447
+	case 451:
+		goto L451
+	case 452:
+		goto L452
+	case 453:
+		goto L453
+	case 459:
+		goto L459
+	case 481:
+		goto L481
+	case 486:
+		goto L486
+	case 493:
+		goto L493
+	case 498:
+		goto L498
+	case 502:
+		goto L502
+	case 504:
+		goto L504
+	case 512:
+		goto L512
+	case 514:
+		goto L514
+	case 538:
+		goto L538
+	case 539:
+		goto L539
+	case 540:
+		goto L540
+	case 546:
+		goto L546
+	case 570:
+		goto L570
+	case 574:
+		goto L574
+	case 581:
+		goto L581
+	case 583:
+		goto L583
+	case 591:
+		goto L591
+	case 593:
+		goto L593
+	case 609:
+		goto L609
+	case 611:
+		goto L611
+	case 629:
+		goto L629
+	case 630:
+		goto L630
+	case 635:
+		goto L635
+	case 636:
+		goto L636
+	case 642:
+		goto L642
+	case 644:
+		goto L644
+	case 650:
+		goto L650
+	case 657:
+		goto L657
+	case 680:
+		goto L680
+	case 683:
+		goto L683
+	case 686:
+		goto L686
+	case 689:
+		goto L689
+	case 694:
+		goto L694
+	case 706:
+		goto L706
+	case 710:
+		goto L710
+	case 721:
+		goto L721
+	case 728:
+		goto L728
+	case 731:
+		goto L731
+	case 740:
+		goto L740
+	case 742:
+		goto L742
+	case 745:
+		goto L745
+	case 754:
+		goto L754
+	case 756:
+		goto L756
+	case 762:
+		goto L762
+	case 764:
+		goto L764
+	case 767:
+		goto L767
+	case 776:
+		goto L776
+	case 778:
+		goto L778
+	case 782:
+		goto L782
+	case 784:
+		goto L784
+	default:
+		st.pc = v
+		goto okOut
+	}
+budgetOut:
+	st.pc = bpc
+	st.cycles, st.instret = cycles, instret
+	return stBudget
+errOut:
+	return stErr
+okOut:
+	st.cycles, st.instret = cycles, instret
+	return stOK
+}
+
+// kernelFxBoresight runs the FxBoresight program: 395 words, 37 leaders.
+var kernelFxBoresight = genKernel{
+	fn: runFxBoresight,
+	words: []uint32{
+		0x3780ff00, 0x5e800000, 0x36c00100, 0x37008000, 0x728000e7, 0x5d6c0000, 0x694000a0, 0x5d6c0004,
+		0x694000a4, 0x5d6c0008, 0x694000a8, 0x5d6c000c, 0x694000ac, 0x5d6c0010, 0x694000b0, 0x5d800004,
+		0x5d400018, 0x05558000, 0x69400018, 0x5d400028, 0x05558000, 0x69400028, 0x5d400038, 0x05558000,
+		0x69400038, 0x5c400010, 0x5c8000a8, 0x8bc000da, 0x36440000, 0x5c400014, 0x5c8000a4, 0x8bc000d6,
+		0x5d4000a0, 0x09564000, 0x05544000, 0x5d8000ac, 0x09994000, 0x69800088, 0x5c40000c, 0x5c8000a8,
+		0x8bc000cd, 0x36440000, 0x5c400014, 0x5c8000a0, 0x8bc000c9, 0x5d4000a4, 0x05564000, 0x09544000,
+		0x5d8000b0, 0x09994000, 0x6980008c, 0x68000040, 0x5d4000a8, 0x09814000, 0x69800044, 0x5d8000a4,
+		0x69800048, 0x6940004c, 0x68000050, 0x5d4000a0, 0x09814000, 0x69800054, 0x34400040, 0x34800058,
+		0x8bc000d2, 0x3440004c, 0x34800064, 0x8bc000cf, 0x34400040, 0x34800058, 0x8bc000f3, 0x5d400008,
+		0x04454000, 0x68400090, 0x3440004c, 0x34800064, 0x8bc000ed, 0x5d400008, 0x04454000, 0x68400098,
+		0x34400040, 0x34800064, 0x8bc000e7, 0x68400094, 0x5c400090, 0x5c800098, 0x8bc00109, 0x36440000,
+		0x5c400094, 0x5c800094, 0x8bc00105, 0x0a644000, 0x35400001, 0x7e540002, 0x36400001, 0x6a40009c,
+		0x37400000, 0x35740058, 0x5c540000, 0x5c800098, 0x8bc00088, 0x36040000, 0x36480000, 0x35740064,
+		0x5c540000, 0x5c800094, 0x8bc00082, 0x31a04000, 0x0a204000, 0x0a648000, 0x0a658000, 0x34600000,
+		0x34a40000, 0x5cc0009c, 0x8bc000f6, 0x35740070, 0x68540000, 0x35740064, 0x5c540000, 0x5c800090,
+		0x8bc00074, 0x36040000, 0x36480000, 0x35740058, 0x5c540000, 0x5c800094, 0x8bc0006e, 0x31a04000,
+		0x0a204000, 0x0a648000, 0x0a658000, 0x34600000, 0x34a40000, 0x5cc0009c, 0x8bc000e2, 0x3574007c,
+		0x68540000, 0x37740004, 0x3540000c, 0x7b57ffd6, 0x37400000, 0x35740070, 0x5c540000, 0x5c800088,
+		0x8bc00065, 0x36440000, 0x3574007c, 0x5c540000, 0x5c80008c, 0x8bc00060, 0x06644000, 0x3574000c,
+		0x5d940000, 0x059a4000, 0x69940000, 0x37740004, 0x3540000c, 0x7b57fff0, 0x37400000, 0x35c00000,
+		0x35740070, 0x5c540000, 0x355c0058, 0x5c940000, 0x69c000b4, 0x8bc00050, 0x36440000, 0x5dc000b4,
+		0x3574007c, 0x5c540000, 0x355c0064, 0x5c940000, 0x69c000b4, 0x6a4000bc, 0x8bc00047, 0x5e4000bc,
+		0x5dc000b4, 0x06644000, 0x05774000, 0x05574000, 0x0555c000, 0x35540018, 0x5d940000, 0x099a4000,
+		0x69940000, 0x35dc0004, 0x3540000c, 0x79d7ffe5, 0x37740004, 0x3540000c, 0x7b57ffe1, 0x5d40001c,
+		0x5d800024, 0x05558000, 0x4994001f, 0x05558000, 0x4d540001, 0x6940001c, 0x69400024, 0x5d400020,
+		0x5d800030, 0x05558000, 0x4994001f, 0x05558000, 0x4d540001, 0x69400020, 0x69400030, 0x5d40002c,
+		0x5d800034, 0x05558000, 0x4994001f, 0x05558000, 0x4d540001, 0x6940002c, 0x69400034, 0x35800001,
+		0x5d400018, 0x7d580002, 0x69800018, 0x5d400028, 0x7d580002, 0x69800028, 0x5d400038, 0x7d580002,
+		0x69800038, 0x5d40000c, 0x69700000, 0x5d400010, 0x69700004, 0x5d400014, 0x69700008, 0x3730000c,
+		0x36ec0014, 0x36abffff, 0x883fff1a, 0x00000000, 0x25448000, 0x29848000, 0x7c400002, 0x09988000,
+		0x7c800002, 0x09984000, 0x34540000, 0x34980000, 0x8c3c0000, 0x37bbfffc, 0x6bf80000, 0x8bfffff5,
+		0x5ff80000, 0x37b80004, 0x7c80000f, 0x08404000, 0x408bffff, 0x74400002, 0x34880001, 0x59400080,
+		0x05540000, 0x05854000, 0x31d84000, 0x0489c000, 0x49980018, 0x44880008, 0x10588000, 0x08404000,
+		0x8c3c0000, 0x59400080, 0x05540000, 0x05854000, 0x31d84000, 0x0489c000, 0x49980018, 0x44880008,
+		0x10588000, 0x8c3c0000, 0x37bbffec, 0x6bf80000, 0x6ab80004, 0x6af80008, 0x6b38000c, 0x6b780010,
+		0x36840000, 0x36c80000, 0x37000018, 0x37400000, 0x5c700000, 0x5ca80000, 0x8bffffd7, 0x36440000,
+		0x6a4000c0, 0x5c700004, 0x5ca80004, 0x8bffffd2, 0x5e4000c0, 0x06644000, 0x6a4000c0, 0x5c700008,
+		0x5ca80008, 0x8bffffcc, 0x5e4000c0, 0x06644000, 0x6a6c0000, 0x36ec0004, 0x3730000c, 0x37740001,
+		0x35400003, 0x7b57ffeb, 0x5ff80000, 0x5eb80004, 0x5ef80008, 0x5f38000c, 0x5f780010, 0x37b80014,
+		0x8c3c0000, 0x37bbffec, 0x6bf80000, 0x6ab80004, 0x6af80008, 0x6b38000c, 0x6b780010, 0x36840000,
+		0x36c80000, 0x37000000, 0x37400000, 0x36400000, 0x6a4000c4, 0x5e4000c4, 0x056a4000, 0x5c540000,
+		0x056e4000, 0x5c940000, 0x8bffffa2, 0x05704000, 0x31970000, 0x37140000, 0x07748000, 0x07758000,
+		0x5e4000c4, 0x36640004, 0x6a4000c4, 0x3540000c, 0x7a57fff1, 0x48700012, 0x4574000e, 0x10454000,
+		0x5ff80000, 0x5eb80004, 0x5ef80008, 0x5f38000c, 0x5f780010, 0x37b80014, 0x8c3c0000, 0x37bbfffc,
+		0x6bf80000, 0x8bffff8b, 0x5ff80000, 0x37b80004, 0x4844001e, 0x44880002, 0x10448000, 0x8c3c0000,
+		0x36400000, 0x7c800006, 0x36400001, 0x08404000, 0x408bffff, 0x74400002, 0x34880001, 0x35400000,
+		0x35800000, 0x35c00020, 0x4a08001f, 0x44880001, 0x45540001, 0x11560000, 0x45980001, 0x814c0003,
+		0x0954c000, 0x3d980001, 0x35dfffff, 0x75c3fff7, 0x35c00020, 0x4a04001f, 0x44440001, 0x45540001,
+		0x11560000, 0x45980001, 0x814c0003, 0x0954c000, 0x3d980001, 0x35dfffff, 0x75c3fff7, 0x34580000,
+		0x72400002, 0x08404000, 0x8c3c0000,
+	},
+	leaders: map[uint32]uint32{
+		0: 5, 4: 36, 28: 7, 32: 14, 41: 7, 45: 26, 65: 4, 68: 4,
+		71: 8, 77: 8, 83: 7, 87: 7, 91: 6, 101: 9, 107: 10, 115: 9,
+		121: 9, 127: 10, 135: 6, 145: 8, 150: 10, 166: 13, 175: 76, 235: 1,
+		236: 16, 245: 4, 248: 19, 265: 10, 274: 10, 287: 8, 292: 10, 298: 22,
+		313: 12, 331: 27, 351: 4, 354: 8, 360: 10,
+	},
+}
+
+func runFxBoresight(c *CPU, st *cst) int {
+	r := st.r
+	data := st.data
+	cycles, instret := st.cycles, st.instret
+	var a, v, bpc uint32
+	var ok bool
+	_, _, _, _, _ = r, data, a, v, ok
+	switch st.pc {
+	case 0:
+		goto L0
+	case 4:
+		goto L4
+	case 28:
+		goto L28
+	case 32:
+		goto L32
+	case 41:
+		goto L41
+	case 45:
+		goto L45
+	case 65:
+		goto L65
+	case 68:
+		goto L68
+	case 71:
+		goto L71
+	case 77:
+		goto L77
+	case 83:
+		goto L83
+	case 87:
+		goto L87
+	case 91:
+		goto L91
+	case 101:
+		goto L101
+	case 107:
+		goto L107
+	case 115:
+		goto L115
+	case 121:
+		goto L121
+	case 127:
+		goto L127
+	case 135:
+		goto L135
+	case 145:
+		goto L145
+	case 150:
+		goto L150
+	case 166:
+		goto L166
+	case 175:
+		goto L175
+	case 235:
+		goto L235
+	case 236:
+		goto L236
+	case 245:
+		goto L245
+	case 248:
+		goto L248
+	case 265:
+		goto L265
+	case 274:
+		goto L274
+	case 287:
+		goto L287
+	case 292:
+		goto L292
+	case 298:
+		goto L298
+	case 313:
+		goto L313
+	case 331:
+		goto L331
+	case 351:
+		goto L351
+	case 354:
+		goto L354
+	case 360:
+		goto L360
+	default:
+		return stNoEntry
+	}
+L0:
+	if st.stop-cycles <= 5 {
+		bpc = 0
+		goto budgetOut
+	}
+	// 000: addi r14, r0, 65280
+	r[14] = 0 + 0xff00
+	// 001: lw r10, 0(r0)
+	a = 0 + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 1, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[10] = v
+	}
+	// 002: addi r11, r0, 256
+	r[11] = 0 + 0x100
+	// 003: addi r12, r0, 32768
+	r[12] = 0 + 0x8000
+	cycles, instret = cycles+5, instret+4
+L4:
+	if st.stop-cycles <= 36 {
+		bpc = 4
+		goto budgetOut
+	}
+	// 004: beq r10, r0, 231
+	if r[10] == 0 {
+		cycles, instret = cycles+2, instret+1
+		goto L235
+	}
+	cycles, instret = cycles+1, instret+1
+	// 005: lw r5, 0(r11)
+	a = r[11] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 5, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 006: sw r5, 160(r0)
+	a = 0 + 0xa0
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 6, cycles+2, instret+1) {
+		goto errOut
+	}
+	// 007: lw r5, 4(r11)
+	a = r[11] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 7, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 008: sw r5, 164(r0)
+	a = 0 + 0xa4
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 8, cycles+5, instret+3) {
+		goto errOut
+	}
+	// 009: lw r5, 8(r11)
+	a = r[11] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 9, cycles+6, instret+4); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 00a: sw r5, 168(r0)
+	a = 0 + 0xa8
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 10, cycles+8, instret+5) {
+		goto errOut
+	}
+	// 00b: lw r5, 12(r11)
+	a = r[11] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 11, cycles+9, instret+6); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 00c: sw r5, 172(r0)
+	a = 0 + 0xac
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 12, cycles+11, instret+7) {
+		goto errOut
+	}
+	// 00d: lw r5, 16(r11)
+	a = r[11] + 0x10
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 13, cycles+12, instret+8); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 00e: sw r5, 176(r0)
+	a = 0 + 0xb0
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 14, cycles+14, instret+9) {
+		goto errOut
+	}
+	// 00f: lw r6, 4(r0)
+	a = 0 + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 15, cycles+15, instret+10); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 010: lw r5, 24(r0)
+	a = 0 + 0x18
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 16, cycles+17, instret+11); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 011: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 012: sw r5, 24(r0)
+	a = 0 + 0x18
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 18, cycles+20, instret+13) {
+		goto errOut
+	}
+	// 013: lw r5, 40(r0)
+	a = 0 + 0x28
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 19, cycles+21, instret+14); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 014: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 015: sw r5, 40(r0)
+	a = 0 + 0x28
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 21, cycles+24, instret+16) {
+		goto errOut
+	}
+	// 016: lw r5, 56(r0)
+	a = 0 + 0x38
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 22, cycles+25, instret+17); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 017: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 018: sw r5, 56(r0)
+	a = 0 + 0x38
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 24, cycles+28, instret+19) {
+		goto errOut
+	}
+	// 019: lw r1, 16(r0)
+	a = 0 + 0x10
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 25, cycles+29, instret+20); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 01a: lw r2, 168(r0)
+	a = 0 + 0xa8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 26, cycles+31, instret+21); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 01b: jal r15, 218
+	r[15] = 112
+	cycles, instret = cycles+35, instret+23
+	goto L245
+L28:
+	if st.stop-cycles <= 7 {
+		bpc = 28
+		goto budgetOut
+	}
+	// 01c: addi r9, r1, 0
+	r[9] = r[1] + 0x0
+	// 01d: lw r1, 20(r0)
+	a = 0 + 0x14
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 29, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 01e: lw r2, 164(r0)
+	a = 0 + 0xa4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 30, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 01f: jal r15, 214
+	r[15] = 128
+	cycles, instret = cycles+7, instret+4
+	goto L245
+L32:
+	if st.stop-cycles <= 14 {
+		bpc = 32
+		goto budgetOut
+	}
+	// 020: lw r5, 160(r0)
+	a = 0 + 0xa0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 32, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 021: sub r5, r5, r9
+	r[5] = r[5] - r[9]
+	// 022: add r5, r5, r1
+	r[5] = r[5] + r[1]
+	// 023: lw r6, 172(r0)
+	a = 0 + 0xac
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 35, cycles+4, instret+3); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 024: sub r6, r6, r5
+	r[6] = r[6] - r[5]
+	// 025: sw r6, 136(r0)
+	a = 0 + 0x88
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 37, cycles+7, instret+5) {
+		goto errOut
+	}
+	// 026: lw r1, 12(r0)
+	a = 0 + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 38, cycles+8, instret+6); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 027: lw r2, 168(r0)
+	a = 0 + 0xa8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 39, cycles+10, instret+7); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 028: jal r15, 205
+	r[15] = 164
+	cycles, instret = cycles+14, instret+9
+	goto L245
+L41:
+	if st.stop-cycles <= 7 {
+		bpc = 41
+		goto budgetOut
+	}
+	// 029: addi r9, r1, 0
+	r[9] = r[1] + 0x0
+	// 02a: lw r1, 20(r0)
+	a = 0 + 0x14
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 42, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 02b: lw r2, 160(r0)
+	a = 0 + 0xa0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 43, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 02c: jal r15, 201
+	r[15] = 180
+	cycles, instret = cycles+7, instret+4
+	goto L245
+L45:
+	if st.stop-cycles <= 26 {
+		bpc = 45
+		goto budgetOut
+	}
+	// 02d: lw r5, 164(r0)
+	a = 0 + 0xa4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 45, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 02e: add r5, r5, r9
+	r[5] = r[5] + r[9]
+	// 02f: sub r5, r5, r1
+	r[5] = r[5] - r[1]
+	// 030: lw r6, 176(r0)
+	a = 0 + 0xb0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 48, cycles+4, instret+3); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 031: sub r6, r6, r5
+	r[6] = r[6] - r[5]
+	// 032: sw r6, 140(r0)
+	a = 0 + 0x8c
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 50, cycles+7, instret+5) {
+		goto errOut
+	}
+	// 033: sw r0, 64(r0)
+	a = 0 + 0x40
+	v = 0
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 51, cycles+8, instret+6) {
+		goto errOut
+	}
+	// 034: lw r5, 168(r0)
+	a = 0 + 0xa8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 52, cycles+9, instret+7); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 035: sub r6, r0, r5
+	r[6] = 0 - r[5]
+	// 036: sw r6, 68(r0)
+	a = 0 + 0x44
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 54, cycles+12, instret+9) {
+		goto errOut
+	}
+	// 037: lw r6, 164(r0)
+	a = 0 + 0xa4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 55, cycles+13, instret+10); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 038: sw r6, 72(r0)
+	a = 0 + 0x48
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 56, cycles+15, instret+11) {
+		goto errOut
+	}
+	// 039: sw r5, 76(r0)
+	a = 0 + 0x4c
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 57, cycles+16, instret+12) {
+		goto errOut
+	}
+	// 03a: sw r0, 80(r0)
+	a = 0 + 0x50
+	v = 0
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 58, cycles+17, instret+13) {
+		goto errOut
+	}
+	// 03b: lw r5, 160(r0)
+	a = 0 + 0xa0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 59, cycles+18, instret+14); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 03c: sub r6, r0, r5
+	r[6] = 0 - r[5]
+	// 03d: sw r6, 84(r0)
+	a = 0 + 0x54
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 61, cycles+21, instret+16) {
+		goto errOut
+	}
+	// 03e: addi r1, r0, 64
+	r[1] = 0 + 0x40
+	// 03f: addi r2, r0, 88
+	r[2] = 0 + 0x58
+	// 040: jal r15, 210
+	r[15] = 260
+	cycles, instret = cycles+26, instret+20
+	goto L274
+L65:
+	if st.stop-cycles <= 4 {
+		bpc = 65
+		goto budgetOut
+	}
+	// 041: addi r1, r0, 76
+	r[1] = 0 + 0x4c
+	// 042: addi r2, r0, 100
+	r[2] = 0 + 0x64
+	// 043: jal r15, 207
+	r[15] = 272
+	cycles, instret = cycles+4, instret+3
+	goto L274
+L68:
+	if st.stop-cycles <= 4 {
+		bpc = 68
+		goto budgetOut
+	}
+	// 044: addi r1, r0, 64
+	r[1] = 0 + 0x40
+	// 045: addi r2, r0, 88
+	r[2] = 0 + 0x58
+	// 046: jal r15, 243
+	r[15] = 284
+	cycles, instret = cycles+4, instret+3
+	goto L313
+L71:
+	if st.stop-cycles <= 8 {
+		bpc = 71
+		goto budgetOut
+	}
+	// 047: lw r5, 8(r0)
+	a = 0 + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 71, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 048: add r1, r1, r5
+	r[1] = r[1] + r[5]
+	// 049: sw r1, 144(r0)
+	a = 0 + 0x90
+	v = r[1]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 73, cycles+3, instret+2) {
+		goto errOut
+	}
+	// 04a: addi r1, r0, 76
+	r[1] = 0 + 0x4c
+	// 04b: addi r2, r0, 100
+	r[2] = 0 + 0x64
+	// 04c: jal r15, 237
+	r[15] = 308
+	cycles, instret = cycles+8, instret+6
+	goto L313
+L77:
+	if st.stop-cycles <= 8 {
+		bpc = 77
+		goto budgetOut
+	}
+	// 04d: lw r5, 8(r0)
+	a = 0 + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 77, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 04e: add r1, r1, r5
+	r[1] = r[1] + r[5]
+	// 04f: sw r1, 152(r0)
+	a = 0 + 0x98
+	v = r[1]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 79, cycles+3, instret+2) {
+		goto errOut
+	}
+	// 050: addi r1, r0, 64
+	r[1] = 0 + 0x40
+	// 051: addi r2, r0, 100
+	r[2] = 0 + 0x64
+	// 052: jal r15, 231
+	r[15] = 332
+	cycles, instret = cycles+8, instret+6
+	goto L313
+L83:
+	if st.stop-cycles <= 7 {
+		bpc = 83
+		goto budgetOut
+	}
+	// 053: sw r1, 148(r0)
+	a = 0 + 0x94
+	v = r[1]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 83, cycles+0, instret+0) {
+		goto errOut
+	}
+	// 054: lw r1, 144(r0)
+	a = 0 + 0x90
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 84, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 055: lw r2, 152(r0)
+	a = 0 + 0x98
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 85, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 056: jal r15, 265
+	r[15] = 348
+	cycles, instret = cycles+7, instret+4
+	goto L351
+L87:
+	if st.stop-cycles <= 7 {
+		bpc = 87
+		goto budgetOut
+	}
+	// 057: addi r9, r1, 0
+	r[9] = r[1] + 0x0
+	// 058: lw r1, 148(r0)
+	a = 0 + 0x94
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 88, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 059: lw r2, 148(r0)
+	a = 0 + 0x94
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 89, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 05a: jal r15, 261
+	r[15] = 364
+	cycles, instret = cycles+7, instret+4
+	goto L351
+L91:
+	if st.stop-cycles <= 6 {
+		bpc = 91
+		goto budgetOut
+	}
+	// 05b: sub r9, r9, r1
+	r[9] = r[9] - r[1]
+	// 05c: addi r5, r0, 1
+	r[5] = 0 + 0x1
+	// 05d: bge r9, r5, 2
+	if int32(r[9]) >= int32(r[5]) {
+		cycles, instret = cycles+4, instret+3
+		goto L95
+	}
+	cycles, instret = cycles+3, instret+3
+	// 05e: addi r9, r0, 1
+	r[9] = 0 + 0x1
+	cycles, instret = cycles+1, instret+1
+L95:
+	// 05f: sw r9, 156(r0)
+	a = 0 + 0x9c
+	v = r[9]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 95, cycles+0, instret+0) {
+		goto errOut
+	}
+	// 060: addi r13, r0, 0
+	r[13] = 0 + 0x0
+	cycles, instret = cycles+2, instret+2
+L97:
+	if st.stop-cycles <= 7 {
+		bpc = 97
+		goto budgetOut
+	}
+	// 061: addi r5, r13, 88
+	r[5] = r[13] + 0x58
+	// 062: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 98, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 063: lw r2, 152(r0)
+	a = 0 + 0x98
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 99, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 064: jal r15, 136
+	r[15] = 404
+	cycles, instret = cycles+7, instret+4
+	goto L236
+L101:
+	if st.stop-cycles <= 9 {
+		bpc = 101
+		goto budgetOut
+	}
+	// 065: addi r8, r1, 0
+	r[8] = r[1] + 0x0
+	// 066: addi r9, r2, 0
+	r[9] = r[2] + 0x0
+	// 067: addi r5, r13, 100
+	r[5] = r[13] + 0x64
+	// 068: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 104, cycles+3, instret+3); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 069: lw r2, 148(r0)
+	a = 0 + 0x94
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 105, cycles+5, instret+4); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 06a: jal r15, 130
+	r[15] = 428
+	cycles, instret = cycles+9, instret+6
+	goto L236
+L107:
+	if st.stop-cycles <= 10 {
+		bpc = 107
+		goto budgetOut
+	}
+	// 06b: sltu r6, r8, r1
+	r[6] = b2u(r[8] < r[1])
+	// 06c: sub r8, r8, r1
+	r[8] = r[8] - r[1]
+	// 06d: sub r9, r9, r2
+	r[9] = r[9] - r[2]
+	// 06e: sub r9, r9, r6
+	r[9] = r[9] - r[6]
+	// 06f: addi r1, r8, 0
+	r[1] = r[8] + 0x0
+	// 070: addi r2, r9, 0
+	r[2] = r[9] + 0x0
+	// 071: lw r3, 156(r0)
+	a = 0 + 0x9c
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[3] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 113, cycles+6, instret+6); !ok {
+			goto errOut
+		}
+		r[3] = v
+	}
+	// 072: jal r15, 246
+	r[15] = 460
+	cycles, instret = cycles+10, instret+8
+	goto L360
+L115:
+	if st.stop-cycles <= 9 {
+		bpc = 115
+		goto budgetOut
+	}
+	// 073: addi r5, r13, 112
+	r[5] = r[13] + 0x70
+	// 074: sw r1, 0(r5)
+	a = r[5] + 0x0
+	v = r[1]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 116, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 075: addi r5, r13, 100
+	r[5] = r[13] + 0x64
+	// 076: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 118, cycles+3, instret+3); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 077: lw r2, 144(r0)
+	a = 0 + 0x90
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 119, cycles+5, instret+4); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 078: jal r15, 116
+	r[15] = 484
+	cycles, instret = cycles+9, instret+6
+	goto L236
+L121:
+	if st.stop-cycles <= 9 {
+		bpc = 121
+		goto budgetOut
+	}
+	// 079: addi r8, r1, 0
+	r[8] = r[1] + 0x0
+	// 07a: addi r9, r2, 0
+	r[9] = r[2] + 0x0
+	// 07b: addi r5, r13, 88
+	r[5] = r[13] + 0x58
+	// 07c: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 124, cycles+3, instret+3); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 07d: lw r2, 148(r0)
+	a = 0 + 0x94
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 125, cycles+5, instret+4); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 07e: jal r15, 110
+	r[15] = 508
+	cycles, instret = cycles+9, instret+6
+	goto L236
+L127:
+	if st.stop-cycles <= 10 {
+		bpc = 127
+		goto budgetOut
+	}
+	// 07f: sltu r6, r8, r1
+	r[6] = b2u(r[8] < r[1])
+	// 080: sub r8, r8, r1
+	r[8] = r[8] - r[1]
+	// 081: sub r9, r9, r2
+	r[9] = r[9] - r[2]
+	// 082: sub r9, r9, r6
+	r[9] = r[9] - r[6]
+	// 083: addi r1, r8, 0
+	r[1] = r[8] + 0x0
+	// 084: addi r2, r9, 0
+	r[2] = r[9] + 0x0
+	// 085: lw r3, 156(r0)
+	a = 0 + 0x9c
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[3] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 133, cycles+6, instret+6); !ok {
+			goto errOut
+		}
+		r[3] = v
+	}
+	// 086: jal r15, 226
+	r[15] = 540
+	cycles, instret = cycles+10, instret+8
+	goto L360
+L135:
+	if st.stop-cycles <= 6 {
+		bpc = 135
+		goto budgetOut
+	}
+	// 087: addi r5, r13, 124
+	r[5] = r[13] + 0x7c
+	// 088: sw r1, 0(r5)
+	a = r[5] + 0x0
+	v = r[1]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 136, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 089: addi r13, r13, 4
+	r[13] = r[13] + 0x4
+	// 08a: addi r5, r0, 12
+	r[5] = 0 + 0xc
+	// 08b: blt r13, r5, -42
+	if int32(r[13]) < int32(r[5]) {
+		cycles, instret = cycles+6, instret+5
+		goto L97
+	}
+	cycles, instret = cycles+5, instret+5
+	// 08c: addi r13, r0, 0
+	r[13] = 0 + 0x0
+	cycles, instret = cycles+1, instret+1
+L141:
+	if st.stop-cycles <= 7 {
+		bpc = 141
+		goto budgetOut
+	}
+	// 08d: addi r5, r13, 112
+	r[5] = r[13] + 0x70
+	// 08e: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 142, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 08f: lw r2, 136(r0)
+	a = 0 + 0x88
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 143, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 090: jal r15, 101
+	r[15] = 580
+	cycles, instret = cycles+7, instret+4
+	goto L245
+L145:
+	if st.stop-cycles <= 8 {
+		bpc = 145
+		goto budgetOut
+	}
+	// 091: addi r9, r1, 0
+	r[9] = r[1] + 0x0
+	// 092: addi r5, r13, 124
+	r[5] = r[13] + 0x7c
+	// 093: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 147, cycles+2, instret+2); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 094: lw r2, 140(r0)
+	a = 0 + 0x8c
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 148, cycles+4, instret+3); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 095: jal r15, 96
+	r[15] = 600
+	cycles, instret = cycles+8, instret+5
+	goto L245
+L150:
+	if st.stop-cycles <= 10 {
+		bpc = 150
+		goto budgetOut
+	}
+	// 096: add r9, r9, r1
+	r[9] = r[9] + r[1]
+	// 097: addi r5, r13, 12
+	r[5] = r[13] + 0xc
+	// 098: lw r6, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 152, cycles+2, instret+2); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 099: add r6, r6, r9
+	r[6] = r[6] + r[9]
+	// 09a: sw r6, 0(r5)
+	a = r[5] + 0x0
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 154, cycles+5, instret+4) {
+		goto errOut
+	}
+	// 09b: addi r13, r13, 4
+	r[13] = r[13] + 0x4
+	// 09c: addi r5, r0, 12
+	r[5] = 0 + 0xc
+	// 09d: blt r13, r5, -16
+	if int32(r[13]) < int32(r[5]) {
+		cycles, instret = cycles+10, instret+8
+		goto L141
+	}
+	cycles, instret = cycles+9, instret+8
+	// 09e: addi r13, r0, 0
+	r[13] = 0 + 0x0
+	cycles, instret = cycles+1, instret+1
+L159:
+	if st.stop-cycles <= 1 {
+		bpc = 159
+		goto budgetOut
+	}
+	// 09f: addi r7, r0, 0
+	r[7] = 0 + 0x0
+	cycles, instret = cycles+1, instret+1
+L160:
+	if st.stop-cycles <= 9 {
+		bpc = 160
+		goto budgetOut
+	}
+	// 0a0: addi r5, r13, 112
+	r[5] = r[13] + 0x70
+	// 0a1: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 161, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 0a2: addi r5, r7, 88
+	r[5] = r[7] + 0x58
+	// 0a3: lw r2, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 163, cycles+4, instret+3); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 0a4: sw r7, 180(r0)
+	a = 0 + 0xb4
+	v = r[7]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 164, cycles+6, instret+4) {
+		goto errOut
+	}
+	// 0a5: jal r15, 80
+	r[15] = 664
+	cycles, instret = cycles+9, instret+6
+	goto L245
+L166:
+	if st.stop-cycles <= 13 {
+		bpc = 166
+		goto budgetOut
+	}
+	// 0a6: addi r9, r1, 0
+	r[9] = r[1] + 0x0
+	// 0a7: lw r7, 180(r0)
+	a = 0 + 0xb4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[7] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 167, cycles+1, instret+1); !ok {
+			goto errOut
+		}
+		r[7] = v
+	}
+	// 0a8: addi r5, r13, 124
+	r[5] = r[13] + 0x7c
+	// 0a9: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 169, cycles+4, instret+3); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 0aa: addi r5, r7, 100
+	r[5] = r[7] + 0x64
+	// 0ab: lw r2, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 171, cycles+7, instret+5); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 0ac: sw r7, 180(r0)
+	a = 0 + 0xb4
+	v = r[7]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 172, cycles+9, instret+6) {
+		goto errOut
+	}
+	// 0ad: sw r9, 188(r0)
+	a = 0 + 0xbc
+	v = r[9]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 173, cycles+10, instret+7) {
+		goto errOut
+	}
+	// 0ae: jal r15, 71
+	r[15] = 700
+	cycles, instret = cycles+13, instret+9
+	goto L245
+L175:
+	if st.stop-cycles <= 76 {
+		bpc = 175
+		goto budgetOut
+	}
+	// 0af: lw r9, 188(r0)
+	a = 0 + 0xbc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 175, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[9] = v
+	}
+	// 0b0: lw r7, 180(r0)
+	a = 0 + 0xb4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[7] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 176, cycles+2, instret+1); !ok {
+			goto errOut
+		}
+		r[7] = v
+	}
+	// 0b1: add r9, r9, r1
+	r[9] = r[9] + r[1]
+	// 0b2: add r5, r13, r13
+	r[5] = r[13] + r[13]
+	// 0b3: add r5, r5, r13
+	r[5] = r[5] + r[13]
+	// 0b4: add r5, r5, r7
+	r[5] = r[5] + r[7]
+	// 0b5: addi r5, r5, 24
+	r[5] = r[5] + 0x18
+	// 0b6: lw r6, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 182, cycles+9, instret+7); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 0b7: sub r6, r6, r9
+	r[6] = r[6] - r[9]
+	// 0b8: sw r6, 0(r5)
+	a = r[5] + 0x0
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 184, cycles+12, instret+9) {
+		goto errOut
+	}
+	// 0b9: addi r7, r7, 4
+	r[7] = r[7] + 0x4
+	// 0ba: addi r5, r0, 12
+	r[5] = 0 + 0xc
+	// 0bb: blt r7, r5, -27
+	if int32(r[7]) < int32(r[5]) {
+		cycles, instret = cycles+17, instret+13
+		goto L160
+	}
+	cycles, instret = cycles+16, instret+13
+	// 0bc: addi r13, r13, 4
+	r[13] = r[13] + 0x4
+	// 0bd: addi r5, r0, 12
+	r[5] = 0 + 0xc
+	// 0be: blt r13, r5, -31
+	if int32(r[13]) < int32(r[5]) {
+		cycles, instret = cycles+4, instret+3
+		goto L159
+	}
+	cycles, instret = cycles+3, instret+3
+	// 0bf: lw r5, 28(r0)
+	a = 0 + 0x1c
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 191, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0c0: lw r6, 36(r0)
+	a = 0 + 0x24
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 192, cycles+2, instret+1); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 0c1: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 0c2: srli r6, r5, 31
+	r[6] = r[5] >> 31
+	// 0c3: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 0c4: srai r5, r5, 1
+	r[5] = uint32(int32(r[5]) >> 1)
+	// 0c5: sw r5, 28(r0)
+	a = 0 + 0x1c
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 197, cycles+8, instret+6) {
+		goto errOut
+	}
+	// 0c6: sw r5, 36(r0)
+	a = 0 + 0x24
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 198, cycles+9, instret+7) {
+		goto errOut
+	}
+	// 0c7: lw r5, 32(r0)
+	a = 0 + 0x20
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 199, cycles+10, instret+8); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0c8: lw r6, 48(r0)
+	a = 0 + 0x30
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 200, cycles+12, instret+9); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 0c9: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 0ca: srli r6, r5, 31
+	r[6] = r[5] >> 31
+	// 0cb: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 0cc: srai r5, r5, 1
+	r[5] = uint32(int32(r[5]) >> 1)
+	// 0cd: sw r5, 32(r0)
+	a = 0 + 0x20
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 205, cycles+18, instret+14) {
+		goto errOut
+	}
+	// 0ce: sw r5, 48(r0)
+	a = 0 + 0x30
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 206, cycles+19, instret+15) {
+		goto errOut
+	}
+	// 0cf: lw r5, 44(r0)
+	a = 0 + 0x2c
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 207, cycles+20, instret+16); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0d0: lw r6, 52(r0)
+	a = 0 + 0x34
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[6] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 208, cycles+22, instret+17); !ok {
+			goto errOut
+		}
+		r[6] = v
+	}
+	// 0d1: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 0d2: srli r6, r5, 31
+	r[6] = r[5] >> 31
+	// 0d3: add r5, r5, r6
+	r[5] = r[5] + r[6]
+	// 0d4: srai r5, r5, 1
+	r[5] = uint32(int32(r[5]) >> 1)
+	// 0d5: sw r5, 44(r0)
+	a = 0 + 0x2c
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 213, cycles+28, instret+22) {
+		goto errOut
+	}
+	// 0d6: sw r5, 52(r0)
+	a = 0 + 0x34
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 214, cycles+29, instret+23) {
+		goto errOut
+	}
+	// 0d7: addi r6, r0, 1
+	r[6] = 0 + 0x1
+	// 0d8: lw r5, 24(r0)
+	a = 0 + 0x18
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 216, cycles+31, instret+25); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0d9: bge r5, r6, 2
+	if int32(r[5]) >= int32(r[6]) {
+		cycles, instret = cycles+35, instret+27
+		goto L219
+	}
+	cycles, instret = cycles+34, instret+27
+	// 0da: sw r6, 24(r0)
+	a = 0 + 0x18
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 218, cycles+0, instret+0) {
+		goto errOut
+	}
+	cycles, instret = cycles+1, instret+1
+L219:
+	// 0db: lw r5, 40(r0)
+	a = 0 + 0x28
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 219, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0dc: bge r5, r6, 2
+	if int32(r[5]) >= int32(r[6]) {
+		cycles, instret = cycles+4, instret+2
+		goto L222
+	}
+	cycles, instret = cycles+3, instret+2
+	// 0dd: sw r6, 40(r0)
+	a = 0 + 0x28
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 221, cycles+0, instret+0) {
+		goto errOut
+	}
+	cycles, instret = cycles+1, instret+1
+L222:
+	// 0de: lw r5, 56(r0)
+	a = 0 + 0x38
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 222, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0df: bge r5, r6, 2
+	if int32(r[5]) >= int32(r[6]) {
+		cycles, instret = cycles+4, instret+2
+		goto L225
+	}
+	cycles, instret = cycles+3, instret+2
+	// 0e0: sw r6, 56(r0)
+	a = 0 + 0x38
+	v = r[6]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 224, cycles+0, instret+0) {
+		goto errOut
+	}
+	cycles, instret = cycles+1, instret+1
+L225:
+	// 0e1: lw r5, 12(r0)
+	a = 0 + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 225, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0e2: sw r5, 0(r12)
+	a = r[12] + 0x0
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 226, cycles+2, instret+1) {
+		goto errOut
+	}
+	// 0e3: lw r5, 16(r0)
+	a = 0 + 0x10
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 227, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0e4: sw r5, 4(r12)
+	a = r[12] + 0x4
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 228, cycles+5, instret+3) {
+		goto errOut
+	}
+	// 0e5: lw r5, 20(r0)
+	a = 0 + 0x14
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[5] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 229, cycles+6, instret+4); !ok {
+			goto errOut
+		}
+		r[5] = v
+	}
+	// 0e6: sw r5, 8(r12)
+	a = r[12] + 0x8
+	v = r[5]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 230, cycles+8, instret+5) {
+		goto errOut
+	}
+	// 0e7: addi r12, r12, 12
+	r[12] = r[12] + 0xc
+	// 0e8: addi r11, r11, 20
+	r[11] = r[11] + 0x14
+	// 0e9: addi r10, r10, -1
+	r[10] = r[10] + 0xffffffff
+	// 0ea: jal r0, -230
+	cycles, instret = cycles+14, instret+10
+	goto L4
+L235:
+	if st.stop-cycles <= 1 {
+		bpc = 235
+		goto budgetOut
+	}
+	// 0eb: halt
+	cycles, instret = cycles+1, instret+1
+	st.pc = 236
+	st.cycles, st.instret = cycles, instret
+	return stHalt
+L236:
+	if st.stop-cycles <= 16 {
+		bpc = 236
+		goto budgetOut
+	}
+	// 0ec: mul r5, r1, r2
+	r[5] = r[1] * r[2]
+	// 0ed: mulhu r6, r1, r2
+	r[6] = uint32(uint64(r[1]) * uint64(r[2]) >> 32)
+	// 0ee: bge r1, r0, 2
+	if int32(r[1]) >= int32(0) {
+		cycles, instret = cycles+10, instret+3
+		goto L240
+	}
+	cycles, instret = cycles+9, instret+3
+	// 0ef: sub r6, r6, r2
+	r[6] = r[6] - r[2]
+	cycles, instret = cycles+1, instret+1
+L240:
+	// 0f0: bge r2, r0, 2
+	if int32(r[2]) >= int32(0) {
+		cycles, instret = cycles+2, instret+1
+		goto L242
+	}
+	cycles, instret = cycles+1, instret+1
+	// 0f1: sub r6, r6, r1
+	r[6] = r[6] - r[1]
+	cycles, instret = cycles+1, instret+1
+L242:
+	// 0f2: addi r1, r5, 0
+	r[1] = r[5] + 0x0
+	// 0f3: addi r2, r6, 0
+	r[2] = r[6] + 0x0
+	// 0f4: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+4, instret+3
+	switch v {
+	case 0:
+		goto L0
+	case 4:
+		goto L4
+	case 28:
+		goto L28
+	case 32:
+		goto L32
+	case 41:
+		goto L41
+	case 45:
+		goto L45
+	case 65:
+		goto L65
+	case 68:
+		goto L68
+	case 71:
+		goto L71
+	case 77:
+		goto L77
+	case 83:
+		goto L83
+	case 87:
+		goto L87
+	case 91:
+		goto L91
+	case 101:
+		goto L101
+	case 107:
+		goto L107
+	case 115:
+		goto L115
+	case 121:
+		goto L121
+	case 127:
+		goto L127
+	case 135:
+		goto L135
+	case 145:
+		goto L145
+	case 150:
+		goto L150
+	case 166:
+		goto L166
+	case 175:
+		goto L175
+	case 235:
+		goto L235
+	case 236:
+		goto L236
+	case 245:
+		goto L245
+	case 248:
+		goto L248
+	case 265:
+		goto L265
+	case 274:
+		goto L274
+	case 287:
+		goto L287
+	case 292:
+		goto L292
+	case 298:
+		goto L298
+	case 313:
+		goto L313
+	case 331:
+		goto L331
+	case 351:
+		goto L351
+	case 354:
+		goto L354
+	case 360:
+		goto L360
+	default:
+		st.pc = v
+		goto okOut
+	}
+L245:
+	if st.stop-cycles <= 4 {
+		bpc = 245
+		goto budgetOut
+	}
+	// 0f5: addi r14, r14, -4
+	r[14] = r[14] + 0xfffffffc
+	// 0f6: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 246, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 0f7: jal r15, -11
+	r[15] = 992
+	cycles, instret = cycles+4, instret+3
+	goto L236
+L248:
+	if st.stop-cycles <= 19 {
+		bpc = 248
+		goto budgetOut
+	}
+	// 0f8: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 248, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 0f9: addi r14, r14, 4
+	r[14] = r[14] + 0x4
+	// 0fa: bge r2, r0, 15
+	if int32(r[2]) >= int32(0) {
+		cycles, instret = cycles+5, instret+3
+		goto L265
+	}
+	cycles, instret = cycles+4, instret+3
+	// 0fb: sub r1, r0, r1
+	r[1] = 0 - r[1]
+	// 0fc: xori r2, r2, -1
+	r[2] = r[2] ^ 0xffffffff
+	// 0fd: bne r1, r0, 2
+	if r[1] != 0 {
+		cycles, instret = cycles+4, instret+3
+		goto L255
+	}
+	cycles, instret = cycles+3, instret+3
+	// 0fe: addi r2, r2, 1
+	r[2] = r[2] + 0x1
+	cycles, instret = cycles+1, instret+1
+L255:
+	// 0ff: lui r5, 0x80
+	r[5] = 0x800000
+	// 100: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 101: add r6, r1, r5
+	r[6] = r[1] + r[5]
+	// 102: sltu r7, r6, r1
+	r[7] = b2u(r[6] < r[1])
+	// 103: add r2, r2, r7
+	r[2] = r[2] + r[7]
+	// 104: srli r6, r6, 24
+	r[6] = r[6] >> 24
+	// 105: slli r2, r2, 8
+	r[2] = r[2] << 8
+	// 106: or r1, r6, r2
+	r[1] = r[6] | r[2]
+	// 107: sub r1, r0, r1
+	r[1] = 0 - r[1]
+	// 108: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+11, instret+10
+	switch v {
+	case 0:
+		goto L0
+	case 4:
+		goto L4
+	case 28:
+		goto L28
+	case 32:
+		goto L32
+	case 41:
+		goto L41
+	case 45:
+		goto L45
+	case 65:
+		goto L65
+	case 68:
+		goto L68
+	case 71:
+		goto L71
+	case 77:
+		goto L77
+	case 83:
+		goto L83
+	case 87:
+		goto L87
+	case 91:
+		goto L91
+	case 101:
+		goto L101
+	case 107:
+		goto L107
+	case 115:
+		goto L115
+	case 121:
+		goto L121
+	case 127:
+		goto L127
+	case 135:
+		goto L135
+	case 145:
+		goto L145
+	case 150:
+		goto L150
+	case 166:
+		goto L166
+	case 175:
+		goto L175
+	case 235:
+		goto L235
+	case 236:
+		goto L236
+	case 245:
+		goto L245
+	case 248:
+		goto L248
+	case 265:
+		goto L265
+	case 274:
+		goto L274
+	case 287:
+		goto L287
+	case 292:
+		goto L292
+	case 298:
+		goto L298
+	case 313:
+		goto L313
+	case 331:
+		goto L331
+	case 351:
+		goto L351
+	case 354:
+		goto L354
+	case 360:
+		goto L360
+	default:
+		st.pc = v
+		goto okOut
+	}
+L265:
+	if st.stop-cycles <= 10 {
+		bpc = 265
+		goto budgetOut
+	}
+	// 109: lui r5, 0x80
+	r[5] = 0x800000
+	// 10a: add r5, r5, r0
+	r[5] = r[5] + 0
+	// 10b: add r6, r1, r5
+	r[6] = r[1] + r[5]
+	// 10c: sltu r7, r6, r1
+	r[7] = b2u(r[6] < r[1])
+	// 10d: add r2, r2, r7
+	r[2] = r[2] + r[7]
+	// 10e: srli r6, r6, 24
+	r[6] = r[6] >> 24
+	// 10f: slli r2, r2, 8
+	r[2] = r[2] << 8
+	// 110: or r1, r6, r2
+	r[1] = r[6] | r[2]
+	// 111: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+10, instret+9
+	switch v {
+	case 0:
+		goto L0
+	case 4:
+		goto L4
+	case 28:
+		goto L28
+	case 32:
+		goto L32
+	case 41:
+		goto L41
+	case 45:
+		goto L45
+	case 65:
+		goto L65
+	case 68:
+		goto L68
+	case 71:
+		goto L71
+	case 77:
+		goto L77
+	case 83:
+		goto L83
+	case 87:
+		goto L87
+	case 91:
+		goto L91
+	case 101:
+		goto L101
+	case 107:
+		goto L107
+	case 115:
+		goto L115
+	case 121:
+		goto L121
+	case 127:
+		goto L127
+	case 135:
+		goto L135
+	case 145:
+		goto L145
+	case 150:
+		goto L150
+	case 166:
+		goto L166
+	case 175:
+		goto L175
+	case 235:
+		goto L235
+	case 236:
+		goto L236
+	case 245:
+		goto L245
+	case 248:
+		goto L248
+	case 265:
+		goto L265
+	case 274:
+		goto L274
+	case 287:
+		goto L287
+	case 292:
+		goto L292
+	case 298:
+		goto L298
+	case 313:
+		goto L313
+	case 331:
+		goto L331
+	case 351:
+		goto L351
+	case 354:
+		goto L354
+	case 360:
+		goto L360
+	default:
+		st.pc = v
+		goto okOut
+	}
+L274:
+	if st.stop-cycles <= 10 {
+		bpc = 274
+		goto budgetOut
+	}
+	// 112: addi r14, r14, -20
+	r[14] = r[14] + 0xffffffec
+	// 113: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 275, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 114: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 276, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 115: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 277, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 116: sw r12, 12(r14)
+	a = r[14] + 0xc
+	v = r[12]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 278, cycles+4, instret+4) {
+		goto errOut
+	}
+	// 117: sw r13, 16(r14)
+	a = r[14] + 0x10
+	v = r[13]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 279, cycles+5, instret+5) {
+		goto errOut
+	}
+	// 118: addi r10, r1, 0
+	r[10] = r[1] + 0x0
+	// 119: addi r11, r2, 0
+	r[11] = r[2] + 0x0
+	// 11a: addi r12, r0, 24
+	r[12] = 0 + 0x18
+	// 11b: addi r13, r0, 0
+	r[13] = 0 + 0x0
+	cycles, instret = cycles+10, instret+10
+L284:
+	if st.stop-cycles <= 6 {
+		bpc = 284
+		goto budgetOut
+	}
+	// 11c: lw r1, 0(r12)
+	a = r[12] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 284, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 11d: lw r2, 0(r10)
+	a = r[10] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 285, cycles+2, instret+1); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 11e: jal r15, -41
+	r[15] = 1148
+	cycles, instret = cycles+6, instret+3
+	goto L245
+L287:
+	if st.stop-cycles <= 8 {
+		bpc = 287
+		goto budgetOut
+	}
+	// 11f: addi r9, r1, 0
+	r[9] = r[1] + 0x0
+	// 120: sw r9, 192(r0)
+	a = 0 + 0xc0
+	v = r[9]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 288, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 121: lw r1, 4(r12)
+	a = r[12] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 289, cycles+2, instret+2); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 122: lw r2, 4(r10)
+	a = r[10] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 290, cycles+4, instret+3); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 123: jal r15, -46
+	r[15] = 1168
+	cycles, instret = cycles+8, instret+5
+	goto L245
+L292:
+	if st.stop-cycles <= 10 {
+		bpc = 292
+		goto budgetOut
+	}
+	// 124: lw r9, 192(r0)
+	a = 0 + 0xc0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 292, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[9] = v
+	}
+	// 125: add r9, r9, r1
+	r[9] = r[9] + r[1]
+	// 126: sw r9, 192(r0)
+	a = 0 + 0xc0
+	v = r[9]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 294, cycles+3, instret+2) {
+		goto errOut
+	}
+	// 127: lw r1, 8(r12)
+	a = r[12] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 295, cycles+4, instret+3); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 128: lw r2, 8(r10)
+	a = r[10] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 296, cycles+6, instret+4); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 129: jal r15, -52
+	r[15] = 1192
+	cycles, instret = cycles+10, instret+6
+	goto L245
+L298:
+	if st.stop-cycles <= 22 {
+		bpc = 298
+		goto budgetOut
+	}
+	// 12a: lw r9, 192(r0)
+	a = 0 + 0xc0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 298, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[9] = v
+	}
+	// 12b: add r9, r9, r1
+	r[9] = r[9] + r[1]
+	// 12c: sw r9, 0(r11)
+	a = r[11] + 0x0
+	v = r[9]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 300, cycles+3, instret+2) {
+		goto errOut
+	}
+	// 12d: addi r11, r11, 4
+	r[11] = r[11] + 0x4
+	// 12e: addi r12, r12, 12
+	r[12] = r[12] + 0xc
+	// 12f: addi r13, r13, 1
+	r[13] = r[13] + 0x1
+	// 130: addi r5, r0, 3
+	r[5] = 0 + 0x3
+	// 131: blt r13, r5, -21
+	if int32(r[13]) < int32(r[5]) {
+		cycles, instret = cycles+10, instret+8
+		goto L284
+	}
+	cycles, instret = cycles+9, instret+8
+	// 132: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 306, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 133: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 307, cycles+2, instret+1); !ok {
+			goto errOut
+		}
+		r[10] = v
+	}
+	// 134: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 308, cycles+4, instret+2); !ok {
+			goto errOut
+		}
+		r[11] = v
+	}
+	// 135: lw r12, 12(r14)
+	a = r[14] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 309, cycles+6, instret+3); !ok {
+			goto errOut
+		}
+		r[12] = v
+	}
+	// 136: lw r13, 16(r14)
+	a = r[14] + 0x10
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 310, cycles+8, instret+4); !ok {
+			goto errOut
+		}
+		r[13] = v
+	}
+	// 137: addi r14, r14, 20
+	r[14] = r[14] + 0x14
+	// 138: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+13, instret+7
+	switch v {
+	case 0:
+		goto L0
+	case 4:
+		goto L4
+	case 28:
+		goto L28
+	case 32:
+		goto L32
+	case 41:
+		goto L41
+	case 45:
+		goto L45
+	case 65:
+		goto L65
+	case 68:
+		goto L68
+	case 71:
+		goto L71
+	case 77:
+		goto L77
+	case 83:
+		goto L83
+	case 87:
+		goto L87
+	case 91:
+		goto L91
+	case 101:
+		goto L101
+	case 107:
+		goto L107
+	case 115:
+		goto L115
+	case 121:
+		goto L121
+	case 127:
+		goto L127
+	case 135:
+		goto L135
+	case 145:
+		goto L145
+	case 150:
+		goto L150
+	case 166:
+		goto L166
+	case 175:
+		goto L175
+	case 235:
+		goto L235
+	case 236:
+		goto L236
+	case 245:
+		goto L245
+	case 248:
+		goto L248
+	case 265:
+		goto L265
+	case 274:
+		goto L274
+	case 287:
+		goto L287
+	case 292:
+		goto L292
+	case 298:
+		goto L298
+	case 313:
+		goto L313
+	case 331:
+		goto L331
+	case 351:
+		goto L351
+	case 354:
+		goto L354
+	case 360:
+		goto L360
+	default:
+		st.pc = v
+		goto okOut
+	}
+L313:
+	if st.stop-cycles <= 12 {
+		bpc = 313
+		goto budgetOut
+	}
+	// 139: addi r14, r14, -20
+	r[14] = r[14] + 0xffffffec
+	// 13a: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 314, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 13b: sw r10, 4(r14)
+	a = r[14] + 0x4
+	v = r[10]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 315, cycles+2, instret+2) {
+		goto errOut
+	}
+	// 13c: sw r11, 8(r14)
+	a = r[14] + 0x8
+	v = r[11]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 316, cycles+3, instret+3) {
+		goto errOut
+	}
+	// 13d: sw r12, 12(r14)
+	a = r[14] + 0xc
+	v = r[12]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 317, cycles+4, instret+4) {
+		goto errOut
+	}
+	// 13e: sw r13, 16(r14)
+	a = r[14] + 0x10
+	v = r[13]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 318, cycles+5, instret+5) {
+		goto errOut
+	}
+	// 13f: addi r10, r1, 0
+	r[10] = r[1] + 0x0
+	// 140: addi r11, r2, 0
+	r[11] = r[2] + 0x0
+	// 141: addi r12, r0, 0
+	r[12] = 0 + 0x0
+	// 142: addi r13, r0, 0
+	r[13] = 0 + 0x0
+	// 143: addi r9, r0, 0
+	r[9] = 0 + 0x0
+	// 144: sw r9, 196(r0)
+	a = 0 + 0xc4
+	v = r[9]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 324, cycles+11, instret+11) {
+		goto errOut
+	}
+	cycles, instret = cycles+12, instret+12
+L325:
+	if st.stop-cycles <= 10 {
+		bpc = 325
+		goto budgetOut
+	}
+	// 145: lw r9, 196(r0)
+	a = 0 + 0xc4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 325, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[9] = v
+	}
+	// 146: add r5, r10, r9
+	r[5] = r[10] + r[9]
+	// 147: lw r1, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[1] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 327, cycles+3, instret+2); !ok {
+			goto errOut
+		}
+		r[1] = v
+	}
+	// 148: add r5, r11, r9
+	r[5] = r[11] + r[9]
+	// 149: lw r2, 0(r5)
+	a = r[5] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[2] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 329, cycles+6, instret+4); !ok {
+			goto errOut
+		}
+		r[2] = v
+	}
+	// 14a: jal r15, -94
+	r[15] = 1324
+	cycles, instret = cycles+10, instret+6
+	goto L236
+L331:
+	if st.stop-cycles <= 27 {
+		bpc = 331
+		goto budgetOut
+	}
+	// 14b: add r5, r12, r1
+	r[5] = r[12] + r[1]
+	// 14c: sltu r6, r5, r12
+	r[6] = b2u(r[5] < r[12])
+	// 14d: addi r12, r5, 0
+	r[12] = r[5] + 0x0
+	// 14e: add r13, r13, r2
+	r[13] = r[13] + r[2]
+	// 14f: add r13, r13, r6
+	r[13] = r[13] + r[6]
+	// 150: lw r9, 196(r0)
+	a = 0 + 0xc4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[9] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 336, cycles+5, instret+5); !ok {
+			goto errOut
+		}
+		r[9] = v
+	}
+	// 151: addi r9, r9, 4
+	r[9] = r[9] + 0x4
+	// 152: sw r9, 196(r0)
+	a = 0 + 0xc4
+	v = r[9]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 338, cycles+8, instret+7) {
+		goto errOut
+	}
+	// 153: addi r5, r0, 12
+	r[5] = 0 + 0xc
+	// 154: blt r9, r5, -15
+	if int32(r[9]) < int32(r[5]) {
+		cycles, instret = cycles+12, instret+10
+		goto L325
+	}
+	cycles, instret = cycles+11, instret+10
+	// 155: srli r1, r12, 18
+	r[1] = r[12] >> 18
+	// 156: slli r5, r13, 14
+	r[5] = r[13] << 14
+	// 157: or r1, r1, r5
+	r[1] = r[1] | r[5]
+	// 158: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 344, cycles+3, instret+3); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 159: lw r10, 4(r14)
+	a = r[14] + 0x4
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[10] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 345, cycles+5, instret+4); !ok {
+			goto errOut
+		}
+		r[10] = v
+	}
+	// 15a: lw r11, 8(r14)
+	a = r[14] + 0x8
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[11] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 346, cycles+7, instret+5); !ok {
+			goto errOut
+		}
+		r[11] = v
+	}
+	// 15b: lw r12, 12(r14)
+	a = r[14] + 0xc
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[12] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 347, cycles+9, instret+6); !ok {
+			goto errOut
+		}
+		r[12] = v
+	}
+	// 15c: lw r13, 16(r14)
+	a = r[14] + 0x10
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[13] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 348, cycles+11, instret+7); !ok {
+			goto errOut
+		}
+		r[13] = v
+	}
+	// 15d: addi r14, r14, 20
+	r[14] = r[14] + 0x14
+	// 15e: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+16, instret+10
+	switch v {
+	case 0:
+		goto L0
+	case 4:
+		goto L4
+	case 28:
+		goto L28
+	case 32:
+		goto L32
+	case 41:
+		goto L41
+	case 45:
+		goto L45
+	case 65:
+		goto L65
+	case 68:
+		goto L68
+	case 71:
+		goto L71
+	case 77:
+		goto L77
+	case 83:
+		goto L83
+	case 87:
+		goto L87
+	case 91:
+		goto L91
+	case 101:
+		goto L101
+	case 107:
+		goto L107
+	case 115:
+		goto L115
+	case 121:
+		goto L121
+	case 127:
+		goto L127
+	case 135:
+		goto L135
+	case 145:
+		goto L145
+	case 150:
+		goto L150
+	case 166:
+		goto L166
+	case 175:
+		goto L175
+	case 235:
+		goto L235
+	case 236:
+		goto L236
+	case 245:
+		goto L245
+	case 248:
+		goto L248
+	case 265:
+		goto L265
+	case 274:
+		goto L274
+	case 287:
+		goto L287
+	case 292:
+		goto L292
+	case 298:
+		goto L298
+	case 313:
+		goto L313
+	case 331:
+		goto L331
+	case 351:
+		goto L351
+	case 354:
+		goto L354
+	case 360:
+		goto L360
+	default:
+		st.pc = v
+		goto okOut
+	}
+L351:
+	if st.stop-cycles <= 4 {
+		bpc = 351
+		goto budgetOut
+	}
+	// 15f: addi r14, r14, -4
+	r[14] = r[14] + 0xfffffffc
+	// 160: sw r15, 0(r14)
+	a = r[14] + 0x0
+	v = r[15]
+	if a&3 == 0 && a <= DataBytes-4 {
+		data[a] = byte(v)
+		data[a+1] = byte(v >> 8)
+		data[a+2] = byte(v >> 16)
+		data[a+3] = byte(v >> 24)
+	} else if !st.storeSlow(c, a, v, 352, cycles+1, instret+1) {
+		goto errOut
+	}
+	// 161: jal r15, -117
+	r[15] = 1416
+	cycles, instret = cycles+4, instret+3
+	goto L236
+L354:
+	if st.stop-cycles <= 8 {
+		bpc = 354
+		goto budgetOut
+	}
+	// 162: lw r15, 0(r14)
+	a = r[14] + 0x0
+	if a&3 == 0 && a <= DataBytes-4 {
+		r[15] = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
+	} else {
+		if v, ok = st.loadSlow(c, a, 354, cycles+0, instret+0); !ok {
+			goto errOut
+		}
+		r[15] = v
+	}
+	// 163: addi r14, r14, 4
+	r[14] = r[14] + 0x4
+	// 164: srli r1, r1, 30
+	r[1] = r[1] >> 30
+	// 165: slli r2, r2, 2
+	r[2] = r[2] << 2
+	// 166: or r1, r1, r2
+	r[1] = r[1] | r[2]
+	// 167: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+8, instret+6
+	switch v {
+	case 0:
+		goto L0
+	case 4:
+		goto L4
+	case 28:
+		goto L28
+	case 32:
+		goto L32
+	case 41:
+		goto L41
+	case 45:
+		goto L45
+	case 65:
+		goto L65
+	case 68:
+		goto L68
+	case 71:
+		goto L71
+	case 77:
+		goto L77
+	case 83:
+		goto L83
+	case 87:
+		goto L87
+	case 91:
+		goto L91
+	case 101:
+		goto L101
+	case 107:
+		goto L107
+	case 115:
+		goto L115
+	case 121:
+		goto L121
+	case 127:
+		goto L127
+	case 135:
+		goto L135
+	case 145:
+		goto L145
+	case 150:
+		goto L150
+	case 166:
+		goto L166
+	case 175:
+		goto L175
+	case 235:
+		goto L235
+	case 236:
+		goto L236
+	case 245:
+		goto L245
+	case 248:
+		goto L248
+	case 265:
+		goto L265
+	case 274:
+		goto L274
+	case 287:
+		goto L287
+	case 292:
+		goto L292
+	case 298:
+		goto L298
+	case 313:
+		goto L313
+	case 331:
+		goto L331
+	case 351:
+		goto L351
+	case 354:
+		goto L354
+	case 360:
+		goto L360
+	default:
+		st.pc = v
+		goto okOut
+	}
+L360:
+	if st.stop-cycles <= 10 {
+		bpc = 360
+		goto budgetOut
+	}
+	// 168: addi r9, r0, 0
+	r[9] = 0 + 0x0
+	// 169: bge r2, r0, 6
+	if int32(r[2]) >= int32(0) {
+		cycles, instret = cycles+3, instret+2
+		goto L367
+	}
+	cycles, instret = cycles+2, instret+2
+	// 16a: addi r9, r0, 1
+	r[9] = 0 + 0x1
+	// 16b: sub r1, r0, r1
+	r[1] = 0 - r[1]
+	// 16c: xori r2, r2, -1
+	r[2] = r[2] ^ 0xffffffff
+	// 16d: bne r1, r0, 2
+	if r[1] != 0 {
+		cycles, instret = cycles+5, instret+4
+		goto L367
+	}
+	cycles, instret = cycles+4, instret+4
+	// 16e: addi r2, r2, 1
+	r[2] = r[2] + 0x1
+	cycles, instret = cycles+1, instret+1
+L367:
+	// 16f: addi r5, r0, 0
+	r[5] = 0 + 0x0
+	// 170: addi r6, r0, 0
+	r[6] = 0 + 0x0
+	// 171: addi r7, r0, 32
+	r[7] = 0 + 0x20
+	cycles, instret = cycles+3, instret+3
+L370:
+	if st.stop-cycles <= 11 {
+		bpc = 370
+		goto budgetOut
+	}
+	// 172: srli r8, r2, 31
+	r[8] = r[2] >> 31
+	// 173: slli r2, r2, 1
+	r[2] = r[2] << 1
+	// 174: slli r5, r5, 1
+	r[5] = r[5] << 1
+	// 175: or r5, r5, r8
+	r[5] = r[5] | r[8]
+	// 176: slli r6, r6, 1
+	r[6] = r[6] << 1
+	// 177: bltu r5, r3, 3
+	if r[5] < r[3] {
 		cycles, instret = cycles+7, instret+6
-		st.pc = base + 29
-		goto okOut
-	L10:
-		if st.stop-cycles <= 8 {
-			bpc = 10
-			goto budgetOut
-		}
-		// 00a: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 00b: bne r7, r5, 6
-		if r7 != r5 {
-			cycles, instret = cycles+3, instret+2
-			goto L17
-		}
-		cycles, instret = cycles+2, instret+2
-		// 00c: or r6, r10, r11
-		r6 = r10 | r11
-		// 00d: bne r6, r0, 21
-		if r6 != 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x22
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-		// 00e: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 00f: add r1, r1, r0
-		r1 = r1 + 0
-		// 010: jal r0, 19
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x23
-		goto okOut
-	L17:
-		if st.stop-cycles <= 7 {
-			bpc = 17
-			goto budgetOut
-		}
-		// 011: bne r7, r0, 2
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L19
-		}
-		cycles, instret = cycles+1, instret+1
-		// 012: addi r7, r0, 1
-		r7 = 0 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L19:
-		// 013: bltu r11, r10, 4
-		if r11 < r10 {
-			cycles, instret = cycles+2, instret+1
-			goto L23
-		}
-		cycles, instret = cycles+1, instret+1
-		// 014: bltu r10, r11, 6
-		if r10 < r11 {
-			cycles, instret = cycles+2, instret+1
-			goto L26
-		}
-		cycles, instret = cycles+1, instret+1
-		// 015: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 016: jal r0, 13
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x23
-		goto okOut
-	L23:
-		if st.stop-cycles <= 4 {
-			bpc = 23
-			goto budgetOut
-		}
-		// 017: sub r5, r10, r11
-		r5 = r10 - r11
-		// 018: addi r12, r7, 0
-		r12 = r7 + 0x0
-		// 019: jal r0, 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 29
-		goto okOut
-	L26:
-		if st.stop-cycles <= 3 {
-			bpc = 26
-			goto budgetOut
-		}
-		// 01a: sub r5, r11, r10
-		r5 = r11 - r10
-		// 01b: addi r12, r7, 0
-		r12 = r7 + 0x0
-		// 01c: xori r3, r3, 1
-		r3 = r3 ^ 0x1
-		cycles, instret = cycles+3, instret+3
-		st.pc = base + 29
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[12], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r12, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[12], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r12, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L378
 	}
-}
-
-// Region R25: ss_norm — 6 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR25 = [...]uint64{
-	0x000000000003010d, 0xffffffff000c020d, 0x000000000005030d, 0xfffffed500000f22,
-	0x0000000600000022, 0xfffffe8e00000f22,
-}
-
-func bindR25(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r12, r15 := r[1], r[2], r[3], r[5], r[12], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 5:
-			goto L5
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 5 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 001: addi r2, r12, -1
-		r2 = r12 + 0xffffffff
-		// 002: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 003: jal r15, -302
-		r15 = (base + 4) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffed5
-		goto okOut
-	L4:
-		if st.stop-cycles <= 2 {
-			bpc = 4
-			goto budgetOut
-		}
-		// 004: jal r0, 2
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 6
-		goto okOut
-	L5:
-		if st.stop-cycles <= 2 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: jal r15, -375
-		r15 = (base + 6) * 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xfffffe8e
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[15] = r1, r2, r3, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[3], r[15] = r1, r2, r3, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	cycles, instret = cycles+6, instret+6
+	// 178: sub r5, r5, r3
+	r[5] = r[5] - r[3]
+	// 179: ori r6, r6, 1
+	r[6] = r[6] | 0x1
+	cycles, instret = cycles+2, instret+2
+L378:
+	// 17a: addi r7, r7, -1
+	r[7] = r[7] + 0xffffffff
+	// 17b: bne r7, r0, -9
+	if r[7] != 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L370
 	}
-}
-
-// Region R26: ss_ret — 40 words, from batch/f32_add, batch/f32_sub, batch/f32_div, batch/f32_sqrt and 6 more.
-var sigR26 = [...]uint64{
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0e0d, 0x00000000000f0023, 0xfffffff0000e0e0d, 0x00000000000e0f1a,
-	0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a, 0x007f000000000516,
-	0x0000ffff0005050f, 0x0000000005010a03, 0x0000000005020b03, 0x0000001700010712,
-	0x000000ff0007070e, 0x0000001700020812, 0x000000ff0008080e, 0x0000001f00010512,
-	0x0000001f00020612, 0x0000000006050305, 0x000000ff0000090d, 0x000000210907001d,
-	0x00000056000a001d, 0x0000001c0908001d, 0x00000056000b001d, 0x0000002800000022,
-	0x000000000b080504, 0x000000280005001d, 0x7fc0000000000116, 0x0000000000010101,
-	0x0000005700000022, 0x0000002d0908001d, 0x00000056000b001d, 0x000000000a070504,
-	0x000000280005001d, 0x7fc0000000000116, 0x0000000000010101, 0x0000005700000022,
-}
-
-func bindR26(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 6:
-			goto L6
-		case 28:
-			goto L28
-		case 33:
-			goto L33
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 11 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 001: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+2, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 003: lw r12, 12(r14)
-		a = r14 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r12 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r12 = v
-		}
-		// 004: addi r14, r14, 16
-		r14 = r14 + 0x10
-		// 005: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		st.pc = v
-		goto okOut
-	L6:
-		if st.stop-cycles <= 23 {
-			bpc = 6
-			goto budgetOut
-		}
-		// 006: addi r14, r14, -16
-		r14 = r14 + 0xfffffff0
-		// 007: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+7, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 008: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 009: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+9, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 00a: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+10, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 00b: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 00c: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 00d: and r10, r1, r5
-		r10 = r1 & r5
-		// 00e: and r11, r2, r5
-		r11 = r2 & r5
-		// 00f: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 010: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 011: srli r8, r2, 23
-		r8 = r2 >> 23
-		// 012: andi r8, r8, 255
-		r8 = r8 & 0xff
-		// 013: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 014: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 015: xor r3, r5, r6
-		r3 = r5 ^ r6
-		// 016: addi r9, r0, 255
-		r9 = 0 + 0xff
-		// 017: bne r7, r9, 10
-		if r7 != r9 {
-			cycles, instret = cycles+19, instret+18
-			goto L33
-		}
-		cycles, instret = cycles+18, instret+18
-		// 018: bne r10, r0, 62
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x56
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 019: bne r8, r9, 3
-		if r8 != r9 {
-			cycles, instret = cycles+2, instret+1
-			goto L28
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01a: bne r11, r0, 60
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x56
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01b: jal r0, 13
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 40
-		goto okOut
-	L28:
-		if st.stop-cycles <= 6 {
-			bpc = 28
-			goto budgetOut
-		}
-		// 01c: or r5, r8, r11
-		r5 = r8 | r11
-		// 01d: bne r5, r0, 11
-		if r5 != 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 40
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-		// 01e: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 01f: add r1, r1, r0
-		r1 = r1 + 0
-		// 020: jal r0, 55
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x57
-		goto okOut
-	L33:
-		if st.stop-cycles <= 8 {
-			bpc = 33
-			goto budgetOut
-		}
-		// 021: bne r8, r9, 12
-		if r8 != r9 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x2d
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 022: bne r11, r0, 52
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x56
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 023: or r5, r7, r10
-		r5 = r7 | r10
-		// 024: bne r5, r0, 4
-		if r5 != 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 40
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-		// 025: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 026: add r1, r1, r0
-		r1 = r1 + 0
-		// 027: jal r0, 48
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x57
-		goto okOut
-	budgetOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	cycles, instret = cycles+2, instret+2
+	// 17c: addi r7, r0, 32
+	r[7] = 0 + 0x20
+	cycles, instret = cycles+1, instret+1
+L381:
+	if st.stop-cycles <= 15 {
+		bpc = 381
+		goto budgetOut
 	}
-}
-
-// Region R27: mul_inf — 47 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR27 = [...]uint64{
-	0x0000001f00030111, 0x7f80000000000516, 0x0000000000050501, 0x0000000005010104,
-	0x0000002f00000022, 0x0000000f0007001d, 0x00000009000a001d, 0x0000001f00030111,
-	0x0000002f00000022, 0x00000000000a010d, 0xfffffe4500000f22, 0xfffffff80001050d,
-	0x000000010000070d, 0x0000000005070702, 0x00000000050a0a06, 0x000000190008001d,
-	0x00000013000b001d, 0x0000001f00030111, 0x0000002f00000022, 0x00000000000b010d,
-	0xfffffe4500000f22, 0xfffffff80001050d, 0x000000010000080d, 0x0000000005080802,
-	0x00000000050b0b06, 0x0000000008070c01, 0xffffff81000c0c0d, 0x0080000000000516,
-	0x0000000000050501, 0x00000000050a0a04, 0x00000000050b0b04, 0x00000007000a0a11,
-	0x00000008000b0b11, 0x000000000b0a050a, 0x000000000b0a0609, 0x000000250006001c,
-	0x000000010005050f, 0x0000000100050611, 0x000000290006001e, 0x000000000006050d,
-	0xffffffff000c0c0d, 0x000000000003010d, 0x00000000000c020d, 0x000000000005030d,
-	0xfffffe7b00000f22, 0x0000002f00000022, 0xfffffe6000000f22,
-}
-
-func bindR27(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r10, r11, r12, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[12], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 11:
-			goto L11
-		case 19:
-			goto L19
-		case 21:
-			goto L21
-		case 45:
-			goto L45
-		case 46:
-			goto L46
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 6 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: slli r1, r3, 31
-		r1 = r3 << 31
-		// 001: lui r5, 0x7f80
-		r5 = 0x7f800000
-		// 002: add r5, r5, r0
-		r5 = r5 + 0
-		// 003: or r1, r1, r5
-		r1 = r1 | r5
-		// 004: jal r0, 43
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 47
-		goto okOut
-	L5:
-		if st.stop-cycles <= 31 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: bne r7, r0, 10
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L15
-		}
-		cycles, instret = cycles+1, instret+1
-		// 006: bne r10, r0, 3
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L9
-		}
-		cycles, instret = cycles+1, instret+1
-		// 007: slli r1, r3, 31
-		r1 = r3 << 31
-		// 008: jal r0, 39
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 47
-		goto okOut
-	L9:
-		if st.stop-cycles <= 3 {
-			bpc = 9
-			goto budgetOut
-		}
-		// 009: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 00a: jal r15, -453
-		r15 = (base + 11) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xfffffe45
-		goto okOut
-	L11:
-		if st.stop-cycles <= 33 {
-			bpc = 11
-			goto budgetOut
-		}
-		// 00b: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 00c: addi r7, r0, 1
-		r7 = 0 + 0x1
-		// 00d: sub r7, r7, r5
-		r7 = r7 - r5
-		// 00e: sll r10, r10, r5
-		r10 = r10 << (r5 & 31)
-		cycles, instret = cycles+4, instret+4
-	L15:
-		// 00f: bne r8, r0, 10
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L25
-		}
-		cycles, instret = cycles+1, instret+1
-		// 010: bne r11, r0, 3
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L19
-		}
-		cycles, instret = cycles+1, instret+1
-		// 011: slli r1, r3, 31
-		r1 = r3 << 31
-		// 012: jal r0, 29
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 47
-		goto okOut
-	L19:
-		if st.stop-cycles <= 3 {
-			bpc = 19
-			goto budgetOut
-		}
-		// 013: addi r1, r11, 0
-		r1 = r11 + 0x0
-		// 014: jal r15, -463
-		r15 = (base + 21) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xfffffe45
-		goto okOut
-	L21:
-		if st.stop-cycles <= 31 {
-			bpc = 21
-			goto budgetOut
-		}
-		// 015: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 016: addi r8, r0, 1
-		r8 = 0 + 0x1
-		// 017: sub r8, r8, r5
-		r8 = r8 - r5
-		// 018: sll r11, r11, r5
-		r11 = r11 << (r5 & 31)
-		cycles, instret = cycles+4, instret+4
-	L25:
-		// 019: add r12, r7, r8
-		r12 = r7 + r8
-		// 01a: addi r12, r12, -127
-		r12 = r12 + 0xffffff81
-		// 01b: lui r5, 0x80
-		r5 = 0x800000
-		// 01c: add r5, r5, r0
-		r5 = r5 + 0
-		// 01d: or r10, r10, r5
-		r10 = r10 | r5
-		// 01e: or r11, r11, r5
-		r11 = r11 | r5
-		// 01f: slli r10, r10, 7
-		r10 = r10 << 7
-		// 020: slli r11, r11, 8
-		r11 = r11 << 8
-		// 021: mulhu r5, r10, r11
-		r5 = uint32(uint64(r10) * uint64(r11) >> 32)
-		// 022: mul r6, r10, r11
-		r6 = r10 * r11
-		// 023: beq r6, r0, 2
-		if r6 == 0 {
-			cycles, instret = cycles+18, instret+11
-			goto L37
-		}
-		cycles, instret = cycles+17, instret+11
-		// 024: ori r5, r5, 1
-		r5 = r5 | 0x1
-		cycles, instret = cycles+1, instret+1
-	L37:
-		// 025: slli r6, r5, 1
-		r6 = r5 << 1
-		// 026: blt r6, r0, 3
-		if int32(r6) < int32(0) {
-			cycles, instret = cycles+3, instret+2
-			goto L41
-		}
-		cycles, instret = cycles+2, instret+2
-		// 027: addi r5, r6, 0
-		r5 = r6 + 0x0
-		// 028: addi r12, r12, -1
-		r12 = r12 + 0xffffffff
-		cycles, instret = cycles+2, instret+2
-	L41:
-		// 029: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 02a: addi r2, r12, 0
-		r2 = r12 + 0x0
-		// 02b: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 02c: jal r15, -433
-		r15 = (base + 45) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffe7b
-		goto okOut
-	L45:
-		if st.stop-cycles <= 2 {
-			bpc = 45
-			goto budgetOut
-		}
-		// 02d: jal r0, 2
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 47
-		goto okOut
-	L46:
-		if st.stop-cycles <= 2 {
-			bpc = 46
-			goto budgetOut
-		}
-		// 02e: jal r15, -462
-		r15 = (base + 47) * 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xfffffe60
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[12], r[15] = r1, r2, r3, r5, r6, r7, r8, r10, r11, r12, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[12], r[15] = r1, r2, r3, r5, r6, r7, r8, r10, r11, r12, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	// 17d: srli r8, r1, 31
+	r[8] = r[1] >> 31
+	// 17e: slli r1, r1, 1
+	r[1] = r[1] << 1
+	// 17f: slli r5, r5, 1
+	r[5] = r[5] << 1
+	// 180: or r5, r5, r8
+	r[5] = r[5] | r[8]
+	// 181: slli r6, r6, 1
+	r[6] = r[6] << 1
+	// 182: bltu r5, r3, 3
+	if r[5] < r[3] {
+		cycles, instret = cycles+7, instret+6
+		goto L389
 	}
-}
-
-// Region R28: mul_ret — 71 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_sqrt and 6 more.
-var sigR28 = [...]uint64{
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0e0d, 0x00000000000f0023, 0xfffffff0000e0e0d, 0x00000000000e0f1a,
-	0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a, 0x007f000000000516,
-	0x0000ffff0005050f, 0x0000000005010a03, 0x0000000005020b03, 0x0000001700010712,
-	0x000000ff0007070e, 0x0000001700020812, 0x000000ff0008080e, 0x0000001f00010512,
-	0x0000001f00020612, 0x0000000006050305, 0x000000ff0000090d, 0x0000001e0907001d,
-	0x0000005f000a001d, 0x0000005a0908001d, 0x0000005f000b001d, 0x7fc0000000000116,
-	0x0000000000010101, 0x0000006000000022, 0x000000220908001d, 0x0000005f000b001d,
-	0x0000001f00030111, 0x0000006000000022, 0x0000002f0008001d, 0x00000029000b001d,
-	0x000000000a070504, 0x0000005a0005001d, 0x7fc0000000000116, 0x0000000000010101,
-	0x0000006000000022, 0x00000000000b010d, 0xfffffe1600000f22, 0xfffffff80001050d,
-	0x000000010000080d, 0x0000000005080802, 0x00000000050b0b06, 0x000000390007001d,
-	0x00000033000a001d, 0x0000001f00030111, 0x0000006000000022, 0x00000000000a010d,
-	0xfffffe1600000f22, 0xfffffff80001050d, 0x000000010000070d, 0x0000000005070702,
-	0x00000000050a0a06, 0x0000000008070c02, 0x0000007d000c0c0d, 0x0080000000000516,
-	0x0000000000050501, 0x00000000050a0a04, 0x00000000050b0b04, 0x00000007000a0a11,
-	0x00000008000b0b11, 0x000000000a0a0501, 0x00000045050b0020, 0x00000045050b001c,
-	0x0000004700000022, 0x00000001000a0a12, 0x00000001000c0c0d,
-}
-
-func bindR28(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 6:
-			goto L6
-		case 30:
-			goto L30
-		case 34:
-			goto L34
-		case 41:
-			goto L41
-		case 43:
-			goto L43
-		case 51:
-			goto L51
-		case 53:
-			goto L53
-		case 69:
-			goto L69
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 11 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 001: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+2, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 003: lw r12, 12(r14)
-		a = r14 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r12 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r12 = v
-		}
-		// 004: addi r14, r14, 16
-		r14 = r14 + 0x10
-		// 005: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		st.pc = v
-		goto okOut
-	L6:
-		if st.stop-cycles <= 25 {
-			bpc = 6
-			goto budgetOut
-		}
-		// 006: addi r14, r14, -16
-		r14 = r14 + 0xfffffff0
-		// 007: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+7, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 008: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 009: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+9, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 00a: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+10, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 00b: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 00c: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 00d: and r10, r1, r5
-		r10 = r1 & r5
-		// 00e: and r11, r2, r5
-		r11 = r2 & r5
-		// 00f: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 010: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 011: srli r8, r2, 23
-		r8 = r2 >> 23
-		// 012: andi r8, r8, 255
-		r8 = r8 & 0xff
-		// 013: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 014: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 015: xor r3, r5, r6
-		r3 = r5 ^ r6
-		// 016: addi r9, r0, 255
-		r9 = 0 + 0xff
-		// 017: bne r7, r9, 7
-		if r7 != r9 {
-			cycles, instret = cycles+19, instret+18
-			goto L30
-		}
-		cycles, instret = cycles+18, instret+18
-		// 018: bne r10, r0, 71
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x5f
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 019: bne r8, r9, 65
-		if r8 != r9 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x5a
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01a: bne r11, r0, 69
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x5f
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01b: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 01c: add r1, r1, r0
-		r1 = r1 + 0
-		// 01d: jal r0, 67
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x60
-		goto okOut
-	L30:
-		if st.stop-cycles <= 5 {
-			bpc = 30
-			goto budgetOut
-		}
-		// 01e: bne r8, r9, 4
-		if r8 != r9 {
-			cycles, instret = cycles+2, instret+1
-			goto L34
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01f: bne r11, r0, 64
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x5f
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 020: slli r1, r3, 31
-		r1 = r3 << 31
-		// 021: jal r0, 63
+	cycles, instret = cycles+6, instret+6
+	// 183: sub r5, r5, r3
+	r[5] = r[5] - r[3]
+	// 184: ori r6, r6, 1
+	r[6] = r[6] | 0x1
+	cycles, instret = cycles+2, instret+2
+L389:
+	// 185: addi r7, r7, -1
+	r[7] = r[7] + 0xffffffff
+	// 186: bne r7, r0, -9
+	if r[7] != 0 {
 		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x60
-		goto okOut
-	L34:
-		if st.stop-cycles <= 17 {
-			bpc = 34
-			goto budgetOut
-		}
-		// 022: bne r8, r0, 13
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L47
-		}
-		cycles, instret = cycles+1, instret+1
-		// 023: bne r11, r0, 6
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L41
-		}
-		cycles, instret = cycles+1, instret+1
-		// 024: or r5, r7, r10
-		r5 = r7 | r10
-		// 025: bne r5, r0, 53
-		if r5 != 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x5a
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-		// 026: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 027: add r1, r1, r0
-		r1 = r1 + 0
-		// 028: jal r0, 56
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x60
-		goto okOut
-	L41:
-		if st.stop-cycles <= 3 {
-			bpc = 41
-			goto budgetOut
-		}
-		// 029: addi r1, r11, 0
-		r1 = r11 + 0x0
-		// 02a: jal r15, -532
-		r15 = (base + 43) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xfffffe16
-		goto okOut
-	L43:
-		if st.stop-cycles <= 19 {
-			bpc = 43
-			goto budgetOut
-		}
-		// 02b: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 02c: addi r8, r0, 1
-		r8 = 0 + 0x1
-		// 02d: sub r8, r8, r5
-		r8 = r8 - r5
-		// 02e: sll r11, r11, r5
-		r11 = r11 << (r5 & 31)
-		cycles, instret = cycles+4, instret+4
-	L47:
-		// 02f: bne r7, r0, 10
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L57
-		}
-		cycles, instret = cycles+1, instret+1
-		// 030: bne r10, r0, 3
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L51
-		}
-		cycles, instret = cycles+1, instret+1
-		// 031: slli r1, r3, 31
-		r1 = r3 << 31
-		// 032: jal r0, 46
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x60
-		goto okOut
-	L51:
-		if st.stop-cycles <= 3 {
-			bpc = 51
-			goto budgetOut
-		}
-		// 033: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 034: jal r15, -542
-		r15 = (base + 53) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xfffffe16
-		goto okOut
-	L53:
-		if st.stop-cycles <= 17 {
-			bpc = 53
-			goto budgetOut
-		}
-		// 035: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 036: addi r7, r0, 1
-		r7 = 0 + 0x1
-		// 037: sub r7, r7, r5
-		r7 = r7 - r5
-		// 038: sll r10, r10, r5
-		r10 = r10 << (r5 & 31)
-		cycles, instret = cycles+4, instret+4
-	L57:
-		// 039: sub r12, r7, r8
-		r12 = r7 - r8
-		// 03a: addi r12, r12, 125
-		r12 = r12 + 0x7d
-		// 03b: lui r5, 0x80
-		r5 = 0x800000
-		// 03c: add r5, r5, r0
-		r5 = r5 + 0
-		// 03d: or r10, r10, r5
-		r10 = r10 | r5
-		// 03e: or r11, r11, r5
-		r11 = r11 | r5
-		// 03f: slli r10, r10, 7
-		r10 = r10 << 7
-		// 040: slli r11, r11, 8
-		r11 = r11 << 8
-		// 041: add r5, r10, r10
-		r5 = r10 + r10
-		// 042: bltu r11, r5, 3
-		if r11 < r5 {
-			cycles, instret = cycles+11, instret+10
-			goto L69
-		}
-		cycles, instret = cycles+10, instret+10
-		// 043: beq r11, r5, 2
-		if r11 == r5 {
-			cycles, instret = cycles+2, instret+1
-			goto L69
-		}
-		cycles, instret = cycles+1, instret+1
-		// 044: jal r0, 3
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 71
-		goto okOut
-	L69:
-		if st.stop-cycles <= 2 {
-			bpc = 69
-			goto budgetOut
-		}
-		// 045: srli r10, r10, 1
-		r10 = r10 >> 1
-		// 046: addi r12, r12, 1
-		r12 = r12 + 0x1
-		cycles, instret = cycles+2, instret+2
-		st.pc = base + 71
-		goto okOut
-	budgetOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+		goto L381
 	}
-}
-
-// Region R29: div_loop_init — 25 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR29 = [...]uint64{
-	0x000000000000070d, 0x00000000000a080d, 0x000000200000090d, 0x0000001f00080512,
-	0x0000000100080811, 0x0000000100070711, 0x000000080005001d, 0x0000000a0b080020,
-	0x000000000b080802, 0x000000010007070f, 0xffffffff0009090d, 0x000000030009001d,
-	0x0000000e0008001c, 0x000000010007070f, 0x000000000003010d, 0x00000000000c020d,
-	0x000000000007030d, 0xfffffe0500000f22, 0x0000001900000022, 0x0000001f00030111,
-	0x7f80000000000516, 0x0000000000050501, 0x0000000005010104, 0x0000001900000022,
-	0xfffffdea00000f22,
-}
-
-func bindR29(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r7, r8, r9, r10, r11, r12, r15 := r[1], r[2], r[3], r[5], r[7], r[8], r[9], r[10], r[11], r[12], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 18:
-			goto L18
-		case 19:
-			goto L19
-		case 24:
-			goto L24
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 3 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r7, r0, 0
-		r7 = 0 + 0x0
-		// 001: addi r8, r10, 0
-		r8 = r10 + 0x0
-		// 002: addi r9, r0, 32
-		r9 = 0 + 0x20
-		cycles, instret = cycles+3, instret+3
-	L3:
-		if st.stop-cycles <= 16 {
-			bpc = 3
-			goto budgetOut
-		}
-		// 003: srli r5, r8, 31
-		r5 = r8 >> 31
-		// 004: slli r8, r8, 1
-		r8 = r8 << 1
-		// 005: slli r7, r7, 1
-		r7 = r7 << 1
-		// 006: bne r5, r0, 2
-		if r5 != 0 {
-			cycles, instret = cycles+5, instret+4
-			goto L8
-		}
-		cycles, instret = cycles+4, instret+4
-		// 007: bltu r8, r11, 3
-		if r8 < r11 {
-			cycles, instret = cycles+2, instret+1
-			goto L10
-		}
-		cycles, instret = cycles+1, instret+1
-	L8:
-		// 008: sub r8, r8, r11
-		r8 = r8 - r11
-		// 009: ori r7, r7, 1
-		r7 = r7 | 0x1
-		cycles, instret = cycles+2, instret+2
-	L10:
-		// 00a: addi r9, r9, -1
-		r9 = r9 + 0xffffffff
-		// 00b: bne r9, r0, -8
-		if r9 != 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L3
-		}
-		cycles, instret = cycles+2, instret+2
-		// 00c: beq r8, r0, 2
-		if r8 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L14
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00d: ori r7, r7, 1
-		r7 = r7 | 0x1
-		cycles, instret = cycles+1, instret+1
-	L14:
-		// 00e: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 00f: addi r2, r12, 0
-		r2 = r12 + 0x0
-		// 010: addi r3, r7, 0
-		r3 = r7 + 0x0
-		// 011: jal r15, -524
-		r15 = (base + 18) * 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffe05
-		goto okOut
-	L18:
-		if st.stop-cycles <= 2 {
-			bpc = 18
-			goto budgetOut
-		}
-		// 012: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 25
-		goto okOut
-	L19:
-		if st.stop-cycles <= 6 {
-			bpc = 19
-			goto budgetOut
-		}
-		// 013: slli r1, r3, 31
-		r1 = r3 << 31
-		// 014: lui r5, 0x7f80
-		r5 = 0x7f800000
-		// 015: add r5, r5, r0
-		r5 = r5 + 0
-		// 016: or r1, r1, r5
-		r1 = r1 | r5
-		// 017: jal r0, 2
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 25
-		goto okOut
-	L24:
-		if st.stop-cycles <= 2 {
-			bpc = 24
-			goto budgetOut
-		}
-		// 018: jal r15, -558
-		r15 = (base + 25) * 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xfffffdea
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[7], r[8], r[9], r[15] = r1, r2, r3, r5, r7, r8, r9, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[3], r[5], r[7], r[8], r[9], r[15] = r1, r2, r3, r5, r7, r8, r9, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
+	cycles, instret = cycles+2, instret+2
+	// 187: addi r1, r6, 0
+	r[1] = r[6] + 0x0
+	// 188: beq r9, r0, 2
+	if r[9] == 0 {
+		cycles, instret = cycles+3, instret+2
+		goto L394
 	}
-}
-
-// Region R30: div_ret — 70 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 5 more.
-var sigR30 = [...]uint64{
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0e0d, 0x00000000000f0023, 0x000000080001001d, 0x00000000000f0023,
-	0x8000000000000516, 0x0000000000050501, 0x0000000e0501001d, 0xcf00000000000116,
-	0x0000000000010101, 0x00000000000f0023, 0x000000000001050b, 0x000000110001001f,
-	0x0000000001000102, 0x000000000001030d, 0x000000000005010d, 0x0000009c0000020d,
-	0xfffffe1800000022, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010603,
-	0x0000001700010712, 0x000000ff0007070e, 0x0000001f00010812, 0x000000ff0000050d,
-	0x0000001e0507001d, 0x0000002f0006001d, 0x000000220007001c, 0x0080000000000516,
-	0x0000000000050501, 0x0000000005060604, 0xffffff6a0007090d, 0x000000080000050d,
-	0x000000320509001e, 0xcf00000000000516, 0x0000000000050501, 0x0000002c0501001c,
-	0x0000002c0008001d, 0x7fff000000000116, 0x0000ffff0001010f, 0x00000000000f0023,
-	0x8000000000000116, 0x0000000000010101, 0x00000000000f0023, 0x8000000000000116,
-	0x0000000000010101, 0x00000000000f0023, 0x000000350009001e, 0x0000000009060606,
-	0x0000004600000022, 0x0000000009000902, 0x000000200000050d, 0x0000003a0509001e,
-	0x000000000000010d, 0x00000000000f0023, 0x0000000009060507, 0x000000200000070d,
-	0x0000000009070702, 0x0000000007060606, 0x8000000000000716, 0x0000000000070701,
-	0x0000004406070020, 0x000000450706001d, 0x000000010005060e, 0x000000450006001c,
-	0x000000010005050d, 0x000000000005060d,
-}
-
-func bindR30(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 6:
-			goto L6
-		case 8:
-			goto L8
-		case 14:
-			goto L14
-		case 21:
-			goto L21
-		case 44:
-			goto L44
-		case 47:
-			goto L47
-		case 50:
-			goto L50
-		case 53:
-			goto L53
-		case 58:
-			goto L58
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 11 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 001: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+2, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 003: lw r12, 12(r14)
-		a = r14 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r12 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r12 = v
-		}
-		// 004: addi r14, r14, 16
-		r14 = r14 + 0x10
-		// 005: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		st.pc = v
-		goto okOut
-	L6:
-		if st.stop-cycles <= 3 {
-			bpc = 6
-			goto budgetOut
-		}
-		// 006: bne r1, r0, 2
-		if r1 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L8
-		}
-		cycles, instret = cycles+1, instret+1
-		// 007: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = v
-		goto okOut
-	L8:
-		if st.stop-cycles <= 7 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: lui r5, 0x8000
-		r5 = 0x80000000
-		// 009: add r5, r5, r0
-		r5 = r5 + 0
-		// 00a: bne r1, r5, 4
-		if r1 != r5 {
-			cycles, instret = cycles+4, instret+3
-			goto L14
-		}
-		cycles, instret = cycles+3, instret+3
-		// 00b: lui r1, 0xcf00
-		r1 = 0xcf000000
-		// 00c: add r1, r1, r0
-		r1 = r1 + 0
-		// 00d: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L14:
-		if st.stop-cycles <= 8 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: slt r5, r1, r0
-		r5 = b2u(int32(r1) < int32(0))
-		// 00f: bge r1, r0, 2
-		if int32(r1) >= int32(0) {
-			cycles, instret = cycles+3, instret+2
-			goto L17
-		}
-		cycles, instret = cycles+2, instret+2
-		// 010: sub r1, r0, r1
-		r1 = 0 - r1
-		cycles, instret = cycles+1, instret+1
-	L17:
-		// 011: addi r3, r1, 0
-		r3 = r1 + 0x0
-		// 012: addi r1, r5, 0
-		r1 = r5 + 0x0
-		// 013: addi r2, r0, 156
-		r2 = 0 + 0x9c
-		// 014: jal r0, -508
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffe18
-		goto okOut
-	L21:
-		if st.stop-cycles <= 24 {
-			bpc = 21
-			goto budgetOut
-		}
-		// 015: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 016: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 017: and r6, r1, r5
-		r6 = r1 & r5
-		// 018: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 019: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 01a: srli r8, r1, 31
-		r8 = r1 >> 31
-		// 01b: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 01c: bne r7, r5, 2
-		if r7 != r5 {
-			cycles, instret = cycles+9, instret+8
-			goto L30
-		}
-		cycles, instret = cycles+8, instret+8
-		// 01d: bne r6, r0, 18
-		if r6 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L47
-		}
-		cycles, instret = cycles+1, instret+1
-	L30:
-		// 01e: beq r7, r0, 4
-		if r7 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L34
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01f: lui r5, 0x80
-		r5 = 0x800000
-		// 020: add r5, r5, r0
-		r5 = r5 + 0
-		// 021: or r6, r6, r5
-		r6 = r6 | r5
-		cycles, instret = cycles+3, instret+3
-	L34:
-		// 022: addi r9, r7, -150
-		r9 = r7 + 0xffffff6a
-		// 023: addi r5, r0, 8
-		r5 = 0 + 0x8
-		// 024: blt r9, r5, 14
-		if int32(r9) < int32(r5) {
-			cycles, instret = cycles+4, instret+3
-			goto L50
-		}
-		cycles, instret = cycles+3, instret+3
-		// 025: lui r5, 0xcf00
-		r5 = 0xcf000000
-		// 026: add r5, r5, r0
-		r5 = r5 + 0
-		// 027: beq r1, r5, 5
-		if r1 == r5 {
-			cycles, instret = cycles+4, instret+3
-			goto L44
-		}
-		cycles, instret = cycles+3, instret+3
-		// 028: bne r8, r0, 4
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L44
-		}
-		cycles, instret = cycles+1, instret+1
-		// 029: lui r1, 0x7fff
-		r1 = 0x7fff0000
-		// 02a: ori r1, r1, 65535
-		r1 = r1 | 0xffff
-		// 02b: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L44:
-		if st.stop-cycles <= 4 {
-			bpc = 44
-			goto budgetOut
-		}
-		// 02c: lui r1, 0x8000
-		r1 = 0x80000000
-		// 02d: add r1, r1, r0
-		r1 = r1 + 0
-		// 02e: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L47:
-		if st.stop-cycles <= 4 {
-			bpc = 47
-			goto budgetOut
-		}
-		// 02f: lui r1, 0x8000
-		r1 = 0x80000000
-		// 030: add r1, r1, r0
-		r1 = r1 + 0
-		// 031: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L50:
-		if st.stop-cycles <= 4 {
-			bpc = 50
-			goto budgetOut
-		}
-		// 032: blt r9, r0, 3
-		if int32(r9) < int32(0) {
-			cycles, instret = cycles+2, instret+1
-			goto L53
-		}
-		cycles, instret = cycles+1, instret+1
-		// 033: sll r6, r6, r9
-		r6 = r6 << (r9 & 31)
-		// 034: jal r0, 18
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 70
-		goto okOut
-	L53:
-		if st.stop-cycles <= 6 {
-			bpc = 53
-			goto budgetOut
-		}
-		// 035: sub r9, r0, r9
-		r9 = 0 - r9
-		// 036: addi r5, r0, 32
-		r5 = 0 + 0x20
-		// 037: blt r9, r5, 3
-		if int32(r9) < int32(r5) {
-			cycles, instret = cycles+4, instret+3
-			goto L58
-		}
-		cycles, instret = cycles+3, instret+3
-		// 038: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 039: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L58:
-		if st.stop-cycles <= 12 {
-			bpc = 58
-			goto budgetOut
-		}
-		// 03a: srl r5, r6, r9
-		r5 = r6 >> (r9 & 31)
-		// 03b: addi r7, r0, 32
-		r7 = 0 + 0x20
-		// 03c: sub r7, r7, r9
-		r7 = r7 - r9
-		// 03d: sll r6, r6, r7
-		r6 = r6 << (r7 & 31)
-		// 03e: lui r7, 0x8000
-		r7 = 0x80000000
-		// 03f: add r7, r7, r0
-		r7 = r7 + 0
-		// 040: bltu r7, r6, 4
-		if r7 < r6 {
-			cycles, instret = cycles+8, instret+7
-			goto L68
-		}
-		cycles, instret = cycles+7, instret+7
-		// 041: bne r6, r7, 4
-		if r6 != r7 {
-			cycles, instret = cycles+2, instret+1
-			goto L69
-		}
-		cycles, instret = cycles+1, instret+1
-		// 042: andi r6, r5, 1
-		r6 = r5 & 0x1
-		// 043: beq r6, r0, 2
-		if r6 == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L69
-		}
-		cycles, instret = cycles+2, instret+2
-	L68:
-		// 044: addi r5, r5, 1
-		r5 = r5 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L69:
-		// 045: addi r6, r5, 0
-		r6 = r5 + 0x0
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 70
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R31: ti_sign — 4 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR31 = [...]uint64{
-	0x000000020008001c, 0x0000000006000602, 0x000000000006010d, 0x00000000000f0023,
-}
-
-func bindR31(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r6, r8, r15 := r[1], r[6], r[8], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 5 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: beq r8, r0, 2
-		if r8 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L2
-		}
-		cycles, instret = cycles+1, instret+1
-		// 001: sub r6, r0, r6
-		r6 = 0 - r6
-		cycles, instret = cycles+1, instret+1
-	L2:
-		// 002: addi r1, r6, 0
-		r1 = r6 + 0x0
-		// 003: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[6] = r1, r6
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[6] = r1, r6
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R32: sf_cmp_prep — 52 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 5 more.
-var sigR32 = [...]uint64{
-	0x007f000000000516, 0x0000ffff0005050f, 0x000000ff0000080d, 0x000000000000090d,
-	0x0000000005010603, 0x0000001700010712, 0x000000ff0007070e, 0x0000000b0807001d,
-	0x0000000b0006001c, 0x000000010000090d, 0x00000000000f0023, 0x0000000005020603,
-	0x0000001700020712, 0x000000ff0007070e, 0x000000110807001d, 0x000000110006001c,
-	0x000000010000090d, 0x00000000000f0023, 0xfffffffc000e0e0d, 0x00000000000e0f1a,
-	0x0000000000000f22, 0x00000000000e0f17, 0x00000004000e0e0d, 0x0000001c0009001d,
-	0x0000001e0201001c, 0x0000000002010504, 0x0000000100050511, 0x0000001e0005001c,
-	0x000000000000010d, 0x00000000000f0023, 0x000000010000010d, 0x00000000000f0023,
-	0xfffffffc000e0e0d, 0x00000000000e0f1a, 0x0000000000000f22, 0x00000000000e0f17,
-	0x00000004000e0e0d, 0x000000340009001d, 0x0000001f00010512, 0x0000001f00020612,
-	0x0000002e0605001d, 0x0000002c0005001c, 0x0000003201020020, 0x0000003400000022,
-	0x0000003202010020, 0x0000003400000022, 0x000000340005001c, 0x0000000002010704,
-	0x0000000100070711, 0x000000340007001c, 0x000000010000010d, 0x00000000000f0023,
-}
-
-func bindR32(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r7, r8, r9, r14, r15 := r[1], r[2], r[5], r[6], r[7], r[8], r[9], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 11:
-			goto L11
-		case 18:
-			goto L18
-		case 21:
-			goto L21
-		case 30:
-			goto L30
-		case 32:
-			goto L32
-		case 35:
-			goto L35
-		case 44:
-			goto L44
-		case 46:
-			goto L46
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 12 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 001: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 002: addi r8, r0, 255
-		r8 = 0 + 0xff
-		// 003: addi r9, r0, 0
-		r9 = 0 + 0x0
-		// 004: and r6, r1, r5
-		r6 = r1 & r5
-		// 005: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 006: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 007: bne r7, r8, 4
-		if r7 != r8 {
-			cycles, instret = cycles+9, instret+8
-			goto L11
-		}
-		cycles, instret = cycles+8, instret+8
-		// 008: beq r6, r0, 3
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L11
-		}
-		cycles, instret = cycles+1, instret+1
-		// 009: addi r9, r0, 1
-		r9 = 0 + 0x1
-		// 00a: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L11:
-		if st.stop-cycles <= 8 {
-			bpc = 11
-			goto budgetOut
-		}
-		// 00b: and r6, r2, r5
-		r6 = r2 & r5
-		// 00c: srli r7, r2, 23
-		r7 = r2 >> 23
-		// 00d: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00e: bne r7, r8, 3
-		if r7 != r8 {
-			cycles, instret = cycles+5, instret+4
-			goto L17
-		}
-		cycles, instret = cycles+4, instret+4
-		// 00f: beq r6, r0, 2
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L17
-		}
-		cycles, instret = cycles+1, instret+1
-		// 010: addi r9, r0, 1
-		r9 = 0 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L17:
-		// 011: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = v
-		goto okOut
-	L18:
-		if st.stop-cycles <= 4 {
-			bpc = 18
-			goto budgetOut
-		}
-		// 012: addi r14, r14, -4
-		r14 = r14 + 0xfffffffc
-		// 013: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+19, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 014: jal r15, -20
-		r15 = (base + 21) * 4
-		cycles, instret = cycles+4, instret+3
+	cycles, instret = cycles+2, instret+2
+	// 189: sub r1, r0, r1
+	r[1] = 0 - r[1]
+	cycles, instret = cycles+1, instret+1
+L394:
+	// 18a: jalr r0, r15, 0
+	v = (r[15] + 0x0) / 4
+	cycles, instret = cycles+2, instret+1
+	switch v {
+	case 0:
 		goto L0
-	L21:
-		if st.stop-cycles <= 11 {
-			bpc = 21
-			goto budgetOut
-		}
-		// 015: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+21, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 016: addi r14, r14, 4
-		r14 = r14 + 0x4
-		// 017: bne r9, r0, 5
-		if r9 != 0 {
-			cycles, instret = cycles+5, instret+3
-			goto L28
-		}
-		cycles, instret = cycles+4, instret+3
-		// 018: beq r1, r2, 6
-		if r1 == r2 {
-			cycles, instret = cycles+2, instret+1
-			goto L30
-		}
-		cycles, instret = cycles+1, instret+1
-		// 019: or r5, r1, r2
-		r5 = r1 | r2
-		// 01a: slli r5, r5, 1
-		r5 = r5 << 1
-		// 01b: beq r5, r0, 3
-		if r5 == 0 {
-			cycles, instret = cycles+4, instret+3
-			goto L30
-		}
-		cycles, instret = cycles+3, instret+3
-	L28:
-		// 01c: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 01d: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
+	case 4:
+		goto L4
+	case 28:
+		goto L28
+	case 32:
+		goto L32
+	case 41:
+		goto L41
+	case 45:
+		goto L45
+	case 65:
+		goto L65
+	case 68:
+		goto L68
+	case 71:
+		goto L71
+	case 77:
+		goto L77
+	case 83:
+		goto L83
+	case 87:
+		goto L87
+	case 91:
+		goto L91
+	case 101:
+		goto L101
+	case 107:
+		goto L107
+	case 115:
+		goto L115
+	case 121:
+		goto L121
+	case 127:
+		goto L127
+	case 135:
+		goto L135
+	case 145:
+		goto L145
+	case 150:
+		goto L150
+	case 166:
+		goto L166
+	case 175:
+		goto L175
+	case 235:
+		goto L235
+	case 236:
+		goto L236
+	case 245:
+		goto L245
+	case 248:
+		goto L248
+	case 265:
+		goto L265
+	case 274:
+		goto L274
+	case 287:
+		goto L287
+	case 292:
+		goto L292
+	case 298:
+		goto L298
+	case 313:
+		goto L313
+	case 331:
+		goto L331
+	case 351:
+		goto L351
+	case 354:
+		goto L354
+	case 360:
+		goto L360
+	default:
 		st.pc = v
 		goto okOut
-	L30:
-		if st.stop-cycles <= 3 {
-			bpc = 30
-			goto budgetOut
-		}
-		// 01e: addi r1, r0, 1
-		r1 = 0 + 0x1
-		// 01f: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L32:
-		if st.stop-cycles <= 4 {
-			bpc = 32
-			goto budgetOut
-		}
-		// 020: addi r14, r14, -4
-		r14 = r14 + 0xfffffffc
-		// 021: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+33, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 022: jal r15, -34
-		r15 = (base + 35) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L0
-	L35:
-		if st.stop-cycles <= 13 {
-			bpc = 35
-			goto budgetOut
-		}
-		// 023: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+35, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 024: addi r14, r14, 4
-		r14 = r14 + 0x4
-		// 025: bne r9, r0, 15
-		if r9 != 0 {
-			cycles, instret = cycles+5, instret+3
-			st.pc = base + 52
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+3
-		// 026: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 027: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 028: bne r5, r6, 6
-		if r5 != r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L46
-		}
-		cycles, instret = cycles+3, instret+3
-		// 029: beq r5, r0, 3
-		if r5 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L44
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02a: bltu r2, r1, 8
-		if r2 < r1 {
-			cycles, instret = cycles+2, instret+1
-			goto L50
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02b: jal r0, 9
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 52
-		goto okOut
-	L44:
-		if st.stop-cycles <= 5 {
-			bpc = 44
-			goto budgetOut
-		}
-		// 02c: bltu r1, r2, 6
-		if r1 < r2 {
-			cycles, instret = cycles+2, instret+1
-			goto L50
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02d: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 52
-		goto okOut
-	L46:
-		if st.stop-cycles <= 7 {
-			bpc = 46
-			goto budgetOut
-		}
-		// 02e: beq r5, r0, 6
-		if r5 == 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 52
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02f: or r7, r1, r2
-		r7 = r1 | r2
-		// 030: slli r7, r7, 1
-		r7 = r7 << 1
-		// 031: beq r7, r0, 3
-		if r7 == 0 {
-			cycles, instret = cycles+4, instret+3
-			st.pc = base + 52
-			goto okOut
-		}
-		cycles, instret = cycles+3, instret+3
-	L50:
-		// 032: addi r1, r0, 1
-		r1 = 0 + 0x1
-		// 033: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6], r[7], r[8], r[9], r[14], r[15] = r1, r5, r6, r7, r8, r9, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[5], r[6], r[7], r[8], r[9], r[14], r[15] = r1, r5, r6, r7, r8, r9, r14, r15
-		return stErr
-	okOut:
-		r[1], r[5], r[6], r[7], r[8], r[9], r[14], r[15] = r1, r5, r6, r7, r8, r9, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
 	}
-}
-
-// Region R33: clt_false — 20 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 6 more.
-var sigR33 = [...]uint64{
-	0x000000000000010d, 0x00000000000f0023, 0xfffffffc000e0e0d, 0x00000000000e0f1a,
-	0xffffffcc00000f22, 0x00000000000e0f17, 0x00000004000e0e0d, 0x000000140009001d,
-	0x0000001f00010512, 0x0000001f00020612, 0x000000100605001d, 0x0000000e0005001c,
-	0x0000001602010021, 0x0000001400000022, 0x0000001601020021, 0x0000001400000022,
-	0x000000160005001d, 0x0000000002010704, 0x0000000100070711, 0x000000160007001c,
-}
-
-func bindR33(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r7, r9, r14, r15 := r[1], r[2], r[5], r[6], r[7], r[9], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 2:
-			goto L2
-		case 5:
-			goto L5
-		case 14:
-			goto L14
-		case 16:
-			goto L16
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 3 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 001: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L2:
-		if st.stop-cycles <= 4 {
-			bpc = 2
-			goto budgetOut
-		}
-		// 002: addi r14, r14, -4
-		r14 = r14 + 0xfffffffc
-		// 003: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 004: jal r15, -56
-		r15 = (base + 5) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffffcc
-		goto okOut
-	L5:
-		if st.stop-cycles <= 11 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 006: addi r14, r14, 4
-		r14 = r14 + 0x4
-		// 007: bne r9, r0, 13
-		if r9 != 0 {
-			cycles, instret = cycles+5, instret+3
-			st.pc = base + 20
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+3
-		// 008: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 009: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 00a: bne r5, r6, 6
-		if r5 != r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L16
-		}
-		cycles, instret = cycles+3, instret+3
-		// 00b: beq r5, r0, 3
-		if r5 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L14
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00c: bgeu r1, r2, 10
-		if r1 >= r2 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x16
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00d: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 20
-		goto okOut
-	L14:
-		if st.stop-cycles <= 3 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: bgeu r2, r1, 8
-		if r2 >= r1 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x16
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00f: jal r0, 5
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 20
-		goto okOut
-	L16:
-		if st.stop-cycles <= 5 {
-			bpc = 16
-			goto budgetOut
-		}
-		// 010: bne r5, r0, 6
-		if r5 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x16
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 011: or r7, r1, r2
-		r7 = r1 | r2
-		// 012: slli r7, r7, 1
-		r7 = r7 << 1
-		// 013: beq r7, r0, 3
-		if r7 == 0 {
-			cycles, instret = cycles+4, instret+3
-			st.pc = base + 0x16
-			goto okOut
-		}
-		cycles, instret = cycles+3, instret+3
-		st.pc = base + 20
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		return stErr
-	okOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R34: cle_false — 4 words, from batch/f32_add, batch/f32_sub, batch/f32_mul, batch/f32_div and 7 more.
-var sigR34 = [...]uint64{
-	0x000000000000010d, 0x00000000000f0023, 0x000000010000010d, 0x00000000000f0023,
-}
-
-func bindR34(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r15 := r[1], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 2:
-			goto L2
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 3 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 001: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L2:
-		if st.stop-cycles <= 3 {
-			bpc = 2
-			goto budgetOut
-		}
-		// 002: addi r1, r0, 1
-		r1 = 0 + 0x1
-		// 003: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1] = r1
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1] = r1
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R35: (unnamed) — 14 words, from batch/f32_sub.
-var sigR35 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x0000009400000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR35(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 141
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x94
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R36: sf_normroundpack — 22 words, from batch/f32_sub.
-var sigR36 = [...]uint64{
-	0xfffffff4000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000000010a0d, 0x0000000000020b0d, 0x000000000003010d, 0xffffff9e00000f22,
-	0xffffffff0001070d, 0x00000000070b0202, 0x0000000007030306, 0x00000000000a010d,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0e0d,
-	0xffffffd400000022, 0x0000001f00010512, 0x0000001f00020612, 0x000000000005030d,
-	0x000000d80605001d, 0x0000007a00000022,
-}
-
-func bindR36(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r10, r11, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		case 17:
-			goto L17
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 9 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -12
-		r14 = r14 + 0xfffffff4
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: addi r10, r1, 0
-		r10 = r1 + 0x0
-		// 005: addi r11, r2, 0
-		r11 = r2 + 0x0
-		// 006: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 007: jal r15, -105
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+9, instret+8
-		st.pc = base + 0xffffff9e
-		goto okOut
-	L8:
-		if st.stop-cycles <= 13 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: addi r7, r1, -1
-		r7 = r1 + 0xffffffff
-		// 009: sub r2, r11, r7
-		r2 = r11 - r7
-		// 00a: sll r3, r3, r7
-		r3 = r3 << (r7 & 31)
-		// 00b: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 00c: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+12, cycles+4, instret+4); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 00d: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+6, instret+5); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 00e: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+14, cycles+8, instret+6); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 00f: addi r14, r14, 12
-		r14 = r14 + 0xc
-		// 010: jal r0, -60
-		cycles, instret = cycles+13, instret+9
-		st.pc = base + 0xffffffd4
-		goto okOut
-	L17:
-		if st.stop-cycles <= 6 {
-			bpc = 17
-			goto budgetOut
-		}
-		// 011: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 012: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 013: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 014: bne r5, r6, 196
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0xd8
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 015: jal r0, 101
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x7a
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R37: f32_sub — 47 words, from batch/f32_sub.
-var sigR37 = [...]uint64{
-	0x0000001f00010512, 0x0000001f00020612, 0x000000000005030d, 0x000000640605001d,
-	0x000000c200000022, 0x8000000000000516, 0x0000000000050501, 0x0000000005010105,
-	0x00000000000f0023, 0xffffffec000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a,
-	0x00000008000e0b1a, 0x0000000c000e0c1a, 0x00000010000e0d1a, 0x007f000000000516,
-	0x0000ffff0005050f, 0x0000000005010603, 0x0000001700010712, 0x000000ff0007070e,
-	0x0000001f00010812, 0x000000ff0000050d, 0x0000001a0507001d, 0x000000200006001d,
-	0x0000001d0008001d, 0x0000005d00000022, 0x000000230008001c, 0x0000000006070504,
-	0x0000005d0005001c, 0x7fc0000000000116, 0x0000000000010101, 0x0000005d00000022,
-	0x000000000001020d, 0xffffffa300000f22, 0x0000005d00000022, 0x0000002f0007001d,
-	0x0000002d0006001c, 0x000000000006030d, 0x000000000006010d, 0xffffff8800000f22,
-	0xfffffff80001050d, 0x000000010000070d, 0x0000000005070702, 0x0000000005030606,
-	0x0000002f00000022, 0x000000000000010d, 0x0000005d00000022,
-}
-
-func bindR37(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r10, r11, r12, r13, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[12], r[13], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 5:
-			goto L5
-		case 9:
-			goto L9
-		case 26:
-			goto L26
-		case 32:
-			goto L32
-		case 34:
-			goto L34
-		case 35:
-			goto L35
-		case 40:
-			goto L40
-		case 45:
-			goto L45
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 6 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 001: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 002: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 003: bne r5, r6, 97
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0x64
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 004: jal r0, 190
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xc2
-		goto okOut
-	L5:
-		if st.stop-cycles <= 5 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lui r5, 0x8000
-		r5 = 0x80000000
-		// 006: add r5, r5, r0
-		r5 = r5 + 0
-		// 007: xor r1, r1, r5
-		r1 = r1 ^ r5
-		// 008: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = v
-		goto okOut
-	L9:
-		if st.stop-cycles <= 21 {
-			bpc = 9
-			goto budgetOut
-		}
-		// 009: addi r14, r14, -20
-		r14 = r14 + 0xffffffec
-		// 00a: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+10, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 00b: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+11, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 00c: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+12, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 00d: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+13, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 00e: sw r13, 16(r14)
-		a = r14 + 0x10
-		v = r13
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+14, cycles+5, instret+5) {
-			goto errOut
-		}
-		// 00f: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 010: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 011: and r6, r1, r5
-		r6 = r1 & r5
-		// 012: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 013: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 014: srli r8, r1, 31
-		r8 = r1 >> 31
-		// 015: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 016: bne r7, r5, 4
-		if r7 != r5 {
-			cycles, instret = cycles+15, instret+14
-			goto L26
-		}
-		cycles, instret = cycles+14, instret+14
-		// 017: bne r6, r0, 9
-		if r6 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L32
-		}
-		cycles, instret = cycles+1, instret+1
-		// 018: bne r8, r0, 5
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L29
-		}
-		cycles, instret = cycles+1, instret+1
-		// 019: jal r0, 68
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x5d
-		goto okOut
-	L26:
-		if st.stop-cycles <= 7 {
-			bpc = 26
-			goto budgetOut
-		}
-		// 01a: beq r8, r0, 9
-		if r8 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L35
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01b: or r5, r7, r6
-		r5 = r7 | r6
-		// 01c: beq r5, r0, 65
-		if r5 == 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x5d
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-	L29:
-		// 01d: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 01e: add r1, r1, r0
-		r1 = r1 + 0
-		// 01f: jal r0, 62
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x5d
-		goto okOut
-	L32:
-		if st.stop-cycles <= 3 {
-			bpc = 32
-			goto budgetOut
-		}
-		// 020: addi r2, r1, 0
-		r2 = r1 + 0x0
-		// 021: jal r15, -126
-		r15 = (base + 34) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xffffffa3
-		goto okOut
-	L34:
-		if st.stop-cycles <= 2 {
-			bpc = 34
-			goto budgetOut
-		}
-		// 022: jal r0, 59
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x5d
-		goto okOut
-	L35:
-		if st.stop-cycles <= 6 {
-			bpc = 35
-			goto budgetOut
-		}
-		// 023: bne r7, r0, 12
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 47
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 024: beq r6, r0, 9
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L45
-		}
-		cycles, instret = cycles+1, instret+1
-		// 025: addi r3, r6, 0
-		r3 = r6 + 0x0
-		// 026: addi r1, r6, 0
-		r1 = r6 + 0x0
-		// 027: jal r15, -159
-		r15 = (base + 40) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffff88
-		goto okOut
-	L40:
-		if st.stop-cycles <= 6 {
-			bpc = 40
-			goto budgetOut
-		}
-		// 028: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 029: addi r7, r0, 1
-		r7 = 0 + 0x1
-		// 02a: sub r7, r7, r5
-		r7 = r7 - r5
-		// 02b: sll r6, r3, r5
-		r6 = r3 << (r5 & 31)
-		// 02c: jal r0, 3
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 47
-		goto okOut
-	L45:
-		if st.stop-cycles <= 3 {
-			bpc = 45
-			goto budgetOut
-		}
-		// 02d: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 02e: jal r0, 47
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x5d
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R38: (unnamed) — 14 words, from batch/f32_mul.
-var sigR38 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x000001b500000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR38(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 430
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x1b5
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R39: sf_normroundpack — 69 words, from batch/f32_mul, batch/f32_div, batch/f32_from_i32, batch/f32_to_i32 and 3 more.
-var sigR39 = [...]uint64{
-	0xfffffff4000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000000010a0d, 0x0000000000020b0d, 0x000000000003010d, 0xffffff9e00000f22,
-	0xffffffff0001070d, 0x00000000070b0202, 0x0000000007030306, 0x00000000000a010d,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0e0d,
-	0xffffffd400000022, 0x0000001f00010512, 0x0000001f00020612, 0x000000000005030d,
-	0x000000d80605001d, 0x0000007a00000022, 0x0000001f00010512, 0x0000001f00020612,
-	0x000000000005030d, 0x0000007a0605001d, 0x000000d800000022, 0x8000000000000516,
-	0x0000000000050501, 0x0000000005010105, 0x00000000000f0023, 0xffffffec000e0e0d,
-	0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a, 0x0000000c000e0c1a,
-	0x00000010000e0d1a, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010603,
-	0x0000001700010712, 0x000000ff0007070e, 0x0000001f00010812, 0x000000ff0000050d,
-	0x000000300507001d, 0x000000360006001d, 0x000000330008001d, 0x0000007300000022,
-	0x000000390008001c, 0x0000000006070504, 0x000000730005001c, 0x7fc0000000000116,
-	0x0000000000010101, 0x0000007300000022, 0x000000000001020d, 0xffffffb900000f22,
-	0x0000007300000022, 0x000000450007001d, 0x000000430006001c, 0x000000000006030d,
-	0x000000000006010d, 0xffffff9e00000f22, 0xfffffff80001050d, 0x000000010000070d,
-	0x0000000005070702, 0x0000000005030606, 0x0000004500000022, 0x000000000000010d,
-	0x0000007300000022,
-}
-
-func bindR39(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r10, r11, r12, r13, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[12], r[13], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		case 17:
-			goto L17
-		case 22:
-			goto L22
-		case 27:
-			goto L27
-		case 31:
-			goto L31
-		case 48:
-			goto L48
-		case 54:
-			goto L54
-		case 56:
-			goto L56
-		case 57:
-			goto L57
-		case 62:
-			goto L62
-		case 67:
-			goto L67
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 9 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -12
-		r14 = r14 + 0xfffffff4
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: addi r10, r1, 0
-		r10 = r1 + 0x0
-		// 005: addi r11, r2, 0
-		r11 = r2 + 0x0
-		// 006: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 007: jal r15, -105
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+9, instret+8
-		st.pc = base + 0xffffff9e
-		goto okOut
-	L8:
-		if st.stop-cycles <= 13 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: addi r7, r1, -1
-		r7 = r1 + 0xffffffff
-		// 009: sub r2, r11, r7
-		r2 = r11 - r7
-		// 00a: sll r3, r3, r7
-		r3 = r3 << (r7 & 31)
-		// 00b: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 00c: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+12, cycles+4, instret+4); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 00d: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+6, instret+5); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 00e: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+14, cycles+8, instret+6); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 00f: addi r14, r14, 12
-		r14 = r14 + 0xc
-		// 010: jal r0, -60
-		cycles, instret = cycles+13, instret+9
-		st.pc = base + 0xffffffd4
-		goto okOut
-	L17:
-		if st.stop-cycles <= 6 {
-			bpc = 17
-			goto budgetOut
-		}
-		// 011: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 012: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 013: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 014: bne r5, r6, 196
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0xd8
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 015: jal r0, 101
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x7a
-		goto okOut
-	L22:
-		if st.stop-cycles <= 6 {
-			bpc = 22
-			goto budgetOut
-		}
-		// 016: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 017: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 018: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 019: bne r5, r6, 97
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0x7a
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 01a: jal r0, 190
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xd8
-		goto okOut
-	L27:
-		if st.stop-cycles <= 5 {
-			bpc = 27
-			goto budgetOut
-		}
-		// 01b: lui r5, 0x8000
-		r5 = 0x80000000
-		// 01c: add r5, r5, r0
-		r5 = r5 + 0
-		// 01d: xor r1, r1, r5
-		r1 = r1 ^ r5
-		// 01e: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = v
-		goto okOut
-	L31:
-		if st.stop-cycles <= 21 {
-			bpc = 31
-			goto budgetOut
-		}
-		// 01f: addi r14, r14, -20
-		r14 = r14 + 0xffffffec
-		// 020: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+32, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 021: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+33, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 022: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+34, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 023: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+35, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 024: sw r13, 16(r14)
-		a = r14 + 0x10
-		v = r13
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+36, cycles+5, instret+5) {
-			goto errOut
-		}
-		// 025: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 026: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 027: and r6, r1, r5
-		r6 = r1 & r5
-		// 028: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 029: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 02a: srli r8, r1, 31
-		r8 = r1 >> 31
-		// 02b: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 02c: bne r7, r5, 4
-		if r7 != r5 {
-			cycles, instret = cycles+15, instret+14
-			goto L48
-		}
-		cycles, instret = cycles+14, instret+14
-		// 02d: bne r6, r0, 9
-		if r6 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L54
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02e: bne r8, r0, 5
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L51
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02f: jal r0, 68
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x73
-		goto okOut
-	L48:
-		if st.stop-cycles <= 7 {
-			bpc = 48
-			goto budgetOut
-		}
-		// 030: beq r8, r0, 9
-		if r8 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L57
-		}
-		cycles, instret = cycles+1, instret+1
-		// 031: or r5, r7, r6
-		r5 = r7 | r6
-		// 032: beq r5, r0, 65
-		if r5 == 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x73
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-	L51:
-		// 033: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 034: add r1, r1, r0
-		r1 = r1 + 0
-		// 035: jal r0, 62
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x73
-		goto okOut
-	L54:
-		if st.stop-cycles <= 3 {
-			bpc = 54
-			goto budgetOut
-		}
-		// 036: addi r2, r1, 0
-		r2 = r1 + 0x0
-		// 037: jal r15, -126
-		r15 = (base + 56) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xffffffb9
-		goto okOut
-	L56:
-		if st.stop-cycles <= 2 {
-			bpc = 56
-			goto budgetOut
-		}
-		// 038: jal r0, 59
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x73
-		goto okOut
-	L57:
-		if st.stop-cycles <= 6 {
-			bpc = 57
-			goto budgetOut
-		}
-		// 039: bne r7, r0, 12
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 69
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 03a: beq r6, r0, 9
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L67
-		}
-		cycles, instret = cycles+1, instret+1
-		// 03b: addi r3, r6, 0
-		r3 = r6 + 0x0
-		// 03c: addi r1, r6, 0
-		r1 = r6 + 0x0
-		// 03d: jal r15, -159
-		r15 = (base + 62) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffff9e
-		goto okOut
-	L62:
-		if st.stop-cycles <= 6 {
-			bpc = 62
-			goto budgetOut
-		}
-		// 03e: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 03f: addi r7, r0, 1
-		r7 = 0 + 0x1
-		// 040: sub r7, r7, r5
-		r7 = r7 - r5
-		// 041: sll r6, r3, r5
-		r6 = r3 << (r5 & 31)
-		// 042: jal r0, 3
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 69
-		goto okOut
-	L67:
-		if st.stop-cycles <= 3 {
-			bpc = 67
-			goto budgetOut
-		}
-		// 043: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 044: jal r0, 47
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x73
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r10, r11, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r10, r11, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r10, r11, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R40: f32_mul — 34 words, from batch/f32_mul.
-var sigR40 = [...]uint64{
-	0xfffffff0000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010a03,
-	0x0000000005020b03, 0x0000001700010712, 0x000000ff0007070e, 0x0000001700020812,
-	0x000000ff0008080e, 0x0000001f00010512, 0x0000001f00020612, 0x0000000006050305,
-	0x000000ff0000090d, 0x0000001b0907001d, 0x00000050000a001d, 0x000000160908001d,
-	0x00000050000b001d, 0x0000002200000022, 0x000000000b080504, 0x000000220005001d,
-	0x7fc0000000000116, 0x0000000000010101, 0x0000005100000022, 0x000000270908001d,
-	0x00000050000b001d, 0x000000000a070504, 0x000000220005001d, 0x7fc0000000000116,
-	0x0000000000010101, 0x0000005100000022,
-}
-
-func bindR40(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 22:
-			goto L22
-		case 27:
-			goto L27
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 23 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -16
-		r14 = r14 + 0xfffffff0
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+4, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 005: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 006: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 007: and r10, r1, r5
-		r10 = r1 & r5
-		// 008: and r11, r2, r5
-		r11 = r2 & r5
-		// 009: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 00a: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00b: srli r8, r2, 23
-		r8 = r2 >> 23
-		// 00c: andi r8, r8, 255
-		r8 = r8 & 0xff
-		// 00d: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 00e: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 00f: xor r3, r5, r6
-		r3 = r5 ^ r6
-		// 010: addi r9, r0, 255
-		r9 = 0 + 0xff
-		// 011: bne r7, r9, 10
-		if r7 != r9 {
-			cycles, instret = cycles+19, instret+18
-			goto L27
-		}
-		cycles, instret = cycles+18, instret+18
-		// 012: bne r10, r0, 62
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x50
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 013: bne r8, r9, 3
-		if r8 != r9 {
-			cycles, instret = cycles+2, instret+1
-			goto L22
-		}
-		cycles, instret = cycles+1, instret+1
-		// 014: bne r11, r0, 60
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x50
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 015: jal r0, 13
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 34
-		goto okOut
-	L22:
-		if st.stop-cycles <= 6 {
-			bpc = 22
-			goto budgetOut
-		}
-		// 016: or r5, r8, r11
-		r5 = r8 | r11
-		// 017: bne r5, r0, 11
-		if r5 != 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 34
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-		// 018: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 019: add r1, r1, r0
-		r1 = r1 + 0
-		// 01a: jal r0, 55
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x51
-		goto okOut
-	L27:
-		if st.stop-cycles <= 8 {
-			bpc = 27
-			goto budgetOut
-		}
-		// 01b: bne r8, r9, 12
-		if r8 != r9 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x27
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01c: bne r11, r0, 52
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x50
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01d: or r5, r7, r10
-		r5 = r7 | r10
-		// 01e: bne r5, r0, 4
-		if r5 != 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 34
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-		// 01f: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 020: add r1, r1, r0
-		r1 = r1 + 0
-		// 021: jal r0, 48
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x51
-		goto okOut
-	budgetOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r14
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r14
-		return stErr
-	okOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[14] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r14
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R41: (unnamed) — 14 words, from batch/f32_div.
-var sigR41 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x0000020c00000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR41(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 517
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x20c
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R42: f32_div — 65 words, from batch/f32_div.
-var sigR42 = [...]uint64{
-	0xfffffff0000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010a03,
-	0x0000000005020b03, 0x0000001700010712, 0x000000ff0007070e, 0x0000001700020812,
-	0x000000ff0008080e, 0x0000001f00010512, 0x0000001f00020612, 0x0000000006050305,
-	0x000000ff0000090d, 0x000000180907001d, 0x00000059000a001d, 0x000000540908001d,
-	0x00000059000b001d, 0x7fc0000000000116, 0x0000000000010101, 0x0000005a00000022,
-	0x0000001c0908001d, 0x00000059000b001d, 0x0000001f00030111, 0x0000005a00000022,
-	0x000000290008001d, 0x00000023000b001d, 0x000000000a070504, 0x000000540005001d,
-	0x7fc0000000000116, 0x0000000000010101, 0x0000005a00000022, 0x00000000000b010d,
-	0xfffffe1000000f22, 0xfffffff80001050d, 0x000000010000080d, 0x0000000005080802,
-	0x00000000050b0b06, 0x000000330007001d, 0x0000002d000a001d, 0x0000001f00030111,
-	0x0000005a00000022, 0x00000000000a010d, 0xfffffe1000000f22, 0xfffffff80001050d,
-	0x000000010000070d, 0x0000000005070702, 0x00000000050a0a06, 0x0000000008070c02,
-	0x0000007d000c0c0d, 0x0080000000000516, 0x0000000000050501, 0x00000000050a0a04,
-	0x00000000050b0b04, 0x00000007000a0a11, 0x00000008000b0b11, 0x000000000a0a0501,
-	0x0000003f050b0020, 0x0000003f050b001c, 0x0000004100000022, 0x00000001000a0a12,
-	0x00000001000c0c0d,
-}
-
-func bindR42(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 24:
-			goto L24
-		case 28:
-			goto L28
-		case 35:
-			goto L35
-		case 37:
-			goto L37
-		case 45:
-			goto L45
-		case 47:
-			goto L47
-		case 63:
-			goto L63
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 25 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -16
-		r14 = r14 + 0xfffffff0
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+4, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 005: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 006: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 007: and r10, r1, r5
-		r10 = r1 & r5
-		// 008: and r11, r2, r5
-		r11 = r2 & r5
-		// 009: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 00a: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00b: srli r8, r2, 23
-		r8 = r2 >> 23
-		// 00c: andi r8, r8, 255
-		r8 = r8 & 0xff
-		// 00d: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 00e: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 00f: xor r3, r5, r6
-		r3 = r5 ^ r6
-		// 010: addi r9, r0, 255
-		r9 = 0 + 0xff
-		// 011: bne r7, r9, 7
-		if r7 != r9 {
-			cycles, instret = cycles+19, instret+18
-			goto L24
-		}
-		cycles, instret = cycles+18, instret+18
-		// 012: bne r10, r0, 71
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x59
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 013: bne r8, r9, 65
-		if r8 != r9 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x54
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 014: bne r11, r0, 69
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x59
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 015: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 016: add r1, r1, r0
-		r1 = r1 + 0
-		// 017: jal r0, 67
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x5a
-		goto okOut
-	L24:
-		if st.stop-cycles <= 5 {
-			bpc = 24
-			goto budgetOut
-		}
-		// 018: bne r8, r9, 4
-		if r8 != r9 {
-			cycles, instret = cycles+2, instret+1
-			goto L28
-		}
-		cycles, instret = cycles+1, instret+1
-		// 019: bne r11, r0, 64
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x59
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01a: slli r1, r3, 31
-		r1 = r3 << 31
-		// 01b: jal r0, 63
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x5a
-		goto okOut
-	L28:
-		if st.stop-cycles <= 17 {
-			bpc = 28
-			goto budgetOut
-		}
-		// 01c: bne r8, r0, 13
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L41
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01d: bne r11, r0, 6
-		if r11 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L35
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01e: or r5, r7, r10
-		r5 = r7 | r10
-		// 01f: bne r5, r0, 53
-		if r5 != 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x54
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-		// 020: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 021: add r1, r1, r0
-		r1 = r1 + 0
-		// 022: jal r0, 56
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x5a
-		goto okOut
-	L35:
-		if st.stop-cycles <= 3 {
-			bpc = 35
-			goto budgetOut
-		}
-		// 023: addi r1, r11, 0
-		r1 = r11 + 0x0
-		// 024: jal r15, -532
-		r15 = (base + 37) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xfffffe10
-		goto okOut
-	L37:
-		if st.stop-cycles <= 19 {
-			bpc = 37
-			goto budgetOut
-		}
-		// 025: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 026: addi r8, r0, 1
-		r8 = 0 + 0x1
-		// 027: sub r8, r8, r5
-		r8 = r8 - r5
-		// 028: sll r11, r11, r5
-		r11 = r11 << (r5 & 31)
-		cycles, instret = cycles+4, instret+4
-	L41:
-		// 029: bne r7, r0, 10
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L51
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02a: bne r10, r0, 3
-		if r10 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L45
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02b: slli r1, r3, 31
-		r1 = r3 << 31
-		// 02c: jal r0, 46
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x5a
-		goto okOut
-	L45:
-		if st.stop-cycles <= 3 {
-			bpc = 45
-			goto budgetOut
-		}
-		// 02d: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 02e: jal r15, -542
-		r15 = (base + 47) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xfffffe10
-		goto okOut
-	L47:
-		if st.stop-cycles <= 17 {
-			bpc = 47
-			goto budgetOut
-		}
-		// 02f: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 030: addi r7, r0, 1
-		r7 = 0 + 0x1
-		// 031: sub r7, r7, r5
-		r7 = r7 - r5
-		// 032: sll r10, r10, r5
-		r10 = r10 << (r5 & 31)
-		cycles, instret = cycles+4, instret+4
-	L51:
-		// 033: sub r12, r7, r8
-		r12 = r7 - r8
-		// 034: addi r12, r12, 125
-		r12 = r12 + 0x7d
-		// 035: lui r5, 0x80
-		r5 = 0x800000
-		// 036: add r5, r5, r0
-		r5 = r5 + 0
-		// 037: or r10, r10, r5
-		r10 = r10 | r5
-		// 038: or r11, r11, r5
-		r11 = r11 | r5
-		// 039: slli r10, r10, 7
-		r10 = r10 << 7
-		// 03a: slli r11, r11, 8
-		r11 = r11 << 8
-		// 03b: add r5, r10, r10
-		r5 = r10 + r10
-		// 03c: bltu r11, r5, 3
-		if r11 < r5 {
-			cycles, instret = cycles+11, instret+10
-			goto L63
-		}
-		cycles, instret = cycles+10, instret+10
-		// 03d: beq r11, r5, 2
-		if r11 == r5 {
-			cycles, instret = cycles+2, instret+1
-			goto L63
-		}
-		cycles, instret = cycles+1, instret+1
-		// 03e: jal r0, 3
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 65
-		goto okOut
-	L63:
-		if st.stop-cycles <= 2 {
-			bpc = 63
-			goto budgetOut
-		}
-		// 03f: srli r10, r10, 1
-		r10 = r10 >> 1
-		// 040: addi r12, r12, 1
-		r12 = r12 + 0x1
-		cycles, instret = cycles+2, instret+2
-		st.pc = base + 65
-		goto okOut
-	budgetOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[3], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[14], r[15] = r1, r3, r5, r6, r7, r8, r9, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R43: (unnamed) — 14 words, from batch/f32_sqrt.
-var sigR43 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x0000009d00000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR43(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 150
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x9d
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R44: sf_normroundpack — 31 words, from batch/f32_sqrt.
-var sigR44 = [...]uint64{
-	0xfffffff4000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000000010a0d, 0x0000000000020b0d, 0x000000000003010d, 0xffffff9e00000f22,
-	0xffffffff0001070d, 0x00000000070b0202, 0x0000000007030306, 0x00000000000a010d,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0e0d,
-	0xffffffd400000022, 0x0000001f00010512, 0x0000001f00020612, 0x000000000005030d,
-	0x000000d80605001d, 0x0000007a00000022, 0x0000001f00010512, 0x0000001f00020612,
-	0x000000000005030d, 0x0000007a0605001d, 0x000000d800000022, 0x8000000000000516,
-	0x0000000000050501, 0x0000000005010105, 0x00000000000f0023,
-}
-
-func bindR44(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r10, r11, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		case 17:
-			goto L17
-		case 22:
-			goto L22
-		case 27:
-			goto L27
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 9 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -12
-		r14 = r14 + 0xfffffff4
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: addi r10, r1, 0
-		r10 = r1 + 0x0
-		// 005: addi r11, r2, 0
-		r11 = r2 + 0x0
-		// 006: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 007: jal r15, -105
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+9, instret+8
-		st.pc = base + 0xffffff9e
-		goto okOut
-	L8:
-		if st.stop-cycles <= 13 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: addi r7, r1, -1
-		r7 = r1 + 0xffffffff
-		// 009: sub r2, r11, r7
-		r2 = r11 - r7
-		// 00a: sll r3, r3, r7
-		r3 = r3 << (r7 & 31)
-		// 00b: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 00c: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+12, cycles+4, instret+4); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 00d: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+6, instret+5); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 00e: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+14, cycles+8, instret+6); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 00f: addi r14, r14, 12
-		r14 = r14 + 0xc
-		// 010: jal r0, -60
-		cycles, instret = cycles+13, instret+9
-		st.pc = base + 0xffffffd4
-		goto okOut
-	L17:
-		if st.stop-cycles <= 6 {
-			bpc = 17
-			goto budgetOut
-		}
-		// 011: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 012: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 013: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 014: bne r5, r6, 196
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0xd8
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 015: jal r0, 101
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x7a
-		goto okOut
-	L22:
-		if st.stop-cycles <= 6 {
-			bpc = 22
-			goto budgetOut
-		}
-		// 016: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 017: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 018: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 019: bne r5, r6, 97
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0x7a
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 01a: jal r0, 190
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xd8
-		goto okOut
-	L27:
-		if st.stop-cycles <= 5 {
-			bpc = 27
-			goto budgetOut
-		}
-		// 01b: lui r5, 0x8000
-		r5 = 0x80000000
-		// 01c: add r5, r5, r0
-		r5 = r5 + 0
-		// 01d: xor r1, r1, r5
-		r1 = r1 ^ r5
-		// 01e: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R45: f32_sqrt — 38 words, from batch/f32_sqrt.
-var sigR45 = [...]uint64{
-	0xffffffec000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x00000010000e0d1a, 0x007f000000000516, 0x0000ffff0005050f,
-	0x0000000005010603, 0x0000001700010712, 0x000000ff0007070e, 0x0000001f00010812,
-	0x000000ff0000050d, 0x000000110507001d, 0x000000170006001d, 0x000000140008001d,
-	0x0000005400000022, 0x0000001a0008001c, 0x0000000006070504, 0x000000540005001c,
-	0x7fc0000000000116, 0x0000000000010101, 0x0000005400000022, 0x000000000001020d,
-	0xffffff9a00000f22, 0x0000005400000022, 0x000000260007001d, 0x000000240006001c,
-	0x000000000006030d, 0x000000000006010d, 0xffffff7f00000f22, 0xfffffff80001050d,
-	0x000000010000070d, 0x0000000005070702, 0x0000000005030606, 0x0000002600000022,
-	0x000000000000010d, 0x0000005400000022,
-}
-
-func bindR45(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r10, r11, r12, r13, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[12], r[13], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 17:
-			goto L17
-		case 23:
-			goto L23
-		case 25:
-			goto L25
-		case 26:
-			goto L26
-		case 31:
-			goto L31
-		case 36:
-			goto L36
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 21 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -20
-		r14 = r14 + 0xffffffec
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+4, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 005: sw r13, 16(r14)
-		a = r14 + 0x10
-		v = r13
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+5, cycles+5, instret+5) {
-			goto errOut
-		}
-		// 006: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 007: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 008: and r6, r1, r5
-		r6 = r1 & r5
-		// 009: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 00a: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00b: srli r8, r1, 31
-		r8 = r1 >> 31
-		// 00c: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 00d: bne r7, r5, 4
-		if r7 != r5 {
-			cycles, instret = cycles+15, instret+14
-			goto L17
-		}
-		cycles, instret = cycles+14, instret+14
-		// 00e: bne r6, r0, 9
-		if r6 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L23
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00f: bne r8, r0, 5
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L20
-		}
-		cycles, instret = cycles+1, instret+1
-		// 010: jal r0, 68
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x54
-		goto okOut
-	L17:
-		if st.stop-cycles <= 7 {
-			bpc = 17
-			goto budgetOut
-		}
-		// 011: beq r8, r0, 9
-		if r8 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L26
-		}
-		cycles, instret = cycles+1, instret+1
-		// 012: or r5, r7, r6
-		r5 = r7 | r6
-		// 013: beq r5, r0, 65
-		if r5 == 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x54
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-	L20:
-		// 014: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 015: add r1, r1, r0
-		r1 = r1 + 0
-		// 016: jal r0, 62
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x54
-		goto okOut
-	L23:
-		if st.stop-cycles <= 3 {
-			bpc = 23
-			goto budgetOut
-		}
-		// 017: addi r2, r1, 0
-		r2 = r1 + 0x0
-		// 018: jal r15, -126
-		r15 = (base + 25) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xffffff9a
-		goto okOut
-	L25:
-		if st.stop-cycles <= 2 {
-			bpc = 25
-			goto budgetOut
-		}
-		// 019: jal r0, 59
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x54
-		goto okOut
-	L26:
-		if st.stop-cycles <= 6 {
-			bpc = 26
-			goto budgetOut
-		}
-		// 01a: bne r7, r0, 12
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 38
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01b: beq r6, r0, 9
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L36
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01c: addi r3, r6, 0
-		r3 = r6 + 0x0
-		// 01d: addi r1, r6, 0
-		r1 = r6 + 0x0
-		// 01e: jal r15, -159
-		r15 = (base + 31) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffff7f
-		goto okOut
-	L31:
-		if st.stop-cycles <= 6 {
-			bpc = 31
-			goto budgetOut
-		}
-		// 01f: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 020: addi r7, r0, 1
-		r7 = 0 + 0x1
-		// 021: sub r7, r7, r5
-		r7 = r7 - r5
-		// 022: sll r6, r3, r5
-		r6 = r3 << (r5 & 31)
-		// 023: jal r0, 3
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 38
-		goto okOut
-	L36:
-		if st.stop-cycles <= 3 {
-			bpc = 36
-			goto budgetOut
-		}
-		// 024: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 025: jal r0, 47
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x54
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R46: (unnamed) — 14 words, from batch/f32_neg.
-var sigR46 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x0000009900000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR46(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 146
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x99
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R47: sf_normroundpack — 27 words, from batch/f32_neg.
-var sigR47 = [...]uint64{
-	0xfffffff4000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000000010a0d, 0x0000000000020b0d, 0x000000000003010d, 0xffffff9e00000f22,
-	0xffffffff0001070d, 0x00000000070b0202, 0x0000000007030306, 0x00000000000a010d,
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0e0d,
-	0xffffffd400000022, 0x0000001f00010512, 0x0000001f00020612, 0x000000000005030d,
-	0x000000d80605001d, 0x0000007a00000022, 0x0000001f00010512, 0x0000001f00020612,
-	0x000000000005030d, 0x0000007a0605001d, 0x000000d800000022,
-}
-
-func bindR47(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r10, r11, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		case 17:
-			goto L17
-		case 22:
-			goto L22
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 9 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -12
-		r14 = r14 + 0xfffffff4
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+2, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 003: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+3, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 004: addi r10, r1, 0
-		r10 = r1 + 0x0
-		// 005: addi r11, r2, 0
-		r11 = r2 + 0x0
-		// 006: addi r1, r3, 0
-		r1 = r3 + 0x0
-		// 007: jal r15, -105
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+9, instret+8
-		st.pc = base + 0xffffff9e
-		goto okOut
-	L8:
-		if st.stop-cycles <= 13 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: addi r7, r1, -1
-		r7 = r1 + 0xffffffff
-		// 009: sub r2, r11, r7
-		r2 = r11 - r7
-		// 00a: sll r3, r3, r7
-		r3 = r3 << (r7 & 31)
-		// 00b: addi r1, r10, 0
-		r1 = r10 + 0x0
-		// 00c: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+12, cycles+4, instret+4); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 00d: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+13, cycles+6, instret+5); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 00e: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+14, cycles+8, instret+6); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 00f: addi r14, r14, 12
-		r14 = r14 + 0xc
-		// 010: jal r0, -60
-		cycles, instret = cycles+13, instret+9
-		st.pc = base + 0xffffffd4
-		goto okOut
-	L17:
-		if st.stop-cycles <= 6 {
-			bpc = 17
-			goto budgetOut
-		}
-		// 011: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 012: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 013: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 014: bne r5, r6, 196
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0xd8
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 015: jal r0, 101
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x7a
-		goto okOut
-	L22:
-		if st.stop-cycles <= 6 {
-			bpc = 22
-			goto budgetOut
-		}
-		// 016: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 017: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 018: addi r3, r5, 0
-		r3 = r5 + 0x0
-		// 019: bne r5, r6, 97
-		if r5 != r6 {
-			cycles, instret = cycles+5, instret+4
-			st.pc = base + 0x7a
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+4
-		// 01a: jal r0, 190
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0xd8
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[10], r[11], r[14], r[15] = r1, r2, r3, r5, r6, r7, r10, r11, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R48: f32_neg — 42 words, from batch/f32_neg.
-var sigR48 = [...]uint64{
-	0x8000000000000516, 0x0000000000050501, 0x0000000005010105, 0x00000000000f0023,
-	0xffffffec000e0e0d, 0x00000000000e0f1a, 0x00000004000e0a1a, 0x00000008000e0b1a,
-	0x0000000c000e0c1a, 0x00000010000e0d1a, 0x007f000000000516, 0x0000ffff0005050f,
-	0x0000000005010603, 0x0000001700010712, 0x000000ff0007070e, 0x0000001f00010812,
-	0x000000ff0000050d, 0x000000150507001d, 0x0000001b0006001d, 0x000000180008001d,
-	0x0000005800000022, 0x0000001e0008001c, 0x0000000006070504, 0x000000580005001c,
-	0x7fc0000000000116, 0x0000000000010101, 0x0000005800000022, 0x000000000001020d,
-	0xffffff9e00000f22, 0x0000005800000022, 0x0000002a0007001d, 0x000000280006001c,
-	0x000000000006030d, 0x000000000006010d, 0xffffff8300000f22, 0xfffffff80001050d,
-	0x000000010000070d, 0x0000000005070702, 0x0000000005030606, 0x0000002a00000022,
-	0x000000000000010d, 0x0000005800000022,
-}
-
-func bindR48(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r10, r11, r12, r13, r14, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[10], r[11], r[12], r[13], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 4:
-			goto L4
-		case 21:
-			goto L21
-		case 27:
-			goto L27
-		case 29:
-			goto L29
-		case 30:
-			goto L30
-		case 35:
-			goto L35
-		case 40:
-			goto L40
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 5 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lui r5, 0x8000
-		r5 = 0x80000000
-		// 001: add r5, r5, r0
-		r5 = r5 + 0
-		// 002: xor r1, r1, r5
-		r1 = r1 ^ r5
-		// 003: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+5, instret+4
-		st.pc = v
-		goto okOut
-	L4:
-		if st.stop-cycles <= 21 {
-			bpc = 4
-			goto budgetOut
-		}
-		// 004: addi r14, r14, -20
-		r14 = r14 + 0xffffffec
-		// 005: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+5, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 006: sw r10, 4(r14)
-		a = r14 + 0x4
-		v = r10
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+6, cycles+2, instret+2) {
-			goto errOut
-		}
-		// 007: sw r11, 8(r14)
-		a = r14 + 0x8
-		v = r11
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+7, cycles+3, instret+3) {
-			goto errOut
-		}
-		// 008: sw r12, 12(r14)
-		a = r14 + 0xc
-		v = r12
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+4, instret+4) {
-			goto errOut
-		}
-		// 009: sw r13, 16(r14)
-		a = r14 + 0x10
-		v = r13
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+9, cycles+5, instret+5) {
-			goto errOut
-		}
-		// 00a: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 00b: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 00c: and r6, r1, r5
-		r6 = r1 & r5
-		// 00d: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 00e: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00f: srli r8, r1, 31
-		r8 = r1 >> 31
-		// 010: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 011: bne r7, r5, 4
-		if r7 != r5 {
-			cycles, instret = cycles+15, instret+14
-			goto L21
-		}
-		cycles, instret = cycles+14, instret+14
-		// 012: bne r6, r0, 9
-		if r6 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L27
-		}
-		cycles, instret = cycles+1, instret+1
-		// 013: bne r8, r0, 5
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L24
-		}
-		cycles, instret = cycles+1, instret+1
-		// 014: jal r0, 68
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x58
-		goto okOut
-	L21:
-		if st.stop-cycles <= 7 {
-			bpc = 21
-			goto budgetOut
-		}
-		// 015: beq r8, r0, 9
-		if r8 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L30
-		}
-		cycles, instret = cycles+1, instret+1
-		// 016: or r5, r7, r6
-		r5 = r7 | r6
-		// 017: beq r5, r0, 65
-		if r5 == 0 {
-			cycles, instret = cycles+3, instret+2
-			st.pc = base + 0x58
-			goto okOut
-		}
-		cycles, instret = cycles+2, instret+2
-	L24:
-		// 018: lui r1, 0x7fc0
-		r1 = 0x7fc00000
-		// 019: add r1, r1, r0
-		r1 = r1 + 0
-		// 01a: jal r0, 62
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0x58
-		goto okOut
-	L27:
-		if st.stop-cycles <= 3 {
-			bpc = 27
-			goto budgetOut
-		}
-		// 01b: addi r2, r1, 0
-		r2 = r1 + 0x0
-		// 01c: jal r15, -126
-		r15 = (base + 29) * 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0xffffff9e
-		goto okOut
-	L29:
-		if st.stop-cycles <= 2 {
-			bpc = 29
-			goto budgetOut
-		}
-		// 01d: jal r0, 59
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 0x58
-		goto okOut
-	L30:
-		if st.stop-cycles <= 6 {
-			bpc = 30
-			goto budgetOut
-		}
-		// 01e: bne r7, r0, 12
-		if r7 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 42
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01f: beq r6, r0, 9
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L40
-		}
-		cycles, instret = cycles+1, instret+1
-		// 020: addi r3, r6, 0
-		r3 = r6 + 0x0
-		// 021: addi r1, r6, 0
-		r1 = r6 + 0x0
-		// 022: jal r15, -159
-		r15 = (base + 35) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffff83
-		goto okOut
-	L35:
-		if st.stop-cycles <= 6 {
-			bpc = 35
-			goto budgetOut
-		}
-		// 023: addi r5, r1, -8
-		r5 = r1 + 0xfffffff8
-		// 024: addi r7, r0, 1
-		r7 = 0 + 0x1
-		// 025: sub r7, r7, r5
-		r7 = r7 - r5
-		// 026: sll r6, r3, r5
-		r6 = r3 << (r5 & 31)
-		// 027: jal r0, 3
-		cycles, instret = cycles+6, instret+5
-		st.pc = base + 42
-		goto okOut
-	L40:
-		if st.stop-cycles <= 3 {
-			bpc = 40
-			goto budgetOut
-		}
-		// 028: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 029: jal r0, 47
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 0x58
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[14], r[15] = r1, r2, r3, r5, r6, r7, r8, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R49: (unnamed) — 14 words, from batch/f32_from_i32.
-var sigR49 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x0000026c00000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR49(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 613
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x26c
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R50: f32_from_i32 — 64 words, from batch/f32_from_i32.
-var sigR50 = [...]uint64{
-	0x000000020001001d, 0x00000000000f0023, 0x8000000000000516, 0x0000000000050501,
-	0x000000080501001d, 0xcf00000000000116, 0x0000000000010101, 0x00000000000f0023,
-	0x000000000001050b, 0x0000000b0001001f, 0x0000000001000102, 0x000000000001030d,
-	0x000000000005010d, 0x0000009c0000020d, 0xfffffe1200000022, 0x007f000000000516,
-	0x0000ffff0005050f, 0x0000000005010603, 0x0000001700010712, 0x000000ff0007070e,
-	0x0000001f00010812, 0x000000ff0000050d, 0x000000180507001d, 0x000000290006001d,
-	0x0000001c0007001c, 0x0080000000000516, 0x0000000000050501, 0x0000000005060604,
-	0xffffff6a0007090d, 0x000000080000050d, 0x0000002c0509001e, 0xcf00000000000516,
-	0x0000000000050501, 0x000000260501001c, 0x000000260008001d, 0x7fff000000000116,
-	0x0000ffff0001010f, 0x00000000000f0023, 0x8000000000000116, 0x0000000000010101,
-	0x00000000000f0023, 0x8000000000000116, 0x0000000000010101, 0x00000000000f0023,
-	0x0000002f0009001e, 0x0000000009060606, 0x0000004000000022, 0x0000000009000902,
-	0x000000200000050d, 0x000000340509001e, 0x000000000000010d, 0x00000000000f0023,
-	0x0000000009060507, 0x000000200000070d, 0x0000000009070702, 0x0000000007060606,
-	0x8000000000000716, 0x0000000000070701, 0x0000003e06070020, 0x0000003f0706001d,
-	0x000000010005060e, 0x0000003f0006001c, 0x000000010005050d, 0x000000000005060d,
-}
-
-func bindR50(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r6, r7, r8, r9, r15 := r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 2:
-			goto L2
-		case 8:
-			goto L8
-		case 15:
-			goto L15
-		case 38:
-			goto L38
-		case 41:
-			goto L41
-		case 44:
-			goto L44
-		case 47:
-			goto L47
-		case 52:
-			goto L52
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 3 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: bne r1, r0, 2
-		if r1 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L2
-		}
-		cycles, instret = cycles+1, instret+1
-		// 001: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = v
-		goto okOut
-	L2:
-		if st.stop-cycles <= 7 {
-			bpc = 2
-			goto budgetOut
-		}
-		// 002: lui r5, 0x8000
-		r5 = 0x80000000
-		// 003: add r5, r5, r0
-		r5 = r5 + 0
-		// 004: bne r1, r5, 4
-		if r1 != r5 {
-			cycles, instret = cycles+4, instret+3
-			goto L8
-		}
-		cycles, instret = cycles+3, instret+3
-		// 005: lui r1, 0xcf00
-		r1 = 0xcf000000
-		// 006: add r1, r1, r0
-		r1 = r1 + 0
-		// 007: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L8:
-		if st.stop-cycles <= 8 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: slt r5, r1, r0
-		r5 = b2u(int32(r1) < int32(0))
-		// 009: bge r1, r0, 2
-		if int32(r1) >= int32(0) {
-			cycles, instret = cycles+3, instret+2
-			goto L11
-		}
-		cycles, instret = cycles+2, instret+2
-		// 00a: sub r1, r0, r1
-		r1 = 0 - r1
-		cycles, instret = cycles+1, instret+1
-	L11:
-		// 00b: addi r3, r1, 0
-		r3 = r1 + 0x0
-		// 00c: addi r1, r5, 0
-		r1 = r5 + 0x0
-		// 00d: addi r2, r0, 156
-		r2 = 0 + 0x9c
-		// 00e: jal r0, -508
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffe12
-		goto okOut
-	L15:
-		if st.stop-cycles <= 24 {
-			bpc = 15
-			goto budgetOut
-		}
-		// 00f: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 010: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 011: and r6, r1, r5
-		r6 = r1 & r5
-		// 012: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 013: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 014: srli r8, r1, 31
-		r8 = r1 >> 31
-		// 015: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 016: bne r7, r5, 2
-		if r7 != r5 {
-			cycles, instret = cycles+9, instret+8
-			goto L24
-		}
-		cycles, instret = cycles+8, instret+8
-		// 017: bne r6, r0, 18
-		if r6 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L41
-		}
-		cycles, instret = cycles+1, instret+1
-	L24:
-		// 018: beq r7, r0, 4
-		if r7 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L28
-		}
-		cycles, instret = cycles+1, instret+1
-		// 019: lui r5, 0x80
-		r5 = 0x800000
-		// 01a: add r5, r5, r0
-		r5 = r5 + 0
-		// 01b: or r6, r6, r5
-		r6 = r6 | r5
-		cycles, instret = cycles+3, instret+3
-	L28:
-		// 01c: addi r9, r7, -150
-		r9 = r7 + 0xffffff6a
-		// 01d: addi r5, r0, 8
-		r5 = 0 + 0x8
-		// 01e: blt r9, r5, 14
-		if int32(r9) < int32(r5) {
-			cycles, instret = cycles+4, instret+3
-			goto L44
-		}
-		cycles, instret = cycles+3, instret+3
-		// 01f: lui r5, 0xcf00
-		r5 = 0xcf000000
-		// 020: add r5, r5, r0
-		r5 = r5 + 0
-		// 021: beq r1, r5, 5
-		if r1 == r5 {
-			cycles, instret = cycles+4, instret+3
-			goto L38
-		}
-		cycles, instret = cycles+3, instret+3
-		// 022: bne r8, r0, 4
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L38
-		}
-		cycles, instret = cycles+1, instret+1
-		// 023: lui r1, 0x7fff
-		r1 = 0x7fff0000
-		// 024: ori r1, r1, 65535
-		r1 = r1 | 0xffff
-		// 025: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L38:
-		if st.stop-cycles <= 4 {
-			bpc = 38
-			goto budgetOut
-		}
-		// 026: lui r1, 0x8000
-		r1 = 0x80000000
-		// 027: add r1, r1, r0
-		r1 = r1 + 0
-		// 028: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L41:
-		if st.stop-cycles <= 4 {
-			bpc = 41
-			goto budgetOut
-		}
-		// 029: lui r1, 0x8000
-		r1 = 0x80000000
-		// 02a: add r1, r1, r0
-		r1 = r1 + 0
-		// 02b: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L44:
-		if st.stop-cycles <= 4 {
-			bpc = 44
-			goto budgetOut
-		}
-		// 02c: blt r9, r0, 3
-		if int32(r9) < int32(0) {
-			cycles, instret = cycles+2, instret+1
-			goto L47
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02d: sll r6, r6, r9
-		r6 = r6 << (r9 & 31)
-		// 02e: jal r0, 18
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 64
-		goto okOut
-	L47:
-		if st.stop-cycles <= 6 {
-			bpc = 47
-			goto budgetOut
-		}
-		// 02f: sub r9, r0, r9
-		r9 = 0 - r9
-		// 030: addi r5, r0, 32
-		r5 = 0 + 0x20
-		// 031: blt r9, r5, 3
-		if int32(r9) < int32(r5) {
-			cycles, instret = cycles+4, instret+3
-			goto L52
-		}
-		cycles, instret = cycles+3, instret+3
-		// 032: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 033: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L52:
-		if st.stop-cycles <= 12 {
-			bpc = 52
-			goto budgetOut
-		}
-		// 034: srl r5, r6, r9
-		r5 = r6 >> (r9 & 31)
-		// 035: addi r7, r0, 32
-		r7 = 0 + 0x20
-		// 036: sub r7, r7, r9
-		r7 = r7 - r9
-		// 037: sll r6, r6, r7
-		r6 = r6 << (r7 & 31)
-		// 038: lui r7, 0x8000
-		r7 = 0x80000000
-		// 039: add r7, r7, r0
-		r7 = r7 + 0
-		// 03a: bltu r7, r6, 4
-		if r7 < r6 {
-			cycles, instret = cycles+8, instret+7
-			goto L62
-		}
-		cycles, instret = cycles+7, instret+7
-		// 03b: bne r6, r7, 4
-		if r6 != r7 {
-			cycles, instret = cycles+2, instret+1
-			goto L63
-		}
-		cycles, instret = cycles+1, instret+1
-		// 03c: andi r6, r5, 1
-		r6 = r5 & 0x1
-		// 03d: beq r6, r0, 2
-		if r6 == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L63
-		}
-		cycles, instret = cycles+2, instret+2
-	L62:
-		// 03e: addi r5, r5, 1
-		r5 = r5 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L63:
-		// 03f: addi r6, r5, 0
-		r6 = r5 + 0x0
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 64
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9] = r1, r2, r3, r5, r6, r7, r8, r9
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[2], r[3], r[5], r[6], r[7], r[8], r[9] = r1, r2, r3, r5, r6, r7, r8, r9
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R51: (unnamed) — 14 words, from batch/f32_to_i32.
-var sigR51 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x0000027b00000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR51(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 628
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x27b
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R52: div_ret — 21 words, from batch/f32_to_i32.
-var sigR52 = [...]uint64{
-	0x00000000000e0f17, 0x00000004000e0a17, 0x00000008000e0b17, 0x0000000c000e0c17,
-	0x00000010000e0e0d, 0x00000000000f0023, 0x000000080001001d, 0x00000000000f0023,
-	0x8000000000000516, 0x0000000000050501, 0x0000000e0501001d, 0xcf00000000000116,
-	0x0000000000010101, 0x00000000000f0023, 0x000000000001050b, 0x000000110001001f,
-	0x0000000001000102, 0x000000000001030d, 0x000000000005010d, 0x0000009c0000020d,
-	0xfffffe1800000022,
-}
-
-func bindR52(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r3, r5, r10, r11, r12, r14, r15 := r[1], r[2], r[3], r[5], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 6:
-			goto L6
-		case 8:
-			goto L8
-		case 14:
-			goto L14
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 11 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+0, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 001: lw r10, 4(r14)
-		a = r14 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: lw r11, 8(r14)
-		a = r14 + 0x8
-		if a&3 == 0 && a <= DataBytes-4 {
-			r11 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+2, cycles+4, instret+2); !ok {
-				goto errOut
-			}
-			r11 = v
-		}
-		// 003: lw r12, 12(r14)
-		a = r14 + 0xc
-		if a&3 == 0 && a <= DataBytes-4 {
-			r12 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+6, instret+3); !ok {
-				goto errOut
-			}
-			r12 = v
-		}
-		// 004: addi r14, r14, 16
-		r14 = r14 + 0x10
-		// 005: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+11, instret+6
-		st.pc = v
-		goto okOut
-	L6:
-		if st.stop-cycles <= 3 {
-			bpc = 6
-			goto budgetOut
-		}
-		// 006: bne r1, r0, 2
-		if r1 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L8
-		}
-		cycles, instret = cycles+1, instret+1
-		// 007: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = v
-		goto okOut
-	L8:
-		if st.stop-cycles <= 7 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: lui r5, 0x8000
-		r5 = 0x80000000
-		// 009: add r5, r5, r0
-		r5 = r5 + 0
-		// 00a: bne r1, r5, 4
-		if r1 != r5 {
-			cycles, instret = cycles+4, instret+3
-			goto L14
-		}
-		cycles, instret = cycles+3, instret+3
-		// 00b: lui r1, 0xcf00
-		r1 = 0xcf000000
-		// 00c: add r1, r1, r0
-		r1 = r1 + 0
-		// 00d: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L14:
-		if st.stop-cycles <= 8 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: slt r5, r1, r0
-		r5 = b2u(int32(r1) < int32(0))
-		// 00f: bge r1, r0, 2
-		if int32(r1) >= int32(0) {
-			cycles, instret = cycles+3, instret+2
-			goto L17
-		}
-		cycles, instret = cycles+2, instret+2
-		// 010: sub r1, r0, r1
-		r1 = 0 - r1
-		cycles, instret = cycles+1, instret+1
-	L17:
-		// 011: addi r3, r1, 0
-		r3 = r1 + 0x0
-		// 012: addi r1, r5, 0
-		r1 = r5 + 0x0
-		// 013: addi r2, r0, 156
-		r2 = 0 + 0x9c
-		// 014: jal r0, -508
-		cycles, instret = cycles+5, instret+4
-		st.pc = base + 0xfffffe18
-		goto okOut
-	budgetOut:
-		r[1], r[2], r[3], r[5], r[10], r[11], r[12], r[14], r[15] = r1, r2, r3, r5, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[3], r[5], r[10], r[11], r[12], r[14], r[15] = r1, r2, r3, r5, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[3], r[5], r[10], r[11], r[12], r[14], r[15] = r1, r2, r3, r5, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R53: f32_to_i32 — 49 words, from batch/f32_to_i32.
-var sigR53 = [...]uint64{
-	0x007f000000000516, 0x0000ffff0005050f, 0x0000000005010603, 0x0000001700010712,
-	0x000000ff0007070e, 0x0000001f00010812, 0x000000ff0000050d, 0x000000090507001d,
-	0x0000001a0006001d, 0x0000000d0007001c, 0x0080000000000516, 0x0000000000050501,
-	0x0000000005060604, 0xffffff6a0007090d, 0x000000080000050d, 0x0000001d0509001e,
-	0xcf00000000000516, 0x0000000000050501, 0x000000170501001c, 0x000000170008001d,
-	0x7fff000000000116, 0x0000ffff0001010f, 0x00000000000f0023, 0x8000000000000116,
-	0x0000000000010101, 0x00000000000f0023, 0x8000000000000116, 0x0000000000010101,
-	0x00000000000f0023, 0x000000200009001e, 0x0000000009060606, 0x0000003100000022,
-	0x0000000009000902, 0x000000200000050d, 0x000000250509001e, 0x000000000000010d,
-	0x00000000000f0023, 0x0000000009060507, 0x000000200000070d, 0x0000000009070702,
-	0x0000000007060606, 0x8000000000000716, 0x0000000000070701, 0x0000002f06070020,
-	0x000000300706001d, 0x000000010005060e, 0x000000300006001c, 0x000000010005050d,
-	0x000000000005060d,
-}
-
-func bindR53(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r5, r6, r7, r8, r9, r15 := r[1], r[5], r[6], r[7], r[8], r[9], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 23:
-			goto L23
-		case 26:
-			goto L26
-		case 29:
-			goto L29
-		case 32:
-			goto L32
-		case 37:
-			goto L37
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 24 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 001: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 002: and r6, r1, r5
-		r6 = r1 & r5
-		// 003: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 004: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 005: srli r8, r1, 31
-		r8 = r1 >> 31
-		// 006: addi r5, r0, 255
-		r5 = 0 + 0xff
-		// 007: bne r7, r5, 2
-		if r7 != r5 {
-			cycles, instret = cycles+9, instret+8
-			goto L9
-		}
-		cycles, instret = cycles+8, instret+8
-		// 008: bne r6, r0, 18
-		if r6 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L26
-		}
-		cycles, instret = cycles+1, instret+1
-	L9:
-		// 009: beq r7, r0, 4
-		if r7 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L13
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00a: lui r5, 0x80
-		r5 = 0x800000
-		// 00b: add r5, r5, r0
-		r5 = r5 + 0
-		// 00c: or r6, r6, r5
-		r6 = r6 | r5
-		cycles, instret = cycles+3, instret+3
-	L13:
-		// 00d: addi r9, r7, -150
-		r9 = r7 + 0xffffff6a
-		// 00e: addi r5, r0, 8
-		r5 = 0 + 0x8
-		// 00f: blt r9, r5, 14
-		if int32(r9) < int32(r5) {
-			cycles, instret = cycles+4, instret+3
-			goto L29
-		}
-		cycles, instret = cycles+3, instret+3
-		// 010: lui r5, 0xcf00
-		r5 = 0xcf000000
-		// 011: add r5, r5, r0
-		r5 = r5 + 0
-		// 012: beq r1, r5, 5
-		if r1 == r5 {
-			cycles, instret = cycles+4, instret+3
-			goto L23
-		}
-		cycles, instret = cycles+3, instret+3
-		// 013: bne r8, r0, 4
-		if r8 != 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L23
-		}
-		cycles, instret = cycles+1, instret+1
-		// 014: lui r1, 0x7fff
-		r1 = 0x7fff0000
-		// 015: ori r1, r1, 65535
-		r1 = r1 | 0xffff
-		// 016: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L23:
-		if st.stop-cycles <= 4 {
-			bpc = 23
-			goto budgetOut
-		}
-		// 017: lui r1, 0x8000
-		r1 = 0x80000000
-		// 018: add r1, r1, r0
-		r1 = r1 + 0
-		// 019: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L26:
-		if st.stop-cycles <= 4 {
-			bpc = 26
-			goto budgetOut
-		}
-		// 01a: lui r1, 0x8000
-		r1 = 0x80000000
-		// 01b: add r1, r1, r0
-		r1 = r1 + 0
-		// 01c: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = v
-		goto okOut
-	L29:
-		if st.stop-cycles <= 4 {
-			bpc = 29
-			goto budgetOut
-		}
-		// 01d: blt r9, r0, 3
-		if int32(r9) < int32(0) {
-			cycles, instret = cycles+2, instret+1
-			goto L32
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01e: sll r6, r6, r9
-		r6 = r6 << (r9 & 31)
-		// 01f: jal r0, 18
-		cycles, instret = cycles+3, instret+2
-		st.pc = base + 49
-		goto okOut
-	L32:
-		if st.stop-cycles <= 6 {
-			bpc = 32
-			goto budgetOut
-		}
-		// 020: sub r9, r0, r9
-		r9 = 0 - r9
-		// 021: addi r5, r0, 32
-		r5 = 0 + 0x20
-		// 022: blt r9, r5, 3
-		if int32(r9) < int32(r5) {
-			cycles, instret = cycles+4, instret+3
-			goto L37
-		}
-		cycles, instret = cycles+3, instret+3
-		// 023: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 024: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L37:
-		if st.stop-cycles <= 12 {
-			bpc = 37
-			goto budgetOut
-		}
-		// 025: srl r5, r6, r9
-		r5 = r6 >> (r9 & 31)
-		// 026: addi r7, r0, 32
-		r7 = 0 + 0x20
-		// 027: sub r7, r7, r9
-		r7 = r7 - r9
-		// 028: sll r6, r6, r7
-		r6 = r6 << (r7 & 31)
-		// 029: lui r7, 0x8000
-		r7 = 0x80000000
-		// 02a: add r7, r7, r0
-		r7 = r7 + 0
-		// 02b: bltu r7, r6, 4
-		if r7 < r6 {
-			cycles, instret = cycles+8, instret+7
-			goto L47
-		}
-		cycles, instret = cycles+7, instret+7
-		// 02c: bne r6, r7, 4
-		if r6 != r7 {
-			cycles, instret = cycles+2, instret+1
-			goto L48
-		}
-		cycles, instret = cycles+1, instret+1
-		// 02d: andi r6, r5, 1
-		r6 = r5 & 0x1
-		// 02e: beq r6, r0, 2
-		if r6 == 0 {
-			cycles, instret = cycles+3, instret+2
-			goto L48
-		}
-		cycles, instret = cycles+2, instret+2
-	L47:
-		// 02f: addi r5, r5, 1
-		r5 = r5 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L48:
-		// 030: addi r6, r5, 0
-		r6 = r5 + 0x0
-		cycles, instret = cycles+1, instret+1
-		st.pc = base + 49
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6], r[7], r[8], r[9] = r1, r5, r6, r7, r8, r9
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1], r[5], r[6], r[7], r[8], r[9] = r1, r5, r6, r7, r8, r9
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R54: (unnamed) — 14 words, from batch/f32_cmp_eq.
-var sigR54 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x000002c200000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR54(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 699
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x2c2
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R55: sf_cmp_prep — 18 words, from batch/f32_cmp_eq.
-var sigR55 = [...]uint64{
-	0x007f000000000516, 0x0000ffff0005050f, 0x000000ff0000080d, 0x000000000000090d,
-	0x0000000005010603, 0x0000001700010712, 0x000000ff0007070e, 0x0000000b0807001d,
-	0x0000000b0006001c, 0x000000010000090d, 0x00000000000f0023, 0x0000000005020603,
-	0x0000001700020712, 0x000000ff0007070e, 0x000000110807001d, 0x000000110006001c,
-	0x000000010000090d, 0x00000000000f0023,
-}
-
-func bindR55(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r7, r8, r9, r15 := r[1], r[2], r[5], r[6], r[7], r[8], r[9], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 11:
-			goto L11
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 12 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 001: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 002: addi r8, r0, 255
-		r8 = 0 + 0xff
-		// 003: addi r9, r0, 0
-		r9 = 0 + 0x0
-		// 004: and r6, r1, r5
-		r6 = r1 & r5
-		// 005: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 006: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 007: bne r7, r8, 4
-		if r7 != r8 {
-			cycles, instret = cycles+9, instret+8
-			goto L11
-		}
-		cycles, instret = cycles+8, instret+8
-		// 008: beq r6, r0, 3
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L11
-		}
-		cycles, instret = cycles+1, instret+1
-		// 009: addi r9, r0, 1
-		r9 = 0 + 0x1
-		// 00a: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L11:
-		if st.stop-cycles <= 8 {
-			bpc = 11
-			goto budgetOut
-		}
-		// 00b: and r6, r2, r5
-		r6 = r2 & r5
-		// 00c: srli r7, r2, 23
-		r7 = r2 >> 23
-		// 00d: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00e: bne r7, r8, 3
-		if r7 != r8 {
-			cycles, instret = cycles+5, instret+4
-			goto L17
-		}
-		cycles, instret = cycles+4, instret+4
-		// 00f: beq r6, r0, 2
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L17
-		}
-		cycles, instret = cycles+1, instret+1
-		// 010: addi r9, r0, 1
-		r9 = 0 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L17:
-		// 011: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[5], r[6], r[7], r[8], r[9] = r5, r6, r7, r8, r9
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[5], r[6], r[7], r[8], r[9] = r5, r6, r7, r8, r9
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R56: f32_cmp_eq — 34 words, from batch/f32_cmp_eq.
-var sigR56 = [...]uint64{
-	0xfffffffc000e0e0d, 0x00000000000e0f1a, 0xffffffee00000f22, 0x00000000000e0f17,
-	0x00000004000e0e0d, 0x0000000a0009001d, 0x0000000c0201001c, 0x0000000002010504,
-	0x0000000100050511, 0x0000000c0005001c, 0x000000000000010d, 0x00000000000f0023,
-	0x000000010000010d, 0x00000000000f0023, 0xfffffffc000e0e0d, 0x00000000000e0f1a,
-	0xffffffee00000f22, 0x00000000000e0f17, 0x00000004000e0e0d, 0x000000220009001d,
-	0x0000001f00010512, 0x0000001f00020612, 0x0000001c0605001d, 0x0000001a0005001c,
-	0x0000002001020020, 0x0000002200000022, 0x0000002002010020, 0x0000002200000022,
-	0x000000220005001c, 0x0000000002010704, 0x0000000100070711, 0x000000220007001c,
-	0x000000010000010d, 0x00000000000f0023,
-}
-
-func bindR56(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r7, r9, r14, r15 := r[1], r[2], r[5], r[6], r[7], r[9], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 3:
-			goto L3
-		case 12:
-			goto L12
-		case 14:
-			goto L14
-		case 17:
-			goto L17
-		case 26:
-			goto L26
-		case 28:
-			goto L28
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 4 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -4
-		r14 = r14 + 0xfffffffc
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: jal r15, -20
-		r15 = (base + 3) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffffee
-		goto okOut
-	L3:
-		if st.stop-cycles <= 11 {
-			bpc = 3
-			goto budgetOut
-		}
-		// 003: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 004: addi r14, r14, 4
-		r14 = r14 + 0x4
-		// 005: bne r9, r0, 5
-		if r9 != 0 {
-			cycles, instret = cycles+5, instret+3
-			goto L10
-		}
-		cycles, instret = cycles+4, instret+3
-		// 006: beq r1, r2, 6
-		if r1 == r2 {
-			cycles, instret = cycles+2, instret+1
-			goto L12
-		}
-		cycles, instret = cycles+1, instret+1
-		// 007: or r5, r1, r2
-		r5 = r1 | r2
-		// 008: slli r5, r5, 1
-		r5 = r5 << 1
-		// 009: beq r5, r0, 3
-		if r5 == 0 {
-			cycles, instret = cycles+4, instret+3
-			goto L12
-		}
-		cycles, instret = cycles+3, instret+3
-	L10:
-		// 00a: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 00b: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L12:
-		if st.stop-cycles <= 3 {
-			bpc = 12
-			goto budgetOut
-		}
-		// 00c: addi r1, r0, 1
-		r1 = 0 + 0x1
-		// 00d: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L14:
-		if st.stop-cycles <= 4 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: addi r14, r14, -4
-		r14 = r14 + 0xfffffffc
-		// 00f: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+15, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 010: jal r15, -34
-		r15 = (base + 17) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffffee
-		goto okOut
-	L17:
-		if st.stop-cycles <= 13 {
-			bpc = 17
-			goto budgetOut
-		}
-		// 011: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+17, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 012: addi r14, r14, 4
-		r14 = r14 + 0x4
-		// 013: bne r9, r0, 15
-		if r9 != 0 {
-			cycles, instret = cycles+5, instret+3
-			st.pc = base + 34
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+3
-		// 014: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 015: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 016: bne r5, r6, 6
-		if r5 != r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L28
-		}
-		cycles, instret = cycles+3, instret+3
-		// 017: beq r5, r0, 3
-		if r5 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L26
-		}
-		cycles, instret = cycles+1, instret+1
-		// 018: bltu r2, r1, 8
-		if r2 < r1 {
-			cycles, instret = cycles+2, instret+1
-			goto L32
-		}
-		cycles, instret = cycles+1, instret+1
-		// 019: jal r0, 9
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 34
-		goto okOut
-	L26:
-		if st.stop-cycles <= 5 {
-			bpc = 26
-			goto budgetOut
-		}
-		// 01a: bltu r1, r2, 6
-		if r1 < r2 {
-			cycles, instret = cycles+2, instret+1
-			goto L32
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01b: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 34
-		goto okOut
-	L28:
-		if st.stop-cycles <= 7 {
-			bpc = 28
-			goto budgetOut
-		}
-		// 01c: beq r5, r0, 6
-		if r5 == 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 34
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 01d: or r7, r1, r2
-		r7 = r1 | r2
-		// 01e: slli r7, r7, 1
-		r7 = r7 << 1
-		// 01f: beq r7, r0, 3
-		if r7 == 0 {
-			cycles, instret = cycles+4, instret+3
-			st.pc = base + 34
-			goto okOut
-		}
-		cycles, instret = cycles+3, instret+3
-	L32:
-		// 020: addi r1, r0, 1
-		r1 = 0 + 0x1
-		// 021: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		return stErr
-	okOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R57: (unnamed) — 14 words, from batch/f32_cmp_lt.
-var sigR57 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x000002d000000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR57(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 713
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x2d0
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R58: sf_cmp_prep — 32 words, from batch/f32_cmp_lt.
-var sigR58 = [...]uint64{
-	0x007f000000000516, 0x0000ffff0005050f, 0x000000ff0000080d, 0x000000000000090d,
-	0x0000000005010603, 0x0000001700010712, 0x000000ff0007070e, 0x0000000b0807001d,
-	0x0000000b0006001c, 0x000000010000090d, 0x00000000000f0023, 0x0000000005020603,
-	0x0000001700020712, 0x000000ff0007070e, 0x000000110807001d, 0x000000110006001c,
-	0x000000010000090d, 0x00000000000f0023, 0xfffffffc000e0e0d, 0x00000000000e0f1a,
-	0x0000000000000f22, 0x00000000000e0f17, 0x00000004000e0e0d, 0x0000001c0009001d,
-	0x0000001e0201001c, 0x0000000002010504, 0x0000000100050511, 0x0000001e0005001c,
-	0x000000000000010d, 0x00000000000f0023, 0x000000010000010d, 0x00000000000f0023,
-}
-
-func bindR58(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r7, r8, r9, r14, r15 := r[1], r[2], r[5], r[6], r[7], r[8], r[9], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 11:
-			goto L11
-		case 18:
-			goto L18
-		case 21:
-			goto L21
-		case 30:
-			goto L30
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 12 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: lui r5, 0x7f
-		r5 = 0x7f0000
-		// 001: ori r5, r5, 65535
-		r5 = r5 | 0xffff
-		// 002: addi r8, r0, 255
-		r8 = 0 + 0xff
-		// 003: addi r9, r0, 0
-		r9 = 0 + 0x0
-		// 004: and r6, r1, r5
-		r6 = r1 & r5
-		// 005: srli r7, r1, 23
-		r7 = r1 >> 23
-		// 006: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 007: bne r7, r8, 4
-		if r7 != r8 {
-			cycles, instret = cycles+9, instret+8
-			goto L11
-		}
-		cycles, instret = cycles+8, instret+8
-		// 008: beq r6, r0, 3
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L11
-		}
-		cycles, instret = cycles+1, instret+1
-		// 009: addi r9, r0, 1
-		r9 = 0 + 0x1
-		// 00a: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L11:
-		if st.stop-cycles <= 8 {
-			bpc = 11
-			goto budgetOut
-		}
-		// 00b: and r6, r2, r5
-		r6 = r2 & r5
-		// 00c: srli r7, r2, 23
-		r7 = r2 >> 23
-		// 00d: andi r7, r7, 255
-		r7 = r7 & 0xff
-		// 00e: bne r7, r8, 3
-		if r7 != r8 {
-			cycles, instret = cycles+5, instret+4
-			goto L17
-		}
-		cycles, instret = cycles+4, instret+4
-		// 00f: beq r6, r0, 2
-		if r6 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L17
-		}
-		cycles, instret = cycles+1, instret+1
-		// 010: addi r9, r0, 1
-		r9 = 0 + 0x1
-		cycles, instret = cycles+1, instret+1
-	L17:
-		// 011: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+2, instret+1
-		st.pc = v
-		goto okOut
-	L18:
-		if st.stop-cycles <= 4 {
-			bpc = 18
-			goto budgetOut
-		}
-		// 012: addi r14, r14, -4
-		r14 = r14 + 0xfffffffc
-		// 013: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+19, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 014: jal r15, -20
-		r15 = (base + 21) * 4
-		cycles, instret = cycles+4, instret+3
-		goto L0
-	L21:
-		if st.stop-cycles <= 11 {
-			bpc = 21
-			goto budgetOut
-		}
-		// 015: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+21, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 016: addi r14, r14, 4
-		r14 = r14 + 0x4
-		// 017: bne r9, r0, 5
-		if r9 != 0 {
-			cycles, instret = cycles+5, instret+3
-			goto L28
-		}
-		cycles, instret = cycles+4, instret+3
-		// 018: beq r1, r2, 6
-		if r1 == r2 {
-			cycles, instret = cycles+2, instret+1
-			goto L30
-		}
-		cycles, instret = cycles+1, instret+1
-		// 019: or r5, r1, r2
-		r5 = r1 | r2
-		// 01a: slli r5, r5, 1
-		r5 = r5 << 1
-		// 01b: beq r5, r0, 3
-		if r5 == 0 {
-			cycles, instret = cycles+4, instret+3
-			goto L30
-		}
-		cycles, instret = cycles+3, instret+3
-	L28:
-		// 01c: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 01d: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	L30:
-		if st.stop-cycles <= 3 {
-			bpc = 30
-			goto budgetOut
-		}
-		// 01e: addi r1, r0, 1
-		r1 = 0 + 0x1
-		// 01f: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6], r[7], r[8], r[9], r[14], r[15] = r1, r5, r6, r7, r8, r9, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[5], r[6], r[7], r[8], r[9], r[14], r[15] = r1, r5, r6, r7, r8, r9, r14, r15
-		return stErr
-	okOut:
-		r[1], r[5], r[6], r[7], r[8], r[9], r[14], r[15] = r1, r5, r6, r7, r8, r9, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R59: f32_cmp_lt — 20 words, from batch/f32_cmp_lt.
-var sigR59 = [...]uint64{
-	0xfffffffc000e0e0d, 0x00000000000e0f1a, 0xffffffe000000f22, 0x00000000000e0f17,
-	0x00000004000e0e0d, 0x000000140009001d, 0x0000001f00010512, 0x0000001f00020612,
-	0x0000000e0605001d, 0x0000000c0005001c, 0x0000001201020020, 0x0000001400000022,
-	0x0000001202010020, 0x0000001400000022, 0x000000140005001c, 0x0000000002010704,
-	0x0000000100070711, 0x000000140007001c, 0x000000010000010d, 0x00000000000f0023,
-}
-
-func bindR59(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r7, r9, r14, r15 := r[1], r[2], r[5], r[6], r[7], r[9], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 3:
-			goto L3
-		case 12:
-			goto L12
-		case 14:
-			goto L14
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 4 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -4
-		r14 = r14 + 0xfffffffc
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: jal r15, -34
-		r15 = (base + 3) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffffe0
-		goto okOut
-	L3:
-		if st.stop-cycles <= 13 {
-			bpc = 3
-			goto budgetOut
-		}
-		// 003: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 004: addi r14, r14, 4
-		r14 = r14 + 0x4
-		// 005: bne r9, r0, 15
-		if r9 != 0 {
-			cycles, instret = cycles+5, instret+3
-			st.pc = base + 20
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+3
-		// 006: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 007: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 008: bne r5, r6, 6
-		if r5 != r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L14
-		}
-		cycles, instret = cycles+3, instret+3
-		// 009: beq r5, r0, 3
-		if r5 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L12
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00a: bltu r2, r1, 8
-		if r2 < r1 {
-			cycles, instret = cycles+2, instret+1
-			goto L18
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00b: jal r0, 9
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 20
-		goto okOut
-	L12:
-		if st.stop-cycles <= 5 {
-			bpc = 12
-			goto budgetOut
-		}
-		// 00c: bltu r1, r2, 6
-		if r1 < r2 {
-			cycles, instret = cycles+2, instret+1
-			goto L18
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00d: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 20
-		goto okOut
-	L14:
-		if st.stop-cycles <= 7 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: beq r5, r0, 6
-		if r5 == 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 20
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00f: or r7, r1, r2
-		r7 = r1 | r2
-		// 010: slli r7, r7, 1
-		r7 = r7 << 1
-		// 011: beq r7, r0, 3
-		if r7 == 0 {
-			cycles, instret = cycles+4, instret+3
-			st.pc = base + 20
-			goto okOut
-		}
-		cycles, instret = cycles+3, instret+3
-	L18:
-		// 012: addi r1, r0, 1
-		r1 = 0 + 0x1
-		// 013: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		return stErr
-	okOut:
-		r[1], r[5], r[6], r[7], r[14], r[15] = r1, r5, r6, r7, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R60: (unnamed) — 14 words, from batch/f32_cmp_le.
-var sigR60 = [...]uint64{
-	0x0000ff0000000e0d, 0x0000000000000a17, 0x0000010000000b0d, 0x0000800000000c0d,
-	0x0000000d000a001c, 0x00000000000b0117, 0x00000004000b0217, 0x000002e600000f22,
-	0x00000000000c011a, 0x00000008000b0b0d, 0x00000004000c0c0d, 0xffffffff000a0a0d,
-	0x00000005000a001d, 0x0000000000000000,
-}
-
-func bindR60(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r10, r11, r12, r14, r15 := r[1], r[2], r[10], r[11], r[12], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 8:
-			goto L8
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 8 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r0, 65280
-		r14 = 0 + 0xff00
-		// 001: lw r10, 0(r0)
-		a = 0 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r10 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+1, cycles+1, instret+1); !ok {
-				goto errOut
-			}
-			r10 = v
-		}
-		// 002: addi r11, r0, 256
-		r11 = 0 + 0x100
-		// 003: addi r12, r0, 32768
-		r12 = 0 + 0x8000
-		// 004: beq r10, r0, 9
-		if r10 == 0 {
-			cycles, instret = cycles+7, instret+5
-			goto L13
-		}
-		cycles, instret = cycles+6, instret+5
-	L5:
-		if st.stop-cycles <= 6 {
-			bpc = 5
-			goto budgetOut
-		}
-		// 005: lw r1, 0(r11)
-		a = r11 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r1 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+5, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r1 = v
-		}
-		// 006: lw r2, 4(r11)
-		a = r11 + 0x4
-		if a&3 == 0 && a <= DataBytes-4 {
-			r2 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+6, cycles+2, instret+1); !ok {
-				goto errOut
-			}
-			r2 = v
-		}
-		// 007: jal r15, 735
-		r15 = (base + 8) * 4
-		cycles, instret = cycles+6, instret+3
-		st.pc = base + 0x2e6
-		goto okOut
-	L8:
-		if st.stop-cycles <= 6 {
-			bpc = 8
-			goto budgetOut
-		}
-		// 008: sw r1, 0(r12)
-		a = r12 + 0x0
-		v = r1
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+8, cycles+0, instret+0) {
-			goto errOut
-		}
-		// 009: addi r11, r11, 8
-		r11 = r11 + 0x8
-		// 00a: addi r12, r12, 4
-		r12 = r12 + 0x4
-		// 00b: addi r10, r10, -1
-		r10 = r10 + 0xffffffff
-		// 00c: bne r10, r0, -7
-		if r10 != 0 {
-			cycles, instret = cycles+6, instret+5
-			goto L5
-		}
-		cycles, instret = cycles+5, instret+5
-	L13:
-		// 00d: halt
-		cycles, instret = cycles+1, instret+1
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + 14
-		st.cycles, st.instret = cycles, instret
-		return stHalt
-	budgetOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		return stErr
-	okOut:
-		r[1], r[2], r[10], r[11], r[12], r[14], r[15] = r1, r2, r10, r11, r12, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R61: clt_false — 2 words, from batch/f32_cmp_le.
-var sigR61 = [...]uint64{
-	0x000000000000010d, 0x00000000000f0023,
-}
-
-func bindR61(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r15 := r[1], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 3 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r1, r0, 0
-		r1 = 0 + 0x0
-		// 001: jalr r0, r15, 0
-		v = (r15 + 0x0) / 4
-		cycles, instret = cycles+3, instret+2
-		st.pc = v
-		goto okOut
-	budgetOut:
-		r[1] = r1
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	okOut:
-		r[1] = r1
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-// Region R62: f32_cmp_le — 18 words, from batch/f32_cmp_le.
-var sigR62 = [...]uint64{
-	0xfffffffc000e0e0d, 0x00000000000e0f1a, 0xffffffca00000f22, 0x00000000000e0f17,
-	0x00000004000e0e0d, 0x000000120009001d, 0x0000001f00010512, 0x0000001f00020612,
-	0x0000000e0605001d, 0x0000000c0005001c, 0x0000001402010021, 0x0000001200000022,
-	0x0000001401020021, 0x0000001200000022, 0x000000140005001d, 0x0000000002010704,
-	0x0000000100070711, 0x000000140007001c,
-}
-
-func bindR62(base uint32) blockFn {
-	return func(c *CPU, st *cst) int {
-		r := st.r
-		data := st.data
-		cycles, instret := st.cycles, st.instret
-		var a, v, bpc uint32
-		var ok bool
-		_, _, _, _, _ = r, data, a, v, ok
-		r1, r2, r5, r6, r7, r9, r14, r15 := r[1], r[2], r[5], r[6], r[7], r[9], r[14], r[15]
-		switch st.pc - base {
-		case 0:
-			goto L0
-		case 3:
-			goto L3
-		case 12:
-			goto L12
-		case 14:
-			goto L14
-		default:
-			return stNoEntry
-		}
-	L0:
-		if st.stop-cycles <= 4 {
-			bpc = 0
-			goto budgetOut
-		}
-		// 000: addi r14, r14, -4
-		r14 = r14 + 0xfffffffc
-		// 001: sw r15, 0(r14)
-		a = r14 + 0x0
-		v = r15
-		if a&3 == 0 && a <= DataBytes-4 {
-			data[a] = byte(v)
-			data[a+1] = byte(v >> 8)
-			data[a+2] = byte(v >> 16)
-			data[a+3] = byte(v >> 24)
-		} else if !st.storeSlow(c, a, v, base+1, cycles+1, instret+1) {
-			goto errOut
-		}
-		// 002: jal r15, -56
-		r15 = (base + 3) * 4
-		cycles, instret = cycles+4, instret+3
-		st.pc = base + 0xffffffca
-		goto okOut
-	L3:
-		if st.stop-cycles <= 11 {
-			bpc = 3
-			goto budgetOut
-		}
-		// 003: lw r15, 0(r14)
-		a = r14 + 0x0
-		if a&3 == 0 && a <= DataBytes-4 {
-			r15 = uint32(data[a]) | uint32(data[a+1])<<8 | uint32(data[a+2])<<16 | uint32(data[a+3])<<24
-		} else {
-			if v, ok = st.loadSlow(c, a, base+3, cycles+0, instret+0); !ok {
-				goto errOut
-			}
-			r15 = v
-		}
-		// 004: addi r14, r14, 4
-		r14 = r14 + 0x4
-		// 005: bne r9, r0, 13
-		if r9 != 0 {
-			cycles, instret = cycles+5, instret+3
-			st.pc = base + 18
-			goto okOut
-		}
-		cycles, instret = cycles+4, instret+3
-		// 006: srli r5, r1, 31
-		r5 = r1 >> 31
-		// 007: srli r6, r2, 31
-		r6 = r2 >> 31
-		// 008: bne r5, r6, 6
-		if r5 != r6 {
-			cycles, instret = cycles+4, instret+3
-			goto L14
-		}
-		cycles, instret = cycles+3, instret+3
-		// 009: beq r5, r0, 3
-		if r5 == 0 {
-			cycles, instret = cycles+2, instret+1
-			goto L12
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00a: bgeu r1, r2, 10
-		if r1 >= r2 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x14
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00b: jal r0, 7
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 18
-		goto okOut
-	L12:
-		if st.stop-cycles <= 3 {
-			bpc = 12
-			goto budgetOut
-		}
-		// 00c: bgeu r2, r1, 8
-		if r2 >= r1 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x14
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00d: jal r0, 5
-		cycles, instret = cycles+2, instret+1
-		st.pc = base + 18
-		goto okOut
-	L14:
-		if st.stop-cycles <= 5 {
-			bpc = 14
-			goto budgetOut
-		}
-		// 00e: bne r5, r0, 6
-		if r5 != 0 {
-			cycles, instret = cycles+2, instret+1
-			st.pc = base + 0x14
-			goto okOut
-		}
-		cycles, instret = cycles+1, instret+1
-		// 00f: or r7, r1, r2
-		r7 = r1 | r2
-		// 010: slli r7, r7, 1
-		r7 = r7 << 1
-		// 011: beq r7, r0, 3
-		if r7 == 0 {
-			cycles, instret = cycles+4, instret+3
-			st.pc = base + 0x14
-			goto okOut
-		}
-		cycles, instret = cycles+3, instret+3
-		st.pc = base + 18
-		goto okOut
-	budgetOut:
-		r[5], r[6], r[7], r[14], r[15] = r5, r6, r7, r14, r15
-		st.pc = base + bpc
-		st.cycles, st.instret = cycles, instret
-		return stBudget
-	errOut:
-		r[5], r[6], r[7], r[14], r[15] = r5, r6, r7, r14, r15
-		return stErr
-	okOut:
-		r[5], r[6], r[7], r[14], r[15] = r5, r6, r7, r14, r15
-		st.cycles, st.instret = cycles, instret
-		return stOK
-	}
-}
-
-func init() {
-	registerKernel(0xa150191a04b47489, kernelEntry{backOff: 0, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xf1b4e7bd0fb2e94d, kernelEntry{backOff: 5, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x9ba9842415d0df53, kernelEntry{backOff: 9, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x0f36a6512ddaa164, kernelEntry{backOff: 12, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x9e9cbe2ab31fa62b, kernelEntry{backOff: 16, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x08b93cf544bd6eaf, kernelEntry{backOff: 18, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x177dbbc31b942de1, kernelEntry{backOff: 20, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x31b1a1c76f25ac26, kernelEntry{backOff: 25, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x89266ac8db644a51, kernelEntry{backOff: 27, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa0b1ae1f31c99943, kernelEntry{backOff: 29, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa8c7f832281a39c5, kernelEntry{backOff: 35, worst: 1, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x8dc194f980963321, kernelEntry{backOff: 36, worst: 10, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x2a3a7ce833f9697c, kernelEntry{backOff: 47, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd743ed848019a849, kernelEntry{backOff: 50, worst: 26, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xeff6b809962fba57, kernelEntry{backOff: 75, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x782e0693662969f1, kernelEntry{backOff: 77, worst: 13, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa0ba4a016a46dead, kernelEntry{backOff: 89, worst: 13, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xf8f499523e881d02, kernelEntry{backOff: 101, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xe192e28bcadc1ec4, kernelEntry{backOff: 104, worst: 16, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x40eb89567e84b973, kernelEntry{backOff: 119, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x7dad92b453bda36f, kernelEntry{backOff: 122, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xf510d901f4d47495, kernelEntry{backOff: 124, worst: 15, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd03087c433558933, kernelEntry{backOff: 138, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 142, worst: 11, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x70ace05b9b83b67e, kernelEntry{backOff: 148, worst: 9, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xcfef758963f1eee4, kernelEntry{backOff: 156, worst: 13, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x1bd0f2a7d3024c23, kernelEntry{backOff: 165, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x39e171af2487ccd0, kernelEntry{backOff: 170, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xad9da6303d3f5a93, kernelEntry{backOff: 175, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x5505ef6aee7c7a03, kernelEntry{backOff: 179, worst: 21, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x58ed5ab8cdd25e18, kernelEntry{backOff: 196, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xf09b46737347ed98, kernelEntry{backOff: 202, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x2849bfbc6508dd8c, kernelEntry{backOff: 204, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x7d6c2b63d250180b, kernelEntry{backOff: 205, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa4a09048978055de, kernelEntry{backOff: 210, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x3962acbde7ec7e11, kernelEntry{backOff: 215, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x24e97992ffaedcef, kernelEntry{backOff: 217, worst: 15, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xe2203e8a24df71d8, kernelEntry{backOff: 263, worst: 13, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xae2907ecf9407dae, kernelEntry{backOff: 270, worst: 27, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x1d91772976d7f014, kernelEntry{backOff: 296, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x1d17f20517f9f3f8, kernelEntry{backOff: 299, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x0ba9d0a73e03858a, kernelEntry{backOff: 302, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xed8e2a1bee03ff3c, kernelEntry{backOff: 306, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x16d7cd486993682d, kernelEntry{backOff: 308, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xf0a1a05f8aefbe23, kernelEntry{backOff: 312, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x67642356782435e9, kernelEntry{backOff: 315, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xc3774dcc58f38a61, kernelEntry{backOff: 318, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x86f1f070ef807d55, kernelEntry{backOff: 322, worst: 1, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x96c34417868d838b, kernelEntry{backOff: 323, worst: 14, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x47d9dc6b77715571, kernelEntry{backOff: 336, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x76dd2140135dab9c, kernelEntry{backOff: 337, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x3da173107436ba61, kernelEntry{backOff: 342, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x9ea278f2a850a27c, kernelEntry{backOff: 348, worst: 9, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xc76f4d1233a410c5, kernelEntry{backOff: 356, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x43c656b84c037f1a, kernelEntry{backOff: 357, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 358, worst: 11, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa40b4478a2ae0085, kernelEntry{backOff: 364, worst: 28, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x1d91772976d7f014, kernelEntry{backOff: 391, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x8e29ed6d80bfa45b, kernelEntry{backOff: 394, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x792c23b9af70d02f, kernelEntry{backOff: 397, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xee60347134298b63, kernelEntry{backOff: 401, worst: 8, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x16d7cd486993682d, kernelEntry{backOff: 408, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xf0a1a05f8aefbe23, kernelEntry{backOff: 412, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd61fcc468eb20b75, kernelEntry{backOff: 415, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x40114ca1ea7f34c5, kernelEntry{backOff: 418, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa4c7816c05424134, kernelEntry{backOff: 422, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xb6d27950bfc924be, kernelEntry{backOff: 428, worst: 8, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xbd8c2331cd0daca5, kernelEntry{backOff: 435, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x3896d509eb349aa5, kernelEntry{backOff: 441, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xca4c75356fa88840, kernelEntry{backOff: 444, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd0fc7341ee6cb6e8, kernelEntry{backOff: 447, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xc76f4d1233a410c5, kernelEntry{backOff: 451, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xaa7ca9cab7aa77bf, kernelEntry{backOff: 452, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 453, worst: 11, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x9c6089075eab3ac2, kernelEntry{backOff: 459, worst: 23, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xfaaea7e7179a5a93, kernelEntry{backOff: 481, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x02ece8a3974253a7, kernelEntry{backOff: 486, worst: 8, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xbc0f8f1179372a68, kernelEntry{backOff: 493, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xbd6183747ebb912d, kernelEntry{backOff: 498, worst: 31, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa1a73ecd8c3004ca, kernelEntry{backOff: 502, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xc8397d65d63660f1, kernelEntry{backOff: 504, worst: 33, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xbc832f99518b9b05, kernelEntry{backOff: 512, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd01e3804a52e9bcb, kernelEntry{backOff: 514, worst: 31, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xc76f4d1233a410c5, kernelEntry{backOff: 538, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x09365553ed6256e4, kernelEntry{backOff: 539, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 540, worst: 11, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xfc65dcff08757e31, kernelEntry{backOff: 546, worst: 25, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x02c248e648f0382f, kernelEntry{backOff: 570, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x306c58b2e9091bcd, kernelEntry{backOff: 574, worst: 17, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x70a0534a2ead7a03, kernelEntry{backOff: 581, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x55442f22acd2648f, kernelEntry{backOff: 583, worst: 19, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x309eb31a17fb1ce8, kernelEntry{backOff: 591, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x6956e0d0d10416e0, kernelEntry{backOff: 593, worst: 17, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa8ccae59db19fe31, kernelEntry{backOff: 609, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd6824c112ae3b9d4, kernelEntry{backOff: 611, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xa789f0e8849761f0, kernelEntry{backOff: 629, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x5cdf59cc57077051, kernelEntry{backOff: 630, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd2892d64d02a9219, kernelEntry{backOff: 635, worst: 2, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 636, worst: 11, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x11f07a219239f993, kernelEntry{backOff: 642, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd9026be73b23a2be, kernelEntry{backOff: 644, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x740905b6cd19e479, kernelEntry{backOff: 650, worst: 8, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x0e88b32e0119f75c, kernelEntry{backOff: 657, worst: 24, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x8bf8e9fb579008a3, kernelEntry{backOff: 680, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x8bf8e9fb579008a3, kernelEntry{backOff: 683, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xba77245544114799, kernelEntry{backOff: 686, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x348157e7ba1ddb58, kernelEntry{backOff: 689, worst: 6, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x7e303787ba45f443, kernelEntry{backOff: 694, worst: 12, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x3907fe8f1ec5af43, kernelEntry{backOff: 706, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x5fc24d54410d6bf8, kernelEntry{backOff: 710, worst: 12, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x48175707e45abce4, kernelEntry{backOff: 721, worst: 8, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x53f9411a9e6bccc8, kernelEntry{backOff: 728, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x87238e094a64c9bb, kernelEntry{backOff: 731, worst: 11, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x0da542db3c790fc6, kernelEntry{backOff: 740, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xb3b5416e0dd9371e, kernelEntry{backOff: 742, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xc6c3a69f5a2c0bed, kernelEntry{backOff: 745, worst: 13, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x462bd14383497d54, kernelEntry{backOff: 754, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x6a2d596f2035dde2, kernelEntry{backOff: 756, worst: 7, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x06380640f83b2c77, kernelEntry{backOff: 762, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0xd75f42450ce02264, kernelEntry{backOff: 764, worst: 4, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x874e2dc698b6e533, kernelEntry{backOff: 767, worst: 11, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x707a9b5566c6bdd1, kernelEntry{backOff: 776, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x045f5acbf12a2033, kernelEntry{backOff: 778, worst: 5, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x06380640f83b2c77, kernelEntry{backOff: 782, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x0da542db3c790fc6, kernelEntry{backOff: 784, worst: 3, sig: sigR0[:], bind: bindR0, kind: blockRegion})
-	registerKernel(0x7cfdb1aba2d849b9, kernelEntry{backOff: 0, worst: 5, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x56e393a1356e8044, kernelEntry{backOff: 4, worst: 36, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x341c00cacfbf0589, kernelEntry{backOff: 28, worst: 7, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x3c5b0f9c339f968d, kernelEntry{backOff: 32, worst: 14, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xb9e572e833b60068, kernelEntry{backOff: 41, worst: 7, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x3e9d928dd7875849, kernelEntry{backOff: 45, worst: 26, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x71f972e5844b764a, kernelEntry{backOff: 65, worst: 4, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x006b1f99b91e5b16, kernelEntry{backOff: 68, worst: 4, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x305b79f7514e42a4, kernelEntry{backOff: 71, worst: 8, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x58fea05cdb153786, kernelEntry{backOff: 77, worst: 8, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xf0ae605f7ba27121, kernelEntry{backOff: 83, worst: 7, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xf25550d299245d83, kernelEntry{backOff: 87, worst: 7, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x79b22e8c719494dc, kernelEntry{backOff: 91, worst: 6, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xbe7f6c7702f65e9e, kernelEntry{backOff: 101, worst: 9, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x9d1eb1d958c069f1, kernelEntry{backOff: 107, worst: 10, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xf94ef2841d1ff0c7, kernelEntry{backOff: 115, worst: 9, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xa830dcf65879ec46, kernelEntry{backOff: 121, worst: 9, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x1cb4228014f32545, kernelEntry{backOff: 127, worst: 10, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x37900267b85c86fa, kernelEntry{backOff: 135, worst: 6, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x359bcd7d0f992c52, kernelEntry{backOff: 145, worst: 8, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x250cb9b0433b4764, kernelEntry{backOff: 150, worst: 10, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x5be1dd31b4fd5ae1, kernelEntry{backOff: 166, worst: 13, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x1851c3dff065f503, kernelEntry{backOff: 175, worst: 76, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xa8c7f832281a39c5, kernelEntry{backOff: 235, worst: 1, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x19cbd7998101975d, kernelEntry{backOff: 236, worst: 16, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x718140c8a3ed8de1, kernelEntry{backOff: 245, worst: 4, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x0424d5cb9f679cec, kernelEntry{backOff: 248, worst: 19, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xa5d6f74c5a43d9f6, kernelEntry{backOff: 265, worst: 10, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x0de735ad0f26661d, kernelEntry{backOff: 274, worst: 10, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x980abf18bfbde0d6, kernelEntry{backOff: 287, worst: 8, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x84174d1582b7f27a, kernelEntry{backOff: 292, worst: 10, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x0b7f7d0c626dca8f, kernelEntry{backOff: 298, worst: 22, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x449c489154a595c9, kernelEntry{backOff: 313, worst: 12, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x2a154cdf6254890a, kernelEntry{backOff: 331, worst: 27, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x4dd73ff1a4e6a29b, kernelEntry{backOff: 351, worst: 4, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0xfab97388188779cd, kernelEntry{backOff: 354, worst: 8, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x37ee3562db81c051, kernelEntry{backOff: 360, worst: 10, sig: sigR1[:], bind: bindR1, kind: blockRegion})
-	registerKernel(0x216568f8abdd8245, kernelEntry{backOff: 0, worst: 7, sig: sigR2[:], bind: bindR2, kind: blockRegion})
-	registerKernel(0x72c9f60b8cc89bd9, kernelEntry{backOff: 5, worst: 9, sig: sigR2[:], bind: bindR2, kind: blockRegion})
-	registerKernel(0xa8c7f832281a39c5, kernelEntry{backOff: 47, worst: 1, sig: sigR2[:], bind: bindR2, kind: blockRegion})
-	registerKernel(0x56285e62185bd630, kernelEntry{backOff: 0, worst: 1, sig: sigR3[:], bind: bindR3, kind: blockRegion})
-	registerKernel(0xbe1767373cbd4bc3, kernelEntry{backOff: 0, worst: 4, sig: sigR4[:], bind: bindR4, kind: blockRegion})
-	registerKernel(0x9dc9e90aa35c7ba6, kernelEntry{backOff: 0, worst: 47, sig: sigR5[:], bind: bindR5, kind: blockRegion})
-	registerKernel(0x29cc38af92155d78, kernelEntry{backOff: 36, worst: 1, sig: sigR5[:], bind: bindR5, kind: blockRegion})
-	registerKernel(0x765d65b0b9d15d01, kernelEntry{backOff: 0, worst: 27, sig: sigR6[:], bind: bindR6, kind: blockRegion})
-	registerKernel(0x372e591e20959afa, kernelEntry{backOff: 53, worst: 29, sig: sigR6[:], bind: bindR6, kind: blockRegion})
-	registerKernel(0xa8c7f832281a39c5, kernelEntry{backOff: 74, worst: 1, sig: sigR6[:], bind: bindR6, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR7[:], bind: bindR7, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR7[:], bind: bindR7, kind: blockRegion})
-	registerKernel(0x8dc194f980963321, kernelEntry{backOff: 0, worst: 10, sig: sigR8[:], bind: bindR8, kind: blockRegion})
-	registerKernel(0x2a3a7ce833f9697c, kernelEntry{backOff: 11, worst: 4, sig: sigR8[:], bind: bindR8, kind: blockRegion})
-	registerKernel(0xd743ed848019a849, kernelEntry{backOff: 0, worst: 26, sig: sigR9[:], bind: bindR9, kind: blockRegion})
-	registerKernel(0xeff6b809962fba57, kernelEntry{backOff: 25, worst: 3, sig: sigR9[:], bind: bindR9, kind: blockRegion})
-	registerKernel(0x782e0693662969f1, kernelEntry{backOff: 0, worst: 13, sig: sigR10[:], bind: bindR10, kind: blockRegion})
-	registerKernel(0xa0ba4a016a46dead, kernelEntry{backOff: 12, worst: 13, sig: sigR10[:], bind: bindR10, kind: blockRegion})
-	registerKernel(0xf8f499523e881d02, kernelEntry{backOff: 24, worst: 4, sig: sigR10[:], bind: bindR10, kind: blockRegion})
-	registerKernel(0xe192e28bcadc1ec4, kernelEntry{backOff: 0, worst: 16, sig: sigR11[:], bind: bindR11, kind: blockRegion})
-	registerKernel(0x40eb89567e84b973, kernelEntry{backOff: 15, worst: 4, sig: sigR11[:], bind: bindR11, kind: blockRegion})
-	registerKernel(0x7dad92b453bda36f, kernelEntry{backOff: 18, worst: 2, sig: sigR11[:], bind: bindR11, kind: blockRegion})
-	registerKernel(0xf510d901f4d47495, kernelEntry{backOff: 0, worst: 15, sig: sigR12[:], bind: bindR12, kind: blockRegion})
-	registerKernel(0xd03087c433558933, kernelEntry{backOff: 14, worst: 4, sig: sigR12[:], bind: bindR12, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 0, worst: 11, sig: sigR13[:], bind: bindR13, kind: blockRegion})
-	registerKernel(0x70ace05b9b83b67e, kernelEntry{backOff: 0, worst: 9, sig: sigR14[:], bind: bindR14, kind: blockRegion})
-	registerKernel(0xcfef758963f1eee4, kernelEntry{backOff: 8, worst: 13, sig: sigR14[:], bind: bindR14, kind: blockRegion})
-	registerKernel(0x1bd0f2a7d3024c23, kernelEntry{backOff: 0, worst: 6, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0x39e171af2487ccd0, kernelEntry{backOff: 5, worst: 6, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0xad9da6303d3f5a93, kernelEntry{backOff: 10, worst: 5, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0x5505ef6aee7c7a03, kernelEntry{backOff: 14, worst: 21, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0x58ed5ab8cdd25e18, kernelEntry{backOff: 31, worst: 7, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0xf09b46737347ed98, kernelEntry{backOff: 37, worst: 3, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0x2849bfbc6508dd8c, kernelEntry{backOff: 39, worst: 2, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0x7d6c2b63d250180b, kernelEntry{backOff: 40, worst: 6, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0xa4a09048978055de, kernelEntry{backOff: 45, worst: 6, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0x3962acbde7ec7e11, kernelEntry{backOff: 50, worst: 3, sig: sigR15[:], bind: bindR15, kind: blockRegion})
-	registerKernel(0x24e97992ffaedcef, kernelEntry{backOff: 0, worst: 15, sig: sigR16[:], bind: bindR16, kind: blockRegion})
-	registerKernel(0xe2203e8a24df71d8, kernelEntry{backOff: 0, worst: 13, sig: sigR17[:], bind: bindR17, kind: blockRegion})
-	registerKernel(0xae2907ecf9407dae, kernelEntry{backOff: 0, worst: 27, sig: sigR18[:], bind: bindR18, kind: blockRegion})
-	registerKernel(0x1d91772976d7f014, kernelEntry{backOff: 26, worst: 4, sig: sigR18[:], bind: bindR18, kind: blockRegion})
-	registerKernel(0x1d17f20517f9f3f8, kernelEntry{backOff: 29, worst: 3, sig: sigR18[:], bind: bindR18, kind: blockRegion})
-	registerKernel(0x0ba9d0a73e03858a, kernelEntry{backOff: 0, worst: 5, sig: sigR19[:], bind: bindR19, kind: blockRegion})
-	registerKernel(0xed8e2a1bee03ff3c, kernelEntry{backOff: 4, worst: 3, sig: sigR19[:], bind: bindR19, kind: blockRegion})
-	registerKernel(0x16d7cd486993682d, kernelEntry{backOff: 6, worst: 5, sig: sigR19[:], bind: bindR19, kind: blockRegion})
-	registerKernel(0xf0a1a05f8aefbe23, kernelEntry{backOff: 10, worst: 4, sig: sigR19[:], bind: bindR19, kind: blockRegion})
-	registerKernel(0x67642356782435e9, kernelEntry{backOff: 13, worst: 3, sig: sigR19[:], bind: bindR19, kind: blockRegion})
-	registerKernel(0xc3774dcc58f38a61, kernelEntry{backOff: 0, worst: 5, sig: sigR20[:], bind: bindR20, kind: blockRegion})
-	registerKernel(0x86f1f070ef807d55, kernelEntry{backOff: 4, worst: 1, sig: sigR20[:], bind: bindR20, kind: blockRegion})
-	registerKernel(0x96c34417868d838b, kernelEntry{backOff: 0, worst: 14, sig: sigR21[:], bind: bindR21, kind: blockRegion})
-	registerKernel(0x47d9dc6b77715571, kernelEntry{backOff: 13, worst: 2, sig: sigR21[:], bind: bindR21, kind: blockRegion})
-	registerKernel(0x76dd2140135dab9c, kernelEntry{backOff: 14, worst: 6, sig: sigR21[:], bind: bindR21, kind: blockRegion})
-	registerKernel(0x3da173107436ba61, kernelEntry{backOff: 19, worst: 7, sig: sigR21[:], bind: bindR21, kind: blockRegion})
-	registerKernel(0x9ea278f2a850a27c, kernelEntry{backOff: 25, worst: 9, sig: sigR21[:], bind: bindR21, kind: blockRegion})
-	registerKernel(0xc76f4d1233a410c5, kernelEntry{backOff: 33, worst: 2, sig: sigR21[:], bind: bindR21, kind: blockRegion})
-	registerKernel(0x43c656b84c037f1a, kernelEntry{backOff: 34, worst: 2, sig: sigR21[:], bind: bindR21, kind: blockRegion})
-	registerKernel(0xa40b4478a2ae0085, kernelEntry{backOff: 0, worst: 28, sig: sigR22[:], bind: bindR22, kind: blockRegion})
-	registerKernel(0x1d91772976d7f014, kernelEntry{backOff: 27, worst: 4, sig: sigR22[:], bind: bindR22, kind: blockRegion})
-	registerKernel(0x8e29ed6d80bfa45b, kernelEntry{backOff: 30, worst: 3, sig: sigR22[:], bind: bindR22, kind: blockRegion})
-	registerKernel(0x792c23b9af70d02f, kernelEntry{backOff: 0, worst: 5, sig: sigR23[:], bind: bindR23, kind: blockRegion})
-	registerKernel(0xee60347134298b63, kernelEntry{backOff: 4, worst: 8, sig: sigR23[:], bind: bindR23, kind: blockRegion})
-	registerKernel(0x16d7cd486993682d, kernelEntry{backOff: 11, worst: 5, sig: sigR23[:], bind: bindR23, kind: blockRegion})
-	registerKernel(0xf0a1a05f8aefbe23, kernelEntry{backOff: 15, worst: 4, sig: sigR23[:], bind: bindR23, kind: blockRegion})
-	registerKernel(0xd61fcc468eb20b75, kernelEntry{backOff: 18, worst: 3, sig: sigR23[:], bind: bindR23, kind: blockRegion})
-	registerKernel(0x40114ca1ea7f34c5, kernelEntry{backOff: 0, worst: 5, sig: sigR24[:], bind: bindR24, kind: blockRegion})
-	registerKernel(0xa4c7816c05424134, kernelEntry{backOff: 4, worst: 7, sig: sigR24[:], bind: bindR24, kind: blockRegion})
-	registerKernel(0xb6d27950bfc924be, kernelEntry{backOff: 10, worst: 8, sig: sigR24[:], bind: bindR24, kind: blockRegion})
-	registerKernel(0xbd8c2331cd0daca5, kernelEntry{backOff: 17, worst: 7, sig: sigR24[:], bind: bindR24, kind: blockRegion})
-	registerKernel(0x3896d509eb349aa5, kernelEntry{backOff: 23, worst: 4, sig: sigR24[:], bind: bindR24, kind: blockRegion})
-	registerKernel(0xca4c75356fa88840, kernelEntry{backOff: 26, worst: 3, sig: sigR24[:], bind: bindR24, kind: blockRegion})
-	registerKernel(0xd0fc7341ee6cb6e8, kernelEntry{backOff: 0, worst: 5, sig: sigR25[:], bind: bindR25, kind: blockRegion})
-	registerKernel(0xc76f4d1233a410c5, kernelEntry{backOff: 4, worst: 2, sig: sigR25[:], bind: bindR25, kind: blockRegion})
-	registerKernel(0xaa7ca9cab7aa77bf, kernelEntry{backOff: 5, worst: 2, sig: sigR25[:], bind: bindR25, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 0, worst: 11, sig: sigR26[:], bind: bindR26, kind: blockRegion})
-	registerKernel(0x9c6089075eab3ac2, kernelEntry{backOff: 6, worst: 23, sig: sigR26[:], bind: bindR26, kind: blockRegion})
-	registerKernel(0xfaaea7e7179a5a93, kernelEntry{backOff: 28, worst: 6, sig: sigR26[:], bind: bindR26, kind: blockRegion})
-	registerKernel(0x02ece8a3974253a7, kernelEntry{backOff: 33, worst: 8, sig: sigR26[:], bind: bindR26, kind: blockRegion})
-	registerKernel(0xbc0f8f1179372a68, kernelEntry{backOff: 0, worst: 6, sig: sigR27[:], bind: bindR27, kind: blockRegion})
-	registerKernel(0xbd6183747ebb912d, kernelEntry{backOff: 5, worst: 31, sig: sigR27[:], bind: bindR27, kind: blockRegion})
-	registerKernel(0xa1a73ecd8c3004ca, kernelEntry{backOff: 9, worst: 3, sig: sigR27[:], bind: bindR27, kind: blockRegion})
-	registerKernel(0xc8397d65d63660f1, kernelEntry{backOff: 11, worst: 33, sig: sigR27[:], bind: bindR27, kind: blockRegion})
-	registerKernel(0xbc832f99518b9b05, kernelEntry{backOff: 19, worst: 3, sig: sigR27[:], bind: bindR27, kind: blockRegion})
-	registerKernel(0xd01e3804a52e9bcb, kernelEntry{backOff: 21, worst: 31, sig: sigR27[:], bind: bindR27, kind: blockRegion})
-	registerKernel(0xc76f4d1233a410c5, kernelEntry{backOff: 45, worst: 2, sig: sigR27[:], bind: bindR27, kind: blockRegion})
-	registerKernel(0x09365553ed6256e4, kernelEntry{backOff: 46, worst: 2, sig: sigR27[:], bind: bindR27, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 0, worst: 11, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0xfc65dcff08757e31, kernelEntry{backOff: 6, worst: 25, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0x02c248e648f0382f, kernelEntry{backOff: 30, worst: 5, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0x306c58b2e9091bcd, kernelEntry{backOff: 34, worst: 17, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0x70a0534a2ead7a03, kernelEntry{backOff: 41, worst: 3, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0x55442f22acd2648f, kernelEntry{backOff: 43, worst: 19, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0x309eb31a17fb1ce8, kernelEntry{backOff: 51, worst: 3, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0x6956e0d0d10416e0, kernelEntry{backOff: 53, worst: 17, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0xa8ccae59db19fe31, kernelEntry{backOff: 69, worst: 2, sig: sigR28[:], bind: bindR28, kind: blockRegion})
-	registerKernel(0xd6824c112ae3b9d4, kernelEntry{backOff: 0, worst: 3, sig: sigR29[:], bind: bindR29, kind: blockRegion})
-	registerKernel(0xa789f0e8849761f0, kernelEntry{backOff: 18, worst: 2, sig: sigR29[:], bind: bindR29, kind: blockRegion})
-	registerKernel(0x5cdf59cc57077051, kernelEntry{backOff: 19, worst: 6, sig: sigR29[:], bind: bindR29, kind: blockRegion})
-	registerKernel(0xd2892d64d02a9219, kernelEntry{backOff: 24, worst: 2, sig: sigR29[:], bind: bindR29, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 0, worst: 11, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0x11f07a219239f993, kernelEntry{backOff: 6, worst: 3, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0xd9026be73b23a2be, kernelEntry{backOff: 8, worst: 7, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0x740905b6cd19e479, kernelEntry{backOff: 14, worst: 8, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0x0e88b32e0119f75c, kernelEntry{backOff: 21, worst: 24, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0x8bf8e9fb579008a3, kernelEntry{backOff: 44, worst: 4, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0x8bf8e9fb579008a3, kernelEntry{backOff: 47, worst: 4, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0xba77245544114799, kernelEntry{backOff: 50, worst: 4, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0x348157e7ba1ddb58, kernelEntry{backOff: 53, worst: 6, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0x7e303787ba45f443, kernelEntry{backOff: 58, worst: 12, sig: sigR30[:], bind: bindR30, kind: blockRegion})
-	registerKernel(0x3907fe8f1ec5af43, kernelEntry{backOff: 0, worst: 5, sig: sigR31[:], bind: bindR31, kind: blockRegion})
-	registerKernel(0x5fc24d54410d6bf8, kernelEntry{backOff: 0, worst: 12, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0x48175707e45abce4, kernelEntry{backOff: 11, worst: 8, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0x53f9411a9e6bccc8, kernelEntry{backOff: 18, worst: 4, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0x87238e094a64c9bb, kernelEntry{backOff: 21, worst: 11, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0x0da542db3c790fc6, kernelEntry{backOff: 30, worst: 3, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0xb3b5416e0dd9371e, kernelEntry{backOff: 32, worst: 4, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0xc6c3a69f5a2c0bed, kernelEntry{backOff: 35, worst: 13, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0x462bd14383497d54, kernelEntry{backOff: 44, worst: 5, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0x6a2d596f2035dde2, kernelEntry{backOff: 46, worst: 7, sig: sigR32[:], bind: bindR32, kind: blockRegion})
-	registerKernel(0x06380640f83b2c77, kernelEntry{backOff: 0, worst: 3, sig: sigR33[:], bind: bindR33, kind: blockRegion})
-	registerKernel(0xd75f42450ce02264, kernelEntry{backOff: 2, worst: 4, sig: sigR33[:], bind: bindR33, kind: blockRegion})
-	registerKernel(0x874e2dc698b6e533, kernelEntry{backOff: 5, worst: 11, sig: sigR33[:], bind: bindR33, kind: blockRegion})
-	registerKernel(0x707a9b5566c6bdd1, kernelEntry{backOff: 14, worst: 3, sig: sigR33[:], bind: bindR33, kind: blockRegion})
-	registerKernel(0x045f5acbf12a2033, kernelEntry{backOff: 16, worst: 5, sig: sigR33[:], bind: bindR33, kind: blockRegion})
-	registerKernel(0x06380640f83b2c77, kernelEntry{backOff: 0, worst: 3, sig: sigR34[:], bind: bindR34, kind: blockRegion})
-	registerKernel(0x0da542db3c790fc6, kernelEntry{backOff: 2, worst: 3, sig: sigR34[:], bind: bindR34, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR35[:], bind: bindR35, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR35[:], bind: bindR35, kind: blockRegion})
-	registerKernel(0x70ace05b9b83b67e, kernelEntry{backOff: 0, worst: 9, sig: sigR36[:], bind: bindR36, kind: blockRegion})
-	registerKernel(0xcfef758963f1eee4, kernelEntry{backOff: 8, worst: 13, sig: sigR36[:], bind: bindR36, kind: blockRegion})
-	registerKernel(0x1bd0f2a7d3024c23, kernelEntry{backOff: 17, worst: 6, sig: sigR36[:], bind: bindR36, kind: blockRegion})
-	registerKernel(0x39e171af2487ccd0, kernelEntry{backOff: 0, worst: 6, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0xad9da6303d3f5a93, kernelEntry{backOff: 5, worst: 5, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0x5505ef6aee7c7a03, kernelEntry{backOff: 9, worst: 21, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0x58ed5ab8cdd25e18, kernelEntry{backOff: 26, worst: 7, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0xf09b46737347ed98, kernelEntry{backOff: 32, worst: 3, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0x2849bfbc6508dd8c, kernelEntry{backOff: 34, worst: 2, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0x7d6c2b63d250180b, kernelEntry{backOff: 35, worst: 6, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0xa4a09048978055de, kernelEntry{backOff: 40, worst: 6, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0x3962acbde7ec7e11, kernelEntry{backOff: 45, worst: 3, sig: sigR37[:], bind: bindR37, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR38[:], bind: bindR38, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR38[:], bind: bindR38, kind: blockRegion})
-	registerKernel(0x70ace05b9b83b67e, kernelEntry{backOff: 0, worst: 9, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0xcfef758963f1eee4, kernelEntry{backOff: 8, worst: 13, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0x1bd0f2a7d3024c23, kernelEntry{backOff: 17, worst: 6, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0x39e171af2487ccd0, kernelEntry{backOff: 22, worst: 6, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0xad9da6303d3f5a93, kernelEntry{backOff: 27, worst: 5, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0x5505ef6aee7c7a03, kernelEntry{backOff: 31, worst: 21, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0x58ed5ab8cdd25e18, kernelEntry{backOff: 48, worst: 7, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0xf09b46737347ed98, kernelEntry{backOff: 54, worst: 3, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0x2849bfbc6508dd8c, kernelEntry{backOff: 56, worst: 2, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0x7d6c2b63d250180b, kernelEntry{backOff: 57, worst: 6, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0xa4a09048978055de, kernelEntry{backOff: 62, worst: 6, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0x3962acbde7ec7e11, kernelEntry{backOff: 67, worst: 3, sig: sigR39[:], bind: bindR39, kind: blockRegion})
-	registerKernel(0x9c6089075eab3ac2, kernelEntry{backOff: 0, worst: 23, sig: sigR40[:], bind: bindR40, kind: blockRegion})
-	registerKernel(0xfaaea7e7179a5a93, kernelEntry{backOff: 22, worst: 6, sig: sigR40[:], bind: bindR40, kind: blockRegion})
-	registerKernel(0x02ece8a3974253a7, kernelEntry{backOff: 27, worst: 8, sig: sigR40[:], bind: bindR40, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR41[:], bind: bindR41, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR41[:], bind: bindR41, kind: blockRegion})
-	registerKernel(0xfc65dcff08757e31, kernelEntry{backOff: 0, worst: 25, sig: sigR42[:], bind: bindR42, kind: blockRegion})
-	registerKernel(0x02c248e648f0382f, kernelEntry{backOff: 24, worst: 5, sig: sigR42[:], bind: bindR42, kind: blockRegion})
-	registerKernel(0x306c58b2e9091bcd, kernelEntry{backOff: 28, worst: 17, sig: sigR42[:], bind: bindR42, kind: blockRegion})
-	registerKernel(0x70a0534a2ead7a03, kernelEntry{backOff: 35, worst: 3, sig: sigR42[:], bind: bindR42, kind: blockRegion})
-	registerKernel(0x55442f22acd2648f, kernelEntry{backOff: 37, worst: 19, sig: sigR42[:], bind: bindR42, kind: blockRegion})
-	registerKernel(0x309eb31a17fb1ce8, kernelEntry{backOff: 45, worst: 3, sig: sigR42[:], bind: bindR42, kind: blockRegion})
-	registerKernel(0x6956e0d0d10416e0, kernelEntry{backOff: 47, worst: 17, sig: sigR42[:], bind: bindR42, kind: blockRegion})
-	registerKernel(0xa8ccae59db19fe31, kernelEntry{backOff: 63, worst: 2, sig: sigR42[:], bind: bindR42, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR43[:], bind: bindR43, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR43[:], bind: bindR43, kind: blockRegion})
-	registerKernel(0x70ace05b9b83b67e, kernelEntry{backOff: 0, worst: 9, sig: sigR44[:], bind: bindR44, kind: blockRegion})
-	registerKernel(0xcfef758963f1eee4, kernelEntry{backOff: 8, worst: 13, sig: sigR44[:], bind: bindR44, kind: blockRegion})
-	registerKernel(0x1bd0f2a7d3024c23, kernelEntry{backOff: 17, worst: 6, sig: sigR44[:], bind: bindR44, kind: blockRegion})
-	registerKernel(0x39e171af2487ccd0, kernelEntry{backOff: 22, worst: 6, sig: sigR44[:], bind: bindR44, kind: blockRegion})
-	registerKernel(0xad9da6303d3f5a93, kernelEntry{backOff: 27, worst: 5, sig: sigR44[:], bind: bindR44, kind: blockRegion})
-	registerKernel(0x5505ef6aee7c7a03, kernelEntry{backOff: 0, worst: 21, sig: sigR45[:], bind: bindR45, kind: blockRegion})
-	registerKernel(0x58ed5ab8cdd25e18, kernelEntry{backOff: 17, worst: 7, sig: sigR45[:], bind: bindR45, kind: blockRegion})
-	registerKernel(0xf09b46737347ed98, kernelEntry{backOff: 23, worst: 3, sig: sigR45[:], bind: bindR45, kind: blockRegion})
-	registerKernel(0x2849bfbc6508dd8c, kernelEntry{backOff: 25, worst: 2, sig: sigR45[:], bind: bindR45, kind: blockRegion})
-	registerKernel(0x7d6c2b63d250180b, kernelEntry{backOff: 26, worst: 6, sig: sigR45[:], bind: bindR45, kind: blockRegion})
-	registerKernel(0xa4a09048978055de, kernelEntry{backOff: 31, worst: 6, sig: sigR45[:], bind: bindR45, kind: blockRegion})
-	registerKernel(0x3962acbde7ec7e11, kernelEntry{backOff: 36, worst: 3, sig: sigR45[:], bind: bindR45, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR46[:], bind: bindR46, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR46[:], bind: bindR46, kind: blockRegion})
-	registerKernel(0x70ace05b9b83b67e, kernelEntry{backOff: 0, worst: 9, sig: sigR47[:], bind: bindR47, kind: blockRegion})
-	registerKernel(0xcfef758963f1eee4, kernelEntry{backOff: 8, worst: 13, sig: sigR47[:], bind: bindR47, kind: blockRegion})
-	registerKernel(0x1bd0f2a7d3024c23, kernelEntry{backOff: 17, worst: 6, sig: sigR47[:], bind: bindR47, kind: blockRegion})
-	registerKernel(0x39e171af2487ccd0, kernelEntry{backOff: 22, worst: 6, sig: sigR47[:], bind: bindR47, kind: blockRegion})
-	registerKernel(0xad9da6303d3f5a93, kernelEntry{backOff: 0, worst: 5, sig: sigR48[:], bind: bindR48, kind: blockRegion})
-	registerKernel(0x5505ef6aee7c7a03, kernelEntry{backOff: 4, worst: 21, sig: sigR48[:], bind: bindR48, kind: blockRegion})
-	registerKernel(0x58ed5ab8cdd25e18, kernelEntry{backOff: 21, worst: 7, sig: sigR48[:], bind: bindR48, kind: blockRegion})
-	registerKernel(0xf09b46737347ed98, kernelEntry{backOff: 27, worst: 3, sig: sigR48[:], bind: bindR48, kind: blockRegion})
-	registerKernel(0x2849bfbc6508dd8c, kernelEntry{backOff: 29, worst: 2, sig: sigR48[:], bind: bindR48, kind: blockRegion})
-	registerKernel(0x7d6c2b63d250180b, kernelEntry{backOff: 30, worst: 6, sig: sigR48[:], bind: bindR48, kind: blockRegion})
-	registerKernel(0xa4a09048978055de, kernelEntry{backOff: 35, worst: 6, sig: sigR48[:], bind: bindR48, kind: blockRegion})
-	registerKernel(0x3962acbde7ec7e11, kernelEntry{backOff: 40, worst: 3, sig: sigR48[:], bind: bindR48, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR49[:], bind: bindR49, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR49[:], bind: bindR49, kind: blockRegion})
-	registerKernel(0x11f07a219239f993, kernelEntry{backOff: 0, worst: 3, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0xd9026be73b23a2be, kernelEntry{backOff: 2, worst: 7, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0x740905b6cd19e479, kernelEntry{backOff: 8, worst: 8, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0x0e88b32e0119f75c, kernelEntry{backOff: 15, worst: 24, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0x8bf8e9fb579008a3, kernelEntry{backOff: 38, worst: 4, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0x8bf8e9fb579008a3, kernelEntry{backOff: 41, worst: 4, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0xba77245544114799, kernelEntry{backOff: 44, worst: 4, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0x348157e7ba1ddb58, kernelEntry{backOff: 47, worst: 6, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0x7e303787ba45f443, kernelEntry{backOff: 52, worst: 12, sig: sigR50[:], bind: bindR50, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR51[:], bind: bindR51, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR51[:], bind: bindR51, kind: blockRegion})
-	registerKernel(0x530b2f9c73833c52, kernelEntry{backOff: 0, worst: 11, sig: sigR52[:], bind: bindR52, kind: blockRegion})
-	registerKernel(0x11f07a219239f993, kernelEntry{backOff: 6, worst: 3, sig: sigR52[:], bind: bindR52, kind: blockRegion})
-	registerKernel(0xd9026be73b23a2be, kernelEntry{backOff: 8, worst: 7, sig: sigR52[:], bind: bindR52, kind: blockRegion})
-	registerKernel(0x740905b6cd19e479, kernelEntry{backOff: 14, worst: 8, sig: sigR52[:], bind: bindR52, kind: blockRegion})
-	registerKernel(0x0e88b32e0119f75c, kernelEntry{backOff: 0, worst: 24, sig: sigR53[:], bind: bindR53, kind: blockRegion})
-	registerKernel(0x8bf8e9fb579008a3, kernelEntry{backOff: 23, worst: 4, sig: sigR53[:], bind: bindR53, kind: blockRegion})
-	registerKernel(0x8bf8e9fb579008a3, kernelEntry{backOff: 26, worst: 4, sig: sigR53[:], bind: bindR53, kind: blockRegion})
-	registerKernel(0xba77245544114799, kernelEntry{backOff: 29, worst: 4, sig: sigR53[:], bind: bindR53, kind: blockRegion})
-	registerKernel(0x348157e7ba1ddb58, kernelEntry{backOff: 32, worst: 6, sig: sigR53[:], bind: bindR53, kind: blockRegion})
-	registerKernel(0x7e303787ba45f443, kernelEntry{backOff: 37, worst: 12, sig: sigR53[:], bind: bindR53, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR54[:], bind: bindR54, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR54[:], bind: bindR54, kind: blockRegion})
-	registerKernel(0x5fc24d54410d6bf8, kernelEntry{backOff: 0, worst: 12, sig: sigR55[:], bind: bindR55, kind: blockRegion})
-	registerKernel(0x48175707e45abce4, kernelEntry{backOff: 11, worst: 8, sig: sigR55[:], bind: bindR55, kind: blockRegion})
-	registerKernel(0x53f9411a9e6bccc8, kernelEntry{backOff: 0, worst: 4, sig: sigR56[:], bind: bindR56, kind: blockRegion})
-	registerKernel(0x87238e094a64c9bb, kernelEntry{backOff: 3, worst: 11, sig: sigR56[:], bind: bindR56, kind: blockRegion})
-	registerKernel(0x0da542db3c790fc6, kernelEntry{backOff: 12, worst: 3, sig: sigR56[:], bind: bindR56, kind: blockRegion})
-	registerKernel(0xb3b5416e0dd9371e, kernelEntry{backOff: 14, worst: 4, sig: sigR56[:], bind: bindR56, kind: blockRegion})
-	registerKernel(0xc6c3a69f5a2c0bed, kernelEntry{backOff: 17, worst: 13, sig: sigR56[:], bind: bindR56, kind: blockRegion})
-	registerKernel(0x462bd14383497d54, kernelEntry{backOff: 26, worst: 5, sig: sigR56[:], bind: bindR56, kind: blockRegion})
-	registerKernel(0x6a2d596f2035dde2, kernelEntry{backOff: 28, worst: 7, sig: sigR56[:], bind: bindR56, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR57[:], bind: bindR57, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR57[:], bind: bindR57, kind: blockRegion})
-	registerKernel(0x5fc24d54410d6bf8, kernelEntry{backOff: 0, worst: 12, sig: sigR58[:], bind: bindR58, kind: blockRegion})
-	registerKernel(0x48175707e45abce4, kernelEntry{backOff: 11, worst: 8, sig: sigR58[:], bind: bindR58, kind: blockRegion})
-	registerKernel(0x53f9411a9e6bccc8, kernelEntry{backOff: 18, worst: 4, sig: sigR58[:], bind: bindR58, kind: blockRegion})
-	registerKernel(0x87238e094a64c9bb, kernelEntry{backOff: 21, worst: 11, sig: sigR58[:], bind: bindR58, kind: blockRegion})
-	registerKernel(0x0da542db3c790fc6, kernelEntry{backOff: 30, worst: 3, sig: sigR58[:], bind: bindR58, kind: blockRegion})
-	registerKernel(0xb3b5416e0dd9371e, kernelEntry{backOff: 0, worst: 4, sig: sigR59[:], bind: bindR59, kind: blockRegion})
-	registerKernel(0xc6c3a69f5a2c0bed, kernelEntry{backOff: 3, worst: 13, sig: sigR59[:], bind: bindR59, kind: blockRegion})
-	registerKernel(0x462bd14383497d54, kernelEntry{backOff: 12, worst: 5, sig: sigR59[:], bind: bindR59, kind: blockRegion})
-	registerKernel(0x6a2d596f2035dde2, kernelEntry{backOff: 14, worst: 7, sig: sigR59[:], bind: bindR59, kind: blockRegion})
-	registerKernel(0x3edd36bd53f3febf, kernelEntry{backOff: 0, worst: 8, sig: sigR60[:], bind: bindR60, kind: blockRegion})
-	registerKernel(0x739af6b219c7378e, kernelEntry{backOff: 8, worst: 6, sig: sigR60[:], bind: bindR60, kind: blockRegion})
-	registerKernel(0x06380640f83b2c77, kernelEntry{backOff: 0, worst: 3, sig: sigR61[:], bind: bindR61, kind: blockRegion})
-	registerKernel(0xd75f42450ce02264, kernelEntry{backOff: 0, worst: 4, sig: sigR62[:], bind: bindR62, kind: blockRegion})
-	registerKernel(0x874e2dc698b6e533, kernelEntry{backOff: 3, worst: 11, sig: sigR62[:], bind: bindR62, kind: blockRegion})
-	registerKernel(0x707a9b5566c6bdd1, kernelEntry{backOff: 12, worst: 3, sig: sigR62[:], bind: bindR62, kind: blockRegion})
-	registerKernel(0x045f5acbf12a2033, kernelEntry{backOff: 14, worst: 5, sig: sigR62[:], bind: bindR62, kind: blockRegion})
+budgetOut:
+	st.pc = bpc
+	st.cycles, st.instret = cycles, instret
+	return stBudget
+errOut:
+	return stErr
+okOut:
+	st.cycles, st.instret = cycles, instret
+	return stOK
 }

@@ -3,16 +3,17 @@ package sabre
 import "encoding/binary"
 
 // This file is the runtime tier of the compiled engine: the translation
-// between the ahead-of-time region kernels (kernels_gen.go) and the
-// generic per-block reference interpreter (runcompiled.go). Programs
-// assembled at runtime — mission profiles composed on the fly, test
-// programs, user code — have no generated kernel to bind, so every one
-// of their blocks is translated here. Coverage and speed are separate
-// matters. In coverage the tier is complete: it translates every block
-// the scanner produces, and the generic closure is only the defensive
-// rebind path. In speed it is not kernel-grade: on integer code it
-// runs near the default engine (EngineFast), several times slower than
-// a generated kernel (DESIGN.md §10, ROADMAP item 1).
+// between the generated whole-program kernels (kernels_gen.go) and the
+// generic per-block reference interpreter (runcompiled.go). Only two
+// bundled programs have a generated kernel; every other program — the
+// control program, the SoftFloat batch harnesses, mission profiles
+// composed on the fly, test programs, user code — has every one of its
+// blocks translated here. Coverage and speed are separate matters. In
+// coverage the tier is complete: it translates every block the scanner
+// produces, and the generic closure is only the defensive rebind path.
+// In speed it is not kernel-grade: on integer code it runs near the
+// default engine (EngineFast), several times slower than a generated
+// kernel (DESIGN.md §10, ROADMAP item 1).
 //
 // A block translates to a chain of closures with no central dispatch:
 //
@@ -122,8 +123,8 @@ func (a recAt) fault(c *CPU, st *cst, addr uint32, err error) int {
 	return st.fault(c, addr, a.pc, st.cycles+uint64(a.cyc), st.instret+uint64(a.ins), err)
 }
 
-// runtimeBlock translates a scanned block the kernel registry does not
-// recognise into a chain of closures.
+// runtimeBlock translates a scanned block that no generated kernel
+// covers into a chain of closures.
 func (c *CPU) runtimeBlock(bi *blockInfo) compiledBlock {
 	n, worst := bi.n, bi.worst
 	term := bi.term

@@ -8,11 +8,11 @@ import (
 	"boresight/internal/geom"
 )
 
-// alphaFilterMain is a runtime-assembled SoftFloat program that exists
-// nowhere in the generated kernel registry: a first-order alpha filter
-// with a magnitude and threshold channel, exercising add/sub/mul/sqrt
-// intrinsic calls plus the compare library. Its blocks must reach
-// compiled-tier dispatch through the runtime region generator alone.
+// alphaFilterMain is a runtime-assembled SoftFloat program that no
+// generated kernel covers: a first-order alpha filter with a magnitude
+// and threshold channel, exercising add/sub/mul/sqrt intrinsic calls
+// plus the compare library. Its blocks must reach compiled-tier
+// dispatch through the runtime region generator alone.
 const alphaFilterMain = `
 	li sp, 0xFF00
 	lw s0, 0(zero)          ; measurement count
@@ -114,8 +114,8 @@ func TestRuntimeRegionGenerator(t *testing.T) {
 	if st.IntrinsicCalls != want {
 		t.Errorf("intrinsic calls = %d, want %d", st.IntrinsicCalls, want)
 	}
-	t.Logf("dispatch coverage %d/%d (runtime %d, region %d, generic %d), %d intrinsic calls",
-		kernel, total, st.Dispatches[blockRuntime], st.Dispatches[blockRegion],
+	t.Logf("dispatch coverage %d/%d (runtime %d, kernel %d, generic %d), %d intrinsic calls",
+		kernel, total, st.Dispatches[blockRuntime], st.Dispatches[blockKernel],
 		st.Dispatches[blockGeneric], st.IntrinsicCalls)
 }
 
@@ -123,9 +123,9 @@ func TestRuntimeRegionGenerator(t *testing.T) {
 // engine under test: each iteration rewrites the inputs, resets the
 // core and runs it to HALT, as the root Sabre benchmarks do. The
 // warm-up run pays translation (or predecode); the measured steady
-// state must be allocation-free. engineRuntime swaps the kernel
-// registry out for the whole benchmark, so the bundled programs run on
-// the runtime tier as any unseen program does.
+// state must be allocation-free. engineRuntime empties the kernel list
+// for the whole benchmark, so the bundled programs run on the runtime
+// tier as any unseen program does.
 func benchmarkProgram(b *testing.B, e Engine, words []uint32, setup func(*CPU), budget uint64) {
 	eng, restore := withEngine(e)
 	defer restore()

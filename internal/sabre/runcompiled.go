@@ -6,21 +6,21 @@ import (
 
 // This file is the compiled execution engine: basic blocks are lazily
 // translated to Go closures (compile.go) and dispatched block-to-block
-// through a dense table indexed by pc. Translated regions execute whole
-// routines of the guest program as native straight-line Go — registers
-// addressed with constant indices, cycle/instret charged in per-block
-// constants, internal control flow lowered to gotos — so the per-record
-// dispatch cost the fast engine pays (one indirect switch jump per
-// fused record) is amortised to one indirect call per block, and within
-// known regions to one call per routine.
+// through a dense table indexed by pc, so the per-record dispatch cost
+// the fast engine pays (one indirect switch jump per fused record) is
+// amortised to one indirect call per block. The two bundled programs
+// with a generated kernel (kernels_gen.go) run whole as native
+// straight-line Go — registers addressed with constant indices,
+// cycle/instret charged in per-block constants, control flow lowered
+// to gotos — so a run of either is one dispatch.
 //
 // Architectural exactness follows the same discipline as runfast.go:
 //
 //   - Budget: before a block runs, the dispatcher proves the remaining
 //     budget strictly exceeds the block's worst-case cycle cost, which
 //     implies the reference engine would retire every instruction in it
-//     (each per-instruction limit pre-check passes). Region kernels
-//     repeat the same check at every internal block head. When a check
+//     (each per-instruction limit pre-check passes). Kernels repeat
+//     the same check at every leader and loop head. When a check
 //     trips, the counters are flushed at an instruction boundary and
 //     the endgame is handed to the reference single-step loop, whose
 //     per-instruction check is the semantics all engines must honour.
@@ -39,7 +39,7 @@ const (
 	stHalt           // HALT retired; st holds the final counters
 	stErr            // fault: CPU flushed at the fault point, st.err set
 	stBudget         // budget boundary inside a kernel; st exact at a block head
-	stNoEntry        // region entered at an unregistered offset (defensive)
+	stNoEntry        // kernel entered at a pc that is not a leader (defensive)
 )
 
 // cst is the compiled engine's dispatch state, threaded through every
@@ -113,16 +113,11 @@ func (s *CompiledStats) GenericDispatches() uint64 {
 }
 
 // Summary renders the one-line dispatch/intrinsic report the CLIs
-// append to their MIPS summary lines.
+// append to their MIPS summary lines, with dispatches into generated
+// kernels, runtime-tier blocks and generic blocks counted apart.
 func (s *CompiledStats) Summary() string {
-	kernel, generic := s.KernelDispatches(), s.GenericDispatches()
-	total := kernel + generic
-	pct := 0.0
-	if total > 0 {
-		pct = 100 * float64(kernel) / float64(total)
-	}
-	return fmt.Sprintf("%d intrinsic calls, %d/%d kernel dispatches (%.1f%% coverage)",
-		s.IntrinsicCalls, kernel, total, pct)
+	return fmt.Sprintf("%d intrinsic calls; dispatches: %d kernel, %d runtime, %d generic",
+		s.IntrinsicCalls, s.Dispatches[blockKernel], s.Dispatches[blockRuntime], s.Dispatches[blockGeneric])
 }
 
 // CollectCompiledStats attaches (or, with nil, detaches) a translation
@@ -139,15 +134,18 @@ func (c *CPU) resetBlocks() {
 	for i := range c.blocks {
 		c.blocks[i] = compiledBlock{}
 	}
-	// Locate the canonical SoftFloat blobs once per program so the
-	// runtime region generator can lower calls into them to intrinsic
-	// mirrors. Word-exact match; -1 when the program carries no blob.
-	// Cached across table rebuilds: the offsets depend only on program
-	// memory, which LoadProgram invalidates.
-	if !c.sfBlobsValid {
+	// Match program memory once per program: the canonical SoftFloat
+	// blobs, so the runtime region generator can lower calls into them
+	// to intrinsic mirrors (-1 when the program carries no blob), and
+	// the generated kernel, if the program is one of the two that have
+	// one. Both are raw-word matches, cached across table rebuilds:
+	// they depend only on program memory, which LoadProgram
+	// invalidates.
+	if !c.progMatched {
 		c.sfArith = findBlob(c.Prog, sfOff.arith)
 		c.sfCmp = findBlob(c.Prog, sfOff.cmp)
-		c.sfBlobsValid = true
+		c.kernel = matchKernel(c.Prog)
+		c.progMatched = true
 	}
 	c.blocksValid = true
 }
@@ -223,22 +221,22 @@ func (c *CPU) RunCompiled(maxCycles uint64) (uint64, error) {
 			c.flush(st.pc, st.cycles, st.instret)
 			return c.runTail(start, maxCycles)
 		case stNoEntry:
-			// A region kernel bound at this pc no longer recognises the
-			// entry offset (unreachable by construction; defensive):
-			// rebind the slot generically and re-dispatch.
+			// A kernel bound at this pc does not recognise it as a
+			// leader (unreachable by construction: the leader table and
+			// the kernel's entry switch come from one leader set;
+			// defensive): rebind the slot generically and re-dispatch.
 			bi := scanBlockWords(c.Prog, pc)
 			*b = c.genericBlock(&bi)
 		}
 	}
 }
 
-// genericBlock translates a block the kernel registry does not
-// recognise: the block's instructions are stepped one at a time on the
-// reference interpreter. The dispatcher has already proven the budget
-// covers the whole block, so no per-instruction limit check is needed,
-// and every reference semantic — MMIO ordering, fault state, byte
-// accesses — holds by construction. Unrecognised blocks are the cold
-// tail of real programs; the hot paths bind region kernels instead.
+// genericBlock translates a block by stepping its instructions one at a
+// time on the reference interpreter. The dispatcher has already proven
+// the budget covers the whole block, so no per-instruction limit check
+// is needed, and every reference semantic — MMIO ordering, fault
+// state, byte accesses — holds by construction. It is the defensive
+// rebind path only; kernels and the runtime tier cover every block.
 func (c *CPU) genericBlock(bi *blockInfo) compiledBlock {
 	steps := int(bi.n)
 	if bi.termOp != termNone {
