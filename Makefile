@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover fuzz bench bench-json sabre-bench vidpipe-smoke fleet-smoke experiments demo clean
+.PHONY: all build vet fma-check test race cover fuzz bench bench-json sabre-bench vidpipe-smoke fleet-smoke experiments demo clean
 
 # Statement-coverage floor for the estimation-critical packages (the
 # fusion core, the fault supervisor, the Kalman engine). All three sit
@@ -23,6 +23,22 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Packages whose results must not depend on the CPU architecture. Go
+# may fuse x*y + z into one multiply-add, which rounds once, on arm64
+# (and ppc64le, s390x, riscv64) but never on amd64, so a fused op makes
+# replay and the amd64-pinned goldens architecture-dependent. An
+# explicit float64(x*y) conversion rounds and so prevents the fusion.
+# The check builds these packages for arm64 and fails on any fused
+# multiply-add in the assembly listing; ROADMAP item 8 widens the list
+# to the other numerics packages.
+FMA_PKGS := ./internal/kalman/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
+
+fma-check:
+	GOARCH=arm64 $(GO) build $(FMA_PKGS)
+	@fused=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1 | grep -E '\sF(N)?M(ADD|SUB)[DS]\s'); \
+	if [ -n "$$fused" ]; then echo "fused multiply-adds in the arm64 build:"; echo "$$fused"; exit 1; fi; \
+	echo "fma-check: no fused multiply-adds in $(FMA_PKGS)"
 
 test:
 	$(GO) test ./...

@@ -279,9 +279,9 @@ type Estimator struct {
 	// StepFull is rewritten on every step (the optional blocks are fixed
 	// at construction), so reuse is safe and the hot loop never touches
 	// the heap — see TestEstimatorStepAllocFree.
-	qd   *mat.Mat // process-noise diagonal (n×n; off-diagonals stay zero)
-	jacH *mat.Mat // measurement Jacobian (2×n)
-	rMat *mat.Mat // measurement noise (2×2 diagonal)
+	qd   []float64 // process-noise diagonal
+	jacH *mat.Mat  // measurement Jacobian (2×n)
+	rMat *mat.Mat  // measurement noise (2×2 diagonal)
 	zbuf []float64
 	hbuf []float64
 	xbuf []float64
@@ -415,7 +415,7 @@ func (e *Estimator) applyLayout(l layout) {
 	e.ibx, e.iby, e.isx, e.isy = l.ibx, l.iby, l.isx, l.isy
 	e.ilv, e.iib, e.iis = l.ilv, l.iib, l.iis
 	e.n = l.n
-	e.qd = mat.New(l.n, l.n)
+	e.qd = make([]float64, l.n)
 	e.jacH = mat.New(2, l.n)
 	e.xbuf = make([]float64, l.n)
 }
@@ -485,7 +485,7 @@ func (e *Estimator) Reset(cfg Config) error {
 		// owns, so entries a previous layout wrote must not survive.
 		e.ibx, e.iby, e.isx, e.isy = l.ibx, l.iby, l.isx, l.isy
 		e.ilv, e.iib, e.iis = l.ilv, l.iib, l.iis
-		e.qd.Zero()
+		clear(e.qd)
 		e.jacH.Zero()
 	}
 	e.kf.Reset()
@@ -598,35 +598,35 @@ func (e *Estimator) StepDegraded(dt float64, fBody, omega geom.Vec3, accX, accY 
 // predict advances the random-walk process model by dt.
 func (e *Estimator) predict(dt float64) {
 	qa := e.cfg.AngleWalk * e.cfg.AngleWalk * dt
-	e.qd.Set(ixA0, ixA0, qa)
-	e.qd.Set(ixA1, ixA1, qa)
-	e.qd.Set(ixA2, ixA2, qa)
+	e.qd[ixA0] = qa
+	e.qd[ixA1] = qa
+	e.qd[ixA2] = qa
 	if e.ibx >= 0 {
 		qb := e.cfg.BiasWalk * e.cfg.BiasWalk * dt
-		e.qd.Set(e.ibx, e.ibx, qb)
-		e.qd.Set(e.iby, e.iby, qb)
+		e.qd[e.ibx] = qb
+		e.qd[e.iby] = qb
 	}
 	if e.isx >= 0 {
 		qs := e.cfg.ScaleWalk * e.cfg.ScaleWalk * dt
-		e.qd.Set(e.isx, e.isx, qs)
-		e.qd.Set(e.isy, e.isy, qs)
+		e.qd[e.isx] = qs
+		e.qd[e.isy] = qs
 	}
 	if e.ilv >= 0 {
 		ql := e.cfg.LeverWalk * e.cfg.LeverWalk * dt
 		for k := 0; k < 3; k++ {
-			e.qd.Set(e.ilv+k, e.ilv+k, ql)
+			e.qd[e.ilv+k] = ql
 		}
 	}
 	if e.iib >= 0 {
 		qib := e.cfg.IMUBiasWalk * e.cfg.IMUBiasWalk * dt
 		for k := 0; k < 3; k++ {
-			e.qd.Set(e.iib+k, e.iib+k, qib)
+			e.qd[e.iib+k] = qib
 		}
 	}
 	if e.iis >= 0 {
 		qis := e.cfg.IMUScaleWalk * e.cfg.IMUScaleWalk * dt
 		for k := 0; k < 3; k++ {
-			e.qd.Set(e.iis+k, e.iis+k, qis)
+			e.qd[e.iis+k] = qis
 		}
 	}
 	e.kf.PredictAdditive(e.qd)
@@ -757,14 +757,15 @@ func (e *Estimator) stepMeas(dt float64, fBody, omega geom.Vec3, accX, accY, inf
 	// unbroken run of rejections means the filter itself is wrong (gate
 	// lockout, e.g. after covariance over-collapse), so the gate breaks
 	// through and accepts a measurement to let the filter re-converge —
-	// isolated outliers can essentially never produce such a run.
+	// isolated outliers can essentially never produce such a run. The
+	// one innovation serves the gate and, through Commit, the update.
+	inn, err := e.kf.InnovationOnly(z, h, H, R)
+	if err != nil {
+		return inn, err
+	}
 	if e.cfg.GateSigma > 0 || e.cfg.Chi2Gate > 0 {
-		pre, err := e.kf.InnovationOnly(z, h, H, R)
-		if err != nil {
-			return pre, err
-		}
-		reject := (e.cfg.GateSigma > 0 && pre.Mahalanobis > e.cfg.GateSigma) ||
-			(e.cfg.Chi2Gate > 0 && pre.Chi2() > e.cfg.Chi2Gate)
+		reject := (e.cfg.GateSigma > 0 && inn.Mahalanobis > e.cfg.GateSigma) ||
+			(e.cfg.Chi2Gate > 0 && inn.Chi2() > e.cfg.Chi2Gate)
 		if reject && e.gateRun < gateBreakthrough {
 			e.gated++
 			e.gateRun++
@@ -772,15 +773,11 @@ func (e *Estimator) stepMeas(dt float64, fBody, omega geom.Vec3, accX, accY, inf
 			// A gated measurement is by construction a 3σ exceedance;
 			// a sustained run of them is the bump signature.
 			e.noteBump(true)
-			return pre, nil
+			return inn, nil
 		}
 		e.gateRun = 0
 	}
-
-	inn, err := e.kf.Update(z, h, H, R)
-	if err != nil {
-		return inn, err
-	}
+	e.kf.Commit()
 
 	// Fold the small-angle correction into the attitude and zero it in
 	// the error state, keeping the linearisation point current.

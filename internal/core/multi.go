@@ -41,7 +41,7 @@ type MultiEstimator struct {
 	// every epoch. Dropout epochs change the stacked dimension, so they
 	// fall back to allocating right-sized matrices — rare by
 	// construction, and correctness never depends on the fast path.
-	qd    *mat.Mat
+	qd    []float64 // process-noise diagonal
 	xbuf  []float64
 	zbuf  []float64
 	hbuf  []float64
@@ -109,7 +109,7 @@ func NewMulti(n int, cfg Config) *MultiEstimator {
 		}
 	}
 	m.kf.SetP(mat.Diag(diag...))
-	m.qd = mat.New(n*per, n*per)
+	m.qd = make([]float64, n*per)
 	m.xbuf = make([]float64, n*per)
 	m.zbuf = make([]float64, 0, 2*n)
 	m.hbuf = make([]float64, 0, 2*n)
@@ -150,20 +150,20 @@ func (m *MultiEstimator) Step(dt float64, fBody geom.Vec3, readings []Reading) e
 	for s := range m.sensors {
 		base := m.sensors[s].base
 		qa := m.cfg.AngleWalk * m.cfg.AngleWalk * dt
-		m.qd.Set(base, base, qa)
-		m.qd.Set(base+1, base+1, qa)
-		m.qd.Set(base+2, base+2, qa)
+		m.qd[base] = qa
+		m.qd[base+1] = qa
+		m.qd[base+2] = qa
 		idx := base + 3
 		if m.cfg.EstimateBias {
 			qb := m.cfg.BiasWalk * m.cfg.BiasWalk * dt
-			m.qd.Set(idx, idx, qb)
-			m.qd.Set(idx+1, idx+1, qb)
+			m.qd[idx] = qb
+			m.qd[idx+1] = qb
 			idx += 2
 		}
 		if m.cfg.EstimateScale {
 			qs := m.cfg.ScaleWalk * m.cfg.ScaleWalk * dt
-			m.qd.Set(idx, idx, qs)
-			m.qd.Set(idx+1, idx+1, qs)
+			m.qd[idx] = qs
+			m.qd[idx+1] = qs
 		}
 	}
 	m.kf.PredictAdditive(m.qd)

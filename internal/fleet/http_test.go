@@ -40,7 +40,7 @@ func TestGoldenHTTP(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch failed: %d %s", rec.Code, rec.Body.String())
 	}
-	golden := `{"results":[{"status":"ok","error_deg":[0.14032128189946227,0.26960349172398335,0.008641635675319802],"three_sigma_deg":[0.30780907116431655,0.3371409578289111,0.05260244904428347],"within_confidence":true,"steps":500,"final_meas_noise":0.01,"mean_nis":1.5154856511873676,"exceedance_rate":0},{"status":"error","error":"fleet: duration -5 outside (0, 600] s","error_deg":[0,0,0],"three_sigma_deg":[0,0,0],"within_confidence":false,"steps":0,"final_meas_noise":0,"mean_nis":0,"exceedance_rate":0}],"admitted":2,"shed":0}` + "\n"
+	golden := `{"results":[{"status":"ok","error_deg":[0.14032128189906548,0.26960349172304354,0.008641635675355584],"three_sigma_deg":[0.30780907116362427,0.3371409578281094,0.05260244904427784],"within_confidence":true,"steps":500,"final_meas_noise":0.01,"mean_nis":1.5154856511872288,"exceedance_rate":0},{"status":"error","error":"fleet: duration -5 outside (0, 600] s","error_deg":[0,0,0],"three_sigma_deg":[0,0,0],"within_confidence":false,"steps":0,"final_meas_noise":0,"mean_nis":0,"exceedance_rate":0}],"admitted":2,"shed":0}` + "\n"
 	if rec.Body.String() != golden {
 		t.Errorf("JSON schema or result bytes changed:\n got %swant %s", rec.Body.String(), golden)
 	}

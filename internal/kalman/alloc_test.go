@@ -7,8 +7,9 @@ import (
 )
 
 // TestKalmanStepsAllocFree pins the package's zero-allocation contract:
-// after the first update sizes the scratch workspace, Predict,
-// PredictAdditive, Update and InnovationOnly must not touch the heap.
+// after the first update sizes the scratch workspace, PredictAdditive,
+// Update, InnovationOnly and InnovationOnly followed by Commit must not
+// touch the heap.
 // The benchmark-regression harness keeps this honest over time; this
 // test makes a violation a plain test failure.
 func TestKalmanStepsAllocFree(t *testing.T) {
@@ -20,8 +21,10 @@ func TestKalmanStepsAllocFree(t *testing.T) {
 	}
 	f.SetP(mat.Diag(diag...))
 
-	F := mat.Identity(n)
-	Q := mat.Identity(n).Scale(1e-6)
+	Q := make([]float64, n)
+	for i := range Q {
+		Q[i] = 1e-6
+	}
 	H := mat.New(m, n)
 	H.Set(0, 1, -9.5)
 	H.Set(0, 2, 0.3)
@@ -44,7 +47,6 @@ func TestKalmanStepsAllocFree(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Predict", func() { f.Predict(F, Q) }},
 		{"PredictAdditive", func() { f.PredictAdditive(Q) }},
 		{"Update", func() {
 			if _, err := f.Update(z, h, H, R); err != nil {
@@ -55,6 +57,12 @@ func TestKalmanStepsAllocFree(t *testing.T) {
 			if _, err := f.InnovationOnly(z, h, H, R); err != nil {
 				panic(err)
 			}
+		}},
+		{"InnovationOnly+Commit", func() {
+			if _, err := f.InnovationOnly(z, h, H, R); err != nil {
+				panic(err)
+			}
+			f.Commit()
 		}},
 		{"StateInto+PInto", func() { f.StateInto(xbuf); f.PInto(pbuf) }},
 	}

@@ -117,7 +117,7 @@ func TestNEESConsistentFilterIsChiSquare(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	H := mat.FromRows([]float64{1, 0}, []float64{0, 1})
 	R := mat.Diag(0.04, 0.04)
-	Q := mat.Diag(1e-6, 1e-6)
+	Q := []float64{1e-6, 1e-6}
 	sum := 0.0
 	for r := 0; r < runs; r++ {
 		truth := []float64{rng.NormFloat64(), rng.NormFloat64()}
