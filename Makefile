@@ -63,10 +63,10 @@ cover:
 		END { if (bad != "") { print "coverage below " floor "%:" bad; exit 1 } }'
 
 # Short fuzz passes: the ADXL202 duty-cycle codec round-trip, the
-# three-way Sabre engine parity oracle (a full minute: it differences
-# the reference, fast and compiled engines; minimising an interesting
-# input is capped at 2 s, since the default 60 s of minimisation would
-# leave no time to fuzz), the softfloat intrinsic
+# Sabre engine parity oracle (a full minute: it differences the
+# reference and fast engines; minimising an interesting input is
+# capped at 2 s, since the default 60 s of minimisation would leave no
+# time to fuzz), the softfloat intrinsic
 # mirrors (result bits AND cycle/instret deltas vs the emulated
 # routines), the two link-layer packet parsers (the surfaces a faulted
 # wire feeds arbitrary bytes into), and the adaptive measurement-noise
@@ -107,16 +107,16 @@ bench-json:
 	$(GO) test -run '^$$' -bench BenchmarkTickPipeline -benchmem -count 3 ./internal/hcsim/ >> bench/raw.txt
 	$(GO) run ./cmd/benchreport -emit bench -in bench/raw.txt
 
-# Sabre engine comparison only: the three execution engines on the
+# Sabre engine comparison only: the reference and fast engines on the
 # softfloat Kalman and fixed-point boresight workloads (ns/emulated
-# instr, allocation contract), the compiled engine's runtime tier alone
-# on the same two workloads and on an integer loop no generated kernel
-# covers (with the default engine on that loop for reference), plus the
-# one-time translation and predecode costs. Quick iteration loop for
+# instr, allocation contract), the fast engine with its generated
+# kernels bypassed on the same two workloads (and with the SoftFloat
+# mirrors bypassed too on Kalman), an integer loop no generated kernel
+# covers, plus the one-time predecode cost. Quick iteration loop for
 # interpreter work; the full archive/regression pass is bench-json.
 sabre-bench:
 	$(GO) test -run '^$$' -bench 'SabreSoftFloatKalman|SabreFxBoresight' -benchmem -bench-dur 10 .
-	$(GO) test -run '^$$' -bench 'SabreRuntime|SabreIntLoop|Compile|Predecode' -benchmem ./internal/sabre/
+	$(GO) test -run '^$$' -bench 'SabreKalman|SabreFxBoresightNoKernels|SabreIntLoop|Predecode' -benchmem ./internal/sabre/
 
 # End-to-end video-path smoke run: render, distort, correct on the
 # clocked pipeline, and checksum the corrected frame against the

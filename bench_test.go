@@ -416,18 +416,10 @@ func benchmarkSabreKalman(b *testing.B, eng sabre.Engine) {
 func BenchmarkSabreSoftFloatKalmanRef(b *testing.B) { benchmarkSabreKalman(b, sabre.EngineRef) }
 
 // BenchmarkSabreSoftFloatKalmanFast runs the same workload on the
-// predecoded, superinstruction-fused engine. The cycle counts logged
-// by both benchmarks must be identical; only ns/op may differ.
+// fast engine, where the Kalman program's generated kernel binds. The
+// cycle counts logged by both benchmarks must be identical; only ns/op
+// may differ.
 func BenchmarkSabreSoftFloatKalmanFast(b *testing.B) { benchmarkSabreKalman(b, sabre.EngineFast) }
-
-// BenchmarkSabreSoftFloatKalmanCompiled runs the workload on the
-// basic-block translation engine (the Kalman program's generated
-// kernel).
-// The warm-up run pays the one-time lazy translation; the measured
-// steady state must be allocation-free.
-func BenchmarkSabreSoftFloatKalmanCompiled(b *testing.B) {
-	benchmarkSabreKalman(b, sabre.EngineCompiled)
-}
 
 // benchmarkSabreFxBoresight runs the integer-only S8.24 boresight
 // fusion filter program on a reusable core with the given engine.
@@ -472,11 +464,5 @@ func benchmarkSabreFxBoresight(b *testing.B, eng sabre.Engine) {
 func BenchmarkSabreFxBoresightRef(b *testing.B) { benchmarkSabreFxBoresight(b, sabre.EngineRef) }
 
 // BenchmarkSabreFxBoresightFast runs the fixed-point fusion filter on
-// the predecoded+fused engine.
+// the fast engine, where its generated kernel binds.
 func BenchmarkSabreFxBoresightFast(b *testing.B) { benchmarkSabreFxBoresight(b, sabre.EngineFast) }
-
-// BenchmarkSabreFxBoresightCompiled runs the fixed-point fusion filter
-// on the basic-block translation engine.
-func BenchmarkSabreFxBoresightCompiled(b *testing.B) {
-	benchmarkSabreFxBoresight(b, sabre.EngineCompiled)
-}

@@ -23,7 +23,6 @@ import (
 	"boresight/internal/fxcore"
 	"boresight/internal/geom"
 	"boresight/internal/sabre"
-	"boresight/internal/softfloat"
 	"boresight/internal/traj"
 )
 
@@ -63,13 +62,13 @@ func usage() {
 // engineFlag registers the common -engine flag; parse the FlagSet, then
 // call the returned function for the selected engine.
 func engineFlag(fs *flag.FlagSet) func() (sabre.Engine, error) {
-	name := fs.String("engine", "fast", "execution engine: ref (decode per step), fast (predecoded+fused) or compiled (block translation)")
+	name := fs.String("engine", "fast", "execution engine: ref (decode per step) or fast (predecoded+fused, with SoftFloat mirrors and generated kernels)")
 	return func() (sabre.Engine, error) { return sabre.ParseEngine(*name) }
 }
 
-// compiledSuffix formats the compiled engine's intrinsic-call count
-// and its kernel, runtime and generic dispatch counts for the MIPS
-// summary line ("" for the other engines).
+// compiledSuffix formats the fast engine's intrinsic-call count and
+// its kernel and interpreted dispatch counts for the MIPS summary line
+// ("" for the reference engine).
 func compiledSuffix(s *sabre.CompiledStats) string {
 	if s == nil {
 		return ""
@@ -156,7 +155,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	var cs *sabre.CompiledStats
-	if eng == sabre.EngineCompiled {
+	if eng != sabre.EngineRef {
 		cs = &sabre.CompiledStats{}
 		c.CollectCompiledStats(cs)
 	}
@@ -199,8 +198,8 @@ func cmdSoftfloat(args []string) error {
 		pairs[i] = [2]uint32{0x3FC00000 + uint32(i)<<8, 0x40200000 - uint32(i)<<7}
 	}
 	fmt.Println("SoftFloat on the Sabre core (no FPU): cycles per operation")
-	fmt.Println("(measured includes the batch driver loop; model is the registered")
-	fmt.Println(" cost hook's call..return cost, averaged over the same operands)")
+	fmt.Println("(measured includes the batch driver loop; model is the native")
+	fmt.Println(" mirror's call..return cost, averaged over the same operands)")
 	for _, routine := range []string{
 		"f32_add", "f32_sub", "f32_mul", "f32_div", "f32_sqrt",
 		"f32_from_i32", "f32_to_i32", "f32_cmp_lt",
@@ -214,12 +213,12 @@ func cmdSoftfloat(args []string) error {
 	return nil
 }
 
-// costModelCol averages the softfloat cost hook over the batch
-// operands; empty when no model is registered for the routine.
+// costModelCol averages the routine's mirrored cost over the batch
+// operands; empty when the routine has no mirror.
 func costModelCol(routine string, pairs [][2]uint32) string {
 	var sum uint64
 	for _, p := range pairs {
-		_, cyc, _, ok := softfloat.Cost(routine, p[0], p[1])
+		_, cyc, _, ok := sabre.RoutineCost(routine, p[0], p[1])
 		if !ok {
 			return ""
 		}

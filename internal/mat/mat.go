@@ -106,10 +106,21 @@ func (m *Mat) Add(i, j int, v float64) {
 	m.data[i*m.cols+j] += v
 }
 
+// check panics unless (i, j) is inside the matrix. One unsigned
+// compare per index covers both bounds, and the message is formatted
+// only when the panic is printed, so check inlines into At, Set and
+// Add.
 func (m *Mat) check(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d", i, j, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
 	}
+}
+
+// indexError is the panic value of an out-of-range element access.
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d", e.i, e.j, e.rows, e.cols)
 }
 
 // Zero sets every element to zero in place, keeping the backing

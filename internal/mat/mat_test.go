@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,8 +101,13 @@ func TestAtOutOfRangePanics(t *testing.T) {
 	for _, idx := range [][2]int{{-1, 0}, {0, -1}, {2, 0}, {0, 2}} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("At(%d,%d) did not panic", idx[0], idx[1])
+				err, ok := recover().(error)
+				if !ok {
+					t.Fatalf("At(%d,%d) did not panic with an error", idx[0], idx[1])
+				}
+				want := fmt.Sprintf("mat: index (%d,%d) out of range for 2x2", idx[0], idx[1])
+				if err.Error() != want {
+					t.Fatalf("At(%d,%d) panicked with %q, want %q", idx[0], idx[1], err, want)
 				}
 			}()
 			m.At(idx[0], idx[1])

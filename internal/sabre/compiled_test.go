@@ -2,32 +2,29 @@ package sabre
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// Tests specific to the compiled (basic-block translation) engine that
-// go beyond the three-way parity suite: translation coverage shape,
-// kernel matching and traffic, table invalidation on program reuse,
-// and block splitting at branch targets. Parity itself lives in
-// engine_parity_test.go.
+// Tests of the fast engine's two shortcuts beyond the parity suite:
+// kernel binding and its traffic, intrinsic lowering, the dispatch
+// statistics, cache invalidation on program reuse, and fused records at
+// branch targets. Parity itself lives in engine_parity_test.go.
 
-var blockKindNames = [numBlockKinds]string{
-	blockGeneric: "generic",
-	blockKernel:  "kernel",
-	blockRuntime: "runtime",
+var dispKindNames = [numDispKinds]string{
+	dispKernel: "kernel",
+	dispInterp: "interpreted",
 }
 
-// runCompiledKalman executes one full Kalman program run (40 updates)
-// on a compiled-engine CPU with stats attached and returns the
-// collector.
-func runCompiledKalman(t testing.TB) *CompiledStats {
+// runKalmanStats executes one full Kalman program run (40 updates) on
+// the zero Engine with statistics attached and returns the collector.
+func runKalmanStats(t testing.TB) *CompiledStats {
 	t.Helper()
 	prog, err := KalmanProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := New()
-	c.Engine = EngineCompiled
 	if err := c.LoadProgram(prog.Words); err != nil {
 		t.Fatal(err)
 	}
@@ -50,42 +47,34 @@ func runCompiledKalman(t testing.TB) *CompiledStats {
 	return &st
 }
 
-// TestCompiledCoverageReport is the compiled engine's analogue of
-// TestFusionCoverageReport: it runs the Kalman program with translation
-// statistics attached and reports how the retired instructions split
-// between the generated kernel, runtime blocks and generic
-// (reference-stepped) blocks. The Kalman program has a whole-program
-// kernel, so the shape is pinned hard: every retired instruction
-// executes inside it, and the entire run is a single dispatch.
+// TestCompiledCoverageReport is the fast engine's analogue of
+// TestFusionCoverageReport: it runs the Kalman program on the zero
+// Engine with statistics attached and reports how the retired
+// instructions split between the generated kernel and the
+// interpreter. The Kalman program has a whole-program kernel, so the
+// shape is pinned hard: every retired instruction executes inside it,
+// and the entire run is a single dispatch.
 func TestCompiledCoverageReport(t *testing.T) {
-	st := runCompiledKalman(t)
+	st := runKalmanStats(t)
 	total := st.Retired()
-	var dispatches uint64
-	for k := 0; k < numBlockKinds; k++ {
-		dispatches += st.Dispatches[k]
-		fmt.Printf("%8s: %6d dispatches, %9d instructions (%.1f%%)\n",
-			blockKindNames[k], st.Dispatches[k], st.Instret[k],
+	for k := 0; k < numDispKinds; k++ {
+		fmt.Printf("%11s: %6d dispatches, %9d instructions (%.1f%%)\n",
+			dispKindNames[k], st.Dispatches[k], st.Instret[k],
 			100*float64(st.Instret[k])/float64(total))
 	}
-	fmt.Printf("%8s: %6d dispatches, %9d instructions (%.0f instr/dispatch)\n",
-		"total", dispatches, total, float64(total)/float64(dispatches))
-	if st.Instret[blockKernel] != total {
+	if st.Instret[dispKernel] != total {
 		t.Errorf("the kernel retired %d of %d instructions; the Kalman program must be fully covered",
-			st.Instret[blockKernel], total)
+			st.Instret[dispKernel], total)
 	}
-	if st.Dispatches[blockKernel] != 1 {
-		t.Errorf("Kalman run took %d kernel dispatches, want 1 (whole-program kernel)",
-			st.Dispatches[blockKernel])
-	}
-	if st.Dispatches[blockGeneric] != 0 || st.Instret[blockGeneric] != 0 {
-		t.Errorf("generic blocks ran (%d dispatches, %d instructions); Kalman must bind its kernel",
-			st.Dispatches[blockGeneric], st.Instret[blockGeneric])
+	if st.Dispatches[dispKernel] != 1 || st.Dispatches[dispInterp] != 0 {
+		t.Errorf("Kalman run took %d kernel and %d interpreted dispatches, want 1 and 0 (whole-program kernel)",
+			st.Dispatches[dispKernel], st.Dispatches[dispInterp])
 	}
 }
 
 // invalidationProgA/B share their first two words, then diverge: if any
-// decoded record or compiled block survived a LoadProgram, the reused
-// CPU would execute A's translation over B's program text.
+// decoded record survived a LoadProgram, the reused CPU would execute
+// A's records over B's program text.
 const invalidationProgA = `
 	addi t0, zero, 0
 	addi t1, zero, 24
@@ -107,12 +96,11 @@ loop:
 `
 
 // TestLoadProgramInvalidatesTranslations is the regression test for the
-// reuse contract in LoadProgram: the decoded record array, the
-// compiled-block table and the program-memory matches (SoftFloat blobs,
-// generated kernel) describe the outgoing program and must be
-// invalidated together, atomically, by the same LoadProgram call. The
-// test runs a first program to HALT on one compiled-engine CPU (so
-// every cache is hot), loads program B over it, and requires the
+// reuse contract in LoadProgram: the decoded record array, its lowered
+// SoftFloat calls and the kernel match describe the outgoing program
+// and must be invalidated together, atomically, by the same
+// LoadProgram call. The test runs a first program to HALT on one CPU
+// (so every cache is hot), loads program B over it, and requires the
 // outcome to match a fresh CPU on every engine. A first program of A
 // shares B's first two words; a first program of Kalman binds its
 // kernel, which a surviving kernel match would bind again at B's entry.
@@ -136,7 +124,6 @@ func TestLoadProgramInvalidatesTranslations(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New()
-			c.Engine = EngineCompiled
 			if err := c.LoadProgram(tc.first); err != nil {
 				t.Fatal(err)
 			}
@@ -148,22 +135,20 @@ func TestLoadProgramInvalidatesTranslations(t *testing.T) {
 			if _, err := c.Run(1_000_000); err != nil {
 				t.Fatal(err)
 			}
-			if !c.Halted || c.R[1] != tc.a0 || first.Dispatches[blockKernel] != tc.kernels {
+			if !c.Halted || c.R[1] != tc.a0 || first.Dispatches[dispKernel] != tc.kernels {
 				t.Fatalf("first program: halted=%v a0=%#x, %d kernel dispatches; want a0=%#x, %d",
-					c.Halted, c.R[1], first.Dispatches[blockKernel], tc.a0, tc.kernels)
+					c.Halted, c.R[1], first.Dispatches[dispKernel], tc.a0, tc.kernels)
 			}
 
 			// Reload over the hot caches. All must go stale in the same
-			// motion: a surviving compiled block would replay the first
-			// program's code, a surviving decoded record would misread
-			// B's words, and a surviving kernel match would bind the
-			// first program's kernel.
+			// motion: a surviving decoded record would misread B's
+			// words, and a surviving kernel match would bind the first
+			// program's kernel.
 			if err := c.LoadProgram(progB.Words); err != nil {
 				t.Fatal(err)
 			}
-			if c.blocksValid || c.decValid || c.progMatched {
-				t.Fatalf("LoadProgram left caches valid: blocksValid=%v decValid=%v progMatched=%v",
-					c.blocksValid, c.decValid, c.progMatched)
+			if c.decValid {
+				t.Fatal("LoadProgram left the decoded program valid")
 			}
 			var st CompiledStats
 			c.CollectCompiledStats(&st)
@@ -175,8 +160,8 @@ func TestLoadProgramInvalidatesTranslations(t *testing.T) {
 				t.Fatalf("program B on reused CPU: halted=%v a0=%d, want a0=%d",
 					c.Halted, c.R[1], 24+200)
 			}
-			if st.Dispatches[blockKernel] != 0 {
-				t.Fatalf("program B bound a kernel on the reused CPU (%d dispatches)", st.Dispatches[blockKernel])
+			if st.Dispatches[dispKernel] != 0 {
+				t.Fatalf("program B bound a kernel on the reused CPU (%d dispatches)", st.Dispatches[dispKernel])
 			}
 
 			// Full-outcome cross-check against fresh CPUs on every engine.
@@ -206,10 +191,8 @@ func TestLoadProgramInvalidatesTranslations(t *testing.T) {
 }
 
 // branchSplitProg loops back into the middle of the straight-line run
-// that opens the program: the block entered at pc 0 spans the two init
-// instructions, the loop body and the terminating branch, and the
-// backward branch targets word 2 — inside that block, and (on the fast
-// engine) into the middle of a fusable addi+addi pair.
+// that opens the program: the backward branch targets word 2, into the
+// middle of the fusable addi+addi pair at word 1.
 const branchSplitProg = `
 	addi t0, zero, 0
 	addi t1, zero, 10
@@ -220,21 +203,20 @@ loop:
 	halt
 `
 
-// TestCompiledBranchSplitsBlock pins the block-split rule: a branch
-// into the middle of a block (or of a fused superinstruction) must
-// begin a fresh translation at the target, never resume the enclosing
-// block mid-way. Structurally, the translation table must hold two
-// distinct entries — one at pc 0 covering the fall-through prefix, one
-// at the loop head — and behaviourally the program must stay in
-// three-way parity at every cycle budget, including budgets expiring
-// inside the split pair.
+// TestCompiledBranchSplitsBlock pins the split rule at branch targets:
+// a branch into the middle of a fused superinstruction must begin at a
+// record describing execution from the target word, never resume the
+// enclosing record mid-way. Structurally, the records at the program
+// entry, at word 1 and at the loop head must each describe the pair
+// that starts at their own word; behaviourally the program must stay
+// in parity at every cycle budget, including budgets expiring inside
+// the split pair.
 func TestCompiledBranchSplitsBlock(t *testing.T) {
 	prog := MustAssemble(branchSplitProg)
 	const loopPC = 2
 
-	// Structural half: run on the compiled engine and inspect the table.
+	// Structural half: the fused decode array the run executes.
 	c := New()
-	c.Engine = EngineCompiled
 	if err := c.LoadProgram(prog.Words); err != nil {
 		t.Fatal(err)
 	}
@@ -244,26 +226,18 @@ func TestCompiledBranchSplitsBlock(t *testing.T) {
 	if !c.Halted {
 		t.Fatal("branch-split program did not halt")
 	}
-	if c.blocks[0].fn == nil {
-		t.Error("no translation at pc 0 (program entry)")
-	}
-	if c.blocks[loopPC].fn == nil {
-		t.Errorf("no translation at pc %d: branch into the middle of the entry block must split it", loopPC)
-	}
-
-	// The scanner itself must give the split for free: scanning from the
-	// loop head yields a block that starts there, not a suffix view of
-	// the entry block's records.
-	head := scanBlockWords(prog.Words, 0)
-	mid := scanBlockWords(prog.Words, loopPC)
-	if head.n != 4 || mid.n != 2 {
-		t.Errorf("block bodies: entry %d records, loop head %d; want 4 and 2", head.n, mid.n)
-	}
-	if mid.termOp != uint8(OpBNE) {
-		t.Errorf("loop-head block terminator op %d, want BNE", mid.termOp)
+	for pc := uint32(0); pc <= loopPC; pc++ {
+		var first, second decoded
+		predecodeWordInto(prog.Words[pc], pc, &first)
+		predecodeWordInto(prog.Words[pc+1], pc+1, &second)
+		d := &c.dec[pc]
+		if d.op != xopADDIADDI || d.rd != first.rd || d.imm != first.imm || d.rd2 != second.rd || d.imm2 != second.imm {
+			t.Errorf("record at pc %d: op %d rd %d imm %d / rd %d imm %d; want the addi pair starting there",
+				pc, d.op, d.rd, d.imm, d.rd2, d.imm2)
+		}
 	}
 
-	// Behavioural half: every budget, all three engines.
+	// Behavioural half: every budget, every engine under test.
 	full := requireParity(t, prog.Words, 1_000_000, nil)
 	for budget := uint64(0); budget <= full.cycles+4; budget++ {
 		ref, err := runOneEngine(EngineRef, prog.Words, budget, nil)
@@ -276,7 +250,7 @@ func TestCompiledBranchSplitsBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := diffOutcomes(ref, got); d != "" {
-				t.Fatalf("budget %d, engine %v: %s", budget, eng, d)
+				t.Fatalf("budget %d, engine %s: %s", budget, engineName(eng), d)
 			}
 		}
 	}
@@ -301,22 +275,56 @@ func TestKernelMatchIsRawWord(t *testing.T) {
 	if !altered.halted || altered.errStr != "" {
 		t.Fatalf("altered Kalman did not halt cleanly: halted=%v err=%q", altered.halted, altered.errStr)
 	}
-	out, err := runOneEngine(EngineCompiled, words, budget, setup)
+	out, err := runOneEngine(EngineFast, words, budget, setup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := out.stats.Dispatches[blockKernel]; k != 0 {
+	if k := out.stats.Dispatches[dispKernel]; k != 0 {
 		t.Errorf("altered Kalman took %d kernel dispatches, want 0", k)
 	}
-	orig, err := runOneEngine(EngineCompiled, kal.Words, budget, setup)
+	orig, err := runOneEngine(EngineFast, kal.Words, budget, setup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orig.stats.Dispatches[blockKernel] != 1 {
-		t.Errorf("Kalman took %d kernel dispatches, want 1", orig.stats.Dispatches[blockKernel])
+	if orig.stats.Dispatches[dispKernel] != 1 {
+		t.Errorf("Kalman took %d kernel dispatches, want 1", orig.stats.Dispatches[dispKernel])
 	}
 	if d := diffOutcomes(orig, out); d != "" {
 		t.Errorf("altered Kalman diverges from Kalman: %s", d)
+	}
+}
+
+// TestKernelExitResumesInterpreter drives the kernel's one exit back
+// to the interpreter: program memory is the Kalman program followed by
+// a straight-line tail no kernel covers, and the run enters at
+// f32_add (a kernel leader) with ra pointing at the tail, so the
+// routine's return leaves the kernel at a pc that is not a leader. At
+// every budget, including those that expire just after the kernel
+// returns, in the tail or inside the routine, every engine under test
+// must match EngineRef.
+func TestKernelExitResumesInterpreter(t *testing.T) {
+	p, err := Assemble(kalmanMain + Library())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := MustAssemble(strings.Repeat("addi a2, a2, 1\n", 12) + "halt\n")
+	words := append(append([]uint32(nil), p.Words...), tail.Words...)
+	setup := func(c *CPU) {
+		c.PC = p.Symbols["f32_add"]
+		c.R[1], c.R[2] = 0x3FC00000, 0x40200000
+		c.R[14] = 0xFF00
+		c.R[15] = uint32(len(p.Words)) * 4
+	}
+	full, err := runOneEngine(EngineFast, words, 100_000, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.halted || full.stats.Dispatches[dispKernel] != 1 || full.stats.Dispatches[dispInterp] != 1 {
+		t.Fatalf("halted=%v, dispatches %v; want a halt after one kernel call and one interpreted stretch",
+			full.halted, full.stats.Dispatches)
+	}
+	for budget := uint64(0); budget <= full.cycles+4; budget++ {
+		requireParity(t, words, budget, setup)
 	}
 }
 
@@ -327,7 +335,7 @@ var batchRoutines = []string{
 	"f32_from_i32", "f32_to_i32", "f32_cmp_eq", "f32_cmp_lt", "f32_cmp_le",
 }
 
-// TestBatchHarnessTraffic pins the compiled engine's traffic on the
+// TestBatchHarnessTraffic pins the fast engine's traffic on the
 // SoftFloat batch harnesses: no generated kernel binds, and every
 // operation whose routine has a native mirror makes exactly one
 // intrinsic call (f32_neg makes none), with every engine under test in
@@ -355,7 +363,7 @@ func TestBatchHarnessTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireParity(t, prog.Words, budget, setup)
-		out, err := runOneEngine(EngineCompiled, prog.Words, budget, setup)
+		out, err := runOneEngine(EngineFast, prog.Words, budget, setup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,73 +371,129 @@ func TestBatchHarnessTraffic(t *testing.T) {
 		if r == "f32_neg" {
 			calls = 0
 		}
-		if !out.halted || out.stats.Dispatches[blockKernel] != 0 || out.stats.IntrinsicCalls != calls {
+		if !out.halted || out.stats.Dispatches[dispKernel] != 0 || out.stats.IntrinsicCalls != calls {
 			t.Errorf("%s: halted=%v, %d kernel dispatches, %d intrinsic calls; want halted, 0 and %d",
-				r, out.halted, out.stats.Dispatches[blockKernel], out.stats.IntrinsicCalls, calls)
+				r, out.halted, out.stats.Dispatches[dispKernel], out.stats.IntrinsicCalls, calls)
 		}
 	}
 }
 
-// TestCompiledStatsSummary pins the CLI summary's split of dispatches
-// by tier: a program no kernel knows reports 0 kernel dispatches,
-// Kalman exactly one.
+// callAfterALU calls four mirrored routines, each right after one of
+// the four ops that fuse with a following JAL (lw, add, sub, addi);
+// each call site carries a label so the test can find its record.
+const callAfterALU = `
+	li sp, 0xFF00
+	lw a1, 4(zero)
+	lw a0, 0(zero)
+c_lw:	call f32_add
+	add a1, a0, zero
+c_add:	call f32_mul
+	sub a1, a0, zero
+c_sub:	call f32_sub
+	addi a1, a0, 0
+c_addi:	call f32_cmp_lt
+	sw a0, 8(zero)
+	halt
+`
+
+// TestIntrinsicCallNotFused pins that call lowering runs before fusion:
+// a call right after an op that would fuse with its JAL still becomes
+// an intrinsic record, the op before it stays unfused with it, every
+// call runs its mirror, and every engine under test stays in parity.
+func TestIntrinsicCallNotFused(t *testing.T) {
+	prog, err := Assemble(callAfterALU + Library())
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := func(c *CPU) {
+		c.StoreWord(0, 0x40490FDB)
+		c.StoreWord(4, 0x3F800000)
+	}
+	requireParity(t, prog.Words, 100_000, setup)
+	out, err := runOneEngine(EngineFast, prog.Words, 100_000, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.halted || out.stats.IntrinsicCalls != 4 {
+		t.Errorf("halted=%v, %d intrinsic calls; want halted and 4", out.halted, out.stats.IntrinsicCalls)
+	}
+	c := New()
+	if err := c.LoadProgram(prog.Words); err != nil {
+		t.Fatal(err)
+	}
+	c.predecode()
+	for _, l := range []string{"c_lw", "c_add", "c_sub", "c_addi"} {
+		pc := prog.Symbols[l]
+		if op, prev := c.dec[pc].op, c.dec[pc-1].op; op != xopIntrin || prev >= uint8(numOpcodes) {
+			t.Errorf("%s: record op %d after op %d; want an intrinsic record after a plain one", l, op, prev)
+		}
+	}
+}
+
+// TestCompiledStatsSummary pins the CLI summary's split of dispatches:
+// Kalman is one kernel dispatch, a program no kernel knows one
+// interpreted stretch.
 func TestCompiledStatsSummary(t *testing.T) {
-	kal := runCompiledKalman(t)
-	if got, want := kal.Summary(), fmt.Sprintf("%d intrinsic calls; dispatches: 1 kernel, 0 runtime, 0 generic",
+	kal := runKalmanStats(t)
+	if got, want := kal.Summary(), fmt.Sprintf("%d intrinsic calls; dispatches: 1 kernel, 0 interpreted",
 		kal.IntrinsicCalls); got != want {
 		t.Errorf("Kalman summary %q, want %q", got, want)
 	}
-	out, err := runOneEngine(EngineCompiled, MustAssemble(intTrackMain).Words,
+	out, err := runOneEngine(EngineFast, MustAssemble(intTrackMain).Words,
 		intTrackBudget(64), intTrackSetup(intTrackSamples(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &out.stats
-	if got, want := st.Summary(), fmt.Sprintf("0 intrinsic calls; dispatches: 0 kernel, %d runtime, 0 generic",
-		st.Dispatches[blockRuntime]); got != want || st.Dispatches[blockRuntime] == 0 {
-		t.Errorf("unseen program summary %q, want %q with runtime dispatches", got, want)
+	if got, want := out.stats.Summary(), "0 intrinsic calls; dispatches: 0 kernel, 1 interpreted"; got != want {
+		t.Errorf("unseen program summary %q, want %q", got, want)
 	}
 }
 
-// BenchmarkCompile measures what binding a generated kernel costs a
-// freshly loaded program: clearing the translation table, one raw-word
-// compare of program memory against the kernels (matchKernel, which
-// resetBlocks runs once per LoadProgram) and the leader lookup that
-// binds the kernel at the program entry. This is the one-time price a
-// resident program pays after LoadProgram, the compiled engine's
-// counterpart of BenchmarkPredecode.
-func BenchmarkCompile(b *testing.B) {
-	units := []struct {
-		name string
-		mk   func() (*Program, error)
-	}{
-		{"Kalman", KalmanProgram},
-		{"FxBoresight", FxBoresightProgram},
+// TestCompiledStatsRetired pins the statistics' accounting on runs
+// that reach the interpreter: programs with no kernel (the integer
+// loop, the alpha filter's mirrored calls, the control program to its
+// budget) and a Kalman run whose budget expires inside the kernel, so
+// the reference endgame finishes it. Every instruction is counted once
+// (Retired equals the run's instret), every run counts at least one
+// dispatch, and the mirrors' instructions are a subset of the total.
+func TestCompiledStatsRetired(t *testing.T) {
+	kal, err := KalmanProgram()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, u := range units {
-		b.Run(u.name, func(b *testing.B) {
-			prog, err := u.mk()
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := New()
-			c.Engine = EngineCompiled
-			if err := c.LoadProgram(prog.Words); err != nil {
-				b.Fatal(err)
-			}
-			bind := func() *compiledBlock {
-				c.resetBlocks()
-				c.kernel = matchKernel(c.Prog)
-				return c.compileBlockAt(0)
-			}
-			if cb := bind(); cb.kind != blockKernel {
-				b.Fatalf("entry block bound kind %d, want kernel", cb.kind)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bind()
-			}
-		})
+	alpha, err := Assemble(alphaFilterMain + Library())
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := []float32{3, 3.5, 2.75, 3.25}
+	for _, tc := range []struct {
+		name    string
+		run     func() (*engineOutcome, error)
+		kernels uint64
+	}{
+		{"IntTrack", func() (*engineOutcome, error) {
+			return runOneEngine(EngineFast, MustAssemble(intTrackMain).Words,
+				intTrackBudget(64), intTrackSetup(intTrackSamples(64)))
+		}, 0},
+		{"AlphaFilter", func() (*engineOutcome, error) {
+			return runOneEngine(EngineFast, alpha.Words, 2_000_000, alphaFilterSetup(z))
+		}, 0},
+		{"Control", func() (*engineOutcome, error) { return runControlEngine(EngineFast, 30_000) }, 0},
+		{"KalmanBudget", func() (*engineOutcome, error) {
+			return runOneEngine(EngineFast, kal.Words, 2000, func(c *CPU) {
+				SetKalmanInputs(c, 1e-4, 0.04, 1, 0, z)
+			})
+		}, 1},
+	} {
+		out, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st := &out.stats
+		if st.Retired() != out.instret || st.KernelDispatches()+st.GenericDispatches() == 0 ||
+			st.Dispatches[dispKernel] != tc.kernels || st.IntrinsicInstret > st.Retired() {
+			t.Errorf("%s: retired %d of instret %d, dispatches %v, %d mirrored instructions; want all counted, %d kernel",
+				tc.name, st.Retired(), out.instret, st.Dispatches, st.IntrinsicInstret, tc.kernels)
+		}
 	}
 }

@@ -69,11 +69,9 @@ type CPU struct {
 	Halted  bool
 
 	// Engine selects the execution engine used by Run. The zero value
-	// is EngineFast (predecoded + fused); EngineRef forces the
-	// reference fetch-decode-execute loop; EngineCompiled runs
-	// translated blocks (generated kernels for the Kalman and
-	// boresight programs, runtime-translated closures for any other
-	// code).
+	// is EngineFast (predecoded and fused, with the SoftFloat mirrors
+	// and the generated kernels for the Kalman and boresight programs);
+	// EngineRef forces the reference fetch-decode-execute loop.
 	Engine Engine
 
 	// FaultAddr holds the data address of the most recent bus fault
@@ -90,27 +88,13 @@ type CPU struct {
 	// see computeMaxRun in decode.go.
 	maxRun  uint64
 	runCost []uint32
-
-	// blocks is the compiled engine's per-pc translation table
-	// (runcompiled.go), invalidated by LoadProgram in the same motion
-	// as the decoded array so the two caches can never describe
-	// different programs. The backing array is reused across reloads.
-	blocks      []compiledBlock
-	blocksValid bool
-	cstats      *CompiledStats
-	// sfArith/sfCmp are the word offsets of the canonical SoftFloat
-	// blobs in the loaded program (-1 when absent). The runtime region
-	// generator (regiongen.go) uses them to lower recognised JAL call
-	// targets to the native intrinsic mirrors. kernel is the generated
-	// kernel whose program the loaded one is (nil when none). All three
-	// depend only on program memory, so they are matched once per
-	// LoadProgram (progMatched), not on every translation-table rebuild.
-	sfArith, sfCmp int32
-	kernel         *genKernel
-	progMatched    bool
-	// cstate is RunCompiled's dispatch state; it lives on the CPU
-	// because block closures take its address, which would force a
-	// heap allocation per run if it were a local.
+	// kernel is the generated kernel whose program the loaded one is
+	// (nil when none), matched by predecode, so it goes stale with dec.
+	kernel *genKernel
+	cstats *CompiledStats
+	// cstate is the state kernels and mirrors run on; it lives on the
+	// CPU because they take its address, which would force a heap
+	// allocation per run if it were a local.
 	cstate cst
 
 	// periphs is a dense dispatch table indexed by
@@ -152,13 +136,10 @@ func (c *CPU) LoadProgram(words []uint32) error {
 		c.Prog[i] = 0
 	}
 	copy(c.Prog, words)
-	// The execution caches go stale in the same motion: the decoded
-	// (and fused) record array, the compiled-block table and the
-	// program-memory matches behind it describe the outgoing program
-	// and must never survive it independently.
+	// The decoded (and fused) record array, its lowered SoftFloat calls
+	// and the kernel match describe the outgoing program and go stale
+	// together.
 	c.decValid = false
-	c.blocksValid = false
-	c.progMatched = false
 	c.Reset()
 	return nil
 }
@@ -370,11 +351,8 @@ func b2u(b bool) uint32 {
 // cycles consumed. Reaching the limit returns ErrCycleLimit. The
 // execution engine is selected by c.Engine (fast by default).
 func (c *CPU) Run(maxCycles uint64) (uint64, error) {
-	switch c.Engine {
-	case EngineRef:
+	if c.Engine == EngineRef {
 		return c.RunRef(maxCycles)
-	case EngineCompiled:
-		return c.RunCompiled(maxCycles)
 	}
 	return c.RunFast(maxCycles)
 }

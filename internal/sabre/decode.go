@@ -7,9 +7,10 @@ package sabre
 // dense []decoded array — one record per program word, all fields
 // unpacked, branch and jump targets resolved to absolute word indices,
 // and immediates pre-shifted where the ISA applies a fixed shift (LUI's
-// <<16, the shift-amount &31 masks). A fusion pass (fuse.go) then
-// rewrites hot two-instruction idioms into single superinstruction
-// records.
+// <<16, the shift-amount &31 masks). Calls into the SoftFloat library
+// then become intrinsic records (intrinsics.go), and a fusion pass
+// (fuse.go) rewrites hot two-instruction idioms into single
+// superinstruction records.
 //
 // The decoded array is cached on the CPU and rebuilt lazily after
 // LoadProgram invalidates it; the backing slice is reused so reloading
@@ -29,6 +30,7 @@ package sabre
 //	branches      rs1, rs2, imm = absolute target word index
 //	LUI           rd, imm = imm16 << 16
 //	JAL           rd, imm = absolute target, imm2 = link value (pc+1)*4
+//	xopIntrin     a JAL's fields, plus rs1 = mirror index, imm3 = blob base
 //	JALR          rd, rs1, imm, imm2 = link value (pc+1)*4
 //
 // The struct is 32 bytes so the 2048-word program store predecodes into
@@ -108,9 +110,11 @@ func predecodeWordInto(w uint32, pc uint32, d *decoded) {
 	}
 }
 
-// predecode (re)builds the decoded program array from program memory
-// and runs the superinstruction fusion pass over it. The backing array
-// is allocated once per CPU and reused on reload.
+// predecode (re)builds the decoded program array from program memory:
+// it lowers calls into the canonical SoftFloat blobs to intrinsic
+// records, runs the superinstruction fusion passes, and matches the
+// program against the generated kernels. The backing array is
+// allocated once per CPU and reused on reload.
 func (c *CPU) predecode() {
 	if cap(c.dec) < ProgWords {
 		c.dec = make([]decoded, ProgWords)
@@ -119,6 +123,8 @@ func (c *CPU) predecode() {
 	for i := range c.dec {
 		predecodeWordInto(c.Prog[i], uint32(i), &c.dec[i])
 	}
+	lowerIntrinsics(c.Prog, c.dec)
+	c.kernel = matchKernel(c.Prog)
 	fuse(c.dec)
 	fuse2(c.dec)
 	c.computeMaxRun()

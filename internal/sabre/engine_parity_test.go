@@ -4,75 +4,69 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"boresight/internal/fxcore"
 	"boresight/internal/geom"
 )
 
-// The fast and compiled engines' contract is bit-identical
-// architectural behaviour against the reference Step() loop: registers,
-// data memory, peripheral side effects in order, cycle and
-// retired-instruction counts, PC, and fault/halt outcomes. These tests
-// run the same program on all three engines and compare everything
-// observable.
+// The fast engine's contract is bit-identical architectural behaviour
+// against the reference Step() loop: registers, data memory,
+// peripheral side effects in order, cycle and retired-instruction
+// counts, PC, and fault/halt outcomes. These tests run the same
+// program on the reference engine and on every engine under test and
+// compare everything observable.
 
-// nonRefEngines are the engines held to parity with EngineRef. The
-// -engine flag narrows the suite to a single engine under test — CI's
-// sabre-native-parity step runs the whole differential suite with
-// -engine=compiled and again with -engine=runtime under the race
-// detector.
-var nonRefEngines = []Engine{EngineFast, EngineCompiled, engineRuntime}
+// nonRefEngines are the engines under test held to parity with
+// EngineRef: EngineFast as it runs, and the two test-side modes of it
+// that take its shortcuts away one by one.
+var nonRefEngines = []Engine{EngineFast, engineNoKernels, engineInterp}
 
-// engineRuntime is a test-side engine under test, not a CPU setting:
-// EngineCompiled with generated-kernel binding bypassed, so the bundled
-// programs run on the runtime tier (regiongen.go) as any unseen program
-// does. withEngine maps it to the CPU engine that runs it.
-const engineRuntime = Engine(0xFF)
+// Test-side engines under test, not CPU settings: withEngine maps each
+// to EngineFast with part of its machinery bypassed.
+const (
+	// engineNoKernels bypasses the generated kernels, so the two
+	// programs that have one run on the interpreter and the mirrors as
+	// any unseen program does.
+	engineNoKernels = Engine(0xFE)
+	// engineInterp also bypasses the SoftFloat mirrors, so every call
+	// into the library runs the emulated routine on the interpreter,
+	// superinstructions and all.
+	engineInterp = Engine(0xFF)
+)
 
 // withEngine returns the CPU engine that runs an engine under test and
-// the function that ends the run's setting. For engineRuntime it
-// empties the package's list of generated kernels until restore is
-// called, so no program matches one; the sabre tests run serially, so
+// the function that ends the run's setting. The test-side modes empty
+// the package's list of generated kernels and, for engineInterp, the
+// canonical SoftFloat blobs predecode looks for, until restore is
+// called, so no program matches them; the sabre tests run serially, so
 // no other CPU observes it.
 func withEngine(e Engine) (eng Engine, restore func()) {
-	if e != engineRuntime {
-		return e, func() {}
+	switch e {
+	case engineNoKernels:
+		saved := kernels
+		kernels = nil
+		return EngineFast, func() { kernels = saved }
+	case engineInterp:
+		savedKernels, savedBlobs := kernels, sfOff
+		kernels = nil
+		sfOff.arith, sfOff.cmp = nil, nil
+		return EngineFast, func() { kernels, sfOff = savedKernels, savedBlobs }
 	}
-	saved := kernels
-	kernels = nil
-	return EngineCompiled, func() { kernels = saved }
+	return e, func() {}
 }
 
 // engineName names an engine under test in failure messages.
 func engineName(e Engine) string {
-	if e == engineRuntime {
-		return "runtime"
+	switch e {
+	case engineNoKernels:
+		return "nokernels"
+	case engineInterp:
+		return "interp"
 	}
 	return e.String()
-}
-
-var engineFlag = flag.String("engine", "", `restrict the parity suite to one engine ("fast", "compiled", or "runtime": compiled with kernel binding bypassed)`)
-
-func TestMain(m *testing.M) {
-	flag.Parse()
-	switch *engineFlag {
-	case "":
-	case "fast":
-		nonRefEngines = []Engine{EngineFast}
-	case "compiled":
-		nonRefEngines = []Engine{EngineCompiled}
-	case "runtime":
-		nonRefEngines = []Engine{engineRuntime}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -engine %q\n", *engineFlag)
-		os.Exit(2)
-	}
-	os.Exit(m.Run())
 }
 
 // periphEvent is one bus access observed by the trace peripheral.
@@ -112,8 +106,8 @@ type engineOutcome struct {
 	fault   uint32
 	data    []byte
 	trace   []periphEvent
-	// stats is the compiled engine's translation statistics for the run
-	// (zero on the other engines).
+	// stats is the fast engine's dispatch statistics for the run (zero
+	// on the reference engine).
 	stats CompiledStats
 }
 
@@ -157,7 +151,7 @@ func runOneEngine(eng Engine, words []uint32, maxCycles uint64, setup func(*CPU)
 
 // diffOutcomes returns a description of the first mismatch, or "".
 // "fast" in the messages reads as "the engine under test" — the same
-// comparison serves the fast and the compiled engine.
+// comparison serves every mode of the fast engine.
 func diffOutcomes(ref, fast *engineOutcome) string {
 	switch {
 	case ref.errStr != fast.errStr:
@@ -193,8 +187,8 @@ func diffOutcomes(ref, fast *engineOutcome) string {
 	return ""
 }
 
-// requireParity runs words on all three engines and fails on any
-// divergence from the reference.
+// requireParity runs words on the reference engine and every engine
+// under test and fails on any divergence from the reference.
 func requireParity(t *testing.T, words []uint32, maxCycles uint64, setup func(*CPU)) *engineOutcome {
 	t.Helper()
 	ref, err := runOneEngine(EngineRef, words, maxCycles, setup)
@@ -456,13 +450,13 @@ func TestEngineParityKalmanBudgetSweep(t *testing.T) {
 }
 
 // TestEngineParityKalmanEveryBudget sweeps EVERY cycle budget across
-// one full softfloat Kalman update on all three engines. Each budget
-// lands the expiry at a different instruction — including inside every
-// SoftFloat call the compiled engine lowers to an intrinsic mirror —
-// pinning the no-partial-intrinsic rule: a mirror either covers its
-// whole dynamic cost or declines before touching anything, so budget
-// handoff always happens at an instruction boundary with state the
-// reference engine can reproduce exactly.
+// one full softfloat Kalman update on every engine under test. Each
+// budget lands the expiry at a different instruction — including
+// inside every SoftFloat call the kernel or an intrinsic record lowers
+// to a native mirror — pinning the no-partial-intrinsic rule: a mirror
+// either covers its whole dynamic cost or declines before touching
+// anything, so budget handoff always happens at an instruction
+// boundary with state the reference engine can reproduce exactly.
 func TestEngineParityKalmanEveryBudget(t *testing.T) {
 	prog, err := KalmanProgram()
 	if err != nil {
@@ -665,7 +659,9 @@ func fuzzWords(data []byte) []uint32 {
 }
 
 // FuzzEngineParity feeds arbitrary programs and cycle budgets through
-// all three engines and requires bit-identical outcomes.
+// the reference and fast engines and requires bit-identical outcomes.
+// The test-side modes would add nothing: a random program matches no
+// SoftFloat blob and no kernel.
 func FuzzEngineParity(f *testing.F) {
 	kal, err := KalmanProgram()
 	if err != nil {
@@ -691,14 +687,12 @@ func FuzzEngineParity(f *testing.F) {
 		if err != nil {
 			t.Skip() // program too large to load etc.
 		}
-		for _, eng := range nonRefEngines {
-			got, err := runOneEngine(eng, words, maxCycles, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := diffOutcomes(ref, got); d != "" {
-				t.Fatalf("engine %s divergence: %s", engineName(eng), d)
-			}
+		got, err := runOneEngine(EngineFast, words, maxCycles, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffOutcomes(ref, got); d != "" {
+			t.Fatalf("engine fast divergence: %s", d)
 		}
 	})
 }
@@ -723,14 +717,12 @@ func TestEngineParityRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range nonRefEngines {
-			got, err := runOneEngine(eng, words, maxCycles, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := diffOutcomes(ref, got); d != "" {
-				t.Fatalf("trial %d: engine %s divergence: %s", trial, engineName(eng), d)
-			}
+		got, err := runOneEngine(EngineFast, words, maxCycles, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffOutcomes(ref, got); d != "" {
+			t.Fatalf("trial %d: engine fast divergence: %s", trial, d)
 		}
 	}
 }

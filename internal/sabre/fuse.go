@@ -147,6 +147,12 @@ const (
 	xqADDIADDIADDIBLTU
 	xqSWLUIORIAND
 	xqADDIBLTUANDIADDI
+	// xopIntrin is a `jal r15` into a routine of a canonical SoftFloat
+	// blob, lowered at predecode to the routine's native mirror
+	// (lowerIntrinsics in intrinsics.go). It is not a fusion: it stays
+	// one instruction, and the record makes the plain call when its
+	// mirror declines.
+	xopIntrin
 )
 
 // pairOps maps (op1, op2) to the fused opcode for the generic

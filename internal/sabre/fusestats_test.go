@@ -56,7 +56,7 @@ func TestFusionCoverageReport(t *testing.T) {
 		pc := trace[i]
 		d := &c.dec[pc]
 		total++
-		if d.op >= uint8(numOpcodes) && d.op != xopIllegal {
+		if d.op >= uint8(numOpcodes) && d.op != xopIllegal && d.op != xopIntrin {
 			// Count the components the record actually retired: the
 			// trace entries that continue the sequential run. A taken
 			// component branch cuts the run short.

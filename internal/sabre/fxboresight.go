@@ -546,7 +546,7 @@ type FxBoresightResult struct {
 	Instructions    uint64
 	WallSeconds     float64 // host wall-clock time inside Run
 	// Compiled holds the dispatch and intrinsic statistics when the run
-	// used the compiled engine (nil otherwise).
+	// used the fast engine (nil on the reference engine).
 	Compiled *CompiledStats
 }
 
@@ -633,7 +633,7 @@ func RunFxBoresightEngine(engine Engine, cfg fxcore.Config, dt float64, inputs [
 	}
 	LoadFxBoresightInputs(c, cfg, dt, inputs)
 	var cs *CompiledStats
-	if engine == EngineCompiled {
+	if engine != EngineRef {
 		cs = &CompiledStats{}
 		c.CollectCompiledStats(cs)
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // intTrackMain is an integer-only sensor-conditioning loop written for
-// the runtime tier's tests and benchmarks; no generated kernel knows
-// it. Per sample it takes the innovation against a tracker state,
+// the tests and benchmarks of programs without a kernel; no generated
+// kernel knows it. Per sample it takes the innovation against a tracker state,
 // measures the innovation's bit length with a shift loop (a block whose
 // branch targets its own entry), moves the tracker by the innovation
 // scaled down by that length, clamps the tracker to ±limit, and folds
@@ -115,8 +115,8 @@ func stateCRC(o *engineOutcome) uint32 {
 
 // programGolden is one program, how to run it, and its pinned outcome.
 // kernels is the number of generated-kernel dispatches the run takes on
-// EngineCompiled: one for the two programs that have a kernel, none
-// for every other.
+// EngineFast: one for the two programs that have a kernel, none for
+// every other.
 type programGolden struct {
 	name            string
 	run             func(eng Engine) (*engineOutcome, error)
@@ -213,15 +213,15 @@ func programGoldens(t *testing.T) []programGolden {
 }
 
 // TestSabreProgramGoldens pins each program's cycles, retired
-// instructions and state CRC across commits, on all three engines and
-// in runtime-only mode, and which programs bind a generated kernel.
-// Engine parity holds the engines to each other within one commit; a
-// change that shifted every engine at once (a cost-model or assembler
-// edit) would pass parity and fail here. An intended change re-pins
-// the values and says so in CHANGES.md.
+// instructions and state CRC across commits, on the reference engine
+// and every engine under test, and which programs bind a generated
+// kernel. Engine parity holds the engines to each other within one
+// commit; a change that shifted every engine at once (a cost-model or
+// assembler edit) would pass parity and fail here. An intended change
+// re-pins the values and says so in CHANGES.md.
 func TestSabreProgramGoldens(t *testing.T) {
 	for _, g := range programGoldens(t) {
-		for _, e := range []Engine{EngineRef, EngineFast, EngineCompiled, engineRuntime} {
+		for _, e := range append([]Engine{EngineRef}, nonRefEngines...) {
 			out, err := g.run(e)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", g.name, engineName(e), err)
@@ -231,8 +231,15 @@ func TestSabreProgramGoldens(t *testing.T) {
 					g.name, engineName(e), out.cycles, out.instret, crc,
 					g.cycles, g.instret, g.crc)
 			}
-			if k := out.stats.Dispatches[blockKernel]; e == EngineCompiled && k != g.kernels {
-				t.Errorf("%s on compiled: %d kernel dispatches, want %d", g.name, k, g.kernels)
+			want := uint64(0)
+			if e == EngineFast {
+				want = g.kernels
+			}
+			if k := out.stats.Dispatches[dispKernel]; k != want {
+				t.Errorf("%s on %s: %d kernel dispatches, want %d", g.name, engineName(e), k, want)
+			}
+			if n := out.stats.IntrinsicCalls; e == engineInterp && n != 0 {
+				t.Errorf("%s on interp: %d intrinsic calls, want 0", g.name, n)
 			}
 		}
 	}

@@ -7,13 +7,15 @@ import (
 
 // Native softfloat intrinsics.
 //
-// A compiled kernel that reaches a `call f32_add` (or any other
-// routine of the bundled SoftFloat library) does not have to execute
-// the emulated mantissa loops instruction by instruction: when the
-// callee body is known to be the canonical library blob, the call can
-// be lowered to a host-native mirror that computes the same result
-// bits AND charges the exact dynamic cycle/instret cost the emulated
-// routine would have spent. The mirrors below follow the assembly of
+// A `call f32_add` (or a call to any other routine of the bundled
+// SoftFloat library) does not have to execute the emulated mantissa
+// loops instruction by instruction: when the callee body is known to
+// be the canonical library blob, the call can be lowered to a
+// host-native mirror that computes the same result bits AND charges
+// the exact dynamic cycle/instret cost the emulated routine would have
+// spent. The fast engine lowers such calls at predecode (the
+// intrinsic record, xopIntrin), and the generated kernels call the
+// mirrors directly. The mirrors below follow the assembly of
 // softfloat_asm.go path by path — every branch outcome adds the same
 // cycle/instruction increments the reference engine's Step() would
 // have charged, and every architectural side effect is reproduced:
@@ -31,7 +33,7 @@ import (
 // full dynamic cost, so the counter invariant (cycles < stop at every
 // checked head) holds at the resume label. In the narrow window where
 // the budget expires inside the routine, the intrinsic declines and
-// the emulated path runs with its ordinary hoisted checks.
+// the emulated path runs with its ordinary checks.
 //
 // The per-path costs are validated exhaustively against the emulated
 // routines by TestIntrinsicMirrorsExact and FuzzSoftFloatIntrinsics.
@@ -45,10 +47,6 @@ import (
 type sfLayout struct {
 	arith []uint32 // SoftFloatLib assembled at offset 0
 	cmp   []uint32 // softFloatCompareLib assembled at offset 0
-
-	// Entry offsets, relative to the owning blob.
-	add, sub, mul, div, sqrt, fromI32, toI32 uint32
-	eq, lt, le                               uint32
 
 	// Return-address word offsets (the word after an internal call
 	// that pushes a frame below it), relative to the arith blob.
@@ -68,11 +66,31 @@ var sfOff sfLayout
 // inside the routine) nothing is touched and the emulated path runs.
 type intrinHandler func(c *CPU, st *cst, cyc, ins uint64, ra, lb uint32) (uint64, uint64, bool)
 
+// mirrors lists every native mirror with the routine it follows and
+// the blob that routine lives in. An intrinsic record names its mirror
+// by index here.
+var mirrors = [...]struct {
+	sym string
+	fn  intrinHandler
+	cmp bool // the routine is in the compare blob
+}{
+	{"f32_add", tryIntrinF32Add, false},
+	{"f32_sub", tryIntrinF32Sub, false},
+	{"f32_mul", tryIntrinF32Mul, false},
+	{"f32_div", tryIntrinF32Div, false},
+	{"f32_sqrt", tryIntrinF32Sqrt, false},
+	{"f32_from_i32", tryIntrinF32FromI32, false},
+	{"f32_to_i32", tryIntrinF32ToI32, false},
+	{"f32_cmp_eq", tryIntrinF32Eq, true},
+	{"f32_cmp_lt", tryIntrinF32Lt, true},
+	{"f32_cmp_le", tryIntrinF32Le, true},
+}
+
 // arithIntrins/cmpIntrins map a routine's entry offset within its blob
-// to its mirror, for the runtime region generator and the kernel
-// generator (kernelgen_test.go).
-var arithIntrins map[uint32]intrinHandler
-var cmpIntrins map[uint32]intrinHandler
+// to its index in mirrors, for predecode's call lowering and the
+// kernel generator (kernelgen_test.go).
+var arithIntrins = map[uint32]uint8{}
+var cmpIntrins = map[uint32]uint8{}
 
 // callAfter finds the first JAL to target at or after sym and returns
 // the offset of the word following it (the pushed return address).
@@ -116,16 +134,13 @@ func init() {
 		}
 		return v
 	}
-	sfOff.add = sym(pa, "f32_add")
-	sfOff.sub = sym(pa, "f32_sub")
-	sfOff.mul = sym(pa, "f32_mul")
-	sfOff.div = sym(pa, "f32_div")
-	sfOff.sqrt = sym(pa, "f32_sqrt")
-	sfOff.fromI32 = sym(pa, "f32_from_i32")
-	sfOff.toI32 = sym(pa, "f32_to_i32")
-	sfOff.eq = sym(pc, "f32_cmp_eq")
-	sfOff.lt = sym(pc, "f32_cmp_lt")
-	sfOff.le = sym(pc, "f32_cmp_le")
+	for i, m := range mirrors {
+		if m.cmp {
+			cmpIntrins[sym(pc, m.sym)] = uint8(i)
+		} else {
+			arithIntrins[sym(pa, m.sym)] = uint8(i)
+		}
+	}
 	rp := sym(pa, "sf_roundpack")
 	nrp := sym(pa, "sf_normroundpack")
 	sfOff.retRPAdd = callAfter(pa, "as_rp", rp)
@@ -134,20 +149,81 @@ func init() {
 	sfOff.retRPMul = callAfter(pa, "mul_rp", rp)
 	sfOff.retRPDiv = callAfter(pa, "div_rp", rp)
 	sfOff.retRPSqrt = callAfter(pa, "sq_pack", rp)
-	arithIntrins = map[uint32]intrinHandler{
-		sfOff.add:     tryIntrinF32Add,
-		sfOff.sub:     tryIntrinF32Sub,
-		sfOff.mul:     tryIntrinF32Mul,
-		sfOff.div:     tryIntrinF32Div,
-		sfOff.sqrt:    tryIntrinF32Sqrt,
-		sfOff.fromI32: tryIntrinF32FromI32,
-		sfOff.toI32:   tryIntrinF32ToI32,
+}
+
+// findBlob scans program memory for blob and returns its word offset,
+// or -1 when the program does not contain it. Raw word equality is
+// exact because the blobs are position-independent (matchBlob).
+func findBlob(prog []uint32, blob []uint32) int32 {
+	if len(blob) == 0 || len(blob) > len(prog) {
+		return -1
 	}
-	cmpIntrins = map[uint32]intrinHandler{
-		sfOff.eq: tryIntrinF32Eq,
-		sfOff.lt: tryIntrinF32Lt,
-		sfOff.le: tryIntrinF32Le,
+	w0 := blob[0]
+	last := uint32(len(prog) - len(blob))
+	for base := uint32(0); base <= last; base++ {
+		if prog[base] == w0 && matchBlob(prog, base, blob) {
+			return int32(base)
+		}
 	}
+	return -1
+}
+
+// lowerIntrinsics rewrites every `jal r15` in dec whose target is a
+// mirrored routine of a canonical SoftFloat blob in prog into an
+// intrinsic record: op xopIntrin, the mirror's index in rs1 and the
+// blob's word offset in imm3, with the JAL's target (imm) and link
+// (imm2) kept for the plain call the record makes when its mirror
+// declines. It runs before fusion, which fuses no record whose op lies
+// outside the ISA, so no pair or quad swallows a lowered call.
+func lowerIntrinsics(prog []uint32, dec []decoded) {
+	arith := findBlob(prog, sfOff.arith)
+	cmp := findBlob(prog, sfOff.cmp)
+	if arith < 0 && cmp < 0 {
+		return
+	}
+	for i := range dec {
+		d := &dec[i]
+		if d.op != uint8(OpJAL) || d.rd != 15 {
+			continue
+		}
+		target := uint32(d.imm)
+		for _, b := range [...]struct {
+			base int32
+			at   map[uint32]uint8
+		}{{arith, arithIntrins}, {cmp, cmpIntrins}} {
+			if b.base < 0 || target < uint32(b.base) {
+				continue
+			}
+			if m, ok := b.at[target-uint32(b.base)]; ok {
+				d.op, d.rs1, d.imm3 = xopIntrin, m, b.base
+				break
+			}
+		}
+	}
+}
+
+// RoutineCost reports what one call of the named SoftFloat routine
+// ("f32_add", "f32_cmp_lt", ...) returns and costs on the core for
+// operand bits a and b (b is ignored by unary routines): the result
+// bits and the exact cycles and instructions from the call to its
+// return. The figures come from running the routine's native mirror —
+// the code the engines charge — on a scratch machine. ok is false for
+// a routine without a mirror. Each query allocates a scratch CPU;
+// nothing here is on an execution hot path.
+func RoutineCost(routine string, a, b uint32) (res, cycles, instret uint32, ok bool) {
+	for _, m := range mirrors {
+		if m.sym != routine {
+			continue
+		}
+		c := New()
+		st := &cst{r: &c.R, data: (*[DataBytes]byte)(c.Data), stop: 1 << 62}
+		c.R[1], c.R[2], c.R[14] = a, b, DataBytes/2
+		cyc, ins, fired := m.fn(c, st, 0, 0, 4, 0)
+		// The stop mark covers any routine cost and the scratch sp
+		// satisfies every mirror's eligibility guard, so it fires.
+		return c.R[1], uint32(cyc), uint32(ins), fired
+	}
+	return 0, 0, 0, false
 }
 
 // matchBlob reports whether prog holds blob verbatim at base. Raw word

@@ -93,7 +93,6 @@ func checkIntrinOne(t *testing.T, tc intrinCase, words []uint32, lb uint32, a, b
 	ref := runIntrinRef(t, words, a, b, sp)
 
 	c := New()
-	c.Engine = EngineCompiled
 	if err := c.LoadProgram(words); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -247,5 +246,43 @@ func TestIntrinsicSPGuard(t *testing.T) {
 				t.Fatalf("%s: declined handler mutated registers at sp=%#x", tc.sym, sp)
 			}
 		}
+	}
+}
+
+// TestCostHooks holds the contract of RoutineCost, the query cmd/sabre
+// asks the mirrors' costs through: every mirrored routine answers, a
+// routine without a mirror (f32_neg) or outside the library reports
+// ok=false, and for the full curated operand corpus each answer's
+// result bits and cycle/instret cost equal those of the emulated
+// assembly routine run on the reference engine.
+func TestCostHooks(t *testing.T) {
+	for _, name := range []string{"f32_neg", "f64_add"} {
+		if _, _, _, ok := RoutineCost(name, 0, 0); ok {
+			t.Fatalf("RoutineCost reported ok for %s, which has no mirror", name)
+		}
+	}
+	const sp = uint32(DataBytes / 2)
+	for _, tc := range intrinCases() {
+		tc := tc
+		t.Run(tc.sym, func(t *testing.T) {
+			words, _ := intrinProgram(t, tc.sym, tc.cmpLib)
+			for i, a := range intrinOperands {
+				b := uint32(0xB0B0B0B0)
+				if !tc.unary {
+					b = intrinOperands[(i*7+3)%len(intrinOperands)]
+				}
+				res, cyc, ins, ok := RoutineCost(tc.sym, a, b)
+				if !ok {
+					t.Fatalf("%s: no cost", tc.sym)
+				}
+				ref := runIntrinRef(t, words, a, b, sp)
+				// The reference outcome includes the final halt (1 cycle,
+				// 1 instruction); the cost covers the call alone.
+				if res != ref.regs[1] || uint64(cyc) != ref.cycles-1 || uint64(ins) != ref.instret-1 {
+					t.Fatalf("%s(a=%08x b=%08x): cost res %08x cost %d/%d, ref res %08x cost %d/%d",
+						tc.sym, a, b, res, cyc, ins, ref.regs[1], ref.cycles-1, ref.instret-1)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 package sabre
 
 // kernelgen_test.go generates kernels_gen.go, the whole-program kernels
-// of the compiled execution engine (runcompiled.go). It is a test so
+// of the fast execution engine (kernel.go). It is a test so
 // that it is built by the toolchain the repo already uses and so
 // staleness is caught by `go test`: without -update-kernels the test
 // regenerates the source in memory and fails if the committed file
@@ -11,7 +11,7 @@ package sabre
 // the fixed-point boresight estimator, the programs perfbench's kalman
 // and fx classes measure. Every other program (the control program,
 // the Q16.16 Kalman, the SoftFloat batch harnesses, any
-// runtime-assembled code) runs on the runtime tier (regiongen.go).
+// runtime-assembled code) runs on the interpreter (runfast.go).
 // Each kernel is one Go function covering its entire program:
 //
 //   - internal control flow is lowered to gotos between labelled basic
@@ -34,13 +34,13 @@ package sabre
 //     with hundreds of join points the compiler would spill
 //     per-register locals to the stack and shuffle them at every join,
 //     so constant-index array slots are cheaper;
-//   - a call to a routine of a canonical SoftFloat blob, found with the
-//     runtime tier's findBlob, first tries the routine's native mirror
+//   - a call to a routine of a canonical SoftFloat blob, found with
+//     findBlob, first tries the routine's native mirror
 //     (intrinsics.go).
 //
 // A kernel runs its program at absolute pcs, so it binds only to a
 // program memory that opens with exactly the words it was generated
-// from (matchKernel in compile.go), and only at its leaders, each with
+// from (matchKernel in kernel.go), and only at its leaders, each with
 // the worst-case cycles its own budget check at that leader tests.
 
 import (
@@ -83,6 +83,43 @@ func kernelUnits(t testing.TB) []kernelUnit {
 	return units
 }
 
+// plainCost is the cycle cost of one plain (non-control) record.
+func plainCost(op uint8) uint32 {
+	switch op {
+	case uint8(OpLW), uint8(OpLB), uint8(OpLBU):
+		return 2
+	case uint8(OpMUL), uint8(OpMULHU):
+		return 4
+	}
+	return 1
+}
+
+// termWorst is the worst-case cycle cost of a block terminator: taken
+// branches and jumps cost 2, HALT retires for 1, and illegal records
+// fault before retiring anything.
+func termWorst(op uint8) uint32 {
+	switch op {
+	case uint8(OpBEQ), uint8(OpBNE), uint8(OpBLT), uint8(OpBGE),
+		uint8(OpBLTU), uint8(OpBGEU), uint8(OpJAL), uint8(OpJALR):
+		return 2
+	case uint8(OpHALT):
+		return 1
+	}
+	return 0 // xopIllegal
+}
+
+// isTermOp reports whether a plain record ends a basic block: a
+// control transfer, HALT or an illegal record.
+func isTermOp(op uint8) bool {
+	switch op {
+	case uint8(OpBEQ), uint8(OpBNE), uint8(OpBLT), uint8(OpBGE),
+		uint8(OpBLTU), uint8(OpBGEU), uint8(OpJAL), uint8(OpJALR),
+		uint8(OpHALT), xopIllegal:
+		return true
+	}
+	return false
+}
+
 func isBranchOp(op uint8) bool {
 	return op >= uint8(OpBEQ) && op <= uint8(OpBGEU)
 }
@@ -104,20 +141,20 @@ type intrinSite struct {
 }
 
 // intrinSitesFor maps every routine entry of the canonical SoftFloat
-// blobs the program embeds to its mirror, from the tables the runtime
-// tier's intrinsicFor reads.
+// blobs the program embeds to its mirror, from the tables predecode's
+// call lowering reads.
 func intrinSitesFor(words []uint32) map[uint32]intrinSite {
 	sites := map[uint32]intrinSite{}
 	for _, blob := range []struct {
 		words []uint32
-		fns   map[uint32]intrinHandler
+		at    map[uint32]uint8
 	}{{sfOff.arith, arithIntrins}, {sfOff.cmp, cmpIntrins}} {
 		lb := findBlob(words, blob.words)
 		if lb < 0 {
 			continue
 		}
-		for off, h := range blob.fns {
-			fn := runtime.FuncForPC(reflect.ValueOf(h).Pointer()).Name()
+		for off, m := range blob.at {
+			fn := runtime.FuncForPC(reflect.ValueOf(mirrors[m].fn).Pointer()).Name()
 			sites[uint32(lb)+off] = intrinSite{fn[strings.LastIndexByte(fn, '.')+1:], uint32(lb)}
 		}
 	}
@@ -131,7 +168,7 @@ type kernelEmit struct {
 	end   uint32 // program length in words
 	words []uint32
 	recs  []decoded
-	// leaders are the offsets the dispatcher may enter the kernel at:
+	// leaders are the offsets RunFast may enter the kernel at:
 	// the program entry, every JAL target and the resume point after
 	// every JAL and JALR. They double as the case set of every JALR's
 	// switch, which is sound because the kernel binds only at base 0.
@@ -644,8 +681,8 @@ func generateKernelSource(t testing.TB) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("// Code generated by kernelgen_test.go (go test ./internal/sabre/ -run TestGenerateKernels -update-kernels); DO NOT EDIT.\n")
 	buf.WriteString("//\n")
-	buf.WriteString("// Whole-program kernels for the compiled engine. See kernelgen_test.go for\n")
-	buf.WriteString("// the emission rules and compile.go for how a kernel binds.\n\n")
+	buf.WriteString("// Whole-program kernels for the fast engine. See kernelgen_test.go for\n")
+	buf.WriteString("// the emission rules and kernel.go for how a kernel binds.\n\n")
 	buf.WriteString("package sabre\n\n")
 	buf.WriteString("// kernels lists the generated kernels that matchKernel tries.\n")
 	buf.WriteString("var kernels = []*genKernel{")

@@ -1,7 +1,7 @@
 // Code generated by kernelgen_test.go (go test ./internal/sabre/ -run TestGenerateKernels -update-kernels); DO NOT EDIT.
 //
-// Whole-program kernels for the compiled engine. See kernelgen_test.go for
-// the emission rules and compile.go for how a kernel binds.
+// Whole-program kernels for the fast engine. See kernelgen_test.go for
+// the emission rules and kernel.go for how a kernel binds.
 
 package sabre
 

@@ -81,7 +81,7 @@ type KalmanResult struct {
 	Instructions    uint64
 	WallSeconds     float64 // host wall-clock time inside Run
 	// Compiled holds the dispatch and intrinsic statistics when the run
-	// used the compiled engine (nil otherwise).
+	// used the fast engine (nil on the reference engine).
 	Compiled *CompiledStats
 }
 
@@ -133,7 +133,7 @@ func RunKalmanEngine(engine Engine, q, r, p0, x0 float32, z []float32) (*KalmanR
 	}
 	SetKalmanInputs(c, q, r, p0, x0, z)
 	var cs *CompiledStats
-	if engine == EngineCompiled {
+	if engine != EngineRef {
 		cs = &CompiledStats{}
 		c.CollectCompiledStats(cs)
 	}

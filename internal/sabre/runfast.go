@@ -13,6 +13,16 @@ import (
 // instruction counts) held in locals that are flushed to the CPU struct
 // only at peripheral accesses and loop exits.
 //
+// Two shortcuts take whole stretches of a run off the interpreter:
+//
+//   - Intrinsic records. predecode lowers every `jal r15` into a
+//     routine of a canonical SoftFloat blob to an intrinsic record,
+//     which runs the routine's native mirror (intrinsics.go) when the
+//     budget covers it and makes the plain call otherwise.
+//   - Kernel binding. When the loaded program is one of the two with a
+//     generated whole-program kernel (kernel.go), a run entered at one
+//     of the kernel's leaders is one call into native code.
+//
 // RAM loads and stores take an inlined fast path (one bounds-and-
 // alignment test plus an unrolled little-endian access); only accesses
 // that leave the RAM window fall into the shared peripheral span
@@ -34,48 +44,93 @@ import (
 // checkpoint-free run ahead fits in the remaining budget, and once the
 // threshold trips the loop hands the tail of the run to the reference
 // single-step loop, which applies the per-instruction limit check
-// verbatim.
+// verbatim. A mirror commits only below the same lowered mark, so the
+// run after it fits too.
 
-// Engine selects between the CPU's three execution engines.
+// Engine selects between the CPU's two execution engines.
 type Engine uint8
 
 const (
-	// EngineFast is the predecoded, superinstruction-fused engine —
-	// the default.
+	// EngineFast is the predecoded, superinstruction-fused engine with
+	// the SoftFloat mirrors and the generated kernels — the default.
 	EngineFast Engine = iota
 	// EngineRef is the reference fetch-decode-execute interpreter,
 	// one Step() per instruction.
 	EngineRef
-	// EngineCompiled is the basic-block translation engine: blocks are
-	// lazily compiled to Go closures and dispatched through a per-pc
-	// table (runcompiled.go).
-	EngineCompiled
 )
+
+// EngineCompiled is another name for EngineFast, kept because
+// perfbench's compiled slot selects the engine by this name.
+const EngineCompiled = EngineFast
 
 // String returns the CLI name of the engine.
 func (e Engine) String() string {
-	switch e {
-	case EngineRef:
+	if e == EngineRef {
 		return "ref"
-	case EngineCompiled:
-		return "compiled"
 	}
 	return "fast"
 }
 
-// ParseEngine converts a CLI flag value ("ref", "fast" or "compiled")
-// to an Engine.
+// ParseEngine converts a CLI flag value ("ref" or "fast") to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "ref":
 		return EngineRef, nil
 	case "fast":
 		return EngineFast, nil
-	case "compiled":
-		return EngineCompiled, nil
 	}
-	return EngineFast, fmt.Errorf("sabre: unknown engine %q (want ref, fast or compiled)", s)
+	return EngineFast, fmt.Errorf("sabre: unknown engine %q (want ref or fast)", s)
 }
+
+// Dispatch kinds, for CompiledStats.
+const (
+	dispKernel = iota // a call into a generated whole-program kernel
+	dispInterp        // a stretch of the interpreter, reference endgame included
+	numDispKinds
+)
+
+// CompiledStats counts, when attached via CollectCompiledStats, how
+// the fast engine's runs split between generated-kernel calls and
+// interpreted stretches, and the SoftFloat calls its native mirrors
+// took. perfbench reads it, and its methods, under these names.
+type CompiledStats struct {
+	Dispatches [numDispKinds]uint64
+	Instret    [numDispKinds]uint64
+
+	// IntrinsicCalls counts SoftFloat library calls lowered to native
+	// mirrors; IntrinsicInstret is the emulated instruction count those
+	// calls were charged for (a subset of the owning kind's Instret).
+	IntrinsicCalls   uint64
+	IntrinsicInstret uint64
+}
+
+// Retired returns the total instructions retired across all kinds.
+func (s *CompiledStats) Retired() uint64 {
+	return s.Instret[dispKernel] + s.Instret[dispInterp]
+}
+
+// KernelDispatches returns every dispatch the engine made: kernel calls
+// and interpreted stretches. No dispatch falls back to a generic block
+// (GenericDispatches), so the two sum to the same total.
+func (s *CompiledStats) KernelDispatches() uint64 {
+	return s.Dispatches[dispKernel] + s.Dispatches[dispInterp]
+}
+
+// GenericDispatches is always 0: the engine has no generic per-block
+// fallback.
+func (s *CompiledStats) GenericDispatches() uint64 { return 0 }
+
+// Summary renders the one-line dispatch/intrinsic report the CLIs
+// append to their MIPS summary lines.
+func (s *CompiledStats) Summary() string {
+	return fmt.Sprintf("%d intrinsic calls; dispatches: %d kernel, %d interpreted",
+		s.IntrinsicCalls, s.Dispatches[dispKernel], s.Dispatches[dispInterp])
+}
+
+// CollectCompiledStats attaches (or, with nil, detaches) a statistics
+// collector to the CPU. Attaching costs one predictable branch per run,
+// kernel call and mirrored call; benchmarks run detached.
+func (c *CPU) CollectCompiledStats(s *CompiledStats) { c.cstats = s }
 
 // flush writes the loop-local architectural counters back to the CPU
 // struct. Called before peripheral accesses (so bus devices observe
@@ -106,6 +161,21 @@ func (c *CPU) runTail(start, maxCycles uint64) (uint64, error) {
 // predecoded engine, returning the cycles consumed — the fast
 // counterpart of RunRef with identical architectural behaviour.
 func (c *CPU) RunFast(maxCycles uint64) (uint64, error) {
+	s := c.cstats
+	if s == nil {
+		return c.runFast(maxCycles)
+	}
+	ins, kernelIns := c.Instret, s.Instret[dispKernel]
+	ran, err := c.runFast(maxCycles)
+	if n := c.Instret - ins - (s.Instret[dispKernel] - kernelIns); n > 0 {
+		s.Dispatches[dispInterp]++
+		s.Instret[dispInterp] += n
+	}
+	return ran, err
+}
+
+// runFast is RunFast without the statistics of interpreted stretches.
+func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 	if c.Halted {
 		return 0, nil
 	}
@@ -141,6 +211,41 @@ func (c *CPU) RunFast(maxCycles uint64) (uint64, error) {
 		return c.runTail(start, maxCycles)
 	}
 	stop := start + maxCycles - guard
+
+	// A generated kernel runs the whole program from any of its leaders
+	// whose worst-case cycles to the kernel's first budget check the
+	// budget strictly exceeds. It checks the budget itself against the
+	// unlowered mark, and hands back an exact state at every exit.
+	if k := c.kernel; k != nil {
+		if worst, ok := k.leaders[pc]; ok && maxCycles > uint64(worst) && start+maxCycles > start {
+			st := &c.cstate
+			*st = cst{r: r, data: data, pc: pc, cycles: start, instret: instret, stop: start + maxCycles}
+			status := k.fn(c, st)
+			if s := c.cstats; s != nil {
+				s.Dispatches[dispKernel]++
+				s.Instret[dispKernel] += st.instret - instret
+			}
+			switch status {
+			case stHalt:
+				c.Halted = true
+				c.flush(st.pc, st.cycles, st.instret)
+				return st.cycles - start, nil
+			case stErr:
+				return c.Cycles - start, st.err
+			case stBudget:
+				c.flush(st.pc, st.cycles, st.instret)
+				return c.runTail(start, maxCycles)
+			}
+			// stOK: the kernel left its code; the interpreter resumes
+			// there once the lowered mark is re-checked, since the
+			// record it resumes at may not be a checkpoint.
+			pc, cycles, instret = st.pc, st.cycles, st.instret
+			if cycles >= stop {
+				c.flush(pc, cycles, instret)
+				return c.runTail(start, maxCycles)
+			}
+		}
+	}
 
 	for {
 		if pc >= uint32(len(dec)) {
@@ -2344,6 +2449,27 @@ func (c *CPU) RunFast(maxCycles uint64) (uint64, error) {
 				cycles += 4
 				instret += 4
 			}
+			continue
+
+		case xopIntrin:
+			if cycles >= stop {
+				c.flush(pc, cycles, instret)
+				return c.runTail(start, maxCycles)
+			}
+			// The mirror tests its whole cost against the lowered mark,
+			// so when it commits, the run after it fits as after any
+			// passing checkpoint.
+			st := &c.cstate
+			st.r, st.data, st.stop = r, data, stop
+			if ncy, nin, ok := mirrors[d.rs1].fn(c, st, cycles, instret, uint32(d.imm2), uint32(d.imm3)); ok {
+				pc++
+				cycles, instret = ncy, nin
+				continue
+			}
+			r[15] = uint32(d.imm2)
+			pc = uint32(d.imm)
+			cycles += 2
+			instret++
 			continue
 
 		default: // xopIllegal: the raw out-of-range opcode travels in imm
