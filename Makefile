@@ -32,7 +32,7 @@ vet:
 # The check builds these packages for arm64 and fails on any fused
 # multiply-add in the assembly listing; ROADMAP item 8 widens the list
 # to the other numerics packages.
-FMA_PKGS := ./internal/kalman/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
+FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
 
 fma-check:
 	GOARCH=arm64 $(GO) build $(FMA_PKGS)
@@ -101,7 +101,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/fault/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkAdaptive -benchmem -count 3 ./internal/core/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -count 3 ./internal/fleet/ >> bench/raw.txt
-	$(GO) test -run '^$$' -bench BenchmarkRunIntoTiny -benchmem -count 3 ./internal/system/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkRunIntoTiny|BenchmarkRunIntoDynamic' -benchmem -count 3 ./internal/system/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkSeedDraw30 -benchmem -count 3 ./internal/rng/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkPipelineQVGAFrame -benchmem -count 3 ./internal/affine/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkTickPipeline -benchmem -count 3 ./internal/hcsim/ >> bench/raw.txt

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"boresight/internal/geom"
 	"boresight/internal/parallel"
 	"boresight/internal/system"
+	"boresight/internal/traj"
 )
 
 func geomFromDeg(d [3]float64) geom.Euler { return geom.EulerDeg(d[0], d[1], d[2]) }
@@ -320,6 +322,103 @@ func TestConfigMatchesScenarioBuilders(t *testing.T) {
 	want.ResidualStride = -1
 	if !reflect.DeepEqual(got, want) {
 		t.Error("untuned spec config differs from system.DynamicScenarioUntuned")
+	}
+}
+
+// TestDriveDurationsShareProfile pins the profile cache's drive key:
+// CityDrive depends on Dur only through the length it rounds Dur up
+// to, so dynamic specs of 5 s and 45 s expand to one *traj.Drive, and
+// share one truth table in system.
+func TestDriveDurationsShareProfile(t *testing.T) {
+	profile := func(kind Kind, dur float64) traj.Profile {
+		t.Helper()
+		cfg, err := ScenarioSpec{Kind: kind, Dur: dur}.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Profile
+	}
+	d5, d45 := profile(KindDynamic, 5), profile(KindDynamic, 45)
+	if _, ok := d5.(*traj.Drive); !ok || d5 != d45 {
+		t.Errorf("Dur 5 and Dur 45 expand to %p and %p, want one *traj.Drive", d5, d45)
+	}
+	if profile(KindUntuned, 45) != d5 {
+		t.Error("untuned and dynamic specs of one length expand to different drives")
+	}
+	if profile(KindDynamic, 58) == d5 {
+		t.Error("Dur 58 shares the 57-s drive")
+	}
+}
+
+// TestServePanicContained injects a panic into one scenario's run. It
+// must come back as that scenario's error, wrapping ErrPanicked and
+// naming the spec, and count as failed for its tenant, while the rest
+// of the batch and the next batch complete on the one FairPool worker,
+// which gets a fresh Runner.
+func TestServePanicContained(t *testing.T) {
+	s := NewServer(1, 64)
+	defer s.Close()
+	specs := testSpecs(8)
+	const bad = 3
+	specs[bad].Seed = 666
+	badSeed := TenantSeed(specs[bad].Tenant, specs[bad].Seed)
+	s.testRun = func(r *system.Runner, res *system.Result, cfg system.Config) error {
+		if cfg.Seed == badSeed {
+			panic("injected fault")
+		}
+		return r.RunInto(res, cfg)
+	}
+	runner := s.runners[0]
+
+	serve := func(specs []ScenarioSpec, panicAt int) {
+		t.Helper()
+		b := s.NewBatch()
+		defer b.Release()
+		for _, sp := range specs {
+			b.Add(sp)
+		}
+		b.Submit(true)
+		b.Wait()
+		for i, sp := range specs {
+			err := b.Err(i)
+			if i == panicAt {
+				if !errors.Is(err, ErrPanicked) || b.Status(i) != StatusError ||
+					!strings.Contains(err.Error(), "injected fault") || !strings.Contains(err.Error(), "Seed:666") {
+					t.Errorf("scenario %d: got status %d, error %v; want a StatusError wrapping ErrPanicked that names the spec", i, b.Status(i), err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("scenario %d: %v", i, err)
+			}
+			cfg, _ := sp.Config()
+			want, err := system.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := AppendResult(nil, 0, b.Status(i), b.Results()[i]); !bytes.Equal(got, AppendResult(nil, 0, StatusOK, want)) {
+				t.Errorf("scenario %d: served result differs from a direct run", i)
+			}
+		}
+	}
+	serve(specs, bad)
+	if s.runners[0] == runner {
+		t.Error("the worker kept the Runner that panicked")
+	}
+	serve(testSpecs(8), -1)
+
+	st := s.Stats()
+	if st.Completed != 16 || st.Failed != 1 || st.Inflight != 0 {
+		t.Errorf("stats %+v: want 16 completed, 1 failed, 0 inflight", st)
+	}
+	for _, ts := range s.PerTenant() {
+		want := int64(0)
+		if ts.Tenant == specs[bad].Tenant {
+			want = 1
+		}
+		if ts.Failed != want {
+			t.Errorf("tenant %d: %d failed, want %d", ts.Tenant, ts.Failed, want)
+		}
 	}
 }
 

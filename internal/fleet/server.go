@@ -26,6 +26,12 @@ var ErrQueueFull = fmt.Errorf("%w: queue full", ErrShed)
 // tenant already had TenantCap admitted-but-unfinished scenarios.
 var ErrTenantCap = fmt.Errorf("%w: tenant inflight cap reached", ErrShed)
 
+// ErrPanicked marks a scenario whose run panicked. The server recovers
+// the panic into that scenario's error (StatusError), which names the
+// panic value and the spec so the scenario can be replayed; the rest
+// of the batch and the worker carry on.
+var ErrPanicked = errors.New("fleet: scenario panicked")
+
 // ServerConfig sizes a Server. The zero value of every field resolves
 // to a serviceable default, so ServerConfig{} is a working server.
 type ServerConfig struct {
@@ -106,6 +112,9 @@ type Server struct {
 	cfg     ServerConfig
 	pool    *parallel.FairPool[*job]
 	runners []*system.Runner
+	// testRun, set only by tests, runs each expanded spec in place of
+	// the worker Runner's RunInto, to inject a panic.
+	testRun func(r *system.Runner, res *system.Result, cfg system.Config) error
 
 	jobPool   sync.Pool
 	batchPool sync.Pool
@@ -185,11 +194,7 @@ func (s *Server) serve(worker int, j *job) {
 		res = system.GetResult()
 		b.results[i] = res
 	}
-	cfg, err := b.specs[i].Config()
-	if err == nil {
-		err = s.runners[worker].RunInto(res, cfg)
-	}
-	if err != nil {
+	if err := s.run(worker, res, b.specs[i]); err != nil {
 		b.errs[i] = err
 		s.failed.Add(1)
 		tc.failed.Add(1)
@@ -199,6 +204,26 @@ func (s *Server) serve(worker int, j *job) {
 	s.inflight.Add(-1)
 	tc.inflight.Add(-1)
 	b.wg.Done()
+}
+
+// run expands sp and runs it on the worker's Runner. A panic is
+// recovered into an error wrapping ErrPanicked, and the worker gets a
+// fresh Runner, since the panic may have left the old one half reset.
+func (s *Server) run(worker int, res *system.Result, sp ScenarioSpec) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.runners[worker] = system.NewRunner()
+			err = fmt.Errorf("%w: %v; spec %+v", ErrPanicked, v, sp)
+		}
+	}()
+	cfg, err := sp.Config()
+	if err != nil {
+		return err
+	}
+	if s.testRun != nil {
+		return s.testRun(s.runners[worker], res, cfg)
+	}
+	return s.runners[worker].RunInto(res, cfg)
 }
 
 // Close stops accepting work and blocks until every admitted scenario

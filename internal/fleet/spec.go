@@ -173,7 +173,10 @@ func (sp ScenarioSpec) Config() (system.Config, error) {
 // decode path allocation-free: fleet workloads reuse a handful of
 // durations, so after warm-up every Config hits the cache. The map is
 // bounded — a wire peer cycling durations degrades to per-request
-// profile construction, never to unbounded server memory.
+// profile construction, never to unbounded server memory. A drive is
+// keyed by the length CityDrive rounds dur up to, on which alone it
+// depends, so every duration that builds the same drive shares one
+// *traj.Drive, and with it one table of epoch truth in system.
 type profileKey struct {
 	drive bool
 	dur   float64
@@ -188,6 +191,9 @@ var (
 
 func profileFor(kind Kind, dur float64) traj.Profile {
 	k := profileKey{drive: kind != KindStatic, dur: dur}
+	if k.drive {
+		k.dur = traj.CityDriveDuration(dur)
+	}
 	profMu.RLock()
 	p := profiles[k]
 	profMu.RUnlock()

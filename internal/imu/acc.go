@@ -169,13 +169,19 @@ func (a *ACC) ScaleNoise(factor float64) {
 // works. A configured lever arm adds the centripetal difference
 // ω×(ω×r) between the sensor's mounting point and the IMU's.
 func (a *ACC) Sample(st traj.State, vib [3]float64) ACCSample {
-	fBody := st.SpecificForce().Add(geom.Vec3{vib[0], vib[1], vib[2]})
+	return a.SampleBody(st.T, st.SpecificForce().Add(geom.Vec3(vib)), st.Rate)
+}
+
+// SampleBody produces one measurement at time t from the true body
+// specific force f at the IMU (vibration included) and body rate w;
+// the lever-arm term is added here, as in Sample.
+func (a *ACC) SampleBody(t float64, f, w geom.Vec3) ACCSample {
+	fBody := f
 	if a.cfg.LeverArm != (geom.Vec3{}) {
-		w := st.Rate
 		fBody = fBody.Add(w.Cross(w.Cross(a.cfg.LeverArm)))
 	}
 	fSens := a.body2s.Apply(fBody)
-	out := ACCSample{T: st.T}
+	out := ACCSample{T: t}
 	fx := a.cfg.Axes[0].Apply(fSens[0], a.rng)
 	fy := a.cfg.Axes[1].Apply(fSens[1], a.rng)
 	if a.cfg.Codec.T2Counts > 0 {

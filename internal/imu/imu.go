@@ -124,11 +124,17 @@ func (d *DMU) SampleRate() float64 { return d.cfg.SampleRate }
 // Sample produces one measurement from the truth state plus body-axis
 // vibration acceleration.
 func (d *DMU) Sample(st traj.State, vib [3]float64) DMUSample {
-	fTrue := st.SpecificForce().Add(geom.Vec3{vib[0], vib[1], vib[2]})
-	fTrue = d.mount.Apply(fTrue)
-	wTrue := d.mount.Apply(st.Rate)
+	return d.SampleBody(st.T, st.SpecificForce().Add(geom.Vec3(vib)), st.Rate)
+}
+
+// SampleBody produces one measurement at time t from the true body
+// specific force f (vibration included) and body rate w. Callers that
+// feed both instruments the same truth compute f once.
+func (d *DMU) SampleBody(t float64, f, w geom.Vec3) DMUSample {
+	fTrue := d.mount.Apply(f)
+	wTrue := d.mount.Apply(w)
 	var out DMUSample
-	out.T = st.T
+	out.T = t
 	for i := 0; i < 3; i++ {
 		out.Rate[i] = d.cfg.Gyro[i].Apply(wTrue[i], d.rng)
 		out.Accel[i] = d.cfg.Accel[i].Apply(fTrue[i], d.rng)

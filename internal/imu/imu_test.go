@@ -275,6 +275,31 @@ func TestACCDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// TestSampleBodyMatchesSample pins the wrappers: Sample on a truth
+// state equals SampleBody on the force and rate it implies, bit for
+// bit, for both instruments and with and without an ACC lever arm.
+func TestSampleBodyMatchesSample(t *testing.T) {
+	d := traj.CityDrive("city", 57)
+	vib := traj.DefaultVibration()
+	for _, lever := range []geom.Vec3{{}, {0.4, -0.3, 0.2}} {
+		acfg := DefaultACCConfig(geom.EulerDeg(1, -2, 0.5))
+		acfg.LeverArm = lever
+		dmuA, dmuB := NewDMU(DefaultDMUConfig(), 3), NewDMU(DefaultDMUConfig(), 3)
+		accA, accB := NewACC(acfg, 4), NewACC(acfg, 4)
+		for ti := 0.0; ti < d.Duration(); ti += 0.37 {
+			st := d.At(ti)
+			v := vib.At(ti, st.Vel.Norm())
+			f := st.SpecificForce().Add(geom.Vec3(v))
+			if a, b := dmuA.Sample(st, v), dmuB.SampleBody(st.T, f, st.Rate); a != b {
+				t.Fatalf("lever %v, t=%v: DMU Sample %+v, SampleBody %+v", lever, ti, a, b)
+			}
+			if a, b := accA.Sample(st, v), accB.SampleBody(st.T, f, st.Rate); a != b {
+				t.Fatalf("lever %v, t=%v: ACC Sample %+v, SampleBody %+v", lever, ti, a, b)
+			}
+		}
+	}
+}
+
 func BenchmarkDMUSample(b *testing.B) {
 	d := NewDMU(DefaultDMUConfig(), 1)
 	st := traj.StaticPose{Dur: 1}.At(0)

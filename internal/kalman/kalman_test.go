@@ -316,3 +316,71 @@ func benchUpdate(b *testing.B, n int) {
 
 func BenchmarkUpdate7State2Meas(b *testing.B)  { benchUpdate(b, 7) }
 func BenchmarkUpdate16State2Meas(b *testing.B) { benchUpdate(b, 16) }
+
+// TestGainMatchesRowSolves pins Commit's whole-row gain solve to the
+// row-by-row form it replaced: on random SPD innovation covariances,
+// every entry of K and the Mahalanobis distance equal n separate
+// mat.Cholesky solves bit for bit.
+func TestGainMatchesRowSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	const n = 9
+	for _, m := range []int{1, 2, 6} {
+		for trial := 0; trial < 20; trial++ {
+			a := mat.New(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					a.Set(i, j, rng.NormFloat64())
+				}
+			}
+			p := a.MulT(a)
+			for i := 0; i < n; i++ {
+				p.Set(i, i, p.At(i, i)+0.1)
+			}
+			H := mat.New(m, n)
+			B := mat.New(m, m)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					H.Set(i, j, rng.NormFloat64())
+				}
+				for j := 0; j < m; j++ {
+					B.Set(i, j, 0.1*rng.NormFloat64())
+				}
+			}
+			R := B.MulT(B)
+			for i := 0; i < m; i++ {
+				R.Set(i, i, R.At(i, i)+1e-3)
+			}
+			z := make([]float64, m)
+			for i := range z {
+				z[i] = rng.NormFloat64()
+			}
+			f := New(n)
+			f.SetP(p)
+			inn, err := f.InnovationOnly(z, make([]float64, m), H, R)
+			if err != nil {
+				t.Fatalf("m=%d trial %d: %v", m, trial, err)
+			}
+			chol, err := mat.CholeskyFactor(inn.S)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := math.Sqrt(math.Max(0, mat.Dot(inn.Residual, chol.SolveVec(inn.Residual)))); math.Float64bits(inn.Mahalanobis) != math.Float64bits(want) {
+				t.Errorf("m=%d trial %d: Mahalanobis %v, row solve gives %v", m, trial, inn.Mahalanobis, want)
+			}
+			ut := append([]float64(nil), f.ut...)
+			f.Commit()
+			u := make([]float64, m)
+			for i := 0; i < n; i++ {
+				for a := range u {
+					u[a] = ut[a*n+i]
+				}
+				k := chol.SolveVec(u)
+				for a, v := range k {
+					if got := f.kt[a*n+i]; math.Float64bits(got) != math.Float64bits(v) {
+						t.Fatalf("m=%d trial %d: K[%d][%d] = %v, row solve gives %v", m, trial, i, a, got, v)
+					}
+				}
+			}
+		}
+	}
+}

@@ -63,7 +63,7 @@ func MulTo(dst, a, b *Mat) {
 			brow := b.data[k*b.cols : (k+1)*b.cols]
 			orow := dst.data[i*b.cols : (i+1)*b.cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -85,7 +85,7 @@ func MulTTo(dst, a, b *Mat) {
 			brow := b.data[j*b.cols : (j+1)*b.cols]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			dst.data[i*b.rows+j] = s
 		}
@@ -114,7 +114,7 @@ func TMulTo(dst, a, b *Mat) {
 			}
 			orow := dst.data[i*b.cols : (i+1)*b.cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -136,7 +136,7 @@ func MulVecTo(dst []float64, a *Mat, v []float64) {
 		row := a.data[i*a.cols : (i+1)*a.cols]
 		var s float64
 		for j, av := range row {
-			s += av * v[j]
+			s += float64(av * v[j])
 		}
 		dst[i] = s
 	}

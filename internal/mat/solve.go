@@ -81,7 +81,7 @@ func (f *LU) Factorize(a *Mat) error {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				lu.data[i*n+j] -= m * lu.data[k*n+j]
+				lu.data[i*n+j] -= float64(m * lu.data[k*n+j])
 			}
 		}
 	}
@@ -120,7 +120,7 @@ func (f *LU) SolveVecTo(dst, b []float64) {
 		var s float64
 		row := f.lu.data[i*n : i*n+i]
 		for j, l := range row {
-			s += l * dst[j]
+			s += float64(l * dst[j])
 		}
 		dst[i] -= s
 	}
@@ -128,7 +128,7 @@ func (f *LU) SolveVecTo(dst, b []float64) {
 	for i := n - 1; i >= 0; i-- {
 		var s float64
 		for j := i + 1; j < n; j++ {
-			s += f.lu.data[i*n+j] * dst[j]
+			s += float64(f.lu.data[i*n+j] * dst[j])
 		}
 		dst[i] = (dst[i] - s) / f.lu.data[i*n+i]
 	}
@@ -240,7 +240,7 @@ func (c *Cholesky) Factorize(a *Mat) error {
 		var d float64
 		for k := 0; k < j; k++ {
 			v := l.data[j*n+k]
-			d += v * v
+			d += float64(v * v)
 		}
 		d = a.data[j*n+j] - d
 		if d <= 0 {
@@ -251,7 +251,7 @@ func (c *Cholesky) Factorize(a *Mat) error {
 		for i := j + 1; i < n; i++ {
 			var s float64
 			for k := 0; k < j; k++ {
-				s += l.data[i*n+k] * l.data[j*n+k]
+				s += float64(l.data[i*n+k] * l.data[j*n+k])
 			}
 			l.data[i*n+j] = (a.data[i*n+j] - s) / ljj
 		}
@@ -288,7 +288,7 @@ func (c *Cholesky) SolveVecTo(dst, b []float64) {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for j := 0; j < i; j++ {
-			s -= c.l.data[i*n+j] * dst[j]
+			s -= float64(c.l.data[i*n+j] * dst[j])
 		}
 		dst[i] = s / c.l.data[i*n+i]
 	}
@@ -296,7 +296,7 @@ func (c *Cholesky) SolveVecTo(dst, b []float64) {
 	for i := n - 1; i >= 0; i-- {
 		s := dst[i]
 		for j := i + 1; j < n; j++ {
-			s -= c.l.data[j*n+i] * dst[j]
+			s -= float64(c.l.data[j*n+i] * dst[j])
 		}
 		dst[i] = s / c.l.data[i*n+i]
 	}

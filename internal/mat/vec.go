@@ -16,7 +16,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -58,7 +58,7 @@ func ScaleVec(s float64, a []float64) []float64 {
 func Norm(a []float64) float64 {
 	var s float64
 	for _, v := range a {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -69,9 +69,9 @@ func Cross(a, b []float64) []float64 {
 		panic(fmt.Sprintf("mat: Cross needs 3-vectors, got %d and %d", len(a), len(b)))
 	}
 	return []float64{
-		a[1]*b[2] - a[2]*b[1],
-		a[2]*b[0] - a[0]*b[2],
-		a[0]*b[1] - a[1]*b[0],
+		float64(a[1]*b[2]) - float64(a[2]*b[1]),
+		float64(a[2]*b[0]) - float64(a[0]*b[2]),
+		float64(a[0]*b[1]) - float64(a[1]*b[0]),
 	}
 }
 

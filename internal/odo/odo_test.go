@@ -135,8 +135,8 @@ func BenchmarkAiderUpdate(b *testing.B) {
 }
 
 func TestAiderGainIncludesDiveCoupling(t *testing.T) {
-	// The fitted gain should land near 1 + g·DivePerAccel ≈ 1.06 for
-	// the default suspension model.
+	// The fitted gain should land near 1 + g·0.006 ≈ 1.06 for the
+	// default suspension model (0.006 rad of pitch per m/s²).
 	drive := traj.CityDrive("drive", 200)
 	w := NewWheelSensor(24.6, 7)
 	a := NewAider()

@@ -134,6 +134,7 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 		dur = cfg.Duration
 	}
 	n := int(dur * cfg.SampleRate)
+	tab := truthTable(&cfg, dt, n)
 	res.True = cfg.TrueMisalignment
 	exceeded := 0
 
@@ -212,13 +213,14 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 			acc.ScaleNoise(cfg.NoiseDriftFactor)
 			drifted = true
 		}
-		st := cfg.Profile.At(t)
-		var vib [3]float64
-		if cfg.Vibrate {
-			vib = cfg.Vibration.At(t, st.Vel.Norm())
+		var tr epochTruth
+		if tab != nil {
+			tr = tab[i]
+		} else {
+			tr = truthAt(cfg.Profile, cfg.Vibrate, cfg.Vibration, t)
 		}
-		ds := dmu.Sample(st, vib)
-		as := acc.Sample(st, vib)
+		ds := dmu.SampleBody(tr.t, tr.f, tr.w)
+		as := acc.SampleBody(tr.t, tr.f, tr.w)
 
 		fb := ds.Accel
 		ax, ay := as.FX, as.FY
@@ -288,7 +290,7 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 		}
 
 		if cfg.UseOdometry && quality != core.QualityDropout {
-			odoSpeed := wheel.Speed(wheel.Sample(st.Vel.Norm(), dt), dt)
+			odoSpeed := wheel.Speed(wheel.Sample(tr.speed, dt), dt)
 			aider.Update(dt, odoSpeed, fb[0])
 			if aider.Converged() {
 				fb[0] -= aider.Bias()
@@ -377,6 +379,10 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 	return nil
 }
 
+// levelTruth is the calibration platform's truth: level, still and
+// free of vibration, so the same at every epoch of every calibration.
+var levelTruth = truthAt(traj.StaticPose{}, false, traj.Vibration{}, 0)
+
 // calibrateBiases simulates the paper's pre-test calibration: the
 // instruments run on a level platform with the sensor still aligned
 // (before the misalignment is introduced) and the mean residual gives
@@ -392,14 +398,13 @@ func (r *Runner) calibrateBiases(cfg Config) (bx, by float64) {
 		r.calDMU.Reset(cfg.DMU, cfg.Seed+100)
 		r.calACC.Reset(accCfg, cfg.Seed+101)
 	}
-	pose := traj.StaticPose{Dur: cfg.CalibrationTime}
 	dt := 1 / cfg.SampleRate
 	n := int(cfg.CalibrationTime * cfg.SampleRate)
 	var sx, sy float64
 	for i := 0; i < n; i++ {
-		st := pose.At(float64(i) * dt)
-		ds := r.calDMU.Sample(st, [3]float64{})
-		as := r.calACC.Sample(st, [3]float64{})
+		t := float64(i) * dt
+		ds := r.calDMU.SampleBody(t, levelTruth.f, levelTruth.w)
+		as := r.calACC.SampleBody(t, levelTruth.f, levelTruth.w)
 		// Aligned: the ACC should read the IMU's x/y components.
 		sx += as.FX - ds.Accel[0]
 		sy += as.FY - ds.Accel[1]

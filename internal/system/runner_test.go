@@ -98,8 +98,9 @@ func TestRunnerInvalidFilterError(t *testing.T) {
 // TestRunnerSteadyStateAllocFree pins the tentpole claim: a Runner in
 // steady state — consecutive scenarios with the same filter layout, run
 // into a recycled Result — performs zero heap allocations for the whole
-// request, on the direct path and on a linked run with both kinds of
-// wire fault injected (corruption generator and per-link channels).
+// request, on the direct path, on a linked run with both kinds of wire
+// fault injected (corruption generator and per-link channels), and on
+// a calibrated drive with vibration, which reads the shared truth table.
 func TestRunnerSteadyStateAllocFree(t *testing.T) {
 	direct := StaticScenario(geom.EulerDeg(2, -1, 1), 2, 5)
 	direct.Calibrate = false
@@ -114,10 +115,16 @@ func TestRunnerSteadyStateAllocFree(t *testing.T) {
 		BurstProb: 0.002, LineBreakProb: 0.001, JitterProb: 0.05,
 	}
 
+	dynamic := DynamicScenario(geom.EulerDeg(2, -1, 1), 2, 5)
+	dynamic.Duration = 2
+	dynamic.CalibrationTime = 2
+	dynamic.ResidualStride = 10
+	dynamic.EstimateStride = 50
+
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{{"direct", direct}, {"linked-faulted", faulted}} {
+	}{{"direct", direct}, {"linked-faulted", faulted}, {"dynamic", dynamic}} {
 		r := NewRunner()
 		res := new(Result)
 		if err := r.RunInto(res, tc.cfg); err != nil { // warm-up: builds the run objects
@@ -141,6 +148,28 @@ func TestRunnerSteadyStateAllocFree(t *testing.T) {
 func BenchmarkRunIntoTiny(b *testing.B) {
 	cfg := StaticScenario(geom.EulerDeg(2, -1, 1), 0.03, 1)
 	cfg.Calibrate = false
+	cfg.ResidualStride = -1
+	r := NewRunner()
+	res := new(Result)
+	if err := r.RunInto(res, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		if err := r.RunInto(res, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunIntoDynamic is a served dynamic scenario: a 57-s city
+// drive with vibration and the 30-s calibration, on a warm Runner with
+// a fresh seed every op, so each op reads the drive's shared truth and
+// pays the sensor noise and estimator work of a served scenario.
+func BenchmarkRunIntoDynamic(b *testing.B) {
+	cfg := DynamicScenario(geom.EulerDeg(2, -1, 1), 57, 1)
 	cfg.ResidualStride = -1
 	r := NewRunner()
 	res := new(Result)

@@ -125,14 +125,17 @@ type Segment struct {
 // integrate analytically across segments; attitude includes small
 // suspension effects (dive under braking, body roll in turns) so the
 // IMU's accelerometers see realistic cross-axis coupling.
+//
+// A *Drive is immutable once NewDrive returns: nothing that At reads
+// can change, so callers may key caches of its truth on the pointer.
 type Drive struct {
 	Label string
-	// DivePerAccel is pitch change per unit longitudinal acceleration
+	// divePerAccel is pitch change per unit longitudinal acceleration
 	// (rad per m/s²); positive acceleration pitches the nose up.
-	DivePerAccel float64
-	// RollPerLatAccel is body roll per unit lateral (centripetal)
+	divePerAccel float64
+	// rollPerLatAccel is body roll per unit lateral (centripetal)
 	// acceleration (rad per m/s²).
-	RollPerLatAccel float64
+	rollPerLatAccel float64
 
 	segs []Segment
 	// Cumulative state at segment boundaries.
@@ -145,15 +148,16 @@ type Drive struct {
 
 // NewDrive builds a driving profile starting at rest, heading north.
 // Speed is clamped at zero (the vehicle cannot reverse by braking).
+// The drive keeps its own copy of segs.
 func NewDrive(label string, segs []Segment) *Drive {
 	if len(segs) == 0 {
 		panic("traj: NewDrive with no segments")
 	}
 	d := &Drive{
 		Label:           label,
-		DivePerAccel:    0.006, // ~0.34° of pitch per m/s², typical sedan
-		RollPerLatAccel: 0.010, // ~0.57° of roll per m/s² lateral
-		segs:            segs,
+		divePerAccel:    0.006, // ~0.34° of pitch per m/s², typical sedan
+		rollPerLatAccel: 0.010, // ~0.57° of roll per m/s² lateral
+		segs:            append([]Segment(nil), segs...),
 	}
 	d.t0 = make([]float64, len(segs)+1)
 	d.v0 = make([]float64, len(segs)+1)
@@ -250,45 +254,61 @@ func (d *Drive) At(t float64) State {
 	}
 	// Attitude: heading plus suspension dive/roll.
 	att := geom.Euler{
-		Roll:  d.RollPerLatAccel * latA,
-		Pitch: d.DivePerAccel * a,
+		Roll:  d.rollPerLatAccel * latA,
+		Pitch: d.divePerAccel * a,
 		Yaw:   h,
 	}
 	rate := geom.Vec3{0, 0, s.TurnRate}
 	return State{T: t, Pos: p, Vel: vel, AccelN: accN, Att: att.Quat(), Rate: rate}
 }
 
+// cityPattern is one pass of CityDrive's route.
+var cityPattern = []Segment{
+	{Dur: 3, LongAccel: 0},                   // idle
+	{Dur: 6, LongAccel: 2.2},                 // accelerate to ~13 m/s
+	{Dur: 8, LongAccel: 0},                   // cruise
+	{Dur: 5, LongAccel: 0, TurnRate: 0.22},   // right turn
+	{Dur: 6, LongAccel: 0},                   // cruise
+	{Dur: 4, LongAccel: -2.8},                // brake
+	{Dur: 2, LongAccel: 0},                   // pause
+	{Dur: 5, LongAccel: 2.5},                 // accelerate
+	{Dur: 5, LongAccel: 0, TurnRate: -0.18},  // left turn
+	{Dur: 6, LongAccel: 0.5},                 // gentle accel
+	{Dur: 4, LongAccel: -2.0},                // brake
+	{Dur: 3, LongAccel: 1.5, TurnRate: 0.10}, // accelerating curve
+}
+
 // CityDrive returns a representative mixed urban driving profile used by
-// the dynamic tests: pull away, cruise, corner, brake, repeat. The total
-// duration is scaled to roughly dur seconds by repeating the pattern.
+// the dynamic tests: pull away, cruise, corner, brake, repeat. The
+// pattern repeats to cover dur, so the drive lasts CityDriveDuration(dur)
+// seconds and depends on dur only through that length.
 func CityDrive(label string, dur float64) *Drive {
-	pattern := []Segment{
-		{Dur: 3, LongAccel: 0},                   // idle
-		{Dur: 6, LongAccel: 2.2},                 // accelerate to ~13 m/s
-		{Dur: 8, LongAccel: 0},                   // cruise
-		{Dur: 5, LongAccel: 0, TurnRate: 0.22},   // right turn
-		{Dur: 6, LongAccel: 0},                   // cruise
-		{Dur: 4, LongAccel: -2.8},                // brake
-		{Dur: 2, LongAccel: 0},                   // pause
-		{Dur: 5, LongAccel: 2.5},                 // accelerate
-		{Dur: 5, LongAccel: 0, TurnRate: -0.18},  // left turn
-		{Dur: 6, LongAccel: 0.5},                 // gentle accel
-		{Dur: 4, LongAccel: -2.0},                // brake
-		{Dur: 3, LongAccel: 1.5, TurnRate: 0.10}, // accelerating curve
+	reps, _ := cityReps(dur)
+	segs := make([]Segment, 0, reps*len(cityPattern))
+	for r := 0; r < reps; r++ {
+		segs = append(segs, cityPattern...)
 	}
-	var patternDur float64
-	for _, s := range pattern {
-		patternDur += s.Dur
+	return NewDrive(label, segs)
+}
+
+// CityDriveDuration returns the length of the drive CityDrive builds
+// for dur: dur rounded up to whole passes of the route, at least one.
+func CityDriveDuration(dur float64) float64 {
+	reps, pass := cityReps(dur)
+	return float64(reps) * pass
+}
+
+// cityReps returns how many passes of the route CityDrive builds for
+// dur, and the length of one pass.
+func cityReps(dur float64) (reps int, pass float64) {
+	for _, s := range cityPattern {
+		pass += s.Dur
 	}
-	reps := int(math.Ceil(dur / patternDur))
+	reps = int(math.Ceil(dur / pass))
 	if reps < 1 {
 		reps = 1
 	}
-	segs := make([]Segment, 0, reps*len(pattern))
-	for r := 0; r < reps; r++ {
-		segs = append(segs, pattern...)
-	}
-	return NewDrive(label, segs)
+	return reps, pass
 }
 
 // HighwayDrive returns a higher-speed, lower-dynamics profile: long

@@ -132,6 +132,30 @@ func TestDriveTimeClamping(t *testing.T) {
 	}
 }
 
+// TestDriveOwnsSegments pins the immutability a *Drive promises its
+// callers (system caches truth by the pointer): rewriting the slice
+// handed to NewDrive leaves At unchanged.
+func TestDriveOwnsSegments(t *testing.T) {
+	segs := []Segment{{Dur: 4, LongAccel: 1.5}, {Dur: 5, TurnRate: 0.2}}
+	d := NewDrive("x", segs)
+	want := d.At(7)
+	segs[0] = Segment{Dur: 4, LongAccel: -3}
+	segs[1].TurnRate = -0.4
+	if got := d.At(7); got != want {
+		t.Fatalf("At(7) changed with the caller's slice:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCityDriveDuration pins the helper to the drives CityDrive builds:
+// durations that round up to the same whole passes build equal drives.
+func TestCityDriveDuration(t *testing.T) {
+	for _, dur := range []float64{0.5, 5, 45, 57, 57.01, 120} {
+		if got, want := CityDriveDuration(dur), CityDrive("c", dur).Duration(); got != want {
+			t.Errorf("CityDriveDuration(%v) = %v, CityDrive lasts %v", dur, got, want)
+		}
+	}
+}
+
 func TestDriveValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
