@@ -350,6 +350,27 @@ func TestDriveDurationsShareProfile(t *testing.T) {
 	}
 }
 
+// TestDrivesCachedPastBound fills the profile cache with static
+// durations, as a peer cycling them would: dynamic specs must still
+// share one *traj.Drive per length, and with it one truth table.
+func TestDrivesCachedPastBound(t *testing.T) {
+	profMu.Lock()
+	saved := profiles
+	profiles = make(map[profileKey]traj.Profile, profileCacheMax)
+	for i := 0; i < profileCacheMax; i++ {
+		profiles[profileKey{dur: float64(i) + 0.5}] = traj.StaticPose{}
+	}
+	profMu.Unlock()
+	defer func() {
+		profMu.Lock()
+		profiles = saved
+		profMu.Unlock()
+	}()
+	if a, b := profileFor(KindDynamic, 120), profileFor(KindDynamic, 130); a != b {
+		t.Errorf("with the cache full, Dur 120 and Dur 130 expand to %p and %p, want one drive", a, b)
+	}
+}
+
 // TestServePanicContained injects a panic into one scenario's run. It
 // must come back as that scenario's error, wrapping ErrPanicked and
 // naming the spec, and count as failed for its tenant, while the rest

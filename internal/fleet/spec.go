@@ -172,11 +172,14 @@ func (sp ScenarioSpec) Config() (system.Config, error) {
 // synthesises a segment schedule). The cache makes the steady-state
 // decode path allocation-free: fleet workloads reuse a handful of
 // durations, so after warm-up every Config hits the cache. The map is
-// bounded — a wire peer cycling durations degrades to per-request
-// profile construction, never to unbounded server memory. A drive is
-// keyed by the length CityDrive rounds dur up to, on which alone it
-// depends, so every duration that builds the same drive shares one
-// *traj.Drive, and with it one table of epoch truth in system.
+// bounded — a wire peer cycling static durations degrades to
+// per-request profile construction, never to unbounded server memory.
+// A drive is keyed by the length CityDrive rounds dur up to, on which
+// alone it depends, so every duration that builds the same drive
+// shares one *traj.Drive, and with it one table of epoch truth in
+// system. Drives are cached past the bound: Validate caps dur at 600 s,
+// so there are at most 11 drive lengths, and a drive built per request
+// would also build its truth table per request.
 type profileKey struct {
 	drive bool
 	dur   float64
@@ -204,7 +207,7 @@ func profileFor(kind Kind, dur float64) traj.Profile {
 	profMu.Lock()
 	if q := profiles[k]; q != nil {
 		p = q // lost the build race; serve the cached one
-	} else if len(profiles) < profileCacheMax {
+	} else if k.drive || len(profiles) < profileCacheMax {
 		profiles[k] = p
 	}
 	profMu.Unlock()

@@ -40,10 +40,9 @@
 // InnovationOnly computes the innovation statistics a gate needs, and
 // Commit applies that same innovation, so a gated epoch computes U, S
 // and the Cholesky factor of S once. Update is InnovationOnly followed
-// by Commit. Commit solves S·Kᵀ = Uᵀ for the whole gain at once: two
-// triangular sweeps over the m rows of Uᵀ, each n long. Every column
-// takes the operation order of mat's Cholesky factorisation and
-// solve, so K has the bits n separate mat solves would give.
+// by Commit. Commit solves S·Kᵀ = Uᵀ for the whole gain at once with
+// mat's SolveRowsTo: two triangular sweeps over the m rows of Uᵀ, each
+// n long, which give every row of K the bits of its own solve.
 //
 // # Performance model
 //
@@ -98,8 +97,8 @@ type Filter struct {
 	kt    []float64 // Kᵀ (m×n)
 	dt    []float64 // (K·S − U)ᵀ (m×n)
 	sd    []float64 // S (m×m)
-	l     []float64 // Cholesky factor of S, lower triangle (m×m)
-	s     *mat.Mat  // S, as Innovation.S
+	s     *mat.Mat  // S, as Innovation.S and the Cholesky input
+	chol  *mat.Cholesky
 
 	// innovated is set by a successful innovation and cleared by
 	// anything that changes x or P, so Commit can refuse a stale one.
@@ -130,8 +129,8 @@ func (f *Filter) ensureScratch(m int) {
 	f.kt = make([]float64, m*n)
 	f.dt = make([]float64, m*n)
 	f.sd = make([]float64, m*m)
-	f.l = make([]float64, m*m)
 	f.s = mat.New(m, m)
+	f.chol = mat.NewCholesky(m)
 }
 
 // Dim returns the state dimension.
@@ -354,7 +353,7 @@ func (in Innovation) Chi2() float64 {
 	return in.Mahalanobis * in.Mahalanobis
 }
 
-// innovate fills the innovation scratch (nu, h, ut, sd, s, l, sigma,
+// innovate fills the innovation scratch (nu, h, ut, sd, s, chol, sigma,
 // sol) for a measurement and returns the statistics; shared by Update
 // and InnovationOnly.
 func (f *Filter) innovate(z, h []float64, H, R *mat.Mat) (Innovation, error) {
@@ -410,14 +409,13 @@ func (f *Filter) innovate(z, h []float64, H, R *mat.Mat) (Innovation, error) {
 			f.s.Set(a, b, f.sd[a*m+b])
 		}
 	}
-	if !cholesky(f.l, f.sd, m) {
+	if err := f.chol.Factorize(f.s); err != nil {
 		return Innovation{}, ErrIllConditioned
 	}
 	for i := range f.sigma {
 		f.sigma[i] = math.Sqrt(f.sd[i*m+i])
 	}
-	copy(f.sol, f.nu)
-	cholSolveRows(f.sol, f.l, m, 1)
+	f.chol.SolveVecTo(f.sol, f.nu)
 	maha := math.Sqrt(math.Max(0, mat.Dot(f.nu, f.sol)))
 	f.innovated = true
 	return Innovation{Residual: f.nu, S: f.s, Sigma: f.sigma, Mahalanobis: maha}, nil
@@ -463,7 +461,7 @@ func (f *Filter) Commit() {
 	n, m := len(f.x), f.m
 	// S·Kᵀ = Uᵀ, as S is symmetric: row i of K solves S·kᵢ = uᵢ.
 	copy(f.kt, f.ut)
-	cholSolveRows(f.kt, f.l, m, n)
+	f.chol.SolveRowsTo(f.kt, n)
 	for i := range f.x {
 		var s float64
 		for a, v := range f.nu {
@@ -472,70 +470,6 @@ func (f *Filter) Commit() {
 		f.x[i] += s
 	}
 	covUpdate(f.p, f.kt, f.ut, f.sd, f.dt, n, m)
-}
-
-// cholesky overwrites the lower triangle of l with the Cholesky factor
-// of the symmetric m×m matrix s (both row-major), in the order
-// mat.(*Cholesky).Factorize uses, so the factor has the same bits. It
-// reports false, leaving l undefined, when s is not positive definite.
-func cholesky(l, s []float64, m int) bool {
-	for j := 0; j < m; j++ {
-		var d float64
-		for k := 0; k < j; k++ {
-			v := l[j*m+k]
-			d += float64(v * v)
-		}
-		d = s[j*m+j] - d
-		if d <= 0 {
-			return false
-		}
-		ljj := math.Sqrt(d)
-		l[j*m+j] = ljj
-		for i := j + 1; i < m; i++ {
-			var t float64
-			for k := 0; k < j; k++ {
-				t += float64(l[i*m+k] * l[j*m+k])
-			}
-			l[i*m+j] = (s[i*m+j] - t) / ljj
-		}
-	}
-	return true
-}
-
-// cholSolveRows overwrites x (m×w, row-major) with A⁻¹·x, given the
-// Cholesky factor l of A from cholesky: a forward and a back sweep,
-// each over whole rows of x. Every column of x sees the operations of
-// mat.(*Cholesky).SolveVecTo in the same order, so it gets the same
-// bits as solving that column alone.
-func cholSolveRows(x, l []float64, m, w int) {
-	// Forward: L·y = x.
-	for a := 0; a < m; a++ {
-		xa := x[a*w : (a+1)*w]
-		for j := 0; j < a; j++ {
-			laj, xj := l[a*m+j], x[j*w:][:len(xa)]
-			for i := range xa {
-				xa[i] -= float64(laj * xj[i])
-			}
-		}
-		laa := l[a*m+a]
-		for i := range xa {
-			xa[i] /= laa
-		}
-	}
-	// Back: Lᵀ·x = y.
-	for a := m - 1; a >= 0; a-- {
-		xa := x[a*w : (a+1)*w]
-		for j := a + 1; j < m; j++ {
-			lja, xj := l[j*m+a], x[j*w:][:len(xa)]
-			for i := range xa {
-				xa[i] -= float64(lja * xj[i])
-			}
-		}
-		laa := l[a*m+a]
-		for i := range xa {
-			xa[i] /= laa
-		}
-	}
 }
 
 // covUpdate overwrites the n×n covariance p with

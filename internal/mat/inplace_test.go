@@ -223,7 +223,7 @@ func TestSolveToEquivalence(t *testing.T) {
 		}
 		wantCM := ch.Solve(bm)
 		gotM = bm.Clone()
-		ch.SolveTo(gotM, gotM, work)
+		ch.SolveTo(gotM, gotM)
 		if !gotM.Equal(wantCM, 1e-12) {
 			t.Fatalf("n=%d: in-place Cholesky SolveTo mismatch", n)
 		}
@@ -295,7 +295,7 @@ func TestInPlaceKernelsAllocFree(t *testing.T) {
 				panic(err)
 			}
 			ch.SolveVecTo(dv, v)
-			ch.SolveTo(dst, b, work)
+			ch.SolveTo(dst, b)
 		}},
 	}
 	for _, c := range checks {

@@ -621,3 +621,33 @@ func TestEqualShapeMismatch(t *testing.T) {
 		t.Fatal("shape mismatch reported equal")
 	}
 }
+
+// TestCholeskySolveRowsColumns pins SolveRowsTo's contract: each
+// column of a whole-row solve has the bits of the one-column solve of
+// that column, so a caller may solve all its right-hand sides at once.
+func TestCholeskySolveRowsColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, n := range []int{1, 2, 6} {
+		ch, err := CholeskyFactor(makeSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 3, 7} {
+			b := randMat(rng, n, w)
+			x := append([]float64(nil), b.data...)
+			ch.SolveRowsTo(x, w)
+			col := make([]float64, n)
+			for k := 0; k < w; k++ {
+				for i := range col {
+					col[i] = b.At(i, k)
+				}
+				ch.SolveVecTo(col, col)
+				for i, v := range col {
+					if got := x[i*w+k]; math.Float64bits(got) != math.Float64bits(v) {
+						t.Fatalf("n=%d w=%d: X[%d][%d] = %v, one-column solve gives %v", n, w, i, k, got, v)
+					}
+				}
+			}
+		}
+	}
+}

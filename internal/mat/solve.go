@@ -277,28 +277,54 @@ func CholeskyFactor(a *Mat) (*Cholesky, error) {
 func (c *Cholesky) L() *Mat { return c.l.Clone() }
 
 // SolveVecTo solves A*x = b into dst using the factorisation,
-// allocating nothing. dst may alias b (the two triangular sweeps run
-// in place).
+// allocating nothing. dst may alias b. It is SolveRowsTo with one
+// column.
 func (c *Cholesky) SolveVecTo(dst, b []float64) {
 	n := c.l.rows
 	if len(b) != n || len(dst) != n {
 		panic(fmt.Sprintf("mat: Cholesky SolveVecTo got dst %d, b %d for %dx%d system", len(dst), len(b), n, n))
 	}
-	// Forward: L*y = b.
+	copy(dst, b)
+	c.SolveRowsTo(dst, 1)
+}
+
+// SolveRowsTo overwrites x, n×w row-major for an n×n system, with
+// A⁻¹·x, allocating nothing: a forward and a back sweep, each over
+// whole rows of x. Every column of x takes the same operations in the
+// same order as it would alone, so its bits do not depend on w.
+func (c *Cholesky) SolveRowsTo(x []float64, w int) {
+	n := c.l.rows
+	if w < 0 || len(x) != n*w {
+		panic(fmt.Sprintf("mat: Cholesky SolveRowsTo got %d values, %d columns for %dx%d system", len(x), w, n, n))
+	}
+	l := c.l.data
+	// Forward: L*y = x.
 	for i := 0; i < n; i++ {
-		s := b[i]
+		xi := x[i*w : (i+1)*w]
 		for j := 0; j < i; j++ {
-			s -= float64(c.l.data[i*n+j] * dst[j])
+			lij, xj := l[i*n+j], x[j*w:][:len(xi)]
+			for k := range xi {
+				xi[k] -= float64(lij * xj[k])
+			}
 		}
-		dst[i] = s / c.l.data[i*n+i]
+		lii := l[i*n+i]
+		for k := range xi {
+			xi[k] /= lii
+		}
 	}
 	// Back: Lᵀ*x = y.
 	for i := n - 1; i >= 0; i-- {
-		s := dst[i]
+		xi := x[i*w : (i+1)*w]
 		for j := i + 1; j < n; j++ {
-			s -= float64(c.l.data[j*n+i] * dst[j])
+			lji, xj := l[j*n+i], x[j*w:][:len(xi)]
+			for k := range xi {
+				xi[k] -= float64(lji * xj[k])
+			}
 		}
-		dst[i] = s / c.l.data[i*n+i]
+		lii := l[i*n+i]
+		for k := range xi {
+			xi[k] /= lii
+		}
 	}
 }
 
@@ -310,34 +336,21 @@ func (c *Cholesky) SolveVec(b []float64) []float64 {
 	return dst
 }
 
-// SolveTo solves A*X = B column by column into dst using the
-// caller-owned work slice (length n), allocating nothing. dst may
-// alias b.
-func (c *Cholesky) SolveTo(dst, b *Mat, work []float64) {
+// SolveTo solves A*X = B into dst with SolveRowsTo, allocating
+// nothing. dst may alias b.
+func (c *Cholesky) SolveTo(dst, b *Mat) {
 	n := c.l.rows
 	if b.rows != n {
 		panic(fmt.Sprintf("mat: Cholesky SolveTo rhs has %d rows for %dx%d system", b.rows, n, n))
 	}
 	b.sameShape(dst, "Cholesky SolveTo")
-	if len(work) != n {
-		panic(fmt.Sprintf("mat: Cholesky SolveTo work has %d elements, want %d", len(work), n))
-	}
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			work[i] = b.data[i*b.cols+j]
-		}
-		c.SolveVecTo(work, work)
-		for i, v := range work {
-			dst.data[i*b.cols+j] = v
-		}
-	}
+	copy(dst.data, b.data)
+	c.SolveRowsTo(dst.data, b.cols)
 }
 
-// Solve solves A*X = B column by column. See SolveTo for the
-// allocation-free form.
+// Solve solves A*X = B. See SolveTo for the allocation-free form.
 func (c *Cholesky) Solve(b *Mat) *Mat {
-	n := c.l.rows
-	out := New(n, b.cols)
-	c.SolveTo(out, b, make([]float64, n))
+	out := New(c.l.rows, b.cols)
+	c.SolveTo(out, b)
 	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"boresight/internal/fault"
 	"boresight/internal/geom"
+	"boresight/internal/traj"
 )
 
 // runnerTestConfigs is a heterogeneous scenario sequence covering every
@@ -99,8 +100,10 @@ func TestRunnerInvalidFilterError(t *testing.T) {
 // steady state — consecutive scenarios with the same filter layout, run
 // into a recycled Result — performs zero heap allocations for the whole
 // request, on the direct path, on a linked run with both kinds of wire
-// fault injected (corruption generator and per-link channels), and on
-// a calibrated drive with vibration, which reads the shared truth table.
+// fault injected (corruption generator and per-link channels), on a
+// calibrated drive with vibration, which reads the shared truth table,
+// and on that drive alternating with fleet's longest drive, which is
+// too large to cache and must not evict the first drive's table.
 func TestRunnerSteadyStateAllocFree(t *testing.T) {
 	direct := StaticScenario(geom.EulerDeg(2, -1, 1), 2, 5)
 	direct.Calibrate = false
@@ -121,19 +124,31 @@ func TestRunnerSteadyStateAllocFree(t *testing.T) {
 	dynamic.ResidualStride = 10
 	dynamic.EstimateStride = 50
 
+	long := dynamic
+	long.Profile = traj.CityDrive("dynamic-test", 600)
+
 	for _, tc := range []struct {
 		name string
-		cfg  Config
-	}{{"direct", direct}, {"linked-faulted", faulted}, {"dynamic", dynamic}} {
+		cfgs []Config // run in turn
+	}{
+		{"direct", []Config{direct}},
+		{"linked-faulted", []Config{faulted}},
+		{"dynamic", []Config{dynamic}},
+		{"two drives", []Config{dynamic, long}},
+	} {
 		r := NewRunner()
 		res := new(Result)
-		if err := r.RunInto(res, tc.cfg); err != nil { // warm-up: builds the run objects
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := r.RunInto(res, tc.cfg); err != nil {
+		for _, cfg := range tc.cfgs { // warm-up: builds the run objects
+			if err := r.RunInto(res, cfg); err != nil {
 				t.Fatal(err)
 			}
+		}
+		runs := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := r.RunInto(res, tc.cfgs[runs%len(tc.cfgs)]); err != nil {
+				t.Fatal(err)
+			}
+			runs++
 		})
 		if allocs != 0 {
 			t.Errorf("%s: steady-state RunInto allocated %.1f times per run; want 0", tc.name, allocs)

@@ -2,6 +2,7 @@ package system
 
 import (
 	"sync"
+	"unsafe"
 
 	"boresight/internal/geom"
 	"boresight/internal/traj"
@@ -45,20 +46,31 @@ type truthKey struct {
 	vibration traj.Vibration
 }
 
-// maxTruthEpochs bounds the epochs held by all cached tables together:
-// at 64 B an epoch, 4 MiB. It holds the longest fleet drive at the
-// default rate (600 s at 100 Hz is 60,000 epochs); a run longer than
-// the bound takes the uncached path. An insert that would pass the
-// bound first drops every cached table, so drives seen once (the
-// experiment harness builds a fresh CityDrive per config) cannot fill
-// the cache for good. A dropped table stays valid for the runs still
-// reading it.
-const maxTruthEpochs = 1 << 16
+// truthEpochBytes is the memory one cached epoch takes.
+const truthEpochBytes = int(unsafe.Sizeof(epochTruth{}))
+
+// maxTruthBytes bounds the memory the cache keeps alive, 4 MiB. Each
+// table is charged its epochs, 64 B each, plus the HeapBytes of the
+// drive its key keeps alive, so a short run on a long drive pays for
+// the drive it pins: a 57-s drive at 100 Hz is 365 KB of table and
+// 137 KB of drive. A drive under several keys is charged by each.
+//
+// A table charged more than a quarter of the bound takes the uncached
+// path, so at least four tables always fit and no one long run evicts
+// the rest. fleet's 57-s and 114-s drives are cached at 100 Hz; its
+// longer ones are not. An insert that would pass the bound first drops
+// every cached table, so drives seen once (the experiment harness
+// builds a fresh CityDrive per config) cannot fill the cache for good.
+// A dropped table stays valid for the runs still reading it. A mix of
+// drives whose tables together pass the bound rebuilds tables as it
+// cycles, each rebuild costing one table allocation on top of the
+// truth the uncached path evaluates.
+const maxTruthBytes = 4 << 20
 
 var (
 	truthMu     sync.RWMutex
 	truthTables = make(map[truthKey][]epochTruth)
-	truthEpochs int // epochs held in truthTables
+	truthBytes  int // bytes charged to the tables in truthTables
 )
 
 // truthTable returns the shared truth of a run of n epochs at spacing
@@ -69,7 +81,11 @@ var (
 // written again.
 func truthTable(cfg *Config, dt float64, n int) []epochTruth {
 	d, ok := cfg.Profile.(*traj.Drive)
-	if !ok || n <= 0 || n > maxTruthEpochs {
+	if !ok || n <= 0 {
+		return nil
+	}
+	charge := n*truthEpochBytes + d.HeapBytes()
+	if charge > maxTruthBytes/4 {
 		return nil
 	}
 	k := truthKey{drive: d, dt: dt, n: n, vibrate: cfg.Vibrate, vibration: cfg.Vibration}
@@ -87,12 +103,12 @@ func truthTable(cfg *Config, dt float64, n int) []epochTruth {
 	if q := truthTables[k]; q != nil {
 		tab = q // lost the build race; serve the published one
 	} else {
-		if truthEpochs+n > maxTruthEpochs {
+		if truthBytes+charge > maxTruthBytes {
 			clear(truthTables)
-			truthEpochs = 0
+			truthBytes = 0
 		}
 		truthTables[k] = tab
-		truthEpochs += n
+		truthBytes += charge
 	}
 	truthMu.Unlock()
 	return tab

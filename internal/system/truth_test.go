@@ -2,6 +2,8 @@ package system
 
 import (
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"boresight/internal/geom"
@@ -76,8 +78,9 @@ func TestTruthTablesKeyEveryField(t *testing.T) {
 	})
 }
 
-// TestTruthTableReaders covers the runs around the tables: a run too
-// long for the cache bound takes the uncached path, and runs that read
+// TestTruthTableReaders covers the runs around the tables: a run whose
+// table would take too much of the cache takes the uncached path, and
+// runs that read
 // the cached table's speed (odometry) or change the sensor mid-run (a
 // bump) match fresh drives.
 func TestTruthTableReaders(t *testing.T) {
@@ -93,7 +96,7 @@ func TestTruthTableReaders(t *testing.T) {
 	long := base
 	pastBound(&long)
 	if n := int(long.Duration * long.SampleRate); truthTable(&long, 1/long.SampleRate, n) != nil {
-		t.Fatalf("a %d-epoch run got a table; the bound is %d epochs", n, maxTruthEpochs)
+		t.Fatalf("a %d-epoch run got a table; the bound is %d B", n, maxTruthBytes)
 	}
 
 	checkSharedTruth(t, base, []truthCase{
@@ -107,26 +110,117 @@ func TestTruthTableReaders(t *testing.T) {
 	})
 }
 
-// TestTruthCacheBound fills the cache past maxTruthEpochs with drives
-// seen once: the epochs held never pass the bound, and the table just
-// built is the one served next.
+// TestTruthTableConcurrentBuild runs one configuration on one fresh
+// drive from several goroutines at once, so their table builds race:
+// every run must match the uncached path, and one table is published.
+func TestTruthTableConcurrentBuild(t *testing.T) {
+	cfg := DynamicScenario(geom.EulerDeg(1, -2, 1), 20, 43)
+	cfg.Calibrate = false
+	cfg.ResidualStride = 25
+	cfg.Duration = 5
+	ref := cfg
+	ref.Profile = uncached{cfg.Profile}
+	want, err := Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	results := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[w], errs[w] = Run(cfg)
+		}()
+	}
+	wg.Wait()
+	for w, res := range results {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("worker %d: run differs from the uncached path", w)
+		}
+	}
+	truthMu.RLock()
+	tables := 0
+	for k := range truthTables {
+		if k.drive == cfg.Profile {
+			tables++
+		}
+	}
+	truthMu.RUnlock()
+	if tables != 1 {
+		t.Errorf("%d tables published for one key, want 1", tables)
+	}
+}
+
+// truthHeld returns the bytes charged to the cached tables.
+func truthHeld() int {
+	truthMu.RLock()
+	defer truthMu.RUnlock()
+	return truthBytes
+}
+
+// TestTruthCacheBound fills the cache past maxTruthBytes with drives
+// seen once: the bytes charged never pass the bound, and the table just
+// built is the one served next. A run on fleet's longest drive, charged
+// past a quarter of the bound for the drive alone, gets no table and
+// evicts none.
 func TestTruthCacheBound(t *testing.T) {
-	cfg := DynamicScenario(geom.EulerDeg(1, 1, 1), 300, 1)
-	const n = 30000 // 300 s at 100 Hz
-	for k := 0; k < 4; k++ {
-		cfg.Profile = traj.CityDrive("dynamic-test", 300)
-		tab := truthTable(&cfg, 0.01, n)
+	cfg := DynamicScenario(geom.EulerDeg(1, 1, 1), 60, 1)
+	const n = 6000 // 60 s at 100 Hz
+	var tab []epochTruth
+	for k := 0; k < 12; k++ {
+		cfg.Profile = traj.CityDrive("dynamic-test", 100)
+		tab = truthTable(&cfg, 0.01, n)
 		if len(tab) != n {
 			t.Fatalf("drive %d: table of %d epochs, want %d", k, len(tab), n)
 		}
-		truthMu.RLock()
-		held := truthEpochs
-		truthMu.RUnlock()
-		if held > maxTruthEpochs {
-			t.Fatalf("drive %d: cache holds %d epochs, bound %d", k, held, maxTruthEpochs)
+		if held := truthHeld(); held > maxTruthBytes {
+			t.Fatalf("drive %d: cache charged %d B, bound %d B", k, held, maxTruthBytes)
 		}
 		if again := truthTable(&cfg, 0.01, n); &again[0] != &tab[0] {
 			t.Fatalf("drive %d: the table just built was not served again", k)
 		}
+	}
+	long := cfg
+	long.Profile = traj.CityDrive("dynamic-test", 600)
+	if truthTable(&long, 0.01, 100) != nil {
+		t.Fatalf("a run on a %d-B drive got a table; a table may take %d B", long.Profile.(*traj.Drive).HeapBytes(), maxTruthBytes/4)
+	}
+	if again := truthTable(&cfg, 0.01, n); &again[0] != &tab[0] {
+		t.Fatal("a run on the long drive evicted the cached table")
+	}
+}
+
+// TestTruthCacheHeldBytes runs fresh drives through the cache at 1 Hz.
+// Their tables are small, but each key keeps its drive alive: the live
+// heap the cache holds must stay within maxTruthBytes however many
+// drives pass through.
+func TestTruthCacheHeldBytes(t *testing.T) {
+	truthMu.Lock()
+	clear(truthTables)
+	truthBytes = 0
+	truthMu.Unlock()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+
+	cfg := DynamicScenario(geom.EulerDeg(1, 1, 1), 300, 1)
+	for k := 0; k < 16; k++ {
+		cfg.Profile = traj.CityDrive("dynamic-test", 300) // 342 s, 824 KB
+		if truthTable(&cfg, 1, 300) == nil {
+			t.Fatalf("drive %d got no table", k)
+		}
+	}
+	cfg.Profile = nil
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if held := int64(ms.HeapAlloc) - int64(base); held > maxTruthBytes+1<<18 {
+		t.Fatalf("the cache holds %d B of live heap after 16 drives; the bound is %d B", held, maxTruthBytes)
 	}
 }

@@ -14,6 +14,7 @@ package traj
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"boresight/internal/geom"
 )
@@ -193,6 +194,17 @@ func NewDrive(label string, segs []Segment) *Drive {
 		d.posGrid[g] = p
 	}
 	return d
+}
+
+// HeapBytes returns the heap memory the drive holds, in bytes: the
+// Drive itself, its segments and segment-boundary states, and its
+// position grid, 24 B per 10 ms of drive. A cache keyed on a *Drive
+// keeps all of it alive.
+func (d *Drive) HeapBytes() int {
+	return int(unsafe.Sizeof(*d)) +
+		cap(d.segs)*int(unsafe.Sizeof(Segment{})) +
+		(cap(d.t0)+cap(d.v0)+cap(d.h0))*int(unsafe.Sizeof(float64(0))) +
+		cap(d.posGrid)*int(unsafe.Sizeof(geom.Vec3{}))
 }
 
 // speedHeadingAt returns the analytic speed and heading at time t.

@@ -2,6 +2,7 @@ package traj
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"boresight/internal/geom"
@@ -152,6 +153,31 @@ func TestCityDriveDuration(t *testing.T) {
 	for _, dur := range []float64{0.5, 5, 45, 57, 57.01, 120} {
 		if got, want := CityDriveDuration(dur), CityDrive("c", dur).Duration(); got != want {
 			t.Errorf("CityDriveDuration(%v) = %v, CityDrive lasts %v", dur, got, want)
+		}
+	}
+}
+
+// TestDriveHeapBytes holds HeapBytes to the heap NewDrive allocates:
+// it counts every allocation, and falls short of the total only by the
+// allocator's rounding. Of three builds, the least allocation is taken,
+// so an allocation on another goroutine cannot fail the test.
+func TestDriveHeapBytes(t *testing.T) {
+	for _, reps := range []int{1, 6} {
+		var segs []Segment
+		for r := 0; r < reps; r++ {
+			segs = append(segs, cityPattern...)
+		}
+		var before, after runtime.MemStats
+		alloc := math.MaxInt
+		var d *Drive
+		for try := 0; try < 3; try++ {
+			runtime.ReadMemStats(&before)
+			d = NewDrive("x", segs)
+			runtime.ReadMemStats(&after)
+			alloc = min(alloc, int(after.TotalAlloc-before.TotalAlloc))
+		}
+		if hb := d.HeapBytes(); hb > alloc || alloc > hb+hb/8+8192 {
+			t.Errorf("%d passes: HeapBytes %d B, NewDrive allocated %d B", reps, hb, alloc)
 		}
 	}
 }
