@@ -32,7 +32,7 @@ vet:
 # The check builds these packages for arm64 and fails on any fused
 # multiply-add in the assembly listing; ROADMAP item 8 widens the list
 # to the other numerics packages.
-FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
+FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
 
 fma-check:
 	GOARCH=arm64 $(GO) build $(FMA_PKGS)
@@ -111,9 +111,12 @@ bench-json:
 # softfloat Kalman and fixed-point boresight workloads (ns/emulated
 # instr, allocation contract), the fast engine with its generated
 # kernels bypassed on the same two workloads (and with the SoftFloat
-# mirrors bypassed too on Kalman), an integer loop no generated kernel
-# covers, plus the one-time predecode cost. Quick iteration loop for
-# interpreter work; the full archive/regression pass is bench-json.
+# mirrors bypassed too on Kalman: the library's routine bodies on an
+# interpreter that fuses only what the shipped programs dispatch, the
+# fallback path of a declining mirror), an integer loop no generated
+# kernel covers, plus the one-time predecode cost. Quick iteration
+# loop for interpreter work; the full archive/regression pass is
+# bench-json.
 sabre-bench:
 	$(GO) test -run '^$$' -bench 'SabreSoftFloatKalman|SabreFxBoresight' -benchmem -bench-dur 10 .
 	$(GO) test -run '^$$' -bench 'SabreKalman|SabreFxBoresightNoKernels|SabreIntLoop|Predecode' -benchmem ./internal/sabre/

@@ -160,6 +160,7 @@ func TestFleetShedding(t *testing.T) {
 // TestFleetDrain proves graceful shutdown: Close after Submit must
 // complete every admitted scenario (run under -race in CI).
 func TestFleetDrain(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer(4, 1<<10)
 	b := s.NewBatch()
 	const n = 64
@@ -377,6 +378,7 @@ func TestDrivesCachedPastBound(t *testing.T) {
 // of the batch and the next batch complete on the one FairPool worker,
 // which gets a fresh Runner.
 func TestServePanicContained(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer(1, 64)
 	defer s.Close()
 	specs := testSpecs(8)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +24,28 @@ func pipeSession(s *Server) (client net.Conn, wait func()) {
 		s.ServeConn(srvEnd)
 	}()
 	return client, wg.Wait
+}
+
+// checkGoroutines records the goroutine count at the start of a test
+// and, once the test and its deferred teardown have returned, waits a
+// few seconds for the count to fall back to it: a session, worker or
+// ticker goroutine still running after teardown fails the test with
+// every goroutine's stack. fleet's tests never run in parallel, so the
+// count at the start is this test's own baseline.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				buf = buf[:runtime.Stack(buf, true)]
+				t.Errorf("%d goroutines after teardown, %d at the start:\n%s", runtime.NumGoroutine(), base, buf)
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
 
 // handshake performs the client side of the Hello exchange.
@@ -51,6 +74,7 @@ func handshake(t *testing.T, client net.Conn, p *FrameParser, every uint16, inte
 // streams past MaxBatch has its session torn down instead of growing
 // the pooled batch (and the server's memory) without limit.
 func TestBinaryBatchCap(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServerConfig(ServerConfig{Workers: 1, Depth: 64, MaxBatch: 4})
 	defer s.Close()
 	client, wait := pipeSession(s)
@@ -83,6 +107,7 @@ func TestBinaryBatchCap(t *testing.T) {
 // silent is torn down, releasing its goroutine, read buffer and pooled
 // batch, instead of being held open forever.
 func TestBinaryIdleTimeout(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServerConfig(ServerConfig{Workers: 1, Depth: 64, IdleTimeout: 50 * time.Millisecond})
 	defer s.Close()
 	client, wait := pipeSession(s)
@@ -115,6 +140,7 @@ func TestBinaryIdleTimeout(t *testing.T) {
 // gate is only opened after the client has seen live frames, so the
 // test is deterministic, not a race against the scheduler.
 func TestBinaryLiveTelemetry(t *testing.T) {
+	checkGoroutines(t)
 	gate := make(chan struct{})
 	s := &Server{
 		cfg:     ServerConfig{TelemetryInterval: 20 * time.Millisecond}.withDefaults(),

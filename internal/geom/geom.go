@@ -44,9 +44,9 @@ func (v Vec3) Dot(w Vec3) float64 { return v[0]*w[0] + v[1]*w[1] + v[2]*w[2] }
 // Cross returns the cross product v × w.
 func (v Vec3) Cross(w Vec3) Vec3 {
 	return Vec3{
-		v[1]*w[2] - v[2]*w[1],
-		v[2]*w[0] - v[0]*w[2],
-		v[0]*w[1] - v[1]*w[0],
+		float64(v[1]*w[2]) - float64(v[2]*w[1]),
+		float64(v[2]*w[0]) - float64(v[0]*w[2]),
+		float64(v[0]*w[1]) - float64(v[1]*w[0]),
 	}
 }
 

@@ -40,7 +40,7 @@ type DutyCycleCodec struct {
 // duty cycle at the device limits.
 func (c DutyCycleCodec) Encode(accel float64) int {
 	g := accel / GravityPerG
-	duty := DutyZero + g*DutyPerG
+	duty := DutyZero + float64(g*DutyPerG)
 	if duty < 0 {
 		duty = 0
 	}

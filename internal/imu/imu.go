@@ -36,9 +36,9 @@ type AxisError struct {
 // Apply corrupts a true value with this axis's errors, drawing noise
 // from rng.
 func (e AxisError) Apply(truth float64, rng *rand.Rand) float64 {
-	v := truth*(1+e.Scale) + e.Bias
+	v := float64(truth*(1+e.Scale)) + e.Bias
 	if e.NoiseStd > 0 {
-		v += rng.NormFloat64() * e.NoiseStd
+		v += float64(rng.NormFloat64() * e.NoiseStd)
 	}
 	if e.Quant > 0 {
 		v = math.Round(v/e.Quant) * e.Quant

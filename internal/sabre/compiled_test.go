@@ -47,9 +47,8 @@ func runKalmanStats(t testing.TB) *CompiledStats {
 	return &st
 }
 
-// TestCompiledCoverageReport is the fast engine's analogue of
-// TestFusionCoverageReport: it runs the Kalman program on the zero
-// Engine with statistics attached and reports how the retired
+// TestCompiledCoverageReport runs the Kalman program on the zero
+// Engine with statistics attached and logs how the retired
 // instructions split between the generated kernel and the
 // interpreter. The Kalman program has a whole-program kernel, so the
 // shape is pinned hard: every retired instruction executes inside it,
@@ -58,7 +57,7 @@ func TestCompiledCoverageReport(t *testing.T) {
 	st := runKalmanStats(t)
 	total := st.Retired()
 	for k := 0; k < numDispKinds; k++ {
-		fmt.Printf("%11s: %6d dispatches, %9d instructions (%.1f%%)\n",
+		t.Logf("%11s: %6d dispatches, %9d instructions (%.1f%%)",
 			dispKindNames[k], st.Dispatches[k], st.Instret[k],
 			100*float64(st.Instret[k])/float64(total))
 	}

@@ -146,24 +146,19 @@ func recCost(op uint8) (cost, adv uint32, checkpoint bool) {
 		return 2, 1, false
 	case uint8(OpMUL), uint8(OpMULHU):
 		return 4, 1, false
-	case xopLUIConst, xopSWSW, xopADDISW, xopSRLIANDI, xopSRLISRLI,
-		xopSLLISLLI, xopSRLISLLI, xopSLLISRLI, xopSLLISRAI, xopADDISLLI,
-		xopSLLIOR, xopADDIADDI, xopANDAND, xopSUBORI, xopSRLIADDI,
-		xopADDISRLI, xopADDISUB, xopANDIADDI, xopADDADD, xopSLLIADD,
-		xopSUBSLL, xopORADDI, xopSRLADDI, xopSUBADDI, xopADDILUI,
-		xopSWLUI, xopSWADDI, xopORIADDI, xopORIAND, xopADDOR, xopORSLLI,
-		xopXORADDI, xopOROR, xopORADD, xopSLLIADDI, xopADDSLLI,
-		xopSLLADDI, xopADDADDI, xopLUIADD, xopORSUB, xopANDSLLI,
-		xopANDSRLI, xopSLLILUI, xopANDISRLI:
+	case xopLUIConst, xopSWSW, xopADDISW, xopSLLISLLI, xopSRLISLLI,
+		xopSLLISRLI, xopSLLISRAI, xopSLLIOR, xopADDIADDI, xopADDISRLI,
+		xopADDISUB, xopADDADD, xopSUBADDI, xopADDILUI, xopORIADDI, xopADDOR,
+		xopORSLLI, xopORADD, xopSLLIADDI, xopADDSLLI, xopADDADDI, xopORSUB,
+		xopSWLUI, xopSWADDI:
 		return 2, 2, false
 	case xopADDILW, xopLWADDI, xopADDLW, xopSWLW:
 		return 3, 2, false
 	case xopLWLW:
 		return 4, 2, false
-	case xopMULMULHU, xopMULHUMUL:
+	case xopMULMULHU:
 		return 8, 2, false
-	case xqADDISWSWSW, xqSWSWSWLUI, xqSWSWSWADDI, xqANDIADDISRLIADDI,
-		xqSLLISLLIADDADD, xqSWLUIORIAND:
+	case xqADDISWSWSW, xqSWSWSWLUI:
 		return 4, 4, false
 	case xqLWLWLWLW:
 		return 8, 4, false

@@ -111,23 +111,31 @@ type engineOutcome struct {
 	stats CompiledStats
 }
 
-// runOneEngine loads words onto a fresh CPU with a trace peripheral at
-// LEDSBase and a cycle counter at CounterBase, runs it, and captures
-// the outcome.
-func runOneEngine(eng Engine, words []uint32, maxCycles uint64, setup func(*CPU)) (*engineOutcome, error) {
-	eng, restore := withEngine(eng)
-	defer restore()
+// engineCPU loads words onto a fresh CPU with a trace peripheral at
+// LEDSBase and a cycle counter at CounterBase, and applies setup.
+func engineCPU(words []uint32, setup func(*CPU)) (*CPU, *tracePeriph, error) {
 	c := New()
-	c.Engine = eng
 	tp := &tracePeriph{}
 	c.Map(LEDSBase, tp)
 	c.Map(CounterBase, &Counter{CPU: c})
 	if err := c.LoadProgram(words); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if setup != nil {
 		setup(c)
 	}
+	return c, tp, nil
+}
+
+// runOneEngine runs words on an engineCPU and captures the outcome.
+func runOneEngine(eng Engine, words []uint32, maxCycles uint64, setup func(*CPU)) (*engineOutcome, error) {
+	eng, restore := withEngine(eng)
+	defer restore()
+	c, tp, err := engineCPU(words, setup)
+	if err != nil {
+		return nil, err
+	}
+	c.Engine = eng
 	var st CompiledStats
 	c.CollectCompiledStats(&st)
 	ran, err := c.Run(maxCycles)
@@ -574,11 +582,33 @@ func TestEngineParityFxBoresight(t *testing.T) {
 func runControlEngine(e Engine, budget uint64) (*engineOutcome, error) {
 	eng, restore := withEngine(e)
 	defer restore()
-	c, dmu, acc, _, leds, err := ControlCPU()
+	c, leds, err := controlCPU()
 	if err != nil {
 		return nil, err
 	}
 	c.Engine = eng
+	var st CompiledStats
+	c.CollectCompiledStats(&st)
+	ran, err := c.Run(budget)
+	if !errors.Is(err, ErrCycleLimit) {
+		return nil, fmt.Errorf("control program: ran %d, err %v", ran, err)
+	}
+	return &engineOutcome{
+		ran: ran, errStr: err.Error(), pc: c.PC, regs: c.R,
+		cycles: c.Cycles, instret: c.Instret, halted: c.Halted,
+		data:  append([]byte(nil), c.Data...),
+		trace: []periphEvent{{false, 0, leds.Value}},
+		stats: st,
+	}, nil
+}
+
+// controlCPU returns the control program's CPU with one accelerometer
+// packet and one DMU bridge frame queued on its serial ports.
+func controlCPU() (*CPU, *LEDs, error) {
+	c, dmu, acc, _, leds, err := ControlCPU()
+	if err != nil {
+		return nil, nil, err
+	}
 	payload := []byte{0x12, 0x34, 0x0B, 0xCD, 0x10, 0x00}
 	var sum byte
 	for _, b := range payload {
@@ -594,19 +624,7 @@ func runControlEngine(e Engine, budget uint64) (*engineOutcome, error) {
 		dsum += b
 	}
 	dmu.Feed(append(append([]byte{0xAA, 0x55}, body...), byte(-dsum)))
-	var st CompiledStats
-	c.CollectCompiledStats(&st)
-	ran, err := c.Run(budget)
-	if !errors.Is(err, ErrCycleLimit) {
-		return nil, fmt.Errorf("control program: ran %d, err %v", ran, err)
-	}
-	return &engineOutcome{
-		ran: ran, errStr: err.Error(), pc: c.PC, regs: c.R,
-		cycles: c.Cycles, instret: c.Instret, halted: c.Halted,
-		data:  append([]byte(nil), c.Data...),
-		trace: []periphEvent{{false, 0, leds.Value}},
-		stats: st,
-	}, nil
+	return c, leds, nil
 }
 
 // TestEngineParityControl runs the never-halting UART parsing program

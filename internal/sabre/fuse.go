@@ -1,14 +1,23 @@
 package sabre
 
-// Superinstruction fusion: the SoftFloat library and the assembler's
-// pseudo-instruction expansions emit the same handful of
-// two-instruction idioms over and over — `li` big constants become
-// lui+ori, field extraction is a shift followed by a mask, loop control
-// is an add-immediate followed by a conditional branch, 64-bit products
-// are a mul/mulhu pair over the same operands, and every call
-// prologue/epilogue is a run of paired stack loads and stores. Each
-// pattern below collapses one such pair into a single fused record with
-// one dispatch, executed by a dedicated handler in runfast.go.
+// Superinstruction fusion: the programs the repo ships repeat a few
+// adjacent-instruction idioms — `li` big constants become lui+ori,
+// field extraction and rotates are shift pairs, loop control is an
+// add-immediate followed by a conditional branch, 64-bit products are a
+// mul/mulhu pair over the same operands, and call prologues and
+// epilogues are runs of stack loads and stores. Each pattern below
+// collapses one such pair into a single fused record with one dispatch,
+// executed by a dedicated handler in runfast.go.
+//
+// A pattern is here only because deleting it would raise the number of
+// records the fast engine dispatches on a program the repo runs: the
+// golden programs (TestSabreProgramRecords pins their counts), the
+// SoftFloat batch harness, the example and GUI programs, and
+// perfbench's runtime programs. A pattern that fires but whose
+// neighbours would cover the same words in as many records does not
+// earn a place. None serves the SoftFloat routine bodies alone: calls
+// into the canonical library run as native mirrors (intrinsics.go), so
+// those bodies reach the interpreter only when a mirror declines.
 //
 // Fusion preserves the architectural contract exactly:
 //
@@ -35,31 +44,17 @@ const (
 	xopLWLW                                // load pair
 	xopSWSW                                // store pair
 	xopADDISW                              // stack adjust + store (call prologues)
-	xopSRLIANDI                            // field extract: shift right, mask
-	xopSRLISRLI                            // shift pair
 	xopSLLISLLI                            // shift pair
 	xopSRLISLLI                            // carry extract + shift (division loops)
-	xopSLLISRLI                            // zero-extend / bit-field
+	xopSLLISRLI                            // zero-extend / bit-field / rotate
 	xopSLLISRAI                            // sign-extend
-	xopADDISLLI                            // count + renormalise (sf_clz)
-	xopSLLIOR                              // shift + merge (mantissa assembly)
+	xopSLLIOR                              // shift + merge
 	xopADDIADDI                            // pointer/counter bump pair
-	xopANDAND                              // mask pair (operand unpacking)
-	xopSUBORI                              // restoring-division quotient step
 	xopMULMULHU                            // mul + mulhu, same operands: one 64-bit product
-	xopMULHUMUL                            // mulhu + mul, same operands
 	xopADDIBEQ                             // ALU + compare-branch fusions
 	xopADDIBNE
-	xopANDIBEQ
 	xopANDIBNE
-	xopSLTIUBEQ
 	xopSLTIUBNE
-	xopSLTUBEQ
-	xopSLTUBNE
-	xopSLTBEQ
-	xopSLTBNE
-	xopSUBBEQ
-	xopSUBBNE
 	xopADDIJAL // loop-tail increment + unconditional jump
 	// xopIllegal marks a program word whose raw opcode is outside the
 	// ISA. The 6-bit op field ranges over 0..63, which overlaps the
@@ -69,84 +64,43 @@ const (
 	// Generic sequential pairs, registered in pairOps below. These need
 	// no operand constraints: their handlers execute the two components
 	// strictly in order against committed register state.
-	xopSRLIADDI // ALU + ALU
-	xopADDISRLI
+	xopADDISRLI // ALU + ALU
 	xopADDISUB
-	xopANDIADDI
 	xopADDADD
-	xopSLLIADD
-	xopSUBSLL
-	xopORADDI
-	xopSRLADDI
 	xopSUBADDI
 	xopADDILUI
+	xopORIADDI
+	xopADDOR
+	xopORSLLI
+	xopORADD
+	xopSLLIADDI
+	xopADDSLLI
+	xopADDADDI
+	xopORSUB
 	xopSWLUI // store + ALU
 	xopSWADDI
 	xopADDILW // ALU + load / load + ALU
 	xopLWADDI
-	xopADDJAL // ALU or load + call
-	xopLWJAL
-	xopADDIJALR // stack adjust + return
-	xopSLLIBEQ  // shift + compare-branch (division loops)
-	xopSLLIBNE
-	xopSLLBEQ
-	xopSLLBNE
-	xopBNEBLTU // branch + branch (compare ladders)
-	xopBLTUSUB // branch + ALU on the fall-through path
-	xopBEQORI
-	xopBEQSLTIU
-	xopORIADDI // ALU + ALU, second batch
-	xopORIAND
-	xopADDOR
-	xopORSLLI
-	xopXORADDI
-	xopOROR
-	xopORADD
-	xopSLLIADDI
-	xopADDSLLI
-	xopSLLADDI
-	xopADDADDI
-	xopLUIADD // lui + add when the const-folding constraints don't hold
-	xopORSUB
-	xopADDIBLTU // ALU + compare-branch, second batch
-	xopADDIBGE
-	xopSLLIBLT
-	xopADDBLTU
-	xopBEQSRL // branch + ALU on the fall-through path, second batch
-	xopBLTADDI
-	xopBGEUADDI
-	xopBEQADDI
-	xopSUBJAL
-	xopADDBGEU // tail cleanup: the last hot pairs the trace reports
-	xopANDSLLI
-	xopANDSRLI
-	xopADDIBGEU
-	xopSLLILUI
 	xopADDLW
+	xopSWLW     // store + load
+	xopLWJAL    // load + call
+	xopADDIJALR // stack adjust + return
+	xopSLLIBNE  // shift + compare-branch
+	xopADDIBGE  // ALU + compare-branch
+	xopBLTUSUB  // branch + ALU or load on the fall-through path
+	xopBLTADDI
 	xopBEQLW
-	xopSWLW
-	xopANDISRLI // field mask + shift (softfloat unpacking)
 	// Quad superinstructions, produced by the second fusion pass
-	// (fuse2): the hottest adjacent pairs of already-fused records,
-	// collapsed again so one dispatch retires three or four
-	// instructions. Component fields one to four live in
-	// rd/rs1/rs2/imm, rd2/rs3/rs4/imm2, rd3/rs5/rs6/imm3 and
-	// rd4/rs7/rs8/imm4 respectively.
-	xqSRLISLLISLLIBNE // softfloat division/normalise loop body
-	xqSLLIBNEBLTUSUB  // normalise loop: shift, exit test, compare ladder
+	// (fuse2): adjacent pairs of already-fused records, collapsed again
+	// so one dispatch retires four instructions. Component fields one to
+	// four live in rd/rs1/rs2/imm, rd2/rs3/rs4/imm2, rd3/rs5/rs6/imm3
+	// and rd4/rs7/rs8/imm4 respectively.
+	xqSRLISLLISLLIBNE // division/normalise loop body
 	xqADDISWSWSW      // call-prologue stack adjust + spill run
-	xqLWLWADDIJALR    // argument reload + stack pop + return
 	xqLWLWLWLW        // load run (operand unpacking)
 	xqADDIADDIADDIJAL // counter bumps + loop-tail jump
 	xqBLTUSUBORIADDI  // restoring-division quotient step
-	xqORIADDIBNE      // quotient merge + counter + loop back-edge (triple)
 	xqSWSWSWLUI       // spill run + constant load
-	xqSWSWSWADDI      // spill run + stack adjust
-	xqANDIADDISRLIADDI
-	xqSLLISLLIADDADD
-	xqADDIADDIADDIBLTU
-	xqSWLUIORIAND
-	xqADDIBLTUANDIADDI
 	// xopIntrin is a `jal r15` into a routine of a canonical SoftFloat
 	// blob, lowered at predecode to the routine's native mirror
 	// (lowerIntrinsics in intrinsics.go). It is not a fusion: it stays
@@ -172,91 +126,47 @@ func init() {
 	}{
 		// Patterns whose handlers need no operand constraints, all in
 		// the one table fusePairInto probes; only LUI const-folding and
-		// the shared-product mul pairs need checks beyond the opcodes.
+		// the shared-product mul pair need checks beyond the opcodes.
 		{OpLW, OpLW, xopLWLW},
 		{OpSW, OpSW, xopSWSW},
 		{OpADDI, OpSW, xopADDISW},
-		{OpADDI, OpADDI, xopADDIADDI},
-		{OpADDI, OpSLLI, xopADDISLLI},
-		{OpADDI, OpBEQ, xopADDIBEQ},
-		{OpADDI, OpBNE, xopADDIBNE},
-		{OpADDI, OpJAL, xopADDIJAL},
-		{OpANDI, OpBEQ, xopANDIBEQ},
-		{OpANDI, OpBNE, xopANDIBNE},
-		{OpSLTIU, OpBEQ, xopSLTIUBEQ},
-		{OpSLTIU, OpBNE, xopSLTIUBNE},
-		{OpSLTU, OpBEQ, xopSLTUBEQ},
-		{OpSLTU, OpBNE, xopSLTUBNE},
-		{OpSLT, OpBEQ, xopSLTBEQ},
-		{OpSLT, OpBNE, xopSLTBNE},
-		{OpSUB, OpORI, xopSUBORI},
-		{OpSUB, OpBEQ, xopSUBBEQ},
-		{OpSUB, OpBNE, xopSUBBNE},
-		{OpSRLI, OpANDI, xopSRLIANDI},
-		{OpSRLI, OpSRLI, xopSRLISRLI},
-		{OpSRLI, OpSLLI, xopSRLISLLI},
 		{OpSLLI, OpSLLI, xopSLLISLLI},
+		{OpSRLI, OpSLLI, xopSRLISLLI},
 		{OpSLLI, OpSRLI, xopSLLISRLI},
 		{OpSLLI, OpSRAI, xopSLLISRAI},
 		{OpSLLI, OpOR, xopSLLIOR},
-		{OpAND, OpAND, xopANDAND},
-		{OpSRLI, OpADDI, xopSRLIADDI},
+		{OpADDI, OpADDI, xopADDIADDI},
+		{OpADDI, OpBEQ, xopADDIBEQ},
+		{OpADDI, OpBNE, xopADDIBNE},
+		{OpANDI, OpBNE, xopANDIBNE},
+		{OpSLTIU, OpBNE, xopSLTIUBNE},
+		{OpADDI, OpJAL, xopADDIJAL},
 		{OpADDI, OpSRLI, xopADDISRLI},
 		{OpADDI, OpSUB, xopADDISUB},
-		{OpANDI, OpADDI, xopANDIADDI},
 		{OpADD, OpADD, xopADDADD},
-		{OpSLLI, OpADD, xopSLLIADD},
-		{OpSUB, OpSLL, xopSUBSLL},
-		{OpOR, OpADDI, xopORADDI},
-		{OpSRL, OpADDI, xopSRLADDI},
 		{OpSUB, OpADDI, xopSUBADDI},
 		{OpADDI, OpLUI, xopADDILUI},
+		{OpORI, OpADDI, xopORIADDI},
+		{OpADD, OpOR, xopADDOR},
+		{OpOR, OpSLLI, xopORSLLI},
+		{OpOR, OpADD, xopORADD},
+		{OpSLLI, OpADDI, xopSLLIADDI},
+		{OpADD, OpSLLI, xopADDSLLI},
+		{OpADD, OpADDI, xopADDADDI},
+		{OpOR, OpSUB, xopORSUB},
 		{OpSW, OpLUI, xopSWLUI},
 		{OpSW, OpADDI, xopSWADDI},
 		{OpADDI, OpLW, xopADDILW},
 		{OpLW, OpADDI, xopLWADDI},
-		{OpADD, OpJAL, xopADDJAL},
+		{OpADD, OpLW, xopADDLW},
+		{OpSW, OpLW, xopSWLW},
 		{OpLW, OpJAL, xopLWJAL},
 		{OpADDI, OpJALR, xopADDIJALR},
-		{OpSLLI, OpBEQ, xopSLLIBEQ},
 		{OpSLLI, OpBNE, xopSLLIBNE},
-		{OpSLL, OpBEQ, xopSLLBEQ},
-		{OpSLL, OpBNE, xopSLLBNE},
-		{OpBNE, OpBLTU, xopBNEBLTU},
-		{OpBLTU, OpSUB, xopBLTUSUB},
-		{OpBEQ, OpORI, xopBEQORI},
-		{OpBEQ, OpSLTIU, xopBEQSLTIU},
-		{OpORI, OpADDI, xopORIADDI},
-		{OpORI, OpAND, xopORIAND},
-		{OpADD, OpOR, xopADDOR},
-		{OpOR, OpSLLI, xopORSLLI},
-		{OpXOR, OpADDI, xopXORADDI},
-		{OpOR, OpOR, xopOROR},
-		{OpOR, OpADD, xopORADD},
-		{OpSLLI, OpADDI, xopSLLIADDI},
-		{OpADD, OpSLLI, xopADDSLLI},
-		{OpSLL, OpADDI, xopSLLADDI},
-		{OpADD, OpADDI, xopADDADDI},
-		{OpLUI, OpADD, xopLUIADD},
-		{OpOR, OpSUB, xopORSUB},
-		{OpADDI, OpBLTU, xopADDIBLTU},
 		{OpADDI, OpBGE, xopADDIBGE},
-		{OpSLLI, OpBLT, xopSLLIBLT},
-		{OpADD, OpBLTU, xopADDBLTU},
-		{OpBEQ, OpSRL, xopBEQSRL},
+		{OpBLTU, OpSUB, xopBLTUSUB},
 		{OpBLT, OpADDI, xopBLTADDI},
-		{OpBGEU, OpADDI, xopBGEUADDI},
-		{OpBEQ, OpADDI, xopBEQADDI},
-		{OpSUB, OpJAL, xopSUBJAL},
-		{OpADD, OpBGEU, xopADDBGEU},
-		{OpAND, OpSLLI, xopANDSLLI},
-		{OpAND, OpSRLI, xopANDSRLI},
-		{OpADDI, OpBGEU, xopADDIBGEU},
-		{OpSLLI, OpLUI, xopSLLILUI},
-		{OpADD, OpLW, xopADDLW},
 		{OpBEQ, OpLW, xopBEQLW},
-		{OpSW, OpLW, xopSWLW},
-		{OpANDI, OpSRLI, xopANDISRLI},
 	} {
 		pairOps[pairKey(e.a, e.b)] = e.x
 	}
@@ -281,13 +191,12 @@ func fuse(dec []decoded) {
 	}
 }
 
-// fuse2 is the second fusion pass: it collapses the hottest adjacent
-// pairs of pair-fused records into quad superinstructions (plus one
-// pair-record + plain-branch triple). Like fuse, it writes only the
-// slot where the sequence starts and leaves the following slots
-// untouched, so a control transfer into the middle of a quad still
-// lands on a record describing execution from exactly that word. The
-// scan is ascending and reads slot i+2 before it could ever be
+// fuse2 is the second fusion pass: it collapses adjacent pairs of
+// pair-fused records into quad superinstructions. Like fuse, it writes
+// only the slot where the sequence starts and leaves the following
+// slots untouched, so a control transfer into the middle of a quad
+// still lands on a record describing execution from exactly that word.
+// The scan is ascending and reads slot i+2 before it could ever be
 // rewritten, so matches are always against the first-pass records.
 func fuse2(dec []decoded) {
 	for i := 0; i+3 < len(dec); i++ {
@@ -295,34 +204,16 @@ func fuse2(dec []decoded) {
 		switch uint16(dec[i].op)<<8 | uint16(dec[i+2].op) {
 		case uint16(xopSRLISLLI)<<8 | uint16(xopSLLIBNE):
 			x = xqSRLISLLISLLIBNE
-		case uint16(xopSLLIBNE)<<8 | uint16(xopBLTUSUB):
-			x = xqSLLIBNEBLTUSUB
 		case uint16(xopADDISW)<<8 | uint16(xopSWSW):
 			x = xqADDISWSWSW
-		case uint16(xopLWLW)<<8 | uint16(xopADDIJALR):
-			x = xqLWLWADDIJALR
 		case uint16(xopLWLW)<<8 | uint16(xopLWLW):
 			x = xqLWLWLWLW
 		case uint16(xopADDIADDI)<<8 | uint16(xopADDIJAL):
 			x = xqADDIADDIADDIJAL
 		case uint16(xopBLTUSUB)<<8 | uint16(xopORIADDI):
 			x = xqBLTUSUBORIADDI
-		case uint16(xopORIADDI)<<8 | uint16(uint8(OpBNE)):
-			x = xqORIADDIBNE
 		case uint16(xopSWSW)<<8 | uint16(xopSWLUI):
 			x = xqSWSWSWLUI
-		case uint16(xopSWSW)<<8 | uint16(xopSWADDI):
-			x = xqSWSWSWADDI
-		case uint16(xopANDIADDI)<<8 | uint16(xopSRLIADDI):
-			x = xqANDIADDISRLIADDI
-		case uint16(xopSLLISLLI)<<8 | uint16(xopADDADD):
-			x = xqSLLISLLIADDADD
-		case uint16(xopADDIADDI)<<8 | uint16(xopADDIBLTU):
-			x = xqADDIADDIADDIBLTU
-		case uint16(xopSWLUI)<<8 | uint16(xopORIAND):
-			x = xqSWLUIORIAND
-		case uint16(xopADDIBLTU)<<8 | uint16(xopANDIADDI):
-			x = xqADDIBLTUANDIADDI
 		default:
 			continue
 		}
@@ -335,8 +226,6 @@ func fuse2(dec []decoded) {
 	}
 }
 
-// fusePair matches one instruction pair against the superinstruction
-// patterns and returns the fused record.
 // fusePairInto rewrites d1 in place into a fused record over (d1, d2)
 // when the pair matches a pattern; otherwise d1 is left untouched. The
 // common fused layout keeps the first component in rd/rs1/rs2/imm and
@@ -364,26 +253,16 @@ func fusePairInto(d1, d2 *decoded) {
 			d1.rd2, d1.rs3, d1.rs4, d1.imm2 = d2.rd, d2.rs1, d2.rs2, d2.imm
 			return
 		}
-	case OpMUL, OpMULHU:
+	case OpMUL:
 		// A mul/mulhu pair over the same operand pair is one 64-bit
-		// product. Requires the first result not to feed the second's
-		// sources (the shared product would go stale), and the operand
-		// pairs to match up to commutativity.
-		var want Opcode
-		if op1 == OpMUL {
-			want = OpMULHU
-		} else {
-			want = OpMUL
-		}
+		// product. Requires the low word not to feed the mulhu's sources
+		// (the shared product would go stale), and the operand pairs to
+		// match up to commutativity.
 		sameOps := (d2.rs1 == d1.rs1 && d2.rs2 == d1.rs2) ||
 			(d2.rs1 == d1.rs2 && d2.rs2 == d1.rs1)
 		noHazard := d1.rd == 0 || (d1.rd != d2.rs1 && d1.rd != d2.rs2)
-		if op2 == want && sameOps && noHazard {
-			if op1 == OpMUL {
-				d1.op = xopMULMULHU
-			} else {
-				d1.op = xopMULHUMUL
-			}
+		if op2 == OpMULHU && sameOps && noHazard {
+			d1.op = xopMULMULHU
 			d1.rd2, d1.rs3, d1.rs4, d1.imm2 = d2.rd, d2.rs1, d2.rs2, d2.imm
 			return
 		}

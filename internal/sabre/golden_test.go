@@ -116,23 +116,54 @@ func stateCRC(o *engineOutcome) uint32 {
 // programGolden is one program, how to run it, and its pinned outcome.
 // kernels is the number of generated-kernel dispatches the run takes on
 // EngineFast: one for the two programs that have a kernel, none for
-// every other.
+// every other. records is the number of records the fast engine
+// dispatches for the run with its kernels bypassed (fusedRecords).
 type programGolden struct {
 	name            string
-	run             func(eng Engine) (*engineOutcome, error)
+	words           []uint32 // nil: the control program, on controlCPU
+	setup           func(*CPU)
+	budget          uint64
 	cycles, instret uint64
 	crc             uint32
 	kernels         uint64
+	records         uint64
 }
 
-// halting runs words to budget on an engine under test; the run must
-// halt cleanly.
-func halting(e Engine, words []uint32, setup func(*CPU), budget uint64) (*engineOutcome, error) {
-	out, err := runOneEngine(e, words, budget, setup)
+// run runs g on an engine under test. Every program but the control
+// program must halt cleanly within its budget; the control program
+// never halts and runs to its budget.
+func (g *programGolden) run(e Engine) (*engineOutcome, error) {
+	if g.words == nil {
+		return runControlEngine(e, g.budget)
+	}
+	out, err := runOneEngine(e, g.words, g.budget, g.setup)
 	if err == nil && (!out.halted || out.errStr != "") {
 		err = fmt.Errorf("program did not halt cleanly: %q", out.errStr)
 	}
 	return out, err
+}
+
+// pcTrace runs g on the reference engine one Step at a time and
+// returns the CPU and the pc of every instruction it retired, in order.
+func (g *programGolden) pcTrace() (*CPU, []uint32, error) {
+	var c *CPU
+	var err error
+	if g.words == nil {
+		c, _, err = controlCPU()
+	} else {
+		c, _, err = engineCPU(g.words, g.setup)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	trace := make([]uint32, 0, g.instret)
+	for !c.Halted && c.Cycles < g.budget {
+		trace = append(trace, c.PC)
+		if err := c.Step(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return c, trace, nil
 }
 
 // programGoldens lists the pinned programs: the bundled SoftFloat
@@ -178,37 +209,28 @@ func programGoldens(t *testing.T) []programGolden {
 	samples := intTrackSamples(512)
 
 	return []programGolden{
-		{name: "Kalman", cycles: 51907, instret: 40415, crc: 0x7ad47c77, kernels: 1, run: func(e Engine) (*engineOutcome, error) {
-			return halting(e, kal.Words, func(c *CPU) {
-				SetKalmanInputs(c, 1e-4, 0.04, 1, 0, kz)
-			}, KalmanRunBudget(len(kz)))
-		}},
-		{name: "FxBoresight", cycles: 88590, instret: 66556, crc: 0x66222f56, kernels: 1, run: func(e Engine) (*engineOutcome, error) {
-			return halting(e, fxb.Words, func(c *CPU) {
-				LoadFxBoresightInputs(c, fxcore.DefaultConfig(), 0.01, fxIn)
-			}, FxBoresightRunBudget(len(fxIn)))
-		}},
-		{name: "FxKalman", cycles: 6442, instret: 5075, crc: 0x37653a44, run: func(e Engine) (*engineOutcome, error) {
-			return halting(e, fxk, func(c *CPU) {
-				c.StoreWord(fxkN, 32)
-				c.StoreWord(fxkQ, uint32(q16(1e-3)))
-				c.StoreWord(fxkR, uint32(q16(0.04)))
-				c.StoreWord(fxkP, uint32(q16(1)))
-				c.StoreWord(fxkX, 0)
-				for i := 0; i < 32; i++ {
-					c.StoreWord(uint32(fxkZIn+4*i), uint32(q16(2+0.125*float64(i%9))))
-				}
-			}, 32*2000+1000)
-		}},
-		{name: "Control", cycles: 200000, instret: 131064, crc: 0xf9a8d235, run: func(e Engine) (*engineOutcome, error) {
-			return runControlEngine(e, 200_000)
-		}},
-		{name: "AlphaFilter", cycles: 32438, instret: 27664, crc: 0xde8db2a4, run: func(e Engine) (*engineOutcome, error) {
-			return halting(e, alpha, alphaFilterSetup(az), 2_000_000)
-		}},
-		{name: "IntTrack", cycles: 41805, instret: 32379, crc: 0xe58a690f, run: func(e Engine) (*engineOutcome, error) {
-			return halting(e, track, intTrackSetup(samples), intTrackBudget(len(samples)))
-		}},
+		{name: "Kalman", words: kal.Words, budget: KalmanRunBudget(len(kz)), setup: func(c *CPU) {
+			SetKalmanInputs(c, 1e-4, 0.04, 1, 0, kz)
+		}, cycles: 51907, instret: 40415, crc: 0x7ad47c77, kernels: 1, records: 845},
+		{name: "FxBoresight", words: fxb.Words, budget: FxBoresightRunBudget(len(fxIn)), setup: func(c *CPU) {
+			LoadFxBoresightInputs(c, fxcore.DefaultConfig(), 0.01, fxIn)
+		}, cycles: 88590, instret: 66556, crc: 0x66222f56, kernels: 1, records: 42016},
+		{name: "FxKalman", words: fxk, budget: 32*2000 + 1000, setup: func(c *CPU) {
+			c.StoreWord(fxkN, 32)
+			c.StoreWord(fxkQ, uint32(q16(1e-3)))
+			c.StoreWord(fxkR, uint32(q16(0.04)))
+			c.StoreWord(fxkP, uint32(q16(1)))
+			c.StoreWord(fxkX, 0)
+			for i := 0; i < 32; i++ {
+				c.StoreWord(uint32(fxkZIn+4*i), uint32(q16(2+0.125*float64(i%9))))
+			}
+		}, cycles: 6442, instret: 5075, crc: 0x37653a44, records: 2161},
+		{name: "Control", budget: 200_000,
+			cycles: 200000, instret: 131064, crc: 0xf9a8d235, records: 89672},
+		{name: "AlphaFilter", words: alpha, budget: 2_000_000, setup: alphaFilterSetup(az),
+			cycles: 32438, instret: 27664, crc: 0xde8db2a4, records: 366},
+		{name: "IntTrack", words: track, budget: intTrackBudget(len(samples)), setup: intTrackSetup(samples),
+			cycles: 41805, instret: 32379, crc: 0xe58a690f, records: 23462},
 	}
 }
 
@@ -241,6 +263,61 @@ func TestSabreProgramGoldens(t *testing.T) {
 			if n := out.stats.IntrinsicCalls; e == engineInterp && n != 0 {
 				t.Errorf("%s on interp: %d intrinsic calls, want 0", g.name, n)
 			}
+		}
+	}
+}
+
+// fusedRecords replays a reference pc trace over the fused decode array
+// and counts the records the fast engine dispatches to retire it: a
+// record retires its components while the trace runs on in sequence,
+// and an intrinsic record stands for the whole routine its mirror runs.
+// The budget endgame, which hands a run's last stretch to the reference
+// loop, is left out: the count covers the whole trace.
+func fusedRecords(dec []decoded, trace []uint32) uint64 {
+	var n uint64
+	for i := 0; i < len(trace); n++ {
+		pc := trace[i]
+		i++
+		if dec[pc].op == xopIntrin {
+			for i < len(trace) && trace[i] != pc+1 {
+				i++
+			}
+			continue
+		}
+		for k := uint32(1); k < recordWords(dec[pc].op) && i < len(trace) && trace[i] == pc+k; k++ {
+			i++
+		}
+	}
+	return n
+}
+
+// recordWords is the number of program words a record covers.
+func recordWords(op uint8) uint32 {
+	switch {
+	case op < uint8(numOpcodes):
+		return 1
+	case op >= xqSRLISLLISLLIBNE && op < xopIntrin:
+		return 4
+	}
+	return 2
+}
+
+// TestSabreProgramRecords pins how many records the fast engine
+// dispatches for each golden program with its kernels bypassed, so
+// that the fusion patterns can shrink only where no program pays for
+// it in dispatches.
+func TestSabreProgramRecords(t *testing.T) {
+	for _, g := range programGoldens(t) {
+		c, trace, err := g.pcTrace()
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if uint64(len(trace)) != g.instret {
+			t.Fatalf("%s: traced %d instructions, want %d", g.name, len(trace), g.instret)
+		}
+		c.predecode()
+		if n := fusedRecords(c.dec, trace); n != g.records {
+			t.Errorf("%s: %d records dispatched, want %d", g.name, n, g.records)
 		}
 	}
 }

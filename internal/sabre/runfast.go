@@ -641,30 +641,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret++
 			continue
 
-		case xopSRLIANDI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] >> uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] & uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopSRLISRLI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] >> uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] >> uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
 		case xopSLLISLLI:
 			if d.rd != 0 {
 				r[d.rd&15] = r[d.rs1&15] << uint32(d.imm)
@@ -713,18 +689,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopADDISLLI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] + uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] << uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
 		case xopSLLIOR:
 			if d.rd != 0 {
 				r[d.rd&15] = r[d.rs1&15] << uint32(d.imm)
@@ -749,30 +713,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopANDAND:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] & r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] & r[d.rs4&15]
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopSUBORI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] - r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] | uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
 		case xopMULMULHU:
 			p := uint64(r[d.rs1&15]) * uint64(r[d.rs2&15])
 			if d.rd != 0 {
@@ -780,19 +720,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			}
 			if d.rd2 != 0 {
 				r[d.rd2&15] = uint32(p >> 32)
-			}
-			pc += 2
-			cycles += 8
-			instret += 2
-			continue
-
-		case xopMULHUMUL:
-			p := uint64(r[d.rs1&15]) * uint64(r[d.rs2&15])
-			if d.rd != 0 {
-				r[d.rd&15] = uint32(p >> 32)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = uint32(p)
 			}
 			pc += 2
 			cycles += 8
@@ -835,24 +762,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopANDIBEQ:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] & uint32(d.imm)
-			}
-			if r[d.rs3&15] == r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
 		case xopANDIBNE:
 			if cycles >= stop {
 				c.flush(pc, cycles, instret)
@@ -871,24 +780,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopSLTIUBEQ:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = b2u(r[d.rs1&15] < uint32(d.imm))
-			}
-			if r[d.rs3&15] == r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
 		case xopSLTIUBNE:
 			if cycles >= stop {
 				c.flush(pc, cycles, instret)
@@ -896,114 +787,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			}
 			if d.rd != 0 {
 				r[d.rd&15] = b2u(r[d.rs1&15] < uint32(d.imm))
-			}
-			if r[d.rs3&15] != r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopSLTUBEQ:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = b2u(r[d.rs1&15] < r[d.rs2&15])
-			}
-			if r[d.rs3&15] == r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopSLTUBNE:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = b2u(r[d.rs1&15] < r[d.rs2&15])
-			}
-			if r[d.rs3&15] != r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopSLTBEQ:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = b2u(int32(r[d.rs1&15]) < int32(r[d.rs2&15]))
-			}
-			if r[d.rs3&15] == r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopSLTBNE:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = b2u(int32(r[d.rs1&15]) < int32(r[d.rs2&15]))
-			}
-			if r[d.rs3&15] != r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopSUBBEQ:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] - r[d.rs2&15]
-			}
-			if r[d.rs3&15] == r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopSUBBNE:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] - r[d.rs2&15]
 			}
 			if r[d.rs3&15] != r[d.rs4&15] {
 				pc = uint32(d.imm2)
@@ -1032,18 +815,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			continue
 
 		// ---- generic sequential pairs (pairOps in fuse.go) ----
-		case xopSRLIADDI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] >> uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
 		case xopADDISRLI:
 			if d.rd != 0 {
 				r[d.rd&15] = r[d.rs1&15] + uint32(d.imm)
@@ -1068,72 +839,12 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopANDIADDI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] & uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
 		case xopADDADD:
 			if d.rd != 0 {
 				r[d.rd&15] = r[d.rs1&15] + r[d.rs2&15]
 			}
 			if d.rd2 != 0 {
 				r[d.rd2&15] = r[d.rs3&15] + r[d.rs4&15]
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopSLLIADD:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + r[d.rs4&15]
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopSUBSLL:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] - r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] << (r[d.rs4&15] & 31)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopORADDI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] | r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopSRLADDI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] >> (r[d.rs2&15] & 31)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
 			}
 			pc += 2
 			cycles += 2
@@ -1260,22 +971,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopADDJAL:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] + r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = (pc + 2) * 4
-			}
-			pc = uint32(d.imm2)
-			cycles += 3
-			instret += 2
-			continue
-
 		case xopLWJAL:
 			if cycles >= stop {
 				c.flush(pc, cycles, instret)
@@ -1324,24 +1019,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopSLLIBEQ:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << uint32(d.imm)
-			}
-			if r[d.rs3&15] == r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
 		case xopSLLIBNE:
 			if cycles >= stop {
 				c.flush(pc, cycles, instret)
@@ -1360,65 +1037,9 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopSLLBEQ:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << (r[d.rs2&15] & 31)
-			}
-			if r[d.rs3&15] == r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopSLLBNE:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << (r[d.rs2&15] & 31)
-			}
-			if r[d.rs3&15] != r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
 		// For branch-first pairs a taken first branch retires only the
 		// one instruction — the second component never executes, exactly
 		// as in the reference stream.
-		case xopBNEBLTU:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if r[d.rs1&15] != r[d.rs2&15] {
-				pc = uint32(d.imm)
-				cycles += 2
-				instret++
-			} else if r[d.rs3&15] < r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-				instret += 2
-			} else {
-				pc += 2
-				cycles += 2
-				instret += 2
-			}
-			continue
-
 		case xopBLTUSUB:
 			if cycles >= stop {
 				c.flush(pc, cycles, instret)
@@ -1438,62 +1059,12 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			}
 			continue
 
-		case xopBEQORI:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if r[d.rs1&15] == r[d.rs2&15] {
-				pc = uint32(d.imm)
-				cycles += 2
-				instret++
-			} else {
-				if d.rd2 != 0 {
-					r[d.rd2&15] = r[d.rs3&15] | uint32(d.imm2)
-				}
-				pc += 2
-				cycles += 2
-				instret += 2
-			}
-			continue
-
-		case xopBEQSLTIU:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if r[d.rs1&15] == r[d.rs2&15] {
-				pc = uint32(d.imm)
-				cycles += 2
-				instret++
-			} else {
-				if d.rd2 != 0 {
-					r[d.rd2&15] = b2u(r[d.rs3&15] < uint32(d.imm2))
-				}
-				pc += 2
-				cycles += 2
-				instret += 2
-			}
-			continue
-
 		case xopORIADDI:
 			if d.rd != 0 {
 				r[d.rd&15] = r[d.rs1&15] | uint32(d.imm)
 			}
 			if d.rd2 != 0 {
 				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopORIAND:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] | uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] & r[d.rs4&15]
 			}
 			pc += 2
 			cycles += 2
@@ -1518,30 +1089,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			}
 			if d.rd2 != 0 {
 				r[d.rd2&15] = r[d.rs3&15] << uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopXORADDI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] ^ r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopOROR:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] | r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] | r[d.rs4&15]
 			}
 			pc += 2
 			cycles += 2
@@ -1584,36 +1131,12 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopSLLADDI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << (r[d.rs2&15] & 31)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
 		case xopADDADDI:
 			if d.rd != 0 {
 				r[d.rd&15] = r[d.rs1&15] + r[d.rs2&15]
 			}
 			if d.rd2 != 0 {
 				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopLUIADD:
-			if d.rd != 0 {
-				r[d.rd&15] = uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + r[d.rs4&15]
 			}
 			pc += 2
 			cycles += 2
@@ -1629,24 +1152,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			}
 			pc += 2
 			cycles += 2
-			instret += 2
-			continue
-
-		case xopADDIBLTU:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] + uint32(d.imm)
-			}
-			if r[d.rs3&15] < r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
 			instret += 2
 			continue
 
@@ -1668,61 +1173,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret += 2
 			continue
 
-		case xopSLLIBLT:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << uint32(d.imm)
-			}
-			if int32(r[d.rs3&15]) < int32(r[d.rs4&15]) {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopADDBLTU:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] + r[d.rs2&15]
-			}
-			if r[d.rs3&15] < r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopBEQSRL:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if r[d.rs1&15] == r[d.rs2&15] {
-				pc = uint32(d.imm)
-				cycles += 2
-				instret++
-			} else {
-				if d.rd2 != 0 {
-					r[d.rd2&15] = r[d.rs3&15] >> (r[d.rs4&15] & 31)
-				}
-				pc += 2
-				cycles += 2
-				instret += 2
-			}
-			continue
-
 		case xopBLTADDI:
 			if cycles >= stop {
 				c.flush(pc, cycles, instret)
@@ -1740,132 +1190,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 				cycles += 2
 				instret += 2
 			}
-			continue
-
-		case xopBGEUADDI:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if r[d.rs1&15] >= r[d.rs2&15] {
-				pc = uint32(d.imm)
-				cycles += 2
-				instret++
-			} else {
-				if d.rd2 != 0 {
-					r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-				}
-				pc += 2
-				cycles += 2
-				instret += 2
-			}
-			continue
-
-		case xopBEQADDI:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if r[d.rs1&15] == r[d.rs2&15] {
-				pc = uint32(d.imm)
-				cycles += 2
-				instret++
-			} else {
-				if d.rd2 != 0 {
-					r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-				}
-				pc += 2
-				cycles += 2
-				instret += 2
-			}
-			continue
-
-		case xopSUBJAL:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] - r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = (pc + 2) * 4
-			}
-			pc = uint32(d.imm2)
-			cycles += 3
-			instret += 2
-			continue
-
-		case xopADDBGEU:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] + r[d.rs2&15]
-			}
-			if r[d.rs3&15] >= r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopANDSLLI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] & r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] << uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopANDSRLI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] & r[d.rs2&15]
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] >> uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
-		case xopADDIBGEU:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] + uint32(d.imm)
-			}
-			if r[d.rs3&15] >= r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-			} else {
-				pc += 2
-				cycles += 2
-			}
-			instret += 2
-			continue
-
-		case xopSLLILUI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
 			continue
 
 		case xopADDLW:
@@ -1966,18 +1290,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			instret++
 			continue
 
-		case xopANDISRLI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] & uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] >> uint32(d.imm2)
-			}
-			pc += 2
-			cycles += 2
-			instret += 2
-			continue
-
 		// ---- quad superinstructions (fuse2) ----
 		case xqSRLISLLISLLIBNE:
 			if cycles >= stop {
@@ -2001,32 +1313,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 				cycles += 4
 			}
 			instret += 4
-			continue
-
-		case xqSLLIBNEBLTUSUB:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << uint32(d.imm)
-			}
-			if r[d.rs3&15] != r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-				instret += 2
-			} else if r[d.rs5&15] < r[d.rs6&15] {
-				pc = uint32(d.imm3)
-				cycles += 4
-				instret += 3
-			} else {
-				if d.rd4 != 0 {
-					r[d.rd4&15] = r[d.rs7&15] - r[d.rs8&15]
-				}
-				pc += 4
-				cycles += 4
-				instret += 4
-			}
 			continue
 
 		case xqADDISWSWSW:
@@ -2081,61 +1367,6 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			pc += 4
 			cycles++
 			instret++
-			continue
-
-		case xqLWLWADDIJALR:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			addr := r[d.rs1&15] + uint32(d.imm)
-			if addr&3 == 0 && addr <= DataBytes-4 {
-				if d.rd != 0 {
-					r[d.rd&15] = uint32(data[addr]) | uint32(data[addr+1])<<8 |
-						uint32(data[addr+2])<<16 | uint32(data[addr+3])<<24
-				}
-			} else {
-				c.flush(pc, cycles, instret)
-				v, err := c.busLoad(addr)
-				if err != nil {
-					return cycles - start, err
-				}
-				if d.rd != 0 {
-					r[d.rd&15] = v
-				}
-			}
-			cycles += 2
-			instret++
-			addr = r[d.rs3&15] + uint32(d.imm2)
-			if addr&3 == 0 && addr <= DataBytes-4 {
-				if d.rd2 != 0 {
-					r[d.rd2&15] = uint32(data[addr]) | uint32(data[addr+1])<<8 |
-						uint32(data[addr+2])<<16 | uint32(data[addr+3])<<24
-				}
-			} else {
-				c.flush(pc+1, cycles, instret)
-				v, err := c.busLoad(addr)
-				if err != nil {
-					return cycles - start, err
-				}
-				if d.rd2 != 0 {
-					r[d.rd2&15] = v
-				}
-			}
-			cycles += 2
-			instret++
-			if d.rd3 != 0 {
-				r[d.rd3&15] = r[d.rs5&15] + uint32(d.imm3)
-			}
-			// As in the reference: the jump target is read before the
-			// link register is written.
-			target := (r[d.rs7&15] + uint32(d.imm4)) / 4
-			if d.rd4 != 0 {
-				r[d.rd4&15] = (pc + 4) * 4
-			}
-			pc = target
-			cycles += 3
-			instret += 2
 			continue
 
 		case xqLWLWLWLW:
@@ -2261,28 +1492,7 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 			}
 			continue
 
-		case xqORIADDIBNE:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] | uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			if r[d.rs5&15] != r[d.rs6&15] {
-				pc = uint32(d.imm3)
-				cycles += 4
-			} else {
-				pc += 3
-				cycles += 3
-			}
-			instret += 3
-			continue
-
-		case xqSWSWSWLUI, xqSWSWSWADDI:
+		case xqSWSWSWLUI:
 			addr := r[d.rs1&15] + uint32(d.imm)
 			if addr&3 == 0 && addr <= DataBytes-4 {
 				v := r[d.rd&15]
@@ -2327,128 +1537,11 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 				}
 			}
 			if d.rd4 != 0 {
-				if d.op == xqSWSWSWLUI {
-					r[d.rd4&15] = uint32(d.imm4)
-				} else {
-					r[d.rd4&15] = r[d.rs7&15] + uint32(d.imm4)
-				}
+				r[d.rd4&15] = uint32(d.imm4)
 			}
 			pc += 4
 			cycles += 2
 			instret += 2
-			continue
-
-		case xqANDIADDISRLIADDI:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] & uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			if d.rd3 != 0 {
-				r[d.rd3&15] = r[d.rs5&15] >> uint32(d.imm3)
-			}
-			if d.rd4 != 0 {
-				r[d.rd4&15] = r[d.rs7&15] + uint32(d.imm4)
-			}
-			pc += 4
-			cycles += 4
-			instret += 4
-			continue
-
-		case xqSLLISLLIADDADD:
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] << uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] << uint32(d.imm2)
-			}
-			if d.rd3 != 0 {
-				r[d.rd3&15] = r[d.rs5&15] + r[d.rs6&15]
-			}
-			if d.rd4 != 0 {
-				r[d.rd4&15] = r[d.rs7&15] + r[d.rs8&15]
-			}
-			pc += 4
-			cycles += 4
-			instret += 4
-			continue
-
-		case xqADDIADDIADDIBLTU:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] + uint32(d.imm)
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = r[d.rs3&15] + uint32(d.imm2)
-			}
-			if d.rd3 != 0 {
-				r[d.rd3&15] = r[d.rs5&15] + uint32(d.imm3)
-			}
-			if r[d.rs7&15] < r[d.rs8&15] {
-				pc = uint32(d.imm4)
-				cycles += 5
-			} else {
-				pc += 4
-				cycles += 4
-			}
-			instret += 4
-			continue
-
-		case xqSWLUIORIAND:
-			addr := r[d.rs1&15] + uint32(d.imm)
-			if addr&3 == 0 && addr <= DataBytes-4 {
-				v := r[d.rd&15]
-				data[addr] = byte(v)
-				data[addr+1] = byte(v >> 8)
-				data[addr+2] = byte(v >> 16)
-				data[addr+3] = byte(v >> 24)
-			} else {
-				c.flush(pc, cycles, instret)
-				if err := c.busStore(addr, r[d.rd&15]); err != nil {
-					return cycles - start, err
-				}
-			}
-			if d.rd2 != 0 {
-				r[d.rd2&15] = uint32(d.imm2)
-			}
-			if d.rd3 != 0 {
-				r[d.rd3&15] = r[d.rs5&15] | uint32(d.imm3)
-			}
-			if d.rd4 != 0 {
-				r[d.rd4&15] = r[d.rs7&15] & r[d.rs8&15]
-			}
-			pc += 4
-			cycles += 4
-			instret += 4
-			continue
-
-		case xqADDIBLTUANDIADDI:
-			if cycles >= stop {
-				c.flush(pc, cycles, instret)
-				return c.runTail(start, maxCycles)
-			}
-			if d.rd != 0 {
-				r[d.rd&15] = r[d.rs1&15] + uint32(d.imm)
-			}
-			if r[d.rs3&15] < r[d.rs4&15] {
-				pc = uint32(d.imm2)
-				cycles += 3
-				instret += 2
-			} else {
-				if d.rd3 != 0 {
-					r[d.rd3&15] = r[d.rs5&15] & uint32(d.imm3)
-				}
-				if d.rd4 != 0 {
-					r[d.rd4&15] = r[d.rs7&15] + uint32(d.imm4)
-				}
-				pc += 4
-				cycles += 4
-				instret += 4
-			}
 			continue
 
 		case xopIntrin:
