@@ -32,7 +32,7 @@ vet:
 # The check builds these packages for arm64 and fails on any fused
 # multiply-add in the assembly listing; ROADMAP item 8 widens the list
 # to the other numerics packages.
-FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
+FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/core/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
 
 fma-check:
 	GOARCH=arm64 $(GO) build $(FMA_PKGS)
@@ -99,7 +99,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 5x -count 3 -bench-dur 10 . > bench/raw.txt
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/sabre/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/fault/ >> bench/raw.txt
-	$(GO) test -run '^$$' -bench BenchmarkAdaptive -benchmem -count 3 ./internal/core/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/kalman/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkAdaptive|BenchmarkEstimatorStepFull|BenchmarkMultiStepThreeSensors' -benchmem -count 3 ./internal/core/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -count 3 ./internal/fleet/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkRunIntoTiny|BenchmarkRunIntoDynamic' -benchmem -count 3 ./internal/system/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkSeedDraw30 -benchmem -count 3 ./internal/rng/ >> bench/raw.txt

@@ -89,7 +89,7 @@ func (e *Estimator) adaptR(inn kalman.Innovation) {
 		nu := inn.Residual[j]
 		// ν² − H·P·Hᵀ estimates this axis's measurement variance; the
 		// predicted part is S minus the R we used this update.
-		s := nu*nu - (inn.S.At(j, j) - e.rMat.At(j, j))
+		s := float64(nu*nu) - (inn.S.At(j, j) - e.rMat.At(j, j))
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			// A non-finite sample (astronomical residual squared) would
 			// poison the running sum; skip the whole epoch.
@@ -105,7 +105,7 @@ func (e *Estimator) adaptR(inn kalman.Innovation) {
 	}
 	for j := 0; j < 2; j++ {
 		target := e.ad.clampVar(e.adSum[j] / float64(w))
-		e.rhat[j] = e.ad.clampVar(e.ad.Forget*e.rhat[j] + (1-e.ad.Forget)*target)
+		e.rhat[j] = e.ad.clampVar(float64(e.ad.Forget*e.rhat[j]) + float64((1-e.ad.Forget)*target))
 	}
 }
 

@@ -583,7 +583,7 @@ func (e *Estimator) StepDegraded(dt float64, fBody, omega geom.Vec3, accX, accY 
 		e.heldUpdates++
 		inflate := 1.0
 		if e.cfg.HeldInflation > 0 {
-			inflate = 1 + e.cfg.HeldInflation*float64(e.heldRun)
+			inflate = 1 + float64(e.cfg.HeldInflation*float64(e.heldRun))
 			if inflate > maxHeldInflation {
 				inflate = maxHeldInflation
 			}
@@ -686,8 +686,8 @@ func (e *Estimator) stepMeas(dt float64, fBody, omega geom.Vec3, accX, accY, inf
 	if e.isx >= 0 {
 		sx, sy = x[e.isx], x[e.isy]
 	}
-	e.hbuf[0] = (1+sx)*fs[0] + bx
-	e.hbuf[1] = (1+sy)*fs[1] + by
+	e.hbuf[0] = float64((1+sx)*fs[0]) + bx
+	e.hbuf[1] = float64((1+sy)*fs[1]) + by
 	h := e.hbuf
 	// Jacobian: f_s(true) = (I − [δa×])·f̂_s = f̂_s + [f̂_s×]·δa,
 	// evaluated with the low-passed force (see fsLP).

@@ -221,7 +221,7 @@ func (m *MultiEstimator) Step(dt float64, fBody geom.Vec3, readings []Reading) e
 			blk.heldRun++
 			m.heldUpdates++
 			if m.cfg.HeldInflation > 0 {
-				inflate = 1 + m.cfg.HeldInflation*float64(blk.heldRun)
+				inflate = 1 + float64(m.cfg.HeldInflation*float64(blk.heldRun))
 				if inflate > maxHeldInflation {
 					inflate = maxHeldInflation
 				}
@@ -245,7 +245,7 @@ func (m *MultiEstimator) Step(dt float64, fBody geom.Vec3, readings []Reading) e
 			sx, sy = x[idx], x[idx+1]
 		}
 		z = append(z, readings[s].FX, readings[s].FY)
-		h = append(h, (1+sx)*fs[0]+bx, (1+sy)*fs[1]+by)
+		h = append(h, float64((1+sx)*fs[0])+bx, float64((1+sy)*fs[1])+by)
 		H.Set(row, base+1, (1+sx)*(-fj[2]))
 		H.Set(row, base+2, (1+sx)*fj[1])
 		H.Set(row+1, base, (1+sy)*fj[2])
@@ -322,7 +322,7 @@ func (m *MultiEstimator) Relative(i, j int) (geom.Euler, geom.Vec3) {
 	sj := m.AngleSigmas(j)
 	var sig geom.Vec3
 	for k := 0; k < 3; k++ {
-		sig[k] = math.Sqrt(si[k]*si[k] + sj[k]*sj[k])
+		sig[k] = math.Sqrt(float64(si[k]*si[k]) + float64(sj[k]*sj[k]))
 	}
 	return rel.Euler(), sig
 }
@@ -359,7 +359,7 @@ func (m *MultiEstimator) adaptRMulti(inn kalman.Innovation, readings []Reading, 
 		finite := true
 		for j := 0; j < 2; j++ {
 			nu := inn.Residual[row+j]
-			v := nu*nu - (inn.S.At(row+j, row+j) - rdiag[row+j])
+			v := float64(nu*nu) - (inn.S.At(row+j, row+j) - rdiag[row+j])
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				finite = false
 				break
@@ -381,7 +381,7 @@ func (m *MultiEstimator) adaptRMulti(inn kalman.Innovation, readings []Reading, 
 		}
 		for j := 0; j < 2; j++ {
 			target := m.ad.clampVar(blk.adSum[j] / float64(w))
-			blk.rhat[j] = m.ad.clampVar(m.ad.Forget*blk.rhat[j] + (1-m.ad.Forget)*target)
+			blk.rhat[j] = m.ad.clampVar(float64(m.ad.Forget*blk.rhat[j]) + float64((1-m.ad.Forget)*target))
 		}
 	}
 }

@@ -467,9 +467,16 @@ func TestTenantSeedDecorrelates(t *testing.T) {
 
 // TestSpecValidate covers the admission bounds.
 func TestSpecValidate(t *testing.T) {
-	good := ScenarioSpec{Kind: KindStatic, Dur: 10}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	// The step budget holds a drive kind to the whole passes of the
+	// route it runs: 570 s is ten 57-s passes, 600 s takes eleven.
+	for _, good := range []ScenarioSpec{
+		{Kind: KindStatic, Dur: 10},
+		{Kind: KindStatic, Dur: 600, SampleRate: 1000},
+		{Kind: KindDynamic, Dur: 570, SampleRate: 1000},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("%+v: %v", good, err)
+		}
 	}
 	bad := []ScenarioSpec{
 		{Kind: 0, Dur: 10},
@@ -479,6 +486,7 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: KindStatic, Dur: 10, SampleRate: 2000},
 		{Kind: KindStatic, Dur: 600, SampleRate: 1000.5},
 		{Kind: KindStatic, Dur: 10, MisDeg: [3]float64{50, 0, 0}},
+		{Kind: KindDynamic, Dur: 600, SampleRate: 1000},
 	}
 	for i, sp := range bad {
 		if err := sp.Validate(); err == nil {

@@ -77,7 +77,10 @@ type ScenarioSpec struct {
 	Tenant uint32
 	// Seed is the tenant-relative replay seed.
 	Seed int64
-	// Dur is the scenario duration in seconds (0 < Dur <= 600).
+	// Dur is the scenario duration in seconds (0 < Dur <= 600). Static
+	// specs run Dur. Dynamic and untuned specs run the city drive,
+	// whole passes of the route until they cover Dur
+	// (traj.CityDriveDuration), so they run up to one pass longer.
 	Dur float64
 	// SampleRate is the fusion rate in Hz (default 100, max 1000).
 	SampleRate float64
@@ -127,8 +130,12 @@ func (sp ScenarioSpec) Validate() error {
 	if !(rate >= 1) || rate > 1000 {
 		return fmt.Errorf("fleet: sample rate %g outside [1, 1000] Hz", rate)
 	}
-	if sp.Dur*rate > 600_000 {
-		return fmt.Errorf("fleet: %g s at %g Hz exceeds the per-scenario step budget", sp.Dur, rate)
+	run := sp.Dur
+	if sp.Kind != KindStatic {
+		run = traj.CityDriveDuration(sp.Dur)
+	}
+	if run*rate > 600_000 {
+		return fmt.Errorf("fleet: %g s at %g Hz exceeds the per-scenario step budget", run, rate)
 	}
 	for i, d := range sp.MisDeg {
 		if math.IsNaN(d) || math.Abs(d) > 45 {

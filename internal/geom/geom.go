@@ -39,7 +39,9 @@ func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v[0] - w[0], v[1] - w[1], v[2] - w[
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v[0], s * v[1], s * v[2]} }
 
 // Dot returns the inner product v·w.
-func (v Vec3) Dot(w Vec3) float64 { return v[0]*w[0] + v[1]*w[1] + v[2]*w[2] }
+func (v Vec3) Dot(w Vec3) float64 {
+	return float64(v[0]*w[0]) + float64(v[1]*w[1]) + float64(v[2]*w[2])
+}
 
 // Cross returns the cross product v × w.
 func (v Vec3) Cross(w Vec3) Vec3 {

@@ -44,6 +44,18 @@
 // mat's SolveRowsTo: two triangular sweeps over the m rows of Uᵀ, each
 // n long, which give every row of K the bits of its own solve.
 //
+// # Two measurements
+//
+// The boresight filter measures two axes every epoch, so m = 2 has a
+// form of its own. It does every floating-point operation of the
+// general loops in the same order, so its results are bit-identical
+// (TestPairMatchesRows), in fewer passes: both rows of Uᵀ come from one
+// sweep over P, the Cholesky factor of the 2×2 S and its solves are
+// scalars, and each entry of P's upper triangle takes both
+// measurements' terms in turn, its mirror written in the same pass. A
+// closed-form inverse of S would round differently and move every
+// result. Every other m runs the general loops.
+//
 // # Performance model
 //
 // Every step of the filter runs against a per-filter scratch workspace
@@ -99,6 +111,7 @@ type Filter struct {
 	sd    []float64 // S (m×m)
 	s     *mat.Mat  // S, as Innovation.S and the Cholesky input
 	chol  *mat.Cholesky
+	l     [3]float64 // m = 2: S's Cholesky factor L00, L10, L11
 
 	// innovated is set by a successful innovation and cleared by
 	// anything that changes x or P, so Commit can refuse a stale one.
@@ -350,13 +363,31 @@ func (in Innovation) Exceeds3Sigma() bool {
 // chi-square innovation test (compare against the χ² quantile for the
 // measurement dimension, e.g. 13.8 for 99.9% with m = 2).
 func (in Innovation) Chi2() float64 {
-	return in.Mahalanobis * in.Mahalanobis
+	return float64(in.Mahalanobis * in.Mahalanobis)
 }
 
-// innovate fills the innovation scratch (nu, h, ut, sd, s, chol, sigma,
-// sol) for a measurement and returns the statistics; shared by Update
-// and InnovationOnly.
+// innovate fills the innovation scratch for a measurement and returns
+// the statistics; shared by Update and InnovationOnly. Two measurements
+// take innovatePair, every other m innovateRows.
 func (f *Filter) innovate(z, h []float64, H, R *mat.Mat) (Innovation, error) {
+	f.measure(z, h, H, R)
+	var maha float64
+	var err error
+	if f.m == 2 {
+		maha, err = f.innovatePair(H, R)
+	} else {
+		maha, err = f.innovateRows(H, R)
+	}
+	if err != nil {
+		return Innovation{}, err
+	}
+	f.innovated = true
+	return Innovation{Residual: f.nu, S: f.s, Sigma: f.sigma, Mahalanobis: maha}, nil
+}
+
+// measure checks a measurement's shapes against the filter, sizes the
+// scratch for its dimension and forms the residual ν = z − h.
+func (f *Filter) measure(z, h []float64, H, R *mat.Mat) {
 	n := len(f.x)
 	m := len(z)
 	if len(h) != m || H.Rows() != m || H.Cols() != n || R.Rows() != m || R.Cols() != m {
@@ -366,6 +397,12 @@ func (f *Filter) innovate(z, h []float64, H, R *mat.Mat) (Innovation, error) {
 	f.innovated = false
 	f.ensureScratch(m)
 	mat.SubVecTo(f.nu, z, h)
+}
+
+// innovateRows fills h, ut, sd, s, chol, sigma and sol for any m and
+// returns the Mahalanobis distance.
+func (f *Filter) innovateRows(H, R *mat.Mat) (float64, error) {
+	n, m := len(f.x), f.m
 	// U = P·Hᵀ, stored as Uᵀ. P is exactly symmetric, so column j of P
 	// is row j, and row a of Uᵀ accumulates H[a][j]·P[j] over j — the
 	// order of a row-by-column product, without its dependency chain.
@@ -410,15 +447,94 @@ func (f *Filter) innovate(z, h []float64, H, R *mat.Mat) (Innovation, error) {
 		}
 	}
 	if err := f.chol.Factorize(f.s); err != nil {
-		return Innovation{}, ErrIllConditioned
+		return 0, ErrIllConditioned
 	}
 	for i := range f.sigma {
 		f.sigma[i] = math.Sqrt(f.sd[i*m+i])
 	}
 	f.chol.SolveVecTo(f.sol, f.nu)
-	maha := math.Sqrt(math.Max(0, mat.Dot(f.nu, f.sol)))
-	f.innovated = true
-	return Innovation{Residual: f.nu, S: f.s, Sigma: f.sigma, Mahalanobis: maha}, nil
+	return math.Sqrt(math.Max(0, mat.Dot(f.nu, f.sol))), nil
+}
+
+// innovatePair is innovateRows for m = 2, operation for operation, so
+// bit for bit: both rows of Uᵀ in one sweep over the rows of P, the
+// four sums of H·U in one sweep over H's columns, and the Cholesky
+// factor of S and the Mahalanobis solve as scalars in mat's order. It
+// fills h, ut, sd, s and sigma, and keeps the factor in l for
+// commitPair.
+func (f *Filter) innovatePair(H, R *mat.Mat) (float64, error) {
+	n := len(f.x)
+	h0, h1 := f.h[:n], f.h[n:2*n]
+	u0, u1 := f.ut[:n], f.ut[n:2*n]
+	// Row j of P adds to each row of Uᵀ whose H[a][j] is not zero, in
+	// the order of j, as in innovateRows. Here and in commitPair every
+	// sum starts from zero, as the loops' sums do: 0 + (−0) is +0.
+	clear(f.ut)
+	for j := range h0 {
+		a, b := H.At(0, j), H.At(1, j)
+		h0[j], h1[j] = a, b
+		pj := f.p[j*n:][:len(u0)]
+		switch {
+		case a != 0 && b != 0:
+			for i, v := range pj {
+				u0[i] += float64(v * a)
+				u1[i] += float64(v * b)
+			}
+		case a != 0:
+			for i, v := range pj {
+				u0[i] += float64(v * a)
+			}
+		case b != 0:
+			for i, v := range pj {
+				u1[i] += float64(v * b)
+			}
+		}
+	}
+	var s00, s01, s10, s11 float64
+	for j, a := range h0 {
+		if a != 0 {
+			s00 += float64(a * u0[j])
+			s01 += float64(a * u1[j])
+		}
+		if b := h1[j]; b != 0 {
+			s10 += float64(b * u0[j])
+			s11 += float64(b * u1[j])
+		}
+	}
+	s00 += R.At(0, 0)
+	s01 += R.At(0, 1)
+	s10 += R.At(1, 0)
+	s11 += R.At(1, 1)
+	v := 0.5 * (s01 + s10)
+	f.sd[0], f.sd[1], f.sd[2], f.sd[3] = s00, v, v, s11
+	f.s.Set(0, 0, s00)
+	f.s.Set(0, 1, v)
+	f.s.Set(1, 0, v)
+	f.s.Set(1, 1, s11)
+	// mat.(*Cholesky).Factorize at n = 2: its sums start from zero, and
+	// x − 0 is x.
+	if s00 <= 0 {
+		return 0, ErrIllConditioned
+	}
+	l00 := math.Sqrt(s00)
+	l10 := v / l00
+	d := s11 - float64(l10*l10)
+	if d <= 0 {
+		return 0, ErrIllConditioned
+	}
+	l11 := math.Sqrt(d)
+	f.l = [3]float64{l00, l10, l11}
+	f.sigma[0], f.sigma[1] = math.Sqrt(s00), math.Sqrt(s11)
+	// SolveVecTo's forward and back sweeps, then mat.Dot.
+	nu0, nu1 := f.nu[0], f.nu[1]
+	y0 := nu0 / l00
+	y1 := (nu1 - float64(l10*y0)) / l11
+	x1 := y1 / l11
+	x0 := (y0 - float64(l10*x1)) / l00
+	var c float64
+	c += float64(nu0 * x0)
+	c += float64(nu1 * x1)
+	return math.Sqrt(math.Max(0, c)), nil
 }
 
 // Update applies a measurement z with predicted value h = h(x̂),
@@ -458,6 +574,15 @@ func (f *Filter) Commit() {
 		panic("kalman: Commit without a fresh innovation")
 	}
 	f.innovated = false
+	if f.m == 2 {
+		f.commitPair()
+	} else {
+		f.commitRows()
+	}
+}
+
+// commitRows applies innovateRows' innovation for any m.
+func (f *Filter) commitRows() {
 	n, m := len(f.x), f.m
 	// S·Kᵀ = Uᵀ, as S is symmetric: row i of K solves S·kᵢ = uᵢ.
 	copy(f.kt, f.ut)
@@ -470,6 +595,51 @@ func (f *Filter) Commit() {
 		f.x[i] += s
 	}
 	covUpdate(f.p, f.kt, f.ut, f.sd, f.dt, n, m)
+}
+
+// commitPair is commitRows for m = 2, operation for operation, so bit
+// for bit. Each state's row of K takes SolveRowsTo's four divisions
+// from the scalar factor, then adds K·ν to x. Then each row of P's
+// upper triangle is swept once with its two entries of (K·S − U)ᵀ:
+// every entry takes covUpdate's a = 0 term, then its a = 1 term, and
+// its mirror is written in the same pass.
+func (f *Filter) commitPair() {
+	n := len(f.x)
+	p := f.p
+	l00, l10, l11 := f.l[0], f.l[1], f.l[2]
+	s00, s01, s11 := f.sd[0], f.sd[1], f.sd[3]
+	nu0, nu1 := f.nu[0], f.nu[1]
+	u0, u1 := f.ut[:n], f.ut[n:2*n]
+	k0, k1 := f.kt[:n], f.kt[n:2*n]
+	for i := range k0 {
+		y0 := u0[i] / l00
+		y1 := (u1[i] - float64(l10*y0)) / l11
+		ki1 := y1 / l11
+		ki0 := (y0 - float64(l10*ki1)) / l00
+		k0[i], k1[i] = ki0, ki1
+		var s float64
+		s += float64(ki0 * nu0)
+		s += float64(ki1 * nu1)
+		f.x[i] += s
+	}
+	for i, ki0 := range k0 {
+		ki1 := k1[i]
+		var t0, t1 float64
+		t0 += float64(ki0 * s00)
+		t0 += float64(ki1 * s01)
+		t1 += float64(ki0 * s01)
+		t1 += float64(ki1 * s11)
+		d0, d1 := t0-u0[i], t1-u1[i]
+		row := p[i*n+i : (i+1)*n]
+		kr0, ur0 := k0[i:][:len(row)], u0[i:][:len(row)]
+		kr1, ur1 := k1[i:][:len(row)], u1[i:][:len(row)]
+		for j, pij := range row {
+			pij += float64(d0*kr0[j]) - float64(ki0*ur0[j])
+			pij += float64(d1*kr1[j]) - float64(ki1*ur1[j])
+			row[j] = pij
+			p[(i+j)*n+i] = pij
+		}
+	}
 }
 
 // covUpdate overwrites the n×n covariance p with

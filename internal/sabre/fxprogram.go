@@ -118,15 +118,8 @@ func RunFxKalman(q, r, p0, x0 float64, z []float64) (*FxKalmanResult, error) {
 	if err := c.LoadProgram(prog.Words); err != nil {
 		return nil, err
 	}
-	c.StoreWord(fxkN, uint32(len(z)))
-	c.StoreWord(fxkQ, uint32(q16(q)))
-	c.StoreWord(fxkR, uint32(q16(r)))
-	c.StoreWord(fxkP, uint32(q16(p0)))
-	c.StoreWord(fxkX, uint32(q16(x0)))
-	for i, v := range z {
-		c.StoreWord(uint32(fxkZIn+4*i), uint32(q16(v)))
-	}
-	if _, err := c.Run(uint64(len(z))*2000 + 1000); err != nil {
+	storeFxKalmanInputs(c, q, r, p0, x0, z)
+	if _, err := c.Run(fxKalmanBudget(len(z))); err != nil {
 		return nil, fmt.Errorf("sabre: fx kalman program: %w", err)
 	}
 	res := &FxKalmanResult{
@@ -145,6 +138,22 @@ func RunFxKalman(q, r, p0, x0 float64, z []float64) (*FxKalmanResult, error) {
 	}
 	return res, nil
 }
+
+// storeFxKalmanInputs quantises the filter's parameters and the
+// measurements z into the Q16.16 program's data store.
+func storeFxKalmanInputs(c *CPU, q, r, p0, x0 float64, z []float64) {
+	c.StoreWord(fxkN, uint32(len(z)))
+	c.StoreWord(fxkQ, uint32(q16(q)))
+	c.StoreWord(fxkR, uint32(q16(r)))
+	c.StoreWord(fxkP, uint32(q16(p0)))
+	c.StoreWord(fxkX, uint32(q16(x0)))
+	for i, v := range z {
+		c.StoreWord(uint32(fxkZIn+4*i), uint32(q16(v)))
+	}
+}
+
+// fxKalmanBudget is the cycle budget RunFxKalman gives n updates.
+func fxKalmanBudget(n int) uint64 { return uint64(n)*2000 + 1000 }
 
 // FxKalmanHost runs the identical Q16.16 arithmetic on the host — used
 // to verify the on-core program bit for bit.

@@ -98,15 +98,19 @@ func TestFxKalmanValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkFxKalmanUpdate times the Q16.16 program's 100 updates as
+// RunFxKalman runs them, on a CPU loaded once outside the timer: each
+// op stores the inputs, resets and runs the program.
 func BenchmarkFxKalmanUpdate(b *testing.B) {
+	prog, err := Assemble(fxKalmanMain)
+	if err != nil {
+		b.Fatal(err)
+	}
 	z := make([]float64, 100)
 	for i := range z {
 		z[i] = 1.5
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunFxKalman(1e-4, 0.25, 100, 0, z); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkProgram(b, EngineFast, prog.Words, func(c *CPU) {
+		storeFxKalmanInputs(c, 1e-4, 0.25, 100, 0, z)
+	}, fxKalmanBudget(len(z)))
 }
