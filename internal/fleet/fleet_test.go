@@ -493,4 +493,11 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("bad spec %d validated: %+v", i, sp)
 		}
 	}
+	// The budget error names the duration the spec asked for beside the
+	// drive it runs.
+	err := ScenarioSpec{Kind: KindDynamic, Dur: 600, SampleRate: 1000}.Validate()
+	const want = "fleet: 600 s (a 627-s drive) at 1000 Hz exceeds the per-scenario step budget"
+	if err == nil || err.Error() != want {
+		t.Errorf("dynamic 600 s at 1000 Hz: %v, want %q", err, want)
+	}
 }

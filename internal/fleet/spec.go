@@ -135,7 +135,7 @@ func (sp ScenarioSpec) Validate() error {
 		run = traj.CityDriveDuration(sp.Dur)
 	}
 	if run*rate > 600_000 {
-		return fmt.Errorf("fleet: %g s at %g Hz exceeds the per-scenario step budget", run, rate)
+		return fmt.Errorf("fleet: %g s (a %g-s drive) at %g Hz exceeds the per-scenario step budget", sp.Dur, run, rate)
 	}
 	for i, d := range sp.MisDeg {
 		if math.IsNaN(d) || math.Abs(d) > 45 {

@@ -52,9 +52,12 @@
 // (TestPairMatchesRows), in fewer passes: both rows of Uᵀ come from one
 // sweep over P, the Cholesky factor of the 2×2 S and its solves are
 // scalars, and each entry of P's upper triangle takes both
-// measurements' terms in turn, its mirror written in the same pass. A
-// closed-form inverse of S would round differently and move every
-// result. Every other m runs the general loops.
+// measurements' terms in turn, its mirror written in the same pass. The
+// scalars repeat the operations of mat's Cholesky in its order, so a
+// change there fails TestPairMatchesRows; calling mat instead cost a
+// tenth of fleet-mixed throughput (DESIGN §10). A closed-form inverse
+// of S would round differently and move every result. Every other m
+// runs the general loops.
 //
 // # Performance model
 //
