@@ -32,7 +32,7 @@ vet:
 # The check builds these packages for arm64 and fails on any fused
 # multiply-add in the assembly listing; ROADMAP item 8 widens the list
 # to the other numerics packages.
-FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/core/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
+FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/core/ ./internal/link/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
 
 fma-check:
 	GOARCH=arm64 $(GO) build $(FMA_PKGS)
@@ -69,9 +69,12 @@ cover:
 # time to fuzz), the softfloat intrinsic
 # mirrors (result bits AND cycle/instret deltas vs the emulated
 # routines), the two link-layer packet parsers (the surfaces a faulted
-# wire feeds arbitrary bytes into), and the adaptive measurement-noise
+# wire feeds arbitrary bytes into), the adaptive measurement-noise
 # estimator's clamp/skip safety contract under arbitrary outlier, NaN
-# and degraded-quality streams.
+# and degraded-quality streams, the fleet frame parser (the same frames
+# and counters at any split of the stream) and one wire scenario
+# payload run end to end (rejected, or finite results within the step
+# budget Validate charged).
 fuzz:
 	$(GO) test -fuzz=FuzzDutyCycleCodec -fuzztime=30s ./internal/imu/
 	$(GO) test -run '^$$' -fuzz=FuzzEngineParity -fuzztime=60s -fuzzminimizetime=2s ./internal/sabre/
@@ -80,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzACCParser -fuzztime=30s ./internal/link/
 	$(GO) test -run '^$$' -fuzz=FuzzAdaptiveR -fuzztime=30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzFrameParser -fuzztime=30s ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz=FuzzScenarioSpec -fuzztime=30s ./internal/fleet/
 
 # Every paper table/figure and ablation as a benchmark, with logs.
 bench:
@@ -101,7 +105,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/fault/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/kalman/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkAdaptive|BenchmarkEstimatorStepFull|BenchmarkMultiStepThreeSensors' -benchmem -count 3 ./internal/core/ >> bench/raw.txt
-	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -count 3 ./internal/fleet/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkFleet|BenchmarkParseBatch' -benchmem -count 3 ./internal/fleet/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkRunIntoTiny|BenchmarkRunIntoDynamic' -benchmem -count 3 ./internal/system/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkSeedDraw30 -benchmem -count 3 ./internal/rng/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkPipelineQVGAFrame -benchmem -count 3 ./internal/affine/ >> bench/raw.txt

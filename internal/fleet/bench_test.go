@@ -107,3 +107,48 @@ func BenchmarkFleetDecodeEncode(b *testing.B) {
 	b.StopTimer()
 	batch.Release()
 }
+
+// BenchmarkParseBatch parses one 500-scenario chunk the way a session
+// reads a batch that arrives in one read: one Feed, then Next and
+// DecodeScenario per frame. It holds the parser to the serving path's
+// allocation contract, 0 allocs/op, and its ns/op is the cost of
+// framing a fleet-tiny batch.
+func BenchmarkParseBatch(b *testing.B) {
+	const batchSize = 500
+	var chunk []byte
+	for i := 0; i < batchSize; i++ {
+		chunk = AppendScenario(chunk, ScenarioSpec{
+			Kind: KindStatic, Tenant: uint32(i % 64), Seed: int64(i),
+			Dur: 0.05, NoCalibrate: true,
+		})
+	}
+	var parser FrameParser
+	parse := func() {
+		parser.Feed(chunk)
+		n := 0
+		for {
+			typ, payload, ok := parser.Next()
+			if !ok {
+				break
+			}
+			if typ != FrameScenario {
+				b.Fatalf("unexpected frame %#x", typ)
+			}
+			sp, err := DecodeScenario(payload)
+			if err != nil || sp.Seed != int64(n) {
+				b.Fatalf("frame %d: %+v %v", n, sp, err)
+			}
+			n++
+		}
+		if n != batchSize {
+			b.Fatalf("parsed %d scenarios, want %d", n, batchSize)
+		}
+	}
+
+	parse() // warm-up: grows the parser's buffer to its stable size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parse()
+	}
+}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -500,4 +501,63 @@ func TestSpecValidate(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Errorf("dynamic 600 s at 1000 Hz: %v, want %q", err, want)
 	}
+}
+
+// fuzzEpochCap bounds the epochs, run and calibration together, that
+// one FuzzScenarioSpec input may run, so one exec takes at most about
+// 10 ms.
+const fuzzEpochCap = 12_000
+
+// FuzzScenarioSpec runs arbitrary Scenario payload bytes end to end, as
+// a wire peer sends them: DecodeScenario, Config, then RunInto, outside
+// the server's panic containment so a panic fails the test. Each input
+// is rejected, or it finishes with finite errors, 3σ and mean NIS, and
+// runs no more fusion epochs than Validate charged it.
+func FuzzScenarioSpec(f *testing.F) {
+	for _, sp := range []ScenarioSpec{
+		{Kind: KindStatic, Dur: 5, MisDeg: [3]float64{2, -3, 1}, NoCalibrate: true},
+		{Kind: KindStatic, Dur: 1, SampleRate: 1, MisDeg: [3]float64{-45, 45, 0}},
+		{Kind: KindStatic, Dur: 1e-9, SampleRate: 1000},
+		{Kind: KindDynamic, Tenant: 3, Seed: 11, Dur: 30, NoCalibrate: true},
+		{Kind: KindUntuned, Dur: 20, SampleRate: 40, MisDeg: [3]float64{0.5, 0.5, 0.5}},
+		{Kind: KindStatic, Dur: 600, SampleRate: 1000},
+	} {
+		f.Add(AppendScenario(nil, sp)[4 : 4+scenarioLen])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sp, err := DecodeScenario(payload)
+		if err != nil {
+			return
+		}
+		cfg, err := sp.Config()
+		if err != nil {
+			return
+		}
+		epochs, _, rate := sp.charge()
+		work := epochs
+		if cfg.Calibrate {
+			work += cfg.CalibrationTime * rate
+		}
+		if work > fuzzEpochCap {
+			return
+		}
+		var res system.Result
+		if err := system.NewRunner().RunInto(&res, cfg); err != nil {
+			return
+		}
+		finite := func(name string, v float64) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%+v: %s = %g", sp, name, v)
+			}
+		}
+		for i := range res.ErrorDeg {
+			finite("ErrorDeg", res.ErrorDeg[i])
+			finite("ThreeSigmaDeg", res.ThreeSigmaDeg[i])
+		}
+		finite("MeanNIS", res.MeanNIS)
+		if float64(res.Steps) > math.Ceil(epochs) {
+			t.Fatalf("%+v: ran %d epochs, Validate charged %g", sp, res.Steps, epochs)
+		}
+	})
 }

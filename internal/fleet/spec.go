@@ -123,18 +123,11 @@ func (sp ScenarioSpec) Validate() error {
 	if !(sp.Dur > 0) || sp.Dur > 600 {
 		return fmt.Errorf("fleet: duration %g outside (0, 600] s", sp.Dur)
 	}
-	rate := sp.SampleRate
-	if rate == 0 {
-		rate = 100
-	}
+	epochs, run, rate := sp.charge()
 	if !(rate >= 1) || rate > 1000 {
 		return fmt.Errorf("fleet: sample rate %g outside [1, 1000] Hz", rate)
 	}
-	run := sp.Dur
-	if sp.Kind != KindStatic {
-		run = traj.CityDriveDuration(sp.Dur)
-	}
-	if run*rate > 600_000 {
+	if epochs > 600_000 {
 		return fmt.Errorf("fleet: %g s (a %g-s drive) at %g Hz exceeds the per-scenario step budget", sp.Dur, run, rate)
 	}
 	for i, d := range sp.MisDeg {
@@ -143,6 +136,22 @@ func (sp ScenarioSpec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// charge returns the fusion epochs Validate holds to the per-scenario
+// step budget: the run length in seconds (whole passes of the route for
+// drive kinds) times the rate in Hz (100 when unset). It returns both
+// factors too. Dur must already lie in (0, 600].
+func (sp ScenarioSpec) charge() (epochs, run, rate float64) {
+	rate = sp.SampleRate
+	if rate == 0 {
+		rate = 100
+	}
+	run = sp.Dur
+	if sp.Kind != KindStatic {
+		run = traj.CityDriveDuration(sp.Dur)
+	}
+	return run * rate, run, rate
 }
 
 // Config expands the spec into the exact system.Config a direct caller

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -316,111 +317,105 @@ func DecodeTelemetry(p []byte) (Telemetry, error) {
 }
 
 // FrameParser reassembles frames from a byte stream, in place: bytes
-// are buffered in one growing-then-stable backing array, resync after
-// corruption follows the link-layer parsers' drop-to-sync discipline,
-// and returned payloads alias the internal buffer (valid until the
-// next Next or Feed call), so a steady-state read loop allocates
-// nothing.
+// are buffered in one growing-then-stable backing array and parsed from
+// a read offset, resync after corruption follows the link-layer
+// parsers' drop-to-sync discipline, and returned payloads alias the
+// internal buffer (valid until the next Feed or Reset call), so a
+// steady-state read loop allocates nothing and moves each buffered byte
+// at most once per Feed.
 type FrameParser struct {
-	buf  []byte
-	pend int // prefix consumed by the previously returned frame
+	buf []byte
+	off int // start of the bytes not yet parsed
 
-	frames, badSum, resyncs, tooLong int
+	// skipping is set while a run of non-sync bytes reaches the end of
+	// the buffer: the run may go on in the next Feed and counts as one
+	// resync however the stream was split.
+	skipping bool
+
+	frames, badSum, resyncs int
 }
 
 // Reset discards buffered bytes and zeroes the health counters,
 // keeping the backing array.
 func (p *FrameParser) Reset() {
 	p.buf = p.buf[:0]
-	p.pend = 0
-	p.frames, p.badSum, p.resyncs, p.tooLong = 0, 0, 0, 0
+	p.off = 0
+	p.skipping = false
+	p.frames, p.badSum, p.resyncs = 0, 0, 0
 }
 
-// Feed appends raw stream bytes for parsing.
+// Feed appends raw stream bytes for parsing. It first drops the bytes
+// Next has consumed, which ends the life of every payload it returned.
 func (p *FrameParser) Feed(data []byte) {
-	p.compact()
+	if p.off > 0 {
+		n := copy(p.buf, p.buf[p.off:])
+		p.buf = p.buf[:n]
+		p.off = 0
+	}
 	p.buf = append(p.buf, data...)
 }
 
-// compact drops the prefix handed out by the previous Next.
-func (p *FrameParser) compact() {
-	if p.pend > 0 {
-		n := copy(p.buf, p.buf[p.pend:])
-		p.buf = p.buf[:n]
-		p.pend = 0
-	}
-}
-
-// drop removes the first k buffered bytes immediately.
-func (p *FrameParser) drop(k int) {
-	n := copy(p.buf, p.buf[k:])
-	p.buf = p.buf[:n]
-}
-
-// Next extracts the next checksum-valid frame. The returned payload
-// aliases the parser's buffer: it is valid until the next Next or Feed
-// call. ok=false means more bytes are needed.
+// Next extracts the next checksum-valid frame and advances past it. The
+// returned payload aliases the parser's buffer: it is valid until the
+// next Feed or Reset call, so a caller may hold every payload of one
+// fed chunk at once. ok=false means more bytes are needed.
 func (p *FrameParser) Next() (typ byte, payload []byte, ok bool) {
-	p.compact()
 	for {
-		if len(p.buf) == 0 {
+		b := p.buf[p.off:]
+		if len(b) == 0 {
 			return 0, nil, false
 		}
-		if p.buf[0] != FrameSync {
+		if b[0] != FrameSync {
 			p.dropToSync()
 			continue
 		}
-		if len(p.buf) < 4 {
+		p.skipping = false
+		if len(b) < 4 {
 			return 0, nil, false
 		}
-		n := int(rd16(p.buf[2:]))
-		if n > maxFrameLen {
-			// No defined frame is this long: corrupt length. Resync
-			// rather than buffering an attacker-chosen amount.
-			p.tooLong++
-			p.badSum++
-			p.drop(1)
-			p.resyncs++
-			continue
+		n := int(rd16(b[2:]))
+		if n <= maxFrameLen {
+			total := 4 + n + 1
+			if len(b) < total {
+				return 0, nil, false
+			}
+			var sum byte
+			for _, c := range b[1:total] {
+				sum += c
+			}
+			if sum == 0 {
+				p.frames++
+				p.off += total
+				return b[1], b[4 : 4+n], true
+			}
 		}
-		total := 4 + n + 1
-		if len(p.buf) < total {
-			return 0, nil, false
-		}
-		var sum byte
-		for _, b := range p.buf[1:total] {
-			sum += b
-		}
-		if sum != 0 {
-			p.badSum++
-			p.drop(1)
-			p.resyncs++
-			continue
-		}
-		p.frames++
-		p.pend = total
-		return p.buf[1], p.buf[4 : 4+n], true
+		// A bad checksum, or a length no defined frame has: drop the
+		// sync byte and resync, rather than wait for an
+		// attacker-chosen amount of bytes.
+		p.badSum++
+		p.resyncs++
+		p.off++
 	}
 }
 
+// dropToSync skips the non-sync bytes at the read offset, up to the
+// next sync byte or the end of the buffer.
 func (p *FrameParser) dropToSync() {
-	for i, b := range p.buf {
-		if b == FrameSync {
-			if i > 0 {
-				p.resyncs++
-			}
-			p.drop(i)
-			return
-		}
-	}
-	if len(p.buf) > 0 {
+	if !p.skipping {
 		p.resyncs++
 	}
-	p.buf = p.buf[:0]
+	b := p.buf[p.off:]
+	i := bytes.IndexByte(b, FrameSync)
+	p.skipping = i < 0
+	if p.skipping {
+		i = len(b)
+	}
+	p.off += i
 }
 
 // Stats returns parser health counters (frames parsed, checksum
-// failures, resynchronisations).
+// failures, resynchronisations). They depend only on the bytes fed, not
+// on how the stream was split into Feed calls.
 func (p *FrameParser) Stats() (frames, badSum, resyncs int) {
 	return p.frames, p.badSum, p.resyncs
 }

@@ -190,31 +190,106 @@ func TestResultZeroFillOnNonOK(t *testing.T) {
 	}
 }
 
+// TestParserPayloadsLiveUntilFeed keeps every payload of one
+// 500-frame chunk and checks them only after the last Next: parsing
+// advances a read offset and moves no buffered byte before the next
+// Feed, so each payload still holds the bytes it was encoded from.
+func TestParserPayloadsLiveUntilFeed(t *testing.T) {
+	const frames = 500
+	var chunk []byte
+	var marks []int
+	for i := 0; i < frames; i++ {
+		marks = append(marks, len(chunk))
+		chunk = AppendScenario(chunk, ScenarioSpec{
+			Kind: KindStatic, Tenant: uint32(i), Seed: int64(i) * 7919,
+			Dur: float64(i%600 + 1), MisDeg: [3]float64{float64(i % 45), -3, 1},
+		})
+	}
+	var p FrameParser
+	p.Feed(chunk)
+	var got [][]byte
+	for {
+		typ, payload, ok := p.Next()
+		if !ok {
+			break
+		}
+		if typ != FrameScenario {
+			t.Fatalf("frame %d: type %#x", len(got), typ)
+		}
+		got = append(got, payload)
+	}
+	if len(got) != frames {
+		t.Fatalf("parsed %d frames, want %d", len(got), frames)
+	}
+	for i, payload := range got {
+		want := chunk[marks[i]+4 : marks[i]+4+scenarioLen]
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("payload %d changed before the next Feed:\n got %x\nwant %x", i, payload, want)
+		}
+	}
+}
+
+// parsedFrame is one frame a parser returned, its payload copied out of
+// the parser's buffer.
+type parsedFrame struct {
+	typ     byte
+	payload string
+}
+
+// parseSplit feeds data to a fresh parser in pieces of at most piece
+// bytes, draining Next after each Feed, and returns the parser and the
+// frames it returned.
+func parseSplit(t *testing.T, data []byte, piece int) (*FrameParser, []parsedFrame) {
+	var p FrameParser
+	var frames []parsedFrame
+	for len(data) > 0 {
+		n := min(piece, len(data))
+		p.Feed(data[:n])
+		data = data[n:]
+		for {
+			typ, payload, ok := p.Next()
+			if !ok {
+				break
+			}
+			if len(payload) > maxFrameLen {
+				t.Fatalf("parser returned %d-byte payload beyond bound", len(payload))
+			}
+			frames = append(frames, parsedFrame{typ, string(payload)})
+		}
+	}
+	return &p, frames
+}
+
 // FuzzFrameParser feeds arbitrary bytes into the parser: it must never
-// panic, never return a frame whose checksum would not verify, and
-// keep accepting well-formed frames afterwards.
+// panic, return a payload beyond the length bound or return a frame
+// whose checksum would not verify, it must return the same frames and
+// health counters whether the stream arrives whole, in 7-byte pieces or
+// byte by byte, and it must keep accepting well-formed frames
+// afterwards.
 func FuzzFrameParser(f *testing.F) {
 	f.Add(AppendScenario(nil, ScenarioSpec{Kind: KindStatic, Seed: 1, Dur: 1}))
 	f.Add(AppendBatchEnd(nil, 1, 0))
 	f.Add([]byte{FrameSync, FrameScenario, 0xFF, 0xFF, 0x00})
 	f.Add(bytes.Repeat([]byte{FrameSync}, 64))
+	f.Add(append([]byte{0x00, 0x17, 0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}, AppendBatchEnd(nil, 2, 3)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var p FrameParser
-		for len(data) > 0 {
-			n := 7
-			if n > len(data) {
-				n = len(data)
+		whole, wantFrames := parseSplit(t, data, len(data))
+		wantN, wantBad, wantResyncs := whole.Stats()
+		for _, fr := range wantFrames {
+			if !bytes.Contains(data, AppendFrame(nil, fr.typ, []byte(fr.payload))) {
+				t.Fatalf("frame %q is not in the input with a valid checksum", fr)
 			}
-			p.Feed(data[:n])
-			data = data[n:]
-			for {
-				_, payload, ok := p.Next()
-				if !ok {
-					break
-				}
-				if len(payload) > maxFrameLen {
-					t.Fatalf("parser returned %d-byte payload beyond bound", len(payload))
-				}
+		}
+		var p *FrameParser
+		for _, piece := range []int{7, 1} {
+			var frames []parsedFrame
+			p, frames = parseSplit(t, data, piece)
+			if !reflect.DeepEqual(frames, wantFrames) {
+				t.Fatalf("%d-byte pieces: frames %q, whole input: %q", piece, frames, wantFrames)
+			}
+			if n, bad, resyncs := p.Stats(); n != wantN || bad != wantBad || resyncs != wantResyncs {
+				t.Fatalf("%d-byte pieces: stats %d/%d/%d, whole input: %d/%d/%d",
+					piece, n, bad, resyncs, wantN, wantBad, wantResyncs)
 			}
 		}
 		// The parser must still work after arbitrary garbage: a

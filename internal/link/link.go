@@ -61,7 +61,7 @@ func clampI16(v float64) int16 {
 
 func put3xI16(dst []byte, v geom.Vec3, lsb float64) {
 	for i := 0; i < 3; i++ {
-		c := clampI16(v[i]/lsb + 0.5*sign(v[i]))
+		c := clampI16(v[i]/lsb + float64(0.5*sign(v[i])))
 		dst[2*i] = byte(uint16(c) >> 8)
 		dst[2*i+1] = byte(uint16(c))
 	}
