@@ -32,7 +32,7 @@ vet:
 # The check builds these packages for arm64 and fails on any fused
 # multiply-add in the assembly listing; ROADMAP item 8 widens the list
 # to the other numerics packages.
-FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/core/ ./internal/link/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
+FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/core/ ./internal/link/ ./internal/odo/ ./internal/system/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
 
 fma-check:
 	GOARCH=arm64 $(GO) build $(FMA_PKGS)
@@ -72,9 +72,11 @@ cover:
 # wire feeds arbitrary bytes into), the adaptive measurement-noise
 # estimator's clamp/skip safety contract under arbitrary outlier, NaN
 # and degraded-quality streams, the fleet frame parser (the same frames
-# and counters at any split of the stream) and one wire scenario
+# and counters at any split of the stream), one wire scenario
 # payload run end to end (rejected, or finite results within the step
-# budget Validate charged).
+# budget Validate charged) and arbitrary POST /v1/batch bodies (200,
+# 400 or 413, and a 200 reply accounts for every scenario; minimising
+# capped at 2 s, as for engine parity).
 fuzz:
 	$(GO) test -fuzz=FuzzDutyCycleCodec -fuzztime=30s ./internal/imu/
 	$(GO) test -run '^$$' -fuzz=FuzzEngineParity -fuzztime=60s -fuzzminimizetime=2s ./internal/sabre/
@@ -84,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzAdaptiveR -fuzztime=30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz=FuzzFrameParser -fuzztime=30s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz=FuzzScenarioSpec -fuzztime=30s ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz=FuzzHTTPBatch -fuzztime=30s -fuzzminimizetime=2s ./internal/fleet/
 
 # Every paper table/figure and ablation as a benchmark, with logs.
 bench:

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 
+	"boresight/internal/affine"
 	"boresight/internal/fault"
 	"boresight/internal/geom"
 	"boresight/internal/sabre"
@@ -158,7 +159,7 @@ func realMain(mode string, roll, pitch, yaw, dur float64, seed int64, links bool
 		}
 		fmt.Printf("residual series:         wrote %s (%d rows)\n", csvPath, len(res.Residuals))
 	}
-	p := system.CorrectionParams(res.Estimated, focal)
+	p := affine.FromMisalignment(res.Estimated, focal)
 	fmt.Printf("video correction (focal %.0f px): rotate %+.3f°, shift (%+.1f, %+.1f) px\n",
 		focal, geom.Rad2Deg(p.Theta), p.TX, p.TY)
 	return sabreKalmanHeadline(eng)

@@ -48,7 +48,7 @@ func main() {
 
 	// The correction from the estimate (this is what the Sabre writes
 	// into the control block).
-	corr := system.CorrectionParams(res.Estimated, focal)
+	corr := affine.FromMisalignment(res.Estimated, focal)
 	idx, tx, ty := affine.ControlFromParams(lut, corr)
 	pipe.SetControl(idx, tx, ty)
 	sim.Tick()

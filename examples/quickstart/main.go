@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"boresight/internal/affine"
 	"boresight/internal/geom"
 	"boresight/internal/system"
 )
@@ -36,7 +37,7 @@ func main() {
 
 	// Convert the solution to the affine video correction the FPGA
 	// datapath applies (focal length 400 px).
-	prm := system.CorrectionParams(res.Estimated, 400)
+	prm := affine.FromMisalignment(res.Estimated, 400)
 	fmt.Printf("video correction:       rotate %+.3f°, shift (%+.1f, %+.1f) px\n",
 		geom.Rad2Deg(prm.Theta), prm.TX, prm.TY)
 }

@@ -101,6 +101,12 @@ type TenantStatsJSON struct {
 // protocol is the path for bigger batches.
 const maxHTTPBatch = 100_000
 
+// maxHTTPBody bounds one POST /v1/batch body, so the handler never
+// buffers more than this before it can count the scenarios: 512 bytes
+// for each of maxHTTPBatch scenarios, room for the longest compact
+// SpecJSON (272 bytes, TestHTTPBodyBound) and some whitespace.
+const maxHTTPBody = maxHTTPBatch * 512
+
 // HTTPHandler returns the server's HTTP face:
 //
 //	POST /v1/batch  — run a batch of scenarios
@@ -120,7 +126,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxHTTPBody)).Decode(&req); err != nil {
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			http.Error(w, fmt.Sprintf("body exceeds the %d-byte HTTP limit", maxHTTPBody),
+				http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

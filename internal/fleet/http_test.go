@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -96,6 +99,124 @@ func TestHTTPMethodFiltering(t *testing.T) {
 			t.Errorf("%s %s: got %d, want 405", tc.method, tc.path, rec.Code)
 		}
 	}
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestHTTPBodyBound checks the /v1/batch body bound. A batch of
+// maxHTTPBatch scenarios, each the longest compact SpecJSON, fits
+// under maxHTTPBody, and a body one byte over the bound is refused
+// with 413 instead of being buffered whole. That body is an empty
+// scenario array padded with whitespace, so the decoder reads up to
+// the bound before it could finish.
+func TestHTTPBodyBound(t *testing.T) {
+	x := math.Nextafter(-1e-6, -1) // a float64 with the longest JSON encoding
+	longest, err := json.Marshal(SpecJSON{
+		Kind: "dynamic", Tenant: math.MaxUint32, Seed: math.MinInt64,
+		Dur: x, SampleRate: x, MisDeg: [3]float64{x, x, x},
+		EstimateStride: math.MaxUint16, NoCalibrate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail := `{"scenarios":[`, `]}`
+	if n := len(head) + maxHTTPBatch*(len(longest)+1) - 1 + len(tail); n > maxHTTPBody {
+		t.Errorf("%d scenarios of %d bytes take %d bytes, over the %d-byte bound",
+			maxHTTPBatch, len(longest), n, maxHTTPBody)
+	}
+
+	s := NewServer(1, 16)
+	defer s.Close()
+	pad := int64(maxHTTPBody + 1 - len(head) - len(tail))
+	body := io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, pad), strings.NewReader(tail))
+	rec := httptest.NewRecorder()
+	s.HTTPHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: %d %q, want 413", maxHTTPBody+1, rec.Code, rec.Body.String())
+	}
+}
+
+// FuzzHTTPBatch posts arbitrary bytes to /v1/batch through HTTPHandler,
+// as an HTTP client sends them. Every reply is 200, 400 or 413, and a
+// 200 reply decodes to one result per scenario, each ok, shed or
+// error, with Admitted + Shed equal to the scenario count. An input
+// whose scenarios charge more than fuzzEpochCap epochs in all, counted
+// as FuzzScenarioSpec counts them, returns early.
+func FuzzHTTPBatch(f *testing.F) {
+	for _, body := range []string{
+		`{"scenarios":[{"kind":"static","tenant":7,"seed":42,"dur":5,"mis_deg":[2,-3,1],"no_calibrate":true}]}`,
+		`{"scenarios":[{"kind":"dynamic","seed":1,"dur":2,"sample_rate":50,"mis_deg":[1,0,0]},` +
+			`{"kind":"static","seed":1,"dur":-5,"mis_deg":[0,0,0]}],"block":true}`,
+		`{"scenarios":[` + strings.Repeat(`{"kind":"static","dur":1,"sample_rate":20,"mis_deg":[0,0,0],"no_calibrate":true},`, 7) +
+			`{"kind":"static","dur":1,"mis_deg":[0,0,0]}]}`,
+		`{"scenarios":[{"kind":"bogus","dur":5,"mis_deg":[0,0,0]}]}`,
+		`{"scenarios":[]}`,
+		`{"scenarios":`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	// A shallow queue, so a batch longer than it sheds.
+	s := NewServer(1, 4)
+	f.Cleanup(s.Close)
+	h := s.HTTPHandler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req BatchRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
+			var work float64
+			for _, sj := range req.Scenarios {
+				sp, err := sj.Spec()
+				if err != nil {
+					continue
+				}
+				cfg, err := sp.Config()
+				if err != nil {
+					continue
+				}
+				epochs, _, rate := sp.charge()
+				work += epochs
+				if cfg.Calibrate {
+					work += cfg.CalibrationTime * rate
+				}
+			}
+			if work > fuzzEpochCap {
+				return
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("%q: status %d %q", body, rec.Code, rec.Body.String())
+		}
+		var resp BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%q: 200 reply does not decode: %v (%q)", body, err, rec.Body.String())
+		}
+		n := len(req.Scenarios)
+		if len(resp.Results) != n || resp.Admitted+resp.Shed != n {
+			t.Fatalf("%q: %d results, %d admitted, %d shed for %d scenarios",
+				body, len(resp.Results), resp.Admitted, resp.Shed, n)
+		}
+		for i, r := range resp.Results {
+			switch r.Status {
+			case "ok", "shed", "error":
+			default:
+				t.Fatalf("%q: scenario %d status %q", body, i, r.Status)
+			}
+		}
+	})
 }
 
 // TestHTTPShedClassification drives real queue-full shedding through

@@ -58,7 +58,7 @@ func (w *WheelSensor) Reset(pulsesPerMeter float64, seed int64) {
 // Sample advances dt seconds at the given true speed (m/s) and returns
 // the integer pulse count delivered for the interval.
 func (w *WheelSensor) Sample(speed, dt float64) int {
-	w.accum += math.Max(0, speed) * dt * w.PulsesPerMeter
+	w.accum += float64(math.Max(0, speed) * dt * w.PulsesPerMeter)
 	n := int(w.accum)
 	w.accum -= float64(n)
 	// Jitter moves one edge across the sample boundary; it needs an
@@ -132,8 +132,8 @@ func (a *Aider) Update(dt, odoSpeed, imuAx float64) float64 {
 	if dt <= 0 {
 		return a.Bias()
 	}
-	a.spdSum += odoSpeed * dt
-	a.axSum += imuAx * dt
+	a.spdSum += float64(odoSpeed * dt)
+	a.axSum += float64(imuAx * dt)
 	a.wTime += dt
 	if a.wTime < a.Window {
 		return a.Bias()
@@ -145,7 +145,7 @@ func (a *Aider) Update(dt, odoSpeed, imuAx float64) float64 {
 		// Acceleration across the two window centres; the matching IMU
 		// value is the average of the two window means (same span).
 		x := (spd - a.prevSpd) / a.Window
-		y := (ax + a.prevAx) / 2
+		y := float64((ax + a.prevAx) / 2)
 		a.accelRef = x
 		// Accumulate only while clearly moving (at rest the IMU x-axis
 		// sees gravity leakage from any standing pitch, not bias).
@@ -153,8 +153,8 @@ func (a *Aider) Update(dt, odoSpeed, imuAx float64) float64 {
 			a.n++
 			a.sx += x
 			a.sy += y
-			a.sxx += x * x
-			a.sxy += x * y
+			a.sxx += float64(x * x)
+			a.sxy += float64(x * y)
 			a.movingTime += a.Window
 		}
 	}
@@ -165,21 +165,21 @@ func (a *Aider) Update(dt, odoSpeed, imuAx float64) float64 {
 // Bias returns the current IMU longitudinal bias estimate (the
 // regression intercept), or 0 before enough excitation has accumulated.
 func (a *Aider) Bias() float64 {
-	det := a.n*a.sxx - a.sx*a.sx
+	det := float64(a.n*a.sxx) - float64(a.sx*a.sx)
 	if a.n < 20 || det < 1e-6 {
 		return 0
 	}
-	return (a.sy*a.sxx - a.sx*a.sxy) / det
+	return (float64(a.sy*a.sxx) - float64(a.sx*a.sxy)) / det
 }
 
 // Gain returns the fitted IMU-vs-odometry acceleration gain (≈ 1 plus
 // the suspension-dive coupling), or 0 before convergence.
 func (a *Aider) Gain() float64 {
-	det := a.n*a.sxx - a.sx*a.sx
+	det := float64(a.n*a.sxx) - float64(a.sx*a.sx)
 	if a.n < 20 || det < 1e-6 {
 		return 0
 	}
-	return (a.n*a.sxy - a.sx*a.sy) / det
+	return (float64(a.n*a.sxy) - float64(a.sx*a.sy)) / det
 }
 
 // AccelRef returns the latest odometry-derived acceleration (m/s²).
@@ -188,5 +188,5 @@ func (a *Aider) AccelRef() float64 { return a.accelRef }
 // Converged reports whether enough moving excitation has accumulated
 // for the estimates to be meaningful.
 func (a *Aider) Converged() bool {
-	return a.movingTime > 30 && a.n*a.sxx-a.sx*a.sx > 1
+	return a.movingTime > 30 && float64(a.n*a.sxx)-float64(a.sx*a.sx) > 1
 }

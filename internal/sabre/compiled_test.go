@@ -2,6 +2,7 @@ package sabre
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -293,37 +294,62 @@ func TestKernelMatchIsRawWord(t *testing.T) {
 	}
 }
 
-// TestKernelExitResumesInterpreter drives the kernel's one exit back
-// to the interpreter: program memory is the Kalman program followed by
-// a straight-line tail no kernel covers, and the run enters at
-// f32_add (a kernel leader) with ra pointing at the tail, so the
-// routine's return leaves the kernel at a pc that is not a leader. At
-// every budget, including those that expire just after the kernel
-// returns, in the tail or inside the routine, every engine under test
-// must match EngineRef.
+// TestKernelExitResumesInterpreter drives both exits by which a kernel
+// hands a run to the interpreter. At a full budget each case takes one
+// kernel dispatch and then one interpreted stretch, and at every budget,
+// including those that expire in the kernel, at its exit and after it,
+// every engine under test must match EngineRef.
+//
+//   - return: program memory is the FxBoresight program followed by a
+//     straight-line tail no kernel covers, and the run enters at
+//     fxb_mulq24 (a kernel leader) with ra pointing at the tail, so the
+//     routine's return leaves the kernel at a pc that is not a leader;
+//   - decline: the Kalman program entered at kal_loop with sp = 60,
+//     aligned but below the mirrors' stack window, so the first call's
+//     mirror declines and the kernel leaves at f32_add's entry; the
+//     interpreter runs the library's words, and its own intrinsic
+//     records decline too.
 func TestKernelExitResumesInterpreter(t *testing.T) {
-	p, err := Assemble(kalmanMain + Library())
+	fx, err := FxBoresightProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kal, err := KalmanProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tail := MustAssemble(strings.Repeat("addi a2, a2, 1\n", 12) + "halt\n")
-	words := append(append([]uint32(nil), p.Words...), tail.Words...)
-	setup := func(c *CPU) {
-		c.PC = p.Symbols["f32_add"]
-		c.R[1], c.R[2] = 0x3FC00000, 0x40200000
-		c.R[14] = 0xFF00
-		c.R[15] = uint32(len(p.Words)) * 4
-	}
-	full, err := runOneEngine(EngineFast, words, 100_000, setup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.halted || full.stats.Dispatches[dispKernel] != 1 || full.stats.Dispatches[dispInterp] != 1 {
-		t.Fatalf("halted=%v, dispatches %v; want a halt after one kernel call and one interpreted stretch",
-			full.halted, full.stats.Dispatches)
-	}
-	for budget := uint64(0); budget <= full.cycles+4; budget++ {
-		requireParity(t, words, budget, setup)
+	for _, tc := range []struct {
+		name  string
+		words []uint32
+		setup func(*CPU)
+	}{
+		{"return", append(append([]uint32(nil), fx.Words...), tail.Words...), func(c *CPU) {
+			c.PC = fx.Symbols["fxb_mulq24"]
+			c.R[1], c.R[2] = 0xFF3A5C21, 0x00C0FFEE
+			c.R[14] = 0xFF00
+			c.R[15] = uint32(len(fx.Words)) * 4
+		}},
+		{"decline", kal.Words, func(c *CPU) {
+			x := float32(0.5)
+			SetKalmanInputs(c, 0.01, 0.25, 1, x, []float32{1.25})
+			c.PC = kal.Symbols["kal_loop"]
+			c.R[10], c.R[11], c.R[12], c.R[13] = 1, kalZIn, kalXOut, math.Float32bits(x)
+			c.R[14] = 60
+		}},
+	} {
+		full, err := runOneEngine(EngineFast, tc.words, 100_000, tc.setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full.halted || full.stats.Dispatches[dispKernel] != 1 || full.stats.Dispatches[dispInterp] != 1 ||
+			full.stats.IntrinsicCalls != 0 {
+			t.Fatalf("%s: halted=%v, dispatches %v, %d intrinsic calls; want a halt after one kernel call and one interpreted stretch, and no intrinsic call",
+				tc.name, full.halted, full.stats.Dispatches, full.stats.IntrinsicCalls)
+		}
+		for budget := uint64(0); budget <= full.cycles+4; budget++ {
+			requireParity(t, tc.words, budget, tc.setup)
+		}
 	}
 }
 

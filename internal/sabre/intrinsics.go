@@ -15,10 +15,11 @@ import (
 // the exact dynamic cycle/instret cost the emulated routine would have
 // spent. The fast engine lowers such calls at predecode (the
 // intrinsic record, xopIntrin), and the generated kernels call the
-// mirrors directly. The mirrors below follow the assembly of
-// softfloat_asm.go path by path — every branch outcome adds the same
-// cycle/instruction increments the reference engine's Step() would
-// have charged, and every architectural side effect is reproduced:
+// mirrors directly; no kernel holds a copy of the library's code. The
+// mirrors below follow the assembly of softfloat_asm.go path by path —
+// every branch outcome adds the same cycle/instruction increments the
+// reference engine's Step() would have charged, and every
+// architectural side effect is reproduced:
 //
 //   - the result in a0 and the return address restored into ra,
 //   - the exact scratch values the routine leaves in a1–a3/t0–t4
@@ -33,7 +34,8 @@ import (
 // full dynamic cost, so the counter invariant (cycles < stop at every
 // checked head) holds at the resume label. In the narrow window where
 // the budget expires inside the routine, the intrinsic declines and
-// the emulated path runs with its ordinary checks.
+// the interpreter runs the routine's words with its ordinary checks;
+// a kernel whose mirror declines exits to it at the routine's entry.
 //
 // The per-path costs are validated exhaustively against the emulated
 // routines by TestIntrinsicMirrorsExact and FuzzSoftFloatIntrinsics.
@@ -63,7 +65,8 @@ var sfOff sfLayout
 // intrinHandler mirrors one library routine: on success it returns the
 // advanced cycle/instret counters with every register and memory
 // effect committed; on failure (unsuitable sp, or the budget expires
-// inside the routine) nothing is touched and the emulated path runs.
+// inside the routine) nothing is touched and the interpreter runs the
+// routine's words.
 type intrinHandler func(c *CPU, st *cst, cyc, ins uint64, ra, lb uint32) (uint64, uint64, bool)
 
 // mirrors lists every native mirror with the routine it follows and

@@ -10,6 +10,13 @@ import "slices"
 // per-block constants, control flow lowered to gotos — so a run of
 // either program is one call.
 //
+// A kernel's code stops where the program's SoftFloat library starts.
+// A call into the library runs the routine's native mirror
+// (intrinsics.go); when the mirror declines, at a budget boundary or
+// with a stack outside its window, the kernel makes the call and
+// exits with pc at the routine, and the interpreter runs the library's
+// words, as it does after any other stOK exit.
+//
 // Once per loaded program, predecode compares program memory word for
 // word with each kernel's program (matchKernel). When one matches,
 // RunFast calls the kernel on entry if pc is one of the kernel's
@@ -60,9 +67,9 @@ type cst struct {
 }
 
 // genKernel is one generated whole-program kernel: the program words
-// it was generated from, its leaders (the entry pcs it accepts) with
-// the worst-case cycles from each to its first budget check, and the
-// kernel function.
+// it was generated from, library included, its leaders (the entry pcs
+// it accepts) with the worst-case cycles from each to its first budget
+// check, and the kernel function.
 type genKernel struct {
 	fn      func(c *CPU, st *cst) int
 	words   []uint32
@@ -70,8 +77,9 @@ type genKernel struct {
 }
 
 // matchKernel returns the generated kernel whose program opens prog,
-// or nil. A kernel addresses its program at absolute pcs, so only a
-// raw-word match from word 0 binds it.
+// or nil. A kernel addresses its program at absolute pcs and passes
+// its library's base to the mirrors, so only a raw-word match of every
+// word from word 0 binds it.
 func matchKernel(prog []uint32) *genKernel {
 	for _, k := range kernels {
 		if len(k.words) <= len(prog) && slices.Equal(k.words, prog[:len(k.words)]) {

@@ -12,7 +12,9 @@ package sabre
 // and fx classes measure. Every other program (the control program,
 // the Q16.16 Kalman, the SoftFloat batch harnesses, any
 // runtime-assembled code) runs on the interpreter (runfast.go).
-// Each kernel is one Go function covering its entire program:
+// Each kernel is one Go function covering its program up to the first
+// canonical SoftFloat blob (findBlob), or all of it when it embeds
+// none:
 //
 //   - internal control flow is lowered to gotos between labelled basic
 //     blocks; a JAL becomes a goto with the link register written, and
@@ -34,9 +36,12 @@ package sabre
 //     with hundreds of join points the compiler would spill
 //     per-register locals to the stack and shuffle them at every join,
 //     so constant-index array slots are cheaper;
-//   - a call to a routine of a canonical SoftFloat blob, found with
-//     findBlob, first tries the routine's native mirror
-//     (intrinsics.go).
+//   - a call into the SoftFloat library runs the routine's native
+//     mirror (intrinsics.go). When the mirror declines, the kernel
+//     makes the call and exits with pc at the routine, so the
+//     interpreter runs the library's own words and finishes the run.
+//     The kernel holds no copy of the library: the mirrors and the
+//     interpreter are its two implementations.
 //
 // A kernel runs its program at absolute pcs, so it binds only to a
 // program memory that opens with exactly the words it was generated
@@ -86,7 +91,7 @@ func kernelUnits(t testing.TB) []kernelUnit {
 // plainCost is the cycle cost of one plain (non-control) record.
 func plainCost(op uint8) uint32 {
 	switch op {
-	case uint8(OpLW), uint8(OpLB), uint8(OpLBU):
+	case uint8(OpLW):
 		return 2
 	case uint8(OpMUL), uint8(OpMULHU):
 		return 4
@@ -95,26 +100,21 @@ func plainCost(op uint8) uint32 {
 }
 
 // termWorst is the worst-case cycle cost of a block terminator: taken
-// branches and jumps cost 2, HALT retires for 1, and illegal records
-// fault before retiring anything.
+// branches and jumps cost 2, and HALT retires for 1.
 func termWorst(op uint8) uint32 {
-	switch op {
-	case uint8(OpBEQ), uint8(OpBNE), uint8(OpBLT), uint8(OpBGE),
-		uint8(OpBLTU), uint8(OpBGEU), uint8(OpJAL), uint8(OpJALR):
-		return 2
-	case uint8(OpHALT):
+	if op == uint8(OpHALT) {
 		return 1
 	}
-	return 0 // xopIllegal
+	return 2
 }
 
 // isTermOp reports whether a plain record ends a basic block: a
-// control transfer, HALT or an illegal record.
+// control transfer or HALT.
 func isTermOp(op uint8) bool {
 	switch op {
 	case uint8(OpBEQ), uint8(OpBNE), uint8(OpBLT), uint8(OpBGE),
 		uint8(OpBLTU), uint8(OpBGEU), uint8(OpJAL), uint8(OpJALR),
-		uint8(OpHALT), xopIllegal:
+		uint8(OpHALT):
 		return true
 	}
 	return false
@@ -165,13 +165,14 @@ func intrinSitesFor(words []uint32) map[uint32]intrinSite {
 type kernelEmit struct {
 	b     *bytes.Buffer
 	name  string
-	end   uint32 // program length in words
+	end   uint32 // words the code covers: up to the first SoftFloat blob
 	words []uint32
 	recs  []decoded
-	// leaders are the offsets RunFast may enter the kernel at:
-	// the program entry, every JAL target and the resume point after
-	// every JAL and JALR. They double as the case set of every JALR's
-	// switch, which is sound because the kernel binds only at base 0.
+	// leaders are the offsets below end that RunFast may enter the
+	// kernel at: the program entry, every JAL target and the resume
+	// point after every JAL and JALR. They double as the case set of
+	// every JALR's switch, which is sound because the kernel binds only
+	// at base 0.
 	leaders map[uint32]bool
 	heads   map[uint32]bool
 	// Budget checks are hoisted: only checked heads (leaders and
@@ -190,7 +191,15 @@ type kernelEmit struct {
 }
 
 func newKernelEmit(b *bytes.Buffer, u kernelUnit) *kernelEmit {
+	// The kernel's code stops at the first canonical SoftFloat blob: a
+	// call into the library runs the routine's mirror or leaves the
+	// kernel.
 	n := uint32(len(u.words))
+	for _, blob := range [][]uint32{sfOff.arith, sfOff.cmp} {
+		if lb := findBlob(u.words, blob); lb >= 0 && uint32(lb) < n {
+			n = uint32(lb)
+		}
+	}
 	g := &kernelEmit{
 		b: b, name: u.name, end: n, words: u.words, recs: make([]decoded, n),
 		leaders: map[uint32]bool{0: true},
@@ -319,11 +328,7 @@ func (g *kernelEmit) headWorst(h uint32) uint32 {
 // ordinary exits.
 func (g *kernelEmit) exit(target uint32, cyc, ins uint32, status string) {
 	g.commit(cyc, ins)
-	pc := fmt.Sprintf("%d", target)
-	if target > g.end {
-		pc = fmt.Sprintf("%#x", target)
-	}
-	g.f("st.pc = %s", pc)
+	g.f("st.pc = %d", target)
 	if status == "stOK" {
 		g.f("goto okOut")
 		g.useOK = true
@@ -421,20 +426,6 @@ func (g *kernelEmit) plainRec(d *decoded, pc, cp, np uint32) {
 		}
 		g.f("}")
 		g.useErr = true
-	case uint8(OpLB), uint8(OpLBU):
-		g.f("a = %s + %#x", a, imm)
-		g.f("if a >= DataBytes {")
-		g.f("_ = st.fault(c, a, %d, cycles+%d, instret+%d, errByteLoadFault)", pc, cp, np)
-		g.f("goto errOut")
-		g.f("}")
-		g.useErr = true
-		if d.rd != 0 {
-			if d.op == uint8(OpLB) {
-				g.f("%s = uint32(int32(int8(data[a])))", rd)
-			} else {
-				g.f("%s = uint32(data[a])", rd)
-			}
-		}
 	case uint8(OpSW):
 		g.f("a = %s + %#x", a, imm)
 		g.f("v = %s", g.reg(d.rd))
@@ -447,14 +438,6 @@ func (g *kernelEmit) plainRec(d *decoded, pc, cp, np uint32) {
 		g.f("goto errOut")
 		g.f("}")
 		g.useErr = true
-	case uint8(OpSB):
-		g.f("a = %s + %#x", a, imm)
-		g.f("if a >= DataBytes {")
-		g.f("_ = st.fault(c, a, %d, cycles+%d, instret+%d, errByteStoreFault)", pc, cp, np)
-		g.f("goto errOut")
-		g.f("}")
-		g.useErr = true
-		g.f("data[a] = byte(%s)", g.reg(d.rd))
 	default:
 		panic(fmt.Sprintf("plainRec: op %d", d.op))
 	}
@@ -495,8 +478,10 @@ func (g *kernelEmit) termRec(d *decoded, pc, cp, np uint32) {
 			// commits the routine's exact dynamic cycle/instret cost and
 			// full architectural effect, then resume at the return point.
 			// The mirror declines (mutating nothing) when the remaining
-			// budget does not strictly cover its cost, so the emulated
-			// path below keeps budget expiry instruction-boundary exact.
+			// budget does not strictly cover its cost or the stack lies
+			// outside its window; the plain call below then leaves the
+			// kernel at the routine's entry, and the interpreter keeps
+			// budget expiry instruction-boundary exact.
 			g.f("if ncyc, nins, iok := %s(c, st, cycles+%d, instret+%d, %d, %d); iok {",
 				site.fn, cp, np, (pc+1)*4, site.lb)
 			g.f("cycles, instret = ncyc, nins")
@@ -533,10 +518,6 @@ func (g *kernelEmit) termRec(d *decoded, pc, cp, np uint32) {
 		g.useOK = true
 	case d.op == uint8(OpHALT):
 		g.exit(pc+1, cp+1, np+1, "stHalt")
-	case d.op == xopIllegal:
-		g.f("_ = st.illegal(c, %d, %d, cycles+%d, instret+%d)", uint32(d.imm), pc, cp, np)
-		g.f("goto errOut")
-		g.useErr = true
 	default:
 		panic(fmt.Sprintf("termRec: op %d", d.op))
 	}
@@ -586,14 +567,17 @@ func (g *kernelEmit) emit() {
 		visit(l)
 	}
 
-	g.f("// kernel%s runs the %s program: %d words, %d leaders.", g.name, g.name, g.end, len(leaders))
+	g.f("// kernel%s runs the %s program: %d words, %d leaders.", g.name, g.name, len(g.words), len(leaders))
+	if g.end < uint32(len(g.words)) {
+		g.f("// Its code stops at word %d, where the SoftFloat library starts.", g.end)
+	}
 	g.f("var kernel%s = genKernel{", g.name)
 	g.f("fn: run%s,", g.name)
 	g.f("words: []uint32{")
-	for i := uint32(0); i < g.end; i += 8 {
+	for i := 0; i < len(g.words); i += 8 {
 		line := ""
-		for j := i; j < i+8 && j < g.end; j++ {
-			line += fmt.Sprintf("%#08x, ", g.words[j])
+		for _, w := range g.words[i:min(i+8, len(g.words))] {
+			line += fmt.Sprintf("%#08x, ", w)
 		}
 		g.f("%s", line)
 	}

@@ -21,7 +21,9 @@ import (
 //     budget covers it and makes the plain call otherwise.
 //   - Kernel binding. When the loaded program is one of the two with a
 //     generated whole-program kernel (kernel.go), a run entered at one
-//     of the kernel's leaders is one call into native code.
+//     of the kernel's leaders is one call into native code, which
+//     covers the program's own code and calls the mirrors for its
+//     library calls.
 //
 // RAM loads and stores take an inlined fast path (one bounds-and-
 // alignment test plus an unrolled little-endian access); only accesses
@@ -212,9 +214,9 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 	}
 	stop := start + maxCycles - guard
 
-	// A generated kernel runs the whole program from any of its leaders
-	// whose worst-case cycles to the kernel's first budget check the
-	// budget strictly exceeds. It checks the budget itself against the
+	// A generated kernel runs the program from any of its leaders whose
+	// worst-case cycles to the kernel's first budget check the budget
+	// strictly exceeds. It checks the budget itself against the
 	// unlowered mark, and hands back an exact state at every exit.
 	if k := c.kernel; k != nil {
 		if worst, ok := k.leaders[pc]; ok && maxCycles > uint64(worst) && start+maxCycles > start {
@@ -236,9 +238,11 @@ func (c *CPU) runFast(maxCycles uint64) (uint64, error) {
 				c.flush(st.pc, st.cycles, st.instret)
 				return c.runTail(start, maxCycles)
 			}
-			// stOK: the kernel left its code; the interpreter resumes
-			// there once the lowered mark is re-checked, since the
-			// record it resumes at may not be a checkpoint.
+			// stOK: the kernel left its code, by a return to a pc that is
+			// not a leader or by a library call whose mirror declined;
+			// the interpreter resumes there once the lowered mark is
+			// re-checked, since the record it resumes at may not be a
+			// checkpoint.
 			pc, cycles, instret = st.pc, st.cycles, st.instret
 			if cycles >= stop {
 				c.flush(pc, cycles, instret)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"boresight/internal/affine"
 	"boresight/internal/canbus"
 	"boresight/internal/core"
 	"boresight/internal/fault"
@@ -346,11 +345,4 @@ func throughLinks(w *wire, ds imu.DMUSample, as imu.ACCSample, codec imu.DutyCyc
 		ay = c.Decode(int(got.T1Y))
 	}
 	return fb, ax, ay, dmuOK, accOK, nil
-}
-
-// CorrectionParams converts an estimated misalignment into affine video
-// correction parameters for a camera with the given focal length
-// (pixels) — the values the Sabre loads into the control block.
-func CorrectionParams(mis geom.Euler, focalPx float64) affine.Params {
-	return affine.FromMisalignment(mis, focalPx)
 }

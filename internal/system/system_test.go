@@ -195,16 +195,6 @@ func TestTwoDynamicRunsAgree(t *testing.T) {
 	}
 }
 
-func TestCorrectionParams(t *testing.T) {
-	p := CorrectionParams(geom.EulerDeg(2, 1, -1), 400)
-	if p.Theta != geom.Deg2Rad(2) {
-		t.Fatalf("theta = %v", p.Theta)
-	}
-	if math.Abs(p.TX-400*math.Tan(geom.Deg2Rad(-1))) > 1e-9 {
-		t.Fatalf("TX = %v", p.TX)
-	}
-}
-
 func TestPoseSequence(t *testing.T) {
 	seq := StaticTestPoses(60)
 	if seq.Duration() != 60 {
