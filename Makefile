@@ -30,9 +30,10 @@ vet:
 # replay and the amd64-pinned goldens architecture-dependent. An
 # explicit float64(x*y) conversion rounds and so prevents the fusion.
 # The check builds these packages for arm64 and fails on any fused
-# multiply-add in the assembly listing; ROADMAP item 8 widens the list
-# to the other numerics packages.
-FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/core/ ./internal/link/ ./internal/odo/ ./internal/system/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
+# multiply-add in the assembly listing. Every package fleetd is built
+# from is listed except geom; ROADMAP item 8 widens the list to geom
+# and the other numerics packages.
+FMA_PKGS := ./internal/kalman/ ./internal/mat/ ./internal/imu/ ./internal/core/ ./internal/link/ ./internal/odo/ ./internal/system/ ./internal/traj/ ./internal/fault/ ./internal/fleet/ ./internal/rng/ ./internal/parallel/ ./internal/canbus/ ./internal/serial/ ./internal/sabre/ ./internal/softfloat/ ./internal/fixed/ ./internal/fxcore/
 
 fma-check:
 	GOARCH=arm64 $(GO) build $(FMA_PKGS)

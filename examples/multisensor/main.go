@@ -2,9 +2,10 @@
 // engine … can readily be extended to fuse data from multiple sensors
 // together (eg. lidar and video) to provide low-cost situational
 // awareness systems". A camera and a lidar, each carrying a two-axis
-// accelerometer, are aligned jointly against the vehicle IMU while the
-// car drives; the filter reports each sensor's boresight AND the
-// camera↔lidar relative alignment that data fusion actually needs.
+// accelerometer, are aligned against the vehicle IMU by a filter of
+// their own while the car drives; the estimator reports each sensor's
+// boresight AND the camera↔lidar relative alignment that data fusion
+// actually needs.
 //
 // Run with: go run ./examples/multisensor
 package main

@@ -217,9 +217,9 @@ func TestAdaptiveRInvalidBandPanics(t *testing.T) {
 	New(cfg)
 }
 
-// TestMultiAdaptiveRPerSensor: in the joint filter each sensor carries
-// its own matcher, so a noisy sensor is de-weighted without dragging a
-// quiet one's R̂ up.
+// TestMultiAdaptiveRPerSensor: in the multi-sensor estimator each
+// sensor carries its own matcher, so a noisy sensor is de-weighted
+// without dragging a quiet one's R̂ up.
 func TestMultiAdaptiveRPerSensor(t *testing.T) {
 	cfg := adaptiveConfig()
 	m := NewMulti(2, cfg)

@@ -150,31 +150,124 @@ func TestMultiWithBiasStates(t *testing.T) {
 	}
 }
 
+// TestMultiMatchesSingleSensorFilter holds each sensor of a two-sensor
+// MultiEstimator to a plain Estimator fed the same readings through
+// StepDegraded, bit for bit, through fresh and held epochs, epochs where
+// one sensor drops out and epochs where both do.
 func TestMultiMatchesSingleSensorFilter(t *testing.T) {
-	// A 1-sensor MultiEstimator must agree with the plain Estimator on
-	// identical data.
-	mis := geom.EulerDeg(1.2, -0.7, 0.9)
-	cfg := anglesOnlyConfig()
-	single := New(cfg)
-	multi := NewMulti(1, cfg)
+	mis := []geom.Euler{geom.EulerDeg(1.2, -0.7, 0.9), geom.EulerDeg(-0.8, 1.1, -1.4)}
+	cfg := DefaultConfig()
+	cfg.AdaptiveR.Enabled = true
+	cfg.AdaptiveR.Window = 50
+	multi := NewMulti(2, cfg)
+	single := []*Estimator{New(cfg), New(cfg)}
 	rng := rand.New(rand.NewSource(5))
 	poses := multiPoses()
-	for i := 0; i < 5000; i++ {
+	readings := make([]Reading, 2)
+	allDropped := 0
+	for i := 0; i < 6000; i++ {
 		f := tiltForce(poses[(i/1000)%len(poses)])
-		zx, zy := accReading(mis, f, 0, 0, 0, 0)
-		zx += rng.NormFloat64() * 0.01
-		zy += rng.NormFloat64() * 0.01
-		if _, err := single.Step(0.01, f, zx, zy); err != nil {
+		// Each cycle of eight epochs: four fresh, sensor 0 held, both
+		// held, sensor 1 dropped, both dropped. A held reading replays
+		// the sensor's last one.
+		kind := i % 8
+		for s := range readings {
+			r := &readings[s]
+			held := kind == 5 || (kind == 4 && s == 0)
+			if !held {
+				zx, zy := accReading(mis[s], f, 0, 0, 0, 0)
+				r.FX, r.FY = zx+rng.NormFloat64()*0.01, zy+rng.NormFloat64()*0.01
+			}
+			r.Held = held
+			r.Valid = kind != 7 && !(kind == 6 && s == 1)
+		}
+		if kind == 7 {
+			allDropped++
+		}
+		if err := multi.Step(0.01, f, readings); err != nil {
 			t.Fatal(err)
 		}
-		if err := multi.Step(0.01, f, []Reading{{FX: zx, FY: zy, Valid: true}}); err != nil {
+		for s, r := range readings {
+			q := QualityFresh
+			switch {
+			case !r.Valid:
+				q = QualityDropout
+			case r.Held:
+				q = QualityHeld
+			}
+			if _, err := single[s].StepDegraded(0.01, f, geom.Vec3{}, r.FX, r.FY, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same := func(what string, s int, got, want []float64) {
+		t.Helper()
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Errorf("sensor %d %s[%d]: multi %v, single %v", s, what, k, got[k], want[k])
+			}
+		}
+	}
+	held := 0
+	for s, e := range single {
+		a, b := multi.Misalignment(s), e.Misalignment()
+		same("angles", s, []float64{a.Roll, a.Pitch, a.Yaw}, []float64{b.Roll, b.Pitch, b.Yaw})
+		ms, es := multi.AngleSigmas(s), e.AngleSigmas()
+		same("sigmas", s, ms[:], es[:])
+		mx, my := multi.RHat(s)
+		ex, ey := e.RHat()
+		same("RHat", s, []float64{mx, my}, []float64{ex, ey})
+		m := multi.sensors[s]
+		if m.Steps() != e.Steps() || m.Dropouts() != e.Dropouts() || m.HeldUpdates() != e.HeldUpdates() ||
+			m.HeldRun() != e.HeldRun() || m.Gated() != e.Gated() {
+			t.Errorf("sensor %d counters: steps %d/%d, dropouts %d/%d, held %d/%d, held run %d/%d, gated %d/%d (multi/single)",
+				s, m.Steps(), e.Steps(), m.Dropouts(), e.Dropouts(), m.HeldUpdates(), e.HeldUpdates(),
+				m.HeldRun(), e.HeldRun(), m.Gated(), e.Gated())
+		}
+		held += e.HeldUpdates()
+	}
+	if multi.Steps() != 6000 || multi.DropoutEpochs() != allDropped || multi.HeldUpdates() != held {
+		t.Errorf("multi counters: steps %d, dropout epochs %d, held updates %d; want 6000, %d, %d",
+			multi.Steps(), multi.DropoutEpochs(), multi.HeldUpdates(), allDropped, held)
+	}
+}
+
+// TestMultiGatesOneSensorsOutlier gives one sensor of a converged
+// two-sensor MultiEstimator a 1 m/s² outlier: that sensor's innovation
+// gate rejects it, so its misalignment does not move at all, while the
+// other sensor updates as usual.
+func TestMultiGatesOneSensorsOutlier(t *testing.T) {
+	mis := []geom.Euler{geom.EulerDeg(1.5, -1, 0.5), geom.EulerDeg(-1, 2, -0.5)}
+	m := NewMulti(2, DefaultConfig())
+	rng := rand.New(rand.NewSource(6))
+	poses := multiPoses()
+	readings := make([]Reading, 2)
+	step := func(i int, outlier float64) {
+		t.Helper()
+		f := tiltForce(poses[(i/1000)%len(poses)])
+		for s := range readings {
+			zx, zy := accReading(mis[s], f, 0, 0, 0, 0)
+			readings[s] = Reading{FX: zx + rng.NormFloat64()*0.01, FY: zy + rng.NormFloat64()*0.01, Valid: true}
+		}
+		readings[1].FX += outlier
+		if err := m.Step(0.01, f, readings); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a, b := single.Misalignment(), multi.Misalignment(0)
-	if math.Abs(a.Roll-b.Roll) > 1e-9 || math.Abs(a.Pitch-b.Pitch) > 1e-9 ||
-		math.Abs(a.Yaw-b.Yaw) > 1e-9 {
-		t.Fatalf("single %v vs multi %v", a, b)
+	for i := 0; i < 8000; i++ {
+		step(i, 0)
+	}
+	before := []geom.Euler{m.Misalignment(0), m.Misalignment(1)}
+	gated := m.sensors[1].Gated()
+	step(8000, 1)
+	if got := m.Misalignment(1); got != before[1] {
+		t.Fatalf("sensor 1 misalignment moved on its outlier: %v → %v", before[1], got)
+	}
+	if got := m.sensors[1].Gated(); got != gated+1 {
+		t.Fatalf("sensor 1 gated %d measurements on the outlier epoch, want 1", got-gated)
+	}
+	if got := m.Misalignment(0); got == before[0] {
+		t.Fatal("sensor 0 did not update on the outlier epoch")
 	}
 }
 

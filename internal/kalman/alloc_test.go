@@ -7,9 +7,9 @@ import (
 )
 
 // TestKalmanStepsAllocFree pins the package's zero-allocation contract:
-// after the first update sizes the scratch workspace, PredictAdditive,
-// Update, InnovationOnly and InnovationOnly followed by Commit must not
-// touch the heap.
+// with the scratch workspace sized in New, PredictAdditive, Update,
+// InnovationOnly and InnovationOnly followed by Commit must not touch
+// the heap.
 // The benchmark-regression harness keeps this honest over time; this
 // test makes a violation a plain test failure.
 func TestKalmanStepsAllocFree(t *testing.T) {
@@ -35,11 +35,6 @@ func TestKalmanStepsAllocFree(t *testing.T) {
 	R := mat.Diag(0.01, 0.01)
 	z := []float64{0.2, -0.1}
 	h := []float64{0.0, 0.0}
-
-	// Warm-up: size the measurement scratch.
-	if _, err := f.Update(z, h, H, R); err != nil {
-		t.Fatal(err)
-	}
 
 	xbuf := make([]float64, n)
 	pbuf := mat.New(n, n)
@@ -78,16 +73,16 @@ func TestKalmanStepsAllocFree(t *testing.T) {
 // Innovation returned by Update borrows the filter's scratch, so a
 // second call overwrites the first result's backing storage.
 func TestInnovationScratchReuse(t *testing.T) {
-	f := New(1)
-	f.SetP(mat.Diag(4))
-	H := mat.FromSlice(1, 1, []float64{1})
-	R := mat.Diag(1)
-	first, err := f.Update([]float64{2}, []float64{0}, H, R)
+	f := New(2)
+	f.SetP(mat.Diag(4, 4))
+	H := mat.FromRows([]float64{1, 0}, []float64{0, 1})
+	R := mat.Diag(1, 1)
+	first, err := f.Update([]float64{2, 2}, []float64{0, 0}, H, R)
 	if err != nil {
 		t.Fatal(err)
 	}
 	firstResidual := first.Residual[0]
-	second, err := f.Update([]float64{5}, []float64{0}, H, R)
+	second, err := f.Update([]float64{5, 5}, []float64{0, 0}, H, R)
 	if err != nil {
 		t.Fatal(err)
 	}

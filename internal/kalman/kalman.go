@@ -18,9 +18,9 @@
 //
 // which equals the Joseph form (I−KH)·P·(I−KH)ᵀ + K·R·Kᵀ for any K, so
 // an error Δ in the computed gain only adds Δ·S·Δᵀ, as with Joseph. It
-// costs O(n²m) for n states and m measurements, where forming I − KH
-// and multiplying by it twice costs O(n³). Only the upper triangle is
-// computed and mirrored, so P stays exactly symmetric.
+// costs O(n²) for n states and the filter's two measurements, where
+// forming I − KH and multiplying by it twice costs O(n³). Only the upper
+// triangle is computed and mirrored, so P stays exactly symmetric.
 //
 // The price is accuracy when measurements are far more precise than
 // the prior. The expanded form cancels terms of the size of P to leave
@@ -29,42 +29,44 @@
 // about 2e-10 at a ratio of 1e6 and 1e-3 at 1e13, and at ~1/ε the
 // variance rounds to 0, where Joseph keeps K·R·Kᵀ. It also takes U's
 // own rounding to first order, scaled by the gain, where Joseph sees
-// it only through K; that shows when several precise measurements meet
-// a prior whose variances span decades (TestUpdateMatchesJoseph). The
-// boresight filter makes m = 2 measurements at H·P·Hᵀ/R ≲ 1e6: the
-// adaptive R̂ is floored at MeasNoise/5, and the serving scenarios peak
-// at ~3e4 on their first epoch.
+// it only through K. With two measurements on a prior whose variances
+// span eight decades that reaches ~1e-12·√(PᵢᵢPⱼⱼ) of Joseph
+// (TestUpdateMatchesJoseph). The boresight filter makes its updates at
+// H·P·Hᵀ/R ≲ 1e6: the adaptive R̂ is floored at MeasNoise/5, and the
+// serving scenarios peak at ~3e4 on their first epoch.
 //
 // # One innovation per epoch
 //
 // InnovationOnly computes the innovation statistics a gate needs, and
 // Commit applies that same innovation, so a gated epoch computes U, S
 // and the Cholesky factor of S once. Update is InnovationOnly followed
-// by Commit. Commit solves S·Kᵀ = Uᵀ for the whole gain at once with
-// mat's SolveRowsTo: two triangular sweeps over the m rows of Uᵀ, each
-// n long, which give every row of K the bits of its own solve.
+// by Commit. Commit solves S·Kᵀ = Uᵀ for each state's row of K with the
+// factor InnovationOnly kept, which gives every row of K the bits of
+// its own solve (TestGainMatchesRowSolves).
 //
 // # Two measurements
 //
-// The boresight filter measures two axes every epoch, so m = 2 has a
-// form of its own. It does every floating-point operation of the
-// general loops in the same order, so its results are bit-identical
-// (TestPairMatchesRows), in fewer passes: both rows of Uᵀ come from one
-// sweep over P, the Cholesky factor of the 2×2 S and its solves are
-// scalars, and each entry of P's upper triangle takes both
-// measurements' terms in turn, its mirror written in the same pass. The
-// scalars repeat the operations of mat's Cholesky in its order, so a
-// change there fails TestPairMatchesRows; calling mat instead cost a
-// tenth of fleet-mixed throughput (DESIGN §10). A closed-form inverse
-// of S would round differently and move every result. Every other m
-// runs the general loops.
+// The boresight filter measures two axes every epoch, and the filter
+// takes exactly two measurements per update: Update and InnovationOnly
+// panic on any other count. A multi-sensor model runs one filter per
+// sensor (core.MultiEstimator), not one stacked update. The update does
+// every floating-point operation of the general-m loops in the same
+// order, so its results are bit-identical to them (TestPairMatchesRows,
+// whose pair_test.go keeps those loops as the reference), in fewer
+// passes: both rows of Uᵀ come from one sweep over P, the Cholesky
+// factor of the 2×2 S and its solves are scalars, and each entry of P's
+// upper triangle takes both measurements' terms in turn, its mirror
+// written in the same pass. The scalars repeat the operations of mat's
+// Cholesky in its order; the reference calls mat, so a change there
+// fails TestPairMatchesRows. Calling mat instead cost a tenth of
+// fleet-mixed throughput (DESIGN §10). A closed-form inverse of S would
+// round differently and move every result.
 //
 // # Performance model
 //
-// Every step of the filter runs against a per-filter scratch workspace
-// (allocated lazily, reused for every subsequent step with the same
-// measurement dimension), so PredictAdditive, Update, InnovationOnly and
-// Commit perform zero heap allocations in steady state — the property
+// Every step of the filter runs against a per-filter scratch workspace,
+// sized with the state in New and Resize, so PredictAdditive, Update,
+// InnovationOnly and Commit perform zero heap allocations — the property
 // the paper's hard-real-time fusion loop depends on and that
 // TestKalmanStepsAllocFree pins down with testing.AllocsPerRun. The
 // price of buffer reuse is an aliasing rule: the Innovation returned by
@@ -98,23 +100,17 @@ type Filter struct {
 	x []float64
 	p []float64 // covariance, n×n row-major, exactly symmetric
 
-	// Measurement scratch, sized by the measurement dimension on first
-	// use (and re-sized only if a later update changes dimension —
-	// steady state never does). Matrices are row-major; U, K and
-	// K·S − U are kept transposed, so the loops over states run along
-	// contiguous rows.
-	m     int
-	h     []float64 // H (m×n)
-	nu    []float64 // innovation z − h
-	sigma []float64 // sqrt(diag(S))
-	sol   []float64 // S⁻¹·ν for the Mahalanobis distance
-	ut    []float64 // Uᵀ = H·P (m×n)
-	kt    []float64 // Kᵀ (m×n)
-	dt    []float64 // (K·S − U)ᵀ (m×n)
-	sd    []float64 // S (m×m)
-	s     *mat.Mat  // S, as Innovation.S and the Cholesky input
-	chol  *mat.Cholesky
-	l     [3]float64 // m = 2: S's Cholesky factor L00, L10, L11
+	// Scratch for the two measurements of an update, sized with the
+	// state. Matrices are row-major; U and K are kept transposed, so the
+	// loops over states run along contiguous rows.
+	h     []float64  // H (2×n)
+	nu    []float64  // innovation z − h
+	sigma []float64  // sqrt(diag(S))
+	ut    []float64  // Uᵀ = H·P (2×n)
+	kt    []float64  // Kᵀ (2×n)
+	sd    [4]float64 // S (2×2)
+	s     *mat.Mat   // S, as Innovation.S
+	l     [3]float64 // S's Cholesky factor L00, L10, L11
 
 	// innovated is set by a successful innovation and cleared by
 	// anything that changes x or P, so Commit can refuse a stale one.
@@ -124,43 +120,33 @@ type Filter struct {
 // New returns a filter with n states, zero estimate and zero covariance.
 // Callers seed the covariance with SetP or SetPDiag before use.
 func New(n int) *Filter {
-	return &Filter{x: make([]float64, n), p: make([]float64, n*n)}
+	f := &Filter{nu: make([]float64, 2), sigma: make([]float64, 2), s: mat.New(2, 2)}
+	f.size(n)
+	return f
 }
 
-// ensureScratch sizes the measurement-dimension scratch buffers. Cheap
-// after the first call with a given m; only a dimension change (a
-// different sensor set coming online in the multi-sensor filter)
-// reallocates.
-func (f *Filter) ensureScratch(m int) {
-	if f.m == m {
-		return
-	}
-	n := len(f.x)
-	f.m = m
-	f.h = make([]float64, m*n)
-	f.nu = make([]float64, m)
-	f.sigma = make([]float64, m)
-	f.sol = make([]float64, m)
-	f.ut = make([]float64, m*n)
-	f.kt = make([]float64, m*n)
-	f.dt = make([]float64, m*n)
-	f.sd = make([]float64, m*m)
-	f.s = mat.New(m, m)
-	f.chol = mat.NewCholesky(m)
+// size allocates the state, the covariance and the measurement scratch
+// whose length depends on the state dimension n.
+func (f *Filter) size(n int) {
+	f.x = make([]float64, n)
+	f.p = make([]float64, n*n)
+	f.h = make([]float64, 2*n)
+	f.ut = make([]float64, 2*n)
+	f.kt = make([]float64, 2*n)
 }
 
 // Dim returns the state dimension.
 func (f *Filter) Dim() int { return len(f.x) }
 
 // Resize re-dimensions the filter to n states: the estimate and
-// covariance are zeroed and the measurement scratch is invalidated (it
-// re-sizes lazily on the next update). Callers re-seed state and
-// covariance afterwards with SetState/SetP — Resize is the mechanical
-// half of a filter reconfiguration; the statistical half (which blocks
-// carry over, what priors new states get) belongs to the model that
-// owns the filter. A same-dimension Resize is a no-op so
-// reconfigurations that only swap process matrices keep their state.
-// Resize allocates; it is a rare-event path, not a per-epoch one.
+// covariance are zeroed and the measurement scratch is re-sized with
+// them. Callers re-seed state and covariance afterwards with
+// SetState/SetP — Resize is the mechanical half of a filter
+// reconfiguration; the statistical half (which blocks carry over, what
+// priors new states get) belongs to the model that owns the filter. A
+// same-dimension Resize is a no-op so reconfigurations that only swap
+// process matrices keep their state. Resize allocates; it is a
+// rare-event path, not a per-epoch one.
 func (f *Filter) Resize(n int) {
 	if n < 1 {
 		panic(fmt.Sprintf("kalman: Resize to %d states", n))
@@ -168,12 +154,7 @@ func (f *Filter) Resize(n int) {
 	if n == len(f.x) {
 		return
 	}
-	f.x = make([]float64, n)
-	f.p = make([]float64, n*n)
-	// Invalidate the measurement scratch: its n-sized buffers (gain,
-	// P·Hᵀ) no longer fit, so force ensureScratch to rebuild on the
-	// next update whatever measurement dimension it brings.
-	f.m = -1
+	f.size(n)
 	f.innovated = false
 }
 
@@ -370,17 +351,10 @@ func (in Innovation) Chi2() float64 {
 }
 
 // innovate fills the innovation scratch for a measurement and returns
-// the statistics; shared by Update and InnovationOnly. Two measurements
-// take innovatePair, every other m innovateRows.
+// the statistics; shared by Update and InnovationOnly.
 func (f *Filter) innovate(z, h []float64, H, R *mat.Mat) (Innovation, error) {
 	f.measure(z, h, H, R)
-	var maha float64
-	var err error
-	if f.m == 2 {
-		maha, err = f.innovatePair(H, R)
-	} else {
-		maha, err = f.innovateRows(H, R)
-	}
+	maha, err := f.innovatePair(H, R)
 	if err != nil {
 		return Innovation{}, err
 	}
@@ -388,83 +362,28 @@ func (f *Filter) innovate(z, h []float64, H, R *mat.Mat) (Innovation, error) {
 	return Innovation{Residual: f.nu, S: f.s, Sigma: f.sigma, Mahalanobis: maha}, nil
 }
 
-// measure checks a measurement's shapes against the filter, sizes the
-// scratch for its dimension and forms the residual ν = z − h.
+// measure checks a measurement's shapes against the filter and forms
+// the residual ν = z − h. It panics unless there are two measurements.
 func (f *Filter) measure(z, h []float64, H, R *mat.Mat) {
 	n := len(f.x)
 	m := len(z)
+	if m != 2 {
+		panic(fmt.Sprintf("kalman: %d measurements; the filter takes two", m))
+	}
 	if len(h) != m || H.Rows() != m || H.Cols() != n || R.Rows() != m || R.Cols() != m {
 		panic(fmt.Sprintf("kalman: measurement shape mismatch: z %d, h %d, H %dx%d, R %dx%d, n=%d",
 			m, len(h), H.Rows(), H.Cols(), R.Rows(), R.Cols(), n))
 	}
 	f.innovated = false
-	f.ensureScratch(m)
 	mat.SubVecTo(f.nu, z, h)
 }
 
-// innovateRows fills h, ut, sd, s, chol, sigma and sol for any m and
-// returns the Mahalanobis distance.
-func (f *Filter) innovateRows(H, R *mat.Mat) (float64, error) {
-	n, m := len(f.x), f.m
-	// U = P·Hᵀ, stored as Uᵀ. P is exactly symmetric, so column j of P
-	// is row j, and row a of Uᵀ accumulates H[a][j]·P[j] over j — the
-	// order of a row-by-column product, without its dependency chain.
-	// Zero entries of H add nothing and are skipped.
-	for a := 0; a < m; a++ {
-		ua := f.ut[a*n : (a+1)*n]
-		clear(ua)
-		for j := 0; j < n; j++ {
-			hv := H.At(a, j)
-			f.h[a*n+j] = hv
-			if hv == 0 {
-				continue
-			}
-			pj := f.p[j*n:][:len(ua)]
-			for i := range ua {
-				ua[i] += float64(pj[i] * hv)
-			}
-		}
-	}
-	// S = H·U + R, symmetrised. Zero entries of H are skipped, as
-	// mat.MulTo skips them, so S is the product mat would form.
-	for a := 0; a < m; a++ {
-		ha := f.h[a*n : (a+1)*n]
-		for b := 0; b < m; b++ {
-			ub := f.ut[b*n : (b+1)*n]
-			var s float64
-			for j, hv := range ha {
-				if hv != 0 {
-					s += float64(hv * ub[j])
-				}
-			}
-			f.sd[a*m+b] = s + R.At(a, b)
-		}
-	}
-	for a := 0; a < m; a++ {
-		for b := a + 1; b < m; b++ {
-			v := 0.5 * (f.sd[a*m+b] + f.sd[b*m+a])
-			f.sd[a*m+b], f.sd[b*m+a] = v, v
-		}
-		for b := 0; b < m; b++ {
-			f.s.Set(a, b, f.sd[a*m+b])
-		}
-	}
-	if err := f.chol.Factorize(f.s); err != nil {
-		return 0, ErrIllConditioned
-	}
-	for i := range f.sigma {
-		f.sigma[i] = math.Sqrt(f.sd[i*m+i])
-	}
-	f.chol.SolveVecTo(f.sol, f.nu)
-	return math.Sqrt(math.Max(0, mat.Dot(f.nu, f.sol))), nil
-}
-
-// innovatePair is innovateRows for m = 2, operation for operation, so
-// bit for bit: both rows of Uᵀ in one sweep over the rows of P, the
-// four sums of H·U in one sweep over H's columns, and the Cholesky
-// factor of S and the Mahalanobis solve as scalars in mat's order. It
-// fills h, ut, sd, s and sigma, and keeps the factor in l for
-// commitPair.
+// innovatePair forms the innovation with every operation of the
+// general-m loops (innovateRows in pair_test.go) in their order, so bit
+// for bit: both rows of Uᵀ in one sweep over the rows of P, the four
+// sums of H·U in one sweep over H's columns, and the Cholesky factor of
+// S and the Mahalanobis solve as scalars in mat's order. It fills h,
+// ut, sd, s and sigma, and keeps the factor in l for commitPair.
 func (f *Filter) innovatePair(H, R *mat.Mat) (float64, error) {
 	n := len(f.x)
 	h0, h1 := f.h[:n], f.h[n:2*n]
@@ -541,13 +460,13 @@ func (f *Filter) innovatePair(H, R *mat.Mat) (float64, error) {
 }
 
 // Update applies a measurement z with predicted value h = h(x̂),
-// Jacobian H (m×n) and noise covariance R (m×m): it is InnovationOnly
+// Jacobian H (2×n) and noise covariance R (2×2): it is InnovationOnly
 // followed by Commit. The covariance takes the expanded form of the
-// package documentation, O(n²m) and insensitive to first-order gain
+// package documentation, O(n²) and insensitive to first-order gain
 // error, whose relative accuracy on a directly measured state is
 // ε·H·P·Hᵀ/R. It returns the pre-update innovation statistics (valid
 // until the next Update/InnovationOnly call — see Innovation). It
-// allocates nothing in steady state.
+// panics unless len(z) is 2 and allocates nothing.
 func (f *Filter) Update(z, h []float64, H, R *mat.Mat) (Innovation, error) {
 	inn, err := f.innovate(z, h, H, R)
 	if err != nil {
@@ -561,7 +480,7 @@ func (f *Filter) Update(z, h []float64, H, R *mat.Mat) (Innovation, error) {
 // without updating the filter — used for residual monitoring and for
 // gating. Commit then applies this innovation without recomputing it.
 // The returned Innovation borrows the same scratch as Update (see
-// Innovation). It allocates nothing in steady state.
+// Innovation). It panics unless len(z) is 2 and allocates nothing.
 func (f *Filter) InnovationOnly(z, h []float64, H, R *mat.Mat) (Innovation, error) {
 	return f.innovate(z, h, H, R)
 }
@@ -577,35 +496,16 @@ func (f *Filter) Commit() {
 		panic("kalman: Commit without a fresh innovation")
 	}
 	f.innovated = false
-	if f.m == 2 {
-		f.commitPair()
-	} else {
-		f.commitRows()
-	}
+	f.commitPair()
 }
 
-// commitRows applies innovateRows' innovation for any m.
-func (f *Filter) commitRows() {
-	n, m := len(f.x), f.m
-	// S·Kᵀ = Uᵀ, as S is symmetric: row i of K solves S·kᵢ = uᵢ.
-	copy(f.kt, f.ut)
-	f.chol.SolveRowsTo(f.kt, n)
-	for i := range f.x {
-		var s float64
-		for a, v := range f.nu {
-			s += float64(f.kt[a*n+i] * v)
-		}
-		f.x[i] += s
-	}
-	covUpdate(f.p, f.kt, f.ut, f.sd, f.dt, n, m)
-}
-
-// commitPair is commitRows for m = 2, operation for operation, so bit
-// for bit. Each state's row of K takes SolveRowsTo's four divisions
-// from the scalar factor, then adds K·ν to x. Then each row of P's
-// upper triangle is swept once with its two entries of (K·S − U)ᵀ:
-// every entry takes covUpdate's a = 0 term, then its a = 1 term, and
-// its mirror is written in the same pass.
+// commitPair applies innovatePair's innovation with every operation of
+// the general-m loops (commitRows and covUpdate in pair_test.go) in
+// their order, so bit for bit. Each state's row of K takes mat's
+// SolveRowsTo's four divisions from the scalar factor, then adds K·ν to
+// x. Then each row of P's upper triangle is swept once with its two
+// entries of (K·S − U)ᵀ: every entry takes covUpdate's a = 0 term, then
+// its a = 1 term, and its mirror is written in the same pass.
 func (f *Filter) commitPair() {
 	n := len(f.x)
 	p := f.p
@@ -641,42 +541,6 @@ func (f *Filter) commitPair() {
 			pij += float64(d1*kr1[j]) - float64(ki1*ur1[j])
 			row[j] = pij
 			p[(i+j)*n+i] = pij
-		}
-	}
-}
-
-// covUpdate overwrites the n×n covariance p with
-// P − K·Uᵀ − U·Kᵀ + K·S·Kᵀ, given Kᵀ and Uᵀ (m×n) and the symmetric S
-// (m×m), all row-major. It evaluates the identity as
-// P − K·Uᵀ + (K·S − U)·Kᵀ, one product fewer per entry, with the m×n
-// scratch dt holding (K·S − U)ᵀ, which is zero up to the error in K.
-// The result is the optimal posterior plus Δ·S·Δᵀ when K is the exact
-// gain plus Δ. Only the upper triangle is computed; the lower mirrors
-// it.
-func covUpdate(p, kt, ut, s, dt []float64, n, m int) {
-	for b := 0; b < m; b++ {
-		for i := 0; i < n; i++ {
-			var t float64
-			for a := 0; a < m; a++ {
-				t += float64(kt[a*n+i] * s[a*m+b])
-			}
-			dt[b*n+i] = t - ut[b*n+i]
-		}
-	}
-	// Entry (i, j) takes its m terms in order of a, as one sum would.
-	for a := 0; a < m; a++ {
-		ka, ua, da := kt[a*n:(a+1)*n], ut[a*n:(a+1)*n], dt[a*n:(a+1)*n]
-		for i, kia := range ka {
-			row := p[i*n+i : (i+1)*n]
-			kr, ur := ka[i:i+len(row)], ua[i:i+len(row)]
-			for j := range row {
-				row[j] += float64(da[i]*kr[j]) - float64(kia*ur[j])
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			p[j*n+i] = p[i*n+j]
 		}
 	}
 }

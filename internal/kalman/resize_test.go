@@ -10,14 +10,14 @@ import (
 
 // TestResizeRedimensionsAndInvalidatesScratch pins the Resize contract:
 // the filter works at the new dimension immediately (measurement scratch
-// rebuilt lazily), a same-dimension Resize keeps the state, and a
-// dimension change zeroes it for the caller to re-seed.
+// re-sized with the state), a same-dimension Resize keeps the state, and
+// a dimension change zeroes it for the caller to re-seed.
 func TestResizeRedimensionsAndInvalidatesScratch(t *testing.T) {
 	f := New(3)
 	f.SetP(mat.Diag(1, 1, 1))
-	H := mat.FromRows([]float64{1, 0, 0})
-	R := mat.Diag(0.01)
-	if _, err := f.Update([]float64{0.5}, []float64{0}, H, R); err != nil {
+	H := mat.FromRows([]float64{1, 0, 0}, []float64{0, 1, 0})
+	R2 := mat.Diag(0.01, 0.01)
+	if _, err := f.Update([]float64{0.5, -0.5}, []float64{0, 0}, H, R2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,7 +51,6 @@ func TestResizeRedimensionsAndInvalidatesScratch(t *testing.T) {
 	H5 := mat.New(2, 5)
 	H5.Set(0, 0, 1)
 	H5.Set(1, 4, 1)
-	R2 := mat.Diag(0.01, 0.01)
 	if _, err := f.Update([]float64{1, -1}, []float64{0, 0}, H5, R2); err != nil {
 		t.Fatal(err)
 	}

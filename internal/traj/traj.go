@@ -168,8 +168,8 @@ func NewDrive(label string, segs []Segment) *Drive {
 			panic(fmt.Sprintf("traj: segment %d has non-positive duration", i))
 		}
 		d.t0[i+1] = d.t0[i] + s.Dur
-		d.v0[i+1] = math.Max(0, d.v0[i]+s.LongAccel*s.Dur)
-		d.h0[i+1] = d.h0[i] + s.TurnRate*s.Dur
+		d.v0[i+1] = math.Max(0, d.v0[i]+float64(s.LongAccel*s.Dur))
+		d.h0[i+1] = d.h0[i] + float64(s.TurnRate*s.Dur)
 	}
 	d.total = d.t0[len(segs)]
 	// Integrate position once over the whole profile (closed forms do
@@ -182,9 +182,9 @@ func NewDrive(label string, segs []Segment) *Drive {
 	const dt = 1e-3
 	sub := int(math.Round(d.gridDT / dt))
 	for g := 1; g < n; g++ {
-		tBase := float64(g-1) * d.gridDT
+		tBase := float64(float64(g-1) * d.gridDT)
 		for k := 0; k < sub; k++ {
-			tm := tBase + (float64(k)+0.5)*dt
+			tm := tBase + float64((float64(k)+0.5)*dt)
 			if tm > d.total {
 				break
 			}
@@ -215,8 +215,8 @@ func (d *Drive) speedHeadingAt(t float64) (v, h float64) {
 	}
 	s := d.segs[i]
 	dt := t - d.t0[i]
-	v = math.Max(0, d.v0[i]+s.LongAccel*dt)
-	h = d.h0[i] + s.TurnRate*dt
+	v = math.Max(0, d.v0[i]+float64(s.LongAccel*dt))
+	h = d.h0[i] + float64(s.TurnRate*dt)
 	return v, h
 }
 
@@ -241,12 +241,12 @@ func (d *Drive) At(t float64) State {
 	}
 	s := d.segs[i]
 	dt := t - d.t0[i]
-	v := d.v0[i] + s.LongAccel*dt
+	v := d.v0[i] + float64(s.LongAccel*dt)
 	a := s.LongAccel
 	if v < 0 { // came to rest during braking
 		v, a = 0, 0
 	}
-	h := d.h0[i] + s.TurnRate*dt
+	h := d.h0[i] + float64(s.TurnRate*dt)
 	// Position by linear interpolation on the precomputed grid.
 	g := int(t / d.gridDT)
 	if g >= len(d.posGrid)-1 {
@@ -260,8 +260,8 @@ func (d *Drive) At(t float64) State {
 	// NED acceleration: longitudinal along heading + centripetal.
 	latA := v * s.TurnRate // centripetal magnitude toward turn centre
 	accN := geom.Vec3{
-		a*cosH - latA*sinH,
-		a*sinH + latA*cosH,
+		float64(a*cosH) - float64(latA*sinH),
+		float64(a*sinH) + float64(latA*cosH),
 		0,
 	}
 	// Attitude: heading plus suspension dive/roll.
@@ -321,32 +321,4 @@ func cityReps(dur float64) (reps int, pass float64) {
 		reps = 1
 	}
 	return reps, pass
-}
-
-// HighwayDrive returns a higher-speed, lower-dynamics profile: long
-// cruise stretches with lane changes, which gives the filter less yaw
-// observability than CityDrive — useful for the run-length ablation.
-func HighwayDrive(label string, dur float64) *Drive {
-	pattern := []Segment{
-		{Dur: 10, LongAccel: 2.0},               // ramp up
-		{Dur: 20, LongAccel: 0},                 // cruise
-		{Dur: 2, LongAccel: 0, TurnRate: 0.05},  // lane change out
-		{Dur: 2, LongAccel: 0, TurnRate: -0.05}, // lane change back
-		{Dur: 15, LongAccel: 0},                 // cruise
-		{Dur: 3, LongAccel: -1.0},               // mild brake
-		{Dur: 8, LongAccel: 0.4},                // recover
-	}
-	var patternDur float64
-	for _, s := range pattern {
-		patternDur += s.Dur
-	}
-	reps := int(math.Ceil(dur / patternDur))
-	if reps < 1 {
-		reps = 1
-	}
-	segs := make([]Segment, 0, reps*len(pattern))
-	for r := 0; r < reps; r++ {
-		segs = append(segs, pattern...)
-	}
-	return NewDrive(label, segs)
 }

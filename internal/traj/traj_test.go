@@ -225,23 +225,6 @@ func TestCityDriveCoverage(t *testing.T) {
 	}
 }
 
-func TestHighwayDriveGentlerThanCity(t *testing.T) {
-	c := CityDrive("city", 120)
-	h := HighwayDrive("hwy", 120)
-	peak := func(d *Drive) float64 {
-		var p float64
-		for ti := 0.0; ti < d.Duration(); ti += 0.5 {
-			if a := d.At(ti).AccelN.Norm(); a > p {
-				p = a
-			}
-		}
-		return p
-	}
-	if peak(h) >= peak(c) {
-		t.Fatalf("highway peak %v >= city peak %v", peak(h), peak(c))
-	}
-}
-
 func TestSpecificForceMagnitudeStatic(t *testing.T) {
 	// Any static pose: |f| == g exactly.
 	for _, e := range []geom.Euler{

@@ -50,19 +50,19 @@ func (v Vibration) At(t, speed float64) [3]float64 {
 	var out [3]float64
 	// Engine harmonics couple mostly into z (vertical) and x (fore-aft).
 	out[0] = 0.4 * engine * math.Sin(2*math.Pi*f0*t)
-	out[2] = engine * math.Sin(2*math.Pi*f0*t+0.8)
-	out[2] += 0.5 * engine * math.Sin(2*math.Pi*2*f0*t+1.9)
+	out[2] = engine * math.Sin(float64(2*math.Pi*f0*t)+0.8)
+	out[2] += float64(0.5 * engine * math.Sin(float64(2*math.Pi*2*f0*t)+1.9))
 	// Road noise grows with speed and hits all axes.
 	road := v.RoadAmpPerSpeed * speed
 	for i, f := range roadFreqs {
-		s := road * math.Sin(2*math.Pi*f*t+roadPhases[i])
+		s := float64(road * math.Sin(float64(2*math.Pi*f*t)+roadPhases[i]))
 		switch i % 3 {
 		case 0:
 			out[2] += s
 		case 1:
-			out[0] += 0.6 * s
+			out[0] += float64(0.6 * s)
 		default:
-			out[1] += 0.8 * s
+			out[1] += float64(0.8 * s)
 		}
 	}
 	return out
@@ -77,7 +77,7 @@ func (v Vibration) RMS(speed float64, window float64) [3]float64 {
 	for k := 0; k < n; k++ {
 		a := v.At(float64(k)*dt, speed)
 		for i := 0; i < 3; i++ {
-			sum[i] += a[i] * a[i]
+			sum[i] += float64(a[i] * a[i])
 		}
 	}
 	var out [3]float64
