@@ -291,39 +291,43 @@ func TestFleetBinarySession(t *testing.T) {
 
 // TestConfigMatchesScenarioBuilders ties the fleet spec expansion to
 // the system package's canonical scenario builders, so the serving
-// layer cannot drift from what direct experiment code runs.
+// layer cannot drift from what direct experiment code runs: every kind,
+// with the spec's optional fields unset and set.
 func TestConfigMatchesScenarioBuilders(t *testing.T) {
-	sp := ScenarioSpec{Kind: KindStatic, Tenant: 3, Seed: 7, Dur: 5, MisDeg: [3]float64{2, -3, 1}}
-	got, err := sp.Config()
-	if err != nil {
-		t.Fatal(err)
+	builders := []struct {
+		kind  Kind
+		build func(geom.Euler, float64, int64) system.Config
+	}{
+		{KindStatic, system.StaticScenario},
+		{KindDynamic, system.DynamicScenario},
+		{KindUntuned, system.DynamicScenarioUntuned},
 	}
-	want := system.StaticScenario(geomFromDeg(sp.MisDeg), sp.Dur, TenantSeed(3, 7))
-	want.ResidualStride = -1
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("static spec config differs from system.StaticScenario:\n got %+v\nwant %+v", got, want)
-	}
-
-	sp.Kind = KindDynamic
-	got, err = sp.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = system.DynamicScenario(geomFromDeg(sp.MisDeg), sp.Dur, TenantSeed(3, 7))
-	want.ResidualStride = -1
-	if !reflect.DeepEqual(got, want) {
-		t.Error("dynamic spec config differs from system.DynamicScenario")
-	}
-
-	sp.Kind = KindUntuned
-	got, err = sp.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = system.DynamicScenarioUntuned(geomFromDeg(sp.MisDeg), sp.Dur, TenantSeed(3, 7))
-	want.ResidualStride = -1
-	if !reflect.DeepEqual(got, want) {
-		t.Error("untuned spec config differs from system.DynamicScenarioUntuned")
+	for _, sp := range []ScenarioSpec{
+		{Tenant: 3, Seed: 7, Dur: 5, MisDeg: [3]float64{2, -3, 1}},
+		{Tenant: 4, Seed: -2, Dur: 0.03, SampleRate: 250, MisDeg: [3]float64{-0.5, 0, 4},
+			EstimateStride: 10, NoCalibrate: true},
+	} {
+		for _, b := range builders {
+			sp.Kind = b.kind
+			got, err := sp.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := b.build(geomFromDeg(sp.MisDeg), sp.Dur, TenantSeed(sp.Tenant, sp.Seed))
+			want.ResidualStride = -1
+			if sp.SampleRate > 0 {
+				want.SampleRate = sp.SampleRate
+			}
+			if sp.EstimateStride != 0 {
+				want.EstimateStride = int(sp.EstimateStride)
+			}
+			if sp.NoCalibrate {
+				want.Calibrate = false
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v spec config differs from the system builder:\n got %+v\nwant %+v", sp, got, want)
+			}
+		}
 	}
 }
 

@@ -156,32 +156,49 @@ func (sp ScenarioSpec) charge() (epochs, run, rate float64) {
 
 // Config expands the spec into the exact system.Config a direct caller
 // of system.Run would build — the replay tests hold this equivalence —
-// with the result histories the serving path never reads disabled.
+// with the result histories the serving path never reads disabled. It
+// copies its kind's template and sets the fields the spec decides.
 func (sp ScenarioSpec) Config() (system.Config, error) {
 	if err := sp.Validate(); err != nil {
 		return system.Config{}, err
 	}
 	mis := geom.EulerDeg(sp.MisDeg[0], sp.MisDeg[1], sp.MisDeg[2])
-	cfg := system.DefaultConfig(profileFor(sp.Kind, sp.Dur), mis)
-	switch sp.Kind {
-	case KindStatic:
-		cfg.Filter.MeasNoise = 0.01
-	case KindDynamic:
-		cfg.Vibrate = true
-		cfg.Filter.MeasNoise = 0.02
-	case KindUntuned:
-		cfg.Vibrate = true
-		cfg.Filter.MeasNoise = 0.005
-	}
+	cfg := kindConfigs[sp.Kind]
+	cfg.Profile = profileFor(sp.Kind, sp.Dur)
+	cfg.TrueMisalignment = mis
+	cfg.ACC.Misalignment = mis
 	cfg.Seed = TenantSeed(sp.Tenant, sp.Seed)
 	if sp.SampleRate > 0 {
 		cfg.SampleRate = sp.SampleRate
 	}
-	cfg.ResidualStride = -1 // serving results carry no histories
 	cfg.EstimateStride = int(sp.EstimateStride)
 	cfg.Calibrate = !sp.NoCalibrate
 	return cfg, nil
 }
+
+// kindConfigs holds each kind's system.Config before the spec's own
+// fields are set: system.DefaultConfig with the kind's vibration and
+// measurement noise, as the system package's scenario builders set
+// them, and no result histories. Building it once keeps DefaultConfig
+// and its instrument and filter defaults off the per-spec path.
+var kindConfigs = func() (t [KindUntuned + 1]system.Config) {
+	for _, k := range []Kind{KindStatic, KindDynamic, KindUntuned} {
+		cfg := system.DefaultConfig(nil, geom.Euler{})
+		switch k {
+		case KindStatic:
+			cfg.Filter.MeasNoise = 0.01
+		case KindDynamic:
+			cfg.Vibrate = true
+			cfg.Filter.MeasNoise = 0.02
+		case KindUntuned:
+			cfg.Vibrate = true
+			cfg.Filter.MeasNoise = 0.005
+		}
+		cfg.ResidualStride = -1 // serving results carry no histories
+		t[k] = cfg
+	}
+	return t
+}()
 
 // Motion profiles depend only on (family, duration), are read-only
 // once built, and are expensive enough to matter (the drive profile

@@ -85,6 +85,14 @@ func (e Euler) Deg() (roll, pitch, yaw float64) {
 // Vec returns the angles as a Vec3 (roll, pitch, yaw) in radians.
 func (e Euler) Vec() Vec3 { return Vec3{e.Roll, e.Pitch, e.Yaw} }
 
+// Bits returns the IEEE-754 bit patterns of (roll, pitch, yaw). Two
+// triples with equal bits give bit-identical rotations, which == does
+// not promise: it takes -0 for +0, and the sign of a zero angle can
+// reach the sign of a zero in the DCM.
+func (e Euler) Bits() [3]uint64 {
+	return [3]uint64{math.Float64bits(e.Roll), math.Float64bits(e.Pitch), math.Float64bits(e.Yaw)}
+}
+
 // String renders the angles in degrees for debugging.
 func (e Euler) String() string {
 	r, p, y := e.Deg()
@@ -104,12 +112,14 @@ func IdentityDCM() DCM {
 //
 //	C = Rz(yaw) * Ry(pitch) * Rx(roll).
 func (e Euler) DCM() DCM {
-	cr, sr := math.Cos(e.Roll), math.Sin(e.Roll)
-	cp, sp := math.Cos(e.Pitch), math.Sin(e.Pitch)
-	cy, sy := math.Cos(e.Yaw), math.Sin(e.Yaw)
+	// One Sincos reduces each angle once and returns math.Sin's and
+	// math.Cos's bits (TestSincosMatchesSinCos).
+	sr, cr := math.Sincos(e.Roll)
+	sp, cp := math.Sincos(e.Pitch)
+	sy, cy := math.Sincos(e.Yaw)
 	return DCM{
-		{cy * cp, cy*sp*sr - sy*cr, cy*sp*cr + sy*sr},
-		{sy * cp, sy*sp*sr + cy*cr, sy*sp*cr - cy*sr},
+		{cy * cp, float64(cy*sp*sr) - float64(sy*cr), float64(cy*sp*cr) + float64(sy*sr)},
+		{sy * cp, float64(sy*sp*sr) + float64(cy*cr), float64(sy*sp*cr) - float64(cy*sr)},
 		{-sp, cp * sr, cp * cr},
 	}
 }
@@ -140,7 +150,7 @@ func (c DCM) Mul(d DCM) DCM {
 	var out DCM
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			out[i][j] = c[i][0]*d[0][j] + c[i][1]*d[1][j] + c[i][2]*d[2][j]
+			out[i][j] = float64(c[i][0]*d[0][j]) + float64(c[i][1]*d[1][j]) + float64(c[i][2]*d[2][j])
 		}
 	}
 	return out
@@ -160,17 +170,17 @@ func (c DCM) T() DCM {
 // Apply rotates v by c.
 func (c DCM) Apply(v Vec3) Vec3 {
 	return Vec3{
-		c[0][0]*v[0] + c[0][1]*v[1] + c[0][2]*v[2],
-		c[1][0]*v[0] + c[1][1]*v[1] + c[1][2]*v[2],
-		c[2][0]*v[0] + c[2][1]*v[1] + c[2][2]*v[2],
+		float64(c[0][0]*v[0]) + float64(c[0][1]*v[1]) + float64(c[0][2]*v[2]),
+		float64(c[1][0]*v[0]) + float64(c[1][1]*v[1]) + float64(c[1][2]*v[2]),
+		float64(c[2][0]*v[0]) + float64(c[2][1]*v[1]) + float64(c[2][2]*v[2]),
 	}
 }
 
 // Det returns the determinant (+1 for a proper rotation).
 func (c DCM) Det() float64 {
-	return c[0][0]*(c[1][1]*c[2][2]-c[1][2]*c[2][1]) -
-		c[0][1]*(c[1][0]*c[2][2]-c[1][2]*c[2][0]) +
-		c[0][2]*(c[1][0]*c[2][1]-c[1][1]*c[2][0])
+	return float64(c[0][0]*(float64(c[1][1]*c[2][2])-float64(c[1][2]*c[2][1]))) -
+		float64(c[0][1]*(float64(c[1][0]*c[2][2])-float64(c[1][2]*c[2][0]))) +
+		float64(c[0][2]*(float64(c[1][0]*c[2][1])-float64(c[1][1]*c[2][0])))
 }
 
 // IsRotation reports whether c is orthonormal with determinant +1 to
@@ -231,11 +241,11 @@ func SmallAngleDCM(a Vec3) DCM {
 // given (not necessarily unit) axis, via Rodrigues' formula.
 func AxisAngleDCM(axis Vec3, angle float64) DCM {
 	u := axis.Normalize()
-	c, s := math.Cos(angle), math.Sin(angle)
+	s, c := math.Sincos(angle)
 	k := 1 - c
 	return DCM{
-		{c + u[0]*u[0]*k, u[0]*u[1]*k - u[2]*s, u[0]*u[2]*k + u[1]*s},
-		{u[1]*u[0]*k + u[2]*s, c + u[1]*u[1]*k, u[1]*u[2]*k - u[0]*s},
-		{u[2]*u[0]*k - u[1]*s, u[2]*u[1]*k + u[0]*s, c + u[2]*u[2]*k},
+		{c + float64(u[0]*u[0]*k), float64(u[0]*u[1]*k) - float64(u[2]*s), float64(u[0]*u[2]*k) + float64(u[1]*s)},
+		{float64(u[1]*u[0]*k) + float64(u[2]*s), c + float64(u[1]*u[1]*k), float64(u[1]*u[2]*k) - float64(u[0]*s)},
+		{float64(u[2]*u[0]*k) - float64(u[1]*s), float64(u[2]*u[1]*k) + float64(u[0]*s), c + float64(u[2]*u[2]*k)},
 	}
 }

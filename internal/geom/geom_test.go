@@ -87,6 +87,53 @@ func TestIdentityDCM(t *testing.T) {
 	}
 }
 
+// TestEulerBits pins why caches key rotations on Bits: a zero angle's
+// sign is invisible to == but reaches the sign of a zero in the DCM.
+func TestEulerBits(t *testing.T) {
+	pos, neg := Euler{Yaw: math.Pi}, Euler{Roll: math.Copysign(0, -1), Yaw: math.Pi}
+	if pos != neg || pos.Bits() == neg.Bits() {
+		t.Fatalf("want == equal and Bits different: %v, %v", pos.Bits(), neg.Bits())
+	}
+	if neg.Bits() != [3]uint64{1 << 63, 0, math.Float64bits(math.Pi)} {
+		t.Fatalf("Bits = %v", neg.Bits())
+	}
+	if a, b := pos.DCM()[2][1], neg.DCM()[2][1]; math.Signbit(a) == math.Signbit(b) {
+		t.Fatalf("DCM[2][1] = %v and %v, want zeros of opposite sign", a, b)
+	}
+}
+
+// TestSincosMatchesSinCos pins what the rotation builders rely on when
+// they take an angle's sine and cosine from one math.Sincos call: its
+// results have the bits of math.Sin and math.Cos, so the rotations,
+// and every golden built on them, match the two separate calls.
+func TestSincosMatchesSinCos(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	xs := []float64{0, math.Copysign(0, -1), math.Pi / 4, math.Pi / 2, math.Pi, 2 * math.Pi,
+		5e-324, 1e-300, 1 << 29, 1 << 30, 1e10, 1e300, math.MaxFloat64, math.Inf(1)}
+	for i := 0; i < 200000; i++ {
+		switch i % 3 {
+		case 0:
+			xs = append(xs, (r.Float64()*2-1)*4*math.Pi)
+		case 1:
+			xs = append(xs, (r.Float64()*2-1)*0.2)
+		case 2:
+			xs = append(xs, math.Float64frombits(r.Uint64()))
+		}
+	}
+	for _, x := range xs {
+		for _, x := range []float64{x, -x} {
+			s, c := math.Sincos(x)
+			ws, wc := math.Sin(x), math.Cos(x)
+			if math.IsNaN(ws) && math.IsNaN(s) && math.IsNaN(wc) && math.IsNaN(c) {
+				continue
+			}
+			if math.Float64bits(s) != math.Float64bits(ws) || math.Float64bits(c) != math.Float64bits(wc) {
+				t.Fatalf("Sincos(%v) = %v, %v; Sin, Cos = %v, %v", x, s, c, ws, wc)
+			}
+		}
+	}
+}
+
 func TestSingleAxisRotations(t *testing.T) {
 	// Yaw 90°: x-axis maps to y-axis.
 	cYaw := Euler{Yaw: math.Pi / 2}.DCM()

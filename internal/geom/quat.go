@@ -15,27 +15,27 @@ func IdentityQuat() Quat { return Quat{W: 1} }
 // about axis.
 func QuatFromAxisAngle(axis Vec3, angle float64) Quat {
 	u := axis.Normalize()
-	s := math.Sin(angle / 2)
-	return Quat{W: math.Cos(angle / 2), X: u[0] * s, Y: u[1] * s, Z: u[2] * s}
+	s, c := math.Sincos(angle / 2)
+	return Quat{W: c, X: u[0] * s, Y: u[1] * s, Z: u[2] * s}
 }
 
 // Quat converts Euler angles to the equivalent unit quaternion
 // (same ZYX composition as Euler.DCM).
 func (e Euler) Quat() Quat {
-	cr, sr := math.Cos(e.Roll/2), math.Sin(e.Roll/2)
-	cp, sp := math.Cos(e.Pitch/2), math.Sin(e.Pitch/2)
-	cy, sy := math.Cos(e.Yaw/2), math.Sin(e.Yaw/2)
+	sr, cr := math.Sincos(e.Roll / 2)
+	sp, cp := math.Sincos(e.Pitch / 2)
+	sy, cy := math.Sincos(e.Yaw / 2)
 	return Quat{
-		W: cy*cp*cr + sy*sp*sr,
-		X: cy*cp*sr - sy*sp*cr,
-		Y: cy*sp*cr + sy*cp*sr,
-		Z: sy*cp*cr - cy*sp*sr,
+		W: float64(cy*cp*cr) + float64(sy*sp*sr),
+		X: float64(cy*cp*sr) - float64(sy*sp*cr),
+		Y: float64(cy*sp*cr) + float64(sy*cp*sr),
+		Z: float64(sy*cp*cr) - float64(cy*sp*sr),
 	}
 }
 
 // Norm returns the quaternion magnitude.
 func (q Quat) Norm() float64 {
-	return math.Sqrt(q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z)
+	return math.Sqrt(float64(q.W*q.W) + float64(q.X*q.X) + float64(q.Y*q.Y) + float64(q.Z*q.Z))
 }
 
 // Normalize returns q scaled to unit norm; the zero quaternion maps to
@@ -55,10 +55,10 @@ func (q Quat) Conj() Quat { return Quat{q.W, -q.X, -q.Y, -q.Z} }
 // DCM multiplication order).
 func (q Quat) Mul(r Quat) Quat {
 	return Quat{
-		W: q.W*r.W - q.X*r.X - q.Y*r.Y - q.Z*r.Z,
-		X: q.W*r.X + q.X*r.W + q.Y*r.Z - q.Z*r.Y,
-		Y: q.W*r.Y - q.X*r.Z + q.Y*r.W + q.Z*r.X,
-		Z: q.W*r.Z + q.X*r.Y - q.Y*r.X + q.Z*r.W,
+		W: float64(q.W*r.W) - float64(q.X*r.X) - float64(q.Y*r.Y) - float64(q.Z*r.Z),
+		X: float64(q.W*r.X) + float64(q.X*r.W) + float64(q.Y*r.Z) - float64(q.Z*r.Y),
+		Y: float64(q.W*r.Y) - float64(q.X*r.Z) + float64(q.Y*r.W) + float64(q.Z*r.X),
+		Z: float64(q.W*r.Z) + float64(q.X*r.Y) - float64(q.Y*r.X) + float64(q.Z*r.W),
 	}
 }
 
@@ -74,9 +74,9 @@ func (q Quat) Apply(v Vec3) Vec3 {
 func (q Quat) DCM() DCM {
 	w, x, y, z := q.W, q.X, q.Y, q.Z
 	return DCM{
-		{1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y)},
-		{2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x)},
-		{2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y)},
+		{1 - float64(2*(float64(y*y)+float64(z*z))), 2 * (float64(x*y) - float64(w*z)), 2 * (float64(x*z) + float64(w*y))},
+		{2 * (float64(x*y) + float64(w*z)), 1 - float64(2*(float64(x*x)+float64(z*z))), 2 * (float64(y*z) - float64(w*x))},
+		{2 * (float64(x*z) - float64(w*y)), 2 * (float64(y*z) + float64(w*x)), 1 - float64(2*(float64(x*x)+float64(y*y)))},
 	}
 }
 

@@ -89,7 +89,7 @@ type DMUSample struct {
 // DMU simulates the vehicle-fixed IMU.
 type DMU struct {
 	cfg   DMUConfig
-	mount geom.DCM // body -> IMU axes
+	mount geom.DCM // body -> IMU axes, always cfg.Mount.DCM().T()
 	rng   *rand.Rand
 }
 
@@ -108,13 +108,17 @@ func NewDMU(cfg DMUConfig, seed int64) *DMU {
 // Reset re-initialises the DMU in place for a new run, reproducing
 // exactly the instrument NewDMU(cfg, seed) builds — same defaults, same
 // noise sequence — while reusing the existing RNG allocation. Pooled
-// serving runners reset their sensors once per scenario.
+// serving runners reset their sensors once per scenario, nearly always
+// to the same mount, so the mount rotation is kept when the new angles
+// have the same bits as the installed ones.
 func (d *DMU) Reset(cfg DMUConfig, seed int64) {
 	if cfg.SampleRate <= 0 {
 		cfg.SampleRate = 100
 	}
+	if cfg.Mount.Bits() != d.cfg.Mount.Bits() {
+		d.mount = cfg.Mount.DCM().T()
+	}
 	d.cfg = cfg
-	d.mount = cfg.Mount.DCM().T()
 	d.rng.Seed(seed)
 }
 

@@ -300,6 +300,48 @@ func TestSampleBodyMatchesSample(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNew resets one DMU through a run of mounts: a new
+// one, the same one again, and ones that differ only in the sign of a
+// zero angle. After every Reset the installed rotation must have the
+// bits of Mount.DCM().T(), and the DMU must sample exactly as a fresh
+// one from NewDMU does.
+func TestResetMatchesNew(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	mounts := []geom.Euler{
+		{},
+		geom.EulerDeg(2, -1, 3),
+		geom.EulerDeg(2, -1, 3),
+		{Roll: negZero, Yaw: math.Pi},
+		{Yaw: math.Pi},
+		{Roll: negZero, Pitch: negZero, Yaw: negZero},
+		{},
+		{},
+	}
+	d := NewDMU(DefaultDMUConfig(), 1)
+	f, w := geom.Vec3{0.3, -0.2, -9.8}, geom.Vec3{0.01, -0.02, 0.05}
+	for k, mount := range mounts {
+		cfg := DefaultDMUConfig()
+		cfg.Mount = mount
+		seed := int64(10 + k)
+		d.Reset(cfg, seed)
+		want := mount.DCM().T()
+		for i := range want {
+			for j := range want[i] {
+				if math.Float64bits(d.mount[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("step %d: mount rotation %v, want %v (angles %v)", k, d.mount, want, mount.Bits())
+				}
+			}
+		}
+		fresh := NewDMU(cfg, seed)
+		for i := 0; i < 4; i++ {
+			tm := float64(i) * 0.01
+			if got, want := d.SampleBody(tm, f, w), fresh.SampleBody(tm, f, w); got != want {
+				t.Fatalf("step %d: reset DMU sampled %+v, NewDMU %+v", k, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkDMUSample(b *testing.B) {
 	d := NewDMU(DefaultDMUConfig(), 1)
 	st := traj.StaticPose{Dur: 1}.At(0)

@@ -8,12 +8,13 @@
 // table, which costs ~13 µs — far more than a short scenario spends
 // drawing its few dozen noise values. Source.Seed only records the
 // normalised seed. Table entries are computed when a draw first reaches
-// them, 32 at a time, each by Park–Miller jump-ahead: entry i needs
-// steps 21+3i .. 23+3i, and x_k = 48271^k·x₀ mod 2³¹−1 reaches the
-// first of them in one multiplication from a table of powers built at
-// init. The check for the next chunk rides on the comparisons the draw
-// already makes to wrap its two table indices, so a draw from a fully
-// seeded table costs what math/rand's does.
+// them, 8 at a time, each by Park–Miller jump-ahead: entry i needs
+// steps 21+3i .. 23+3i, and x_k = 48271^k·x₀ mod 2³¹−1 reaches each of
+// them in one multiplication from a table of powers built at init, so
+// an entry's three steps do not wait on one another. The check for the
+// next chunk rides on the comparisons the draw already makes to wrap
+// its two table indices, so a draw from a fully seeded table costs what
+// math/rand's does.
 //
 // The cooked table is not copied from math/rand's source: init recovers
 // it from math/rand's own first 607 outputs for a fixed seed, so
@@ -34,15 +35,22 @@ const (
 	// before the first table entry; entry i then takes steps
 	// warmup+3i+1 .. warmup+3i+3.
 	warmup = 20
-	chunk  = 32 // entries seeded per slow-path visit
+	// chunk is the number of entries seeded per slow-path visit. Each
+	// draw moves both indices, one through each region, so k draws
+	// seed 2·k entries rounded up to whole chunks. A short scenario's
+	// instrument draws only 6 (ACC) to 18 (DMU) values. A smaller
+	// chunk would add slow-path visits to every long run, which seeds
+	// the whole table.
+	chunk = 8
 )
 
 var (
 	// cooked is math/rand's rngCooked seeding table.
 	cooked [tableLen]int64
-	// jump[i] = 48271^(warmup+3i+1) mod 2³¹−1: the multiplier taking
-	// the normalised seed to the first Park–Miller value of entry i.
-	jump [tableLen]uint64
+	// jump[i][k] = 48271^(warmup+3i+1+k) mod 2³¹−1: the multiplier
+	// taking the normalised seed to the (k+1)th Park–Miller value of
+	// entry i.
+	jump [tableLen][3]uint64
 )
 
 func init() {
@@ -51,9 +59,10 @@ func init() {
 		p = pmStep(p)
 	}
 	for i := range jump {
-		p = pmStep(p)
-		jump[i] = p
-		p = pmStep(pmStep(p))
+		for k := range jump[i] {
+			p = pmStep(p)
+			jump[i][k] = p
+		}
 	}
 
 	// Read math/rand's initial table back from its first 607 outputs.
@@ -74,8 +83,14 @@ func init() {
 	for k := 1; k <= tapLag; k++ {
 		start[feedTop-k] = out[k] - start[tableLen-k]
 	}
+	// Seeded while cooked is still zero, a Source fills in the
+	// Park–Miller parts alone.
+	pm := NewSource(seed)
+	for top := tableLen; top > 0; {
+		top = pm.fill(top, 0)
+	}
 	for i := range cooked {
-		cooked[i] = start[i] ^ parkMiller(i, seed)
+		cooked[i] = start[i] ^ pm.vec[i]
 	}
 }
 
@@ -199,21 +214,16 @@ func (s *Source) reach(i *int) int {
 }
 
 // fill seeds the chunk of entries below top, down to no lower than
-// floor, and returns the chunk's lowest index.
+// floor, and returns the chunk's lowest index. An entry is its three
+// Park–Miller values, shifted and XORed as math/rand's Seed combines
+// them, XORed with the cooked table; the values are written out here
+// rather than in a helper, which would be too large to inline.
 func (s *Source) fill(top, floor int) int {
 	lo := max(top-chunk, floor)
+	x0 := s.x0
 	for i := lo; i < top; i++ {
-		s.vec[i] = parkMiller(i, s.x0) ^ cooked[i]
+		j := &jump[i]
+		s.vec[i] = int64(mulMod(j[0], x0))<<40 ^ int64(mulMod(j[1], x0))<<20 ^ int64(mulMod(j[2], x0)) ^ cooked[i]
 	}
 	return lo
-}
-
-// parkMiller returns table entry i's Park–Miller part for the normalised
-// seed x0: the seeded entry without the cooked table.
-func parkMiller(i int, x0 uint64) int64 {
-	x := mulMod(jump[i], x0)
-	u := int64(x) << 40
-	x = pmStep(x)
-	u ^= int64(x) << 20
-	return u ^ int64(pmStep(x))
 }

@@ -72,12 +72,13 @@ func TestMatchesMathRand(t *testing.T) {
 }
 
 // TestReseedMidTable reseeds both generators after every draw count at
-// which the lazy table changes state — nothing drawn, one draw, the tap
-// entering the low region (273), the feed wrapping (334), the tap
-// wrapping (607) — and checks the new seed's stream is exact: no chunk
-// seeded for the old seed may survive into the new one.
+// which the lazy table changes state — nothing drawn, one draw, each
+// index reaching its second chunk, the tap entering the low region
+// (273), the feed wrapping (334), the tap wrapping (607) — and checks
+// the new seed's stream is exact: no chunk seeded for the old seed may
+// survive into the new one.
 func TestReseedMidTable(t *testing.T) {
-	prefixes := []int{0, 1, 31, 32, 33, 272, 273, 274, 333, 334, 335, 606, 607, 608, 1300}
+	prefixes := []int{0, 1, chunk - 1, chunk, chunk + 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 1300}
 	seeds := testSeeds()
 	for i, prefix := range prefixes {
 		for j := 0; j < 40; j++ {

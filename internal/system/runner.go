@@ -44,6 +44,7 @@ type Runner struct {
 	faultRNG     *rand.Rand
 	chDMU, chACC *fault.Channel
 	wire         wire
+	poses        poseCache
 }
 
 // NewRunner returns an empty Runner; run objects are built lazily on
@@ -135,6 +136,7 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 	}
 	n := int(dur * cfg.SampleRate)
 	tab := truthTable(&cfg, dt, n)
+	pseq, static := cfg.Profile.(traj.PoseSequence)
 	res.True = cfg.TrueMisalignment
 	exceeded := 0
 
@@ -214,9 +216,12 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 			drifted = true
 		}
 		var tr epochTruth
-		if tab != nil {
+		switch {
+		case tab != nil:
 			tr = tab[i]
-		} else {
+		case static:
+			tr = r.poses.truth(pseq, cfg.Vibrate, cfg.Vibration, t)
+		default:
 			tr = truthAt(cfg.Profile, cfg.Vibrate, cfg.Vibration, t)
 		}
 		ds := dmu.SampleBody(tr.t, tr.f, tr.w)

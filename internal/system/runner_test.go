@@ -2,6 +2,7 @@ package system
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -156,24 +157,40 @@ func TestRunnerSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkRunIntoTiny is the serving path's per-scenario fixed cost: a
-// 3-epoch static scenario without calibration, as fleet's tiny specs
-// are, on a warm Runner with a fresh seed every op, so each op pays the
-// instrument reseeds and estimator reset a served scenario does.
+// BenchmarkRunIntoTiny is the serving path's per-scenario fixed cost:
+// static scenarios without calibration on a warm Runner, run as
+// fleet's tiny specs are. The ops cycle the five durations 0.01–0.05 s
+// (1 to 5 epochs), and each op takes a fresh seed and a fresh
+// misalignment, up to ±5° per axis, from a table drawn with a fixed
+// seed. So each op pays the instrument reseeds, the ACC's misalignment
+// rotation and the estimator reset a served scenario does.
 func BenchmarkRunIntoTiny(b *testing.B) {
-	cfg := StaticScenario(geom.EulerDeg(2, -1, 1), 0.03, 1)
-	cfg.Calibrate = false
-	cfg.ResidualStride = -1
+	durs := []float64{0.01, 0.02, 0.03, 0.04, 0.05}
+	cfgs := make([]Config, len(durs))
+	for i, dur := range durs {
+		cfgs[i] = StaticScenario(geom.Euler{}, dur, 1)
+		cfgs[i].Calibrate = false
+		cfgs[i].ResidualStride = -1
+	}
+	draw := rand.New(rand.NewSource(1))
+	deg := func() float64 { return draw.Float64()*10 - 5 }
+	mis := make([]geom.Euler, 1024)
+	for i := range mis {
+		mis[i] = geom.EulerDeg(deg(), deg(), deg())
+	}
 	r := NewRunner()
 	res := new(Result)
-	if err := r.RunInto(res, cfg); err != nil {
+	if err := r.RunInto(res, cfgs[0]); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		cfg := &cfgs[i%len(cfgs)]
+		m := mis[i%len(mis)]
+		cfg.TrueMisalignment, cfg.ACC.Misalignment = m, m
 		cfg.Seed = int64(i)
-		if err := r.RunInto(res, cfg); err != nil {
+		if err := r.RunInto(res, *cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

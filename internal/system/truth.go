@@ -30,14 +30,58 @@ func truthAt(p traj.Profile, vibrate bool, vibration traj.Vibration, t float64) 
 	return epochTruth{f: st.SpecificForce().Add(geom.Vec3(vib)), w: st.Rate, speed: speed, t: st.T}
 }
 
+// poseCacheLen is how many static poses a Runner keeps the gravity
+// force of; StaticTestPoses, the only sequence fleet serves, has six.
+const poseCacheLen = 8
+
+// poseCache maps a static pose to the body specific force gravity
+// produces at it, State{Att: pose.Quat()}.SpecificForce(), which
+// truthAt re-derives (six trigonometric calls and a rotation) on every
+// epoch of a PoseSequence although it changes once per dwell. Pose i of
+// a sequence has slot i mod poseCacheLen, which holds the last pose
+// seen there, keyed by its exact bits (geom.Euler.Bits), never ==.
+// Each Runner owns one, so it needs no lock.
+type poseCache struct {
+	keys   [poseCacheLen][3]uint64
+	forces [poseCacheLen]geom.Vec3
+	used   [poseCacheLen]bool
+}
+
+// force returns the body specific force at pose e, pose i of its
+// sequence.
+func (c *poseCache) force(i int, e geom.Euler) geom.Vec3 {
+	s := uint(i) % poseCacheLen
+	if k := e.Bits(); !c.used[s] || c.keys[s] != k {
+		c.keys[s], c.used[s] = k, true
+		c.forces[s] = traj.State{Att: e.Quat()}.SpecificForce()
+	}
+	return c.forces[s]
+}
+
+// truth returns truthAt(seq, vibrate, vibration, t) bit for bit: the
+// pose's force from the cache plus the vibration, which is evaluated
+// per epoch at speed 0 as truthAt evaluates it. A sequence without
+// poses or dwell takes truthAt itself.
+func (c *poseCache) truth(seq traj.PoseSequence, vibrate bool, vibration traj.Vibration, t float64) epochTruth {
+	i := seq.PoseIndex(t)
+	if i < 0 {
+		return truthAt(seq, vibrate, vibration, t)
+	}
+	var vib [3]float64
+	if vibrate {
+		vib = vibration.At(t, 0)
+	}
+	return epochTruth{f: c.force(i, seq.Poses[i]).Add(geom.Vec3(vib)), t: t}
+}
+
 // Epoch truth tables. Only the seeded sensor noise differs between
 // scenarios on one drive, so the truth at t = i·dt, i < n, is computed
 // once per truthKey and shared by every run, on every worker. Only
 // *traj.Drive profiles are cached: they are the profiles with
 // per-epoch trigonometry and vibration, an immutable *Drive is a sound
 // map key, and fleet's profile cache hands out one pointer per drive.
-// Static profiles (PoseSequence holds a slice and cannot be a key)
-// take the uncached path; their truth is piecewise constant and cheap.
+// A PoseSequence (it holds a slice and cannot be a key) reads its
+// forces from the Runner's poseCache instead.
 type truthKey struct {
 	drive     *traj.Drive
 	dt        float64

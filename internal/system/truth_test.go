@@ -1,6 +1,7 @@
 package system
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -108,6 +109,109 @@ func TestTruthTableReaders(t *testing.T) {
 		}},
 		{"past the bound", false, pastBound},
 	})
+}
+
+// TestStaticTruthMatchesTruthAt holds a Runner's pose cache to
+// truthAt: every epoch of a static run reads truthAt's bits. The cases
+// take more poses than the cache holds, poses that differ only in the
+// sign of a zero angle, vibration, and sequences without poses or
+// dwell. Four cases form a chain in which each case's poses differ
+// from the previous case's, slot for slot, in one angle alone, so a
+// slot compared on fewer than all three angles serves a stale force.
+// The cases run on one Runner, each static run followed by a drive
+// run, twice over, so the cache starts each case holding other
+// sequences' poses. Each run must also deep-equal a run that takes the
+// uncached path.
+func TestStaticTruthMatchesTruthAt(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	many := make([]geom.Euler, poseCacheLen+3)
+	for i := range many {
+		many[i] = geom.EulerDeg(float64(3*i-10), float64(7-2*i), float64(i))
+	}
+	signed := []geom.Euler{{Yaw: math.Pi}, {Roll: negZero, Yaw: math.Pi}, {}, {Roll: negZero, Pitch: negZero, Yaw: negZero}}
+	// chain(k) turns the first k of (roll, pitch, yaw) by 0.05 rad.
+	chain := func(k int) traj.PoseSequence {
+		a := [3]float64{0.1, -0.2, 0.3}
+		for i := range k {
+			a[i] += 0.05
+		}
+		return traj.PoseSequence{Dwell: 1, Poses: []geom.Euler{
+			{Roll: a[0], Pitch: a[1], Yaw: a[2]},
+			{Roll: -a[0], Pitch: 2 * a[1], Yaw: a[2] + 1},
+		}}
+	}
+	cases := []struct {
+		name    string
+		seq     traj.PoseSequence
+		vibrate bool
+	}{
+		{"static test", StaticTestPoses(2), false},
+		{"more poses than the cache", traj.PoseSequence{Poses: many, Dwell: 0.15}, false},
+		{"signed zeros", traj.PoseSequence{Poses: signed, Dwell: 0.3}, false},
+		{"chain", chain(0), false},
+		{"chain, roll turned", chain(1), false},
+		{"chain, pitch turned", chain(2), false},
+		{"chain, yaw turned", chain(3), false},
+		{"vibrating", traj.PoseSequence{Poses: many[:4], Dwell: 0.5}, true},
+		{"no poses", traj.PoseSequence{Dwell: 0.5}, true},
+		{"no dwell", traj.PoseSequence{Poses: many[:3]}, false},
+	}
+	drive := DynamicScenario(geom.EulerDeg(1, -1, 2), 20, 50)
+	drive.Calibrate = false
+	drive.Duration = 1
+	wantDrive, err := Run(drive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	res := new(Result)
+	for round := 0; round < 2; round++ {
+		for k, c := range cases {
+			cfg := StaticScenario(geom.EulerDeg(2, -1, 1), 2, int64(60+k))
+			cfg.Profile, cfg.Vibrate = c.seq, c.vibrate
+			cfg.Calibrate = false
+			cfg.ResidualStride = 20
+			ref := cfg
+			ref.Profile = uncached{c.seq}
+			if err := r.RunInto(res, cfg); err != nil {
+				t.Fatalf("%s: RunInto: %v", c.name, err)
+			}
+			want, err := Run(ref)
+			if err != nil {
+				t.Fatalf("%s: Run: %v", c.name, err)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("%s: run differs from the uncached path:\n got %+v\nwant %+v", c.name, res, want)
+			}
+			// Every epoch of a 2-s run at 100 Hz, which a sequence
+			// without poses or dwell (0 s long) does not run.
+			for i := 0; i < 200; i++ {
+				tm := float64(i) * 0.01
+				got := r.poses.truth(c.seq, c.vibrate, cfg.Vibration, tm)
+				if want := truthAt(c.seq, c.vibrate, cfg.Vibration, tm); !sameTruth(got, want) {
+					t.Fatalf("%s: epoch %d: cached truth %+v, truthAt %+v", c.name, i, got, want)
+				}
+			}
+			if err := r.RunInto(res, drive); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, wantDrive) {
+				t.Errorf("%s: the drive run after it differs from a fresh Run", c.name)
+			}
+		}
+	}
+}
+
+// sameTruth reports whether two epoch truths have the same bits.
+func sameTruth(a, b epochTruth) bool {
+	bits := func(e epochTruth) (u [8]uint64) {
+		for i := range 3 {
+			u[i], u[3+i] = math.Float64bits(e.f[i]), math.Float64bits(e.w[i])
+		}
+		u[6], u[7] = math.Float64bits(e.speed), math.Float64bits(e.t)
+		return u
+	}
+	return bits(a) == bits(b)
 }
 
 // TestTruthTableConcurrentBuild runs one configuration on one fresh

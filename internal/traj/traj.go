@@ -93,14 +93,28 @@ type PoseSequence struct {
 
 // At returns the pose active at time t.
 func (p PoseSequence) At(t float64) State {
-	if len(p.Poses) == 0 || p.Dwell <= 0 {
+	i := p.PoseIndex(t)
+	if i < 0 {
 		return State{T: t, Att: geom.IdentityQuat()}
 	}
-	i := int(t/p.Dwell) % len(p.Poses)
+	return State{T: t, Att: p.Poses[i].Quat()}
+}
+
+// PoseIndex returns the index in Poses of the pose active at time t,
+// or -1 when the sequence has no poses or no dwell, in which case At
+// holds the identity attitude.
+func (p PoseSequence) PoseIndex(t float64) int {
+	if len(p.Poses) == 0 || p.Dwell <= 0 {
+		return -1
+	}
+	i := int(t / p.Dwell)
+	if i >= len(p.Poses) {
+		i %= len(p.Poses) // skipped in the first pass, sparing the division
+	}
 	if i < 0 {
 		i = 0
 	}
-	return State{T: t, Att: p.Poses[i].Quat()}
+	return i
 }
 
 // Duration returns one full pass through the poses.
@@ -255,7 +269,7 @@ func (d *Drive) At(t float64) State {
 	frac := t/d.gridDT - float64(g)
 	p := d.posGrid[g].Add(d.posGrid[g+1].Sub(d.posGrid[g]).Scale(frac))
 
-	sinH, cosH := math.Sin(h), math.Cos(h)
+	sinH, cosH := math.Sincos(h)
 	vel := geom.Vec3{v * cosH, v * sinH, 0}
 	// NED acceleration: longitudinal along heading + centripetal.
 	latA := v * s.TurnRate // centripetal magnitude toward turn centre

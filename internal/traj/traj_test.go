@@ -315,4 +315,21 @@ func TestPoseSequenceDirect(t *testing.T) {
 	if seq.At(-1).Att != seq.At(0).Att {
 		t.Fatal("negative time mishandled")
 	}
+	for _, c := range []struct {
+		t    float64
+		want int
+	}{{0, 0}, {4.99, 0}, {5, 1}, {6, 1}, {12, 0}, {17, 1}, {-1, 0}, {-6, 0}} {
+		if got := seq.PoseIndex(c.t); got != c.want {
+			t.Errorf("PoseIndex(%v) = %d, want %d", c.t, got, c.want)
+		}
+	}
+	// Without poses or dwell, At holds the identity attitude.
+	for _, deg := range []PoseSequence{{Dwell: 1}, {Poses: seq.Poses}, {Poses: seq.Poses, Dwell: -1}} {
+		if i := deg.PoseIndex(3); i != -1 {
+			t.Errorf("%+v: PoseIndex = %d, want -1", deg, i)
+		}
+		if deg.At(3).Att != geom.IdentityQuat() {
+			t.Errorf("%+v: At(3) = %v, want identity", deg, deg.At(3).Att)
+		}
+	}
 }
