@@ -1,5 +1,5 @@
-// Package softfloat emulates IEEE-754 binary32 and binary64 arithmetic
-// using only integer operations, following the algorithms of the Berkeley
+// Package softfloat emulates IEEE-754 binary32 arithmetic using only
+// integer operations, following the algorithms of the Berkeley
 // SoftFloat library that the paper runs on its FPU-less Sabre soft core
 // (Section 10).
 //
@@ -11,13 +11,8 @@
 // state of the C library.
 package softfloat
 
-import "math/bits"
-
 // F32 is the raw bit pattern of an IEEE-754 binary32 value.
 type F32 uint32
-
-// F64 is the raw bit pattern of an IEEE-754 binary64 value.
-type F64 uint64
 
 // RoundingMode selects the IEEE-754 rounding direction.
 type RoundingMode uint8
@@ -53,12 +48,10 @@ type Context struct {
 // ClearFlags resets the accumulated exception flags.
 func (c *Context) ClearFlags() { c.Flags = 0 }
 
-// Default quiet NaNs (sign bit clear, MSB of the fraction set), matching
-// the patterns Go's runtime produces for 0/0 style operations.
-const (
-	defaultNaN32 F32 = 0x7FC00000
-	defaultNaN64 F64 = 0x7FF8000000000000
-)
+// defaultNaN32 is the default quiet NaN (sign bit clear, MSB of the
+// fraction set), matching the pattern Go's runtime produces for 0/0 style
+// operations.
+const defaultNaN32 F32 = 0x7FC00000
 
 // shift32RightJamming shifts a right by count bits; any bits shifted out
 // are OR-reduced ("jammed") into the least significant bit so that
@@ -115,37 +108,4 @@ func isqrt64(a uint64) uint64 {
 		}
 	}
 	return root
-}
-
-// isqrt128 returns floor(sqrt(hi·2^64 + lo)) along with whether the
-// remainder is nonzero, using 128-bit integer arithmetic.
-func isqrt128(hi, lo uint64) (root uint64, remNonzero bool) {
-	var remHi, remLo uint64
-	var rootV uint64
-	for shift := 126; shift >= 0; shift -= 2 {
-		// rem = rem<<2 | next two bits of a.
-		// shift is always even, so a bit pair never straddles the word
-		// boundary: it is wholly in hi (shift >= 64) or wholly in lo.
-		var twoBits uint64
-		if shift >= 64 {
-			twoBits = (hi >> uint(shift-64)) & 3
-		} else {
-			twoBits = (lo >> uint(shift)) & 3
-		}
-		remHi = remHi<<2 | remLo>>62
-		remLo = remLo<<2 | twoBits
-		// trial = root<<1 | 1 (root fits in 64 bits; trial may use 65 bits
-		// conceptually but root < 2^63 until the last iterations, and the
-		// comparison below handles the high word).
-		trialHi := rootV >> 62
-		trialLo := rootV<<2 | 1
-		rootV <<= 1
-		if remHi > trialHi || (remHi == trialHi && remLo >= trialLo) {
-			var borrow uint64
-			remLo, borrow = bits.Sub64(remLo, trialLo, 0)
-			remHi, _ = bits.Sub64(remHi, trialHi, borrow)
-			rootV |= 1
-		}
-	}
-	return rootV, remHi|remLo != 0
 }

@@ -13,10 +13,7 @@ import (
 
 func f32bits(f float32) F32   { return F32(math.Float32bits(f)) }
 func f32val(b F32) float32    { return math.Float32frombits(uint32(b)) }
-func f64bits(f float64) F64   { return F64(math.Float64bits(f)) }
-func f64val(b F64) float64    { return math.Float64frombits(uint64(b)) }
 func bothNaN32(a, b F32) bool { return IsNaN32(a) && IsNaN32(b) }
-func bothNaN64(a, b F64) bool { return IsNaN64(a) && IsNaN64(b) }
 
 // randF32 generates float32 bit patterns that exercise all regimes:
 // normals, subnormals, zeros, infinities, NaNs, and values with nearby
@@ -38,22 +35,6 @@ func randF32(rng *rand.Rand) F32 {
 	}
 }
 
-func randF64(rng *rand.Rand) F64 {
-	switch rng.Intn(10) {
-	case 0:
-		return F64(rng.Uint64() & 0x800FFFFFFFFFFFFF)
-	case 1:
-		return F64(0x7FF0000000000000 | rng.Uint64()&0x8000000000000000)
-	case 2:
-		return F64(0x7FF0000000000000 | rng.Uint64()&0x800FFFFFFFFFFFFF)
-	case 3:
-		exp := uint64(1010 + rng.Intn(30))
-		return F64(rng.Uint64()&0x8000000000000000 | exp<<52 | rng.Uint64()&0x000FFFFFFFFFFFFF)
-	default:
-		return F64(rng.Uint64())
-	}
-}
-
 func check32(t *testing.T, op string, a, b, got F32, want float32) {
 	t.Helper()
 	wantBits := f32bits(want)
@@ -65,19 +46,6 @@ func check32(t *testing.T, op string, a, b, got F32, want float32) {
 	}
 	t.Fatalf("%s(%08x, %08x) = %08x (%g), want %08x (%g)",
 		op, uint32(a), uint32(b), uint32(got), f32val(got), uint32(wantBits), want)
-}
-
-func check64(t *testing.T, op string, a, b, got F64, want float64) {
-	t.Helper()
-	wantBits := f64bits(want)
-	if got == wantBits {
-		return
-	}
-	if bothNaN64(got, wantBits) {
-		return
-	}
-	t.Fatalf("%s(%016x, %016x) = %016x (%g), want %016x (%g)",
-		op, uint64(a), uint64(b), uint64(got), f64val(got), uint64(wantBits), want)
 }
 
 func TestAdd32AgainstHardware(t *testing.T) {
@@ -123,51 +91,6 @@ func TestSqrt32AgainstHardware(t *testing.T) {
 		a := randF32(rng)
 		want := float32(math.Sqrt(float64(f32val(a))))
 		check32(t, "Sqrt32", a, 0, ctx.Sqrt32(a), want)
-	}
-}
-
-func TestAdd64AgainstHardware(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	var ctx Context
-	for i := 0; i < 200000; i++ {
-		a, b := randF64(rng), randF64(rng)
-		check64(t, "Add64", a, b, ctx.Add64(a, b), f64val(a)+f64val(b))
-	}
-}
-
-func TestSub64AgainstHardware(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var ctx Context
-	for i := 0; i < 200000; i++ {
-		a, b := randF64(rng), randF64(rng)
-		check64(t, "Sub64", a, b, ctx.Sub64(a, b), f64val(a)-f64val(b))
-	}
-}
-
-func TestMul64AgainstHardware(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var ctx Context
-	for i := 0; i < 200000; i++ {
-		a, b := randF64(rng), randF64(rng)
-		check64(t, "Mul64", a, b, ctx.Mul64(a, b), f64val(a)*f64val(b))
-	}
-}
-
-func TestDiv64AgainstHardware(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var ctx Context
-	for i := 0; i < 200000; i++ {
-		a, b := randF64(rng), randF64(rng)
-		check64(t, "Div64", a, b, ctx.Div64(a, b), f64val(a)/f64val(b))
-	}
-}
-
-func TestSqrt64AgainstHardware(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	var ctx Context
-	for i := 0; i < 100000; i++ {
-		a := randF64(rng)
-		check64(t, "Sqrt64", a, 0, ctx.Sqrt64(a), math.Sqrt(f64val(a)))
 	}
 }
 
@@ -313,24 +236,6 @@ func TestComparisons32(t *testing.T) {
 	}
 }
 
-func TestComparisons64(t *testing.T) {
-	var ctx Context
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 50000; i++ {
-		a, b := randF64(rng), randF64(rng)
-		af, bf := f64val(a), f64val(b)
-		if got, want := ctx.Eq64(a, b), af == bf; got != want {
-			t.Fatalf("Eq64(%g, %g) = %v", af, bf, got)
-		}
-		if got, want := ctx.Lt64(a, b), af < bf; got != want {
-			t.Fatalf("Lt64(%g, %g) = %v", af, bf, got)
-		}
-		if got, want := ctx.Le64(a, b), af <= bf; got != want {
-			t.Fatalf("Le64(%g, %g) = %v", af, bf, got)
-		}
-	}
-}
-
 func TestIntToF32(t *testing.T) {
 	var ctx Context
 	cases := []int32{0, 1, -1, 123456, -123456, math.MaxInt32, math.MinInt32,
@@ -347,22 +252,6 @@ func TestIntToF32(t *testing.T) {
 		v := int32(rng.Uint32())
 		if got, want := ctx.IntToF32(v), f32bits(float32(v)); got != want {
 			t.Fatalf("IntToF32(%d) = %08x, want %08x", v, uint32(got), uint32(want))
-		}
-	}
-}
-
-func TestIntToF64Exact(t *testing.T) {
-	var ctx Context
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 100000; i++ {
-		v := int32(rng.Uint32())
-		if got, want := ctx.IntToF64(v), f64bits(float64(v)); got != want {
-			t.Fatalf("IntToF64(%d) = %016x, want %016x", v, uint64(got), uint64(want))
-		}
-	}
-	for _, v := range []int32{0, 1, -1, math.MaxInt32, math.MinInt32} {
-		if got, want := ctx.IntToF64(v), f64bits(float64(v)); got != want {
-			t.Errorf("IntToF64(%d) = %016x, want %016x", v, uint64(got), uint64(want))
 		}
 	}
 }
@@ -414,52 +303,6 @@ func TestF32ToIntRoundToZero(t *testing.T) {
 	}
 }
 
-func TestF64ToIntAgainstHardware(t *testing.T) {
-	var ctx Context
-	cases := []struct {
-		in   float64
-		want int32
-	}{
-		{0, 0}, {0.5, 0}, {1.5, 2}, {-2.5, -2}, {2147483647, math.MaxInt32},
-		{-2147483648, math.MinInt32}, {1234567.891, 1234568},
-	}
-	for _, c := range cases {
-		if got := ctx.F64ToInt(f64bits(c.in)); got != c.want {
-			t.Errorf("F64ToInt(%v) = %d, want %d", c.in, got, c.want)
-		}
-	}
-	ctx.ClearFlags()
-	if got := ctx.F64ToInt(f64bits(2147483648)); got != math.MaxInt32 || ctx.Flags&FlagInvalid == 0 {
-		t.Errorf("F64ToInt(2^31) = %d flags=%b", got, ctx.Flags)
-	}
-}
-
-func TestF32ToF64Exact(t *testing.T) {
-	var ctx Context
-	rng := rand.New(rand.NewSource(15))
-	for i := 0; i < 200000; i++ {
-		a := randF32(rng)
-		got := ctx.F32ToF64(a)
-		want := f64bits(float64(f32val(a)))
-		if got != want && !bothNaN64(got, want) {
-			t.Fatalf("F32ToF64(%08x) = %016x, want %016x", uint32(a), uint64(got), uint64(want))
-		}
-	}
-}
-
-func TestF64ToF32AgainstHardware(t *testing.T) {
-	var ctx Context
-	rng := rand.New(rand.NewSource(16))
-	for i := 0; i < 200000; i++ {
-		a := randF64(rng)
-		got := ctx.F64ToF32(a)
-		want := f32bits(float32(f64val(a)))
-		if got != want && !bothNaN32(got, want) {
-			t.Fatalf("F64ToF32(%016x) = %08x, want %08x", uint64(a), uint32(got), uint32(want))
-		}
-	}
-}
-
 func TestNaNPropagationQuiets(t *testing.T) {
 	var ctx Context
 	snan := F32(0x7F800001) // signaling
@@ -478,15 +321,6 @@ func TestClassifiers(t *testing.T) {
 	}
 	if !IsInf32(f32bits(float32(math.Inf(-1)))) || IsInf32(defaultNaN32) {
 		t.Error("IsInf32 broken")
-	}
-	if !IsNaN64(defaultNaN64) || IsNaN64(f64bits(1)) {
-		t.Error("IsNaN64 broken")
-	}
-	if !IsInf64(f64bits(math.Inf(1))) || IsInf64(defaultNaN64) {
-		t.Error("IsInf64 broken")
-	}
-	if !IsSignalingNaN64(F64(0x7FF0000000000001)) || IsSignalingNaN64(defaultNaN64) {
-		t.Error("IsSignalingNaN64 broken")
 	}
 }
 
@@ -512,72 +346,6 @@ func TestIsqrt64(t *testing.T) {
 			t.Fatalf("isqrt64(%d) = %d too small", a, r)
 		}
 	}
-}
-
-func TestIsqrt128MatchesIsqrt64(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	for i := 0; i < 50000; i++ {
-		a := rng.Uint64()
-		r128, remNZ := isqrt128(0, a)
-		r64 := isqrt64(a)
-		if r128 != r64 {
-			t.Fatalf("isqrt128(0,%d) = %d, isqrt64 = %d", a, r128, r64)
-		}
-		if remNZ != (r64*r64 != a) {
-			t.Fatalf("isqrt128 remainder flag wrong for %d", a)
-		}
-	}
-	// Large operands: verify via multiplication.
-	for i := 0; i < 20000; i++ {
-		hi, lo := rng.Uint64()>>1, rng.Uint64() // keep < 2^127
-		r, _ := isqrt128(hi, lo)
-		// r² <= a < (r+1)²: check with 128-bit mults.
-		sqHi, sqLo := mul64to128(r, r)
-		if cmp128(sqHi, sqLo, hi, lo) > 0 {
-			t.Fatalf("isqrt128(%x,%x) = %d too large", hi, lo, r)
-		}
-		s1Hi, s1Lo := mul64to128(r+1, r+1)
-		if r != math.MaxUint64 && cmp128(s1Hi, s1Lo, hi, lo) <= 0 {
-			t.Fatalf("isqrt128(%x,%x) = %d too small", hi, lo, r)
-		}
-	}
-}
-
-func mul64to128(a, b uint64) (hi, lo uint64) {
-	h, l := mulParts(a, b)
-	return h, l
-}
-
-func mulParts(a, b uint64) (uint64, uint64) {
-	aHi, aLo := a>>32, a&0xFFFFFFFF
-	bHi, bLo := b>>32, b&0xFFFFFFFF
-	t := aLo * bLo
-	lo := t & 0xFFFFFFFF
-	carry := t >> 32
-	t = aHi*bLo + carry
-	mid1 := t & 0xFFFFFFFF
-	hi := t >> 32
-	t = aLo*bHi + mid1
-	hi += t >> 32
-	lo |= (t & 0xFFFFFFFF) << 32
-	hi += aHi * bHi
-	return hi, lo
-}
-
-func cmp128(aHi, aLo, bHi, bLo uint64) int {
-	switch {
-	case aHi != bHi:
-		if aHi > bHi {
-			return 1
-		}
-		return -1
-	case aLo != bLo:
-		if aLo > bLo {
-			return 1
-		}
-		return -1
-	}
-	return 0
 }
 
 func TestShiftRightJamming(t *testing.T) {
@@ -613,55 +381,5 @@ func TestAdd32Quick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property via testing/quick: Mul64 equals hardware.
-func TestMul64Quick(t *testing.T) {
-	var ctx Context
-	f := func(a, b uint64) bool {
-		fa, fb := F64(a), F64(b)
-		got := ctx.Mul64(fa, fb)
-		want := f64bits(f64val(fa) * f64val(fb))
-		return got == want || bothNaN64(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkSoftAdd64(b *testing.B) {
-	var ctx Context
-	x, y := f64bits(1.2345), f64bits(6.789)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = ctx.Add64(x, y)
-	}
-}
-
-func BenchmarkSoftMul64(b *testing.B) {
-	var ctx Context
-	x, y := f64bits(1.2345), f64bits(6.789)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = ctx.Mul64(x, y)
-	}
-}
-
-func BenchmarkSoftDiv64(b *testing.B) {
-	var ctx Context
-	x, y := f64bits(1.2345), f64bits(6.789)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = ctx.Div64(x, y)
-	}
-}
-
-func BenchmarkSoftSqrt64(b *testing.B) {
-	var ctx Context
-	x := f64bits(2.0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = ctx.Sqrt64(x)
 	}
 }
