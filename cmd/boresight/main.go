@@ -7,7 +7,7 @@
 // Usage:
 //
 //	boresight [-mode static|dynamic] [-roll 2] [-pitch -3] [-yaw 1]
-//	          [-dur 300] [-seed 1] [-links] [-adaptive] [-adaptiver]
+//	          [-dur 300] [-seed 1] [-links] [-adaptiver]
 //	          [-selfcal] [-reconfig] [-driftat 0] [-driftfactor 0]
 //	          [-focal 400] [-ber 0] [-linebreak 0] [-engine ref|fast]
 //
@@ -39,7 +39,6 @@ func main() {
 	links := flag.Bool("links", false, "route samples through the CAN/bridge/serial wire path")
 	ber := flag.Float64("ber", 0, "wire bit error rate on both links (implies -links)")
 	lineBreak := flag.Float64("linebreak", 0, "per-byte line-break probability on both links (implies -links)")
-	adaptive := flag.Bool("adaptive", false, "enable residual-driven measurement-noise adaptation")
 	adaptiveR := flag.Bool("adaptiver", false, "enable windowed innovation-matched online R-hat estimation")
 	selfcal := flag.Bool("selfcal", false, "augment the state with IMU accelerometer bias and scale self-calibration")
 	reconfig := flag.Bool("reconfig", false, "hot-swap to a degraded process model when the fault supervisor declares a stream stale")
@@ -56,7 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := options{
-		adaptive: *adaptive, adaptiveR: *adaptiveR, selfcal: *selfcal,
+		adaptiveR: *adaptiveR, selfcal: *selfcal,
 		reconfig: *reconfig, driftAt: *driftAt, driftFactor: *driftFactor,
 	}
 	if err := realMain(*mode, *roll, *pitch, *yaw, *dur, *seed, *links, opts, *focal, *ber, *lineBreak, *csvPath, eng); err != nil {
@@ -67,8 +66,8 @@ func main() {
 
 // options groups the estimator-shaping flags.
 type options struct {
-	adaptive, adaptiveR, selfcal, reconfig bool
-	driftAt, driftFactor                   float64
+	adaptiveR, selfcal, reconfig bool
+	driftAt, driftFactor         float64
 }
 
 func realMain(mode string, roll, pitch, yaw, dur float64, seed int64, links bool, opts options, focal, ber, lineBreak float64, csvPath string, eng sabre.Engine) error {
@@ -91,7 +90,6 @@ func realMain(mode string, roll, pitch, yaw, dur float64, seed int64, links bool
 	cfg.FaultProfile = fault.Profile{BER: ber, LineBreakProb: lineBreak}
 	faulted := cfg.FaultProfile.Enabled()
 	cfg.UseLinks = links || faulted // faults live on the wire: they imply the wire path
-	cfg.Filter.Adaptive = opts.adaptive
 	cfg.Filter.AdaptiveR.Enabled = opts.adaptiveR
 	if opts.selfcal {
 		cfg.Filter.EstimateIMUBias = true

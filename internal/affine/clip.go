@@ -98,58 +98,6 @@ func fixedRowSpan(t3tab, t4tab []int32, t2, t5 int32, cxt, cyt, w, h int) (lo, h
 	return lo, hi
 }
 
-// fixedSpanQ is the subpixel (Q9.6) variant used by the bilinear
-// datapath: it returns the columns whose Q-space source coordinate
-//
-//	coordQ(x) = AddSat(rowTerm, tab[x]) + offQ
-//
-// lies inside [0, limitQ) — with limitQ = (n−1)<<CoordFrac that is
-// exactly "integer part in [0, n−2]", i.e. all four bilinear taps in
-// frame along this axis.
-func fixedSpanQ(tab []int32, rowTerm, offQ, limitQ int32) (lo, hi int) {
-	n := len(tab)
-	if n == 0 {
-		return 0, 0
-	}
-	if tab[n-1] >= tab[0] {
-		lo = fixedSearchQUp(tab, rowTerm, offQ, 0)
-		hi = fixedSearchQUp(tab, rowTerm, offQ, limitQ)
-	} else {
-		lo = fixedSearchQDown(tab, rowTerm, offQ, limitQ-1)
-		hi = fixedSearchQDown(tab, rowTerm, offQ, -1)
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-func fixedSearchQUp(tab []int32, rowTerm, offQ, bound int32) int {
-	lo, hi := 0, len(tab)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if fixed.AddSat(rowTerm, tab[mid])+offQ >= bound {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-func fixedSearchQDown(tab []int32, rowTerm, offQ, bound int32) int {
-	lo, hi := 0, len(tab)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if fixed.AddSat(rowTerm, tab[mid])+offQ <= bound {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // splitSign returns the first index in [lo, hi] at which the monotone
 // sum rowTerm+tab[x] changes sign relative to its value at lo (hi if it
 // never does). The stepped inner loop uses it to carve a row span into

@@ -90,14 +90,6 @@ func TestFixedSpanSaturationPlateaus(t *testing.T) {
 			c := fixed.ToInt(fixed.AddSat(rowTerm, tab[x]), fixed.CoordFrac) + off
 			return c >= 0 && c < limit
 		}, "fixedSpan synthetic")
-		// The Q-space clipper shares the tables; check it on the same data.
-		limQ := int32(limit) << fixed.CoordFrac
-		offQ := int32(off) << fixed.CoordFrac
-		loQ, hiQ := fixedSpanQ(tab, rowTerm, offQ, limQ)
-		checkInterval(t, n, loQ, hiQ, func(x int) bool {
-			c := fixed.AddSat(rowTerm, tab[x]) + offQ
-			return c >= 0 && c < limQ
-		}, "fixedSpanQ synthetic")
 	}
 }
 

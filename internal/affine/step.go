@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"boresight/internal/fixed"
-	"boresight/internal/parallel"
 	"boresight/internal/video"
 )
 
@@ -31,9 +30,6 @@ import (
 // so the transforms stay allocation-free; wider frames fall back to
 // heap tables (one small allocation per frame, amortised across rows).
 const maxStackTabW = 1024
-
-// qFracMask extracts the subpixel bits of a Q9.6 coordinate.
-const qFracMask = int32(1)<<fixed.CoordFrac - 1
 
 // buildFixedTables fills the per-column rotation products
 //
@@ -229,138 +225,4 @@ func steppedFloatBand(dst, src *video.Frame, tabX, tabY []float64, c, s, cy, tx,
 			}
 		}
 	}
-}
-
-// TransformBilinear renders the fixed-point transform with subpixel
-// Q9.6 bilinear sampling — the integer-only filtering a datapath with
-// four 8×6-bit multipliers per channel would implement, with no float
-// arithmetic past parameter quantisation. One worker per CPU;
-// TransformBilinearWorkers exposes the pool size.
-func (t *FixedTransformer) TransformBilinear(src *video.Frame, p Params) *video.Frame {
-	return t.TransformBilinearWorkers(src, p, 0)
-}
-
-// TransformBilinearWorkers renders the Q-space bilinear transform with
-// scanline banding on the given worker count (<= 0 = one per CPU);
-// bit-identical at every worker count.
-func (t *FixedTransformer) TransformBilinearWorkers(src *video.Frame, p Params, workers int) *video.Frame {
-	out := video.NewFrame(src.W, src.H)
-	t.TransformBilinearInto(out, src, p, workers)
-	return out
-}
-
-// TransformBilinearInto renders the Q-space bilinear transform into an
-// existing destination (same shape, not aliased — see
-// TransformFloatInto). Unlike the nearest-neighbour datapath the
-// translation is quantised to Q9.6 subpixels rather than whole pixels,
-// which is the point of filtering. When the resolved worker count is 1
-// it allocates nothing.
-func (t *FixedTransformer) TransformBilinearInto(dst, src *video.Frame, p Params, workers int) {
-	checkDst("TransformBilinearInto", dst, src)
-	inv := p.Invert()
-	idx := t.lut.Index(inv.Theta)
-	sin, cos := t.lut.SinIdx(idx), t.lut.CosIdx(idx)
-	cx, cy := src.W/2, src.H/2
-	offQX := fixed.FromInt(cx, fixed.CoordFrac) + fixed.FromFloat(inv.TX, fixed.CoordFrac)
-	offQY := fixed.FromInt(cy, fixed.CoordFrac) + fixed.FromFloat(inv.TY, fixed.CoordFrac)
-	if parallel.Resolve(workers) == 1 && src.W <= maxStackTabW {
-		transformBilinearSerial(dst, src, sin, cos, cx, cy, offQX, offQY)
-		return
-	}
-	t3tab := make([]int32, src.W)
-	t4tab := make([]int32, src.W)
-	buildFixedTables(t3tab, t4tab, cx, sin, cos)
-	if parallel.Resolve(workers) == 1 {
-		steppedBilinearBand(dst, src, t3tab, t4tab, sin, cos, cy, offQX, offQY, 0, src.H)
-		return
-	}
-	parallel.Bands(src.H, workers, func(y0, y1 int) {
-		steppedBilinearBand(dst, src, t3tab, t4tab, sin, cos, cy, offQX, offQY, y0, y1)
-	})
-}
-
-// transformBilinearSerial keeps the tables on the stack; closure-free
-// like the other serial paths.
-func transformBilinearSerial(dst, src *video.Frame, sin, cos int32, cx, cy int, offQX, offQY int32) {
-	var t3buf, t4buf [maxStackTabW]int32
-	t3tab, t4tab := t3buf[:src.W], t4buf[:src.W]
-	buildFixedTables(t3tab, t4tab, cx, sin, cos)
-	steppedBilinearBand(dst, src, t3tab, t4tab, sin, cos, cy, offQX, offQY, 0, src.H)
-}
-
-// steppedBilinearBand renders rows [y0, y1) of the Q-space bilinear
-// transform. The source coordinate keeps its 6 subpixel bits:
-//
-//	sxQ = AddSat(t2, t3tab[x]) + offQX
-//
-// (the 16-bit rotation core, then the wider addressing adder that
-// restores the centre and adds the subpixel translation). The interior
-// span — all four taps in frame on both axes — runs unguarded; edge
-// columns fall back to the tap-guarded sampler.
-func steppedBilinearBand(dst, src *video.Frame, t3tab, t4tab []int32, sin, cos int32, cy int, offQX, offQY int32, y0, y1 int) {
-	w, h := src.W, src.H
-	spix := src.Pix
-	limQX := int32(w-1) << fixed.CoordFrac
-	limQY := int32(h-1) << fixed.CoordFrac
-	q2 := int64(y0-cy) * int64(-sin)
-	q5 := int64(y0-cy) * int64(cos)
-	for y := y0; y < y1; y++ {
-		t2 := fixed.RoundShift64(q2, fixed.StepShift)
-		t5 := fixed.RoundShift64(q5, fixed.StepShift)
-		loX, hiX := fixedSpanQ(t3tab, t2, offQX, limQX)
-		loY, hiY := fixedSpanQ(t4tab, t5, offQY, limQY)
-		lo, hi := max(loX, loY), min(hiX, hiY)
-		if hi < lo {
-			hi = lo
-		}
-		drow := dst.Pix[y*w : y*w+w]
-		for x := 0; x < lo; x++ {
-			drow[x] = sampleBilinearQ(src, fixed.AddSat(t2, t3tab[x])+offQX, fixed.AddSat(t4tab[x], t5)+offQY)
-		}
-		for x := hi; x < w; x++ {
-			drow[x] = sampleBilinearQ(src, fixed.AddSat(t2, t3tab[x])+offQX, fixed.AddSat(t4tab[x], t5)+offQY)
-		}
-		for x := lo; x < hi; x++ {
-			sxQ := fixed.AddSat(t2, t3tab[x]) + offQX
-			syQ := fixed.AddSat(t4tab[x], t5) + offQY
-			i := int(syQ>>fixed.CoordFrac)*w + int(sxQ>>fixed.CoordFrac)
-			drow[x] = blendQ(spix[i], spix[i+1], spix[i+w], spix[i+w+1], sxQ&qFracMask, syQ&qFracMask)
-		}
-		q2 -= int64(sin)
-		q5 += int64(cos)
-	}
-}
-
-// sampleBilinearQ is the tap-guarded Q9.6 bilinear sampler used outside
-// the interior span: the arithmetic shift floors negative coordinates
-// and the masked fraction stays consistent with that floor, so edge
-// pixels blend against the out-of-frame black exactly as the float
-// sampler blends against At's black.
-func sampleBilinearQ(src *video.Frame, sxQ, syQ int32) video.Pixel {
-	ix := int(sxQ >> fixed.CoordFrac)
-	iy := int(syQ >> fixed.CoordFrac)
-	return blendQ(
-		src.At(ix, iy), src.At(ix+1, iy),
-		src.At(ix, iy+1), src.At(ix+1, iy+1),
-		sxQ&qFracMask, syQ&qFracMask,
-	)
-}
-
-// blendQ is the integer bilinear kernel: 6-bit weights per axis, a
-// 12-bit product per tap, round-to-nearest on the final 12-bit shift.
-// At zero fraction it reproduces the tap exactly, so a transform that
-// lands on integer coordinates is the identity.
-func blendQ(p00, p10, p01, p11 video.Pixel, fx, fy int32) video.Pixel {
-	gx := int32(1)<<fixed.CoordFrac - fx
-	gy := int32(1)<<fixed.CoordFrac - fy
-	w00 := gx * gy
-	w10 := fx * gy
-	w01 := gx * fy
-	w11 := fx * fy
-	const shift = 2 * fixed.CoordFrac
-	const half = int32(1) << (shift - 1)
-	r := (int32(p00.R())*w00 + int32(p10.R())*w10 + int32(p01.R())*w01 + int32(p11.R())*w11 + half) >> shift
-	g := (int32(p00.G())*w00 + int32(p10.G())*w10 + int32(p01.G())*w01 + int32(p11.G())*w11 + half) >> shift
-	b := (int32(p00.B())*w00 + int32(p10.B())*w10 + int32(p01.B())*w01 + int32(p11.B())*w11 + half) >> shift
-	return video.RGB(uint8(r), uint8(g), uint8(b))
 }

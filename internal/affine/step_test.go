@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"boresight/internal/fixed"
 	"boresight/internal/geom"
 	"boresight/internal/video"
 )
@@ -150,71 +149,6 @@ func TestSteppedFloatMatchesReference(t *testing.T) {
 	}
 }
 
-// refBilinearQ is the per-pixel brute force for the Q-space bilinear
-// transform: four Muls, saturating sums, subpixel offset add, guarded
-// taps — exactly what steppedBilinearBand computes incrementally.
-func refBilinearQ(ft *FixedTransformer, src *video.Frame, p Params) *video.Frame {
-	inv := p.Invert()
-	idx := ft.LUT().Index(inv.Theta)
-	sin, cos := ft.LUT().SinIdx(idx), ft.LUT().CosIdx(idx)
-	cx, cy := src.W/2, src.H/2
-	offQX := fixed.FromInt(cx, fixed.CoordFrac) + fixed.FromFloat(inv.TX, fixed.CoordFrac)
-	offQY := fixed.FromInt(cy, fixed.CoordFrac) + fixed.FromFloat(inv.TY, fixed.CoordFrac)
-	out := video.NewFrame(src.W, src.H)
-	for y := 0; y < src.H; y++ {
-		mapY := fixed.FromInt(y-cy, fixed.CoordFrac)
-		t2 := fixed.Mul(mapY, -sin, fixed.TrigFrac)
-		t5 := fixed.Mul(mapY, cos, fixed.TrigFrac)
-		for x := 0; x < src.W; x++ {
-			mapX := fixed.FromInt(x-cx, fixed.CoordFrac)
-			t3 := fixed.Mul(mapX, cos, fixed.TrigFrac)
-			t4 := fixed.Mul(mapX, sin, fixed.TrigFrac)
-			sxQ := fixed.AddSat(t2, t3) + offQX
-			syQ := fixed.AddSat(t4, t5) + offQY
-			out.Set(x, y, sampleBilinearQ(src, sxQ, syQ))
-		}
-	}
-	return out
-}
-
-// TestTransformBilinearQ checks the Q-space bilinear transform: the
-// identity transform is exact, the stepped spans match the per-pixel
-// brute force, and the result is worker-count invariant.
-func TestTransformBilinearQ(t *testing.T) {
-	ft := NewFixedTransformer(stdLUT())
-	src := testScene(64, 48)
-	if got := ft.TransformBilinear(src, Params{}); !got.Equal(src) {
-		t.Fatal("Q-space bilinear identity transform is not exact")
-	}
-	params := []Params{
-		{Theta: geom.Deg2Rad(3.3), TX: 4.25, TY: -2.5},
-		{Theta: geom.Deg2Rad(-45), TX: 0.5, TY: 0.5},
-		{Theta: geom.Deg2Rad(200), TX: -70.1, TY: 51.9},
-	}
-	for _, p := range params {
-		ref := refBilinearQ(ft, src, p)
-		for _, workers := range []int{1, 2, 5} {
-			got := ft.TransformBilinearWorkers(src, p, workers)
-			if !got.Equal(ref) {
-				t.Fatalf("TransformBilinearWorkers(%+v, workers=%d) diverges from brute force", p, workers)
-			}
-		}
-	}
-	// Subpixel translation must actually blend: a half-pixel shift of a
-	// step edge lands mid-grey, which whole-pixel NN cannot produce.
-	edge := video.NewFrame(16, 8)
-	for y := 0; y < 8; y++ {
-		for x := 8; x < 16; x++ {
-			edge.Set(x, y, video.RGB(200, 200, 200))
-		}
-	}
-	half := ft.TransformBilinear(edge, Params{TX: 0.5})
-	px := half.At(8, 4)
-	if px.R() == 0 || px.R() == 200 {
-		t.Fatalf("half-pixel shift did not blend: got R=%d", px.R())
-	}
-}
-
 // refForwardMap is the pre-rewrite per-pixel forward mapping, kept as
 // the oracle for the span-clipped scatter.
 func refForwardMap(ft *FixedTransformer, src *video.Frame, p Params) (*video.Frame, int) {
@@ -259,9 +193,9 @@ func TestForwardMapMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStepAllocFree pins the zero-allocation guarantees the satellite
-// tasks added: ForwardMapInto with caller-owned buffers, the Q-space
-// bilinear at workers=1, and the closure-free sampleBilinear.
+// TestStepAllocFree pins the zero-allocation guarantees of
+// ForwardMapInto with caller-owned buffers and of the closure-free
+// sampleBilinear.
 func TestStepAllocFree(t *testing.T) {
 	ft := NewFixedTransformer(stdLUT())
 	src := testScene(64, 48)
@@ -272,11 +206,6 @@ func TestStepAllocFree(t *testing.T) {
 		ft.ForwardMapInto(dst, written, src, p)
 	}); n != 0 {
 		t.Fatalf("ForwardMapInto allocates %v per run", n)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		ft.TransformBilinearInto(dst, src, p, 1)
-	}); n != 0 {
-		t.Fatalf("TransformBilinearInto allocates %v per run", n)
 	}
 	var sink video.Pixel
 	if n := testing.AllocsPerRun(10, func() {

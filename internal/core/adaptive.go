@@ -25,9 +25,6 @@ import (
 // Config.MeasNoise in every update; StepDegraded's held-sample
 // inflation multiplies on top, so the dropout machinery and the noise
 // adaptation compose instead of fighting.
-//
-// When Enabled, this supersedes the legacy exceedance-counting
-// Config.Adaptive retuning (which only ever inflates a shared scalar σ).
 type AdaptiveConfig struct {
 	// Enabled turns innovation-matching R estimation on.
 	Enabled bool
@@ -110,19 +107,19 @@ func (e *Estimator) adaptR(inn kalman.Innovation) {
 }
 
 // measVar returns the per-axis measurement variance for the next
-// update: the online R̂ when adaptive estimation is on, the (possibly
-// legacy-adapted) scalar noise otherwise.
+// update: the online R̂ when adaptive estimation is on, the configured
+// scalar noise otherwise.
 func (e *Estimator) measVar() (rx, ry float64) {
 	if e.ad.Enabled {
 		return e.rhat[0], e.rhat[1]
 	}
-	r := e.measNoise * e.measNoise
+	r := e.cfg.MeasNoise * e.cfg.MeasNoise
 	return r, r
 }
 
 // RHat returns the current per-axis measurement-noise estimate σ̂
-// (m/s²). With adaptive estimation off it reports the configured (or
-// legacy-adapted) scalar on both axes.
+// (m/s²). With adaptive estimation off it reports the configured
+// scalar on both axes.
 func (e *Estimator) RHat() (sx, sy float64) {
 	rx, ry := e.measVar()
 	return math.Sqrt(rx), math.Sqrt(ry)

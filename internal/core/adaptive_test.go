@@ -15,7 +15,6 @@ import (
 func adaptiveConfig() Config {
 	cfg := anglesOnlyConfig()
 	cfg.GateSigma = 0
-	cfg.Chi2Gate = 0
 	cfg.AdaptiveR = AdaptiveConfig{Enabled: true}
 	return cfg
 }
@@ -149,23 +148,6 @@ func TestAdaptiveRPerAxis(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRSupersedesLegacy: with AdaptiveR on, the legacy
-// exceedance-counting retune must not also fire (the two would fight
-// over the same residuals).
-func TestAdaptiveRSupersedesLegacy(t *testing.T) {
-	cfg := adaptiveConfig()
-	cfg.Adaptive = true
-	e := New(cfg)
-	rng := rand.New(rand.NewSource(46))
-	driveAdaptive(t, e, rng, geom.EulerDeg(1, 1, 0), 1500, func(int) float64 { return 0.08 })
-	if got := e.MeasNoise(); got != cfg.MeasNoise {
-		t.Errorf("legacy adapted noise moved to %v with AdaptiveR enabled", got)
-	}
-	if sx, _ := e.RHat(); sx < 2*cfg.MeasNoise {
-		t.Errorf("σ̂x = %v did not rise under ×8 noise", sx)
-	}
-}
-
 // TestAdaptiveRHeldSamplesDoNotFeed: a held sample's inflated R is a
 // transport artefact, so hold runs must leave the matcher untouched.
 func TestAdaptiveRHeldSamplesDoNotFeed(t *testing.T) {
@@ -263,7 +245,6 @@ func TestAdaptiveRBeatsFixedUnderDrift(t *testing.T) {
 	run := func(adaptive bool) float64 {
 		cfg := anglesOnlyConfig()
 		cfg.GateSigma = 0
-		cfg.Chi2Gate = 0
 		cfg.AdaptiveR.Enabled = adaptive
 		e := New(cfg)
 		rng := rand.New(rand.NewSource(48)) // same noise draw for both

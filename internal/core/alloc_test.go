@@ -13,7 +13,7 @@ import (
 func TestEstimatorStepAllocFree(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EstimateLever = true
-	cfg.Adaptive = true
+	cfg.AdaptiveR.Enabled = true
 	cfg.BumpRecovery = true
 	e := New(cfg)
 

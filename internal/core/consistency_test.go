@@ -32,7 +32,6 @@ import (
 func harnessConfig() Config {
 	cfg := anglesOnlyConfig()
 	cfg.GateSigma = 0
-	cfg.Chi2Gate = 0
 	cfg.InitAngleSigma = geom.Deg2Rad(2)
 	cfg.AngleWalk = 1e-3
 	return cfg

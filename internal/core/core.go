@@ -38,7 +38,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"boresight/internal/geom"
 	"boresight/internal/kalman"
@@ -102,32 +101,19 @@ type Config struct {
 	// paper's central tuning knob.
 	MeasNoise float64
 
-	// Adaptive enables residual-driven measurement-noise retuning
-	// (Section 11): when the observed 3σ exceedance rate over
-	// AdaptWindow samples is far above the ~1%-consistent level the
-	// noise is raised, and it decays back toward MeasNoise when the
-	// residuals are quiet.
-	Adaptive    bool
-	AdaptWindow int
-
 	// AdaptiveR enables windowed innovation-covariance matching: a
 	// per-axis online measurement-noise estimate R̂ replaces MeasNoise in
-	// every update (see AdaptiveConfig). Supersedes Adaptive when set.
+	// every update (see AdaptiveConfig) — the residual-driven tuning of
+	// the paper's Section 11, run online.
 	AdaptiveR AdaptiveConfig
 
 	// GateSigma rejects measurements whose innovation Mahalanobis
 	// distance exceeds this many sigmas (0 disables). Gating protects
 	// the filter from outliers that survive the transport checksums —
-	// the flip side of the paper's residual monitoring.
+	// the flip side of the paper's residual monitoring. It is the
+	// chi-square innovation test on the 2-D measurement with threshold
+	// GateSigma²: 6 gates νᵀS⁻¹ν at 36.
 	GateSigma float64
-
-	// Chi2Gate additionally rejects measurements whose innovation
-	// chi-square statistic νᵀS⁻¹ν exceeds this threshold (0 disables) —
-	// the classical chi-square innovation test. Unlike GateSigma it has
-	// a principled quantile interpretation: the measurement is 2-D, so
-	// 13.8 gates at the χ²(2) 99.9% level. Both gates share the
-	// breakthrough counter, so a lockout still self-heals.
-	Chi2Gate float64
 
 	// HeldInflation controls measurement-noise inflation for held
 	// (sample-and-hold replayed) measurements fed through StepDegraded:
@@ -168,7 +154,6 @@ func DefaultConfig() Config {
 		BiasWalk:          1e-6,
 		ScaleWalk:         1e-7,
 		MeasNoise:         0.01,
-		AdaptWindow:       200,
 		GateSigma:         6,
 		HeldInflation:     1,
 	}
@@ -228,8 +213,6 @@ type Estimator struct {
 	// State indices for the optional blocks; -1 when absent.
 	ibx, iby, isx, isy, ilv, iib, iis int
 	n                                 int
-	// Current adapted measurement noise σ.
-	measNoise float64
 	// Low-passed body angular rate for the lever-arm Jacobian.
 	wLP geom.Vec3
 	// Low-passed sensor-frame specific force used for the Jacobian.
@@ -243,11 +226,7 @@ type Estimator struct {
 	// Low-passed raw body force for the IMU-scale Jacobian (same
 	// decorrelation argument as fsLP, but against the pre-correction
 	// measurement the scale states multiply).
-	fbLP geom.Vec3
-	// Exceedance history ring for adaptation.
-	exceed  []bool
-	exIdx   int
-	exN     int
+	fbLP    geom.Vec3
 	steps   int
 	gated   int
 	gateRun int
@@ -493,21 +472,8 @@ func (e *Estimator) Reset(cfg Config) error {
 	// next StateInto overwrites it before any step reads it.
 	priorDiagInto(e.xbuf, cfg, l)
 	e.kf.SetPDiag(e.xbuf)
-	e.measNoise = cfg.MeasNoise
 	e.wLP, e.fsLP, e.fbLP = geom.Vec3{}, geom.Vec3{}, geom.Vec3{}
 	e.fsLPSet = false
-	w := cfg.AdaptWindow
-	if w <= 0 {
-		w = 200
-	}
-	if len(e.exceed) != w {
-		e.exceed = make([]bool, w)
-	} else {
-		for i := range e.exceed {
-			e.exceed[i] = false
-		}
-	}
-	e.exIdx, e.exN = 0, 0
 	e.steps, e.gated, e.gateRun = 0, 0, 0
 	e.initAdaptive(cfg)
 	e.nisSum, e.nisN = 0, 0
@@ -753,7 +719,7 @@ func (e *Estimator) stepMeas(dt float64, fBody, omega geom.Vec3, accX, accY, inf
 	// Innovation gate: an outlier that slipped past the transport
 	// checksums would slam the state; reject anything implausibly far
 	// outside the innovation covariance (GateSigma on the Mahalanobis
-	// distance, Chi2Gate on its square — the chi-square test). A long
+	// distance). A long
 	// unbroken run of rejections means the filter itself is wrong (gate
 	// lockout, e.g. after covariance over-collapse), so the gate breaks
 	// through and accepts a measurement to let the filter re-converge —
@@ -763,10 +729,8 @@ func (e *Estimator) stepMeas(dt float64, fBody, omega geom.Vec3, accX, accY, inf
 	if err != nil {
 		return inn, err
 	}
-	if e.cfg.GateSigma > 0 || e.cfg.Chi2Gate > 0 {
-		reject := (e.cfg.GateSigma > 0 && inn.Mahalanobis > e.cfg.GateSigma) ||
-			(e.cfg.Chi2Gate > 0 && inn.Chi2() > e.cfg.Chi2Gate)
-		if reject && e.gateRun < gateBreakthrough {
+	if e.cfg.GateSigma > 0 {
+		if inn.Mahalanobis > e.cfg.GateSigma && e.gateRun < gateBreakthrough {
 			e.gated++
 			e.gateRun++
 			e.steps++
@@ -793,15 +757,11 @@ func (e *Estimator) stepMeas(dt float64, fBody, omega geom.Vec3, accX, accY, inf
 	e.steps++
 	e.nisSum += inn.Chi2()
 	e.nisN++
-	if e.ad.Enabled {
-		// Only accepted fresh epochs feed the covariance matcher: a held
-		// sample's inflated R is a transport artefact, not evidence about
-		// the sensor's noise environment.
-		if inflate == 1 {
-			e.adaptR(inn)
-		}
-	} else if e.cfg.Adaptive {
-		e.adapt(inn)
+	// Only accepted fresh epochs feed the covariance matcher: a held
+	// sample's inflated R is a transport artefact, not evidence about
+	// the sensor's noise environment.
+	if e.ad.Enabled && inflate == 1 {
+		e.adaptR(inn)
 	}
 	e.noteBump(inn.Exceeds3Sigma())
 	return inn, nil
@@ -916,14 +876,6 @@ func (e *Estimator) IMUBias() geom.Vec3 {
 	return geom.Vec3{e.kf.StateAt(e.iib), e.kf.StateAt(e.iib + 1), e.kf.StateAt(e.iib + 2)}
 }
 
-// IMUBiasSigmas returns the 1σ uncertainty of the IMU bias states.
-func (e *Estimator) IMUBiasSigmas() geom.Vec3 {
-	if e.iib < 0 {
-		return geom.Vec3{}
-	}
-	return geom.Vec3{e.kf.Sigma(e.iib), e.kf.Sigma(e.iib + 1), e.kf.Sigma(e.iib + 2)}
-}
-
 // IMUScales returns the estimated IMU scale-factor errors (zero vector
 // when the states are disabled).
 func (e *Estimator) IMUScales() geom.Vec3 {
@@ -933,18 +885,10 @@ func (e *Estimator) IMUScales() geom.Vec3 {
 	return geom.Vec3{e.kf.StateAt(e.iis), e.kf.StateAt(e.iis + 1), e.kf.StateAt(e.iis + 2)}
 }
 
-// IMUScaleSigmas returns the 1σ uncertainty of the IMU scale states.
-func (e *Estimator) IMUScaleSigmas() geom.Vec3 {
-	if e.iis < 0 {
-		return geom.Vec3{}
-	}
-	return geom.Vec3{e.kf.Sigma(e.iis), e.kf.Sigma(e.iis + 1), e.kf.Sigma(e.iis + 2)}
-}
-
-// MeasNoise returns the current (possibly adapted) scalar measurement
-// noise σ used when AdaptiveR is off; with AdaptiveR on, see RHat for
-// the per-axis estimate.
-func (e *Estimator) MeasNoise() float64 { return e.measNoise }
+// MeasNoise returns the configured scalar measurement noise σ, used
+// when AdaptiveR is off; with AdaptiveR on, see RHat for the per-axis
+// estimate.
+func (e *Estimator) MeasNoise() float64 { return e.cfg.MeasNoise }
 
 // Steps returns the number of measurement updates processed.
 func (e *Estimator) Steps() int { return e.steps }
@@ -963,30 +907,3 @@ func (e *Estimator) HeldUpdates() int { return e.heldUpdates }
 // HeldRun returns the current consecutive-held-sample count (reset by
 // each fresh sample).
 func (e *Estimator) HeldRun() int { return e.heldRun }
-
-// adapt implements the paper's residual-driven noise tuning: residuals
-// should exceed their 3σ envelope about once per hundred samples; a much
-// higher rate means the modelled noise is too small for the environment
-// (vehicle vibration), so σ is inflated. When the rate falls back the
-// noise decays toward the configured floor.
-func (e *Estimator) adapt(inn kalman.Innovation) {
-	e.exceed[e.exIdx] = inn.Exceeds3Sigma()
-	e.exIdx = (e.exIdx + 1) % len(e.exceed)
-	if e.exN < len(e.exceed) {
-		e.exN++
-		return // wait for a full window before adapting
-	}
-	count := 0
-	for _, b := range e.exceed {
-		if b {
-			count++
-		}
-	}
-	rate := float64(count) / float64(len(e.exceed))
-	switch {
-	case rate > 0.05:
-		e.measNoise = math.Min(e.measNoise*1.05, 10*e.cfg.MeasNoise)
-	case rate < 0.005 && e.measNoise > e.cfg.MeasNoise:
-		e.measNoise = math.Max(e.measNoise*0.995, e.cfg.MeasNoise)
-	}
-}

@@ -270,50 +270,6 @@ func TestResidualExceedanceMatchedVsUnderstatedNoise(t *testing.T) {
 	}
 }
 
-func TestAdaptiveNoiseRisesUnderVibration(t *testing.T) {
-	mis := geom.EulerDeg(1, 0, 0)
-	cfg := anglesOnlyConfig()
-	cfg.MeasNoise = 0.003 // static tuning
-	cfg.Adaptive = true
-	cfg.AdaptWindow = 100
-	e := New(cfg)
-	rng := rand.New(rand.NewSource(4))
-	f := levelForce()
-	actual := 0.02 // vibration-dominated environment
-	for i := 0; i < 4000; i++ {
-		zx, zy := accReading(mis, f, 0, 0, 0, 0)
-		zx += rng.NormFloat64() * actual
-		zy += rng.NormFloat64() * actual
-		if _, err := e.Step(0.01, f, zx, zy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.MeasNoise() <= cfg.MeasNoise*1.5 {
-		t.Fatalf("adaptive noise %v did not rise from %v under vibration", e.MeasNoise(), cfg.MeasNoise)
-	}
-}
-
-func TestAdaptiveNoiseStaysAtFloorWhenQuiet(t *testing.T) {
-	cfg := anglesOnlyConfig()
-	cfg.MeasNoise = 0.01
-	cfg.Adaptive = true
-	e := New(cfg)
-	rng := rand.New(rand.NewSource(5))
-	f := levelForce()
-	mis := geom.EulerDeg(0.5, 0.5, 0)
-	for i := 0; i < 3000; i++ {
-		zx, zy := accReading(mis, f, 0, 0, 0, 0)
-		zx += rng.NormFloat64() * 0.01
-		zy += rng.NormFloat64() * 0.01
-		if _, err := e.Step(0.01, f, zx, zy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.MeasNoise() > cfg.MeasNoise*1.2 {
-		t.Fatalf("noise %v rose without cause", e.MeasNoise())
-	}
-}
-
 func TestScaleFactorEstimation(t *testing.T) {
 	mis := geom.EulerDeg(0.8, -1.1, 0.6)
 	sx, sy := 0.004, -0.003

@@ -140,48 +140,6 @@ func TestStepDegradedHeldInflatesNoise(t *testing.T) {
 	}
 }
 
-// TestChi2GateRejectsOutliers exercises the chi-square innovation gate
-// on its own (GateSigma off): a wild outlier must be rejected and
-// counted, and must not move the converged estimate.
-func TestChi2GateRejectsOutliers(t *testing.T) {
-	mis := geom.EulerDeg(1, 1, 0)
-	cfg := DefaultConfig()
-	cfg.GateSigma = 0
-	cfg.Chi2Gate = 13.8 // χ²(2) 99.9%
-	e := New(cfg)
-	f := levelForce()
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		zx, zy := accReading(mis, f, 0, 0, 0, 0)
-		zx += rng.NormFloat64() * cfg.MeasNoise
-		zy += rng.NormFloat64() * cfg.MeasNoise
-		if _, err := e.Step(0.01, f, zx, zy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := e.Misalignment()
-	gatedBefore := e.Gated()
-	// A byte-corruption survivor: a reading several g away from truth.
-	if _, err := e.Step(0.01, f, 30, -30); err != nil {
-		t.Fatal(err)
-	}
-	if e.Gated() != gatedBefore+1 {
-		t.Fatalf("outlier not gated: gated %d -> %d", gatedBefore, e.Gated())
-	}
-	after := e.Misalignment()
-	if math.Abs(after.Roll-before.Roll) > 1e-12 || math.Abs(after.Pitch-before.Pitch) > 1e-12 {
-		t.Fatal("gated outlier moved the state")
-	}
-	// Consistent measurements keep flowing after the gate event.
-	zx, zy := accReading(mis, f, 0, 0, 0, 0)
-	if _, err := e.Step(0.01, f, zx, zy); err != nil {
-		t.Fatal(err)
-	}
-	if e.Gated() != gatedBefore+1 {
-		t.Fatal("gate stuck closed after the outlier")
-	}
-}
-
 // TestMultiHeldAndDropoutTelemetry pins the MultiEstimator mirror of the
 // degraded-stream policy: held rows inflate per-sensor, full dropout
 // epochs are counted, and a held sensor's uncertainty stays above the

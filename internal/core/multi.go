@@ -26,8 +26,8 @@ import (
 //   - an invalid reading takes the dropout path, the time update only,
 //     so the sensor's Jacobian low-pass waits for its next valid sample;
 //   - every Config field applies per sensor as it does to an Estimator:
-//     the innovation gates (GateSigma, Chi2Gate), BumpRecovery, Adaptive
-//     and AdaptiveR, and the lever-arm and IMU self-calibration blocks
+//     the innovation gate (GateSigma), BumpRecovery and AdaptiveR, and
+//     the lever-arm and IMU self-calibration blocks
 //     (Step takes no gyro input, so the lever arm sees ω = 0);
 //   - a dropout ends that sensor's hold run, also on an epoch where
 //     every sensor drops out.

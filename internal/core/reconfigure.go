@@ -79,13 +79,6 @@ func (e *Estimator) Reconfigure(cfg Config) error {
 
 	// Noise machinery restarts against the new configuration: the old
 	// window measured a model that no longer exists.
-	e.measNoise = cfg.MeasNoise
-	w := cfg.AdaptWindow
-	if w <= 0 {
-		w = 200
-	}
-	e.exceed = make([]bool, w)
-	e.exIdx, e.exN = 0, 0
 	e.initAdaptive(cfg)
 
 	// Transient runs reset; cumulative telemetry survives.

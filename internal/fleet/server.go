@@ -164,9 +164,6 @@ func NewServerConfig(cfg ServerConfig) *Server {
 	return s
 }
 
-// Config returns the resolved configuration.
-func (s *Server) Config() ServerConfig { return s.cfg }
-
 // tenantFor returns (creating on first sight) a tenant's counters.
 func (s *Server) tenantFor(tenant uint32) *tenantCounters {
 	s.tmu.RLock()
@@ -425,9 +422,6 @@ func (b *Batch) Status(i int) byte {
 // Results returns the per-scenario results, parallel to the specs.
 // Entries whose Err is non-nil hold recycled storage, not a result.
 func (b *Batch) Results() []*system.Result { return b.results }
-
-// Spec returns the i-th submitted spec.
-func (b *Batch) Spec(i int) ScenarioSpec { return b.specs[i] }
 
 // Release recycles the batch. The result storage stays attached to the
 // batch (truncated, pointers parked in the backing array) so the next

@@ -1,6 +1,6 @@
 // Package geom implements the 3-D rotation algebra used throughout the
-// boresight system: direction cosine matrices (DCMs), Euler angles,
-// quaternions, skew-symmetric operators and small-angle approximations.
+// boresight system: direction cosine matrices (DCMs), Euler angles and
+// quaternions.
 //
 // # Conventions
 //
@@ -81,9 +81,6 @@ func EulerDeg(roll, pitch, yaw float64) Euler {
 func (e Euler) Deg() (roll, pitch, yaw float64) {
 	return Rad2Deg(e.Roll), Rad2Deg(e.Pitch), Rad2Deg(e.Yaw)
 }
-
-// Vec returns the angles as a Vec3 (roll, pitch, yaw) in radians.
-func (e Euler) Vec() Vec3 { return Vec3{e.Roll, e.Pitch, e.Yaw} }
 
 // Bits returns the IEEE-754 bit patterns of (roll, pitch, yaw). Two
 // triples with equal bits give bit-identical rotations, which == does
@@ -199,53 +196,4 @@ func (c DCM) IsRotation(tol float64) bool {
 		}
 	}
 	return math.Abs(c.Det()-1) <= tol
-}
-
-// Orthonormalize renormalises an almost-rotation matrix using one pass of
-// Gram-Schmidt on the rows, restoring orthonormality after accumulated
-// floating point drift (e.g. after many incremental updates).
-func (c DCM) Orthonormalize() DCM {
-	x := Vec3{c[0][0], c[0][1], c[0][2]}.Normalize()
-	y := Vec3{c[1][0], c[1][1], c[1][2]}
-	y = y.Sub(x.Scale(x.Dot(y))).Normalize()
-	z := x.Cross(y)
-	return DCM{
-		{x[0], x[1], x[2]},
-		{y[0], y[1], y[2]},
-		{z[0], z[1], z[2]},
-	}
-}
-
-// Skew returns the skew-symmetric cross-product matrix [v×] such that
-// Skew(v).Apply(w) == v.Cross(w).
-func Skew(v Vec3) DCM {
-	return DCM{
-		{0, -v[2], v[1]},
-		{v[2], 0, -v[0]},
-		{-v[1], v[0], 0},
-	}
-}
-
-// SmallAngleDCM returns the first-order rotation I + [a×] for a small
-// rotation vector a (radians). This is the linearisation the boresight
-// filter uses for the misalignment.
-func SmallAngleDCM(a Vec3) DCM {
-	return DCM{
-		{1, -a[2], a[1]},
-		{a[2], 1, -a[0]},
-		{-a[1], a[0], 1},
-	}
-}
-
-// AxisAngleDCM returns the exact rotation of angle (radians) about the
-// given (not necessarily unit) axis, via Rodrigues' formula.
-func AxisAngleDCM(axis Vec3, angle float64) DCM {
-	u := axis.Normalize()
-	s, c := math.Sincos(angle)
-	k := 1 - c
-	return DCM{
-		{c + float64(u[0]*u[0]*k), float64(u[0]*u[1]*k) - float64(u[2]*s), float64(u[0]*u[2]*k) + float64(u[1]*s)},
-		{float64(u[1]*u[0]*k) + float64(u[2]*s), c + float64(u[1]*u[1]*k), float64(u[1]*u[2]*k) - float64(u[0]*s)},
-		{float64(u[2]*u[0]*k) - float64(u[1]*s), float64(u[2]*u[1]*k) + float64(u[0]*s), c + float64(u[2]*u[2]*k)},
-	}
 }

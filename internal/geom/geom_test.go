@@ -221,48 +221,10 @@ func TestDetOfRotationIsOne(t *testing.T) {
 	}
 }
 
-func TestOrthonormalizeRepairsDrift(t *testing.T) {
-	c := Euler{Roll: 0.2, Pitch: 0.3, Yaw: 0.4}.DCM()
-	// Perturb.
-	c[0][1] += 1e-3
-	c[1][2] -= 1e-3
-	if c.IsRotation(1e-6) {
-		t.Fatal("perturbed matrix unexpectedly still a rotation")
-	}
-	r := c.Orthonormalize()
-	if !r.IsRotation(1e-12) {
-		t.Fatal("Orthonormalize did not restore rotation")
-	}
-	// And it should stay close to the original.
-	if !dcmClose(r, c, 5e-3) {
-		t.Fatal("Orthonormalize moved matrix too far")
-	}
-}
-
-func TestSkewMatchesCross(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 100; i++ {
-		v := Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		w := Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		if !vecClose(Skew(v).Apply(w), v.Cross(w), 1e-12) {
-			t.Fatal("Skew(v)w != v×w")
-		}
-	}
-}
-
-func TestSmallAngleDCMApproximatesExact(t *testing.T) {
-	a := Vec3{0.01, -0.02, 0.015}
-	approx := SmallAngleDCM(a)
-	exact := Euler{Roll: a[0], Pitch: a[1], Yaw: a[2]}.DCM()
-	if !dcmClose(approx, exact, 5e-4) {
-		t.Fatalf("small-angle mismatch:\n%v\n%v", approx, exact)
-	}
-}
-
 func TestAxisAngleAgainstEuler(t *testing.T) {
 	// Rotation about z by θ must equal Euler yaw θ.
 	theta := 0.7
-	a := AxisAngleDCM(Vec3{0, 0, 1}, theta)
+	a := QuatFromAxisAngle(Vec3{0, 0, 2}, theta).DCM()
 	b := Euler{Yaw: theta}.DCM()
 	if !dcmClose(a, b, 1e-12) {
 		t.Fatalf("axis-angle z mismatch:\n%v\n%v", a, b)
@@ -273,8 +235,8 @@ func TestAxisAnglePreservesAxis(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
 		axis := Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Normalize()
-		c := AxisAngleDCM(axis, rng.Float64()*math.Pi)
-		if !vecClose(c.Apply(axis), axis, 1e-10) {
+		q := QuatFromAxisAngle(axis.Scale(1+rng.Float64()), rng.Float64()*math.Pi)
+		if !vecClose(q.Apply(axis), axis, 1e-10) {
 			t.Fatal("rotation moved its own axis")
 		}
 	}
@@ -301,36 +263,6 @@ func TestQuatDCMEquivalence(t *testing.T) {
 	}
 }
 
-func TestQuatDCMRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 300; i++ {
-		q := randEuler(rng).Quat()
-		back := q.DCM().Quat()
-		// q and -q are the same rotation.
-		dot := q.W*back.W + q.X*back.X + q.Y*back.Y + q.Z*back.Z
-		if math.Abs(math.Abs(dot)-1) > 1e-10 {
-			t.Fatalf("quat round trip mismatch, |dot| = %v", math.Abs(dot))
-		}
-	}
-}
-
-func TestQuatShepperdBranches(t *testing.T) {
-	// Exercise all four branches of DCM.Quat with near-180° rotations
-	// about each axis.
-	for _, axis := range []Vec3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
-		c := AxisAngleDCM(axis, math.Pi-1e-3)
-		q := c.Quat()
-		if !dcmClose(q.DCM(), c, 1e-9) {
-			t.Fatalf("Shepperd branch failed for axis %v", axis)
-		}
-	}
-	// Trace-dominant branch.
-	c := AxisAngleDCM(Vec3{1, 1, 1}, 0.1)
-	if !dcmClose(c.Quat().DCM(), c, 1e-12) {
-		t.Fatal("trace branch failed")
-	}
-}
-
 func TestQuatMulMatchesDCMMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 100; i++ {
@@ -352,45 +284,6 @@ func TestQuatConjIsInverse(t *testing.T) {
 			math.Abs(id.Y) > 1e-12 || math.Abs(id.Z) > 1e-12 {
 			t.Fatalf("q*q⁻¹ = %+v", id)
 		}
-	}
-}
-
-func TestQuatNormalizeZero(t *testing.T) {
-	if q := (Quat{}).Normalize(); q != IdentityQuat() {
-		t.Fatalf("Normalize(0) = %+v", q)
-	}
-}
-
-func TestQuatIntegrateConstantRate(t *testing.T) {
-	// Integrating yaw rate ω for t seconds must equal a yaw of ω*t.
-	q := IdentityQuat()
-	omega := Vec3{0, 0, 0.5} // rad/s about z
-	dt := 0.001
-	for i := 0; i < 2000; i++ { // 2 s
-		q = q.Integrate(omega, dt)
-	}
-	want := Euler{Yaw: 1.0}.Quat()
-	if q.AngleTo(want) > 1e-9 {
-		t.Fatalf("integrated attitude off by %v rad", q.AngleTo(want))
-	}
-}
-
-func TestQuatIntegrateZeroRate(t *testing.T) {
-	q := EulerDeg(1, 2, 3).Quat()
-	if q.Integrate(Vec3{}, 0.01) != q {
-		t.Fatal("zero-rate integration changed attitude")
-	}
-}
-
-func TestAngleToSelfIsZero(t *testing.T) {
-	q := EulerDeg(10, 20, 30).Quat()
-	if a := q.AngleTo(q); a > 1e-9 {
-		t.Fatalf("AngleTo self = %v", a)
-	}
-	// Known angle apart.
-	r := q.Mul(QuatFromAxisAngle(Vec3{1, 0, 0}, 0.25))
-	if a := q.AngleTo(r); math.Abs(a-0.25) > 1e-9 {
-		t.Fatalf("AngleTo = %v, want 0.25", a)
 	}
 }
 
@@ -436,14 +329,5 @@ func BenchmarkEulerToDCM(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = e.DCM()
-	}
-}
-
-func BenchmarkQuatIntegrate(b *testing.B) {
-	q := IdentityQuat()
-	omega := Vec3{0.1, 0.2, 0.3}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q = q.Integrate(omega, 0.01)
 	}
 }

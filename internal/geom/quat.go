@@ -33,21 +33,6 @@ func (e Euler) Quat() Quat {
 	}
 }
 
-// Norm returns the quaternion magnitude.
-func (q Quat) Norm() float64 {
-	return math.Sqrt(float64(q.W*q.W) + float64(q.X*q.X) + float64(q.Y*q.Y) + float64(q.Z*q.Z))
-}
-
-// Normalize returns q scaled to unit norm; the zero quaternion maps to
-// identity.
-func (q Quat) Normalize() Quat {
-	n := q.Norm()
-	if n == 0 {
-		return IdentityQuat()
-	}
-	return Quat{q.W / n, q.X / n, q.Y / n, q.Z / n}
-}
-
 // Conj returns the conjugate (inverse, for a unit quaternion).
 func (q Quat) Conj() Quat { return Quat{q.W, -q.X, -q.Y, -q.Z} }
 
@@ -80,70 +65,5 @@ func (q Quat) DCM() DCM {
 	}
 }
 
-// Quat converts a rotation matrix to a unit quaternion using Shepperd's
-// method (selecting the largest diagonal pivot for numerical robustness).
-func (c DCM) Quat() Quat {
-	tr := c[0][0] + c[1][1] + c[2][2]
-	var q Quat
-	switch {
-	case tr > c[0][0] && tr > c[1][1] && tr > c[2][2]:
-		s := math.Sqrt(tr+1) * 2
-		q = Quat{
-			W: s / 4,
-			X: (c[2][1] - c[1][2]) / s,
-			Y: (c[0][2] - c[2][0]) / s,
-			Z: (c[1][0] - c[0][1]) / s,
-		}
-	case c[0][0] > c[1][1] && c[0][0] > c[2][2]:
-		s := math.Sqrt(1+c[0][0]-c[1][1]-c[2][2]) * 2
-		q = Quat{
-			W: (c[2][1] - c[1][2]) / s,
-			X: s / 4,
-			Y: (c[0][1] + c[1][0]) / s,
-			Z: (c[0][2] + c[2][0]) / s,
-		}
-	case c[1][1] > c[2][2]:
-		s := math.Sqrt(1+c[1][1]-c[0][0]-c[2][2]) * 2
-		q = Quat{
-			W: (c[0][2] - c[2][0]) / s,
-			X: (c[0][1] + c[1][0]) / s,
-			Y: s / 4,
-			Z: (c[1][2] + c[2][1]) / s,
-		}
-	default:
-		s := math.Sqrt(1+c[2][2]-c[0][0]-c[1][1]) * 2
-		q = Quat{
-			W: (c[1][0] - c[0][1]) / s,
-			X: (c[0][2] + c[2][0]) / s,
-			Y: (c[1][2] + c[2][1]) / s,
-			Z: s / 4,
-		}
-	}
-	return q.Normalize()
-}
-
 // Euler converts the quaternion to roll/pitch/yaw via the DCM.
 func (q Quat) Euler() Euler { return q.DCM().Euler() }
-
-// Integrate advances the attitude quaternion by body angular rate omega
-// (rad/s) over dt seconds using the exact exponential of the constant-rate
-// assumption. The returned quaternion is renormalised.
-func (q Quat) Integrate(omega Vec3, dt float64) Quat {
-	angle := omega.Norm() * dt
-	if angle == 0 {
-		return q
-	}
-	dq := QuatFromAxisAngle(omega, angle)
-	return q.Mul(dq).Normalize()
-}
-
-// AngleTo returns the magnitude (radians) of the rotation taking q to r,
-// a convenient attitude-error metric.
-func (q Quat) AngleTo(r Quat) float64 {
-	d := q.Conj().Mul(r).Normalize()
-	w := math.Abs(d.W)
-	if w > 1 {
-		w = 1
-	}
-	return 2 * math.Acos(w)
-}

@@ -10,8 +10,9 @@ import (
 // every value it reads against an eager reference kept here: each
 // register has a q and a d, writes go to d, and every register commits
 // q = d at every tick. Registers are owned by one writer each (a
-// component, or the Proc), as Handel-C requires of a register written
-// in parallel branches; anything may read anything.
+// component, or the early writer that runs before the components
+// evaluate), as Handel-C requires of a register written in parallel
+// branches; anything may read anything.
 
 // pair is the payload of the struct registers.
 type pair struct {
@@ -58,9 +59,9 @@ type op struct {
 
 // cyclePlan is what happens in one cycle of a run.
 type cyclePlan struct {
-	proc  bool     // the cycle runs under RunProc, not Tick
+	early bool     // the early writer writes in this cycle
 	host  []op     // written between ticks, before the cycle evaluates
-	owned [][]op   // per owner: the components, then the Proc
+	owned [][]op   // per owner: the components, then the early writer
 	reads []regRef // read between ticks, after the cycle's edge
 }
 
@@ -105,8 +106,9 @@ const (
 )
 
 // genPlan builds a seeded schedule: stretches of ticked cycles with
-// host writes and reads between ticks, stretches run by a Proc under
-// RunProc, and idle stretches where nothing is written or read.
+// host writes and reads between ticks, stretches where the early writer
+// writes every cycle and nothing is read between ticks, and idle
+// stretches where nothing is written or read.
 func genPlan(rng *rand.Rand) []cyclePlan {
 	var regs []regRef
 	for i := 0; i < modelInts; i++ {
@@ -115,8 +117,8 @@ func genPlan(rng *rand.Rand) []cyclePlan {
 	for i := 0; i < modelPairs; i++ {
 		regs = append(regs, regRef{isPair: true, i: i})
 	}
-	// Owner modelComps is the Proc; the first registers cover every
-	// owner, the rest are spread at random.
+	// Owner modelComps is the early writer; the first registers cover
+	// every owner, the rest are spread at random.
 	owner := make(map[regRef]int)
 	for i, r := range regs {
 		if i <= modelComps {
@@ -151,12 +153,12 @@ func genPlan(rng *rand.Rand) []cyclePlan {
 	for len(plan) < modelCycles {
 		kind, n := rng.Intn(3), 1+rng.Intn(20)
 		for j := 0; j < n && len(plan) < modelCycles; j++ {
-			cp := cyclePlan{proc: kind == 1, owned: make([][]op, modelComps+1)}
+			cp := cyclePlan{early: kind == 1, owned: make([][]op, modelComps+1)}
 			if kind == 2 { // idle
 				plan = append(plan, cp)
 				continue
 			}
-			if !cp.proc || j == 0 {
+			if !cp.early || j == 0 {
 				for h := rng.Intn(3); h > 0; h-- {
 					if rng.Intn(4) == 0 {
 						cp.host = append(cp.host, randOp(regs[rng.Intn(len(regs))]))
@@ -165,8 +167,8 @@ func genPlan(rng *rand.Rand) []cyclePlan {
 			}
 			for _, r := range regs {
 				o := owner[r]
-				if o == modelComps && !cp.proc {
-					continue // the Proc only runs under RunProc
+				if o == modelComps && !cp.early {
+					continue // the early writer only writes in its stretches
 				}
 				for w := writes(); w > 0; w-- {
 					cp.owned[o] = append(cp.owned[o], randOp(r))
@@ -319,18 +321,13 @@ func runSim(t *testing.T, plan []cyclePlan, states []modelState, reverse bool) {
 			do(-1, o)
 		}
 		n := 1
-		if plan[c].proc {
-			for c+n < len(plan) && plan[c+n].proc && len(plan[c+n].host) == 0 {
-				n++
-			}
-			p := For(n, func(int) Proc { return Do(func() { runOwner(modelComps) }) })
-			if got, done := s.RunProc(p, n); got != n || !done {
-				t.Fatalf("cycle %d: Proc of %d cycles ran %d (done %v)", c, n, got, done)
-			}
-		} else {
+		for plan[c].early && c+n < len(plan) && plan[c+n].early && len(plan[c+n].host) == 0 {
+			n++
+		}
+		for end := c + n; c < end; c++ {
+			runOwner(modelComps)
 			s.Tick()
 		}
-		c += n
 		for i, r := range plan[c-1].reads {
 			check("between ticks", uint64(c), r, b.read(r, (c+i)%2 == 0))
 		}
@@ -352,10 +349,10 @@ func runSim(t *testing.T, plan []cyclePlan, states []modelState, reverse bool) {
 // TestRegMatchesEagerModel holds Reg to the eager q/d reference across
 // int and struct registers, components added in both orders, 0–3
 // writes per register per cycle, idle stretches, reads between ticks
-// and writes from a Proc under RunProc. Reads go through Q and Cur,
-// writes through SetD and D, whole and to one field of a struct: Cur
-// must not move when D is written in the same cycle, and a write to
-// one field must hold the others.
+// and writes made before the components evaluate. Reads go through Q
+// and Cur, writes through SetD and D, whole and to one field of a
+// struct: Cur must not move when D is written in the same cycle, and a
+// write to one field must hold the others.
 func TestRegMatchesEagerModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		plan := genPlan(rand.New(rand.NewSource(seed)))

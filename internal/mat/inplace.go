@@ -14,11 +14,11 @@ import "fmt"
 //
 // Aliasing convention, chosen once and enforced everywhere:
 //
-//   - Element-wise kernels (AddMTo, SubMTo, ScaleTo, AddVecTo,
-//     SubVecTo, ScaleVecTo) read each input element exactly once
+//   - Element-wise kernels (AddMTo, SubMTo, ScaleTo, SubVecTo) read
+//     each input element exactly once
 //     before writing the corresponding output element, so dst MAY
 //     alias either operand (dst == a, dst == b, or both).
-//   - Product and transpose kernels (MulTo, MulTTo, TMulTo, MulVecTo,
+//   - Product and transpose kernels (MulTo, MulTTo, MulVecTo,
 //     TransposeTo) read inputs after writing outputs, so dst MUST NOT
 //     share storage with any operand; they panic with a descriptive
 //     message if it does. Computing a product truly in place would
@@ -92,34 +92,6 @@ func MulTTo(dst, a, b *Mat) {
 	}
 }
 
-// TMulTo computes dst = aᵀ * b. dst must be a.Cols x b.Cols and must
-// not alias a or b.
-func TMulTo(dst, a, b *Mat) {
-	if a.rows != b.rows {
-		panic(fmt.Sprintf("mat: TMulTo shape mismatch (%dx%d)ᵀ * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	if dst.rows != a.cols || dst.cols != b.cols {
-		panic(fmt.Sprintf("mat: TMulTo dst is %dx%d, want %dx%d", dst.rows, dst.cols, a.cols, b.cols))
-	}
-	checkNoAlias("TMulTo", dst, a, b)
-	for i := range dst.data {
-		dst.data[i] = 0
-	}
-	for k := 0; k < a.rows; k++ {
-		arow := a.data[k*a.cols : (k+1)*a.cols]
-		brow := b.data[k*b.cols : (k+1)*b.cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := dst.data[i*b.cols : (i+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += float64(av * bv)
-			}
-		}
-	}
-}
-
 // MulVecTo computes dst = a*v. dst must have a.Rows elements and must
 // not alias v.
 func MulVecTo(dst []float64, a *Mat, v []float64) {
@@ -183,16 +155,6 @@ func TransposeTo(dst, a *Mat) {
 	}
 }
 
-// AddVecTo computes dst = a + b. dst may alias a and/or b.
-func AddVecTo(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(fmt.Sprintf("mat: AddVecTo length mismatch dst %d, a %d, b %d", len(dst), len(a), len(b)))
-	}
-	for i, v := range a {
-		dst[i] = v + b[i]
-	}
-}
-
 // SubVecTo computes dst = a - b. dst may alias a and/or b.
 func SubVecTo(dst, a, b []float64) {
 	if len(a) != len(b) || len(dst) != len(a) {
@@ -200,16 +162,6 @@ func SubVecTo(dst, a, b []float64) {
 	}
 	for i, v := range a {
 		dst[i] = v - b[i]
-	}
-}
-
-// ScaleVecTo computes dst = s*a. dst may alias a.
-func ScaleVecTo(dst []float64, s float64, a []float64) {
-	if len(dst) != len(a) {
-		panic(fmt.Sprintf("mat: ScaleVecTo length mismatch dst %d, a %d", len(dst), len(a)))
-	}
-	for i, v := range a {
-		dst[i] = s * v
 	}
 }
 

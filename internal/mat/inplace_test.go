@@ -45,13 +45,6 @@ func TestInPlaceEquivalence(t *testing.T) {
 			t.Errorf("MulTTo %dx%dx%d mismatch", sh.r, sh.k, sh.c)
 		}
 
-		at := randMat(rng, sh.k, sh.r)
-		dst = New(sh.r, sh.c)
-		TMulTo(dst, at, b)
-		if !dst.Equal(at.TMul(b), 1e-14) {
-			t.Errorf("TMulTo %dx%dx%d mismatch", sh.r, sh.k, sh.c)
-		}
-
 		v := randVec(rng, sh.k)
 		dv := make([]float64, sh.r)
 		MulVecTo(dv, a, v)
@@ -115,19 +108,10 @@ func TestElementwiseAliasing(t *testing.T) {
 
 	x := randVec(rng, 6)
 	y := randVec(rng, 6)
-	wantV := AddVec(x, y)
 	gotV := append([]float64(nil), x...)
-	AddVecTo(gotV, gotV, y)
-	for i := range wantV {
-		if gotV[i] != wantV[i] {
-			t.Fatal("AddVecTo with dst==a mismatch")
-		}
-	}
-	gotV = append([]float64(nil), x...)
 	SubVecTo(gotV, gotV, y)
-	wantV = SubVec(x, y)
-	for i := range wantV {
-		if gotV[i] != wantV[i] {
+	for i := range x {
+		if gotV[i] != x[i]-y[i] {
 			t.Fatal("SubVecTo with dst==a mismatch")
 		}
 	}
@@ -147,7 +131,6 @@ func TestProductAliasPanics(t *testing.T) {
 		{"MulTo dst==a", func() { MulTo(a, a, b) }},
 		{"MulTo dst==b", func() { MulTo(b, a, b) }},
 		{"MulTTo dst==a", func() { MulTTo(a, a, b) }},
-		{"TMulTo dst==b", func() { TMulTo(b, a, b) }},
 		{"TransposeTo dst==a", func() { TransposeTo(a, a) }},
 		{"MulVecTo dst==v", func() { MulVecTo(v, a, v) }},
 	}
@@ -163,7 +146,7 @@ func TestProductAliasPanics(t *testing.T) {
 	}
 }
 
-// TestSolveToEquivalence checks the reusable LU and Cholesky solves —
+// TestSolveToEquivalence checks the reusable Cholesky solves —
 // including dst aliasing b — against the allocating API.
 func TestSolveToEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -174,35 +157,7 @@ func TestSolveToEquivalence(t *testing.T) {
 		}
 		b := randVec(rng, n)
 
-		lu := NewLU(n)
-		if err := lu.Factorize(a); err != nil {
-			t.Fatalf("n=%d: Factorize: %v", n, err)
-		}
-		want := lu.SolveVec(b)
-		got := make([]float64, n)
-		lu.SolveVecTo(got, b)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("n=%d: SolveVecTo mismatch at %d", n, i)
-			}
-		}
-		// In place: dst aliases b.
-		inpl := append([]float64(nil), b...)
-		lu.SolveVecTo(inpl, inpl)
-		for i := range want {
-			if math.Abs(inpl[i]-want[i]) > 1e-12 {
-				t.Fatalf("n=%d: in-place SolveVecTo mismatch at %d", n, i)
-			}
-		}
-		// Matrix solve, dst aliasing b.
 		bm := randMat(rng, n, 3)
-		wantM := lu.Solve(bm)
-		work := make([]float64, n)
-		gotM := bm.Clone()
-		lu.SolveTo(gotM, gotM, work)
-		if !gotM.Equal(wantM, 1e-12) {
-			t.Fatalf("n=%d: in-place SolveTo mismatch", n)
-		}
 
 		// SPD system for Cholesky: a·aᵀ + n·I.
 		spd := a.MulT(a)
@@ -214,7 +169,7 @@ func TestSolveToEquivalence(t *testing.T) {
 			t.Fatalf("n=%d: Cholesky Factorize: %v", n, err)
 		}
 		wantC := ch.SolveVec(b)
-		inpl = append([]float64(nil), b...)
+		inpl := append([]float64(nil), b...)
 		ch.SolveVecTo(inpl, inpl)
 		for i := range wantC {
 			if math.Abs(inpl[i]-wantC[i]) > 1e-12 {
@@ -222,7 +177,7 @@ func TestSolveToEquivalence(t *testing.T) {
 			}
 		}
 		wantCM := ch.Solve(bm)
-		gotM = bm.Clone()
+		gotM := bm.Clone()
 		ch.SolveTo(gotM, gotM)
 		if !gotM.Equal(wantCM, 1e-12) {
 			t.Fatalf("n=%d: in-place Cholesky SolveTo mismatch", n)
@@ -230,22 +185,19 @@ func TestSolveToEquivalence(t *testing.T) {
 
 		// Refactorising the same workspace with a different matrix must
 		// fully overwrite the previous factorisation.
-		a2 := randMat(rng, n, n)
-		for i := 0; i < n; i++ {
-			a2.Add(i, i, float64(2*n))
-		}
-		if err := lu.Factorize(a2); err != nil {
+		spd2 := makeSPD(rng, n)
+		if err := ch.Factorize(spd2); err != nil {
 			t.Fatalf("n=%d: refactorize: %v", n, err)
 		}
-		fresh, err := Factor(a2)
+		fresh, err := CholeskyFactor(spd2)
 		if err != nil {
-			t.Fatalf("n=%d: Factor: %v", n, err)
+			t.Fatalf("n=%d: CholeskyFactor: %v", n, err)
 		}
-		got = make([]float64, n)
-		lu.SolveVecTo(got, b)
-		want = fresh.SolveVec(b)
+		got := make([]float64, n)
+		ch.SolveVecTo(got, b)
+		want := fresh.SolveVec(b)
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
+			if got[i] != want[i] {
 				t.Fatalf("n=%d: reused workspace solve mismatch at %d", n, i)
 			}
 		}
@@ -263,12 +215,10 @@ func TestInPlaceKernelsAllocFree(t *testing.T) {
 	dst := New(n, n)
 	v := randVec(rng, n)
 	dv := make([]float64, n)
-	work := make([]float64, n)
 	for i := 0; i < n; i++ {
 		a.Add(i, i, n)
 	}
 	spd := a.MulT(a)
-	lu := NewLU(n)
 	ch := NewCholesky(n)
 
 	checks := []struct {
@@ -277,19 +227,11 @@ func TestInPlaceKernelsAllocFree(t *testing.T) {
 	}{
 		{"MulTo", func() { MulTo(dst, a, b) }},
 		{"MulTTo", func() { MulTTo(dst, a, b) }},
-		{"TMulTo", func() { TMulTo(dst, a, b) }},
 		{"MulVecTo", func() { MulVecTo(dv, a, v) }},
 		{"AddMTo", func() { AddMTo(dst, a, b) }},
 		{"SubMTo", func() { SubMTo(dst, a, b) }},
 		{"ScaleTo", func() { ScaleTo(dst, 2, a) }},
 		{"TransposeTo", func() { TransposeTo(dst, a) }},
-		{"LU Factorize+SolveTo", func() {
-			if err := lu.Factorize(a); err != nil {
-				panic(err)
-			}
-			lu.SolveVecTo(dv, v)
-			lu.SolveTo(dst, b, work)
-		}},
 		{"Cholesky Factorize+SolveTo", func() {
 			if err := ch.Factorize(spd); err != nil {
 				panic(err)

@@ -2,10 +2,10 @@
 // and attitude mathematics in this repository.
 //
 // The Go standard library has no matrix package, so this is a small,
-// self-contained implementation of the operations an estimation stack
-// actually needs: element access, arithmetic, transpose products,
-// LU and Cholesky factorisations, solves and inverses. Matrices are
-// row-major dense float64; sizes are fixed at construction.
+// self-contained implementation of the operations the estimators and
+// their tests use: element access, arithmetic, transpose products and
+// the Cholesky factorisation and solves behind the NEES statistics.
+// Matrices are row-major dense float64; sizes are fixed at construction.
 //
 // All binary operations validate dimensions and panic with a descriptive
 // message on mismatch. Estimation code builds matrices whose shapes are
@@ -157,39 +157,6 @@ func (m *Mat) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Mat) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range for %dx%d", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := range out {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow overwrites row i with v.
-func (m *Mat) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow got %d values for %d cols", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
-// Diagonal returns a copy of the main diagonal.
-func (m *Mat) Diagonal() []float64 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = m.data[i*m.cols+i]
-	}
-	return out
-}
-
 // AddM returns m + b as a new matrix. See AddMTo for the
 // destination-passing form.
 func (m *Mat) AddM(b *Mat) *Mat {
@@ -241,16 +208,6 @@ func (m *Mat) MulT(b *Mat) *Mat {
 	return out
 }
 
-// TMul returns mᵀ * b. See TMulTo for the destination-passing form.
-func (m *Mat) TMul(b *Mat) *Mat {
-	if m.rows != b.rows {
-		panic(fmt.Sprintf("mat: TMul shape mismatch (%dx%d)ᵀ * %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := New(m.cols, b.cols)
-	TMulTo(out, m, b)
-	return out
-}
-
 // T returns the transpose of m as a new matrix. See TransposeTo for the
 // destination-passing form.
 func (m *Mat) T() *Mat {
@@ -294,18 +251,6 @@ func (m *Mat) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Mat) Trace() float64 {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("mat: Trace on non-square %dx%d", m.rows, m.cols))
-	}
-	var s float64
-	for i := 0; i < m.rows; i++ {
-		s += m.data[i*m.cols+i]
-	}
-	return s
 }
 
 // Equal reports whether m and b have the same shape and all elements

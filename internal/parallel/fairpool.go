@@ -294,14 +294,6 @@ func (p *FairPool[J]) TenantOutstanding(tenant uint32) int {
 	return 0
 }
 
-// Tenants returns the number of tenant queues currently resident
-// (active, running, or retained idle).
-func (p *FairPool[J]) Tenants() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queues)
-}
-
 // Close stops admission and blocks until every queued job has been
 // served and all workers have exited. Blocked Submit calls are woken
 // (and panic), matching the contract that submission stops before the

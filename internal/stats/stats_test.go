@@ -13,7 +13,7 @@ func TestChiSquareCDFKnownValues(t *testing.T) {
 	}{
 		{1, 1, 0.6826894921370859},    // P(|Z| ≤ 1) for Z ~ N(0,1)
 		{2, 2, 0.6321205588285577},    // 1 − e^{-1}
-		{2, 13.8, 0.9989920054748447}, // the Chi2Gate default's quantile
+		{2, 13.8, 0.9989920054748447}, // χ²(2) 99.9% point
 		{3, 11.344867, 0.99},          // χ²(3) 99% point
 		{10, 10, 0.5595067149347875},
 		{100, 124.3421134, 0.95}, // χ²(100) 95% point

@@ -195,10 +195,6 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 
 	// Hot-swap state for ReconfigureOnFault: the nominal filter config
 	// to restore, and whether the degraded model is currently active.
-	walkScale := cfg.DegradedWalkScale
-	if walkScale <= 0 {
-		walkScale = 10
-	}
 	nominalFilter := cfg.Filter
 	inDegraded := false
 
@@ -245,7 +241,7 @@ func (r *Runner) RunInto(res *Result, cfg Config) error {
 				// both streams back to Fresh restores the nominal one.
 				// Hysteresis is inherent — Held epochs change nothing.
 				if !inDegraded && (dmuSt == fault.Stale || accSt == fault.Stale) {
-					degraded, derr := est.ScaleProcessNoise(walkScale)
+					degraded, derr := est.ScaleProcessNoise(degradedWalkScale)
 					if derr == nil {
 						derr = est.Reconfigure(degraded)
 					}

@@ -98,15 +98,16 @@ type Config struct {
 	// ReconfigureOnFault hot-swaps the filter's process model from the
 	// link supervisors' verdicts (UseLinks only): when either stream
 	// goes Stale the process-noise densities are scaled by
-	// DegradedWalkScale — the state is allowed to wander faster while
+	// degradedWalkScale — the state is allowed to wander faster while
 	// measurements are missing, so re-convergence after the outage is
 	// fast — and when both streams are Fresh again the nominal model is
 	// restored. Each transition is one core.Estimator.Reconfigure call.
 	ReconfigureOnFault bool
-	// DegradedWalkScale is the degraded-model process-noise multiplier
-	// (default 10).
-	DegradedWalkScale float64
 }
+
+// degradedWalkScale is the process-noise multiplier of the degraded
+// model ReconfigureOnFault switches to.
+const degradedWalkScale = 10
 
 // DefaultConfig returns a ready-to-run configuration for the given
 // profile and misalignment, with calibration enabled.

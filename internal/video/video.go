@@ -1,8 +1,8 @@
 // Package video provides the image substrate for the boresight
 // correction demo: framebuffers matching the RC200's video path,
 // synthetic road scenes standing in for the paper's camera (we have no
-// physical video input), alignment/quality metrics, and PPM encode /
-// decode for inspecting results.
+// physical video input), alignment/quality metrics, and PPM output for
+// inspecting results.
 package video
 
 import (
@@ -29,11 +29,6 @@ func (p Pixel) G() uint8 { return uint8(p >> 8) }
 
 // B returns the blue component.
 func (p Pixel) B() uint8 { return uint8(p) }
-
-// Gray returns the luma (ITU-R BT.601 weights, integer arithmetic).
-func (p Pixel) Gray() uint8 {
-	return uint8((299*uint32(p.R()) + 587*uint32(p.G()) + 114*uint32(p.B())) / 1000)
-}
 
 // Frame is a dense framebuffer.
 type Frame struct {
@@ -128,39 +123,4 @@ func (f *Frame) WritePPM(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadPPM decodes a binary PPM (P6) image.
-func ReadPPM(r io.Reader) (*Frame, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	if _, err := fmt.Fscan(br, &magic); err != nil {
-		return nil, fmt.Errorf("video: reading PPM magic: %w", err)
-	}
-	if magic != "P6" {
-		return nil, fmt.Errorf("video: unsupported PPM magic %q", magic)
-	}
-	var w, h, max int
-	if _, err := fmt.Fscan(br, &w, &h, &max); err != nil {
-		return nil, fmt.Errorf("video: reading PPM header: %w", err)
-	}
-	if max != 255 {
-		return nil, fmt.Errorf("video: unsupported PPM maxval %d", max)
-	}
-	if w <= 0 || h <= 0 || w*h > 64<<20 {
-		return nil, fmt.Errorf("video: unreasonable PPM size %dx%d", w, h)
-	}
-	// Single whitespace byte after the header.
-	if _, err := br.ReadByte(); err != nil {
-		return nil, err
-	}
-	f := NewFrame(w, h)
-	buf := make([]byte, 3*w*h)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("video: reading PPM data: %w", err)
-	}
-	for i := 0; i < w*h; i++ {
-		f.Pix[i] = RGB(buf[3*i], buf[3*i+1], buf[3*i+2])
-	}
-	return f, nil
 }
