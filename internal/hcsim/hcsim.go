@@ -44,10 +44,6 @@ func (s *Sim) Tick() {
 	for _, c := range s.comps {
 		c.Eval()
 	}
-	s.edge()
-}
-
-func (s *Sim) edge() {
 	for _, h := range s.hooks {
 		h()
 	}

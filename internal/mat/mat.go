@@ -1,11 +1,13 @@
 // Package mat provides the dense linear algebra used by the Kalman filter
-// and attitude mathematics in this repository.
+// and the boresight estimator in this repository.
 //
 // The Go standard library has no matrix package, so this is a small,
 // self-contained implementation of the operations the estimators and
 // their tests use: element access, arithmetic, transpose products and
-// the Cholesky factorisation and solves behind the NEES statistics.
-// Matrices are row-major dense float64; sizes are fixed at construction.
+// the Cholesky factorisation and solves behind the NEES statistics. The
+// allocating operations are the references the kalman and core tests
+// check their fused loops against. Matrices are row-major dense
+// float64; sizes are fixed at construction.
 //
 // All binary operations validate dimensions and panic with a descriptive
 // message on mismatch. Estimation code builds matrices whose shapes are

@@ -166,7 +166,8 @@ type Result struct {
 	ExceedanceRate float64
 	// Steps is the number of fusion updates.
 	Steps int
-	// FinalMeasNoise is the (possibly adapted) measurement σ.
+	// FinalMeasNoise is the filter's configured measurement σ
+	// (core.Estimator.MeasNoise).
 	FinalMeasNoise float64
 	// OdoBiasEst is the odometry-estimated IMU longitudinal bias
 	// (0 unless UseOdometry).
