@@ -719,12 +719,12 @@ func (e *Estimator) stepMeas(dt float64, fBody, omega geom.Vec3, accX, accY, inf
 	// Innovation gate: an outlier that slipped past the transport
 	// checksums would slam the state; reject anything implausibly far
 	// outside the innovation covariance (GateSigma on the Mahalanobis
-	// distance). A long
-	// unbroken run of rejections means the filter itself is wrong (gate
-	// lockout, e.g. after covariance over-collapse), so the gate breaks
-	// through and accepts a measurement to let the filter re-converge —
-	// isolated outliers can essentially never produce such a run. The
-	// one innovation serves the gate and, through Commit, the update.
+	// distance). A long unbroken run of rejections means the filter
+	// itself is wrong (gate lockout, e.g. after covariance
+	// over-collapse), so the gate breaks through and accepts a
+	// measurement to let the filter re-converge — isolated outliers can
+	// essentially never produce such a run. The one innovation serves
+	// the gate and, through Commit, the update.
 	inn, err := e.kf.InnovationOnly(z, h, H, R)
 	if err != nil {
 		return inn, err

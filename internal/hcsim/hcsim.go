@@ -9,10 +9,11 @@
 // edge (two-phase simulation, so evaluation order never matters). That
 // is what Handel-C's par{} means for branches that share a clock, so
 // Figure 4's top-level par{} is modelled as its branches' components
-// evaluated every clock, and its seq{} loop as one component that
-// keeps the loop's position in its own state. Registers latch lazily: a write records its cycle, and the
-// first access in a later cycle applies it, so Tick never walks the
-// registers. Only commit hooks (memory write ports) run at every edge.
+// evaluated every clock, and its seq{} loop as one component that keeps
+// the loop's position in its own state. Registers latch lazily: a write
+// records its cycle, and the first access in a later cycle applies it,
+// so Tick never walks the registers. Only commit hooks (memory write
+// ports) run at every edge.
 package hcsim
 
 import "math"
