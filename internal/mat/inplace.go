@@ -15,9 +15,9 @@ import "fmt"
 // Aliasing convention, chosen once and enforced everywhere:
 //
 //   - Element-wise kernels (AddMTo, SubMTo, ScaleTo, SubVecTo) read
-//     each input element exactly once
-//     before writing the corresponding output element, so dst MAY
-//     alias either operand (dst == a, dst == b, or both).
+//     each input element exactly once before writing the corresponding
+//     output element, so dst MAY alias either operand (dst == a,
+//     dst == b, or both).
 //   - Product and transpose kernels (MulTo, MulTTo, MulVecTo,
 //     TransposeTo) read inputs after writing outputs, so dst MUST NOT
 //     share storage with any operand; they panic with a descriptive

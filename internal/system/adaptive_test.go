@@ -9,7 +9,7 @@ import (
 
 // TestNoiseDriftAdaptiveTracksRegimeChange: a mid-run ACC noise regime
 // change must be visible in the adaptive filter's final R-hat, while
-// the legacy fixed-R path keeps reporting the configured sigma.
+// the fixed-R path keeps reporting the configured sigma.
 func TestNoiseDriftAdaptiveTracksRegimeChange(t *testing.T) {
 	mis := geom.EulerDeg(1.5, -1, 0.5)
 	cfg := StaticScenario(mis, 60, 31)
